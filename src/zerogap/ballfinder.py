@@ -25,6 +25,10 @@ from scipy.stats import qmc
 from .chebmult import ball_multiplier, cheb_positive_zeros
 from .polycore import AffineForm, MultiPoly
 from .sphereopt import (
+    LOG_FLOOR,
+    NEAR_MAX_REL,
+    _batch_ascent,
+    _log_abs_objective,
     angular_distance_to_zero_set,
     maximize_abs_on_sphere,
     sphere_starts,
@@ -39,9 +43,6 @@ __all__ = [
     "lifted_diagnostics",
     "product_with_itself",
 ]
-
-_LOG_FLOOR = -1e30
-_NEAR_MAX_REL = 1e-9
 
 
 def _clip_to_ball(X):
@@ -228,37 +229,12 @@ def _multiplier_objective(poly: MultiPoly):
     """(value, grad) of log|P(x)| + log|M(|x|)| on row batches in the ball."""
     n = poly.degree
     h = 1e-6
-
-    if poly.affine_factors is not None:
-        A = np.array([f.normal for f in poly.affine_factors])
-        b = np.array([f.offset for f in poly.affine_factors])
-
-        def poly_log(X):
-            L = X @ A.T - b
-            with np.errstate(divide="ignore"):
-                return np.where(np.all(L != 0.0, axis=1), np.sum(np.log(np.abs(L)), axis=1), _LOG_FLOOR)
-
-        def poly_grad(X):
-            L = X @ A.T - b
-            L = np.where(L == 0.0, 1e-300, L)
-            return (1.0 / L) @ A
-
-    else:
-
-        def poly_log(X):
-            v = poly.eval(X)
-            with np.errstate(divide="ignore"):
-                return np.where(v != 0.0, np.log(np.abs(v)), _LOG_FLOOR)
-
-        def poly_grad(X):
-            v = poly.eval(X)
-            v = np.where(v == 0.0, 1e-300, v)
-            return poly.gradient(X) / v[:, None]
+    poly_log, poly_grad = _log_abs_objective(poly)
 
     def mult_log(r):
         g = ball_multiplier(n, r)
         with np.errstate(divide="ignore"):
-            return np.where(g != 0.0, np.log(np.abs(g)), _LOG_FLOOR)
+            return np.where(g != 0.0, np.log(np.abs(g)), LOG_FLOOR)
 
     def value(X):
         r = np.linalg.norm(X, axis=1)
@@ -300,7 +276,7 @@ def _multiplier_point_1d(poly, value):
     return cands
 
 
-def multiplier_point(poly: MultiPoly, seed=0, starts=64, budget=64):
+def multiplier_point(poly: MultiPoly, seed=0, starts=64):
     """Point of B^d maximizing |P(x) M(|x|)|, tie-broken by zero-set distance.
 
     Returns (point, distance).  Among maximizers within relative 1e-9 of the
@@ -317,28 +293,7 @@ def multiplier_point(poly: MultiPoly, seed=0, starts=64, budget=64):
         cands = _multiplier_point_1d(poly, value)
     else:
         X = _ball_starts(d, starts, seed)
-        f = value(X)
-        for _ in range(200):
-            G = grad(X)
-            gnorm = np.linalg.norm(G, axis=1)
-            if np.all(gnorm < 1e-12):
-                break
-            step = 0.25 / (1.0 + gnorm)
-            live = gnorm >= 1e-12
-            any_better = False
-            for _ in range(25):
-                trial = _clip_to_ball(X + step[:, None] * G)
-                ft = value(trial)
-                better = live & (ft > f)
-                X = np.where(better[:, None], trial, X)
-                f = np.where(better, ft, f)
-                any_better |= bool(np.any(better))
-                live = live & ~better
-                if not np.any(live):
-                    break
-                step = step * 0.25
-            if not any_better:
-                break
+        X, f = _batch_ascent(value, grad, X, lambda G, X: G, _clip_to_ball, 200, 0.25, 25)
         order = np.argsort(-f)
         cands = []
         for i in order[: max(8, min(24, starts))]:
@@ -354,12 +309,10 @@ def multiplier_point(poly: MultiPoly, seed=0, starts=64, budget=64):
 
     logs = [float(value(np.atleast_2d(c))[0]) for c in cands]
     best = max(logs)
-    if best <= _LOG_FLOOR / 2:
+    if best <= LOG_FLOOR / 2:
         raise ValueError("objective vanished at every candidate")
-    pool = [c for lv, c in zip(logs, cands) if lv >= best + math.log1p(-_NEAR_MAX_REL)]
-    scored = [
-        (euclidean_zero_distance(poly, c, budget=budget, seed=seed), c) for c in pool
-    ]
+    pool = [c for lv, c in zip(logs, cands) if lv >= best + math.log1p(-NEAR_MAX_REL)]
+    scored = [(euclidean_zero_distance(poly, c, seed=seed), c) for c in pool]
     dist, point = max(scored, key=lambda t: t[0])
     return np.atleast_1d(point), float(dist)
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import VerificationError
-from .sphereopt import _batch_sphere_ascent, _polish_on_sphere, sphere_starts
+from .sphereopt import LOG_FLOOR, near_max_on_sphere, sphere_starts
 
 __all__ = [
     "ComplexHomogPoly",
@@ -33,9 +33,6 @@ __all__ = [
     "verify_weighted_gap",
     "hermitian_angle",
 ]
-
-_LOG_FLOOR = -1e30
-_NEAR_MAX_REL = 1e-9
 
 
 def to_complex(x):
@@ -199,7 +196,7 @@ def _weighted_log_objective(items):
             dead |= v == 0.0
             with np.errstate(divide="ignore"):
                 total = total + w * np.log(np.where(v == 0.0, 1.0, v))
-        return np.where(dead, _LOG_FLOOR, total)
+        return np.where(dead, LOG_FLOOR, total)
 
     def grad(X):
         Z = to_complex(X)
@@ -217,20 +214,10 @@ def _weighted_log_objective(items):
 
 
 def _maximize_items(items, starts, seed):
-    dim2 = 2 * items[0][0].dim
+    """Near-maximal pool of the weighted log objective, sorted by coordinates."""
     value, grad = _weighted_log_objective(items)
-    X = sphere_starts(dim2, starts, seed)
-    X, f = _batch_sphere_ascent(value, grad, X)
-    if np.max(f) <= _LOG_FLOOR / 2:
-        raise ValueError("every start collapsed onto a zero set")
-    order = np.argsort(-f)
-    top = [X[i] for i in order[: max(8, min(32, starts))]]
-    polished = [_polish_on_sphere(value, grad, p) for p in top]
-    logs = [float(value(p[None, :])[0]) for p in polished]
-    best = max(logs)
-    pool = [p for lv, p in zip(logs, polished) if lv >= best + math.log1p(-_NEAR_MAX_REL)]
-    pool.sort(key=lambda p: tuple(p))
-    return pool, best
+    keep = near_max_on_sphere(value, grad, 2 * items[0][0].dim, starts, seed)
+    return sorted((p for _, p in keep), key=tuple)
 
 
 def maximize_weighted_log(system: WeightedSystem, starts=64, seed=0):
@@ -238,7 +225,7 @@ def maximize_weighted_log(system: WeightedSystem, starts=64, seed=0):
 
     Returns the point as 2d real coordinates (unit vector in R^(2d)).
     """
-    pool, _ = _maximize_items(system.items, starts, seed)
+    pool = _maximize_items(system.items, starts, seed)
     return pool[0]
 
 
@@ -386,7 +373,7 @@ class ComplexGapReport:
 def verify_complex_gap(poly: ComplexHomogPoly, seed=0, starts=64, tol=1e-6) -> ComplexGapReport:
     """Check distance >= arcsin(1/sqrt(deg)) at a maximizer of |P|."""
     n = poly.degree
-    pool, _ = _maximize_items(((poly, 1.0),), starts, seed)
+    pool = _maximize_items(((poly, 1.0),), starts, seed)
     scored = [
         (complex_zero_distance(poly, to_complex(x), seed=seed), to_complex(x)) for x in pool
     ]
@@ -425,7 +412,7 @@ def chart_radius_check(poly: ComplexHomogPoly, zero, seed=0, starts=64, tol=1e-8
     )
     if abs(poly.eval(zero)) > 1e-8 * scale:
         raise ValueError("the supplied point is not a zero of the polynomial")
-    pool, _ = _maximize_items(((poly, 1.0),), starts, seed)
+    pool = _maximize_items(((poly, 1.0),), starts, seed)
     p = to_complex(pool[0])
     angle = hermitian_angle(p, zero)
     a = math.tan(angle)
@@ -438,7 +425,7 @@ def chart_radius_check(poly: ComplexHomogPoly, zero, seed=0, starts=64, tol=1e-8
 
 def verify_weighted_gap(system: WeightedSystem, seed=0, starts=64, tol=1e-6) -> ComplexGapReport:
     """Check distance to each Z(P_k) >= arcsin(delta_k) at the weighted maximizer."""
-    pool, _ = _maximize_items(system.items, starts, seed)
+    pool = _maximize_items(system.items, starts, seed)
     best = None
     for x in pool:
         z = to_complex(x)

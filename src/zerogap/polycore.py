@@ -1,9 +1,11 @@
 """Sparse real multivariate polynomials, affine forms, and restriction to circles.
 
 A polynomial is stored as a sorted tuple of (exponent-vector, coefficient)
-pairs.  The identically-zero polynomial is rejected at construction: every
-bound computed downstream divides by the degree or assumes a nonempty zero
-structure, so zero input is an error, not a value.
+pairs, or, for a product of affine forms, as its factor list, whose
+expansion is computed only when ``terms`` is read.  The identically-zero
+polynomial is rejected at construction: every bound computed downstream
+divides by the degree or assumes a nonempty zero structure, so zero input is
+an error, not a value.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ class MultiPoly:
     operations return new objects.
     """
 
-    __slots__ = ("dim", "terms", "degree", "affine_factors", "_arrays")
+    __slots__ = ("dim", "_terms", "degree", "affine_factors", "_arrays")
 
-    def __init__(self, dim, terms, affine_factors=None):
+    def __init__(self, dim, terms):
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         merged = {}
@@ -51,17 +53,18 @@ class MultiPoly:
         if not merged:
             raise ValueError("the identically-zero polynomial is not accepted")
         self.dim = int(dim)
-        self.terms = tuple(sorted(merged.items()))
-        self.degree = max(sum(e) for e, _ in self.terms)
-        self.affine_factors = affine_factors
+        self._terms = tuple(sorted(merged.items()))
+        self.degree = max(sum(e) for e, _ in self._terms)
+        self.affine_factors = None
         self._arrays = None
 
     @classmethod
     def from_affine_product(cls, forms):
-        """Product of affine forms, kept factored; expansion is deferred.
+        """Product of affine forms, kept factored; ``terms`` expands on first use.
 
-        Evaluation and gradients go through the factor list, which is exact
-        and avoids expanding, e.g., a 150-factor product in three variables.
+        Evaluation, gradients and circle restriction go through the factor
+        list, which is exact and avoids expanding, e.g., a 150-factor product
+        in three variables.
         """
         forms = tuple(forms)
         if not forms:
@@ -71,14 +74,16 @@ class MultiPoly:
             raise ValueError("affine forms of mixed dimension")
         obj = cls.__new__(cls)
         obj.dim = d
-        obj.terms = None
+        obj._terms = None
         obj.degree = len(forms)
         obj.affine_factors = forms
         obj._arrays = None
         return obj
 
-    def _expanded_terms(self):
-        if self.terms is None:
+    @property
+    def terms(self):
+        """Sorted (exponents, coefficient) pairs; a factored product expands here."""
+        if self._terms is None:
             terms = {(0,) * self.dim: 1.0}
             for f in self.affine_factors:
                 nxt = {}
@@ -92,14 +97,13 @@ class MultiPoly:
                     if f.offset != 0.0:
                         nxt[exps] = nxt.get(exps, 0.0) - coeff * f.offset
                 terms = nxt
-            self.terms = tuple(sorted((e, c) for e, c in terms.items() if c != 0.0))
-        return self.terms
+            self._terms = tuple(sorted((e, c) for e, c in terms.items() if c != 0.0))
+        return self._terms
 
     def _term_arrays(self):
         if self._arrays is None:
-            terms = self._expanded_terms()
-            E = np.array([e for e, _ in terms], dtype=np.int64)
-            C = np.array([c for _, c in terms], dtype=float)
+            E = np.array([e for e, _ in self.terms], dtype=np.int64)
+            C = np.array([c for _, c in self.terms], dtype=float)
             self._arrays = (E, C)
         return self._arrays
 
@@ -142,7 +146,6 @@ class MultiPoly:
         else:
             E, C = self._term_arrays()
             G = np.empty((n_pts, self.dim))
-            P = X[:, None, :] ** E[None, :, :]
             for j in range(self.dim):
                 Ej = E.copy()
                 expo = Ej[:, j].copy()
@@ -155,12 +158,12 @@ class MultiPoly:
         return self.eval(point)
 
     def __repr__(self):
-        if self.terms is None:
+        if self.affine_factors is not None:
             return f"MultiPoly(dim={self.dim}, degree={self.degree}, factored x{len(self.affine_factors)})"
         return f"MultiPoly(dim={self.dim}, degree={self.degree}, nterms={len(self.terms)})"
 
     def to_json(self):
-        return {"dim": self.dim, "terms": [{"e": list(e), "c": c} for e, c in self._expanded_terms()]}
+        return {"dim": self.dim, "terms": [{"e": list(e), "c": c} for e, c in self.terms]}
 
     @classmethod
     def from_json(cls, obj):
@@ -242,17 +245,8 @@ class CirclePlane:
 
 
 def product_of_affine_forms(forms) -> MultiPoly:
-    """Expanded product of affine forms; degree equals the number of forms."""
-    forms = list(forms)
-    if not forms:
-        raise ValueError("empty form list")
-    d = forms[0].dim
-    if any(f.dim != d for f in forms):
-        raise ValueError("affine forms of mixed dimension")
-    poly = MultiPoly.from_affine_product(forms)
-    if len(forms) <= 24:
-        poly._expanded_terms()
-    return poly
+    """Product of affine forms; degree equals the number of forms."""
+    return MultiPoly.from_affine_product(forms)
 
 
 def _conv_center(a, b):
@@ -274,7 +268,7 @@ def restrict_to_circle(poly: MultiPoly, plane: CirclePlane) -> TrigPoly:
         cp = plane.radius * (plane.u[i] - 1j * plane.v[i]) / 2.0
         base.append(np.array([np.conj(cp), plane.center[i], cp], dtype=complex))
 
-    if poly.affine_factors is not None and poly.terms is None:
+    if poly.affine_factors is not None:
         acc = np.array([1.0 + 0j])
         for f in poly.affine_factors:
             fac = np.array([0.0 + 0j, -f.offset, 0.0 + 0j], dtype=complex)

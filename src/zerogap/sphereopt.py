@@ -2,10 +2,12 @@
 
 The search ascends log|P| with tangent-projected gradients from a seeded
 low-discrepancy batch of starts, then polishes the leading candidates by
-Newton steps in a tangent chart.  In two dimensions no search is needed: the
-restriction to the circle is a trigonometric polynomial whose critical
-points are found exactly, so results there are certified by root isolation
-rather than iteration.
+Newton steps in a tangent chart.  The same engine serves the sphere of C^d
+(``complexproj``), and its ascent loop, given the identity projection and a
+clip to the ball, serves the multiplier search (``ballfinder``).  In two
+dimensions no search is needed: the restriction to the circle is a
+trigonometric polynomial whose critical points are found exactly, so results
+there are certified by root isolation rather than iteration.
 
 Angular distances to zero sets are exact (closed form) for products of
 affine forms and for any polynomial in two variables; in higher dimension
@@ -30,6 +32,7 @@ __all__ = [
     "SphereGapReport",
     "unit_vector",
     "sphere_starts",
+    "near_max_on_sphere",
     "maximize_abs_on_sphere",
     "slice_distance",
     "angular_distance_to_zero_set",
@@ -38,8 +41,10 @@ __all__ = [
 
 RNG_NAME = "sobol-gauss/1"
 
-_NEAR_MAX_REL = 1e-9
-_LOG_FLOOR = -1e30
+# log-objective value where the function vanishes, and the relative width of
+# the near-maximal pool that the gap verifiers choose from
+LOG_FLOOR = -1e30
+NEAR_MAX_REL = 1e-9
 
 
 def unit_vector(v):
@@ -71,7 +76,7 @@ def _log_abs_objective(poly: MultiPoly):
             L = X @ A.T - b
             with np.errstate(divide="ignore"):
                 return np.where(
-                    np.all(L != 0.0, axis=1), np.sum(np.log(np.abs(L)), axis=1), _LOG_FLOOR
+                    np.all(L != 0.0, axis=1), np.sum(np.log(np.abs(L)), axis=1), LOG_FLOOR
                 )
 
         def grad(X):
@@ -84,7 +89,7 @@ def _log_abs_objective(poly: MultiPoly):
         def value(X):
             v = poly.eval(X)
             with np.errstate(divide="ignore"):
-                return np.where(v != 0.0, np.log(np.abs(v)), _LOG_FLOOR)
+                return np.where(v != 0.0, np.log(np.abs(v)), LOG_FLOOR)
 
         def grad(X):
             v = poly.eval(X)
@@ -94,31 +99,42 @@ def _log_abs_objective(poly: MultiPoly):
     return value, grad
 
 
-def _batch_sphere_ascent(value, grad, X, iters=160, gtol=1e-12):
-    """Projected gradient ascent with backtracking, all rows in lockstep."""
+def _sphere_tangent(G, X):
+    """Rows of G projected onto the tangent spaces of the sphere at the rows of X."""
+    return G - np.sum(G * X, axis=1, keepdims=True) * X
+
+
+def _normalize_rows(X):
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def _batch_ascent(value, grad, X, tangent, retract, iters, step0, backtracks):
+    """Projected gradient ascent with backtracking, all rows in lockstep.
+
+    ``tangent(G, X)`` projects the gradients onto the manifold's tangent
+    spaces and ``retract`` maps the trial rows back onto the manifold.
+    """
     f = value(X)
     for _ in range(iters):
-        G = grad(X)
-        Gt = G - np.sum(G * X, axis=1, keepdims=True) * X
-        gnorm = np.linalg.norm(Gt, axis=1)
-        if np.all(gnorm < gtol):
+        G = tangent(grad(X), X)
+        gnorm = np.linalg.norm(G, axis=1)
+        live = gnorm >= 1e-12
+        if not np.any(live):
             break
-        step = 0.5 / (1.0 + gnorm)
-        live = gnorm >= gtol
-        improved = np.zeros(len(X), dtype=bool)
-        for _ in range(30):
-            trial = np.where(live[:, None], X + step[:, None] * Gt, X)
-            trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
+        step = step0 / (1.0 + gnorm)
+        improved = False
+        for _ in range(backtracks):
+            trial = retract(X + step[:, None] * G)
             ft = value(trial)
             better = live & (ft > f)
             X = np.where(better[:, None], trial, X)
             f = np.where(better, ft, f)
-            improved |= better
+            improved = improved or bool(np.any(better))
             live = live & ~better
             if not np.any(live):
                 break
             step = step * 0.25
-        if not np.any(improved):
+        if not improved:
             break
     return X, f
 
@@ -212,6 +228,26 @@ def _dedupe_points(points, tol=1e-7):
     return out
 
 
+def near_max_on_sphere(value, grad, dim, starts, seed):
+    """Multi-start maximization of a log objective on S^(dim-1).
+
+    Seeded starts ascend in lockstep, the best ``max(8, min(32, starts))``
+    are polished by tangent Newton steps, and the (log value, point) pairs
+    within relative ``NEAR_MAX_REL`` of the best polished value are returned
+    in polish order.
+    """
+    X = sphere_starts(dim, starts, seed)
+    X, f = _batch_ascent(value, grad, X, _sphere_tangent, _normalize_rows, 160, 0.5, 30)
+    if np.max(f) <= LOG_FLOOR / 2:
+        raise ValueError("the objective vanishes at every start on the unit sphere")
+    order = np.argsort(-f)
+    top = [X[i] for i in order[: max(8, min(32, starts))]]
+    polished = [_polish_on_sphere(value, grad, p) for p in top]
+    logs = [float(value(p[None, :])[0]) for p in polished]
+    best = max(logs)
+    return [(lv, p) for lv, p in zip(logs, polished) if lv >= best + math.log1p(-NEAR_MAX_REL)]
+
+
 def maximize_abs_on_sphere(poly: MultiPoly, starts=64, seed=0) -> SphereMaxResult:
     """Global maximum of |P| over the unit sphere, deterministic per seed.
 
@@ -221,8 +257,6 @@ def maximize_abs_on_sphere(poly: MultiPoly, starts=64, seed=0) -> SphereMaxResul
     d = poly.dim
     if d < 2:
         raise ValueError("sphere maximization needs dimension >= 2")
-    value, grad = _log_abs_objective(poly)
-
     if d == 2:
         plane = CirclePlane(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         T = restrict_to_circle(poly, plane)
@@ -234,27 +268,16 @@ def maximize_abs_on_sphere(poly: MultiPoly, starts=64, seed=0) -> SphereMaxResul
         pts = [np.array([math.cos(t), math.sin(t)]) for t in thetas]
         return SphereMaxResult(pts[0], M, math.log(M), tuple(pts))
 
-    X = sphere_starts(d, starts, seed)
-    X, f = _batch_sphere_ascent(value, grad, X)
-    if np.max(f) <= _LOG_FLOOR / 2:
-        raise ValueError("polynomial vanishes identically on the unit sphere")
-    order = np.argsort(-f)
-    top = [X[i] for i in order[: max(8, min(32, starts))]]
-    polished = [_polish_on_sphere(value, grad, p) for p in top]
-    logs = [float(value(p[None, :])[0]) for p in polished]
-    best = max(logs)
-    keep = [
-        (lv, p)
-        for lv, p in zip(logs, polished)
-        if lv >= best + math.log1p(-_NEAR_MAX_REL)
-    ]
+    value, grad = _log_abs_objective(poly)
+    keep = near_max_on_sphere(value, grad, d, starts, seed)
+    best = max(lv for lv, _ in keep)
     pts = _dedupe_points([p for _, p in sorted(keep, key=lambda t: (-t[0], tuple(t[1])))])
     return SphereMaxResult(pts[0], math.exp(best), best, tuple(pts))
 
 
 def slice_distance(form: AffineForm, p) -> float:
     """Intrinsic spherical distance from p to {x on sphere : <a,x> = b}."""
-    if abs(form.offset) >= 1.0:
+    if abs(form.offset) > 1.0:
         return math.inf
     p = unit_vector(p)
     s = float(np.clip(form.normal @ p, -1.0, 1.0))
@@ -393,7 +416,7 @@ class SphereGapReport:
         }
 
 
-def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6, budget=64) -> SphereGapReport:
+def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGapReport:
     """Check that a maximizer of |P| keeps angular distance >= pi/(2 deg P).
 
     Among near-equal maximizers the one with the largest zero-set distance is
@@ -406,7 +429,7 @@ def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6, budget=64) -
     res = maximize_abs_on_sphere(poly, starts=starts, seed=seed)
     scored = []
     for cand in res.all_near_max:
-        dist, zero = angular_distance_to_zero_set(poly, cand, budget=budget, seed=seed, return_zero=True)
+        dist, zero = angular_distance_to_zero_set(poly, cand, seed=seed, return_zero=True)
         scored.append((dist, cand, zero))
     dist, p, zero = max(scored, key=lambda t: t[0])
     bound = math.pi / (2 * n)

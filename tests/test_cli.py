@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -219,11 +220,13 @@ class TestUsageErrors:
 
 
 def test_console_script_runs():
+    # the child interpreter imports the same zerogap as this one
     proc = subprocess.run(
         [sys.executable, "-m", "zerogap.cli", "lifted-diag"],
         input='{"n": 1, "k": 3}',
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 2

@@ -128,7 +128,7 @@ class TestAffineProducts:
         rng = np.random.default_rng(7)
         forms = [AffineForm(rng.standard_normal(3), rng.uniform(-0.5, 0.5)) for _ in range(5)]
         lazy = MultiPoly.from_affine_product(forms)
-        expanded = MultiPoly(3, dict(lazy._expanded_terms()))
+        expanded = MultiPoly(3, dict(lazy.terms))
         for _ in range(20):
             x = rng.standard_normal(3)
             assert lazy.eval(x) == pytest.approx(expanded.eval(x), rel=1e-10)
@@ -225,11 +225,12 @@ class TestRestriction:
         rng = np.random.default_rng(21)
         forms = [AffineForm(rng.standard_normal(3), 0.2 * rng.standard_normal()) for _ in range(6)]
         lazy = MultiPoly.from_affine_product(forms)
-        expanded = product_of_affine_forms(forms)
-        expanded._expanded_terms()
+        expanded = MultiPoly(3, dict(lazy.terms))
         u = np.array([1.0, 0, 0])
         v = np.array([0, 1.0, 0])
         plane = CirclePlane(u, v)
         t1 = restrict_to_circle(lazy, plane)
+        t2 = restrict_to_circle(expanded, plane)
         for theta in np.linspace(0, 2 * math.pi, 97):
             assert t1.eval(theta) == pytest.approx(lazy.eval(plane.point(theta)), abs=1e-12)
+            assert t2.eval(theta) == pytest.approx(t1.eval(theta), abs=1e-12)

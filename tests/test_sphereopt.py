@@ -89,6 +89,17 @@ class TestSliceDistance:
     def test_missing_slice_sentinel(self):
         assert slice_distance(AffineForm([1, 0], 1.5), [0, 1]) == math.inf
 
+    def test_tangent_slice_is_a_point(self):
+        # |b| = 1: the slice is the single point b*a, not empty
+        assert slice_distance(AffineForm([0, 1], 1.0), [1, 0]) == pytest.approx(math.pi / 2)
+        t = 0.3
+        p2 = [math.cos(t), math.sin(t)]
+        assert slice_distance(AffineForm([0, 1], 1.0), p2) == pytest.approx(math.pi / 2 - t)
+        assert slice_distance(AffineForm([1, 0, 0], 1.0), [0, 1, 0]) == pytest.approx(math.pi / 2)
+        assert slice_distance(AffineForm([0, 0, 1], -1.0), [0, 0, 1]) == pytest.approx(math.pi)
+        poly = product_of_affine_forms([AffineForm([1, 0, 0], 1.0)])
+        assert angular_distance_to_zero_set(poly, [0, 1, 0]) == pytest.approx(math.pi / 2)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_bruteforce_parametrization(self, seed):
         rng = np.random.default_rng(seed)
@@ -181,6 +192,16 @@ class TestVerifySphereGap:
         rep = verify_sphere_gap(poly, seed=seed, starts=96)
         assert rep.passed, f"d={d} m={m}: distance {rep.distance} < {rep.bound}"
         assert rep.distance >= math.pi / (2 * m) - 1e-6
+
+    def test_report_independent_of_expansion(self):
+        # reading the expanded terms must not change how the product is restricted
+        rng = np.random.default_rng(4)
+        forms = [AffineForm(rng.standard_normal(2), rng.uniform(-0.5, 0.5)) for _ in range(9)]
+        poly = MultiPoly.from_affine_product(forms)
+        before = verify_sphere_gap(poly).to_json()
+        poly.to_json()
+        assert verify_sphere_gap(poly).to_json() == before
+        assert verify_sphere_gap(product_of_affine_forms(forms)).to_json() == before
 
     def test_report_json_shape(self):
         rep = verify_sphere_gap(MultiPoly(2, {(1, 1): 1.0}))
