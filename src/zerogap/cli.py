@@ -103,13 +103,15 @@ def _poly_from_obj(obj) -> MultiPoly:
 def _cmd_trig_verify(config):
     T = trigcircle.TrigPoly.from_json(_load_input(config))
     report = trigcircle.zero_gap_certificate(T, tol=config.tol)
-    zeros = trigcircle.trig_zeros(T)
-    interlaces, arcs = trigcircle.interlacing_check(T)
+    zeros = report.zeros
+    interlaces, _ = trigcircle.interlacing_check(T, zeros=zeros, max_points=report.max_points)
     if config.fmt == "csv":
         rows = []
+        thetas = [z.theta for z in zeros] + list(report.max_points)
+        values = [float(v) for v in T.eval(np.array(thetas))]
         events = sorted(
-            [(z.theta, "zero", float(T.eval(z.theta)), z.multiplicity) for z in zeros]
-            + [(t, "max", float(T.eval(t)), 1) for t in report.max_points]
+            [(z.theta, "zero", v, z.multiplicity) for z, v in zip(zeros, values)]
+            + [(t, "max", v, 1) for t, v in zip(report.max_points, values[len(zeros) :])]
         )
         for i, (theta, kind, value, mult) in enumerate(events):
             nxt = events[(i + 1) % len(events)][0] + (2 * math.pi if i + 1 == len(events) else 0.0)

@@ -42,6 +42,12 @@ _RADIAL_CAPTURE = 1e-4
 _CLUSTER_TOL = 1e-6
 _RESIDUAL_TOL = 1e-8
 _DERIV_TOL = 1e-6
+# angles evaluated per block in TrigPoly.eval, which bounds its work array to
+# (2n + 1) x _EVAL_BLOCK doubles however many angles are asked for
+_EVAL_BLOCK = 256
+# sample grid of TrigPoly.sup_norm
+_SUP_GRID = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+_SUP_GRID.setflags(write=False)
 
 
 class TrigPoly:
@@ -63,10 +69,28 @@ class TrigPoly:
         self.degree = len(pairs)
 
     def eval(self, theta):
+        """T at each angle; a float for a scalar angle, else an array.
+
+        The terms a0, a1 cos theta, b1 sin theta, a2 cos 2 theta, ... are
+        added one at a time in that order (a running sum down the frequency
+        axis), so each value is bit-identical to the plain loop over k.
+        """
         theta = np.asarray(theta, dtype=float)
-        out = np.full(theta.shape, self.a0)
-        for k, (a, b) in enumerate(self.coeffs, start=1):
-            out = out + a * np.cos(k * theta) + b * np.sin(k * theta)
+        flat = theta.ravel()
+        out = np.empty(flat.shape)
+        pairs = np.array(self.coeffs).reshape(-1, 2)
+        freqs = np.arange(1.0, self.degree + 1.0)
+        terms = np.empty((2 * self.degree + 1, min(flat.size, _EVAL_BLOCK)))
+        for start in range(0, flat.size, _EVAL_BLOCK):
+            block = flat[start : start + _EVAL_BLOCK]
+            width = block.size
+            angles = np.multiply.outer(freqs, block)
+            terms[0, :width] = self.a0
+            np.multiply(pairs[:, :1], np.cos(angles), out=terms[1::2, :width])
+            np.multiply(pairs[:, 1:], np.sin(angles), out=terms[2::2, :width])
+            np.add.accumulate(terms[:, :width], axis=0, out=terms[:, :width])
+            out[start : start + width] = terms[-1, :width]
+        out = out.reshape(theta.shape)
         return float(out) if out.ndim == 0 else out
 
     __call__ = eval
@@ -95,9 +119,9 @@ class TrigPoly:
     def scaled(self, c) -> "TrigPoly":
         return TrigPoly(c * self.a0, [(c * a, c * b) for a, b in self.coeffs], trim=False)
 
-    def sup_norm(self, samples=4096):
-        grid = np.linspace(0.0, TWO_PI, samples, endpoint=False)
-        return float(np.max(np.abs(self.eval(grid))))
+    def sup_norm(self):
+        """max |T| over 4096 equally spaced angles."""
+        return float(np.max(np.abs(self.eval(_SUP_GRID))))
 
     def is_trivially_zero(self):
         return self.a0 == 0.0 and all(a == 0.0 and b == 0.0 for a, b in self.coeffs)
@@ -107,7 +131,10 @@ class TrigPoly:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["a0"], [tuple(p) for p in obj["c"]], trim=True)
+        pairs = [tuple(p) for p in obj["c"]]
+        if "n" in obj and obj["n"] != len(pairs):
+            raise ValueError(f'"n" is {obj["n"]} but "c" holds {len(pairs)} coefficient pairs')
+        return cls(obj["a0"], pairs, trim=True)
 
     def __repr__(self):
         return f"TrigPoly(degree={self.degree})"
@@ -144,11 +171,13 @@ class ZeroGapReport:
 
     ``q_identically_zero`` marks the extremal case where the shifted input is
     exactly -+M cos(n theta); then zeros and maximizers are equally spaced
-    and the gap equals the bound.
+    and the gap equals the bound.  ``zeros`` are the zeros of T the gap was
+    measured against.
     """
 
     max_points: tuple
     max_value: float
+    zeros: CircleZeroSet
     min_distance: float
     bound: float
     passed: bool
@@ -182,21 +211,40 @@ def _companion_angles(T: TrigPoly):
 
 
 def _newton_polish(T, dT, theta, steps=60):
-    best, best_val = theta, abs(T.eval(theta))
+    """Newton's method on T from each angle of a 1-D array, all at once.
+
+    Each angle is advanced as by the scalar iteration: the step f/g is clipped
+    to +-0.5, the angle stops when g == 0 or once a step below 1e-15 was taken,
+    and the iterate with the smallest |T| seen so far (reduced mod 2pi) is
+    returned, or the start if no iterate improved on it.  One sweep makes
+    one evaluation of T and one of dT over the angles still moving.
+    """
+    theta = np.array(theta, dtype=float)
+    f = T.eval(theta)
+    best, best_val = theta.copy(), np.abs(f)
+    live = np.arange(theta.size)
     for _ in range(steps):
-        f = T.eval(theta)
-        g = dT.eval(theta)
-        if g == 0.0:
+        if live.size == 0:
             break
-        step = f / g
-        if abs(step) > 0.5:
-            step = math.copysign(0.5, step)
-        theta -= step
-        v = abs(T.eval(theta))
-        if v < best_val:
-            best, best_val = theta % TWO_PI, v
-        if abs(step) < 1e-15:
+        g = dT.eval(theta[live])
+        moving = g != 0.0
+        live, f, g = live[moving], f[moving], g[moving]
+        if live.size == 0:
             break
+        # |f/g| may overflow to inf where g is tiny; the clip below maps it
+        # to +-0.5 exactly as the scalar iteration does
+        with np.errstate(over="ignore"):
+            step = f / g
+        step = np.where(np.abs(step) > 0.5, np.copysign(0.5, step), step)
+        t = theta[live] - step
+        theta[live] = t
+        f = T.eval(t)
+        v = np.abs(f)
+        better = v < best_val[live]
+        best[live[better]] = t[better] % TWO_PI
+        best_val[live[better]] = v[better]
+        moving = ~(np.abs(step) < 1e-15)
+        live, f = live[moving], f[moving]
     return best
 
 
@@ -231,11 +279,11 @@ def trig_zeros(T: TrigPoly) -> CircleZeroSet:
     sup = T.sup_norm()
     dT = T.derivative()
     raw = _companion_angles(T)
-    polished = [_newton_polish(T, dT, t) for t in raw]
-    polished = [t for t in polished if abs(T.eval(t)) <= _RESIDUAL_TOL * sup]
+    polished = _newton_polish(T, dT, raw)
+    polished = polished[np.abs(T.eval(polished)) <= _RESIDUAL_TOL * sup]
 
     derivs = [T, dT]
-    zeros = []
+    starts, mults = [], []
     for cluster in _cluster_circular(polished, _CLUSTER_TOL):
         size = len(cluster)
         theta = float(np.mean(cluster)) % TWO_PI
@@ -250,13 +298,19 @@ def trig_zeros(T: TrigPoly) -> CircleZeroSet:
                 m += 1
             else:
                 break
-        # polish on the first non-vanishing derivative level, where the
-        # zero is simple
+        starts.append(theta)
+        mults.append(m)
+    # polish each cluster on its first non-vanishing derivative level, where
+    # the zero is simple: one sweep for all clusters of the same multiplicity
+    starts, mults = np.array(starts), np.array(mults, dtype=int)
+    thetas = np.empty(starts.shape)
+    for m in np.unique(mults):
         while len(derivs) <= m:
             derivs.append(derivs[-1].derivative())
-        theta = _newton_polish(derivs[m - 1], derivs[m], theta)
-        if abs(T.eval(theta)) <= _RESIDUAL_TOL * sup:
-            zeros.append(CircleZero(theta % TWO_PI, m))
+        level = mults == m
+        thetas[level] = _newton_polish(derivs[m - 1], derivs[m], starts[level])
+    keep = np.abs(T.eval(thetas)) <= _RESIDUAL_TOL * sup
+    zeros = [CircleZero(float(t % TWO_PI), int(m)) for t, m, k in zip(thetas, mults, keep) if k]
     zeros.sort(key=lambda z: z.theta)
     return CircleZeroSet(tuple(zeros))
 
@@ -318,6 +372,7 @@ def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
     return ZeroGapReport(
         max_points=tuple(pts),
         max_value=M,
+        zeros=zeros,
         min_distance=min_dist,
         bound=bound,
         passed=passed,
@@ -326,18 +381,21 @@ def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
     )
 
 
-def interlacing_check(T: TrigPoly, tol=1e-8):
+def interlacing_check(T: TrigPoly, tol=1e-8, zeros=None, max_points=None):
     """Whether zeros and |T|-maximizers alternate in 4n equal arcs.
 
     Returns (interlaces, arcs); arcs lists consecutive gaps of the merged
-    event sequence around the circle.
+    event sequence around the circle.  ``zeros`` (a CircleZeroSet) and
+    ``max_points`` already found for T are used as given; whichever is None
+    is computed here.
     """
     _check_nonzero(T)
     n = T.degree
     if n == 0:
         return False, []
-    zeros = trig_zeros(T)
-    M, pts = trig_max_points(T)
+    if zeros is None:
+        zeros = trig_zeros(T)
+    pts = trig_max_points(T)[1] if max_points is None else list(max_points)
     zs = [z.theta for z in zeros]
     events = sorted([(t, "z") for t in zs] + [(t, "m") for t in pts])
     arcs = []

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from zerogap.cli import main
+from zerogap.trigcircle import TrigPoly
 
 
 def write_json(tmp_path, name, obj):
@@ -98,6 +99,22 @@ class TestTrigVerify:
         assert kinds.count("max") == 4
         arcs = [float(line.split(",")[4]) for line in lines[1:]]
         assert np.allclose(arcs, math.pi / 4, atol=1e-9)
+
+    def test_csv_values_are_scalar_evaluations(self, tmp_path):
+        payload = {"n": 3, "a0": 0.2, "c": [[0.4, -1.1], [0.3, 0.0], [-0.7, 0.5]]}
+        code, text = run_cli(tmp_path, "trig-verify", payload, "--format", "csv")
+        assert code == 0
+        T = TrigPoly.from_json(payload)
+        for line in text.strip().splitlines()[1:]:
+            _, theta, value, _, _ = line.split(",")
+            assert value == repr(T.eval(float(theta)))
+
+    def test_degree_disagreeing_with_pairs_is_usage_error(self, tmp_path, capsys):
+        payload = {"n": 4, "a0": 0, "c": [[1, 0]]}
+        code, text = run_cli(tmp_path, "trig-verify", payload)
+        assert code == 3
+        assert text == ""
+        assert '"n" is 4' in capsys.readouterr().err
 
 
 class TestBallCommands:

@@ -1,8 +1,12 @@
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from zerogap import trigcircle
+from zerogap.cli import main
 from zerogap.trigcircle import (
     TrigPoly,
     circle_distance,
@@ -40,6 +44,46 @@ DZ_MIN_DIST = min(
 )  # 1.1697903718044043
 
 
+def random_trig(rng, n):
+    return TrigPoly(float(rng.standard_normal()), [tuple(rng.standard_normal(2)) for _ in range(n)])
+
+
+def loop_eval(T, theta):
+    """Reference evaluation: one frequency at a time, a0 + a1 cos + b1 sin + ..."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.full(theta.shape, T.a0)
+    for k, (a, b) in enumerate(T.coeffs, start=1):
+        out = out + a * np.cos(k * theta) + b * np.sin(k * theta)
+    return float(out) if out.ndim == 0 else out
+
+
+def scalar_newton_polish(T, dT, theta, steps=60):
+    """Reference Newton iteration from one angle, on the reference evaluation."""
+    best, best_val = theta, abs(loop_eval(T, theta))
+    for _ in range(steps):
+        f = loop_eval(T, theta)
+        g = loop_eval(dT, theta)
+        if g == 0.0:
+            break
+        step = f / g
+        if abs(step) > 0.5:
+            step = math.copysign(0.5, step)
+        theta -= step
+        v = abs(loop_eval(T, theta))
+        if v < best_val:
+            best, best_val = theta % TWO_PI, v
+        if abs(step) < 1e-15:
+            break
+    return best
+
+
+def assert_bit_identical(got, expected):
+    assert type(got) is type(expected)
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 class TestEval:
     def test_cos2_quarter_pi(self):
         assert cos_n(2).eval(math.pi / 4) == pytest.approx(0.0, abs=1e-15)
@@ -54,6 +98,139 @@ class TestEval:
         for theta in np.linspace(0, TWO_PI, 37):
             direct = (1 - math.cos(theta)) * (0.9 + math.cos(theta))
             assert DOUBLE_ZERO_T.eval(theta) == pytest.approx(direct, abs=1e-14)
+
+
+class TestBatchedEvalMatchesLoop:
+    @pytest.mark.parametrize("n", [0, 1, 7, 55, 200])
+    def test_every_input_shape(self, n):
+        rng = np.random.default_rng(100 + n)
+        T = random_trig(rng, n)
+        inputs = [
+            0.7,
+            np.float64(-3.25),
+            np.array(11.0),
+            np.empty(0),
+            np.empty((0, 3)),
+            rng.uniform(-10.0, 10.0, (3, 5)),
+            rng.uniform(0.0, TWO_PI, (2, 257)),
+            np.linspace(0.0, TWO_PI, 4096, endpoint=False),
+        ] + [rng.uniform(-10.0, 10.0, size) for size in (1, 255, 256, 257, 4096)]
+        for theta in inputs:
+            assert_bit_identical(T.eval(theta), loop_eval(T, theta))
+
+    def test_call_is_eval(self):
+        T = random_trig(np.random.default_rng(3), 4)
+        theta = np.linspace(0.0, 1.0, 300)
+        assert_bit_identical(T(theta), loop_eval(T, theta))
+
+
+class TestBatchedNewtonMatchesScalar:
+    @staticmethod
+    def check(T, dT, starts, steps=60):
+        got = trigcircle._newton_polish(T, dT, np.array(starts, dtype=float), steps=steps)
+        expected = [scalar_newton_polish(T, dT, t, steps=steps) for t in starts]
+        assert got.shape == (len(starts),)
+        assert got.tobytes() == np.array(expected, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 55])
+    def test_from_every_companion_angle(self, n):
+        T = random_trig(np.random.default_rng(200 + n), n)
+        raw = trigcircle._companion_angles(T)
+        assert raw.size > 0
+        self.check(T, T.derivative(), list(raw))
+
+    def test_on_derivative_levels(self):
+        # the cluster polish runs Newton on T^(m-1) with derivative T^(m)
+        T = random_trig(np.random.default_rng(7), 9)
+        d1 = T.derivative()
+        d2 = d1.derivative()
+        starts = list(np.linspace(0.0, TWO_PI, 23, endpoint=False))
+        self.check(d1, d2, starts)
+        self.check(d2, d2.derivative(), starts, steps=4)
+
+    def test_zero_derivative_start_stops_at_once(self):
+        T = cos_n(1)
+        dT = T.derivative()
+        assert dT.eval(0.0) == 0.0
+        self.check(T, dT, [0.0, 1.0, 0.0, 2.5])
+        assert trigcircle._newton_polish(T, dT, np.array([0.0]))[0] == 0.0
+
+    def test_clipped_step(self):
+        T = cos_n(1)
+        dT = T.derivative()
+        f, g = T.eval(1e-3), dT.eval(1e-3)
+        assert abs(f / g) > 0.5
+        self.check(T, dT, [1e-3, -2e-3, 0.4, 3.0])
+
+    def test_no_angles(self):
+        T = cos_n(2)
+        assert trigcircle._newton_polish(T, T.derivative(), np.empty(0)).shape == (0,)
+
+
+class TestWorkCounts:
+    def test_trig_verify_finds_each_root_set_once(self, tmp_path, monkeypatch):
+        calls = Counter()
+        for name in ("trig_zeros", "trig_max_points"):
+            original = getattr(trigcircle, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(trigcircle, name, counted)
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(random_trig(np.random.default_rng(11), 6).to_json()))
+        for fmt in ("json", "csv"):
+            calls.clear()
+            code = main(["trig-verify", "--input", str(inp), "--output", str(tmp_path / "out"), "--format", fmt])
+            assert code == 0
+            # T' (through trig_max_points), T and the comparison polynomial Q
+            assert calls == {"trig_zeros": 3, "trig_max_points": 1}
+
+    @pytest.mark.parametrize("count", [1, 40])
+    @pytest.mark.parametrize("steps", [1, 5, 60])
+    def test_newton_evaluations_bounded_by_steps(self, monkeypatch, count, steps):
+        evals = Counter()
+        original = TrigPoly.eval
+
+        def counted(self, theta):
+            evals["eval"] += 1
+            return original(self, theta)
+
+        monkeypatch.setattr(TrigPoly, "eval", counted)
+        T = random_trig(np.random.default_rng(count), 8)
+        starts = np.linspace(0.0, TWO_PI, count, endpoint=False)
+        trigcircle._newton_polish(T, T.derivative(), starts, steps=steps)
+        # one evaluation of T at the starts, then one of dT and one of T per sweep
+        assert evals["eval"] <= 2 * steps + 1
+
+    def test_polish_calls_in_trig_zeros_stay_bounded(self, monkeypatch):
+        evals = Counter()
+        per_call = []
+        original_eval = TrigPoly.eval
+        original_polish = trigcircle._newton_polish
+
+        def counted_eval(self, theta):
+            evals["eval"] += 1
+            return original_eval(self, theta)
+
+        def recorded_polish(T, dT, theta, steps=60):
+            before = evals["eval"]
+            out = original_polish(T, dT, theta, steps=steps)
+            per_call.append((evals["eval"] - before, steps, np.size(theta)))
+            return out
+
+        monkeypatch.setattr(TrigPoly, "eval", counted_eval)
+        monkeypatch.setattr(trigcircle, "_newton_polish", recorded_polish)
+        for T in (random_trig(np.random.default_rng(5), 30), DOUBLE_ZERO_T):
+            per_call.clear()
+            zeros = trig_zeros(T)
+            # the raw angles in one sweep, then one sweep per multiplicity level
+            assert len(per_call) == 1 + len({z.multiplicity for z in zeros})
+            assert per_call[0][2] == trigcircle._companion_angles(T).size
+            assert sum(size for _, _, size in per_call[1:]) == len(zeros)
+            for count, steps, _ in per_call:
+                assert count <= 2 * steps + 1
 
 
 class TestZeros:
@@ -211,6 +388,19 @@ class TestZeroGapCertificate:
             checked += 1
 
 
+class TestRootSetsPassedDown:
+    def test_report_carries_the_zeros(self):
+        for T in (DOUBLE_ZERO_T, cos_n(3), random_trig(np.random.default_rng(8), 7)):
+            rep = zero_gap_certificate(T)
+            assert rep.zeros == trig_zeros(T)
+
+    def test_interlacing_on_given_roots(self):
+        for T in (cos_n(4), sin_n(3), DOUBLE_ZERO_T, random_trig(np.random.default_rng(4), 5)):
+            rep = zero_gap_certificate(T)
+            given = interlacing_check(T, zeros=rep.zeros, max_points=rep.max_points)
+            assert given == interlacing_check(T)
+
+
 class TestInterlacing:
     def test_cos2(self):
         ok, arcs = interlacing_check(cos_n(2))
@@ -264,3 +454,14 @@ class TestTrigPolyType:
         T = TrigPoly(0.25, [(1.0, -2.0), (0.0, 0.5)])
         U = TrigPoly.from_json(T.to_json())
         assert U.a0 == T.a0 and U.coeffs == T.coeffs
+
+    def test_json_degree_must_match_pairs(self):
+        with pytest.raises(ValueError, match='"n" is 4'):
+            TrigPoly.from_json({"n": 4, "a0": 0, "c": [[1, 0]]})
+        with pytest.raises(ValueError):
+            TrigPoly.from_json({"n": 0, "a0": 1, "c": [[1, 0]]})
+
+    def test_json_degree_counts_pairs_before_trimming(self):
+        T = TrigPoly.from_json({"n": 2, "a0": 1.0, "c": [[0.5, 0.0], [0.0, 0.0]]})
+        assert T.degree == 1
+        assert TrigPoly.from_json({"a0": 1.0, "c": [[0.5, 0.0], [0.0, 0.0]]}).degree == 1
