@@ -291,8 +291,8 @@ _HANDLERS = {
 
 def run(config: RunConfig) -> int:
     """Dispatch one command; returns the process exit code."""
-    if config.tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (config.tol > 0 and math.isfinite(config.tol)):
+        raise ValueError("tolerance must be a positive finite number")
     if config.starts < 1:
         raise ValueError("starts must be at least 1")
     return _HANDLERS[config.command](config)

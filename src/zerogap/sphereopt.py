@@ -113,28 +113,37 @@ def _batch_ascent(value, grad, X, tangent, retract, iters, step0, backtracks):
 
     ``tangent(G, X)`` projects the gradients onto the manifold's tangent
     spaces and ``retract`` maps the trial rows back onto the manifold.
+
+    Only rows that improved in the previous iteration take trial steps.  A
+    row that failed all its backtracks, or whose gradient vanished, kept its
+    X and f; the batch keeps its shape and every row its position, so the
+    row-wise objective gives it the same gradient, steps and trial values
+    again and it would fail again in every later iteration.  Freezing such
+    settled rows therefore changes no result, and the loop ends when no row
+    moved, as it would when no row improved.
     """
     f = value(X)
+    moving = np.ones(len(X), dtype=bool)
     for _ in range(iters):
         G = tangent(grad(X), X)
         gnorm = np.linalg.norm(G, axis=1)
-        live = gnorm >= 1e-12
+        live = moving & (gnorm >= 1e-12)
         if not np.any(live):
             break
         step = step0 / (1.0 + gnorm)
-        improved = False
+        moving = np.zeros_like(live)
         for _ in range(backtracks):
             trial = retract(X + step[:, None] * G)
             ft = value(trial)
             better = live & (ft > f)
             X = np.where(better[:, None], trial, X)
             f = np.where(better, ft, f)
-            improved = improved or bool(np.any(better))
-            live = live & ~better
+            moving |= better
+            live &= ~better
             if not np.any(live):
                 break
             step = step * 0.25
-        if not improved:
+        if not np.any(moving):
             break
     return X, f
 

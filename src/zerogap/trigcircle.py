@@ -53,7 +53,7 @@ _SUP_GRID.setflags(write=False)
 class TrigPoly:
     """T(theta) = a0 + sum_k (a_k cos k theta + b_k sin k theta)."""
 
-    __slots__ = ("a0", "coeffs", "degree")
+    __slots__ = ("a0", "coeffs", "degree", "_sup")
 
     def __init__(self, a0, coeffs=(), trim=False):
         a0 = float(a0)
@@ -67,6 +67,7 @@ class TrigPoly:
         self.a0 = a0
         self.coeffs = tuple(pairs)
         self.degree = len(pairs)
+        self._sup = None
 
     def eval(self, theta):
         """T at each angle; a float for a scalar angle, else an array.
@@ -120,8 +121,10 @@ class TrigPoly:
         return TrigPoly(c * self.a0, [(c * a, c * b) for a, b in self.coeffs], trim=False)
 
     def sup_norm(self):
-        """max |T| over 4096 equally spaced angles."""
-        return float(np.max(np.abs(self.eval(_SUP_GRID))))
+        """max |T| over 4096 equally spaced angles, sampled once per polynomial."""
+        if self._sup is None:
+            self._sup = float(np.max(np.abs(self.eval(_SUP_GRID))))
+        return self._sup
 
     def is_trivially_zero(self):
         return self.a0 == 0.0 and all(a == 0.0 and b == 0.0 for a, b in self.coeffs)

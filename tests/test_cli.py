@@ -231,6 +231,17 @@ class TestUsageErrors:
         code, _ = run_cli(tmp_path, "sphere-verify", X1X2, "--tol", "-1")
         assert code == 3
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-inf"])
+    def test_non_finite_tolerance(self, tmp_path, capsys, tol):
+        # x1 + 0.999: the zero sits 3.0969 from the maximizer, far above the
+        # bound pi/2, so an infinite tolerance would attach an equality circle
+        payload = {"dim": 2, "terms": [{"e": [1, 0], "c": 1.0}, {"e": [0, 0], "c": 0.999}]}
+        code, out = run_cli(tmp_path, "sphere-verify", payload, f"--tol={tol}")
+        assert code == 3 and out == ""
+        assert "tolerance must be a positive finite number" in capsys.readouterr().err
+        code, out = run_cli(tmp_path, "sphere-verify", payload)
+        assert code == 0 and json.loads(out)["equality"] is None
+
     def test_missing_file(self, capsys):
         code = main(["sphere-verify", "--input", "/nonexistent/path.json"])
         assert code == 3

@@ -4,8 +4,14 @@ import time
 import numpy as np
 import pytest
 
+from zerogap import ballfinder, complexproj
 from zerogap.polycore import AffineForm, MultiPoly, product_of_affine_forms
 from zerogap.sphereopt import (
+    LOG_FLOOR,
+    _batch_ascent,
+    _log_abs_objective,
+    _normalize_rows,
+    _sphere_tangent,
     angular_distance_to_zero_set,
     maximize_abs_on_sphere,
     slice_distance,
@@ -221,3 +227,173 @@ class TestStarts:
         small = sphere_starts(3, 8, 1)
         big = sphere_starts(3, 16, 1)
         assert np.array_equal(small, big[:8])
+
+
+# the ascent settings of near_max_on_sphere and of ballfinder.multiplier_point
+SPHERE = (_sphere_tangent, _normalize_rows, 160, 0.5, 30)
+BALL = (lambda G, X: G, ballfinder._clip_to_ball, 200, 0.25, 25)
+
+
+def loop_ascent(value, grad, X, tangent, retract, iters, step0, backtracks):
+    """Reference ascent: every row with a nonzero gradient takes trial steps in
+    every iteration, settled or not, until no row improves."""
+    f = value(X)
+    for _ in range(iters):
+        G = tangent(grad(X), X)
+        gnorm = np.linalg.norm(G, axis=1)
+        live = gnorm >= 1e-12
+        if not np.any(live):
+            break
+        step = step0 / (1.0 + gnorm)
+        improved = False
+        for _ in range(backtracks):
+            trial = retract(X + step[:, None] * G)
+            ft = value(trial)
+            better = live & (ft > f)
+            X = np.where(better[:, None], trial, X)
+            f = np.where(better, ft, f)
+            improved = improved or bool(np.any(better))
+            live = live & ~better
+            if not np.any(live):
+                break
+            step = step * 0.25
+        if not improved:
+            break
+    return X, f
+
+
+def assert_ascent_matches_loop(value, grad, X, settings):
+    X1, f1 = _batch_ascent(value, grad, X, *settings)
+    X0, f0 = loop_ascent(value, grad, X, *settings)
+    assert X1.shape == X0.shape and X1.tobytes() == X0.tobytes()
+    assert f1.shape == f0.shape and f1.tobytes() == f0.tobytes()
+    return X1, f1
+
+
+class TestBatchAscentMatchesLoop:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_factored_objective(self, d, seed):
+        rng = np.random.default_rng(100 * d + seed)
+        poly, _ = random_form_product(rng, d, int(rng.integers(1, 7)))
+        value, grad = _log_abs_objective(poly)
+        assert_ascent_matches_loop(value, grad, sphere_starts(d, 64, seed), SPHERE)
+
+    def test_expanded_quadric_objective(self):
+        quadric = MultiPoly(3, {(2, 0, 0): 1.0, (0, 2, 0): 0.2, (0, 0, 2): -0.6, (1, 1, 0): 0.3})
+        assert quadric.affine_factors is None
+        value, grad = _log_abs_objective(quadric)
+        assert_ascent_matches_loop(value, grad, sphere_starts(3, 64, 4), SPHERE)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_multiplier_objective_in_ball(self, d):
+        poly, _ = random_form_product(np.random.default_rng(d), d, 3)
+        value, grad = ballfinder._multiplier_objective(poly)
+        assert_ascent_matches_loop(value, grad, ballfinder._ball_starts(d, 64, 5), BALL)
+
+    def test_weighted_c2_objective(self):
+        rng = np.random.default_rng(6)
+        rows = [rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)) for n in (1, 2)]
+        system = complexproj.WeightedSystem(
+            [(complexproj.ComplexHomogPoly.from_linear_product(r), 0.5) for r in rows]
+        )
+        value, grad = complexproj._weighted_log_objective(system.items)
+        assert_ascent_matches_loop(value, grad, sphere_starts(4, 64, 7), SPHERE)
+
+    # the gradient of log|P| is huge on the zero set, so its norm overflows
+    # inside numpy there: the row gets a zero step and stays
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_critical_and_zero_set_starts(self):
+        # e1 is an exact critical point of log|x1| (zero tangent gradient);
+        # e3 and (0, 0.6, 0.8) lie on {x1 = 0}, the zero set of x1 and of
+        # x1 (x1 + x2 - 0.3)
+        x1 = AffineForm([1.0, 0.0, 0.0], 0.0)
+        edge = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.6, 0.8]])
+        X = np.vstack([edge, sphere_starts(3, 16, 8)])
+        for forms in ([x1], [x1, AffineForm([1.0, 1.0, 0.0], 0.3)]):
+            value, grad = _log_abs_objective(product_of_affine_forms(forms))
+            assert np.all(value(X)[1:3] == LOG_FLOOR)
+            assert_ascent_matches_loop(value, grad, X, SPHERE)
+        value, grad = _log_abs_objective(product_of_affine_forms([x1]))
+        assert np.linalg.norm(_sphere_tangent(grad(X), X)[0]) < 1e-12
+
+    @pytest.mark.parametrize("iters", [1, 2, 3, 7])
+    def test_iteration_cap_while_rows_move(self, iters):
+        poly, _ = random_form_product(np.random.default_rng(9), 4, 5)
+        value, grad = _log_abs_objective(poly)
+        X0 = sphere_starts(4, 64, 1)
+        settings = (_sphere_tangent, _normalize_rows, iters, 0.5, 30)
+        X, _ = assert_ascent_matches_loop(value, grad, X0, settings)
+        # the cap stopped rows that were still moving
+        longer, _ = _batch_ascent(value, grad, X0, _sphere_tangent, _normalize_rows, iters + 1, 0.5, 30)
+        assert longer.tobytes() != X.tobytes()
+
+    @pytest.mark.parametrize("settings, radius", [(SPHERE, 1.0), (BALL, 0.999)])
+    def test_single_backtrack(self, settings, radius):
+        poly, _ = random_form_product(np.random.default_rng(10), 3, 4)
+        value, grad = _log_abs_objective(poly)
+        assert_ascent_matches_loop(value, grad, radius * sphere_starts(3, 64, 2), settings[:4] + (1,))
+
+
+def counted_objective(value, grad, log):
+    """value/grad that append "v"/"g" to ``log`` on each call."""
+
+    def counted_value(X):
+        log.append("v")
+        return value(X)
+
+    def counted_grad(X):
+        log.append("g")
+        return grad(X)
+
+    return counted_value, counted_grad
+
+
+def value_calls_per_iteration(log):
+    assert log[0] == "v"  # f at the starts
+    counts = []
+    for call in log[1:]:
+        if call == "g":
+            counts.append(0)
+        else:
+            counts[-1] += 1
+    return counts
+
+
+class TestBatchAscentWork:
+    @pytest.mark.parametrize("where", ["sphere", "ball"])
+    def test_settled_row_costs_nothing(self, where):
+        d = 4
+        poly, _ = random_form_product(np.random.default_rng(1), d, 4)
+        if where == "sphere":
+            value, grad = _log_abs_objective(poly)
+            settings, B, extra = SPHERE, sphere_starts(d, 31, 2), sphere_starts(d, 1, 9)
+        else:
+            value, grad = ballfinder._multiplier_objective(poly)
+            settings, B, extra = BALL, ballfinder._ball_starts(d, 16, 2), sphere_starts(d, 1, 9) * 0.5
+        iters, backtracks = settings[2], settings[4]
+        # the last row of a finished ascent over a batch of the same shape has
+        # settled: it failed all its backtracks in the final iteration
+        log = []
+        X, _ = _batch_ascent(*counted_objective(value, grad, log), np.vstack([B, extra]), *settings)
+        assert len(value_calls_per_iteration(log)) < iters
+        settled = X[-1]
+        assert np.linalg.norm(settings[0](grad(X), X)[-1]) >= 1e-12
+
+        base_log, ext_log = [], []
+        Xb, fb = _batch_ascent(*counted_objective(value, grad, base_log), B, *settings)
+        Xe, fe = _batch_ascent(*counted_objective(value, grad, ext_log), np.vstack([B, settled]), *settings)
+        base = value_calls_per_iteration(base_log)
+        ext = value_calls_per_iteration(ext_log)
+        # trying the settled row once shows that it fails all its trials;
+        # after that it is frozen and adds no value call
+        assert ext[0] == backtracks
+        assert ext[1:] == base[1:]
+        assert min(base[1:]) < backtracks
+        assert Xe[-1].tobytes() == settled.tobytes()
+        assert Xe[:-1].tobytes() == Xb.tobytes() and fe[:-1].tobytes() == fb.tobytes()
+        for log, counts in ((base_log, base), (ext_log, ext)):
+            # one grad call per iteration, each followed by at least one trial
+            assert log.count("g") == len(counts) <= iters
+            assert min(counts) >= 1
+            assert log.count("v") <= 1 + len(counts) * backtracks

@@ -232,6 +232,25 @@ class TestWorkCounts:
             for count, steps, _ in per_call:
                 assert count <= 2 * steps + 1
 
+    def test_certificate_samples_each_sup_grid_once(self, monkeypatch):
+        grids = []
+        original = TrigPoly.eval
+
+        def counted(self, theta):
+            if np.size(theta) == trigcircle._SUP_GRID.size:
+                grids.append(self)
+            return original(self, theta)
+
+        monkeypatch.setattr(TrigPoly, "eval", counted)
+        T = random_trig(np.random.default_rng(3), 12)
+        rep = zero_gap_certificate(T)
+        assert not rep.q_identically_zero
+        # T', T and the comparison polynomial Q, one grid each
+        assert len(grids) == 3 and len(set(map(id, grids))) == 3
+        # a repeated call returns the grid maximum without sampling again
+        assert T.sup_norm() == float(np.max(np.abs(original(T, trigcircle._SUP_GRID))))
+        assert len(grids) == 3
+
 
 class TestZeros:
     def test_cos2_zeros(self):
