@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the requested verification or refutation succeeded, 2
 when a bound check failed or a refutation could not be verified (with a full
-report still emitted), 3 for malformed input or violated preconditions.
+report still emitted), 3 for malformed arguments or input and violated
+preconditions.
 Given the same input, seed, tolerance, and starts, output is byte-identical
 across runs.
 """
@@ -298,8 +299,16 @@ def run(config: RunConfig) -> int:
     return _HANDLERS[config.command](config)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit with EXIT_USAGE: argparse's own status 2 is EXIT_BOUND_VIOLATED here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zerogap",
         description="Find points far from polynomial zero sets; refute insufficient coverings.",
     )

@@ -35,7 +35,7 @@ class MultiPoly:
     operations return new objects.
     """
 
-    __slots__ = ("dim", "_terms", "degree", "affine_factors", "_arrays")
+    __slots__ = ("dim", "_terms", "degree", "affine_factors", "_arrays", "_derivs")
 
     def __init__(self, dim, terms):
         if dim < 1:
@@ -57,6 +57,7 @@ class MultiPoly:
         self.degree = max(sum(e) for e, _ in self._terms)
         self.affine_factors = None
         self._arrays = None
+        self._derivs = None
 
     @classmethod
     def from_affine_product(cls, forms):
@@ -78,6 +79,7 @@ class MultiPoly:
         obj.degree = len(forms)
         obj.affine_factors = forms
         obj._arrays = None
+        obj._derivs = None
         return obj
 
     @property
@@ -107,29 +109,56 @@ class MultiPoly:
             self._arrays = (E, C)
         return self._arrays
 
-    def eval(self, point):
-        """Value at ``point``; ``point`` may also be an (N, dim) batch."""
+    def _derivative_tables(self):
+        """(exponents, coefficients) of every first and second partial, built once.
+
+        ``first[j]`` belongs to d/dx_j and ``second`` lists (j, k, exponents,
+        coefficients) for d^2/dx_j dx_k, j <= k.  An exponent that would go
+        negative is clipped to zero; its coefficient is zero.
+        """
+        if self._derivs is None:
+            E, C = self._term_arrays()
+            first, second = [], []
+            for j in range(self.dim):
+                Ej = E.copy()
+                expo = Ej[:, j].copy()
+                Ej[:, j] = np.maximum(expo - 1, 0)
+                first.append((Ej, C * expo))
+            for j, (Ej, Cj) in enumerate(first):
+                for k in range(j, self.dim):
+                    Ejk = Ej.copy()
+                    Ejk[:, k] = np.maximum(Ej[:, k] - 1, 0)
+                    second.append((j, k, Ejk, Cj * Ej[:, k]))
+            self._derivs = (first, second)
+        return self._derivs
+
+    def _powers(self, X):
+        """pow(x, k) for each coordinate of each row of X and k up to the largest exponent."""
+        E, _ = self._term_arrays()
+        return X[:, :, None] ** np.arange(E.max() + 1)
+
+    def _batch(self, point):
+        """(rows, whether ``point`` was a single point) after checking the dimension."""
         x = np.asarray(point, dtype=float)
-        single = x.ndim == 1
         if x.shape[-1] != self.dim:
             raise ValueError(f"point dimension {x.shape[-1]} != poly dim {self.dim}")
-        X = np.atleast_2d(x)
+        return np.atleast_2d(x), x.ndim == 1
+
+    def eval(self, point):
+        """Value at ``point``; ``point`` may also be an (N, dim) batch."""
+        X, single = self._batch(point)
         if self.affine_factors is not None:
             vals = np.ones(X.shape[0])
             for f in self.affine_factors:
                 vals = vals * (X @ f.normal - f.offset)
         else:
             E, C = self._term_arrays()
-            vals = np.prod(X[:, None, :] ** E[None, :, :], axis=2) @ C
+            vals = _monomials(self._powers(X), E) @ C
         return float(vals[0]) if single else vals
 
     def gradient(self, point):
         """Gradient at ``point``; batches as in :meth:`eval`."""
-        x = np.asarray(point, dtype=float)
-        single = x.ndim == 1
-        if x.shape[-1] != self.dim:
-            raise ValueError(f"point dimension {x.shape[-1]} != poly dim {self.dim}")
-        X = np.atleast_2d(x)
+        X, single = self._batch(point)
         n_pts = X.shape[0]
         if self.affine_factors is not None:
             m = len(self.affine_factors)
@@ -144,15 +173,22 @@ class MultiPoly:
                 suf[:, m - 1 - i] = suf[:, m - i] * L[:, m - 1 - i]
             G = (pre[:, :m] * suf[:, 1:]) @ A
         else:
-            E, C = self._term_arrays()
+            first, _ = self._derivative_tables()
+            powers = self._powers(X)
             G = np.empty((n_pts, self.dim))
-            for j in range(self.dim):
-                Ej = E.copy()
-                expo = Ej[:, j].copy()
-                Ej[:, j] = np.maximum(expo - 1, 0)
-                mono = np.prod(X[:, None, :] ** Ej[None, :, :], axis=2)
-                G[:, j] = mono @ (C * expo)
+            for j, (Ej, Cj) in enumerate(first):
+                G[:, j] = _monomials(powers, Ej) @ Cj
         return G[0] if single else G
+
+    def _hessian(self, point):
+        """Exact Hessian at ``point`` from the expanded terms; batches as in :meth:`eval`."""
+        X, single = self._batch(point)
+        _, second = self._derivative_tables()
+        powers = self._powers(X)
+        H = np.empty((X.shape[0], self.dim, self.dim))
+        for j, k, Ejk, Cjk in second:
+            H[:, j, k] = H[:, k, j] = _monomials(powers, Ejk) @ Cjk
+        return H[0] if single else H
 
     def __call__(self, point):
         return self.eval(point)
@@ -168,6 +204,19 @@ class MultiPoly:
     @classmethod
     def from_json(cls, obj):
         return cls(obj["dim"], {tuple(t["e"]): t["c"] for t in obj["terms"]})
+
+
+def _monomials(powers, E):
+    """x^e for each row x and each exponent vector e in E (any leading shape).
+
+    The powers are looked up in a ``MultiPoly._powers`` table, so the result
+    equals ``np.prod(X[:, None, :] ** E, axis=-1)`` bit for bit at one pow per
+    coordinate and exponent value instead of one per coordinate and term.
+    """
+    n, d, k = powers.shape
+    # np.take keeps the (rows, ..., d) result C-contiguous, as the pow result
+    # was, so the products and the matmul after them round the same way
+    return np.prod(np.take(powers.reshape(n, d * k), np.arange(d) * k + E, axis=1), axis=-1)
 
 
 @dataclass(frozen=True)

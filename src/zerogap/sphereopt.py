@@ -10,8 +10,12 @@ trigonometric polynomial whose critical points are found exactly, so results
 there are certified by root isolation rather than iteration.
 
 Angular distances to zero sets are exact (closed form) for products of
-affine forms and for any polynomial in two variables; in higher dimension
-they are upper-bound estimates from constrained minimization.
+affine forms and for any polynomial in two variables.  For other polynomials
+in higher dimension they come from a seeded lockstep Newton search on
+Z(P) intersected with the sphere: every seed is restored onto P = 0 and then
+climbs <p, x> along the zero set by reduced Newton steps, all seeds in one
+batch.  The result is the angle to a zero actually found, so it is an
+upper-bound estimate of the distance, not a certified value.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401  unused; bench/tracing.py wraps sphereopt.minimize
 from scipy.special import ndtri
 from scipy.stats import qmc
 
@@ -45,6 +49,15 @@ RNG_NAME = "sobol-gauss/1"
 # the near-maximal pool that the gap verifiers choose from
 LOG_FLOOR = -1e30
 NEAR_MAX_REL = 1e-9
+
+# zero-distance search: lockstep iterations, restoration steps per iteration,
+# the |P| / scale below which a row counts as on Z(P), and the step caps
+_SEARCH_ITERS = 30
+_RESTORE_STEPS = 3
+_ON_ZERO_REL = 1e-12
+_STEP_CAP = 0.2
+_RESTORE_CAP = 0.5
+_STEP_TOL = 1e-13
 
 
 def unit_vector(v):
@@ -320,61 +333,141 @@ def _zero_distance_d2(poly, p):
     )
 
 
+def _restore_to_zero_set(poly, Y, steps):
+    """Damped Newton steps toward P = 0 along the tangent gradient, renormalised.
+
+    Each step solves u = P / P' = 0 on the great circle through the row in
+    the direction of the tangent gradient g, where ' is the derivative along
+    that circle.  Newton's step for u is Newton's step for P divided by
+    1 - P P'' / P'^2, so it is Newton's near a simple zero and stays quadratic
+    at a zero of P of any multiplicity, where Newton for P only halves the
+    distance per step on a double zero.  The divisor is clipped to [0.1, 1]
+    and a step is at most ``_RESTORE_CAP`` long.  A row keeps a step only if
+    it lowers |P|, otherwise its next step is half as long, so rounding noise
+    in P at the zero set cannot throw a row off it.  Returns the rows and
+    their values of P.
+    """
+    v = poly.eval(Y)
+    damp = np.ones(len(Y))
+    for _ in range(steps):
+        G = poly.gradient(Y)
+        gt = _sphere_tangent(G, Y)
+        gn = np.linalg.norm(gt, axis=1)
+        nonzero = gn > 0.0
+        g = gt / np.where(nonzero, gn, 1.0)[:, None]
+        curv = np.einsum("ni,nij,nj->n", g, poly._hessian(Y), g) - np.sum(G * Y, axis=1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            length = np.abs(v) / gn / np.clip(1.0 - v * curv / gn**2, 0.1, 1.0)
+        length = np.where(nonzero, np.minimum(np.nan_to_num(length, nan=_RESTORE_CAP), _RESTORE_CAP), 0.0)
+        trial = _normalize_rows(Y - (np.sign(v) * damp * length)[:, None] * g)
+        vt = poly.eval(trial)
+        better = np.abs(vt) < np.abs(v)
+        Y = np.where(better[:, None], trial, Y)
+        v = np.where(better, vt, v)
+        damp = np.where(better, 1.0, 0.5 * damp)
+    return Y, v
+
+
+def _zero_set_step(G, H, X, p):
+    """Reduced Newton step that raises <p, x> on {|x| = 1, P = 0}, per row.
+
+    ``G`` and ``H`` are the gradients and Hessians of P at the rows of X.  The
+    multipliers of p = lam grad P + nu x are the two-column least-squares
+    solution, in closed form through the orthonormal pair (x, g) with g the
+    unit tangent gradient; a tangent basis B of the zero set comes from the
+    QR of [x, g, I].  Where the reduced Hessian B'(-lam Hess P - nu I)B is
+    negative definite the step is Newton's, elsewhere it is the tangent
+    gradient B B'p; either is capped at length ``_STEP_CAP``.
+    """
+    n, d = X.shape
+    gt = _sphere_tangent(G, X)
+    gn = np.linalg.norm(gt, axis=1)
+    gn_safe = np.where(gn > 0.0, gn, 1.0)
+    g = gt / gn_safe[:, None]
+    lam = np.where(gn > 0.0, g @ p / gn_safe, 0.0)
+    nu = X @ p - lam * np.sum(G * X, axis=1)
+    eye = np.broadcast_to(np.eye(d), (n, d, d))
+    W = -lam[:, None, None] * H - nu[:, None, None] * eye
+    B = np.linalg.qr(np.concatenate([X[:, :, None], g[:, :, None], eye], axis=2))[0][:, :, 2:]
+    Bt = np.swapaxes(B, 1, 2)
+    r = Bt @ p
+    w, V = np.linalg.eigh(Bt @ W @ B)
+    newton = np.all(w < 0.0, axis=1)
+    w = np.where(newton[:, None], w, -1.0)
+    coef = np.einsum("nji,nj->ni", V, r) / w
+    s = np.where(newton[:, None], -np.einsum("nij,nj->ni", V, coef), r)
+    S = np.einsum("nij,nj->ni", B, s)
+    norm = np.linalg.norm(S, axis=1)
+    return S * (_STEP_CAP / np.maximum(norm, _STEP_CAP))[:, None]
+
+
 def _zero_distance_search(poly, p, budget, seed):
-    """Constrained minimization of the angle to the zero variety on the sphere."""
+    """Smallest angle from p to Z(P) on the sphere found from seeded starts.
+
+    All seeds step in lockstep for a fixed number of iterations.  A row off
+    Z(P) takes ``_RESTORE_STEPS`` restoration steps and keeps them when |P|
+    drops.  A row on Z(P) (|P| <= ``_ON_ZERO_REL`` * scale) takes a reduced
+    Newton step for <p, x>, restored onto Z(P), and keeps it when it stays on
+    Z(P) and <p, x> does not drop; otherwise its next step is ten times
+    shorter.  Rows whose step fell below ``_STEP_TOL`` or whose restoration
+    stalled are frozen, and only the other rows are evaluated.  At the end
+    every row takes ``_RESTORE_STEPS`` more restoration steps before the
+    rows with |P| <= 1e-8 * scale are measured.  The number of polynomial
+    calls is fixed, whatever the number of seeds.
+    """
     d = poly.dim
     n_seeds = max(8, budget)
-    seeds = sphere_starts(d, n_seeds, seed + 1)
+    X = sphere_starts(d, n_seeds, seed + 1)
     if d == 3:
         extra = sphere_starts(d, 512, seed + 2)
         vals = np.abs(poly.eval(extra))
         grads = np.linalg.norm(poly.gradient(extra), axis=1)
         score = vals / np.maximum(grads, 1e-12)
-        seeds = np.vstack([seeds, extra[np.argsort(score)[: n_seeds // 2]]])
+        X = np.vstack([X, extra[np.argsort(score)[: n_seeds // 2]]])
     scale = max(float(np.max(np.abs(poly.eval(sphere_starts(d, 256, seed + 3))))), 1e-300)
+    tol = _ON_ZERO_REL * scale
 
-    cons = [
-        {
-            "type": "eq",
-            "fun": lambda x: poly.eval(x) / scale,
-            "jac": lambda x: poly.gradient(x) / scale,
-        },
-        {
-            "type": "eq",
-            "fun": lambda x: x @ x - 1.0,
-            "jac": lambda x: 2.0 * x,
-        },
-    ]
-    best = math.inf
-    best_zero = None
-    for x0 in seeds:
-        res = minimize(
-            lambda x: -(p @ x),
-            x0,
-            jac=lambda x: -p,
-            method="SLSQP",
-            constraints=cons,
-            options={"maxiter": 120, "ftol": 1e-14},
-        )
-        x = res.x
-        nx = np.linalg.norm(x)
-        if nx == 0:
-            continue
-        x = x / nx
-        if abs(poly.eval(x)) > 1e-8 * scale:
-            continue
-        dist = math.acos(float(np.clip(p @ x, -1.0, 1.0)))
-        if dist < best:
-            best, best_zero = dist, x
-    return best, best_zero
+    v = poly.eval(X)
+    f = X @ p
+    shrink = np.ones(len(X))
+    live = np.ones(len(X), dtype=bool)
+    for _ in range(_SEARCH_ITERS):
+        idx = np.flatnonzero(live)
+        Xi, vi = X[idx], v[idx]
+        on = np.abs(vi) <= tol
+        S = _zero_set_step(poly.gradient(Xi), poly._hessian(Xi), Xi, p)
+        S = np.where(on[:, None], shrink[idx, None] * S, 0.0)
+        Y, vy = _restore_to_zero_set(poly, _normalize_rows(Xi + S), _RESTORE_STEPS)
+        fy = Y @ p
+        stepping = on & (np.linalg.norm(S, axis=1) > _STEP_TOL)
+        ok = np.where(on, stepping & (np.abs(vy) <= tol) & (fy >= f[idx]), np.abs(vy) < np.abs(vi))
+        # a row whose step became negligible has converged; an off-zero row
+        # whose restoration did not lower |P| would retry the same trial
+        live[idx] = ok | stepping
+        moved = idx[ok]
+        X[moved], v[moved], f[moved] = Y[ok], vy[ok], fy[ok]
+        shrink[idx] = np.where(ok, 1.0, 0.1 * shrink[idx])
+
+    # a row may have climbed to the edge of |P| <= tol, which lies about
+    # tol**(1/m) off a zero of multiplicity m: project every row back
+    X, v = _restore_to_zero_set(poly, X, _RESTORE_STEPS)
+    f = X @ p
+    found = np.abs(v) <= 1e-8 * scale
+    if not np.any(found):
+        return math.inf, None
+    x = X[int(np.argmax(np.where(found, f, -np.inf)))]
+    return math.acos(float(np.clip(p @ x, -1.0, 1.0))), x
 
 
 def angular_distance_to_zero_set(poly: MultiPoly, p, budget=64, seed=0, return_zero=False):
     """Angular distance from p to the zero set of P on the sphere.
 
-    Exact for tagged affine-form products and in dimension two; otherwise an
-    upper-bound estimate from seeded constrained minimization.  Returns the
-    +inf sentinel when no zero is found on the sphere.
+    Exact for tagged affine-form products and in dimension two.  Otherwise it
+    is the angle from p to the nearest zero found by a seeded lockstep Newton
+    search on Z(P) intersected with the sphere (``max(8, budget)`` seeds, plus
+    half as many low-|P|/|grad P| seeds in dimension three): an
+    upper-bound estimate, not certified.  Returns the +inf sentinel when no
+    zero is found on the sphere.
     """
     p = unit_vector(p)
     if poly.affine_factors is not None:

@@ -224,8 +224,30 @@ class TestDeterminism:
 
 class TestUsageErrors:
     def test_unknown_command(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
+        assert exc.value.code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sphere-verify", "--tol"],
+            ["sphere-verify", "--starts", "abc"],
+            ["sphere-verify", "--tol", "-inf"],
+        ],
+    )
+    def test_argument_errors_are_usage_errors(self, argv, capsys):
+        # exit status 2 would read as a failed bound check
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "zerogap: error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: zerogap" in capsys.readouterr().out
 
     def test_bad_tolerance(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "sphere-verify", X1X2, "--tol", "-1")

@@ -93,6 +93,90 @@ class TestGradient:
         assert np.linalg.norm(g - g_fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
 
 
+def random_dense_poly(rng, d, n_terms=10, max_exp=3):
+    terms = {
+        tuple(int(v) for v in rng.integers(0, max_exp + 1, size=d)): float(rng.standard_normal())
+        for _ in range(n_terms)
+    }
+    terms[(1,) + (0,) * (d - 1)] = 1.0
+    return MultiPoly(d, terms)
+
+
+def loop_gradient(poly, X):
+    """Reference: the expanded-terms gradient rebuilding its exponent table per variable."""
+    E = np.array([e for e, _ in poly.terms], dtype=np.int64)
+    C = np.array([c for _, c in poly.terms], dtype=float)
+    G = np.empty((X.shape[0], poly.dim))
+    for j in range(poly.dim):
+        Ej = E.copy()
+        expo = Ej[:, j].copy()
+        Ej[:, j] = np.maximum(expo - 1, 0)
+        mono = np.prod(X[:, None, :] ** Ej[None, :, :], axis=2)
+        G[:, j] = mono @ (C * expo)
+    return G
+
+
+class TestTermTables:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 6])
+    def test_eval_bytes_match_pow_per_term(self, d):
+        rng = np.random.default_rng(10 + d)
+        p = random_dense_poly(rng, d, n_terms=15, max_exp=5)
+        E = np.array([e for e, _ in p.terms], dtype=np.int64)
+        C = np.array([c for _, c in p.terms], dtype=float)
+        for rows in (1, 7, 64):
+            X = rng.uniform(-1.5, 1.5, size=(rows, d))
+            ref = np.prod(X[:, None, :] ** E[None, :, :], axis=2) @ C
+            assert p.eval(X).tobytes() == ref.tobytes()
+            assert p.eval(X[0]) == float((np.prod(X[:1, None, :] ** E[None, :, :], axis=2) @ C)[0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 6])
+    def test_gradient_bytes_match_loop(self, d):
+        rng = np.random.default_rng(20 + d)
+        p = random_dense_poly(rng, d, n_terms=15)
+        for rows in (1, 7, 64):
+            X = rng.uniform(-1.5, 1.5, size=(rows, d))
+            ref = loop_gradient(p, X)
+            assert p.gradient(X).tobytes() == ref.tobytes()
+            assert p.gradient(X[0]).tobytes() == loop_gradient(p, X[:1])[0].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+    def test_hessian_matches_central_differences_of_gradient(self, d):
+        rng = np.random.default_rng(40 + d)
+        p = random_dense_poly(rng, d)
+        X = rng.uniform(-1, 1, size=(5, d))
+        H = p._hessian(X)
+        assert H.shape == (5, d, d)
+        assert np.array_equal(H, np.swapaxes(H, 1, 2))
+        h = 1e-5
+        for i, x in enumerate(X):
+            fd = np.column_stack([p.gradient(x + h * e) - p.gradient(x - h * e) for e in np.eye(d)]) / (2 * h)
+            assert np.allclose(H[i], fd, rtol=1e-7, atol=1e-7 * max(1.0, np.abs(H[i]).max()))
+            assert p._hessian(x).tobytes() == p._hessian(X[i : i + 1])[0].tobytes()
+
+    def test_hessian_of_quadric_is_constant(self):
+        a = np.array([[1.0, 0.3, -0.2], [0.3, -0.5, 0.4], [-0.2, 0.4, 0.7]])
+        terms = {}
+        for i in range(3):
+            for j in range(i, 3):
+                e = [0, 0, 0]
+                e[i] += 1
+                e[j] += 1
+                terms[tuple(e)] = a[i, j] if i == j else 2 * a[i, j]
+        H = MultiPoly(3, terms)._hessian(np.random.default_rng(0).standard_normal((4, 3)))
+        assert np.allclose(H, 2 * a, rtol=0, atol=1e-15)
+
+    def test_factored_product_hessian_uses_expansion(self):
+        forms = [
+            AffineForm([1.0, 2.0, -1.0], 0.3),
+            AffineForm([0.5, -1.0, 1.0], -0.2),
+            AffineForm([0.0, 1.0, 1.0], 0.1),
+        ]
+        lazy = product_of_affine_forms(forms)
+        expanded = MultiPoly(3, dict(lazy.terms))
+        X = np.random.default_rng(1).standard_normal((6, 3))
+        assert lazy._hessian(X).tobytes() == expanded._hessian(X).tobytes()
+
+
 class TestAffineProducts:
     def test_two_axis_forms(self):
         p = product_of_affine_forms([AffineForm([1, 0], 0.0), AffineForm([0, 1], 0.0)])

@@ -1,10 +1,12 @@
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from zerogap import ballfinder, complexproj
+from zerogap import ballfinder, complexproj, sphereopt
 from zerogap.polycore import AffineForm, MultiPoly, product_of_affine_forms
 from zerogap.sphereopt import (
     LOG_FLOOR,
@@ -16,6 +18,7 @@ from zerogap.sphereopt import (
     maximize_abs_on_sphere,
     slice_distance,
     sphere_starts,
+    unit_vector,
     verify_sphere_gap,
 )
 
@@ -397,3 +400,156 @@ class TestBatchAscentWork:
             assert log.count("g") == len(counts) <= iters
             assert min(counts) >= 1
             assert log.count("v") <= 1 + len(counts) * backtracks
+
+
+def slsqp_zero_distance(poly, p, budget, seed):
+    """Reference: one SLSQP solve per seed for the nearest zero to p on the
+    sphere, with the seeds, scale and filter of the lockstep search."""
+    d = poly.dim
+    n_seeds = max(8, budget)
+    seeds = sphere_starts(d, n_seeds, seed + 1)
+    if d == 3:
+        extra = sphere_starts(d, 512, seed + 2)
+        vals = np.abs(poly.eval(extra))
+        grads = np.linalg.norm(poly.gradient(extra), axis=1)
+        score = vals / np.maximum(grads, 1e-12)
+        seeds = np.vstack([seeds, extra[np.argsort(score)[: n_seeds // 2]]])
+    scale = max(float(np.max(np.abs(poly.eval(sphere_starts(d, 256, seed + 3))))), 1e-300)
+
+    cons = [
+        {
+            "type": "eq",
+            "fun": lambda x: poly.eval(x) / scale,
+            "jac": lambda x: poly.gradient(x) / scale,
+        },
+        {
+            "type": "eq",
+            "fun": lambda x: x @ x - 1.0,
+            "jac": lambda x: 2.0 * x,
+        },
+    ]
+    best = math.inf
+    best_zero = None
+    for x0 in seeds:
+        res = minimize(
+            lambda x: -(p @ x),
+            x0,
+            jac=lambda x: -p,
+            method="SLSQP",
+            constraints=cons,
+            options={"maxiter": 120, "ftol": 1e-14},
+        )
+        x = res.x
+        nx = np.linalg.norm(x)
+        if nx == 0:
+            continue
+        x = x / nx
+        if abs(poly.eval(x)) > 1e-8 * scale:
+            continue
+        dist = math.acos(float(np.clip(p @ x, -1.0, 1.0)))
+        if dist < best:
+            best, best_zero = dist, x
+    return best, best_zero
+
+
+def zero_set_scale(poly, seed):
+    return max(float(np.max(np.abs(poly.eval(sphere_starts(poly.dim, 256, seed + 3))))), 1e-300)
+
+
+def rotated_quadric(rng, spectrum):
+    d = len(spectrum)
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    q = q * np.sign(np.diag(r))
+    a = q @ np.diag(spectrum) @ q.T
+    terms = {}
+    for i, j in itertools.combinations_with_replacement(range(d), 2):
+        e = [0] * d
+        e[i] += 1
+        e[j] += 1
+        terms[tuple(e)] = a[i, j] if i == j else 2.0 * a[i, j]
+    return MultiPoly(d, terms)
+
+
+def dense_poly(rng, d, n):
+    exps = [e for e in itertools.product(range(n + 1), repeat=d) if sum(e) <= n]
+    return MultiPoly(d, {e: rng.standard_normal() for e in exps})
+
+
+# untagged d >= 3 polynomials: the benchmark quadric's spectrum turned three
+# ways, a zero set with singular points, the doubled sphere of ball-pair, and
+# dense polynomials of degree 2-4 in 3-5 variables
+ZERO_SET_CORPUS = {
+    **{
+        f"quadric-{k}": lambda k=k: rotated_quadric(np.random.default_rng(k), (1.0, 0.2, -0.6))
+        for k in range(3)
+    },
+    "x1x2x3": lambda: MultiPoly(3, {(1, 1, 1): 1.0}),
+    "pair-d2": lambda: ballfinder.product_with_itself(
+        MultiPoly(2, {(2, 0): 1.0, (1, 1): 0.5, (0, 2): -0.7, (1, 0): 0.2})
+    ),
+    **{
+        f"dense-{d}-{n}": lambda d=d, n=n: dense_poly(np.random.default_rng(10 * d + n), d, n)
+        for d, n in ((3, 2), (3, 4), (4, 3), (4, 4), (5, 2), (5, 3))
+    },
+}
+
+
+class TestZeroDistanceSearch:
+    @pytest.mark.parametrize("name", sorted(ZERO_SET_CORPUS))
+    def test_no_worse_than_slsqp_reference(self, name):
+        poly = ZERO_SET_CORPUS[name]()
+        p = maximize_abs_on_sphere(poly, starts=32, seed=0).point
+        ref, ref_zero = slsqp_zero_distance(poly, p, 64, 0)
+        dist, zero = angular_distance_to_zero_set(poly, p, seed=0, return_zero=True)
+        assert math.isfinite(ref) and math.isfinite(dist)
+        # SLSQP stops up to |P|/|grad_t P| off Z(P); its distance is short by at most that
+        g = poly.gradient(ref_zero)
+        slack = abs(poly.eval(ref_zero)) / np.linalg.norm(g - (g @ ref_zero) * ref_zero)
+        assert dist <= ref + slack + 1e-12
+        assert abs(np.linalg.norm(zero) - 1.0) <= 1e-12
+        assert abs(poly.eval(zero)) <= 1e-12 * zero_set_scale(poly, 0)
+        assert math.acos(float(np.clip(p @ zero, -1.0, 1.0))) == dist
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("m, tol", [(1, 1e-12), (2, 1e-7), (3, 5e-5)])
+    def test_power_of_affine_form_matches_slice_distance(self, d, m, tol):
+        # a zero of multiplicity m can be located only to about eps**(1/m)
+        rng = np.random.default_rng(100 * d + m)
+        for k in range(3):
+            form = AffineForm(rng.standard_normal(d), rng.uniform(-0.6, 0.6))
+            poly = MultiPoly(d, dict(product_of_affine_forms([form] * m).terms))
+            p = unit_vector(rng.standard_normal(d))
+            dist = angular_distance_to_zero_set(poly, p, seed=k)
+            assert dist == pytest.approx(slice_distance(form, p), abs=tol)
+
+    def test_no_zero_on_sphere(self):
+        poly = MultiPoly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 0.5})
+        dist, zero = angular_distance_to_zero_set(poly, [0.0, 0.6, 0.8], return_zero=True)
+        assert dist == math.inf and zero is None
+
+    @pytest.mark.parametrize("name", ["quadric-0", "pair-d2"])
+    def test_polynomial_calls_do_not_grow_with_budget(self, name, monkeypatch):
+        poly = ZERO_SET_CORPUS[name]()
+        p = unit_vector(np.arange(1.0, poly.dim + 1))
+        counts = {}
+        for method in ("eval", "gradient", "_hessian"):
+            original = getattr(MultiPoly, method)
+
+            def counted(self, x, _original=original, _method=method):
+                counts[_method] += 1
+                return _original(self, x)
+
+            monkeypatch.setattr(MultiPoly, method, counted)
+        seen = []
+        for budget in (8, 64):
+            counts.update(eval=0, gradient=0, _hessian=0)
+            angular_distance_to_zero_set(poly, p, budget=budget, seed=1)
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        # each iteration: one step, then the restoration of its trial; at the
+        # end one more restoration of every row
+        iters, restore = sphereopt._SEARCH_ITERS, sphereopt._RESTORE_STEPS
+        extra = 1 if poly.dim == 3 else 0  # the d = 3 low-|P|/|grad P| seed pick
+        assert seen[0]["gradient"] == extra + iters + (iters + 1) * restore
+        assert seen[0]["_hessian"] == iters + (iters + 1) * restore
+
