@@ -45,27 +45,30 @@ __all__ = [
 ]
 
 
+# interior seeds of the zero-distance search, each paired with a boundary seed
+_ZERO_SEARCH_SEEDS = 64
+
+
 def _clip_to_ball(X):
     norms = np.linalg.norm(X, axis=-1, keepdims=True)
     return np.where(norms > 1.0, X / np.maximum(norms, 1e-300), X)
 
 
-def euclidean_zero_distance(poly: MultiPoly, p, budget=64, seed=0, return_zero=False):
-    """Euclidean distance from p to the zero set of P inside the closed ball.
+def euclidean_zero_distance(poly: MultiPoly, p, seed=0):
+    """(distance, zero): Euclidean distance from p to Z(P) in the closed ball, and a zero at it.
 
     Exact per-factor for tagged affine products and by root isolation in one
-    variable; otherwise an upper-bound estimate.  +inf sentinel when no zero
-    is found.
+    variable; otherwise an upper-bound estimate.  ``zero`` is None exactly
+    when no zero is found and the distance is +inf.
     """
     p = np.asarray(p, dtype=float)
     if poly.affine_factors is not None:
-        best, best_zero = math.inf, None
+        best, best_form = math.inf, None
         for f in poly.affine_factors:
             dist = abs(float(f.normal @ p) - f.offset)
             if dist < best:
-                best = dist
-                best_zero = p - (float(f.normal @ p) - f.offset) * f.normal
-        return (best, best_zero) if return_zero else best
+                best, best_form = dist, f
+        return best, p - (float(best_form.normal @ p) - best_form.offset) * best_form.normal
 
     if poly.dim == 1:
         deg = poly.degree
@@ -83,13 +86,13 @@ def euclidean_zero_distance(poly: MultiPoly, p, budget=64, seed=0, return_zero=F
             dist = float(abs(x - p[0]))
             if dist < best:
                 best, best_zero = dist, np.array([x])
-        return (best, best_zero) if return_zero else best
+        return best, best_zero
 
     d = poly.dim
-    dirs = sphere_starts(d, max(8, budget), seed + 11)
+    dirs = sphere_starts(d, _ZERO_SEARCH_SEEDS, seed + 11)
     radii = qmc.Sobol(d=1, scramble=True, seed=seed + 13).random_base2(
-        max(1, math.ceil(math.log2(max(8, budget))))
-    )[: max(8, budget), 0] ** (1.0 / d)
+        max(1, math.ceil(math.log2(_ZERO_SEARCH_SEEDS)))
+    )[:_ZERO_SEARCH_SEEDS, 0] ** (1.0 / d)
     seeds = np.vstack([dirs * radii[:, None], dirs])
     sample = np.vstack([seeds, np.zeros((1, d))])
     scale = max(float(np.max(np.abs(poly.eval(sample)))), 1e-300)
@@ -114,7 +117,7 @@ def euclidean_zero_distance(poly: MultiPoly, p, budget=64, seed=0, return_zero=F
         dist = float(np.linalg.norm(x - p))
         if dist < best:
             best, best_zero = dist, x
-    return (best, best_zero) if return_zero else best
+    return best, best_zero
 
 
 def product_with_itself(poly: MultiPoly) -> MultiPoly:
@@ -192,11 +195,11 @@ def pair_point(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> PairCertificate:
         if np.linalg.norm(p) > np.linalg.norm(q):
             p, q = q, p
             w = np.concatenate([p, q])
-        ball_dist, nearest = euclidean_zero_distance(poly, p, seed=seed, return_zero=True)
+        ball_dist, nearest = euclidean_zero_distance(poly, p, seed=seed)
         if best is None or ball_dist > best[0]:
-            sphere_dist = angular_distance_to_zero_set(R, w, seed=seed)
-            best = (ball_dist, nearest, p, q, sphere_dist)
-    ball_dist, nearest, p, q, sphere_dist = best
+            best = (ball_dist, nearest, p, q, w)
+    ball_dist, nearest, p, q, w = best
+    sphere_dist, _ = angular_distance_to_zero_set(R, w, seed=seed)
 
     lift_t = None
     lift_point = None
@@ -207,8 +210,6 @@ def pair_point(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> PairCertificate:
             lift_t = math.sqrt(max(0.0, t_sq))
             lift_point = np.concatenate([nearest, lift_t * q])
     ball_bound = 1.0 / (8 * n)
-    ball_dist = float(ball_dist)
-    sphere_dist = float(sphere_dist)
     return PairCertificate(
         p=p,
         q=q,
@@ -312,7 +313,7 @@ def multiplier_point(poly: MultiPoly, seed=0, starts=64):
     if best <= LOG_FLOOR / 2:
         raise ValueError("objective vanished at every candidate")
     pool = [c for lv, c in zip(logs, cands) if lv >= best + math.log1p(-NEAR_MAX_REL)]
-    scored = [(euclidean_zero_distance(poly, c, seed=seed), c) for c in pool]
+    scored = [(euclidean_zero_distance(poly, c, seed=seed)[0], c) for c in pool]
     dist, point = max(scored, key=lambda t: t[0])
     return np.atleast_1d(point), float(dist)
 
@@ -343,6 +344,8 @@ class LiftedDiagnostics:
 
 def lifted_diagnostics(n, k) -> LiftedDiagnostics:
     """Zero latitudes, band spacing, and cap radius of the degree-k lift."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if k <= n:
         raise ValueError(f"need k > n, got k={k}, n={n}")
     if (k - n) % 2 != 0:

@@ -178,11 +178,11 @@ class ConvergenceReport:
     tail_errors: tuple  # sup |finite tail - analytic tail|
 
 
-def convergence_report(n, ks, half_width, grid_points=2048) -> ConvergenceReport:
+def convergence_report(n, ks, half_width) -> ConvergenceReport:
     ks = tuple(int(k) for k in ks)
     for k in ks:
         _check_parity(n, k)
-    grid = np.linspace(-half_width, half_width, grid_points)
+    grid = np.linspace(-half_width, half_width, 2048)
     target = np.cos(grid) if n % 2 == 0 else np.sin(grid)
     e1, e2 = [], []
     for k in ks:

@@ -34,6 +34,9 @@ __all__ = [
     "hermitian_angle",
 ]
 
+# seeds of the zero-distance search in dimension 3 and up
+_ZERO_SEARCH_SEEDS = 48
+
 
 def to_complex(x):
     x = np.asarray(x, dtype=float)
@@ -178,10 +181,6 @@ class WeightedSystem:
     def dim(self):
         return self.items[0][0].dim
 
-    @property
-    def weighted_degree(self):
-        return sum(d * d * p.degree for p, d in self.items)
-
 
 def _weighted_log_objective(items):
     polys = [p for p, _ in items]
@@ -247,36 +246,35 @@ def _zeros_on_projective_line(poly):
     return reps
 
 
-def complex_zero_distance(poly: ComplexHomogPoly, p, budget=48, seed=0, return_zero=False):
-    """Min over zeros z on the sphere of arccos |<p, z>|.
+def complex_zero_distance(poly: ComplexHomogPoly, p, seed=0):
+    """(distance, zero): min over zeros z on the sphere of arccos |<p, z>|, and z.
 
     Exact for tagged products of linear forms and for d = 2 (found through
     chart root isolation); elsewhere a seeded constrained-search estimate.
-    +inf sentinel when nothing is found (cannot happen for d >= 2 since
-    homogeneous polynomials always vanish somewhere on the sphere).
+    ``zero`` is None exactly when nothing is found and the distance is +inf
+    (for d >= 2 only a constant has no zero on the sphere).
     """
     p = np.asarray(p, dtype=complex)
     p = p / np.linalg.norm(p)
 
     if poly.linear_factors is not None:
-        best, best_zero = math.inf, None
+        best, best_row = math.inf, None
         for row in poly.linear_factors:
-            nr = np.linalg.norm(row)
-            val = abs(np.sum(row * p)) / nr
-            dist = math.asin(min(1.0, val))
+            dist = math.asin(min(1.0, abs(np.sum(row * p)) / np.linalg.norm(row)))
             if dist < best:
-                w = np.conj(row) / nr
-                resid = p - np.sum(p * row) / nr * w
-                nr2 = np.linalg.norm(resid)
-                if nr2 < 1e-9:
-                    # p sits on the normal direction; any unit vector in the
-                    # zero plane is nearest
-                    basis = np.eye(poly.dim, dtype=complex)
-                    cand = [b - np.sum(b * row) / nr * w for b in basis]
-                    resid = max(cand, key=np.linalg.norm)
-                    nr2 = np.linalg.norm(resid)
-                best, best_zero = dist, resid / nr2
-        return (best, best_zero) if return_zero else best
+                best, best_row = dist, row
+        nr = np.linalg.norm(best_row)
+        w = np.conj(best_row) / nr
+        resid = p - np.sum(p * best_row) / nr * w
+        nr2 = np.linalg.norm(resid)
+        if nr2 < 1e-9:
+            # p sits on the normal direction; any unit vector in the zero
+            # plane is nearest
+            basis = np.eye(poly.dim, dtype=complex)
+            cand = [b - np.sum(b * best_row) / nr * w for b in basis]
+            resid = max(cand, key=np.linalg.norm)
+            nr2 = np.linalg.norm(resid)
+        return best, resid / nr2
 
     if poly.dim == 2:
         best, best_zero = math.inf, None
@@ -284,7 +282,7 @@ def complex_zero_distance(poly: ComplexHomogPoly, p, budget=48, seed=0, return_z
             dist = hermitian_angle(p, z)
             if dist < best:
                 best, best_zero = dist, z
-        return (best, best_zero) if return_zero else best
+        return best, best_zero
 
     # general estimator: maximize |<p,z>| over the zero set
     d = poly.dim
@@ -327,7 +325,7 @@ def complex_zero_distance(poly: ComplexHomogPoly, p, budget=48, seed=0, return_z
         {"type": "eq", "fun": lambda x: x @ x - 1.0, "jac": lambda x: 2.0 * x},
     ]
     best, best_zero = math.inf, None
-    for x0 in sphere_starts(2 * d, max(8, budget), seed + 7):
+    for x0 in sphere_starts(2 * d, _ZERO_SEARCH_SEEDS, seed + 7):
         res = minimize(obj, x0, jac=obj_jac, method="SLSQP", constraints=cons,
                        options={"maxiter": 150, "ftol": 1e-14})
         x = res.x
@@ -340,7 +338,7 @@ def complex_zero_distance(poly: ComplexHomogPoly, p, budget=48, seed=0, return_z
         dist = hermitian_angle(p, z)
         if dist < best:
             best, best_zero = dist, z
-    return (best, best_zero) if return_zero else best
+    return best, best_zero
 
 
 @dataclass(frozen=True)
@@ -373,9 +371,11 @@ class ComplexGapReport:
 def verify_complex_gap(poly: ComplexHomogPoly, seed=0, starts=64, tol=1e-6) -> ComplexGapReport:
     """Check distance >= arcsin(1/sqrt(deg)) at a maximizer of |P|."""
     n = poly.degree
+    if n < 1:
+        raise ValueError("degree must be at least 1")
     pool = _maximize_items(((poly, 1.0),), starts, seed)
     scored = [
-        (complex_zero_distance(poly, to_complex(x), seed=seed), to_complex(x)) for x in pool
+        (complex_zero_distance(poly, to_complex(x), seed=seed)[0], to_complex(x)) for x in pool
     ]
     dist, z = max(scored, key=lambda t: t[0])
     bound = math.asin(1.0 / math.sqrt(n))
@@ -392,13 +392,13 @@ def verify_complex_gap(poly: ComplexHomogPoly, seed=0, starts=64, tol=1e-6) -> C
     )
 
 
-def chart_radius_check(poly: ComplexHomogPoly, zero, seed=0, starts=64, tol=1e-8) -> float:
+def chart_radius_check(poly: ComplexHomogPoly, zero, seed=0) -> float:
     """Chart radius of the |P|-maximizer in the affine chart centered at a zero.
 
     The chart places ``zero`` at the origin of the projective line (d = 2);
-    the radius of the maximizer is tan of its Hermitian angle from the zero.
-    Raises when the squared radius falls below 1/(deg-1), which no true
-    maximizer can do.
+    the radius of the maximizer (64 starts) is tan of its Hermitian angle
+    from the zero.  Raises when the squared radius falls below 1/(deg-1) by
+    more than 1e-8, which no true maximizer can do.
     """
     if poly.dim != 2:
         raise ValueError("chart radius is defined on the projective line (dim 2)")
@@ -412,11 +412,11 @@ def chart_radius_check(poly: ComplexHomogPoly, zero, seed=0, starts=64, tol=1e-8
     )
     if abs(poly.eval(zero)) > 1e-8 * scale:
         raise ValueError("the supplied point is not a zero of the polynomial")
-    pool = _maximize_items(((poly, 1.0),), starts, seed)
+    pool = _maximize_items(((poly, 1.0),), 64, seed)
     p = to_complex(pool[0])
     angle = hermitian_angle(p, zero)
     a = math.tan(angle)
-    if a * a < 1.0 / (n - 1) - tol:
+    if a * a < 1.0 / (n - 1) - 1e-8:
         raise VerificationError(
             f"chart radius {a} has a^2 < 1/(n-1) = {1.0 / (n - 1)}; maximizer cannot be this close"
         )
@@ -429,7 +429,7 @@ def verify_weighted_gap(system: WeightedSystem, seed=0, starts=64, tol=1e-6) -> 
     best = None
     for x in pool:
         z = to_complex(x)
-        dists = tuple(complex_zero_distance(p, z, seed=seed) for p, _ in system.items)
+        dists = tuple(complex_zero_distance(p, z, seed=seed)[0] for p, _ in system.items)
         worst = min(d - math.asin(min(1.0, dk)) for d, (_, dk) in zip(dists, system.items))
         if best is None or worst > best[0]:
             best = (worst, z, dists)

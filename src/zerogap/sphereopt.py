@@ -58,6 +58,8 @@ _ON_ZERO_REL = 1e-12
 _STEP_CAP = 0.2
 _RESTORE_CAP = 0.5
 _STEP_TOL = 1e-13
+# seeds of the zero-distance search (half as many more are picked in d = 3)
+_ZERO_SEARCH_SEEDS = 64
 
 
 def unit_vector(v):
@@ -401,7 +403,7 @@ def _zero_set_step(G, H, X, p):
     return S * (_STEP_CAP / np.maximum(norm, _STEP_CAP))[:, None]
 
 
-def _zero_distance_search(poly, p, budget, seed):
+def _zero_distance_search(poly, p, seed):
     """Smallest angle from p to Z(P) on the sphere found from seeded starts.
 
     All seeds step in lockstep for a fixed number of iterations.  A row off
@@ -416,14 +418,13 @@ def _zero_distance_search(poly, p, budget, seed):
     calls is fixed, whatever the number of seeds.
     """
     d = poly.dim
-    n_seeds = max(8, budget)
-    X = sphere_starts(d, n_seeds, seed + 1)
+    X = sphere_starts(d, _ZERO_SEARCH_SEEDS, seed + 1)
     if d == 3:
         extra = sphere_starts(d, 512, seed + 2)
         vals = np.abs(poly.eval(extra))
         grads = np.linalg.norm(poly.gradient(extra), axis=1)
         score = vals / np.maximum(grads, 1e-12)
-        X = np.vstack([X, extra[np.argsort(score)[: n_seeds // 2]]])
+        X = np.vstack([X, extra[np.argsort(score)[: _ZERO_SEARCH_SEEDS // 2]]])
     scale = max(float(np.max(np.abs(poly.eval(sphere_starts(d, 256, seed + 3))))), 1e-300)
     tol = _ON_ZERO_REL * scale
 
@@ -459,31 +460,28 @@ def _zero_distance_search(poly, p, budget, seed):
     return math.acos(float(np.clip(p @ x, -1.0, 1.0))), x
 
 
-def angular_distance_to_zero_set(poly: MultiPoly, p, budget=64, seed=0, return_zero=False):
-    """Angular distance from p to the zero set of P on the sphere.
+def angular_distance_to_zero_set(poly: MultiPoly, p, seed=0):
+    """(distance, zero): angular distance from p to Z(P) on the sphere and a zero at it.
 
     Exact for tagged affine-form products and in dimension two.  Otherwise it
     is the angle from p to the nearest zero found by a seeded lockstep Newton
-    search on Z(P) intersected with the sphere (``max(8, budget)`` seeds, plus
-    half as many low-|P|/|grad P| seeds in dimension three): an
-    upper-bound estimate, not certified.  Returns the +inf sentinel when no
-    zero is found on the sphere.
+    search on Z(P) intersected with the sphere (``_ZERO_SEARCH_SEEDS`` seeds,
+    plus half as many low-|P|/|grad P| seeds in dimension three): an
+    upper-bound estimate, not certified.  ``zero`` is None exactly when no
+    zero is found on the sphere and the distance is +inf.
     """
     p = unit_vector(p)
     if poly.affine_factors is not None:
         best = math.inf
-        best_zero = None
+        best_form = None
         for f in poly.affine_factors:
             dist = slice_distance(f, p)
             if dist < best:
-                best = dist
-                best_zero = _nearest_slice_point(f, p) if dist < math.inf else None
-        return (best, best_zero) if return_zero else best
+                best, best_form = dist, f
+        return best, None if best_form is None else _nearest_slice_point(best_form, p)
     if poly.dim == 2:
-        dist, zero = _zero_distance_d2(poly, p)
-        return (dist, zero) if return_zero else dist
-    dist, zero = _zero_distance_search(poly, p, budget, seed)
-    return (dist, zero) if return_zero else dist
+        return _zero_distance_d2(poly, p)
+    return _zero_distance_search(poly, p, seed)
 
 
 @dataclass(frozen=True)
@@ -528,17 +526,19 @@ def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGap
     attached along with the interlacing diagnostic of the restriction.
     """
     n = poly.degree
+    if n < 1:
+        raise ValueError("degree must be at least 1")
     res = maximize_abs_on_sphere(poly, starts=starts, seed=seed)
     scored = []
     for cand in res.all_near_max:
-        dist, zero = angular_distance_to_zero_set(poly, cand, seed=seed, return_zero=True)
+        dist, zero = angular_distance_to_zero_set(poly, cand, seed=seed)
         scored.append((dist, cand, zero))
     dist, p, zero = max(scored, key=lambda t: t[0])
     bound = math.pi / (2 * n)
     passed = dist >= bound - tol
     circle = None
     interlacing = None
-    if zero is not None and math.isfinite(dist) and abs(dist - bound) < tol:
+    if zero is not None and abs(dist - bound) < tol:
         v = zero - (zero @ p) * p
         nv = np.linalg.norm(v)
         if nv > 1e-9:

@@ -185,7 +185,6 @@ class ZeroGapReport:
     bound: float
     passed: bool
     q_identically_zero: bool
-    q_zero_multiplicity: int
 
 
 def circle_distance(t1, t2):
@@ -363,15 +362,11 @@ def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
     passed = min_dist >= bound - tol if min_dist != math.inf else True
 
     q_zero = False
-    q_mult = 0
     if n > 0:
         shifted = T.shift(pts[0])
         cos_n = TrigPoly(0.0, [(0.0, 0.0)] * (n - 1) + [(1.0, 0.0)], trim=False)
         Q = shifted + cos_n.scaled(-shifted.eval(0.0))
-        if Q.sup_norm() < 1e-10 * max(T.sup_norm(), 1e-300):
-            q_zero = True
-        else:
-            q_mult = trig_zeros(Q).total_multiplicity
+        q_zero = Q.sup_norm() < 1e-10 * max(T.sup_norm(), 1e-300)
     return ZeroGapReport(
         max_points=tuple(pts),
         max_value=M,
@@ -380,15 +375,15 @@ def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
         bound=bound,
         passed=passed,
         q_identically_zero=q_zero,
-        q_zero_multiplicity=q_mult,
     )
 
 
-def interlacing_check(T: TrigPoly, tol=1e-8, zeros=None, max_points=None):
+def interlacing_check(T: TrigPoly, zeros=None, max_points=None):
     """Whether zeros and |T|-maximizers alternate in 4n equal arcs.
 
     Returns (interlaces, arcs); arcs lists consecutive gaps of the merged
-    event sequence around the circle.  ``zeros`` (a CircleZeroSet) and
+    event sequence around the circle; equal means within 1e-8 of pi/(2n).
+    ``zeros`` (a CircleZeroSet) and
     ``max_points`` already found for T are used as given; whichever is None
     is computed here.
     """
@@ -411,5 +406,5 @@ def interlacing_check(T: TrigPoly, tol=1e-8, zeros=None, max_points=None):
         return False, arcs
     alternating = all(events[i][1] != events[(i + 1) % len(events)][1] for i in range(len(events)))
     target = math.pi / (2 * n)
-    equal = all(abs(a - target) <= tol for a in arcs)
+    equal = all(abs(a - target) <= 1e-8 for a in arcs)
     return alternating and equal, arcs

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zerogap import ballfinder
 from zerogap.ballfinder import (
     euclidean_zero_distance,
     lifted_diagnostics,
@@ -25,12 +26,12 @@ def cheb_roots(n):
 class TestEuclideanZeroDistance:
     def test_coordinate_hyperplane(self):
         p = MultiPoly(2, {(1, 0): 1.0})
-        assert euclidean_zero_distance(p, [0.5, 0.0]) == pytest.approx(0.5, abs=1e-12)
+        assert euclidean_zero_distance(p, [0.5, 0.0])[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_two_roots_take_nearer(self):
         # (x - 0.2)(x + 0.4) = x^2 + 0.2 x - 0.08
         p = MultiPoly(1, {(2,): 1.0, (1,): 0.2, (0,): -0.08})
-        assert euclidean_zero_distance(p, [0.0]) == pytest.approx(0.2, abs=1e-12)
+        assert euclidean_zero_distance(p, [0.0])[0] == pytest.approx(0.2, abs=1e-12)
 
     def test_tagged_product_matches_per_factor_oracle(self):
         rng = np.random.default_rng(3)
@@ -39,16 +40,16 @@ class TestEuclideanZeroDistance:
         for _ in range(20):
             p = rng.uniform(-1, 1, size=3)
             expected = min(abs(f.normal @ p - f.offset) for f in forms)
-            assert euclidean_zero_distance(poly, p) == pytest.approx(expected, abs=1e-10)
+            assert euclidean_zero_distance(poly, p)[0] == pytest.approx(expected, abs=1e-10)
 
     def test_no_zero_in_ball_sentinel(self):
         p = MultiPoly(1, {(2,): 1.0, (0,): 4.0})  # zeros at +-2i
-        assert euclidean_zero_distance(p, [0.3]) == math.inf
+        assert euclidean_zero_distance(p, [0.3]) == (math.inf, None)
 
     def test_estimator_d3(self):
         p = MultiPoly(3, {(1, 0, 0): 1.0})
         # untagged single plane: estimator should get |x1| right
-        d = euclidean_zero_distance(p, np.array([0.4, 0.1, -0.2]), seed=1)
+        d, _ = euclidean_zero_distance(p, np.array([0.4, 0.1, -0.2]), seed=1)
         assert d == pytest.approx(0.4, abs=1e-7)
 
 
@@ -107,6 +108,25 @@ class TestPairPoint:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             pair_point(MultiPoly(1, {(0,): 1.0}))
+
+    @pytest.mark.parametrize(
+        "poly", [MultiPoly(2, {(1, 1): 1.0}), cheb_poly_1d(3)], ids=["xy", "chebyshev-cubic"]
+    )
+    def test_sphere_distance_measured_once(self, poly, monkeypatch):
+        # several pairs improve on the best ball distance in turn; the
+        # doubled-sphere distance is measured once, for the pair kept
+        calls = []
+        original = ballfinder.angular_distance_to_zero_set
+
+        def counted(R, w, seed=0):
+            calls.append(np.array(w))
+            return original(R, w, seed=seed)
+
+        monkeypatch.setattr(ballfinder, "angular_distance_to_zero_set", counted)
+        cert = pair_point(poly, seed=0, starts=16)
+        assert len(calls) == 1
+        assert calls[0].tobytes() == np.concatenate([cert.p, cert.q]).tobytes()
+        assert cert.sphere_distance == original(product_with_itself(poly), calls[0], seed=0)[0]
 
 
 class TestMultiplierPoint:

@@ -264,6 +264,27 @@ class TestUsageErrors:
         code, out = run_cli(tmp_path, "sphere-verify", payload)
         assert code == 0 and json.loads(out)["equality"] is None
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("sphere-verify", {"dim": 3, "terms": [{"e": [0, 0, 0], "c": 1.0}]}),
+            ("sphere-verify", {"dim": 2, "terms": [{"e": [0, 0], "c": 1.0}]}),
+            ("complex-verify", {"dim": 2, "deg": 0, "terms": [{"e": [0, 0], "re": 1.0}]}),
+        ],
+        ids=["sphere-d3", "sphere-d2", "complex-d2"],
+    )
+    def test_constant_input_is_usage_error(self, tmp_path, capsys, command, payload):
+        # the bounds pi/(2n) and arcsin(1/sqrt n) need degree n >= 1
+        code, out = run_cli(tmp_path, command, payload)
+        assert code == 3 and out == ""
+        assert "degree must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_lifted_diag_needs_positive_order(self, tmp_path, capsys, n):
+        code, out = run_cli(tmp_path, "lifted-diag", {"n": n, "k": 2})
+        assert code == 3 and out == ""
+        assert "need n >= 1" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         code = main(["sphere-verify", "--input", "/nonexistent/path.json"])
         assert code == 3

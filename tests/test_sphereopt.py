@@ -107,7 +107,7 @@ class TestSliceDistance:
         assert slice_distance(AffineForm([1, 0, 0], 1.0), [0, 1, 0]) == pytest.approx(math.pi / 2)
         assert slice_distance(AffineForm([0, 0, 1], -1.0), [0, 0, 1]) == pytest.approx(math.pi)
         poly = product_of_affine_forms([AffineForm([1, 0, 0], 1.0)])
-        assert angular_distance_to_zero_set(poly, [0, 1, 0]) == pytest.approx(math.pi / 2)
+        assert angular_distance_to_zero_set(poly, [0, 1, 0])[0] == pytest.approx(math.pi / 2)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_bruteforce_parametrization(self, seed):
@@ -134,32 +134,36 @@ class TestAngularDistance:
     def test_d2_product_at_diagonal(self):
         p = MultiPoly(2, {(1, 1): 1.0})
         x = np.array([1.0, 1.0]) / math.sqrt(2)
-        assert angular_distance_to_zero_set(p, x) == pytest.approx(math.pi / 4, abs=1e-12)
+        assert angular_distance_to_zero_set(p, x)[0] == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_tagged_product_d3(self):
         poly = product_of_affine_forms(
             [AffineForm([1, 0, 0], 0), AffineForm([0, 1, 0], 0), AffineForm([0, 0, 1], 0)]
         )
         x = np.ones(3) / math.sqrt(3)
-        assert angular_distance_to_zero_set(poly, x) == pytest.approx(
+        assert angular_distance_to_zero_set(poly, x)[0] == pytest.approx(
             math.asin(1 / math.sqrt(3)), abs=1e-12
         )
 
     def test_no_real_zeros_sentinel(self):
         p = MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0})
-        assert angular_distance_to_zero_set(p, np.array([1.0, 0.0])) == math.inf
+        assert angular_distance_to_zero_set(p, np.array([1.0, 0.0])) == (math.inf, None)
 
-    def test_untagged_d3_matches_closed_form(self):
+    def test_untagged_d3_matches_closed_form(self, monkeypatch):
+        monkeypatch.setattr(sphereopt, "_ZERO_SEARCH_SEEDS", 24)
         p = MultiPoly(3, {(1, 1, 1): 1.0})
         x = np.ones(3) / math.sqrt(3)
-        d = angular_distance_to_zero_set(p, x, budget=24, seed=0)
+        d, _ = angular_distance_to_zero_set(p, x, seed=0)
         assert d == pytest.approx(math.asin(1 / math.sqrt(3)), abs=1e-7)
 
-    def test_budget_monotonicity(self):
+    def test_budget_monotonicity(self, monkeypatch):
         p = MultiPoly(3, {(2, 1, 0): 1.0, (0, 0, 2): -0.3})
         x = np.array([0.2, 0.5, 0.8])
         x /= np.linalg.norm(x)
-        dists = [angular_distance_to_zero_set(p, x, budget=b, seed=3) for b in (8, 16, 48)]
+        dists = []
+        for b in (8, 16, 48):
+            monkeypatch.setattr(sphereopt, "_ZERO_SEARCH_SEEDS", b)
+            dists.append(angular_distance_to_zero_set(p, x, seed=3)[0])
         assert dists[0] >= dists[1] - 1e-12
         assert dists[1] >= dists[2] - 1e-12
 
@@ -500,7 +504,7 @@ class TestZeroDistanceSearch:
         poly = ZERO_SET_CORPUS[name]()
         p = maximize_abs_on_sphere(poly, starts=32, seed=0).point
         ref, ref_zero = slsqp_zero_distance(poly, p, 64, 0)
-        dist, zero = angular_distance_to_zero_set(poly, p, seed=0, return_zero=True)
+        dist, zero = angular_distance_to_zero_set(poly, p, seed=0)
         assert math.isfinite(ref) and math.isfinite(dist)
         # SLSQP stops up to |P|/|grad_t P| off Z(P); its distance is short by at most that
         g = poly.gradient(ref_zero)
@@ -519,12 +523,12 @@ class TestZeroDistanceSearch:
             form = AffineForm(rng.standard_normal(d), rng.uniform(-0.6, 0.6))
             poly = MultiPoly(d, dict(product_of_affine_forms([form] * m).terms))
             p = unit_vector(rng.standard_normal(d))
-            dist = angular_distance_to_zero_set(poly, p, seed=k)
+            dist, _ = angular_distance_to_zero_set(poly, p, seed=k)
             assert dist == pytest.approx(slice_distance(form, p), abs=tol)
 
     def test_no_zero_on_sphere(self):
         poly = MultiPoly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): 0.5})
-        dist, zero = angular_distance_to_zero_set(poly, [0.0, 0.6, 0.8], return_zero=True)
+        dist, zero = angular_distance_to_zero_set(poly, [0.0, 0.6, 0.8])
         assert dist == math.inf and zero is None
 
     @pytest.mark.parametrize("name", ["quadric-0", "pair-d2"])
@@ -542,8 +546,9 @@ class TestZeroDistanceSearch:
             monkeypatch.setattr(MultiPoly, method, counted)
         seen = []
         for budget in (8, 64):
+            monkeypatch.setattr(sphereopt, "_ZERO_SEARCH_SEEDS", budget)
             counts.update(eval=0, gradient=0, _hessian=0)
-            angular_distance_to_zero_set(poly, p, budget=budget, seed=1)
+            angular_distance_to_zero_set(poly, p, seed=1)
             seen.append(dict(counts))
         assert seen[0] == seen[1]
         # each iteration: one step, then the restoration of its trial; at the

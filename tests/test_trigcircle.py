@@ -184,8 +184,8 @@ class TestWorkCounts:
             calls.clear()
             code = main(["trig-verify", "--input", str(inp), "--output", str(tmp_path / "out"), "--format", fmt])
             assert code == 0
-            # T' (through trig_max_points), T and the comparison polynomial Q
-            assert calls == {"trig_zeros": 3, "trig_max_points": 1}
+            # T' (through trig_max_points) and T
+            assert calls == {"trig_zeros": 2, "trig_max_points": 1}
 
     @pytest.mark.parametrize("count", [1, 40])
     @pytest.mark.parametrize("steps", [1, 5, 60])
