@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 from scipy.stats import qmc
 
-from .chebmult import ball_multiplier, cheb_positive_zeros
+from .chebmult import ball_multiplier, cheb_positive_zeros, check_orders
 from .polycore import AffineForm, MultiPoly
 from .sphereopt import (
     LOG_FLOOR,
@@ -280,9 +280,11 @@ def _multiplier_point_1d(poly, value):
 def multiplier_point(poly: MultiPoly, seed=0, starts=64):
     """Point of B^d maximizing |P(x) M(|x|)|, tie-broken by zero-set distance.
 
-    Returns (point, distance).  Among maximizers within relative 1e-9 of the
-    best value, the one farthest from Z(P) is returned, matching the
-    existential form of the guarantee.
+    Returns (point, distance).  In two or more dimensions the candidates are
+    the best rows of the seeded batched ascent in the ball as they stand,
+    unpolished; the distance is measured from the returned point itself.
+    Among candidates within relative 1e-9 of the best value, the one farthest
+    from Z(P) is returned, matching the existential form of the guarantee.
     """
     n = poly.degree
     if n < 1:
@@ -295,18 +297,7 @@ def multiplier_point(poly: MultiPoly, seed=0, starts=64):
     else:
         X = _ball_starts(d, starts, seed)
         X, f = _batch_ascent(value, grad, X, lambda G, X: G, _clip_to_ball, 200, 0.25, 25)
-        order = np.argsort(-f)
-        cands = []
-        for i in order[: max(8, min(24, starts))]:
-            res = minimize(
-                lambda x: -value(x[None, :])[0],
-                X[i],
-                jac=lambda x: -grad(x[None, :])[0],
-                method="SLSQP",
-                constraints=[{"type": "ineq", "fun": lambda x: 1.0 - x @ x, "jac": lambda x: -2.0 * x}],
-                options={"maxiter": 200, "ftol": 1e-16},
-            )
-            cands.append(_clip_to_ball(res.x))
+        cands = [X[i] for i in np.argsort(-f)[: max(8, min(24, starts))]]
 
     logs = [float(value(np.atleast_2d(c))[0]) for c in cands]
     best = max(logs)
@@ -344,12 +335,7 @@ class LiftedDiagnostics:
 
 def lifted_diagnostics(n, k) -> LiftedDiagnostics:
     """Zero latitudes, band spacing, and cap radius of the degree-k lift."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    if k <= n:
-        raise ValueError(f"need k > n, got k={k}, n={n}")
-    if (k - n) % 2 != 0:
-        raise ValueError(f"k={k} and n={n} must have the same parity")
+    check_orders(n, k)
     r_k = 2.0 * k / (n * math.pi)
     t = cheb_positive_zeros(k)[n // 2 :]
     heights = sorted(

@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "ChebMultiplier",
     "ConvergenceReport",
+    "check_orders",
     "cheb_eval",
     "cheb_positive_zeros",
     "cheb_tail_product",
@@ -56,11 +57,14 @@ def cheb_positive_zeros(k):
     return np.cos(np.pi / (2 * k) + (k // 2 - i) * np.pi / k)
 
 
-def _check_parity(n, k):
-    if (k - n) % 2 != 0:
-        raise ValueError(f"k={k} and n={n} must have the same parity")
+def check_orders(n, k):
+    """Raise ValueError unless n >= 1, k > n and k - n is even."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if k <= n:
         raise ValueError(f"need k > n, got k={k}, n={n}")
+    if (k - n) % 2 != 0:
+        raise ValueError(f"k={k} and n={n} must have the same parity")
 
 
 def cheb_tail_product(n, k, x):
@@ -70,9 +74,7 @@ def cheb_tail_product(n, k, x):
     after removing its floor(n/2) innermost factors (and the linear factor
     for odd degrees).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    _check_parity(n, k)
+    check_orders(n, k)
     t = cheb_positive_zeros(k)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
@@ -181,7 +183,7 @@ class ConvergenceReport:
 def convergence_report(n, ks, half_width) -> ConvergenceReport:
     ks = tuple(int(k) for k in ks)
     for k in ks:
-        _check_parity(n, k)
+        check_orders(n, k)
     grid = np.linspace(-half_width, half_width, 2048)
     target = np.cos(grid) if n % 2 == 0 else np.sin(grid)
     e1, e2 = [], []

@@ -226,6 +226,7 @@ def _cmd_refute_ball(config):
 def _cmd_cheb_table(config):
     obj = _load_input(config)
     n, k = int(obj["n"]), int(obj["k"])
+    chebmult.check_orders(n, k)
     half_width = float(obj.get("half_width", 5.0))
     points = int(obj.get("points", 101))
     xs = np.linspace(-half_width, half_width, points)

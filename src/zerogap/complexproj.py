@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import VerificationError
-from .sphereopt import LOG_FLOOR, near_max_on_sphere, sphere_starts
+from .sphereopt import LOG_FLOOR, ZERO_STANDIN, near_max_on_sphere, sphere_starts
 
 __all__ = [
     "ComplexHomogPoly",
@@ -42,10 +42,6 @@ def to_complex(x):
     x = np.asarray(x, dtype=float)
     d = x.shape[-1] // 2
     return x[..., :d] + 1j * x[..., d:]
-
-def to_real(z):
-    z = np.asarray(z, dtype=complex)
-    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def hermitian_angle(u, v):
@@ -203,7 +199,7 @@ def _weighted_log_objective(items):
         d = Z.shape[1]
         for poly, w in zip(polys, weights):
             v = poly.eval(Z)
-            v = np.where(v == 0, 1e-300, v)
+            v = np.where(v == 0, ZERO_STANDIN, v)
             ratio = poly.holomorphic_gradient(Z) / v[:, None]
             G[:, :d] += w * ratio.real
             G[:, d:] += w * -ratio.imag
@@ -286,7 +282,6 @@ def complex_zero_distance(poly: ComplexHomogPoly, p, seed=0):
 
     # general estimator: maximize |<p,z>| over the zero set
     d = poly.dim
-    pr = to_real(p)
     scale = max(
         float(np.max(np.abs(poly.eval(to_complex(sphere_starts(2 * d, 128, seed + 5)))))),
         1e-300,

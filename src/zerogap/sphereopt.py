@@ -4,10 +4,11 @@ The search ascends log|P| with tangent-projected gradients from a seeded
 low-discrepancy batch of starts, then polishes the leading candidates by
 Newton steps in a tangent chart.  The same engine serves the sphere of C^d
 (``complexproj``), and its ascent loop, given the identity projection and a
-clip to the ball, serves the multiplier search (``ballfinder``).  In two
-dimensions no search is needed: the restriction to the circle is a
-trigonometric polynomial whose critical points are found exactly, so results
-there are certified by root isolation rather than iteration.
+clip to the ball, serves the multiplier search (``ballfinder``), whose
+candidates are the best ascent rows as they stand: only points on a sphere
+are polished.  In two dimensions no search is needed: the restriction to the
+circle is a trigonometric polynomial whose critical points are found exactly,
+so results there are certified by root isolation rather than iteration.
 
 Angular distances to zero sets are exact (closed form) for products of
 affine forms and for any polynomial in two variables.  For other polynomials
@@ -49,6 +50,10 @@ RNG_NAME = "sobol-gauss/1"
 # the near-maximal pool that the gap verifiers choose from
 LOG_FLOOR = -1e30
 NEAR_MAX_REL = 1e-9
+# stands in for an exact zero of P (or of a factor) in the gradient of log|P|:
+# the gradient is then large enough that the ascent's step step0 g / (1 + |g|)
+# is step0 long, and its squared norm stays finite
+ZERO_STANDIN = 1e-100
 
 # zero-distance search: lockstep iterations, restoration steps per iteration,
 # the |P| / scale below which a row counts as on Z(P), and the step caps
@@ -58,7 +63,7 @@ _ON_ZERO_REL = 1e-12
 _STEP_CAP = 0.2
 _RESTORE_CAP = 0.5
 _STEP_TOL = 1e-13
-# seeds of the zero-distance search (half as many more are picked in d = 3)
+# seeds of the zero-distance search
 _ZERO_SEARCH_SEEDS = 64
 
 
@@ -96,7 +101,7 @@ def _log_abs_objective(poly: MultiPoly):
 
         def grad(X):
             L = X @ A.T - b
-            L = np.where(L == 0.0, 1e-300, L)
+            L = np.where(L == 0.0, ZERO_STANDIN, L)
             return (1.0 / L) @ A
 
     else:
@@ -108,7 +113,7 @@ def _log_abs_objective(poly: MultiPoly):
 
         def grad(X):
             v = poly.eval(X)
-            v = np.where(v == 0.0, 1e-300, v)
+            v = np.where(v == 0.0, ZERO_STANDIN, v)
             return poly.gradient(X) / v[:, None]
 
     return value, grad
@@ -175,7 +180,10 @@ def _polish_on_sphere(value, grad, x, iters=20):
     """Newton in a tangent chart; Hessian by differencing the chart gradient.
 
     Degenerate directions (orbits of symmetries) make the Hessian singular;
-    a least-squares solve moves only along the determined directions.
+    a least-squares solve moves only along the determined directions.  A step
+    is halved up to ten times until the value drops by at most 1e-14
+    relative; when no halving is accepted the polish stops at its current
+    point.
     """
     x = unit_vector(x)
     h = 1e-6
@@ -204,33 +212,16 @@ def _polish_on_sphere(value, grad, x, iters=20):
         norm_s = np.linalg.norm(s)
         if norm_s > 0.2:
             s *= 0.2 / norm_s
-        accepted = False
         t = 1.0
         for _ in range(10):
             x_new = unit_vector(x + B @ (t * s))
             f_new = float(value(x_new[None, :])[0])
             if f_new >= f0 - 1e-14 * (1.0 + abs(f0)):
                 x, f0 = x_new, max(f_new, f0)
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
-            gt = grad(x[None, :])[0]
-            gt = gt - (gt @ x) * x
-            gn = np.linalg.norm(gt)
-            if gn < 1e-13:
-                break
-            t, improved = 1e-2 / (1.0 + gn), False
-            for _ in range(25):
-                x_new = unit_vector(x + t * gt)
-                f_new = float(value(x_new[None, :])[0])
-                if f_new > f0:
-                    x, f0 = x_new, f_new
-                    improved = True
-                    break
-                t *= 0.5
-            if not improved:
-                break
+        else:
+            break
         if norm_s < 1e-14:
             break
     return x
@@ -419,12 +410,6 @@ def _zero_distance_search(poly, p, seed):
     """
     d = poly.dim
     X = sphere_starts(d, _ZERO_SEARCH_SEEDS, seed + 1)
-    if d == 3:
-        extra = sphere_starts(d, 512, seed + 2)
-        vals = np.abs(poly.eval(extra))
-        grads = np.linalg.norm(poly.gradient(extra), axis=1)
-        score = vals / np.maximum(grads, 1e-12)
-        X = np.vstack([X, extra[np.argsort(score)[: _ZERO_SEARCH_SEEDS // 2]]])
     scale = max(float(np.max(np.abs(poly.eval(sphere_starts(d, 256, seed + 3))))), 1e-300)
     tol = _ON_ZERO_REL * scale
 
@@ -465,10 +450,9 @@ def angular_distance_to_zero_set(poly: MultiPoly, p, seed=0):
 
     Exact for tagged affine-form products and in dimension two.  Otherwise it
     is the angle from p to the nearest zero found by a seeded lockstep Newton
-    search on Z(P) intersected with the sphere (``_ZERO_SEARCH_SEEDS`` seeds,
-    plus half as many low-|P|/|grad P| seeds in dimension three): an
-    upper-bound estimate, not certified.  ``zero`` is None exactly when no
-    zero is found on the sphere and the distance is +inf.
+    search on Z(P) intersected with the sphere from ``_ZERO_SEARCH_SEEDS``
+    seeds: an upper-bound estimate, not certified.  ``zero`` is None exactly
+    when no zero is found on the sphere and the distance is +inf.
     """
     p = unit_vector(p)
     if poly.affine_factors is not None:

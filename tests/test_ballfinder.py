@@ -161,6 +161,21 @@ class TestMultiplierPoint:
         assert dist == pytest.approx(expected, abs=1e-10)
         assert dist >= 1 / 3 - 1e-6
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_tagged_products_take_no_slsqp_solve(self, d, monkeypatch):
+        # the candidates are the ascent's rows and tagged distances are closed form
+        def forbidden(*args, **kwargs):
+            raise AssertionError("multiplier_point called scipy.optimize.minimize")
+
+        monkeypatch.setattr(ballfinder, "minimize", forbidden)
+        rng = np.random.default_rng(d)
+        for m in (1, 3, 5):
+            forms = [AffineForm(rng.standard_normal(d), rng.uniform(-0.6, 0.6)) for _ in range(m)]
+            point, dist = multiplier_point(product_of_affine_forms(forms), seed=m)
+            assert np.linalg.norm(point) <= 1.0
+            assert dist == min(abs(float(f.normal @ point) - f.offset) for f in forms)
+            assert dist >= 1 / m - 1e-6
+
 
 class TestLiftedDiagnostics:
     def test_small_even_case(self):

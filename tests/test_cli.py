@@ -285,6 +285,21 @@ class TestUsageErrors:
         assert code == 3 and out == ""
         assert "need n >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"n": 2, "k": 0}, "need k > n"),
+            ({"n": 0, "k": 4}, "need n >= 1"),
+            ({"n": 2, "k": 5}, "same parity"),
+        ],
+    )
+    def test_cheb_table_checks_orders_before_evaluating(self, tmp_path, capsys, payload, message):
+        # k = 0 would divide by zero in x / k: the only line on stderr is the error
+        code, out = run_cli(tmp_path, "cheb-table", payload)
+        assert code == 3 and out == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
     def test_missing_file(self, capsys):
         code = main(["sphere-verify", "--input", "/nonexistent/path.json"])
         assert code == 3

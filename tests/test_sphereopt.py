@@ -12,7 +12,9 @@ from zerogap.sphereopt import (
     LOG_FLOOR,
     _batch_ascent,
     _log_abs_objective,
+    _nearest_slice_point,
     _normalize_rows,
+    _polish_on_sphere,
     _sphere_tangent,
     angular_distance_to_zero_set,
     maximize_abs_on_sphere,
@@ -307,22 +309,36 @@ class TestBatchAscentMatchesLoop:
         value, grad = complexproj._weighted_log_objective(system.items)
         assert_ascent_matches_loop(value, grad, sphere_starts(4, 64, 7), SPHERE)
 
-    # the gradient of log|P| is huge on the zero set, so its norm overflows
-    # inside numpy there: the row gets a zero step and stays
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_critical_and_zero_set_starts(self):
         # e1 is an exact critical point of log|x1| (zero tangent gradient);
         # e3 and (0, 0.6, 0.8) lie on {x1 = 0}, the zero set of x1 and of
-        # x1 (x1 + x2 - 0.3)
+        # x1 (x1 + x2 - 0.3), factored and expanded.  There the gradient of
+        # log|P| is large but finite, so those rows step off the zero set.
         x1 = AffineForm([1.0, 0.0, 0.0], 0.0)
         edge = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.6, 0.8]])
         X = np.vstack([edge, sphere_starts(3, 16, 8)])
-        for forms in ([x1], [x1, AffineForm([1.0, 1.0, 0.0], 0.3)]):
-            value, grad = _log_abs_objective(product_of_affine_forms(forms))
+        tagged = [product_of_affine_forms(f) for f in ([x1], [x1, AffineForm([1.0, 1.0, 0.0], 0.3)])]
+        for poly in tagged + [MultiPoly(3, dict(t.terms)) for t in tagged]:
+            value, grad = _log_abs_objective(poly)
             assert np.all(value(X)[1:3] == LOG_FLOOR)
-            assert_ascent_matches_loop(value, grad, X, SPHERE)
-        value, grad = _log_abs_objective(product_of_affine_forms([x1]))
+            assert np.all(np.isfinite(grad(X)))
+            _, f = assert_ascent_matches_loop(value, grad, X, SPHERE)
+            assert np.all(f[1:3] > LOG_FLOOR)
+        value, grad = _log_abs_objective(tagged[0])
         assert np.linalg.norm(_sphere_tangent(grad(X), X)[0]) < 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weighted_objective_on_zero_set(self):
+        # (0, 1) and (0, 0.8 + 0.6i) lie on {z1 = 0}, the zero set of the
+        # first item; the gradient there is large but finite
+        forms = complexproj.ComplexHomogPoly.from_linear_product
+        value, grad = complexproj._weighted_log_objective([(forms([[1.0, 0.0]]), 0.7), (forms([[1.0, 1j]]), 0.7)])
+        X = np.vstack([[[0.0, 1.0, 0.0, 0.0], [0.0, 0.8, 0.0, 0.6]], sphere_starts(4, 16, 3)])
+        assert np.all(value(X)[:2] == LOG_FLOOR)
+        assert np.all(np.isfinite(grad(X)))
+        _, f = assert_ascent_matches_loop(value, grad, X, SPHERE)
+        assert np.all(f[:2] > LOG_FLOOR)
 
     @pytest.mark.parametrize("iters", [1, 2, 3, 7])
     def test_iteration_cap_while_rows_move(self, iters):
@@ -406,6 +422,29 @@ class TestBatchAscentWork:
             assert log.count("v") <= 1 + len(counts) * backtracks
 
 
+class TestPolishOnSphere:
+    @pytest.mark.parametrize("k", range(4))
+    def test_never_ends_below_its_start(self, k):
+        # random starts and starts 1e-3 to 1e-9 off the zero set, where log|P|
+        # is near its minima; the polish's start is the start renormalised
+        rng = np.random.default_rng(k)
+        d = 3 + k % 3
+        poly, forms = random_form_product(rng, d, k + 1, max_offset=0.8)
+        starts = list(sphere_starts(d, 8, k))
+        for f in forms:
+            zero = _nearest_slice_point(f, unit_vector(rng.standard_normal(d)))
+            starts += [unit_vector(zero + eps * rng.standard_normal(d)) for eps in (1e-3, 1e-6, 1e-9)]
+        for P in (poly, MultiPoly(d, dict(poly.terms)), dense_poly(rng, d, 3)):
+            value, grad = _log_abs_objective(P)
+            for x0 in starts:
+                f0 = value(unit_vector(x0)[None, :])[0]
+                x = _polish_on_sphere(value, grad, x0)
+                assert abs(np.linalg.norm(x) - 1.0) <= 1e-15
+                # a Newton step is kept when it drops the value by at most
+                # 1e-14 relative (rounding at a maximum)
+                assert value(x[None, :])[0] >= f0 - 1e-14 * (1.0 + abs(f0))
+
+
 def slsqp_zero_distance(poly, p, budget, seed):
     """Reference: one SLSQP solve per seed for the nearest zero to p on the
     sphere, with the seeds, scale and filter of the lockstep search."""
@@ -454,6 +493,24 @@ def slsqp_zero_distance(poly, p, budget, seed):
         if dist < best:
             best, best_zero = dist, x
     return best, best_zero
+
+
+def extra_seed_zero_distance(poly, p, seed, monkeypatch):
+    """Reference: the lockstep search with 32 more seeds, the starts of 512
+    further ones with the smallest |P| / |grad P|, appended to its own."""
+    starts = sphereopt.sphere_starts
+
+    def with_extra(dim, count, s):
+        X = starts(dim, count, s)
+        if (count, s) == (sphereopt._ZERO_SEARCH_SEEDS, seed + 1):
+            extra = starts(dim, 512, seed + 2)
+            score = np.abs(poly.eval(extra)) / np.maximum(np.linalg.norm(poly.gradient(extra), axis=1), 1e-12)
+            X = np.vstack([X, extra[np.argsort(score)[: count // 2]]])
+        return X
+
+    with monkeypatch.context() as m:
+        m.setattr(sphereopt, "sphere_starts", with_extra)
+        return angular_distance_to_zero_set(poly, p, seed=seed)
 
 
 def zero_set_scale(poly, seed):
@@ -514,6 +571,19 @@ class TestZeroDistanceSearch:
         assert abs(poly.eval(zero)) <= 1e-12 * zero_set_scale(poly, 0)
         assert math.acos(float(np.clip(p @ zero, -1.0, 1.0))) == dist
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_d3_extra_seeds_find_no_nearer_zero(self, n, monkeypatch):
+        # the seeds common to both searches give the same rows up to the
+        # rounding of the batched linear algebra; a polynomial without zeros
+        # on the sphere gives +inf from both
+        rng = np.random.default_rng(300 + n)
+        for k in range(5):
+            poly = dense_poly(rng, 3, n)
+            p = unit_vector(rng.standard_normal(3))
+            ref, _ = extra_seed_zero_distance(poly, p, k, monkeypatch)
+            dist, _ = angular_distance_to_zero_set(poly, p, seed=k)
+            assert dist <= ref + 1e-13
+
     @pytest.mark.parametrize("d", [3, 4])
     @pytest.mark.parametrize("m, tol", [(1, 1e-12), (2, 1e-7), (3, 5e-5)])
     def test_power_of_affine_form_matches_slice_distance(self, d, m, tol):
@@ -554,7 +624,6 @@ class TestZeroDistanceSearch:
         # each iteration: one step, then the restoration of its trial; at the
         # end one more restoration of every row
         iters, restore = sphereopt._SEARCH_ITERS, sphereopt._RESTORE_STEPS
-        extra = 1 if poly.dim == 3 else 0  # the d = 3 low-|P|/|grad P| seed pick
-        assert seen[0]["gradient"] == extra + iters + (iters + 1) * restore
+        assert seen[0]["gradient"] == iters + (iters + 1) * restore
         assert seen[0]["_hessian"] == iters + (iters + 1) * restore
 
