@@ -208,6 +208,21 @@ def _weighted_log_objective(items):
     return value, grad
 
 
+def _canonical_phase(z):
+    """z times the unit scalar conj(z_k) / |z_k|, where z_k is its coordinate
+    of largest modulus (lowest index on ties): one representative of the
+    unit-scalar orbit, the same whichever point of it the ascent reached."""
+    k = int(np.argmax(np.abs(z)))
+    r = abs(z[k])
+    c, s = z[k].real / r, -z[k].imag / r
+    # in real arithmetic: a complex product may fuse its multiply-adds, and
+    # then the result of two points of one orbit differs by rounding
+    out = np.empty_like(z)
+    out.real = z.real * c - z.imag * s
+    out.imag = z.real * s + z.imag * c
+    return out
+
+
 def _maximize_items(items, starts, seed):
     """Near-maximal pool of the weighted log objective, sorted by coordinates."""
     value, grad = _weighted_log_objective(items)
@@ -364,14 +379,15 @@ class ComplexGapReport:
 
 
 def verify_complex_gap(poly: ComplexHomogPoly, seed=0, starts=64, tol=1e-6) -> ComplexGapReport:
-    """Check distance >= arcsin(1/sqrt(deg)) at a maximizer of |P|."""
+    """Check distance >= arcsin(1/sqrt(deg)) at a maximizer of |P|.
+
+    The maximizer is reported, and measured, in its canonical phase.
+    """
     n = poly.degree
     if n < 1:
         raise ValueError("degree must be at least 1")
-    pool = _maximize_items(((poly, 1.0),), starts, seed)
-    scored = [
-        (complex_zero_distance(poly, to_complex(x), seed=seed)[0], to_complex(x)) for x in pool
-    ]
+    pool = [_canonical_phase(to_complex(x)) for x in _maximize_items(((poly, 1.0),), starts, seed)]
+    scored = [(complex_zero_distance(poly, z, seed=seed)[0], z) for z in pool]
     dist, z = max(scored, key=lambda t: t[0])
     bound = math.asin(1.0 / math.sqrt(n))
     radius = None
@@ -419,11 +435,14 @@ def chart_radius_check(poly: ComplexHomogPoly, zero, seed=0) -> float:
 
 
 def verify_weighted_gap(system: WeightedSystem, seed=0, starts=64, tol=1e-6) -> ComplexGapReport:
-    """Check distance to each Z(P_k) >= arcsin(delta_k) at the weighted maximizer."""
+    """Check distance to each Z(P_k) >= arcsin(delta_k) at the weighted maximizer.
+
+    The maximizer is reported, and measured, in its canonical phase.
+    """
     pool = _maximize_items(system.items, starts, seed)
     best = None
     for x in pool:
-        z = to_complex(x)
+        z = _canonical_phase(to_complex(x))
         dists = tuple(complex_zero_distance(p, z, seed=seed)[0] for p, _ in system.items)
         worst = min(d - math.asin(min(1.0, dk)) for d, (_, dk) in zip(dists, system.items))
         if best is None or worst > best[0]:

@@ -50,6 +50,9 @@ RNG_NAME = "sobol-gauss/1"
 # the near-maximal pool that the gap verifiers choose from
 LOG_FLOOR = -1e30
 NEAR_MAX_REL = 1e-9
+# a trial of the ascent whose first-order gain step |G|^2 is at most this many
+# units of rounding of max(1, |f|) cannot show as a strict increase of f
+GAIN_FLOOR = 4.0 * np.finfo(float).eps
 # stands in for an exact zero of P (or of a factor) in the gradient of log|P|:
 # the gradient is then large enough that the ascent's step step0 g / (1 + |g|)
 # is step0 long, and its squared norm stays finite
@@ -132,15 +135,23 @@ def _batch_ascent(value, grad, X, tangent, retract, iters, step0, backtracks):
     """Projected gradient ascent with backtracking, all rows in lockstep.
 
     ``tangent(G, X)`` projects the gradients onto the manifold's tangent
-    spaces and ``retract`` maps the trial rows back onto the manifold.
+    spaces and ``retract`` maps the trial rows back onto the manifold.  A
+    trial is accepted when it raises f strictly.
+
+    Before each trial a row leaves the backtracking once the first-order gain
+    of that trial, step |G|^2, is at most ``GAIN_FLOOR`` max(1, |f|) (with
+    |f| read as 1 at ``LOG_FLOOR``, so a row on the zero set still steps off
+    it): the rounding of f would hide the gain, and the shorter trials after
+    it gain less still.  Near a maximum this ends the row after a few trials
+    instead of ``backtracks``.
 
     Only rows that improved in the previous iteration take trial steps.  A
-    row that failed all its backtracks, or whose gradient vanished, kept its
-    X and f; the batch keeps its shape and every row its position, so the
-    row-wise objective gives it the same gradient, steps and trial values
-    again and it would fail again in every later iteration.  Freezing such
-    settled rows therefore changes no result, and the loop ends when no row
-    moved, as it would when no row improved.
+    row that failed its backtracks, left them at the gain floor, or whose
+    gradient vanished, kept its X and f; the batch keeps its shape and every
+    row its position, and both the gain test and the trials read only the
+    row's own X, f and G, so the row would fail or leave again in every later
+    iteration.  Freezing such settled rows therefore changes no result, and
+    the loop ends when no row moved, as it would when no row improved.
     """
     f = value(X)
     moving = np.ones(len(X), dtype=bool)
@@ -151,8 +162,12 @@ def _batch_ascent(value, grad, X, tangent, retract, iters, step0, backtracks):
         if not np.any(live):
             break
         step = step0 / (1.0 + gnorm)
+        floor = GAIN_FLOOR * np.where(f == LOG_FLOOR, 1.0, np.maximum(1.0, np.abs(f)))
         moving = np.zeros_like(live)
         for _ in range(backtracks):
+            live &= step * gnorm**2 > floor
+            if not np.any(live):
+                break
             trial = retract(X + step[:, None] * G)
             ft = value(trial)
             better = live & (ft > f)
@@ -160,8 +175,6 @@ def _batch_ascent(value, grad, X, tangent, retract, iters, step0, backtracks):
             f = np.where(better, ft, f)
             moving |= better
             live &= ~better
-            if not np.any(live):
-                break
             step = step * 0.25
         if not np.any(moving):
             break

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -241,3 +242,58 @@ class TestVerifyWeightedGap:
             system = WeightedSystem([(p, c * d) for p, d in base])
             rep = verify_weighted_gap(system, seed=2)
             assert rep.all_passed
+
+
+def turned(x, u):
+    """Real coordinates of the complex point of ``x`` times the unit scalar u."""
+    z = u * to_complex(x)
+    return np.concatenate([z.real, z.imag])
+
+
+class TestCanonicalPhase:
+    # multiplying by 1j, -1 or -1j is exact in floating point, so the turned
+    # point is the same orbit point to the last bit
+    EXACT_TURNS = (1j, -1.0, -1j)
+
+    @staticmethod
+    def reports(monkeypatch, verify, obj, x, turns):
+        out = []
+        for u in (1.0,) + tuple(turns):
+            monkeypatch.setattr(complexproj, "_maximize_items", lambda *a, y=turned(x, u): [y])
+            out.append(json.dumps(verify(obj, seed=0).to_json(), sort_keys=True))
+        return out
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_complex_report_independent_of_orbit_point(self, d, monkeypatch):
+        rng = np.random.default_rng(40 + d)
+        poly = ComplexHomogPoly.from_linear_product(rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d)))
+        x = complexproj._maximize_items(((poly, 1.0),), 64, 0)[0]
+        base, *others = self.reports(monkeypatch, verify_complex_gap, poly, x, self.EXACT_TURNS)
+        assert all(o == base for o in others)
+
+    def test_weighted_report_independent_of_orbit_point(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        system = WeightedSystem(
+            [(ComplexHomogPoly.from_linear_product(rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))), 0.5)
+             for n in (1, 2)]
+        )
+        x = complexproj._maximize_items(system.items, 64, 0)[0]
+        base, *others = self.reports(monkeypatch, verify_weighted_gap, system, x, self.EXACT_TURNS)
+        assert all(o == base for o in others)
+
+    def test_generic_turn_moves_maximizer_by_rounding_only(self, monkeypatch):
+        poly = ComplexHomogPoly.from_linear_product([[1.0, 2.0 - 1j], [0.5j, 1.0], [1.0, -1.0]])
+        x = complexproj._maximize_items(((poly, 1.0),), 64, 0)[0]
+        reps = []
+        for u in (1.0, np.exp(0.7j), np.exp(-2.9j)):
+            monkeypatch.setattr(complexproj, "_maximize_items", lambda *a, y=turned(x, u): [y])
+            reps.append(verify_complex_gap(poly, seed=0))
+        for rep in reps:
+            assert np.max(np.abs(rep.maximizer - reps[0].maximizer)) <= 1e-15
+            assert rep.distances[0] == pytest.approx(reps[0].distances[0], abs=1e-15)
+
+    def test_largest_coordinate_is_real_positive(self):
+        z = complexproj._canonical_phase(np.array([0.3 - 0.1j, -0.6j, 0.6 + 0.0j, 0.2j]))
+        # |z_1| = |z_2|: the lower index wins the tie
+        assert z[1].real == pytest.approx(0.6, abs=1e-15) and abs(z[1].imag) <= 1e-16
+        assert np.linalg.norm(z) == pytest.approx(np.linalg.norm([0.3 - 0.1j, 0.6, 0.6, 0.2]), abs=1e-15)

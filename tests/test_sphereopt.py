@@ -9,6 +9,7 @@ from scipy.optimize import minimize
 from zerogap import ballfinder, complexproj, sphereopt
 from zerogap.polycore import AffineForm, MultiPoly, product_of_affine_forms
 from zerogap.sphereopt import (
+    GAIN_FLOOR,
     LOG_FLOOR,
     _batch_ascent,
     _log_abs_objective,
@@ -243,30 +244,47 @@ SPHERE = (_sphere_tangent, _normalize_rows, 160, 0.5, 30)
 BALL = (lambda G, X: G, ballfinder._clip_to_ball, 200, 0.25, 25)
 
 
-def loop_ascent(value, grad, X, tangent, retract, iters, step0, backtracks):
+def parent_loop_ascent(value, grad, X, tangent, retract, iters, step0, backtracks):
+    """The ascent before the gain floor, as a plain loop: every row with a
+    nonzero gradient takes all its trial steps in every iteration, settled or
+    not, until no row improves."""
+    return loop_ascent(value, grad, X, tangent, retract, iters, step0, backtracks, gain_floor=False)
+
+
+def loop_ascent(value, grad, X, tangent, retract, iters, step0, backtracks, gain_floor=True, freeze=False):
     """Reference ascent: every row with a nonzero gradient takes trial steps in
-    every iteration, settled or not, until no row improves."""
+    every iteration, settled or not, until no row improves.  With
+    ``gain_floor`` a row leaves the backtracking before a trial whose
+    first-order gain step |G|^2 is at most GAIN_FLOOR max(1, |f|), |f| read as
+    1 at LOG_FLOOR.  With ``freeze`` only the rows that improved in the
+    previous iteration take trials."""
     f = value(X)
+    moving = np.ones(len(X), dtype=bool)
     for _ in range(iters):
         G = tangent(grad(X), X)
         gnorm = np.linalg.norm(G, axis=1)
-        live = gnorm >= 1e-12
+        live = (moving if freeze else True) & (gnorm >= 1e-12)
         if not np.any(live):
             break
         step = step0 / (1.0 + gnorm)
-        improved = False
+        floor = GAIN_FLOOR * np.where(f == LOG_FLOOR, 1.0, np.maximum(1.0, np.abs(f)))
+        moving = np.zeros(len(X), dtype=bool)
         for _ in range(backtracks):
+            if gain_floor:
+                live = live & (step * gnorm**2 > floor)
+                if not np.any(live):
+                    break
             trial = retract(X + step[:, None] * G)
             ft = value(trial)
             better = live & (ft > f)
             X = np.where(better[:, None], trial, X)
             f = np.where(better, ft, f)
-            improved = improved or bool(np.any(better))
+            moving = moving | better
             live = live & ~better
             if not np.any(live):
                 break
             step = step * 0.25
-        if not improved:
+        if not np.any(moving):
             break
     return X, f
 
@@ -279,52 +297,87 @@ def assert_ascent_matches_loop(value, grad, X, settings):
     return X1, f1
 
 
+QUADRIC = MultiPoly(3, {(2, 0, 0): 1.0, (0, 2, 0): 0.2, (0, 0, 2): -0.6, (1, 1, 0): 0.3})
+
+
+def factored_poly(d, seed):
+    rng = np.random.default_rng(100 * d + seed)
+    return random_form_product(rng, d, int(rng.integers(1, 7)))[0]
+
+
+def weighted_c2_objective(seed):
+    rng = np.random.default_rng(seed)
+    rows = [rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)) for n in (1, 2)]
+    items = [(complexproj.ComplexHomogPoly.from_linear_product(r), 0.5) for r in rows]
+    return complexproj._weighted_log_objective(items)
+
+
+# (value, grad, starts, settings) of the objective families the ascent
+# serves: factored and expanded log|P| on the sphere, the multiplier
+# objective in the ball and weighted systems on the sphere of C^2
+ASCENT_CASES = {
+    **{
+        f"factored-{d}-{s}": lambda d=d, s=s: (*_log_abs_objective(factored_poly(d, s)), sphere_starts(d, 64, s), SPHERE)
+        for d in (3, 4, 5, 6)
+        for s in (0, 1)
+    },
+    "expanded-quadric": lambda: (*_log_abs_objective(QUADRIC), sphere_starts(3, 64, 4), SPHERE),
+    **{
+        f"expanded-{d}": lambda d=d: (
+            *_log_abs_objective(MultiPoly(d, dict(factored_poly(d, 0).terms))),
+            sphere_starts(d, 64, 4),
+            SPHERE,
+        )
+        for d in (3, 4)
+    },
+    **{
+        f"multiplier-{d}": lambda d=d: (
+            *ballfinder._multiplier_objective(random_form_product(np.random.default_rng(d), d, 3)[0]),
+            ballfinder._ball_starts(d, 64, 5),
+            BALL,
+        )
+        for d in (2, 3)
+    },
+    **{f"c2-{s}": lambda s=s: (*weighted_c2_objective(s), sphere_starts(4, 64, 7), SPHERE) for s in (6, 8)},
+}
+
+
 class TestBatchAscentMatchesLoop:
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_factored_objective(self, d, seed):
-        rng = np.random.default_rng(100 * d + seed)
-        poly, _ = random_form_product(rng, d, int(rng.integers(1, 7)))
-        value, grad = _log_abs_objective(poly)
-        assert_ascent_matches_loop(value, grad, sphere_starts(d, 64, seed), SPHERE)
+        assert_ascent_matches_loop(*ASCENT_CASES[f"factored-{d}-{seed}"]())
 
     def test_expanded_quadric_objective(self):
-        quadric = MultiPoly(3, {(2, 0, 0): 1.0, (0, 2, 0): 0.2, (0, 0, 2): -0.6, (1, 1, 0): 0.3})
-        assert quadric.affine_factors is None
-        value, grad = _log_abs_objective(quadric)
-        assert_ascent_matches_loop(value, grad, sphere_starts(3, 64, 4), SPHERE)
+        assert QUADRIC.affine_factors is None
+        assert_ascent_matches_loop(*ASCENT_CASES["expanded-quadric"]())
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_multiplier_objective_in_ball(self, d):
-        poly, _ = random_form_product(np.random.default_rng(d), d, 3)
-        value, grad = ballfinder._multiplier_objective(poly)
-        assert_ascent_matches_loop(value, grad, ballfinder._ball_starts(d, 64, 5), BALL)
+        assert_ascent_matches_loop(*ASCENT_CASES[f"multiplier-{d}"]())
 
     def test_weighted_c2_objective(self):
-        rng = np.random.default_rng(6)
-        rows = [rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)) for n in (1, 2)]
-        system = complexproj.WeightedSystem(
-            [(complexproj.ComplexHomogPoly.from_linear_product(r), 0.5) for r in rows]
-        )
-        value, grad = complexproj._weighted_log_objective(system.items)
-        assert_ascent_matches_loop(value, grad, sphere_starts(4, 64, 7), SPHERE)
+        assert_ascent_matches_loop(*ASCENT_CASES["c2-6"]())
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_critical_and_zero_set_starts(self):
         # e1 is an exact critical point of log|x1| (zero tangent gradient);
         # e3 and (0, 0.6, 0.8) lie on {x1 = 0}, the zero set of x1 and of
-        # x1 (x1 + x2 - 0.3), factored and expanded.  There the gradient of
-        # log|P| is large but finite, so those rows step off the zero set.
+        # x1 (x1 + x2 - 0.3), factored and expanded, and so do half of them
+        # in the ball.  There the gradient of log|P| is large but finite, and
+        # the gain floor reads f = LOG_FLOOR as |f| = 1, so those rows step
+        # off the zero set.
         x1 = AffineForm([1.0, 0.0, 0.0], 0.0)
         edge = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.6, 0.8]])
         X = np.vstack([edge, sphere_starts(3, 16, 8)])
         tagged = [product_of_affine_forms(f) for f in ([x1], [x1, AffineForm([1.0, 1.0, 0.0], 0.3)])]
         for poly in tagged + [MultiPoly(3, dict(t.terms)) for t in tagged]:
-            value, grad = _log_abs_objective(poly)
-            assert np.all(value(X)[1:3] == LOG_FLOOR)
-            assert np.all(np.isfinite(grad(X)))
-            _, f = assert_ascent_matches_loop(value, grad, X, SPHERE)
-            assert np.all(f[1:3] > LOG_FLOOR)
+            for (value, grad), Y, settings in ((_log_abs_objective(poly), X, SPHERE),
+                                               (ballfinder._multiplier_objective(poly), 0.5 * X, BALL)):
+                assert np.all(value(Y)[1:3] == LOG_FLOOR)
+                assert np.all(np.isfinite(grad(Y)))
+                _, f = assert_ascent_matches_loop(value, grad, Y, settings)
+                assert np.all(f[1:3] > LOG_FLOOR / 2)
         value, grad = _log_abs_objective(tagged[0])
         assert np.linalg.norm(_sphere_tangent(grad(X), X)[0]) < 1e-12
 
@@ -338,7 +391,7 @@ class TestBatchAscentMatchesLoop:
         assert np.all(value(X)[:2] == LOG_FLOOR)
         assert np.all(np.isfinite(grad(X)))
         _, f = assert_ascent_matches_loop(value, grad, X, SPHERE)
-        assert np.all(f[:2] > LOG_FLOOR)
+        assert np.all(f[:2] > LOG_FLOOR / 2)
 
     @pytest.mark.parametrize("iters", [1, 2, 3, 7])
     def test_iteration_cap_while_rows_move(self, iters):
@@ -408,10 +461,10 @@ class TestBatchAscentWork:
         Xe, fe = _batch_ascent(*counted_objective(value, grad, ext_log), np.vstack([B, settled]), *settings)
         base = value_calls_per_iteration(base_log)
         ext = value_calls_per_iteration(ext_log)
-        # trying the settled row once shows that it fails all its trials;
-        # after that it is frozen and adds no value call
-        assert ext[0] == backtracks
-        assert ext[1:] == base[1:]
+        # the settled row reaches the gain floor within the trials that the
+        # other rows take anyway and is frozen after that: it costs no value
+        # call (without the floor it would fail all ``backtracks`` trials)
+        assert ext == base
         assert min(base[1:]) < backtracks
         assert Xe[-1].tobytes() == settled.tobytes()
         assert Xe[:-1].tobytes() == Xb.tobytes() and fe[:-1].tobytes() == fb.tobytes()
@@ -420,6 +473,43 @@ class TestBatchAscentWork:
             assert log.count("g") == len(counts) <= iters
             assert min(counts) >= 1
             assert log.count("v") <= 1 + len(counts) * backtracks
+
+
+class TestGainFloor:
+    """The ascent against the reference without the gain floor."""
+
+    @pytest.mark.parametrize("name", sorted(ASCENT_CASES))
+    def test_no_row_ends_lower(self, name):
+        # leaving the backtracking at the rounding of f gives up at most a
+        # rounding-sized gain per row
+        value, grad, X, settings = ASCENT_CASES[name]()
+        _, f = _batch_ascent(value, grad, X, *settings)
+        _, f_ref = parent_loop_ascent(value, grad, X, *settings)
+        assert np.all(f >= f_ref - 1e-12 * np.maximum(1.0, np.abs(f_ref)))
+
+    @pytest.mark.parametrize("name", ["factored-3-0", "factored-4-1", "factored-5-0", "expanded-quadric", "c2-6"])
+    def test_near_max_pool_unchanged(self, name, monkeypatch):
+        value, grad, X, _ = ASCENT_CASES[name]()
+        dim, seed = X.shape[1], 3
+        pool = sphereopt.near_max_on_sphere(value, grad, dim, 64, seed)
+        monkeypatch.setattr(sphereopt, "_batch_ascent", parent_loop_ascent)
+        ref = sphereopt.near_max_on_sphere(value, grad, dim, 64, seed)
+        assert len(pool) == len(ref)
+        # the polish ends both at the same maximum, up to the rounding of f
+        best, ref_best = max(lv for lv, _ in pool), max(lv for lv, _ in ref)
+        assert best == pytest.approx(ref_best, rel=0, abs=GAIN_FLOOR * max(1.0, abs(ref_best)))
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_half_the_value_calls(self, d, seed):
+        # the reference is the ascent before the gain floor: settled rows
+        # frozen, failing rows trying all ``backtracks`` trials
+        value, grad, X, _ = ASCENT_CASES[f"factored-{d}-{seed}"]()
+        log, ref_log = [], []
+        _batch_ascent(*counted_objective(value, grad, log), X, *SPHERE)
+        loop_ascent(*counted_objective(value, grad, ref_log), X, *SPHERE, gain_floor=False, freeze=True)
+        assert log.count("v") <= 0.5 * ref_log.count("v")
+        assert log.count("g") <= 1.05 * ref_log.count("g")
 
 
 class TestPolishOnSphere:
