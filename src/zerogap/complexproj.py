@@ -20,6 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import VerificationError
+from .polycore import _expand_product, _merge_terms, _rows, _term_gradient, _term_values
 from .sphereopt import LOG_FLOOR, ZERO_STANDIN, near_max_on_sphere, sphere_starts
 
 __all__ = [
@@ -51,88 +52,44 @@ def hermitian_angle(u, v):
 
 
 class ComplexHomogPoly:
-    """Sparse homogeneous polynomial in d complex variables."""
+    """Sparse homogeneous polynomial in d complex variables, evaluated with
+    ``polycore``'s term kernels."""
 
-    __slots__ = ("dim", "degree", "terms", "linear_factors")
+    __slots__ = ("dim", "degree", "terms", "linear_factors", "_tables")
 
-    def __init__(self, dim, terms, linear_factors=None):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        merged = {}
-        for exps, coeff in dict(terms).items():
-            e = tuple(int(v) for v in exps)
-            if len(e) != dim:
-                raise ValueError(f"exponent vector {e} does not match dim {dim}")
-            if any(v < 0 for v in e):
-                raise ValueError(f"negative exponent in {e}")
-            c = merged.get(e, 0j) + complex(coeff)
-            merged[e] = c
-        merged = {e: c for e, c in merged.items() if c != 0}
-        if not merged:
-            raise ValueError("the identically-zero polynomial is not accepted")
-        degrees = {sum(e) for e in merged}
+    def __init__(self, dim, terms):
+        self.terms = _merge_terms(dim, terms, 0j)
+        degrees = {sum(e) for e, _ in self.terms}
         if len(degrees) != 1:
             raise ValueError(f"not homogeneous: term degrees {sorted(degrees)}")
         self.dim = int(dim)
-        self.terms = tuple(sorted(merged.items()))
         self.degree = degrees.pop()
-        self.linear_factors = linear_factors
+        self.linear_factors = self._tables = None
 
     @classmethod
     def from_linear_product(cls, rows):
-        """Product of linear forms sum_j c_j z_j, one coefficient row each."""
-        C = np.asarray(rows, dtype=complex)
+        """Product of linear forms sum_j c_j z_j, one coefficient row each;
+        the rows are kept in ``linear_factors``."""
+        C = np.array(rows, dtype=complex)
         if C.ndim != 2 or C.shape[0] == 0:
             raise ValueError("need a nonempty matrix of coefficient rows")
         if np.any(np.all(C == 0, axis=1)):
             raise ValueError("zero linear factor")
-        d = C.shape[1]
-        terms = {(0,) * d: 1.0 + 0j}
-        for row in C:
-            nxt = {}
-            for e, c in terms.items():
-                for j in range(d):
-                    if row[j] != 0:
-                        ee = list(e)
-                        ee[j] += 1
-                        key = tuple(ee)
-                        nxt[key] = nxt.get(key, 0j) + c * row[j]
-            terms = nxt
-        return cls(d, terms, linear_factors=C)
+        poly = cls(C.shape[1], _expand_product(C.shape[1], [(row, 0.0) for row in C], 1.0 + 0j))
+        poly.linear_factors = C
+        return poly
 
     def eval(self, z):
-        z = np.asarray(z, dtype=complex)
-        single = z.ndim == 1
-        Z = np.atleast_2d(z)
-        if Z.shape[-1] != self.dim:
-            raise ValueError(f"point dimension {Z.shape[-1]} != poly dim {self.dim}")
-        vals = np.zeros(Z.shape[0], dtype=complex)
-        for e, c in self.terms:
-            mono = np.full(Z.shape[0], c)
-            for j, ej in enumerate(e):
-                if ej:
-                    mono = mono * Z[:, j] ** ej
-            vals = vals + mono
+        Z, single = _rows(z, self.dim, complex)
+        vals = _term_values(self, Z)
         return vals[0] if single else vals
 
     __call__ = eval
 
     def holomorphic_gradient(self, z):
         """Partial derivatives with respect to each complex variable."""
-        z = np.asarray(z, dtype=complex)
-        single = z.ndim == 1
-        Z = np.atleast_2d(z)
-        G = np.zeros((Z.shape[0], self.dim), dtype=complex)
-        for e, c in self.terms:
-            for j, ej in enumerate(e):
-                if ej == 0:
-                    continue
-                mono = np.full(Z.shape[0], c * ej)
-                for i, ei in enumerate(e):
-                    p = ei - 1 if i == j else ei
-                    if p:
-                        mono = mono * Z[:, i] ** p
-                G[:, j] += mono
+        Z, single = _rows(z, self.dim, complex)
+        G = _term_gradient(self, Z)
         return G[0] if single else G
 
     def to_json(self):
@@ -257,6 +214,12 @@ def _zeros_on_projective_line(poly):
     return reps
 
 
+def _sample_scale(poly, seed):
+    """max |P| over 128 seeded points of the sphere (at least 1e-300), the unit of the zero tests."""
+    z = to_complex(sphere_starts(2 * poly.dim, 128, seed + 5))
+    return max(float(np.max(np.abs(poly.eval(z)))), 1e-300)
+
+
 def complex_zero_distance(poly: ComplexHomogPoly, p, seed=0):
     """(distance, zero): min over zeros z on the sphere of arccos |<p, z>|, and z.
 
@@ -269,11 +232,10 @@ def complex_zero_distance(poly: ComplexHomogPoly, p, seed=0):
     p = p / np.linalg.norm(p)
 
     if poly.linear_factors is not None:
-        best, best_row = math.inf, None
-        for row in poly.linear_factors:
-            dist = math.asin(min(1.0, abs(np.sum(row * p)) / np.linalg.norm(row)))
-            if dist < best:
-                best, best_row = dist, row
+        F = poly.linear_factors
+        dists = [math.asin(min(1.0, abs(np.sum(row * p)) / np.linalg.norm(row))) for row in F]
+        k = int(np.argmin(dists))
+        best, best_row = dists[k], F[k]
         nr = np.linalg.norm(best_row)
         w = np.conj(best_row) / nr
         resid = p - np.sum(p * best_row) / nr * w
@@ -297,10 +259,7 @@ def complex_zero_distance(poly: ComplexHomogPoly, p, seed=0):
 
     # general estimator: maximize |<p,z>| over the zero set
     d = poly.dim
-    scale = max(
-        float(np.max(np.abs(poly.eval(to_complex(sphere_starts(2 * d, 128, seed + 5)))))),
-        1e-300,
-    )
+    scale = _sample_scale(poly, seed)
 
     def obj(x):
         z = to_complex(x)
@@ -418,10 +377,7 @@ def chart_radius_check(poly: ComplexHomogPoly, zero, seed=0) -> float:
         raise ValueError("need degree >= 2; degree 1 satisfies the pi/2 bound directly")
     zero = np.asarray(zero, dtype=complex)
     zero = zero / np.linalg.norm(zero)
-    scale = max(
-        float(np.max(np.abs(poly.eval(to_complex(sphere_starts(4, 128, seed + 5)))))), 1e-300
-    )
-    if abs(poly.eval(zero)) > 1e-8 * scale:
+    if abs(poly.eval(zero)) > 1e-8 * _sample_scale(poly, seed):
         raise ValueError("the supplied point is not a zero of the polynomial")
     pool = _maximize_items(((poly, 1.0),), 64, seed)
     p = to_complex(pool[0])

@@ -190,7 +190,7 @@ def split_segments(segments, margin=None):
     return virtual, N
 
 
-def refute_cover_sphere(segments, seed=0, starts=64, margin=None) -> RefutationResult:
+def refute_cover_sphere(segments, seed=0, starts=64) -> RefutationResult:
     """Explicit point of the sphere outside every given spherical segment.
 
     Requires total width < pi and dimension >= 2.  The point comes from
@@ -213,7 +213,7 @@ def refute_cover_sphere(segments, seed=0, starts=64, margin=None) -> RefutationR
     if max(widths) - min(widths) <= _EQUAL_WIDTH_TOL:
         virtual, N = segments, 0
     else:
-        virtual, N = split_segments(segments, margin=margin)
+        virtual, N = split_segments(segments)
     m = len(virtual)
     if m > MAX_SPLIT_FACTORS:
         raise ValueError(
@@ -263,7 +263,7 @@ def _split_planks(planks, margin):
     return virtual, N
 
 
-def refute_cover_ball(planks, seed=0, starts=64, margin=None) -> RefutationResult:
+def refute_cover_ball(planks, seed=0, starts=64) -> RefutationResult:
     """Explicit point of the closed unit ball outside every given plank.
 
     Requires total width < 2.  The point comes from the multiplier method
@@ -283,7 +283,7 @@ def refute_cover_ball(planks, seed=0, starts=64, margin=None) -> RefutationResul
     if max(widths) - min(widths) <= _EQUAL_WIDTH_TOL:
         virtual, N = planks, 0
     else:
-        virtual, N = _split_planks(planks, margin)
+        virtual, N = _split_planks(planks, None)
     m = len(virtual)
     if m > MAX_SPLIT_FACTORS:
         raise ValueError(

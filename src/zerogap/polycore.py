@@ -5,7 +5,8 @@ pairs, or, for a product of affine forms, as its factor list, whose
 expansion is computed only when ``terms`` is read.  The identically-zero
 polynomial is rejected at construction: every bound computed downstream
 divides by the degree or assumes a nonempty zero structure, so zero input is
-an error, not a value.
+an error, not a value.  The private term kernels here also serve
+``complexproj.ComplexHomogPoly``: none depends on the coefficient dtype.
 """
 
 from __future__ import annotations
@@ -35,29 +36,13 @@ class MultiPoly:
     operations return new objects.
     """
 
-    __slots__ = ("dim", "_terms", "degree", "affine_factors", "_arrays", "_derivs")
+    __slots__ = ("dim", "_terms", "degree", "affine_factors", "_tables", "_second")
 
     def __init__(self, dim, terms):
-        if dim < 1:
-            raise ValueError(f"dimension must be positive, got {dim}")
-        merged = {}
-        for exps, coeff in dict(terms).items():
-            e = tuple(int(x) for x in exps)
-            if len(e) != dim:
-                raise ValueError(f"exponent vector {e} does not match dim {dim}")
-            if any(x < 0 for x in e):
-                raise ValueError(f"negative exponent in {e}")
-            c = merged.get(e, 0.0) + float(coeff)
-            merged[e] = c
-        merged = {e: c for e, c in merged.items() if c != 0.0}
-        if not merged:
-            raise ValueError("the identically-zero polynomial is not accepted")
+        self._terms = _merge_terms(dim, terms, 0.0)
         self.dim = int(dim)
-        self._terms = tuple(sorted(merged.items()))
         self.degree = max(sum(e) for e, _ in self._terms)
-        self.affine_factors = None
-        self._arrays = None
-        self._derivs = None
+        self.affine_factors = self._tables = self._second = None
 
     @classmethod
     def from_affine_product(cls, forms):
@@ -75,90 +60,33 @@ class MultiPoly:
             raise ValueError("affine forms of mixed dimension")
         obj = cls.__new__(cls)
         obj.dim = d
-        obj._terms = None
         obj.degree = len(forms)
         obj.affine_factors = forms
-        obj._arrays = None
-        obj._derivs = None
+        obj._terms = obj._tables = obj._second = None
         return obj
 
     @property
     def terms(self):
         """Sorted (exponents, coefficient) pairs; a factored product expands here."""
         if self._terms is None:
-            terms = {(0,) * self.dim: 1.0}
-            for f in self.affine_factors:
-                nxt = {}
-                for exps, coeff in terms.items():
-                    for j in range(self.dim):
-                        if f.normal[j] != 0.0:
-                            e = list(exps)
-                            e[j] += 1
-                            key = tuple(e)
-                            nxt[key] = nxt.get(key, 0.0) + coeff * f.normal[j]
-                    if f.offset != 0.0:
-                        nxt[exps] = nxt.get(exps, 0.0) - coeff * f.offset
-                terms = nxt
-            self._terms = tuple(sorted((e, c) for e, c in terms.items() if c != 0.0))
+            rows = [(f.normal, f.offset) for f in self.affine_factors]
+            self._terms = _merge_terms(self.dim, _expand_product(self.dim, rows, 1.0), 0.0)
         return self._terms
-
-    def _term_arrays(self):
-        if self._arrays is None:
-            E = np.array([e for e, _ in self.terms], dtype=np.int64)
-            C = np.array([c for _, c in self.terms], dtype=float)
-            self._arrays = (E, C)
-        return self._arrays
-
-    def _derivative_tables(self):
-        """(exponents, coefficients) of every first and second partial, built once.
-
-        ``first[j]`` belongs to d/dx_j and ``second`` lists (j, k, exponents,
-        coefficients) for d^2/dx_j dx_k, j <= k.  An exponent that would go
-        negative is clipped to zero; its coefficient is zero.
-        """
-        if self._derivs is None:
-            E, C = self._term_arrays()
-            first, second = [], []
-            for j in range(self.dim):
-                Ej = E.copy()
-                expo = Ej[:, j].copy()
-                Ej[:, j] = np.maximum(expo - 1, 0)
-                first.append((Ej, C * expo))
-            for j, (Ej, Cj) in enumerate(first):
-                for k in range(j, self.dim):
-                    Ejk = Ej.copy()
-                    Ejk[:, k] = np.maximum(Ej[:, k] - 1, 0)
-                    second.append((j, k, Ejk, Cj * Ej[:, k]))
-            self._derivs = (first, second)
-        return self._derivs
-
-    def _powers(self, X):
-        """pow(x, k) for each coordinate of each row of X and k up to the largest exponent."""
-        E, _ = self._term_arrays()
-        return X[:, :, None] ** np.arange(E.max() + 1)
-
-    def _batch(self, point):
-        """(rows, whether ``point`` was a single point) after checking the dimension."""
-        x = np.asarray(point, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise ValueError(f"point dimension {x.shape[-1]} != poly dim {self.dim}")
-        return np.atleast_2d(x), x.ndim == 1
 
     def eval(self, point):
         """Value at ``point``; ``point`` may also be an (N, dim) batch."""
-        X, single = self._batch(point)
+        X, single = _rows(point, self.dim, float)
         if self.affine_factors is not None:
             vals = np.ones(X.shape[0])
             for f in self.affine_factors:
                 vals = vals * (X @ f.normal - f.offset)
         else:
-            E, C = self._term_arrays()
-            vals = _monomials(self._powers(X), E) @ C
+            vals = _term_values(self, X)
         return float(vals[0]) if single else vals
 
     def gradient(self, point):
         """Gradient at ``point``; batches as in :meth:`eval`."""
-        X, single = self._batch(point)
+        X, single = _rows(point, self.dim, float)
         n_pts = X.shape[0]
         if self.affine_factors is not None:
             m = len(self.affine_factors)
@@ -173,25 +101,28 @@ class MultiPoly:
                 suf[:, m - 1 - i] = suf[:, m - i] * L[:, m - 1 - i]
             G = (pre[:, :m] * suf[:, 1:]) @ A
         else:
-            first, _ = self._derivative_tables()
-            powers = self._powers(X)
-            G = np.empty((n_pts, self.dim))
-            for j, (Ej, Cj) in enumerate(first):
-                G[:, j] = _monomials(powers, Ej) @ Cj
+            G = _term_gradient(self, X)
         return G[0] if single else G
 
     def _hessian(self, point):
         """Exact Hessian at ``point`` from the expanded terms; batches as in :meth:`eval`."""
-        X, single = self._batch(point)
-        _, second = self._derivative_tables()
-        powers = self._powers(X)
+        X, single = _rows(point, self.dim, float)
+        K, _, _, Ef, _, Cf = _term_tables(self)
+        if self._second is None:
+            # (j, k, indices, coefficients) of d^2/dx_j dx_k for j <= k, built once
+            unit = np.eye(self.dim, dtype=np.int64)
+            self._second = [
+                (j, k, _flat(np.maximum(Ef[j] - unit[k], 0), K), Cf[j] * Ef[j][:, k])
+                for j in range(self.dim)
+                for k in range(j, self.dim)
+            ]
+        powers = _powers(X, K)
         H = np.empty((X.shape[0], self.dim, self.dim))
-        for j, k, Ejk, Cjk in second:
-            H[:, j, k] = H[:, k, j] = _monomials(powers, Ejk) @ Cjk
+        for j, k, Ijk, Cjk in self._second:
+            H[:, j, k] = H[:, k, j] = _monomials(powers, Ijk) @ Cjk
         return H[0] if single else H
 
-    def __call__(self, point):
-        return self.eval(point)
+    __call__ = eval
 
     def __repr__(self):
         if self.affine_factors is not None:
@@ -206,17 +137,104 @@ class MultiPoly:
         return cls(obj["dim"], {tuple(t["e"]): t["c"] for t in obj["terms"]})
 
 
-def _monomials(powers, E):
-    """x^e for each row x and each exponent vector e in E (any leading shape).
+def _merge_terms(dim, terms, zero):
+    """Sorted nonzero (exponents, coefficient) pairs, coefficients of equal
+    exponents summed in the type of ``zero`` (0.0 or 0j); rejects a bad
+    dimension or exponent vector and the identically-zero polynomial."""
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    merged = {}
+    for exps, coeff in dict(terms).items():
+        e = tuple(int(x) for x in exps)
+        if len(e) != dim:
+            raise ValueError(f"exponent vector {e} does not match dim {dim}")
+        if any(x < 0 for x in e):
+            raise ValueError(f"negative exponent in {e}")
+        merged[e] = merged.get(e, zero) + type(zero)(coeff)
+    merged = {e: c for e, c in merged.items() if c != 0}
+    if not merged:
+        raise ValueError("the identically-zero polynomial is not accepted")
+    return tuple(sorted(merged.items()))
 
-    The powers are looked up in a ``MultiPoly._powers`` table, so the result
-    equals ``np.prod(X[:, None, :] ** E, axis=-1)`` bit for bit at one pow per
-    coordinate and exponent value instead of one per coordinate and term.
+
+def _expand_product(dim, rows, one):
+    """Unmerged terms of prod_i (<a_i, x> - b_i) for ``rows`` of (a_i, b_i)."""
+    terms = {(0,) * dim: one}
+    for a, b in rows:
+        nxt = {}
+        for exps, coeff in terms.items():
+            for j in range(dim):
+                if a[j] != 0.0:
+                    key = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
+                    nxt[key] = nxt.get(key, 0.0) + coeff * a[j]
+            if b != 0.0:
+                nxt[exps] = nxt.get(exps, 0.0) - coeff * b
+        terms = nxt
+    return terms
+
+
+def _term_tables(poly):
+    """(K, I, C, Ef, If, Cf) of ``poly.terms``, built once.  Row t of I holds
+    the :func:`_flat` indices of term t's powers (every exponent is below K)
+    and C[t] its coefficient; Ef[j], If[j] and Cf[j] are the exponents,
+    indices and coefficients of d/dx_j, clipped at 0 where Cf is 0."""
+    if poly._tables is None:
+        E = np.array([e for e, _ in poly.terms], dtype=np.int64)
+        C = np.array([c for _, c in poly.terms])
+        K = int(E.max()) + 1
+        Ef = np.maximum(E - np.eye(poly.dim, dtype=np.int64)[:, None, :], 0)
+        Cf = np.stack([C * E[:, j] for j in range(poly.dim)])
+        poly._tables = (K, _flat(E, K), C, Ef, _flat(Ef, K), Cf)
+    return poly._tables
+
+
+def _flat(E, K):
+    """Indices i*K + e_i of the powers of exponent vectors E in a :func:`_powers` table."""
+    return np.arange(E.shape[-1]) * K + E
+
+
+def _rows(point, dim, dtype):
+    """(rows, whether ``point`` was a single point) after checking the dimension."""
+    x = np.asarray(point, dtype=dtype)
+    if x.shape[-1] != dim:
+        raise ValueError(f"point dimension {x.shape[-1]} != poly dim {dim}")
+    return np.atleast_2d(x), x.ndim == 1
+
+
+def _powers(X, K):
+    """pow(x, k) for each coordinate x of each row of X and k < K, flattened per row."""
+    n, d = X.shape
+    return (X[:, :, None] ** np.arange(K)).reshape(n, d * K)
+
+
+def _monomials(powers, I):
+    """x^e for each row x and each exponent vector e with indices I (any leading shape).
+
+    Equals ``np.prod(X[:, None, :] ** E, axis=-1)`` bit for bit at one pow per
+    coordinate and exponent value: the factors are multiplied in np.prod's
+    order, and the C-contiguous copy makes a matmul after it round the same.
     """
-    n, d, k = powers.shape
-    # np.take keeps the (rows, ..., d) result C-contiguous, as the pow result
-    # was, so the products and the matmul after them round the same way
-    return np.prod(np.take(powers.reshape(n, d * k), np.arange(d) * k + E, axis=1), axis=-1)
+    factors = np.take(powers, I, axis=1)
+    out = factors[..., 0].copy()
+    for i in range(1, I.shape[-1]):
+        out *= factors[..., i]
+    return out
+
+
+def _term_values(poly, X):
+    """P at each row of X, from the expanded terms."""
+    K, I, C, _, _, _ = _term_tables(poly)
+    return _monomials(_powers(X, K), I) @ C
+
+
+def _term_gradient(poly, X):
+    """Partial derivatives of P at each row of X, from the expanded terms."""
+    K, _, C, _, If, Cf = _term_tables(poly)
+    powers = _powers(X, K)
+    G = np.empty((X.shape[0], poly.dim), dtype=C.dtype)
+    for j in range(poly.dim):
+        G[:, j] = _monomials(powers, If[j]) @ Cf[j]
+    return G
 
 
 @dataclass(frozen=True)
@@ -298,17 +316,13 @@ def product_of_affine_forms(forms) -> MultiPoly:
     return MultiPoly.from_affine_product(forms)
 
 
-def _conv_center(a, b):
-    # convolution of centered Fourier coefficient arrays
-    return np.convolve(a, b)
-
-
 def restrict_to_circle(poly: MultiPoly, plane: CirclePlane) -> TrigPoly:
     """Restriction of ``poly`` to the circle, as a trigonometric polynomial.
 
-    Each coordinate on the circle is a degree-1 Fourier series; monomials are
-    expanded by convolving those series, which reproduces the exact
-    product-to-sum trigonometric identities with no sampling step.
+    Each coordinate on the circle is a degree-1 Fourier series, kept as its
+    centered coefficient array; monomials are expanded by convolving those
+    arrays, which reproduces the exact product-to-sum trigonometric
+    identities with no sampling step.
     """
     if plane.dim != poly.dim:
         raise ValueError(f"plane dimension {plane.dim} != poly dim {poly.dim}")
@@ -324,19 +338,16 @@ def restrict_to_circle(poly: MultiPoly, plane: CirclePlane) -> TrigPoly:
             for i in range(poly.dim):
                 if f.normal[i] != 0.0:
                     fac = fac + f.normal[i] * base[i]
-            acc = _conv_center(acc, fac)
+            acc = np.convolve(acc, fac)
         series = acc
     else:
-        max_exp = [0] * poly.dim
-        for e, _ in poly.terms:
-            for i, ei in enumerate(e):
-                max_exp[i] = max(max_exp[i], ei)
+        max_exp = np.max([e for e, _ in poly.terms], axis=0)
         # powers[i][k] = Fourier series of x_i(theta)**k
         powers = []
         for i in range(poly.dim):
             ps = [np.array([1.0 + 0j])]
             for _ in range(max_exp[i]):
-                ps.append(_conv_center(ps[-1], base[i]))
+                ps.append(np.convolve(ps[-1], base[i]))
             powers.append(ps)
         deg = poly.degree
         series = np.zeros(2 * deg + 1, dtype=complex)
@@ -344,7 +355,7 @@ def restrict_to_circle(poly: MultiPoly, plane: CirclePlane) -> TrigPoly:
             mono = np.array([complex(c)])
             for i, ei in enumerate(e):
                 if ei:
-                    mono = _conv_center(mono, powers[i][ei])
+                    mono = np.convolve(mono, powers[i][ei])
             k = (len(mono) - 1) // 2
             series[deg - k : deg + k + 1] += mono
 

@@ -481,6 +481,22 @@ def angular_distance_to_zero_set(poly: MultiPoly, p, seed=0):
     return _zero_distance_search(poly, p, seed)
 
 
+def _sign_symmetric(poly: MultiPoly):
+    """Whether P(-x) = +-P(x): every term degree has the parity of deg P, or,
+    for a factored product, the forms <a, x> - b are, each up to sign, the
+    forms <a, x> + b (forms through the origin, the two sides of a slab
+    centred at the origin)."""
+    if poly.affine_factors is None:
+        return all((sum(e) - poly.degree) % 2 == 0 for e, _ in poly.terms)
+
+    def up_to_sign(a, b):
+        s = math.copysign(1.0, a[np.flatnonzero(a)[0]])
+        return (*(s * a), s * b)
+
+    forms = [(f.normal, f.offset) for f in poly.affine_factors]
+    return sorted(up_to_sign(a, b) for a, b in forms) == sorted(up_to_sign(a, -b) for a, b in forms)
+
+
 @dataclass(frozen=True)
 class SphereGapReport:
     degree: int
@@ -518,19 +534,21 @@ def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGap
 
     Among near-equal maximizers the one with the largest zero-set distance is
     reported; the bound holds at every true maximizer, so preferring the
-    farthest is sound.  When the measured distance sits at the bound within
-    tolerance, the circle through the maximizer and its nearest zero is
-    attached along with the interlacing diagnostic of the restriction.
+    farthest is sound.  When P(-x) = +-P(x), x and -x tie, and each candidate
+    is taken in the sign that makes its largest-modulus coordinate positive.
+    When the measured distance sits at the bound within tolerance, the circle
+    through the maximizer and its nearest zero is attached along with the
+    interlacing diagnostic of the restriction.
     """
     n = poly.degree
     if n < 1:
         raise ValueError("degree must be at least 1")
     res = maximize_abs_on_sphere(poly, starts=starts, seed=seed)
-    scored = []
-    for cand in res.all_near_max:
-        dist, zero = angular_distance_to_zero_set(poly, cand, seed=seed)
-        scored.append((dist, cand, zero))
-    dist, p, zero = max(scored, key=lambda t: t[0])
+    pool = res.all_near_max
+    if _sign_symmetric(poly):
+        pool = [-c if c[int(np.argmax(np.abs(c)))] < 0 else c for c in pool]
+    scored = [(*angular_distance_to_zero_set(poly, cand, seed=seed), cand) for cand in pool]
+    dist, zero, p = max(scored, key=lambda t: t[0])
     bound = math.pi / (2 * n)
     passed = dist >= bound - tol
     circle = None

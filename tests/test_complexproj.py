@@ -1,8 +1,11 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerogap import complexproj
 from zerogap.complexproj import (
@@ -21,6 +24,57 @@ from zerogap.errors import VerificationError
 
 def mono(dim, exps, c=1.0):
     return ComplexHomogPoly(dim, {tuple(exps): c})
+
+
+def loop_eval(poly, Z):
+    """Reference: the per-term loop, one pow per coordinate and term."""
+    vals = np.zeros(Z.shape[0], dtype=complex)
+    for e, c in poly.terms:
+        m = np.full(Z.shape[0], c)
+        for j, ej in enumerate(e):
+            if ej:
+                m = m * Z[:, j] ** ej
+        vals = vals + m
+    return vals
+
+
+def loop_holomorphic_gradient(poly, Z):
+    """Reference: the per-term, per-variable loop of the product rule."""
+    G = np.zeros((Z.shape[0], poly.dim), dtype=complex)
+    for e, c in poly.terms:
+        for j, ej in enumerate(e):
+            if ej == 0:
+                continue
+            m = np.full(Z.shape[0], c * ej)
+            for i, ei in enumerate(e):
+                p = ei - 1 if i == j else ei
+                if p:
+                    m = m * Z[:, i] ** p
+            G[:, j] += m
+    return G
+
+
+def dense_form(rng, d, n):
+    """Every monomial of degree n in d variables, with complex normal coefficients."""
+    exps = [e for e in itertools.product(range(n + 1), repeat=d) if sum(e) == n]
+    return ComplexHomogPoly(d, {e: complex(*rng.standard_normal(2)) for e in exps})
+
+
+def complex_points(rng, rows, d):
+    return rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
+
+
+def term_magnitudes(poly, Z):
+    """sum |c| |z^e| per row and its analogue per partial: the scale of rounding errors."""
+    absolute = ComplexHomogPoly(poly.dim, {e: abs(c) for e, c in poly.terms})
+    A = np.abs(Z)
+    return loop_eval(absolute, A).real, loop_holomorphic_gradient(absolute, A).real
+
+
+def assert_matches_loops(poly, Z, rel=1e-13):
+    mag, gmag = term_magnitudes(poly, Z)
+    assert np.all(np.abs(poly.eval(Z) - loop_eval(poly, Z)) <= rel * mag)
+    assert np.all(np.abs(poly.holomorphic_gradient(Z) - loop_holomorphic_gradient(poly, Z)) <= rel * gmag)
 
 
 class TestEval:
@@ -71,6 +125,112 @@ class TestEval:
     def test_json_degree_mismatch(self):
         with pytest.raises(ValueError):
             ComplexHomogPoly.from_json({"dim": 2, "deg": 4, "terms": [{"e": [1, 1], "re": 1.0, "im": 0.0}]})
+
+
+class TestTermKernels:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_dense_forms_match_term_loops(self, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        poly = dense_form(rng, d, n)
+        for rows in (1, 9):
+            assert_matches_loops(poly, complex_points(rng, rows, d))
+
+    def test_sparse_form_and_single_point(self):
+        poly = ComplexHomogPoly(3, {(4, 0, 1): 1 - 2j, (0, 5, 0): 0.5j, (1, 1, 3): -1.5})
+        z = complex_points(np.random.default_rng(0), 1, 3)
+        assert_matches_loops(poly, z)
+        assert poly.eval(z[0]) == poly.eval(z)[0]
+        assert np.array_equal(poly.holomorphic_gradient(z[0]), poly.holomorphic_gradient(z)[0])
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(d=st.integers(2, 4), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8))
+    def test_random_forms_match_term_loops(self, d, n, seed, rows):
+        rng = np.random.default_rng(seed)
+        assert_matches_loops(dense_form(rng, d, n), complex_points(rng, rows, d))
+
+
+class TestLinearProducts:
+    @pytest.mark.parametrize("d,m", [(2, 1), (2, 5), (3, 3), (4, 6)])
+    def test_expansion_matches_the_product_at_random_points(self, d, m):
+        rng = np.random.default_rng(10 * d + m)
+        rows = complex_points(rng, m, d)
+        poly = ComplexHomogPoly.from_linear_product(rows)
+        Z = complex_points(rng, 12, d)
+        L = Z @ rows.T
+        others = np.stack([np.prod(np.delete(L, k, axis=1), axis=1) for k in range(m)], axis=1)
+        mag, gmag = term_magnitudes(poly, Z)
+        assert np.all(np.abs(poly.eval(Z) - np.prod(L, axis=1)) <= 1e-13 * mag)
+        assert np.all(np.abs(poly.holomorphic_gradient(Z) - others @ rows) <= 1e-13 * gmag)
+
+    @pytest.mark.parametrize("d,m", [(2, 3), (3, 4), (4, 2)])
+    def test_expansion_on_a_factor_zero_set(self, d, m):
+        rng = np.random.default_rng(50 + 10 * d + m)
+        rows = complex_points(rng, m, d)
+        poly = ComplexHomogPoly.from_linear_product(rows)
+        for k in range(m):
+            c = rows[k]
+            Z = complex_points(rng, 5, d)
+            Z = Z - np.outer(Z @ c, np.conj(c)) / np.vdot(c, c).real  # sum_j c_j z_j = 0
+            others = np.prod(np.delete(Z @ rows.T, k, axis=1), axis=1)
+            mag, gmag = term_magnitudes(poly, Z)
+            assert np.all(np.abs(poly.eval(Z)) <= 1e-13 * mag)
+            # on L_k = 0 only the term without L_k survives the product rule
+            assert np.all(np.abs(poly.holomorphic_gradient(Z) - others[:, None] * c) <= 1e-13 * gmag)
+
+    def test_expanded_terms(self):
+        poly = ComplexHomogPoly.from_linear_product([[1.0, 1j], [1.0, -1j]])  # z1^2 + z2^2
+        assert dict(poly.terms) == {(0, 2): 1.0 + 0j, (2, 0): 1.0 + 0j}
+        assert repr(poly) == "ComplexHomogPoly(dim=2, degree=2, nterms=2)"
+
+    def test_factors_are_copied(self):
+        # complex_zero_distance measures against linear_factors, so they must
+        # stay the factors of the terms
+        rows = np.array([[1.0, 2.0], [0.5, -1.0]], dtype=complex)
+        poly = ComplexHomogPoly.from_linear_product(rows)
+        rows[0, 0] = 5.0
+        assert np.array_equal(poly.linear_factors, [[1.0, 2.0], [0.5, -1.0]])
+
+    def test_linear_factors_leave_the_constructor(self):
+        with pytest.raises(TypeError):
+            ComplexHomogPoly(2, {(1, 0): 1.0}, linear_factors=np.array([[0.0, 1.0]]))
+        assert mono(2, (1, 0)).linear_factors is None
+
+
+class TestConstructorErrors:
+    @pytest.mark.parametrize(
+        "dim,terms,match",
+        [
+            (0, {(): 1.0}, "dimension must be positive"),
+            (2, {(1, 0, 0): 1.0}, r"exponent vector \(1, 0, 0\) does not match dim 2"),
+            (2, {(3, -1): 1.0}, r"negative exponent in \(3, -1\)"),
+            (2, {(1, 0): 1.0, (2, 0): 1.0}, r"not homogeneous: term degrees \[1, 2\]"),
+            (2, {}, "identically-zero polynomial"),
+            (2, {(1, 0): 0.0, (0, 1): 0j}, "identically-zero polynomial"),
+        ],
+    )
+    def test_terms(self, dim, terms, match):
+        with pytest.raises(ValueError, match=match):
+            ComplexHomogPoly(dim, terms)
+
+    @pytest.mark.parametrize(
+        "rows,match",
+        [
+            ([[1.0, 0.0], [0.0, 0.0]], "zero linear factor"),
+            (np.zeros((0, 2)), "nonempty matrix"),
+            ([1.0, 2.0], "nonempty matrix"),
+        ],
+    )
+    def test_linear_rows(self, rows, match):
+        with pytest.raises(ValueError, match=match):
+            ComplexHomogPoly.from_linear_product(rows)
+
+    @pytest.mark.parametrize("point", [[1.0, 1j, 0.5], [1.0], [[1.0, 1j, 0.5]] * 3, [[1.0]] * 2])
+    def test_point_dimension_checked_by_both_methods(self, point):
+        poly = mono(2, (1, 1))
+        for method in (poly.eval, poly.holomorphic_gradient):
+            with pytest.raises(ValueError, match=r"point dimension \d != poly dim 2"):
+                method(np.asarray(point, dtype=complex))
 
 
 class TestWeightedMaximization:

@@ -219,6 +219,65 @@ class TestVerifySphereGap:
         assert verify_sphere_gap(poly).to_json() == before
         assert verify_sphere_gap(product_of_affine_forms(forms)).to_json() == before
 
+    @pytest.mark.parametrize("k", range(4))
+    def test_even_polynomial_reports_one_sign(self, k):
+        # the ascent finds both x and -x; the report must not depend on which
+        # of their distances rounds larger
+        poly = rotated_quadric(np.random.default_rng(k), (1.0, 0.2, -0.6))
+        for seed in range(5):
+            rep = verify_sphere_gap(poly, seed=seed)
+            x = rep.maximizer
+            assert x[int(np.argmax(np.abs(x)))] > 0.0
+            assert rep.distance == pytest.approx(math.acos(math.sqrt(0.375)), abs=1e-12)
+
+    def test_sign_symmetry_from_parity(self):
+        assert sphereopt._sign_symmetric(MultiPoly(3, {(2, 0, 0): 1.0, (0, 1, 1): -2.0, (0, 0, 0): 0.5}))
+        assert sphereopt._sign_symmetric(MultiPoly(2, {(3, 0): 1.0, (1, 0): -2.0}))
+        assert not sphereopt._sign_symmetric(MultiPoly(2, {(2, 0): 1.0, (1, 0): 0.3}))
+        through_origin = [AffineForm([1.0, 2.0], 0.0), AffineForm([0.5, -1.0], 0.0)]
+        assert sphereopt._sign_symmetric(product_of_affine_forms(through_origin))
+        shifted = product_of_affine_forms(through_origin + [AffineForm([1.0, 1.0], 0.2)])
+        assert not sphereopt._sign_symmetric(shifted)
+        assert shifted._terms is None  # decided from the factors
+
+    @pytest.mark.parametrize(
+        "forms,symmetric",
+        [
+            ([AffineForm([1.0, 2.0, 0.5], 0.3), AffineForm([1.0, 2.0, 0.5], -0.3)], True),
+            ([AffineForm([1.0, 2.0, 0.5], 0.3), AffineForm([-1.0, -2.0, -0.5], 0.3)], True),
+            (
+                [AffineForm([0.0, -1.0, 1.0], 0.4), AffineForm([0.0, 1.0, -1.0], 0.4), AffineForm([1.0, 0.0, 1.0], 0.0)],
+                True,
+            ),
+            ([AffineForm([1.0, 2.0, 0.5], 0.3), AffineForm([1.0, 2.0, 0.5], -0.2)], False),
+            ([AffineForm([1.0, 2.0, 0.5], 0.3), AffineForm([1.0, -2.0, 0.5], -0.3)], False),
+        ],
+    )
+    def test_sign_symmetry_of_slab_products(self, forms, symmetric):
+        # the two sides of a slab centred at the origin pair up under x -> -x;
+        # the factors must give the verdict that the term parity gives
+        poly = product_of_affine_forms(forms)
+        assert sphereopt._sign_symmetric(poly) is symmetric
+        assert poly._terms is None
+        assert sphereopt._sign_symmetric(MultiPoly(3, dict(poly.terms))) is symmetric
+
+    def test_slab_product_reports_one_sign(self):
+        q = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))[0]
+        a, c = q @ [1.0, 0.0, 0.0], q @ [0.0, 1.0, 0.0]
+        poly = product_of_affine_forms([AffineForm(a, 0.4), AffineForm(-a, 0.4), AffineForm(c, 0.0)])
+        for seed in range(5):
+            x = verify_sphere_gap(poly, seed=seed).maximizer
+            assert x[int(np.argmax(np.abs(x)))] > 0.0
+
+    def test_uneven_polynomial_keeps_its_sign(self):
+        # P(-x) != +-P(x): a maximizer with a negative largest coordinate stays
+        poly = product_of_affine_forms([AffineForm([1.0, 0.0], -0.5)])  # x + 0.5, largest at (1, 0)
+        rep = verify_sphere_gap(poly, seed=0)
+        assert rep.maximizer[0] > 0.99
+        poly = product_of_affine_forms([AffineForm([1.0, 0.0], 0.5)])  # x - 0.5, largest at (-1, 0)
+        rep = verify_sphere_gap(poly, seed=0)
+        assert rep.maximizer[0] < -0.99
+
     def test_report_json_shape(self):
         rep = verify_sphere_gap(MultiPoly(2, {(1, 1): 1.0}))
         obj = rep.to_json()
