@@ -7,6 +7,11 @@ ball, where M is the even analytic multiplier of matching degree parameter;
 a best-of-pool maximizer is at least 1/deg P away.  The multiplier never
 vanishes inside the ball, so it adds no zeros to dodge.
 
+Distances to Z(P) are taken in R^d: in closed form for tagged products, by
+root isolation in one variable, and otherwise by the lockstep Newton search
+of ``sphereopt`` on a sphere that lifts the ball of radius 2, which holds
+every zero within distance 1 of the unit ball.
+
 Lifted-sphere diagnostics expose the geometry behind the multiplier: on the
 sphere of radius 2k/(n pi) the finite multiplier's zero latitudes cut two
 polar caps of spherical radius exactly 1 + 1/n and equatorial bands of width
@@ -19,7 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize  # noqa: F401  unused; bench/tracing.py wraps ballfinder.minimize
+from scipy.optimize import minimize_scalar
 from scipy.stats import qmc
 
 from .chebmult import ball_multiplier, cheb_positive_zeros, check_orders
@@ -29,6 +35,7 @@ from .sphereopt import (
     NEAR_MAX_REL,
     _batch_ascent,
     _log_abs_objective,
+    _zero_distance_search,
     angular_distance_to_zero_set,
     maximize_abs_on_sphere,
     sphere_starts,
@@ -45,21 +52,22 @@ __all__ = [
 ]
 
 
-# interior seeds of the zero-distance search, each paired with a boundary seed
-_ZERO_SEARCH_SEEDS = 64
-
-
 def _clip_to_ball(X):
     norms = np.linalg.norm(X, axis=-1, keepdims=True)
     return np.where(norms > 1.0, X / np.maximum(norms, 1e-300), X)
 
 
 def euclidean_zero_distance(poly: MultiPoly, p, seed=0):
-    """(distance, zero): Euclidean distance from p to Z(P) in the closed ball, and a zero at it.
+    """(distance, zero): Euclidean distance from p in the unit ball to Z(P) in R^d, and a zero at it.
 
     Exact per-factor for tagged affine products and by root isolation in one
-    variable; otherwise an upper-bound estimate.  ``zero`` is None exactly
-    when no zero is found and the distance is +inf.
+    variable.  Otherwise an upper-bound estimate over the zeros in the ball
+    of radius 2, which holds every zero within distance 1 of p, so a result
+    above 1 (or +inf) only says that Z(P) is farther than 1; every bound
+    checked is at most 1.  The lockstep search of ``sphereopt`` runs on S^d
+    through the lift z = 2y, |y|^2 + t^2 = 1, where |z - p|^2 =
+    4 - 4(t^2 + <y, p>) + |p|^2.  ``zero`` is None exactly when no zero is
+    found and the distance is +inf.
     """
     p = np.asarray(p, dtype=float)
     if poly.affine_factors is not None:
@@ -81,43 +89,18 @@ def euclidean_zero_distance(poly: MultiPoly, p, seed=0):
             if abs(r.imag) > 1e-8 * (1.0 + abs(r.real)):
                 continue
             x = float(r.real)
-            if abs(x) > 1.0 + 1e-9:
-                continue
             dist = float(abs(x - p[0]))
             if dist < best:
                 best, best_zero = dist, np.array([x])
         return best, best_zero
 
     d = poly.dim
-    dirs = sphere_starts(d, _ZERO_SEARCH_SEEDS, seed + 11)
-    radii = qmc.Sobol(d=1, scramble=True, seed=seed + 13).random_base2(
-        max(1, math.ceil(math.log2(_ZERO_SEARCH_SEEDS)))
-    )[:_ZERO_SEARCH_SEEDS, 0] ** (1.0 / d)
-    seeds = np.vstack([dirs * radii[:, None], dirs])
-    sample = np.vstack([seeds, np.zeros((1, d))])
-    scale = max(float(np.max(np.abs(poly.eval(sample)))), 1e-300)
-
-    cons = [
-        {"type": "eq", "fun": lambda x: poly.eval(x) / scale, "jac": lambda x: poly.gradient(x) / scale},
-        {"type": "ineq", "fun": lambda x: 1.0 - x @ x, "jac": lambda x: -2.0 * x},
-    ]
-    best, best_zero = math.inf, None
-    for x0 in seeds:
-        res = minimize(
-            lambda x: (x - p) @ (x - p),
-            x0,
-            jac=lambda x: 2.0 * (x - p),
-            method="SLSQP",
-            constraints=cons,
-            options={"maxiter": 120, "ftol": 1e-14},
-        )
-        x = _clip_to_ball(res.x)
-        if abs(poly.eval(x)) > 1e-8 * scale:
-            continue
-        dist = float(np.linalg.norm(x - p))
-        if dist < best:
-            best, best_zero = dist, x
-    return best, best_zero
+    lifted = MultiPoly(d + 1, {e + (0,): c * 2.0 ** sum(e) for e, c in poly.terms})
+    x = _zero_distance_search(lifted, np.append(p, 0.0), seed, np.diag(np.append(np.zeros(d), 2.0)))
+    if x is None:
+        return math.inf, None
+    zero = 2.0 * x[:d]
+    return float(np.linalg.norm(zero - p)), zero
 
 
 def product_with_itself(poly: MultiPoly) -> MultiPoly:

@@ -8,7 +8,9 @@ complex number to a fractional power.
 
 Angular distance between unit vectors is arccos of the magnitude of the
 Hermitian inner product: the distance between the unit-scalar orbits, which
-is the quantity the bounds below control.
+is the quantity the bounds below control.  In C^3 and up the distance to a
+zero set comes from the lockstep Newton search of ``sphereopt`` on
+Re P = Im P = 0.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401  unused; bench/tracing.py wraps complexproj.minimize
 
 from .errors import VerificationError
-from .polycore import _expand_product, _merge_terms, _rows, _term_gradient, _term_values
-from .sphereopt import LOG_FLOOR, ZERO_STANDIN, near_max_on_sphere, sphere_starts
+from .polycore import _expand_product, _merge_terms, _rows, _term_gradient, _term_hessian, _term_values
+from .sphereopt import LOG_FLOOR, ZERO_STANDIN, _zero_distance_search, near_max_on_sphere, sphere_starts
 
 __all__ = [
     "ComplexHomogPoly",
@@ -34,10 +36,6 @@ __all__ = [
     "verify_weighted_gap",
     "hermitian_angle",
 ]
-
-# seeds of the zero-distance search in dimension 3 and up
-_ZERO_SEARCH_SEEDS = 48
-
 
 def to_complex(x):
     x = np.asarray(x, dtype=float)
@@ -55,7 +53,7 @@ class ComplexHomogPoly:
     """Sparse homogeneous polynomial in d complex variables, evaluated with
     ``polycore``'s term kernels."""
 
-    __slots__ = ("dim", "degree", "terms", "linear_factors", "_tables")
+    __slots__ = ("dim", "degree", "terms", "linear_factors", "_tables", "_second")
 
     def __init__(self, dim, terms):
         self.terms = _merge_terms(dim, terms, 0j)
@@ -64,7 +62,7 @@ class ComplexHomogPoly:
             raise ValueError(f"not homogeneous: term degrees {sorted(degrees)}")
         self.dim = int(dim)
         self.degree = degrees.pop()
-        self.linear_factors = self._tables = None
+        self.linear_factors = self._tables = self._second = None
 
     @classmethod
     def from_linear_product(cls, rows):
@@ -91,6 +89,12 @@ class ComplexHomogPoly:
         Z, single = _rows(z, self.dim, complex)
         G = _term_gradient(self, Z)
         return G[0] if single else G
+
+    def _hessian(self, z):
+        """Second partial derivatives with respect to the complex variables."""
+        Z, single = _rows(z, self.dim, complex)
+        H = _term_hessian(self, Z)
+        return H[0] if single else H
 
     def to_json(self):
         return {
@@ -214,17 +218,13 @@ def _zeros_on_projective_line(poly):
     return reps
 
 
-def _sample_scale(poly, seed):
-    """max |P| over 128 seeded points of the sphere (at least 1e-300), the unit of the zero tests."""
-    z = to_complex(sphere_starts(2 * poly.dim, 128, seed + 5))
-    return max(float(np.max(np.abs(poly.eval(z)))), 1e-300)
-
-
 def complex_zero_distance(poly: ComplexHomogPoly, p, seed=0):
     """(distance, zero): min over zeros z on the sphere of arccos |<p, z>|, and z.
 
     Exact for tagged products of linear forms and for d = 2 (found through
-    chart root isolation); elsewhere a seeded constrained-search estimate.
+    chart root isolation).  Elsewhere an upper-bound estimate from the
+    lockstep search of ``sphereopt`` for the largest Re <z, p> on Z(P), which
+    equals the largest |<z, p>| as Z(P) is invariant under z -> e^(i phi) z.
     ``zero`` is None exactly when nothing is found and the distance is +inf
     (for d >= 2 only a constant has no zero on the sphere).
     """
@@ -257,57 +257,10 @@ def complex_zero_distance(poly: ComplexHomogPoly, p, seed=0):
                 best, best_zero = dist, z
         return best, best_zero
 
-    # general estimator: maximize |<p,z>| over the zero set
-    d = poly.dim
-    scale = _sample_scale(poly, seed)
-
-    def obj(x):
-        z = to_complex(x)
-        c = np.sum(z * np.conj(p))
-        return -abs(c) ** 2
-
-    def obj_jac(x):
-        z = to_complex(x)
-        c = np.sum(z * np.conj(p))
-        gc = np.conj(p)
-        gx = 2 * (np.conj(c) * gc).real
-        gy = 2 * (np.conj(c) * 1j * gc).real
-        return -np.concatenate([gx, gy])
-
-    def c_re(x):
-        return poly.eval(to_complex(x)).real / scale
-
-    def c_im(x):
-        return poly.eval(to_complex(x)).imag / scale
-
-    def c_re_jac(x):
-        g = poly.holomorphic_gradient(to_complex(x))
-        return np.concatenate([g.real, -g.imag]) / scale
-
-    def c_im_jac(x):
-        g = poly.holomorphic_gradient(to_complex(x))
-        return np.concatenate([g.imag, g.real]) / scale
-
-    cons = [
-        {"type": "eq", "fun": c_re, "jac": c_re_jac},
-        {"type": "eq", "fun": c_im, "jac": c_im_jac},
-        {"type": "eq", "fun": lambda x: x @ x - 1.0, "jac": lambda x: 2.0 * x},
-    ]
-    best, best_zero = math.inf, None
-    for x0 in sphere_starts(2 * d, _ZERO_SEARCH_SEEDS, seed + 7):
-        res = minimize(obj, x0, jac=obj_jac, method="SLSQP", constraints=cons,
-                       options={"maxiter": 150, "ftol": 1e-14})
-        x = res.x
-        nx = np.linalg.norm(x)
-        if nx == 0:
-            continue
-        z = to_complex(x / nx)
-        if abs(poly.eval(z)) > 1e-8 * scale:
-            continue
-        dist = hermitian_angle(p, z)
-        if dist < best:
-            best, best_zero = dist, z
-    return best, best_zero
+    z = _zero_distance_search(poly, p, seed)
+    if z is None:
+        return math.inf, None
+    return hermitian_angle(p, z), z
 
 
 @dataclass(frozen=True)
@@ -377,7 +330,8 @@ def chart_radius_check(poly: ComplexHomogPoly, zero, seed=0) -> float:
         raise ValueError("need degree >= 2; degree 1 satisfies the pi/2 bound directly")
     zero = np.asarray(zero, dtype=complex)
     zero = zero / np.linalg.norm(zero)
-    if abs(poly.eval(zero)) > 1e-8 * _sample_scale(poly, seed):
+    sample = poly.eval(to_complex(sphere_starts(2 * poly.dim, 128, seed + 5)))
+    if abs(poly.eval(zero)) > 1e-8 * max(float(np.max(np.abs(sample))), 1e-300):
         raise ValueError("the supplied point is not a zero of the polynomial")
     pool = _maximize_items(((poly, 1.0),), 64, seed)
     p = to_complex(pool[0])

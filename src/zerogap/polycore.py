@@ -107,19 +107,7 @@ class MultiPoly:
     def _hessian(self, point):
         """Exact Hessian at ``point`` from the expanded terms; batches as in :meth:`eval`."""
         X, single = _rows(point, self.dim, float)
-        K, _, _, Ef, _, Cf = _term_tables(self)
-        if self._second is None:
-            # (j, k, indices, coefficients) of d^2/dx_j dx_k for j <= k, built once
-            unit = np.eye(self.dim, dtype=np.int64)
-            self._second = [
-                (j, k, _flat(np.maximum(Ef[j] - unit[k], 0), K), Cf[j] * Ef[j][:, k])
-                for j in range(self.dim)
-                for k in range(j, self.dim)
-            ]
-        powers = _powers(X, K)
-        H = np.empty((X.shape[0], self.dim, self.dim))
-        for j, k, Ijk, Cjk in self._second:
-            H[:, j, k] = H[:, k, j] = _monomials(powers, Ijk) @ Cjk
+        H = _term_hessian(self, X)
         return H[0] if single else H
 
     __call__ = eval
@@ -235,6 +223,24 @@ def _term_gradient(poly, X):
     for j in range(poly.dim):
         G[:, j] = _monomials(powers, If[j]) @ Cf[j]
     return G
+
+
+def _term_hessian(poly, X):
+    """Second partial derivatives of P at each row of X, from the expanded terms."""
+    K, _, C, Ef, _, Cf = _term_tables(poly)
+    if poly._second is None:
+        # (j, k, indices, coefficients) of d^2/dx_j dx_k for j <= k, built once
+        unit = np.eye(poly.dim, dtype=np.int64)
+        poly._second = [
+            (j, k, _flat(np.maximum(Ef[j] - unit[k], 0), K), Cf[j] * Ef[j][:, k])
+            for j in range(poly.dim)
+            for k in range(j, poly.dim)
+        ]
+    powers = _powers(X, K)
+    H = np.empty((X.shape[0], poly.dim, poly.dim), dtype=C.dtype)
+    for j, k, Ijk, Cjk in poly._second:
+        H[:, j, k] = H[:, k, j] = _monomials(powers, Ijk) @ Cjk
+    return H
 
 
 @dataclass(frozen=True)

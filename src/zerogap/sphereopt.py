@@ -16,7 +16,11 @@ in higher dimension they come from a seeded lockstep Newton search on
 Z(P) intersected with the sphere: every seed is restored onto P = 0 and then
 climbs <p, x> along the zero set by reduced Newton steps, all seeds in one
 batch.  The result is the angle to a zero actually found, so it is an
-upper-bound estimate of the distance, not a certified value.
+upper-bound estimate of the distance, not a certified value.  The same
+search, with an objective made of a linear term and a constant-Hessian term
+and with the two real equations Re P = Im P = 0 for complex P, measures the
+Euclidean distances of ``ballfinder`` (on a sphere that lifts a ball) and the
+Hermitian distances of ``complexproj`` (on the sphere of C^d).
 """
 
 from __future__ import annotations
@@ -123,8 +127,9 @@ def _log_abs_objective(poly: MultiPoly):
 
 
 def _sphere_tangent(G, X):
-    """Rows of G projected onto the tangent spaces of the sphere at the rows of X."""
-    return G - np.sum(G * X, axis=1, keepdims=True) * X
+    """Rows of G projected off the unit rows of X: onto the tangent spaces of
+    the sphere for real rows, onto the Hermitian complements for complex rows."""
+    return G - np.sum(G * np.conj(X), axis=1, keepdims=True) * X
 
 
 def _normalize_rows(X):
@@ -339,33 +344,42 @@ def _zero_distance_d2(poly, p):
     )
 
 
-def _restore_to_zero_set(poly, Y, steps):
-    """Damped Newton steps toward P = 0 along the tangent gradient, renormalised.
+def _real(Z):
+    """Real coordinates of rows: the rows themselves, or their real parts then their imaginary parts."""
+    return np.concatenate([Z.real, Z.imag], axis=-1) if np.iscomplexobj(Z) else Z
 
-    Each step solves u = P / P' = 0 on the great circle through the row in
-    the direction of the tangent gradient g, where ' is the derivative along
-    that circle.  Newton's step for u is Newton's step for P divided by
-    1 - P P'' / P'^2, so it is Newton's near a simple zero and stays quadratic
-    at a zero of P of any multiplicity, where Newton for P only halves the
-    distance per step on a double zero.  The divisor is clipped to [0.1, 1]
-    and a step is at most ``_RESTORE_CAP`` long.  A row keeps a step only if
-    it lowers |P|, otherwise its next step is half as long, so rounding noise
-    in P at the zero set cannot throw a row off it.  Returns the rows and
-    their values of P.
+
+def _restore_to_zero_set(poly, grad, Y, steps):
+    """Damped Newton steps toward P = 0 along the projected conj grad P, renormalised.
+
+    Each step solves u = P / P' = 0 on the complex line through the row in the
+    direction w of conj grad P projected off the row (for real P and rows, the
+    great circle along the tangent gradient), where ' is the derivative along
+    that line and P' = |w|.  Newton's step for u is Newton's step for P
+    divided by 1 - P P'' / P'^2, so it is Newton's near a simple zero and
+    stays quadratic at a zero of P of any multiplicity, where Newton for P
+    only halves the distance per step on a double zero.  The divisor's real
+    part is clipped to [0.1, 1] and a step is at most ``_RESTORE_CAP`` long.
+    A row keeps a step only if it lowers |P|, otherwise its next step is half
+    as long, so rounding noise in P at the zero set cannot throw a row off
+    it.  Returns the rows and their values of P.
     """
     v = poly.eval(Y)
     damp = np.ones(len(Y))
     for _ in range(steps):
-        G = poly.gradient(Y)
-        gt = _sphere_tangent(G, Y)
-        gn = np.linalg.norm(gt, axis=1)
+        G = grad(Y)
+        W = _sphere_tangent(np.conj(G), Y)
+        gn = np.linalg.norm(W, axis=1)
         nonzero = gn > 0.0
-        g = gt / np.where(nonzero, gn, 1.0)[:, None]
-        curv = np.einsum("ni,nij,nj->n", g, poly._hessian(Y), g) - np.sum(G * Y, axis=1)
+        w = W / np.where(nonzero, gn, 1.0)[:, None]
+        curv = np.einsum("ni,nij,nj->n", w, poly._hessian(Y), w) - np.sum(G * Y, axis=1)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            length = np.abs(v) / gn / np.clip(1.0 - v * curv / gn**2, 0.1, 1.0)
-        length = np.where(nonzero, np.minimum(np.nan_to_num(length, nan=_RESTORE_CAP), _RESTORE_CAP), 0.0)
-        trial = _normalize_rows(Y - (np.sign(v) * damp * length)[:, None] * g)
+            div = 1.0 - v * curv / gn**2
+            # div - div.real is 0 for real P and i Im(div) for complex P
+            tau = v / gn / (div - div.real + np.clip(div.real, 0.1, 1.0))
+            size = np.abs(tau)
+            tau = np.where(nonzero & np.isfinite(size), tau * np.minimum(1.0, _RESTORE_CAP / size), 0.0)
+        trial = _normalize_rows(Y - (damp * tau)[:, None] * w)
         vt = poly.eval(trial)
         better = np.abs(vt) < np.abs(v)
         Y = np.where(better[:, None], trial, Y)
@@ -374,29 +388,40 @@ def _restore_to_zero_set(poly, Y, steps):
     return Y, v
 
 
-def _zero_set_step(G, H, X, p):
-    """Reduced Newton step that raises <p, x> on {|x| = 1, P = 0}, per row.
+def _zero_set_step(G, H, X, c, Q):
+    """Reduced Newton step that raises f(x) = <c, x> + x'Qx/2 on {|x| = 1, P = 0}, per row.
 
-    ``G`` and ``H`` are the gradients and Hessians of P at the rows of X.  The
-    multipliers of p = lam grad P + nu x are the two-column least-squares
-    solution, in closed form through the orthonormal pair (x, g) with g the
-    unit tangent gradient; a tangent basis B of the zero set comes from the
-    QR of [x, g, I].  Where the reduced Hessian B'(-lam Hess P - nu I)B is
-    negative definite the step is Newton's, elsewhere it is the tangent
-    gradient B B'p; either is capped at length ``_STEP_CAP``.
+    ``X`` holds the real coordinates of the rows, ``G`` and ``H`` the
+    gradients and Hessians of P there.  Complex P gives two equations,
+    Re P = Re(-i P) = 0, with normals conj G and i conj G.  One QR of
+    [x, normals, I] gives the least-squares multipliers of
+    grad f = nu x + sum lam_i normal_i (by back substitution; a zero pivot
+    gives a zero multiplier) and, in its last columns, a basis B of the
+    tangent space of the zero set.  Where the reduced Hessian
+    B'(Q - sum lam_i Hess F_i - nu I)B is negative definite the step is
+    Newton's, elsewhere the tangent gradient B B' grad f; either is capped
+    at length ``_STEP_CAP``.
     """
-    n, d = X.shape
-    gt = _sphere_tangent(G, X)
-    gn = np.linalg.norm(gt, axis=1)
-    gn_safe = np.where(gn > 0.0, gn, 1.0)
-    g = gt / gn_safe[:, None]
-    lam = np.where(gn > 0.0, g @ p / gn_safe, 0.0)
-    nu = X @ p - lam * np.sum(G * X, axis=1)
-    eye = np.broadcast_to(np.eye(d), (n, d, d))
-    W = -lam[:, None, None] * H - nu[:, None, None] * eye
-    B = np.linalg.qr(np.concatenate([X[:, :, None], g[:, :, None], eye], axis=2))[0][:, :, 2:]
+    n, D = X.shape
+    units = np.array([1.0, -1j] if np.iscomplexobj(G) else [1.0])
+    m = 1 + len(units)
+    eye = np.broadcast_to(np.eye(D), (n, D, D))
+    normals = np.stack([_real(np.conj(u * G)) for u in units], axis=2)
+    U, R = np.linalg.qr(np.concatenate([X[:, :, None], normals, eye], axis=2))
+    q = c + X @ Q
+    b = np.einsum("nji,nj->ni", U[:, :, :m], q)
+    mult = np.zeros((n, m))
+    for i in reversed(range(m)):
+        rest = b[:, i] - np.einsum("nj,nj->n", R[:, i, i + 1 : m], mult[:, i + 1 :])
+        mult[:, i] = np.divide(rest, R[:, i, i], out=np.zeros(n), where=R[:, i, i] != 0.0)
+    nu, mu = mult[:, 0], mult[:, 1:] @ units
+    M = mu[:, None, None] * H
+    if np.iscomplexobj(M):  # the Hessian of Re(mu P) in real coordinates, by Cauchy-Riemann
+        M = np.block([[M.real, -M.imag], [-M.imag, -M.real]])
+    W = Q - M - nu[:, None, None] * eye
+    B = U[:, :, m:]
     Bt = np.swapaxes(B, 1, 2)
-    r = Bt @ p
+    r = np.einsum("nji,nj->ni", B, q)
     w, V = np.linalg.eigh(Bt @ W @ B)
     newton = np.all(w < 0.0, axis=1)
     w = np.where(newton[:, None], w, -1.0)
@@ -407,55 +432,70 @@ def _zero_set_step(G, H, X, p):
     return S * (_STEP_CAP / np.maximum(norm, _STEP_CAP))[:, None]
 
 
-def _zero_distance_search(poly, p, seed):
-    """Smallest angle from p to Z(P) on the sphere found from seeded starts.
+def _zero_distance_search(poly, c, seed, Q=None):
+    """The zero of P on the unit sphere with the largest f found from seeded starts, or None.
 
-    All seeds step in lockstep for a fixed number of iterations.  A row off
-    Z(P) takes ``_RESTORE_STEPS`` restoration steps and keeps them when |P|
-    drops.  A row on Z(P) (|P| <= ``_ON_ZERO_REL`` * scale) takes a reduced
-    Newton step for <p, x>, restored onto Z(P), and keeps it when it stays on
-    Z(P) and <p, x> does not drop; otherwise its next step is ten times
-    shorter.  Rows whose step fell below ``_STEP_TOL`` or whose restoration
-    stalled are frozen, and only the other rows are evaluated.  At the end
-    every row takes ``_RESTORE_STEPS`` more restoration steps before the
-    rows with |P| <= 1e-8 * scale are measured.  The number of polynomial
-    calls is fixed, whatever the number of seeds.
+    f(x) = <c, x> + x'Qx/2 in the real coordinates x of a row (Q = 0 by
+    default).  Complex ``c`` searches the sphere of C^d, where <c, x> is
+    Re<z, c>.  All ``_ZERO_SEARCH_SEEDS`` seeds step in lockstep for a fixed
+    number of iterations.  A row off Z(P) takes ``_RESTORE_STEPS``
+    restoration steps and keeps them when |P| drops.  A row on Z(P)
+    (|P| <= ``_ON_ZERO_REL`` * scale) takes a reduced Newton step for f,
+    restored onto Z(P), and keeps it when it stays on Z(P) and f does not
+    drop; otherwise its next step is ten times shorter.  Rows whose step fell
+    below ``_STEP_TOL`` or whose restoration stalled are frozen, and only the
+    other rows are evaluated.  At the end every row takes ``_RESTORE_STEPS``
+    more restoration steps, and the best of the rows with
+    |P| <= 1e-8 * scale is returned.  The number of polynomial calls is
+    fixed, whatever the number of seeds.
     """
-    d = poly.dim
-    X = sphere_starts(d, _ZERO_SEARCH_SEEDS, seed + 1)
-    scale = max(float(np.max(np.abs(poly.eval(sphere_starts(d, 256, seed + 3))))), 1e-300)
+    cplx = np.iscomplexobj(c)
+    grad = poly.holomorphic_gradient if cplx else poly.gradient
+    d = len(c)
+    D = 2 * d if cplx else d
+    c = _real(np.asarray(c))
+    Q = np.zeros((D, D)) if Q is None else Q
+
+    def native(X):
+        return X[:, :d] + 1j * X[:, d:] if cplx else X
+
+    def objective(Z):
+        X = _real(Z)
+        return X @ c + 0.5 * np.sum(X * (X @ Q), axis=1)
+
+    Z = native(sphere_starts(D, _ZERO_SEARCH_SEEDS, seed + 1))
+    scale = max(float(np.max(np.abs(poly.eval(native(sphere_starts(D, 256, seed + 3)))))), 1e-300)
     tol = _ON_ZERO_REL * scale
 
-    v = poly.eval(X)
-    f = X @ p
-    shrink = np.ones(len(X))
-    live = np.ones(len(X), dtype=bool)
+    v = poly.eval(Z)
+    f = objective(Z)
+    shrink = np.ones(len(Z))
+    live = np.ones(len(Z), dtype=bool)
     for _ in range(_SEARCH_ITERS):
         idx = np.flatnonzero(live)
-        Xi, vi = X[idx], v[idx]
+        Zi, vi = Z[idx], v[idx]
         on = np.abs(vi) <= tol
-        S = _zero_set_step(poly.gradient(Xi), poly._hessian(Xi), Xi, p)
+        S = native(_zero_set_step(grad(Zi), poly._hessian(Zi), _real(Zi), c, Q))
         S = np.where(on[:, None], shrink[idx, None] * S, 0.0)
-        Y, vy = _restore_to_zero_set(poly, _normalize_rows(Xi + S), _RESTORE_STEPS)
-        fy = Y @ p
+        Y, vy = _restore_to_zero_set(poly, grad, _normalize_rows(Zi + S), _RESTORE_STEPS)
+        fy = objective(Y)
         stepping = on & (np.linalg.norm(S, axis=1) > _STEP_TOL)
         ok = np.where(on, stepping & (np.abs(vy) <= tol) & (fy >= f[idx]), np.abs(vy) < np.abs(vi))
         # a row whose step became negligible has converged; an off-zero row
         # whose restoration did not lower |P| would retry the same trial
         live[idx] = ok | stepping
         moved = idx[ok]
-        X[moved], v[moved], f[moved] = Y[ok], vy[ok], fy[ok]
+        Z[moved], v[moved], f[moved] = Y[ok], vy[ok], fy[ok]
         shrink[idx] = np.where(ok, 1.0, 0.1 * shrink[idx])
 
     # a row may have climbed to the edge of |P| <= tol, which lies about
     # tol**(1/m) off a zero of multiplicity m: project every row back
-    X, v = _restore_to_zero_set(poly, X, _RESTORE_STEPS)
-    f = X @ p
+    Z, v = _restore_to_zero_set(poly, grad, Z, _RESTORE_STEPS)
+    f = objective(Z)
     found = np.abs(v) <= 1e-8 * scale
     if not np.any(found):
-        return math.inf, None
-    x = X[int(np.argmax(np.where(found, f, -np.inf)))]
-    return math.acos(float(np.clip(p @ x, -1.0, 1.0))), x
+        return None
+    return Z[int(np.argmax(np.where(found, f, -np.inf)))]
 
 
 def angular_distance_to_zero_set(poly: MultiPoly, p, seed=0):
@@ -478,7 +518,10 @@ def angular_distance_to_zero_set(poly: MultiPoly, p, seed=0):
         return best, None if best_form is None else _nearest_slice_point(best_form, p)
     if poly.dim == 2:
         return _zero_distance_d2(poly, p)
-    return _zero_distance_search(poly, p, seed)
+    x = _zero_distance_search(poly, p, seed)
+    if x is None:
+        return math.inf, None
+    return math.acos(float(np.clip(p @ x, -1.0, 1.0))), x
 
 
 def _sign_symmetric(poly: MultiPoly):
@@ -535,7 +578,8 @@ def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGap
     Among near-equal maximizers the one with the largest zero-set distance is
     reported; the bound holds at every true maximizer, so preferring the
     farthest is sound.  When P(-x) = +-P(x), x and -x tie, and each candidate
-    is taken in the sign that makes its largest-modulus coordinate positive.
+    is taken in the sign that makes its largest-modulus coordinate positive;
+    candidates that then coincide are measured once.
     When the measured distance sits at the bound within tolerance, the circle
     through the maximizer and its nearest zero is attached along with the
     interlacing diagnostic of the restriction.
@@ -546,7 +590,7 @@ def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGap
     res = maximize_abs_on_sphere(poly, starts=starts, seed=seed)
     pool = res.all_near_max
     if _sign_symmetric(poly):
-        pool = [-c if c[int(np.argmax(np.abs(c)))] < 0 else c for c in pool]
+        pool = _dedupe_points([-c if c[int(np.argmax(np.abs(c)))] < 0 else c for c in pool])
     scored = [(*angular_distance_to_zero_set(poly, cand, seed=seed), cand) for cand in pool]
     dist, zero, p = max(scored, key=lambda t: t[0])
     bound = math.pi / (2 * n)

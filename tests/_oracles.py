@@ -3,14 +3,18 @@
 Everything here deliberately avoids the code paths under test: zeros come
 from dense grids and bisection instead of companion matrices, gradients from
 finite differences, products from naive term-by-term loops, tails from
-truncated infinite products with an analytic remainder estimate.
+truncated infinite products with an analytic remainder estimate, and
+distances to zero sets from serial SLSQP solves, one per seed.
 """
 
 import math
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import zeta
+from scipy.stats import qmc
+
+from zerogap.sphereopt import sphere_starts
 
 TWO_PI = 2.0 * math.pi
 
@@ -134,3 +138,79 @@ def slice_min_angle_bruteforce(a, b, p, samples=400_000, seed=0):
     pts = b * a + math.sqrt(max(0.0, 1 - b * b)) * w
     dots = np.clip(pts @ p, -1.0, 1.0)
     return float(np.min(np.arccos(dots)))
+
+
+def slsqp_ball_zero_distance(poly, p, seeds=64, seed=0):
+    """(distance, zero): min |x - p| over zeros x of P with |x| <= 2, by one
+    SLSQP solve from each of ``seeds`` interior and ``seeds`` unit-sphere
+    starts; a solve whose end point has |P| > 1e-8 * scale is dropped."""
+    p = np.asarray(p, dtype=float)
+    d = poly.dim
+    dirs = sphere_starts(d, seeds, seed + 11)
+    radii = qmc.Sobol(d=1, scramble=True, seed=seed + 13).random_base2(max(1, math.ceil(math.log2(seeds))))
+    starts = np.vstack([dirs * radii[:seeds] ** (1.0 / d), dirs])
+    scale = max(float(np.max(np.abs(poly.eval(np.vstack([starts, np.zeros((1, d))]))))), 1e-300)
+    cons = [
+        {"type": "eq", "fun": lambda x: poly.eval(x) / scale, "jac": lambda x: poly.gradient(x) / scale},
+        {"type": "ineq", "fun": lambda x: 4.0 - x @ x, "jac": lambda x: -2.0 * x},
+    ]
+    best, best_zero = math.inf, None
+    for x0 in starts:
+        res = minimize(
+            lambda x: (x - p) @ (x - p),
+            x0,
+            jac=lambda x: 2.0 * (x - p),
+            method="SLSQP",
+            constraints=cons,
+            options={"maxiter": 120, "ftol": 1e-14},
+        )
+        x = res.x / max(1.0, np.linalg.norm(res.x) / 2.0)
+        if abs(poly.eval(x)) > 1e-8 * scale:
+            continue
+        dist = float(np.linalg.norm(x - p))
+        if dist < best:
+            best, best_zero = dist, x
+    return best, best_zero
+
+
+def slsqp_complex_zero_distance(poly, p, seeds=48, seed=0):
+    """(distance, zero): min arccos |<p, z>| over zeros z of P on the sphere
+    of C^d, by one SLSQP solve of max |<p, z>|^2 on Re P = Im P = 0, |z| = 1
+    from each of ``seeds`` starts; a solve whose end point has
+    |P| > 1e-8 * scale is dropped."""
+    p = np.asarray(p, dtype=complex)
+    p = p / np.linalg.norm(p)
+    d = poly.dim
+
+    def z_of(x):
+        return x[:d] + 1j * x[d:]
+
+    sample = sphere_starts(2 * d, 128, seed + 5)
+    scale = max(float(np.max(np.abs(poly.eval(sample[:, :d] + 1j * sample[:, d:])))), 1e-300)
+
+    def obj(x):
+        return -abs(np.sum(z_of(x) * np.conj(p))) ** 2
+
+    def obj_jac(x):
+        w = np.conj(np.sum(z_of(x) * np.conj(p))) * np.conj(p)
+        return -2.0 * np.concatenate([w.real, -w.imag])
+
+    def jac(x, unit):
+        g = unit * poly.holomorphic_gradient(z_of(x))
+        return np.concatenate([g.real, -g.imag]) / scale
+
+    cons = [
+        {"type": "eq", "fun": lambda x: poly.eval(z_of(x)).real / scale, "jac": lambda x: jac(x, 1.0)},
+        {"type": "eq", "fun": lambda x: poly.eval(z_of(x)).imag / scale, "jac": lambda x: jac(x, -1j)},
+        {"type": "eq", "fun": lambda x: x @ x - 1.0, "jac": lambda x: 2.0 * x},
+    ]
+    best, best_zero = math.inf, None
+    for x0 in sphere_starts(2 * d, seeds, seed + 7):
+        res = minimize(obj, x0, jac=obj_jac, method="SLSQP", constraints=cons, options={"maxiter": 150, "ftol": 1e-14})
+        z = z_of(res.x) / np.linalg.norm(res.x)
+        if abs(poly.eval(z)) > 1e-8 * scale:
+            continue
+        dist = math.acos(min(1.0, abs(np.sum(p * np.conj(z)))))
+        if dist < best:
+            best, best_zero = dist, z
+    return best, best_zero

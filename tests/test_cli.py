@@ -6,7 +6,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from zerogap import ballfinder, complexproj, sphereopt
 from zerogap.cli import main
 from zerogap.trigcircle import TrigPoly
 
@@ -303,6 +305,37 @@ class TestUsageErrors:
     def test_missing_file(self, capsys):
         code = main(["sphere-verify", "--input", "/nonexistent/path.json"])
         assert code == 3
+
+
+class TestNoSlsqp:
+    @pytest.mark.parametrize(
+        "command, payload, check",
+        [
+            ("ball-pair", X1X2, lambda rep: rep["ball_distance"] == pytest.approx(0.5, abs=1e-9)),
+            (
+                "ball-multiplier",
+                {"dim": 2, "terms": [{"e": [2, 0], "c": 1.0}, {"e": [0, 2], "c": -1.0}, {"e": [1, 0], "c": 0.3}]},
+                lambda rep: rep["distance"] >= rep["bound"] == 0.5,
+            ),
+            (
+                "complex-verify",
+                {"dim": 3, "terms": [{"e": [1, 1, 1], "re": 1.0}]},
+                lambda rep: rep["distances"][0] == pytest.approx(math.asin(1 / math.sqrt(3)), abs=1e-9),
+            ),
+        ],
+        ids=["ball-pair", "ball-multiplier", "complex-verify"],
+    )
+    def test_untagged_input_takes_no_slsqp_solve(self, tmp_path, monkeypatch, command, payload, check):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{command} called scipy.optimize.minimize")
+
+        for module in (scipy.optimize, ballfinder, complexproj, sphereopt):
+            monkeypatch.setattr(module, "minimize", forbidden)
+        code, text = run_cli(tmp_path, command, payload)
+        assert code == 0
+        rep = json.loads(text)
+        assert rep["passed"] is True or rep["passed"] == [True]
+        assert check(rep)
 
 
 def test_console_script_runs():

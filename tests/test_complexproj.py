@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerogap import complexproj
+from zerogap import complexproj, sphereopt
 from zerogap.complexproj import (
     ComplexHomogPoly,
     WeightedSystem,
@@ -142,6 +142,24 @@ class TestTermKernels:
         assert_matches_loops(poly, z)
         assert poly.eval(z[0]) == poly.eval(z)[0]
         assert np.array_equal(poly.holomorphic_gradient(z[0]), poly.holomorphic_gradient(z)[0])
+
+    @pytest.mark.parametrize("d, n", [(2, 1), (3, 3), (4, 5)])
+    def test_hessian_matches_central_differences_of_gradient(self, d, n):
+        # P is holomorphic, so a difference along a real direction is the
+        # complex derivative
+        rng = np.random.default_rng(10 * d + n)
+        poly = dense_form(rng, d, n)
+        Z = complex_points(rng, 4, d)
+        H = poly._hessian(Z)
+        assert H.shape == (4, d, d) and H.dtype == complex
+        assert np.array_equal(H, np.swapaxes(H, 1, 2))
+        h = 1e-5
+        for i, z in enumerate(Z):
+            fd = np.column_stack(
+                [poly.holomorphic_gradient(z + h * e) - poly.holomorphic_gradient(z - h * e) for e in np.eye(d)]
+            ) / (2 * h)
+            assert np.allclose(H[i], fd, rtol=1e-7, atol=1e-7 * max(1.0, np.abs(H[i]).max()))
+            assert np.array_equal(poly._hessian(z), poly._hessian(Z[i : i + 1])[0])
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(d=st.integers(2, 4), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8))
@@ -299,8 +317,23 @@ class TestZeroDistance:
                 complex_zero_distance(expanded, z)[0], abs=1e-10
             )
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_factored_matches_search_in_c3(self, m):
+        # the closed form for the factors and the search on the expanded
+        # terms measure the same zero set
+        rng = np.random.default_rng(20 + m)
+        rows = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
+        pf = ComplexHomogPoly.from_linear_product(rows)
+        expanded = ComplexHomogPoly(3, dict(pf.terms))
+        for k in range(3):
+            z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            z /= np.linalg.norm(z)
+            assert complex_zero_distance(expanded, z, seed=k)[0] == pytest.approx(
+                complex_zero_distance(pf, z)[0], abs=1e-12
+            )
+
     def test_estimator_d3(self, monkeypatch):
-        monkeypatch.setattr(complexproj, "_ZERO_SEARCH_SEEDS", 24)
+        monkeypatch.setattr(sphereopt, "_ZERO_SEARCH_SEEDS", 24)
         p = ComplexHomogPoly(3, {(1, 1, 1): 1.0})
         x = np.ones(3, dtype=complex) / math.sqrt(3)
         d, _ = complex_zero_distance(p, x, seed=0)

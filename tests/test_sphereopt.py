@@ -230,6 +230,23 @@ class TestVerifySphereGap:
             assert x[int(np.argmax(np.abs(x)))] > 0.0
             assert rep.distance == pytest.approx(math.acos(math.sqrt(0.375)), abs=1e-12)
 
+    def test_sign_turned_pool_is_measured_once(self, monkeypatch):
+        # the ascent finds the quadric's maximizers x and -x, which the sign
+        # turn makes one point
+        calls = []
+        search = sphereopt._zero_distance_search
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(sphereopt, "_zero_distance_search", counted)
+        poly = rotated_quadric(np.random.default_rng(1), (1.0, 0.2, -0.6))
+        assert len(maximize_abs_on_sphere(poly, seed=1).all_near_max) == 2
+        rep = verify_sphere_gap(poly, seed=1)
+        assert len(calls) == 1
+        assert rep.distance == pytest.approx(math.acos(math.sqrt(0.375)), abs=1e-12)
+
     def test_sign_symmetry_from_parity(self):
         assert sphereopt._sign_symmetric(MultiPoly(3, {(2, 0, 0): 1.0, (0, 1, 1): -2.0, (0, 0, 0): 0.5}))
         assert sphereopt._sign_symmetric(MultiPoly(2, {(3, 0): 1.0, (1, 0): -2.0}))
