@@ -28,7 +28,7 @@ from scipy.optimize import minimize  # noqa: F401  unused; bench/tracing.py wrap
 from scipy.optimize import minimize_scalar
 from scipy.stats import qmc
 
-from .chebmult import ball_multiplier, cheb_positive_zeros, check_orders
+from .chebmult import ball_multiplier, ball_multiplier_log_slope, cheb_positive_zeros, check_orders
 from .polycore import AffineForm, MultiPoly
 from .sphereopt import (
     LOG_FLOOR,
@@ -212,23 +212,16 @@ def pair_point(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> PairCertificate:
 def _multiplier_objective(poly: MultiPoly):
     """(value, grad) of log|P(x)| + log|M(|x|)| on row batches in the ball."""
     n = poly.degree
-    h = 1e-6
     poly_log, poly_grad = _log_abs_objective(poly)
 
-    def mult_log(r):
-        g = ball_multiplier(n, r)
-        with np.errstate(divide="ignore"):
-            return np.where(g != 0.0, np.log(np.abs(g)), LOG_FLOOR)
-
     def value(X):
-        r = np.linalg.norm(X, axis=1)
-        return poly_log(X) + mult_log(r)
+        g = ball_multiplier(n, np.linalg.norm(X, axis=1))
+        with np.errstate(divide="ignore"):
+            return poly_log(X) + np.where(g != 0.0, np.log(np.abs(g)), LOG_FLOOR)
 
     def grad(X):
         r = np.linalg.norm(X, axis=1)
-        dlog = (mult_log(r + h) - mult_log(np.maximum(r - h, 0.0))) / (2 * h)
-        safe_r = np.maximum(r, 1e-12)
-        return poly_grad(X) + (dlog / safe_r)[:, None] * X
+        return poly_grad(X) + (ball_multiplier_log_slope(n, r) / np.maximum(r, 1e-12))[:, None] * X
 
     return value, grad
 

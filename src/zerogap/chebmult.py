@@ -27,10 +27,14 @@ __all__ = [
     "cheb_tail_product",
     "trig_tail_product",
     "ball_multiplier",
+    "ball_multiplier_log_slope",
     "convergence_report",
 ]
 
 _WINDOW = 1e-3
+# pi/2 as a 33-bit head plus a tail (fdlibm's pio2_1, pio2_1t): k * head is
+# exact for k < 2^20, so u - k pi/2 is found to twice the working precision
+_PIO2_HEAD, _PIO2_TAIL = 1.57079632673412561417e00, 6.07710050650619224932e-11
 
 
 def cheb_eval(k, x):
@@ -88,6 +92,11 @@ def cheb_tail_product(n, k, x):
     return float(out[0]) if scalar else out
 
 
+def _cancelled_halves(n):
+    """The k of the cancelled zeros x0 = k pi / 2 of the degree-n tail: odd k for even n, even k for odd n."""
+    return range(1 + n % 2, n, 2)
+
+
 def _sinc_series(u):
     u2 = u * u
     return 1 - u2 / 6 * (1 - u2 / 20 * (1 - u2 / 42 * (1 - u2 / 72 * (1 - u2 / 110))))
@@ -105,11 +114,10 @@ def trig_tail_product(n, x):
     scalar = x.ndim == 0
     X = np.abs(np.atleast_1d(x))
 
+    cancelled = [k * math.pi / 2 for k in _cancelled_halves(n)]
     if n % 2 == 0:
-        cancelled = [(2 * i - 1) * math.pi / 2 for i in range(1, n // 2 + 1)]
         num = np.cos(X)
     else:
-        cancelled = [i * math.pi for i in range(1, (n - 1) // 2 + 1)]
         small = X < _WINDOW
         num = np.where(small, _sinc_series(X), np.sin(X) / np.where(small, 1.0, X))
 
@@ -131,6 +139,38 @@ def trig_tail_product(n, x):
             windowed |= win
     out = np.where(windowed, ratio, num) / den
     return float(out[0]) if scalar else out
+
+
+def _cot_series(u):
+    """cot u - 1/u for small u, the log slope of :func:`_sinc_series`."""
+    u2 = u * u
+    return -u / 3 * (1 + u2 / 15 * (1 + 2 * u2 / 21 * (1 + u2 / 10 * (1 + 10 * u2 / 99))))
+
+
+def ball_multiplier_log_slope(n, x):
+    """d/dx log|ball_multiplier(n, x)| in closed form, odd in x.
+
+    At u = n pi |x| / 2 the tail's log slope is -tan u (n even) or
+    cot u - 1/u (n odd), plus -1/(u - x0) - 1/(u + x0) per cancelled x0.
+    Within ``_WINDOW`` of x0, -tan u or cot u is cot e, e = u - x0, and the
+    pair cot e - 1/e comes from its series, as in :func:`trig_tail_product`;
+    so does cot u - 1/u near 0.  Outside, e is taken from x0 to twice the
+    working precision (Cody and Waite's reduction), as tan u has its pole at
+    the exact x0.
+    """
+    x = np.asarray(x, dtype=float)
+    U = n * math.pi * np.abs(np.atleast_1d(x)) / 2.0
+    small = (U < _WINDOW) & (n % 2 == 1)
+    safe = np.where(small, 1.0, U)
+    trig = np.where(small, 0.0, 1.0 / np.tan(safe) if n % 2 else -np.tan(U))
+    slope = np.where(small, _cot_series(U), -1.0 / safe) if n % 2 else np.zeros_like(U)
+    for k in _cancelled_halves(n):
+        e = (U - k * _PIO2_HEAD) - k * _PIO2_TAIL
+        win = np.abs(e) < _WINDOW
+        slope += np.where(win, _cot_series(e), -1.0 / np.where(win, 1.0, e)) - 1.0 / (U + k * math.pi / 2)
+        trig[win] = 0.0
+    out = np.sign(np.atleast_1d(x)) * (n * math.pi / 2.0) * (slope + trig)
+    return float(out[0]) if x.ndim == 0 else out
 
 
 def ball_multiplier(n, x):
@@ -159,11 +199,7 @@ class ChebMultiplier:
     def for_degree(cls, n):
         if n < 1:
             raise ValueError("n must be positive")
-        if n % 2 == 0:
-            poles = tuple((2 * i - 1) / n for i in range(1, n // 2 + 1))
-            return cls(n, "even", poles)
-        poles = tuple(2 * i / n for i in range(1, (n - 1) // 2 + 1))
-        return cls(n, "odd", poles)
+        return cls(n, ("even", "odd")[n % 2], tuple(k / n for k in _cancelled_halves(n)))
 
     def value(self, x):
         return ball_multiplier(self.n, x)

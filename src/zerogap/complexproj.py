@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize  # noqa: F401  unused; bench/tracing.py wraps complexproj.minimize
 
 from .errors import VerificationError
-from .polycore import _expand_product, _merge_terms, _rows, _term_gradient, _term_hessian, _term_values
+from .polycore import _expand_product, _merge_terms, _rows, _term_jet
 from .sphereopt import LOG_FLOOR, ZERO_STANDIN, _zero_distance_search, near_max_on_sphere, sphere_starts
 
 __all__ = [
@@ -79,7 +79,7 @@ class ComplexHomogPoly:
 
     def eval(self, z):
         Z, single = _rows(z, self.dim, complex)
-        vals = _term_values(self, Z)
+        vals = _term_jet(self, Z, "v")[0]
         return vals[0] if single else vals
 
     __call__ = eval
@@ -87,13 +87,13 @@ class ComplexHomogPoly:
     def holomorphic_gradient(self, z):
         """Partial derivatives with respect to each complex variable."""
         Z, single = _rows(z, self.dim, complex)
-        G = _term_gradient(self, Z)
+        G = _term_jet(self, Z, "g")[1]
         return G[0] if single else G
 
     def _hessian(self, z):
         """Second partial derivatives with respect to the complex variables."""
         Z, single = _rows(z, self.dim, complex)
-        H = _term_hessian(self, Z)
+        H = _term_jet(self, Z, "h")[2]
         return H[0] if single else H
 
     def to_json(self):
@@ -154,17 +154,21 @@ def _weighted_log_objective(items):
                 total = total + w * np.log(np.where(v == 0.0, 1.0, v))
         return np.where(dead, LOG_FLOOR, total)
 
-    def grad(X):
+    def grad(X, hessian=False):
         Z = to_complex(X)
-        G = np.zeros(X.shape)
         d = Z.shape[1]
+        G, H = np.zeros(X.shape), np.zeros((len(X), 2 * d, 2 * d))
         for poly, w in zip(polys, weights):
-            v = poly.eval(Z)
+            v, P1, P2 = _term_jet(poly, Z, "vgh" if hessian else "vg")
             v = np.where(v == 0, ZERO_STANDIN, v)
-            ratio = poly.holomorphic_gradient(Z) / v[:, None]
+            ratio = P1 / v[:, None]
             G[:, :d] += w * ratio.real
             G[:, d:] += w * -ratio.imag
-        return G
+            if hessian:
+                # log|P| = Re log P: the Cauchy-Riemann block of (log P)'' = P''/P - ratio ratio'
+                h = P2 / v[:, None, None] - ratio[:, :, None] * ratio[:, None, :]
+                H += w * np.block([[h.real, -h.imag], [-h.imag, -h.real]])
+        return (G, H) if hessian else G
 
     return value, grad
 

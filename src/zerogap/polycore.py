@@ -5,8 +5,9 @@ pairs, or, for a product of affine forms, as its factor list, whose
 expansion is computed only when ``terms`` is read.  The identically-zero
 polynomial is rejected at construction: every bound computed downstream
 divides by the degree or assumes a nonempty zero structure, so zero input is
-an error, not a value.  The private term kernels here also serve
-``complexproj.ComplexHomogPoly``: none depends on the coefficient dtype.
+an error, not a value.  The private term kernel ``_term_jet`` also serves
+``complexproj.ComplexHomogPoly`` (it does not depend on the coefficient
+dtype) and the log objectives of ``sphereopt`` and ``complexproj``.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class MultiPoly:
             for f in self.affine_factors:
                 vals = vals * (X @ f.normal - f.offset)
         else:
-            vals = _term_values(self, X)
+            vals = _term_jet(self, X, "v")[0]
         return float(vals[0]) if single else vals
 
     def gradient(self, point):
@@ -101,13 +102,13 @@ class MultiPoly:
                 suf[:, m - 1 - i] = suf[:, m - i] * L[:, m - 1 - i]
             G = (pre[:, :m] * suf[:, 1:]) @ A
         else:
-            G = _term_gradient(self, X)
+            G = _term_jet(self, X, "g")[1]
         return G[0] if single else G
 
     def _hessian(self, point):
         """Exact Hessian at ``point`` from the expanded terms; batches as in :meth:`eval`."""
         X, single = _rows(point, self.dim, float)
-        H = _term_hessian(self, X)
+        H = _term_jet(self, X, "h")[2]
         return H[0] if single else H
 
     __call__ = eval
@@ -209,38 +210,31 @@ def _monomials(powers, I):
     return out
 
 
-def _term_values(poly, X):
-    """P at each row of X, from the expanded terms."""
-    K, I, C, _, _, _ = _term_tables(poly)
-    return _monomials(_powers(X, K), I) @ C
-
-
-def _term_gradient(poly, X):
-    """Partial derivatives of P at each row of X, from the expanded terms."""
-    K, _, C, _, If, Cf = _term_tables(poly)
+def _term_jet(poly, X, parts):
+    """(P, grad P, Hess P) at each row of X from the expanded terms and one
+    :func:`_powers` table; each is computed only if its letter ("v", "g",
+    "h") is in ``parts``, and is None otherwise."""
+    K, I, C, Ef, If, Cf = _term_tables(poly)
     powers = _powers(X, K)
-    G = np.empty((X.shape[0], poly.dim), dtype=C.dtype)
-    for j in range(poly.dim):
-        G[:, j] = _monomials(powers, If[j]) @ Cf[j]
-    return G
-
-
-def _term_hessian(poly, X):
-    """Second partial derivatives of P at each row of X, from the expanded terms."""
-    K, _, C, Ef, _, Cf = _term_tables(poly)
-    if poly._second is None:
-        # (j, k, indices, coefficients) of d^2/dx_j dx_k for j <= k, built once
-        unit = np.eye(poly.dim, dtype=np.int64)
-        poly._second = [
-            (j, k, _flat(np.maximum(Ef[j] - unit[k], 0), K), Cf[j] * Ef[j][:, k])
-            for j in range(poly.dim)
-            for k in range(j, poly.dim)
-        ]
-    powers = _powers(X, K)
-    H = np.empty((X.shape[0], poly.dim, poly.dim), dtype=C.dtype)
-    for j, k, Ijk, Cjk in poly._second:
-        H[:, j, k] = H[:, k, j] = _monomials(powers, Ijk) @ Cjk
-    return H
+    v = _monomials(powers, I) @ C if "v" in parts else None
+    G = H = None
+    if "g" in parts:
+        G = np.empty((X.shape[0], poly.dim), dtype=C.dtype)
+        for j in range(poly.dim):
+            G[:, j] = _monomials(powers, If[j]) @ Cf[j]
+    if "h" in parts:
+        if poly._second is None:
+            # (j, k, indices, coefficients) of d^2/dx_j dx_k for j <= k, built once
+            unit = np.eye(poly.dim, dtype=np.int64)
+            poly._second = [
+                (j, k, _flat(np.maximum(Ef[j] - unit[k], 0), K), Cf[j] * Ef[j][:, k])
+                for j in range(poly.dim)
+                for k in range(j, poly.dim)
+            ]
+        H = np.empty((X.shape[0], poly.dim, poly.dim), dtype=C.dtype)
+        for j, k, Ijk, Cjk in poly._second:
+            H[:, j, k] = H[:, k, j] = _monomials(powers, Ijk) @ Cjk
+    return v, G, H
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Maximizing |P| on the unit sphere and measuring angular gaps to zero sets.
 
 The search ascends log|P| with tangent-projected gradients from a seeded
-low-discrepancy batch of starts, then polishes the leading candidates by
-Newton steps in a tangent chart.  The same engine serves the sphere of C^d
+low-discrepancy batch of starts for a few iterations, into the basins of
+the maxima, then polishes the leading rows in one batch by Riemannian Newton
+steps (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
+Manifolds, 2008) from the exact gradients and Hessians that the objective
+gives with one evaluation of P.  The same engine serves the sphere of C^d
 (``complexproj``), and its ascent loop, given the identity projection and a
 clip to the ball, serves the multiplier search (``ballfinder``), whose
 candidates are the best ascent rows as they stand: only points on a sphere
@@ -34,7 +37,7 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from . import trigcircle
-from .polycore import AffineForm, CirclePlane, MultiPoly, restrict_to_circle
+from .polycore import AffineForm, CirclePlane, MultiPoly, _term_jet, restrict_to_circle
 
 __all__ = [
     "SphereMaxResult",
@@ -72,6 +75,10 @@ _RESTORE_CAP = 0.5
 _STEP_TOL = 1e-13
 # seeds of the zero-distance search
 _ZERO_SEARCH_SEEDS = 64
+# ascent iterations before the Newton polish of near_max_on_sphere, and the
+# polish's iterations
+_ASCENT_ITERS = 20
+_POLISH_ITERS = 20
 
 
 def unit_vector(v):
@@ -94,7 +101,8 @@ def sphere_starts(dim, count, seed):
 
 
 def _log_abs_objective(poly: MultiPoly):
-    """(values, gradients) of log|P| on row batches, factored when possible."""
+    """(value, grad) of log|P| on row batches, factored when possible; ``grad(X, True)``
+    also returns the Euclidean Hessians, from the same evaluation of P."""
     if poly.affine_factors is not None:
         A = np.array([f.normal for f in poly.affine_factors])
         b = np.array([f.offset for f in poly.affine_factors])
@@ -106,10 +114,12 @@ def _log_abs_objective(poly: MultiPoly):
                     np.all(L != 0.0, axis=1), np.sum(np.log(np.abs(L)), axis=1), LOG_FLOOR
                 )
 
-        def grad(X):
+        def grad(X, hessian=False):
             L = X @ A.T - b
             L = np.where(L == 0.0, ZERO_STANDIN, L)
-            return (1.0 / L) @ A
+            G = (1.0 / L) @ A
+            # sum_i log|L_i| has Hessian -A' diag(1/L^2) A
+            return (G, -(A.T * L[:, None, :] ** -2.0) @ A) if hessian else G
 
     else:
 
@@ -118,10 +128,12 @@ def _log_abs_objective(poly: MultiPoly):
             with np.errstate(divide="ignore"):
                 return np.where(v != 0.0, np.log(np.abs(v)), LOG_FLOOR)
 
-        def grad(X):
-            v = poly.eval(X)
+        def grad(X, hessian=False):
+            v, G, H = _term_jet(poly, X, "vgh" if hessian else "vg")
             v = np.where(v == 0.0, ZERO_STANDIN, v)
-            return poly.gradient(X) / v[:, None]
+            g = G / v[:, None]
+            # log|P| has Hessian Hess P / P - g g' with g = grad P / P
+            return (g, H / v[:, None, None] - g[:, :, None] * g[:, None, :]) if hessian else g
 
     return value, grad
 
@@ -186,63 +198,39 @@ def _batch_ascent(value, grad, X, tangent, retract, iters, step0, backtracks):
     return X, f
 
 
-def _tangent_basis(x):
-    d = len(x)
-    k = int(np.argmax(np.abs(x)))
-    cols = [x] + [np.eye(d)[:, j] for j in range(d) if j != k]
-    q, _ = np.linalg.qr(np.column_stack(cols))
-    return q[:, 1:]
+def _newton_polish(value, grad, X):
+    """Riemannian Newton steps for a log objective on the unit sphere, all rows in lockstep.
 
-
-def _polish_on_sphere(value, grad, x, iters=20):
-    """Newton in a tangent chart; Hessian by differencing the chart gradient.
-
-    Degenerate directions (orbits of symmetries) make the Hessian singular;
-    a least-squares solve moves only along the determined directions.  A step
-    is halved up to ten times until the value drops by at most 1e-14
-    relative; when no halving is accepted the polish stops at its current
-    point.
+    Each step is the :func:`_newton_step` of the objective's Euclidean
+    gradients and Hessians with no equation.  It is halved up to ten times
+    until f drops by at most 1e-14 (1 + |f|) below the best value of the row.
+    A row stops when its tangent gradient is below 1e-13, when no halving is
+    accepted, or after a step below 1e-14.  Returns the rows, normalised
+    twice by ``unit_vector``, and their values.
     """
-    x = unit_vector(x)
-    h = 1e-6
-    f0 = float(value(x[None, :])[0])
-    for _ in range(iters):
-        B = _tangent_basis(x)
-        d1 = B.shape[1]
-
-        def chart_grad(xi):
-            y = x + B @ xi
-            ny = np.linalg.norm(y)
-            p = y / ny
-            g = grad(p[None, :])[0]
-            return B.T @ (g - (g @ p) * p) / ny
-
-        g0 = chart_grad(np.zeros(d1))
-        if np.linalg.norm(g0) < 1e-13:
+    X = _normalize_rows(X)
+    top = value(X)
+    live = np.ones(len(X), dtype=bool)
+    for _ in range(_POLISH_ITERS):
+        idx = np.flatnonzero(live)
+        if len(idx) == 0:
             break
-        H = np.empty((d1, d1))
-        for j in range(d1):
-            e = np.zeros(d1)
-            e[j] = h
-            H[:, j] = (chart_grad(e) - chart_grad(-e)) / (2 * h)
-        H = (H + H.T) / 2
-        s, *_ = np.linalg.lstsq(H, -g0, rcond=1e-10)
-        norm_s = np.linalg.norm(s)
-        if norm_s > 0.2:
-            s *= 0.2 / norm_s
-        t = 1.0
-        for _ in range(10):
-            x_new = unit_vector(x + B @ (t * s))
-            f_new = float(value(x_new[None, :])[0])
-            if f_new >= f0 - 1e-14 * (1.0 + abs(f0)):
-                x, f0 = x_new, max(f_new, f0)
+        G, H = grad(X[idx], hessian=True)
+        S, length = _newton_step(X[idx], G, H)
+        stepping = np.linalg.norm(_sphere_tangent(G, X[idx]), axis=1) >= 1e-13
+        pending = stepping.copy()
+        for t in 0.5 ** np.arange(10):
+            if not np.any(pending):
                 break
-            t *= 0.5
-        else:
-            break
-        if norm_s < 1e-14:
-            break
-    return x
+            rows = idx[pending]
+            trial = _normalize_rows(X[rows] + t * S[pending])
+            ft = value(trial)
+            ok = ft >= top[rows] - 1e-14 * (1.0 + np.abs(top[rows]))
+            X[rows[ok]], top[rows[ok]] = trial[ok], np.maximum(top[rows[ok]], ft[ok])
+            pending[np.flatnonzero(pending)[ok]] = False
+        live[idx] = stepping & ~pending & (length >= 1e-14)
+    X = np.array([unit_vector(unit_vector(x)) for x in X])
+    return X, value(X)
 
 
 @dataclass(frozen=True)
@@ -264,21 +252,19 @@ def _dedupe_points(points, tol=1e-7):
 def near_max_on_sphere(value, grad, dim, starts, seed):
     """Multi-start maximization of a log objective on S^(dim-1).
 
-    Seeded starts ascend in lockstep, the best ``max(8, min(32, starts))``
-    are polished by tangent Newton steps, and the (log value, point) pairs
-    within relative ``NEAR_MAX_REL`` of the best polished value are returned
-    in polish order.
+    Seeded starts take ``_ASCENT_ITERS`` iterations of the lockstep ascent,
+    into the basins of the maxima, the best ``max(8, min(32, starts))`` rows
+    are polished in one batch by :func:`_newton_polish`, and the (log value,
+    point) pairs within relative ``NEAR_MAX_REL`` of the best polished value
+    are returned in polish order.
     """
     X = sphere_starts(dim, starts, seed)
-    X, f = _batch_ascent(value, grad, X, _sphere_tangent, _normalize_rows, 160, 0.5, 30)
+    X, f = _batch_ascent(value, grad, X, _sphere_tangent, _normalize_rows, _ASCENT_ITERS, 0.5, 30)
     if np.max(f) <= LOG_FLOOR / 2:
         raise ValueError("the objective vanishes at every start on the unit sphere")
-    order = np.argsort(-f)
-    top = [X[i] for i in order[: max(8, min(32, starts))]]
-    polished = [_polish_on_sphere(value, grad, p) for p in top]
-    logs = [float(value(p[None, :])[0]) for p in polished]
-    best = max(logs)
-    return [(lv, p) for lv, p in zip(logs, polished) if lv >= best + math.log1p(-NEAR_MAX_REL)]
+    X, logs = _newton_polish(value, grad, X[np.argsort(-f)[: max(8, min(32, starts))]])
+    best = np.max(logs)
+    return [(float(lv), p) for lv, p in zip(logs, X) if lv >= best + math.log1p(-NEAR_MAX_REL)]
 
 
 def maximize_abs_on_sphere(poly: MultiPoly, starts=64, seed=0) -> SphereMaxResult:
@@ -388,48 +374,55 @@ def _restore_to_zero_set(poly, grad, Y, steps):
     return Y, v
 
 
-def _zero_set_step(G, H, X, c, Q):
-    """Reduced Newton step that raises f(x) = <c, x> + x'Qx/2 on {|x| = 1, P = 0}, per row.
+def _newton_step(X, q, W, G=None, H=None):
+    """Reduced Newton step that raises f on {|x| = 1}, or on {|x| = 1, P = 0}
+    given P's gradients G and Hessians H, per row.
 
-    ``X`` holds the real coordinates of the rows, ``G`` and ``H`` the
-    gradients and Hessians of P there.  Complex P gives two equations,
+    ``X`` holds the real coordinates of the rows, ``q`` and ``W`` the
+    gradients and Hessians of f there.  Complex P gives two equations,
     Re P = Re(-i P) = 0, with normals conj G and i conj G.  One QR of
     [x, normals, I] gives the least-squares multipliers of
     grad f = nu x + sum lam_i normal_i (by back substitution; a zero pivot
     gives a zero multiplier) and, in its last columns, a basis B of the
-    tangent space of the zero set.  Where the reduced Hessian
-    B'(Q - sum lam_i Hess F_i - nu I)B is negative definite the step is
-    Newton's, elsewhere the tangent gradient B B' grad f; either is capped
-    at length ``_STEP_CAP``.
+    tangent space.  With an equation, where the reduced Hessian
+    B'(W - sum lam_i Hess F_i - nu I)B is negative definite the step is
+    Newton's, elsewhere the tangent gradient B B' q.  With none, the step is
+    Newton's as a least-squares solve takes it: eigenvalues within 1e-10 of
+    the largest in modulus (symmetry orbits, such as the phase orbit in C^d)
+    count as zero.  Returns the steps, capped at length ``_STEP_CAP``, and
+    their lengths before the cap.
     """
     n, D = X.shape
-    units = np.array([1.0, -1j] if np.iscomplexobj(G) else [1.0])
+    units = np.array([] if G is None else [1.0, -1j] if np.iscomplexobj(G) else [1.0])
     m = 1 + len(units)
     eye = np.broadcast_to(np.eye(D), (n, D, D))
-    normals = np.stack([_real(np.conj(u * G)) for u in units], axis=2)
-    U, R = np.linalg.qr(np.concatenate([X[:, :, None], normals, eye], axis=2))
-    q = c + X @ Q
+    normals = [_real(np.conj(u * G))[:, :, None] for u in units]
+    U, R = np.linalg.qr(np.concatenate([X[:, :, None], *normals, eye], axis=2))
     b = np.einsum("nji,nj->ni", U[:, :, :m], q)
     mult = np.zeros((n, m))
     for i in reversed(range(m)):
         rest = b[:, i] - np.einsum("nj,nj->n", R[:, i, i + 1 : m], mult[:, i + 1 :])
         mult[:, i] = np.divide(rest, R[:, i, i], out=np.zeros(n), where=R[:, i, i] != 0.0)
     nu, mu = mult[:, 0], mult[:, 1:] @ units
-    M = mu[:, None, None] * H
-    if np.iscomplexobj(M):  # the Hessian of Re(mu P) in real coordinates, by Cauchy-Riemann
-        M = np.block([[M.real, -M.imag], [-M.imag, -M.real]])
-    W = Q - M - nu[:, None, None] * eye
+    if G is not None:
+        M = mu[:, None, None] * H
+        if np.iscomplexobj(M):  # the Hessian of Re(mu P) in real coordinates, by Cauchy-Riemann
+            M = np.block([[M.real, -M.imag], [-M.imag, -M.real]])
+        W = W - M
     B = U[:, :, m:]
-    Bt = np.swapaxes(B, 1, 2)
     r = np.einsum("nji,nj->ni", B, q)
-    w, V = np.linalg.eigh(Bt @ W @ B)
-    newton = np.all(w < 0.0, axis=1)
-    w = np.where(newton[:, None], w, -1.0)
-    coef = np.einsum("nji,nj->ni", V, r) / w
-    s = np.where(newton[:, None], -np.einsum("nij,nj->ni", V, coef), r)
+    w, V = np.linalg.eigh(np.swapaxes(B, 1, 2) @ (W - nu[:, None, None] * eye) @ B)
+    coef = np.einsum("nji,nj->ni", V, r)
+    if G is None:
+        null = np.abs(w) <= 1e-10 * np.max(np.abs(w), axis=1, keepdims=True)
+        s = -np.einsum("nij,nj->ni", V, np.divide(coef, w, out=np.zeros_like(w), where=~null))
+    else:
+        newton = np.all(w < 0.0, axis=1)
+        coef = coef / np.where(newton[:, None], w, -1.0)
+        s = np.where(newton[:, None], -np.einsum("nij,nj->ni", V, coef), r)
     S = np.einsum("nij,nj->ni", B, s)
     norm = np.linalg.norm(S, axis=1)
-    return S * (_STEP_CAP / np.maximum(norm, _STEP_CAP))[:, None]
+    return S * (_STEP_CAP / np.maximum(norm, _STEP_CAP))[:, None], norm
 
 
 def _zero_distance_search(poly, c, seed, Q=None):
@@ -475,7 +468,8 @@ def _zero_distance_search(poly, c, seed, Q=None):
         idx = np.flatnonzero(live)
         Zi, vi = Z[idx], v[idx]
         on = np.abs(vi) <= tol
-        S = native(_zero_set_step(grad(Zi), poly._hessian(Zi), _real(Zi), c, Q))
+        Xi = _real(Zi)
+        S = native(_newton_step(Xi, c + Xi @ Q, Q, grad(Zi), poly._hessian(Zi))[0])
         S = np.where(on[:, None], shrink[idx, None] * S, 0.0)
         Y, vy = _restore_to_zero_set(poly, grad, _normalize_rows(Zi + S), _RESTORE_STEPS)
         fy = objective(Y)

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the code paths under test: zeros come
 from dense grids and bisection instead of companion matrices, gradients from
 finite differences, products from naive term-by-term loops, tails from
-truncated infinite products with an analytic remainder estimate, and
-distances to zero sets from serial SLSQP solves, one per seed.
+truncated infinite products with an analytic remainder estimate,
+distances to zero sets from serial SLSQP solves, one per seed, and maxima on
+the sphere from a per-point Newton polish whose Hessian differences the
+gradient.
 """
 
 import math
@@ -14,7 +16,7 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import zeta
 from scipy.stats import qmc
 
-from zerogap.sphereopt import sphere_starts
+from zerogap.sphereopt import sphere_starts, unit_vector
 
 TWO_PI = 2.0 * math.pi
 
@@ -214,3 +216,64 @@ def slsqp_complex_zero_distance(poly, p, seeds=48, seed=0):
         if dist < best:
             best, best_zero = dist, z
     return best, best_zero
+
+
+def tangent_basis(x):
+    """Orthonormal basis of the tangent space at the unit vector x, by one QR."""
+    d = len(x)
+    k = int(np.argmax(np.abs(x)))
+    cols = [x] + [np.eye(d)[:, j] for j in range(d) if j != k]
+    q, _ = np.linalg.qr(np.column_stack(cols))
+    return q[:, 1:]
+
+
+def polish_on_sphere(value, grad, x, iters=20):
+    """Newton in a tangent chart, one point at a time; Hessian by differencing
+    the chart gradient.
+
+    Degenerate directions (orbits of symmetries) make the Hessian singular;
+    a least-squares solve moves only along the determined directions.  A step
+    is halved up to ten times until the value drops by at most 1e-14
+    relative; when no halving is accepted the polish stops at its current
+    point.
+    """
+    x = unit_vector(x)
+    h = 1e-6
+    f0 = float(value(x[None, :])[0])
+    for _ in range(iters):
+        B = tangent_basis(x)
+        d1 = B.shape[1]
+
+        def chart_grad(xi):
+            y = x + B @ xi
+            ny = np.linalg.norm(y)
+            p = y / ny
+            g = grad(p[None, :])[0]
+            return B.T @ (g - (g @ p) * p) / ny
+
+        g0 = chart_grad(np.zeros(d1))
+        if np.linalg.norm(g0) < 1e-13:
+            break
+        H = np.empty((d1, d1))
+        for j in range(d1):
+            e = np.zeros(d1)
+            e[j] = h
+            H[:, j] = (chart_grad(e) - chart_grad(-e)) / (2 * h)
+        H = (H + H.T) / 2
+        s, *_ = np.linalg.lstsq(H, -g0, rcond=1e-10)
+        norm_s = np.linalg.norm(s)
+        if norm_s > 0.2:
+            s *= 0.2 / norm_s
+        t = 1.0
+        for _ in range(10):
+            x_new = unit_vector(x + B @ (t * s))
+            f_new = float(value(x_new[None, :])[0])
+            if f_new >= f0 - 1e-14 * (1.0 + abs(f0)):
+                x, f0 = x_new, max(f_new, f0)
+                break
+            t *= 0.5
+        else:
+            break
+        if norm_s < 1e-14:
+            break
+    return x

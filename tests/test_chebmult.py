@@ -6,7 +6,9 @@ from scipy.optimize import brentq
 
 from zerogap.chebmult import (
     ChebMultiplier,
+    _WINDOW,
     ball_multiplier,
+    ball_multiplier_log_slope,
     cheb_eval,
     cheb_positive_zeros,
     cheb_tail_product,
@@ -172,6 +174,56 @@ class TestBallMultiplier:
         target = 1 + 1 / n
         root = brentq(lambda x: ball_multiplier(n, x), target - 1e-3, target + 1e-3, xtol=1e-14)
         assert abs(root - target) < 1e-9
+
+
+def mp_log_slope(mpmath, n, x):
+    """d/dx log|M(x)| by a central difference of step 1e-20 at 60 digits,
+    from the closed form of the tail (cos u or sin u / u over its cancelled
+    factors) at u = n pi x / 2."""
+
+    def log_abs_tail(t):
+        u = n * mpmath.pi * t / 2
+        if n % 2 == 0:
+            num, cancelled = mpmath.cos(u), [(2 * i - 1) * mpmath.pi / 2 for i in range(1, n // 2 + 1)]
+        else:
+            num, cancelled = mpmath.sin(u) / u, [i * mpmath.pi for i in range(1, (n - 1) // 2 + 1)]
+        for x0 in cancelled:
+            num /= 1 - (u / x0) ** 2
+        return mpmath.log(abs(num))
+
+    with mpmath.workdps(60):
+        x, h = mpmath.mpf(x), mpmath.mpf("1e-20")
+        return float((log_abs_tail(x + h) - log_abs_tail(x - h)) / (2 * h))
+
+
+class TestMultiplierLogSlope:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_high_precision_differences(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        grid = np.linspace(-1.0, 1.0, 41)
+        xs = list(grid[grid != 0.0])
+        # every cancelled pole k pi / 2 of the tail sits at x = k / n, and so
+        # does the removable point 0 of sin u / u for odd n: points inside its
+        # window (relative positions within +-1) and just outside it
+        halves = range(1, n, 2) if n % 2 == 0 else range(0, n, 2)
+        half_width = _WINDOW * 2 / (n * math.pi)
+        for k in halves:
+            for pos in (-1.5, -1.001, -0.999, -0.5, -1e-3, 0.0, 1e-6, 0.3, 0.999, 1.001, 3.0):
+                if k or pos:
+                    xs.append(k / n + pos * half_width)
+        for x in xs:
+            ref = mp_log_slope(mpmath, n, x)
+            assert abs(ball_multiplier_log_slope(n, x) - ref) <= 1e-11 * max(1.0, abs(ref)), x
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_odd_and_batched(self, n):
+        xs = np.linspace(0.0, 1.0, 1001)
+        slope = ball_multiplier_log_slope(n, xs)
+        assert np.array_equal(ball_multiplier_log_slope(n, -xs), -slope)
+        assert slope[0] == 0.0
+        assert all(ball_multiplier_log_slope(n, float(x)) == s for x, s in zip(xs[::97], slope[::97]))
+        # M falls from 1 at the centre towards its first zero at 1 + 1/n
+        assert np.all(slope[1:] < 0.0)
 
 
 class TestMultiplierDescriptor:

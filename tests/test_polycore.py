@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from zerogap.complexproj import ComplexHomogPoly
 from zerogap.polycore import (
     AffineForm,
     CirclePlane,
     MultiPoly,
+    _term_jet,
     product_of_affine_forms,
     restrict_to_circle,
 )
@@ -152,6 +154,24 @@ class TestTermTables:
             fd = np.column_stack([p.gradient(x + h * e) - p.gradient(x - h * e) for e in np.eye(d)]) / (2 * h)
             assert np.allclose(H[i], fd, rtol=1e-7, atol=1e-7 * max(1.0, np.abs(H[i]).max()))
             assert p._hessian(x).tobytes() == p._hessian(X[i : i + 1])[0].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_one_power_table_gives_each_part_alone(self, d):
+        # P, grad P and Hess P from one power table are what each part
+        # computes alone, for real and complex coefficients
+        rng = np.random.default_rng(60 + d)
+        real = random_dense_poly(rng, d, n_terms=15)
+        cubic = [e for e in np.ndindex(*(4,) * d) if sum(e) == 3]
+        cplx = ComplexHomogPoly(d, {e: complex(*rng.standard_normal(2)) for e in cubic})
+        X = rng.uniform(-1.5, 1.5, size=(9, d))
+        Z = X + 1j * rng.uniform(-1.5, 1.5, size=(9, d))
+        for poly, rows in ((real, X), (cplx, Z)):
+            v, G, H = _term_jet(poly, rows, "vgh")
+            assert v.tobytes() == _term_jet(poly, rows, "v")[0].tobytes() == poly.eval(rows).tobytes()
+            assert G.tobytes() == _term_jet(poly, rows, "g")[1].tobytes()
+            assert H.tobytes() == _term_jet(poly, rows, "h")[2].tobytes() == poly._hessian(rows).tobytes()
+            assert _term_jet(poly, rows, "vg")[2] is None and _term_jet(poly, rows, "g")[0] is None
+        assert _term_jet(real, X, "g")[1].tobytes() == loop_gradient(real, X).tobytes()
 
     def test_hessian_of_quadric_is_constant(self):
         a = np.array([[1.0, 0.3, -0.2], [0.3, -0.5, 0.4], [-0.2, 0.4, 0.7]])

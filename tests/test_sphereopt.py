@@ -15,7 +15,7 @@ from zerogap.sphereopt import (
     _log_abs_objective,
     _nearest_slice_point,
     _normalize_rows,
-    _polish_on_sphere,
+    _newton_polish,
     _sphere_tangent,
     angular_distance_to_zero_set,
     maximize_abs_on_sphere,
@@ -315,7 +315,12 @@ class TestStarts:
         assert np.array_equal(small, big[:8])
 
 
-# the ascent settings of near_max_on_sphere and of ballfinder.multiplier_point
+# the ascent settings of near_max_on_sphere (NEAR_MAX: a short ascent that
+# hands its best rows to the Newton polish) and of ballfinder.multiplier_point
+# (BALL); SPHERE runs the sphere ascent for 160 iterations, as
+# near_max_on_sphere did before its polish was exact, which takes most rows
+# to where the gain floor stops them
+NEAR_MAX = (_sphere_tangent, _normalize_rows, sphereopt._ASCENT_ITERS, 0.5, 30)
 SPHERE = (_sphere_tangent, _normalize_rows, 160, 0.5, 30)
 BALL = (lambda G, X: G, ballfinder._clip_to_ball, 200, 0.25, 25)
 
@@ -434,6 +439,12 @@ class TestBatchAscentMatchesLoop:
 
     def test_weighted_c2_objective(self):
         assert_ascent_matches_loop(*ASCENT_CASES["c2-6"]())
+
+    @pytest.mark.parametrize("name", sorted(n for n in ASCENT_CASES if not n.startswith("multiplier")))
+    def test_near_max_setting(self, name):
+        # the short ascent of near_max_on_sphere, which stops rows still moving
+        value, grad, X, _ = ASCENT_CASES[name]()
+        assert_ascent_matches_loop(value, grad, X, NEAR_MAX)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_critical_and_zero_set_starts(self):
@@ -592,7 +603,8 @@ class TestPolishOnSphere:
     @pytest.mark.parametrize("k", range(4))
     def test_never_ends_below_its_start(self, k):
         # random starts and starts 1e-3 to 1e-9 off the zero set, where log|P|
-        # is near its minima; the polish's start is the start renormalised
+        # is near its minima, polished in one lockstep batch; each row's start
+        # is the start renormalised
         rng = np.random.default_rng(k)
         d = 3 + k % 3
         poly, forms = random_form_product(rng, d, k + 1, max_offset=0.8)
@@ -602,9 +614,9 @@ class TestPolishOnSphere:
             starts += [unit_vector(zero + eps * rng.standard_normal(d)) for eps in (1e-3, 1e-6, 1e-9)]
         for P in (poly, MultiPoly(d, dict(poly.terms)), dense_poly(rng, d, 3)):
             value, grad = _log_abs_objective(P)
-            for x0 in starts:
+            X, _ = _newton_polish(value, grad, np.array(starts))
+            for x0, x in zip(starts, X):
                 f0 = value(unit_vector(x0)[None, :])[0]
-                x = _polish_on_sphere(value, grad, x0)
                 assert abs(np.linalg.norm(x) - 1.0) <= 1e-15
                 # a Newton step is kept when it drops the value by at most
                 # 1e-14 relative (rounding at a maximum)
