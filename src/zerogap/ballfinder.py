@@ -5,7 +5,10 @@ and keeps the smaller-norm component: that point is at least 1/(8 deg P)
 from the zero set.  The multiplier method maximizes |P(x) M(|x|)| over the
 ball, where M is the even analytic multiplier of matching degree parameter;
 a best-of-pool maximizer is at least 1/deg P away.  The multiplier never
-vanishes inside the ball, so it adds no zeros to dodge.
+vanishes inside the ball, so it adds no zeros to dodge.  Its maximizers come
+from a short seeded ascent in the ball whose best rows are polished by the
+lockstep Newton steps of ``sphereopt``, with the exact Hessian of
+log|P(x) M(|x|)|.
 
 Distances to Z(P) are taken in R^d: in closed form for tagged products, by
 root isolation in one variable, and otherwise by the lockstep Newton search
@@ -25,16 +28,27 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize  # noqa: F401  unused; bench/tracing.py wraps ballfinder.minimize
-from scipy.optimize import minimize_scalar
 from scipy.stats import qmc
 
-from .chebmult import ball_multiplier, ball_multiplier_log_slope, cheb_positive_zeros, check_orders
+from .chebmult import (
+    ball_multiplier,
+    ball_multiplier_log_curvature,
+    ball_multiplier_log_slope,
+    cheb_positive_zeros,
+    check_orders,
+)
 from .polycore import AffineForm, MultiPoly
 from .sphereopt import (
+    _ASCENT_ITERS,
+    _STEP_CAP,
     LOG_FLOOR,
     NEAR_MAX_REL,
     _batch_ascent,
+    _dedupe_points,
     _log_abs_objective,
+    _newton_polish,
+    _newton_step,
+    _sphere_tangent,
     _zero_distance_search,
     angular_distance_to_zero_set,
     maximize_abs_on_sphere,
@@ -210,7 +224,8 @@ def pair_point(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> PairCertificate:
 
 
 def _multiplier_objective(poly: MultiPoly):
-    """(value, grad) of log|P(x)| + log|M(|x|)| on row batches in the ball."""
+    """(value, grad) of log|P(x)| + log|M(|x|)| on row batches in the ball;
+    ``grad(X, True)`` also returns the Hessians, from the same evaluation of P."""
     n = poly.degree
     poly_log, poly_grad = _log_abs_objective(poly)
 
@@ -219,11 +234,46 @@ def _multiplier_objective(poly: MultiPoly):
         with np.errstate(divide="ignore"):
             return poly_log(X) + np.where(g != 0.0, np.log(np.abs(g)), LOG_FLOOR)
 
-    def grad(X):
+    def grad(X, hessian=False):
         r = np.linalg.norm(X, axis=1)
-        return poly_grad(X) + (ball_multiplier_log_slope(n, r) / np.maximum(r, 1e-12))[:, None] * X
+        slope = ball_multiplier_log_slope(n, r) / np.maximum(r, 1e-12)
+        if not hessian:
+            return poly_grad(X) + slope[:, None] * X
+        G, H = poly_grad(X, hessian=True)
+        # log|M(r)| has Hessian l''(r) uu' + (l'(r)/r)(I - uu') with u = x/r,
+        # and l''(0) I at the centre, where u is read as 0
+        curv = ball_multiplier_log_curvature(n, r)
+        tangential = np.where(r > 0.0, slope, curv)
+        u = X / np.where(r > 0.0, r, 1.0)[:, None]
+        H = H + tangential[:, None, None] * np.eye(X.shape[1])
+        H += (curv - tangential)[:, None, None] * u[:, :, None] * u[:, None, :]
+        return G + slope[:, None] * X, H
 
     return value, grad
+
+
+def _ball_newton(X, G, H):
+    """The polish step in the ball, per row.
+
+    A row on |x| = 1 whose gradient points out of the ball takes the
+    :func:`_newton_step` of the sphere.  Any other row takes Newton's step in
+    R^d where its Hessian is negative definite and its gradient step
+    elsewhere, capped at length ``_STEP_CAP``.  Returns the steps, their
+    lengths before the cap and the norms of the gradients they follow (on
+    the sphere, the tangent gradients).
+    """
+    rim = (np.linalg.norm(X, axis=1) >= 1.0 - 1e-12) & (np.sum(G * X, axis=1) > 0.0)
+    w, V = np.linalg.eigh(H)
+    newton = np.all(w < 0.0, axis=1)
+    coef = np.einsum("nji,nj->ni", V, G) / np.where(newton[:, None], w, 1.0)
+    S = np.where(newton[:, None], -np.einsum("nij,nj->ni", V, coef), G)
+    length = np.linalg.norm(S, axis=1)
+    S *= (_STEP_CAP / np.maximum(length, _STEP_CAP))[:, None]
+    # S^0 has no tangent directions: on the rim of [-1, 1] the tangent
+    # gradient is 0 and the row stops
+    if np.any(rim) and X.shape[1] > 1:
+        S[rim], length[rim] = _newton_step(X[rim], G[rim], H[rim])
+    return S, length, np.linalg.norm(np.where(rim[:, None], _sphere_tangent(G, X), G), axis=1)
 
 
 def _ball_starts(d, count, seed):
@@ -234,55 +284,51 @@ def _ball_starts(d, count, seed):
     return np.vstack([interior, dirs * 0.999])
 
 
-def _multiplier_point_1d(poly, value):
-    """Dense scan plus bounded refinement; one dimension only."""
-    n = max(poly.degree, 1)
-    grid = np.linspace(-1.0, 1.0, 4096 * n + 1)
-    vals = value(grid[:, None])
-    cands = [np.array([-1.0]), np.array([1.0])]
-    interior = np.flatnonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1
-    for i in interior:
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-        res = minimize_scalar(
-            lambda t: -value(np.array([[t]]))[0],
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-13},
-        )
-        cands.append(np.array([float(res.x)]))
-    return cands
+def _multiplier_pool(poly, seed, starts):
+    """The near-maximal pool of |P(x) M(|x|)| over the ball, in value order.
+
+    The candidates are the best ``max(8, min(24, starts))`` rows of
+    ``_ASCENT_ITERS`` iterations of the seeded ascent in the ball (in one
+    dimension, the interior local maxima of a dense grid), polished in one
+    batch by :func:`_newton_polish` with the step of :func:`_ball_newton`,
+    and in one dimension the two ends of [-1, 1].  Those within relative
+    ``NEAR_MAX_REL`` of the best value are kept, in decreasing value, each
+    unless it lies within 1e-7 of one kept before it.
+    """
+    value, grad = _multiplier_objective(poly)
+    if poly.dim == 1:
+        grid = np.linspace(-1.0, 1.0, 4096 * poly.degree + 1)
+        vals = value(grid[:, None])
+        interior = np.flatnonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1
+        X, ends = grid[interior][:, None], np.array([[-1.0], [1.0]])
+    else:
+        X = _ball_starts(poly.dim, starts, seed)
+        X, f = _batch_ascent(value, grad, X, lambda G, X: G, _clip_to_ball, _ASCENT_ITERS, 0.25, 25)
+        X, ends = X[np.argsort(-f)[: max(8, min(24, starts))]], np.empty((0, poly.dim))
+    X = np.vstack([ends, _newton_polish(value, grad, X, _ball_newton, _clip_to_ball)])
+    logs = value(X)
+    best = np.max(logs)
+    if best <= LOG_FLOOR / 2:
+        raise ValueError("objective vanished at every candidate")
+    order = sorted(range(len(X)), key=lambda i: (-logs[i], tuple(X[i])))
+    return _dedupe_points([X[i] for i in order if logs[i] >= best + math.log1p(-NEAR_MAX_REL)])
 
 
 def multiplier_point(poly: MultiPoly, seed=0, starts=64):
     """Point of B^d maximizing |P(x) M(|x|)|, tie-broken by zero-set distance.
 
-    Returns (point, distance).  In two or more dimensions the candidates are
-    the best rows of the seeded batched ascent in the ball as they stand,
-    unpolished; the distance is measured from the returned point itself.
-    Among candidates within relative 1e-9 of the best value, the one farthest
-    from Z(P) is returned, matching the existential form of the guarantee.
+    Returns (point, distance).  The candidates are Newton-polished maxima of
+    the multiplier objective, and the distance is measured from the returned
+    point itself.  Each point of the near-maximal pool of
+    :func:`_multiplier_pool` (within relative 1e-9 of the best value,
+    near-copies measured once) is measured, and the one farthest from Z(P)
+    is returned, matching the existential form of the guarantee.
     """
-    n = poly.degree
-    if n < 1:
+    if poly.degree < 1:
         raise ValueError("degree must be at least 1")
-    d = poly.dim
-    value, grad = _multiplier_objective(poly)
-
-    if d == 1:
-        cands = _multiplier_point_1d(poly, value)
-    else:
-        X = _ball_starts(d, starts, seed)
-        X, f = _batch_ascent(value, grad, X, lambda G, X: G, _clip_to_ball, 200, 0.25, 25)
-        cands = [X[i] for i in np.argsort(-f)[: max(8, min(24, starts))]]
-
-    logs = [float(value(np.atleast_2d(c))[0]) for c in cands]
-    best = max(logs)
-    if best <= LOG_FLOOR / 2:
-        raise ValueError("objective vanished at every candidate")
-    pool = [c for lv, c in zip(logs, cands) if lv >= best + math.log1p(-NEAR_MAX_REL)]
-    scored = [(euclidean_zero_distance(poly, c, seed=seed)[0], c) for c in pool]
+    scored = [(euclidean_zero_distance(poly, c, seed=seed)[0], c) for c in _multiplier_pool(poly, seed, starts)]
     dist, point = max(scored, key=lambda t: t[0])
-    return np.atleast_1d(point), float(dist)
+    return point, float(dist)
 
 
 @dataclass(frozen=True)

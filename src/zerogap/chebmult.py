@@ -28,10 +28,15 @@ __all__ = [
     "trig_tail_product",
     "ball_multiplier",
     "ball_multiplier_log_slope",
+    "ball_multiplier_log_curvature",
     "convergence_report",
 ]
 
 _WINDOW = 1e-3
+# the log curvature's series window: outside it the two parts of size 1/e^2
+# cancel to within 2 eps / e^2, inside it the series' first omitted term is
+# below 3e-15
+_CURVATURE_WINDOW = 0.1
 # pi/2 as a 33-bit head plus a tail (fdlibm's pio2_1, pio2_1t): k * head is
 # exact for k < 2^20, so u - k pi/2 is found to twice the working precision
 _PIO2_HEAD, _PIO2_TAIL = 1.57079632673412561417e00, 6.07710050650619224932e-11
@@ -147,6 +152,12 @@ def _cot_series(u):
     return -u / 3 * (1 + u2 / 15 * (1 + 2 * u2 / 21 * (1 + u2 / 10 * (1 + 10 * u2 / 99))))
 
 
+def _cot_series_slope(u):
+    """1/u^2 - csc^2 u for small u, the derivative of :func:`_cot_series`."""
+    u2 = u * u
+    return -1 / 3 * (1 + u2 / 5 * (1 + 10 * u2 / 63 * (1 + 7 * u2 / 50 * (1 + 10 * u2 / 77))))
+
+
 def ball_multiplier_log_slope(n, x):
     """d/dx log|ball_multiplier(n, x)| in closed form, odd in x.
 
@@ -170,6 +181,31 @@ def ball_multiplier_log_slope(n, x):
         slope += np.where(win, _cot_series(e), -1.0 / np.where(win, 1.0, e)) - 1.0 / (U + k * math.pi / 2)
         trig[win] = 0.0
     out = np.sign(np.atleast_1d(x)) * (n * math.pi / 2.0) * (slope + trig)
+    return float(out[0]) if x.ndim == 0 else out
+
+
+def ball_multiplier_log_curvature(n, x):
+    """d^2/dx^2 log|ball_multiplier(n, x)| in closed form, even in x.
+
+    The derivative of :func:`ball_multiplier_log_slope`, part by part: at
+    u = n pi |x| / 2, -sec^2 u (n even) or 1/u^2 - csc^2 u (n odd), plus
+    1/(u - x0)^2 + 1/(u + x0)^2 per cancelled x0, times (n pi / 2)^2.  Within
+    ``_CURVATURE_WINDOW`` of x0 (and of 0 for odd n) the pair of the trig
+    part and the pole's 1/e^2, e = u - x0, is 1/e^2 - csc^2 e, taken from its
+    series, the derivative of the series of cot e - 1/e that the slope uses.
+    """
+    x = np.asarray(x, dtype=float)
+    U = n * math.pi * np.abs(np.atleast_1d(x)) / 2.0
+    small = (U < _CURVATURE_WINDOW) & (n % 2 == 1)
+    safe = np.where(small, 1.0, U)
+    trig = np.where(small, 0.0, -1.0 / np.sin(safe) ** 2 if n % 2 else -1.0 / np.cos(U) ** 2)
+    curv = np.where(small, _cot_series_slope(U), 1.0 / safe**2) if n % 2 else np.zeros_like(U)
+    for k in _cancelled_halves(n):
+        e = (U - k * _PIO2_HEAD) - k * _PIO2_TAIL
+        win = np.abs(e) < _CURVATURE_WINDOW
+        curv += np.where(win, _cot_series_slope(e), np.where(win, 1.0, e) ** -2.0) + (U + k * math.pi / 2) ** -2.0
+        trig[win] = 0.0
+    out = (n * math.pi / 2.0) ** 2 * (curv + trig)
     return float(out[0]) if x.ndim == 0 else out
 
 

@@ -6,12 +6,13 @@ the maxima, then polishes the leading rows in one batch by Riemannian Newton
 steps (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
 Manifolds, 2008) from the exact gradients and Hessians that the objective
 gives with one evaluation of P.  The same engine serves the sphere of C^d
-(``complexproj``), and its ascent loop, given the identity projection and a
-clip to the ball, serves the multiplier search (``ballfinder``), whose
-candidates are the best ascent rows as they stand: only points on a sphere
-are polished.  In two dimensions no search is needed: the restriction to the
-circle is a trigonometric polynomial whose critical points are found exactly,
-so results there are certified by root isolation rather than iteration.
+(``complexproj``), and the multiplier search in the ball (``ballfinder``):
+there the ascent takes the identity for the tangent projection and a clip to
+the ball for the retraction, and the polish takes Newton's step in R^d inside
+the ball and the sphere's step on its rim.  In two dimensions no search is
+needed: the restriction to the circle is a trigonometric polynomial whose
+critical points are found exactly, so results there are certified by root
+isolation rather than iteration.
 
 Angular distances to zero sets are exact (closed form) for products of
 affine forms and for any polynomial in two variables.  For other polynomials
@@ -198,39 +199,43 @@ def _batch_ascent(value, grad, X, tangent, retract, iters, step0, backtracks):
     return X, f
 
 
-def _newton_polish(value, grad, X):
-    """Riemannian Newton steps for a log objective on the unit sphere, all rows in lockstep.
+def _newton_polish(value, grad, X, step, retract):
+    """Newton steps for a log objective on the unit sphere or in the unit ball, all rows in lockstep.
 
-    Each step is the :func:`_newton_step` of the objective's Euclidean
-    gradients and Hessians with no equation.  It is halved up to ten times
-    until f drops by at most 1e-14 (1 + |f|) below the best value of the row.
-    A row stops when its tangent gradient is below 1e-13, when no halving is
-    accepted, or after a step below 1e-14.  Returns the rows, normalised
-    twice by ``unit_vector``, and their values.
+    ``step(X, G, H)`` turns the objective's Euclidean gradients and Hessians
+    into (steps, their lengths before the cap, the norms of the gradients
+    they follow), and ``retract`` maps trial rows back onto the sphere or
+    into the ball, as in :func:`_batch_ascent`.  A step is halved up to ten times until f
+    drops by at most 1e-14 (1 + |f|) below the best value of the row.  A row
+    stops when its gradient norm is below 1e-13, when no halving is
+    accepted, or after a step below 1e-14.  Returns the rows.
     """
-    X = _normalize_rows(X)
+    X = retract(X)
     top = value(X)
     live = np.ones(len(X), dtype=bool)
     for _ in range(_POLISH_ITERS):
         idx = np.flatnonzero(live)
         if len(idx) == 0:
             break
-        G, H = grad(X[idx], hessian=True)
-        S, length = _newton_step(X[idx], G, H)
-        stepping = np.linalg.norm(_sphere_tangent(G, X[idx]), axis=1) >= 1e-13
+        S, length, gnorm = step(X[idx], *grad(X[idx], hessian=True))
+        stepping = gnorm >= 1e-13
         pending = stepping.copy()
         for t in 0.5 ** np.arange(10):
             if not np.any(pending):
                 break
             rows = idx[pending]
-            trial = _normalize_rows(X[rows] + t * S[pending])
+            trial = retract(X[rows] + t * S[pending])
             ft = value(trial)
             ok = ft >= top[rows] - 1e-14 * (1.0 + np.abs(top[rows]))
             X[rows[ok]], top[rows[ok]] = trial[ok], np.maximum(top[rows[ok]], ft[ok])
             pending[np.flatnonzero(pending)[ok]] = False
         live[idx] = stepping & ~pending & (length >= 1e-14)
-    X = np.array([unit_vector(unit_vector(x)) for x in X])
-    return X, value(X)
+    return X
+
+
+def _sphere_newton(X, G, H):
+    """The polish step on the unit sphere: :func:`_newton_step` with no equation."""
+    return *_newton_step(X, G, H), np.linalg.norm(_sphere_tangent(G, X), axis=1)
 
 
 @dataclass(frozen=True)
@@ -254,15 +259,17 @@ def near_max_on_sphere(value, grad, dim, starts, seed):
 
     Seeded starts take ``_ASCENT_ITERS`` iterations of the lockstep ascent,
     into the basins of the maxima, the best ``max(8, min(32, starts))`` rows
-    are polished in one batch by :func:`_newton_polish`, and the (log value,
-    point) pairs within relative ``NEAR_MAX_REL`` of the best polished value
-    are returned in polish order.
+    are polished in one batch by :func:`_newton_polish` and normalised twice
+    by ``unit_vector``, and the (log value, point) pairs within relative
+    ``NEAR_MAX_REL`` of the best polished value are returned in polish order.
     """
     X = sphere_starts(dim, starts, seed)
     X, f = _batch_ascent(value, grad, X, _sphere_tangent, _normalize_rows, _ASCENT_ITERS, 0.5, 30)
     if np.max(f) <= LOG_FLOOR / 2:
         raise ValueError("the objective vanishes at every start on the unit sphere")
-    X, logs = _newton_polish(value, grad, X[np.argsort(-f)[: max(8, min(32, starts))]])
+    X = _newton_polish(value, grad, X[np.argsort(-f)[: max(8, min(32, starts))]], _sphere_newton, _normalize_rows)
+    X = np.array([unit_vector(unit_vector(x)) for x in X])
+    logs = value(X)
     best = np.max(logs)
     return [(float(lv), p) for lv, p in zip(logs, X) if lv >= best + math.log1p(-NEAR_MAX_REL)]
 

@@ -4,9 +4,9 @@ Everything here deliberately avoids the code paths under test: zeros come
 from dense grids and bisection instead of companion matrices, gradients from
 finite differences, products from naive term-by-term loops, tails from
 truncated infinite products with an analytic remainder estimate,
-distances to zero sets from serial SLSQP solves, one per seed, and maxima on
+distances to zero sets from serial SLSQP solves, one per seed, maxima on
 the sphere from a per-point Newton polish whose Hessian differences the
-gradient.
+gradient, and maxima in the ball from a long ascent with no polish.
 """
 
 import math
@@ -16,7 +16,8 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import zeta
 from scipy.stats import qmc
 
-from zerogap.sphereopt import sphere_starts, unit_vector
+from zerogap.ballfinder import _clip_to_ball
+from zerogap.sphereopt import _batch_ascent, sphere_starts, unit_vector
 
 TWO_PI = 2.0 * math.pi
 
@@ -277,3 +278,14 @@ def polish_on_sphere(value, grad, x, iters=20):
         if norm_s < 1e-14:
             break
     return x
+
+
+def ball_ascent_pool(value, grad, X, keep):
+    """The near-maximal pool of a log objective over the ball as the multiplier
+    search took it before its Newton polish: the best ``keep`` rows of 200
+    iterations of the ascent in the ball from the starts X, unpolished, that
+    lie within relative 1e-9 of the best value of those rows."""
+    X, f = _batch_ascent(value, grad, X, lambda G, X: G, _clip_to_ball, 200, 0.25, 25)
+    X = X[np.argsort(-f)[:keep]]
+    logs = value(X)
+    return X[logs >= np.max(logs) + math.log1p(-1e-9)]

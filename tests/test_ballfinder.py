@@ -163,7 +163,7 @@ class TestMultiplierPoint:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_tagged_products_take_no_slsqp_solve(self, d, monkeypatch):
-        # the candidates are the ascent's rows and tagged distances are closed form
+        # the candidates are polished by Newton steps and tagged distances are closed form
         def forbidden(*args, **kwargs):
             raise AssertionError("multiplier_point called scipy.optimize.minimize")
 
@@ -175,6 +175,35 @@ class TestMultiplierPoint:
             assert np.linalg.norm(point) <= 1.0
             assert dist == min(abs(float(f.normal @ point) - f.offset) for f in forms)
             assert dist >= 1 / m - 1e-6
+
+    @pytest.mark.parametrize(
+        "poly, maxima",
+        [
+            (MultiPoly(2, {(1, 0): 1.0}), 2),
+            (MultiPoly(3, {(1, 0, 0): 1.0}), 2),
+            (MultiPoly(2, {(1, 1): 1.0}), 4),
+            (MultiPoly(3, {(1, 1, 1): 1.0}), 8),
+            (MultiPoly(3, {(2, 0, 0): 1.0, (0, 2, 0): -0.5, (0, 0, 0): -0.1}), 2),
+        ],
+        ids=["x1-d2", "x1-d3", "xy", "xyz", "quadric"],
+    )
+    def test_each_maximizer_measured_once(self, poly, maxima, monkeypatch):
+        # untagged input takes a lockstep zero search per distance: the
+        # polished rows that end on one of the objective's maxima (+-e1,
+        # (+-a, +-a), (+-b, +-b, +-b), +-c e1) are measured once
+        calls = []
+        original = ballfinder.euclidean_zero_distance
+
+        def counted(poly, p, seed=0):
+            calls.append(np.array(p))
+            return original(poly, p, seed=seed)
+
+        monkeypatch.setattr(ballfinder, "euclidean_zero_distance", counted)
+        point, dist = multiplier_point(poly, seed=1)
+        assert min(np.linalg.norm(p - q) for i, p in enumerate(calls) for q in calls[:i]) > 1e-3
+        assert 2 <= len(calls) <= maxima
+        assert any(c.tobytes() == point.tobytes() for c in calls)
+        assert dist == original(poly, point, seed=1)[0]
 
 
 class TestLiftedDiagnostics:

@@ -6,8 +6,10 @@ from scipy.optimize import brentq
 
 from zerogap.chebmult import (
     ChebMultiplier,
+    _CURVATURE_WINDOW,
     _WINDOW,
     ball_multiplier,
+    ball_multiplier_log_curvature,
     ball_multiplier_log_slope,
     cheb_eval,
     cheb_positive_zeros,
@@ -176,10 +178,10 @@ class TestBallMultiplier:
         assert abs(root - target) < 1e-9
 
 
-def mp_log_slope(mpmath, n, x):
-    """d/dx log|M(x)| by a central difference of step 1e-20 at 60 digits,
-    from the closed form of the tail (cos u or sin u / u over its cancelled
-    factors) at u = n pi x / 2."""
+def mp_slope(mpmath, n):
+    """d/dx log|M(x)| by a central difference of step 1e-20, in mpmath
+    numbers, from the closed form of the tail (cos u or sin u / u over its
+    cancelled factors) at u = n pi x / 2."""
 
     def log_abs_tail(t):
         u = n * mpmath.pi * t / 2
@@ -191,9 +193,37 @@ def mp_log_slope(mpmath, n, x):
             num /= 1 - (u / x0) ** 2
         return mpmath.log(abs(num))
 
+    h = mpmath.mpf("1e-20")
+    return lambda t: (log_abs_tail(t + h) - log_abs_tail(t - h)) / (2 * h)
+
+
+def mp_log_slope(mpmath, n, x):
+    """d/dx log|M(x)| at 60 digits (:func:`mp_slope`)."""
     with mpmath.workdps(60):
-        x, h = mpmath.mpf(x), mpmath.mpf("1e-20")
-        return float((log_abs_tail(x + h) - log_abs_tail(x - h)) / (2 * h))
+        return float(mp_slope(mpmath, n)(mpmath.mpf(x)))
+
+
+def mp_log_curvature(mpmath, n, x):
+    """d^2/dx^2 log|M(x)| at 60 digits, by a central difference of step
+    1e-10 of :func:`mp_slope` (the step keeps the slope's points off the
+    cancelled poles, where the tail is 0/0)."""
+    with mpmath.workdps(60):
+        slope, x, h = mp_slope(mpmath, n), mpmath.mpf(x), mpmath.mpf("1e-10")
+        return float((slope(x + h) - slope(x - h)) / (2 * h))
+
+
+def window_points(n, window):
+    """Points of x in [0, 1] inside and just outside the window of each
+    cancelled pole k pi / 2 of the tail (at x = k / n), and of the removable
+    point 0 of sin u / u for odd n: relative positions within +-1 and beyond."""
+    halves = range(1, n, 2) if n % 2 == 0 else range(0, n, 2)
+    half_width = window * 2 / (n * math.pi)
+    return [
+        k / n + pos * half_width
+        for k in halves
+        for pos in (-1.5, -1.001, -0.999, -0.5, -1e-3, 0.0, 1e-6, 0.3, 0.999, 1.001, 3.0)
+        if k or pos
+    ]
 
 
 class TestMultiplierLogSlope:
@@ -201,17 +231,7 @@ class TestMultiplierLogSlope:
     def test_matches_high_precision_differences(self, n):
         mpmath = pytest.importorskip("mpmath")
         grid = np.linspace(-1.0, 1.0, 41)
-        xs = list(grid[grid != 0.0])
-        # every cancelled pole k pi / 2 of the tail sits at x = k / n, and so
-        # does the removable point 0 of sin u / u for odd n: points inside its
-        # window (relative positions within +-1) and just outside it
-        halves = range(1, n, 2) if n % 2 == 0 else range(0, n, 2)
-        half_width = _WINDOW * 2 / (n * math.pi)
-        for k in halves:
-            for pos in (-1.5, -1.001, -0.999, -0.5, -1e-3, 0.0, 1e-6, 0.3, 0.999, 1.001, 3.0):
-                if k or pos:
-                    xs.append(k / n + pos * half_width)
-        for x in xs:
+        for x in list(grid[grid != 0.0]) + window_points(n, _WINDOW):
             ref = mp_log_slope(mpmath, n, x)
             assert abs(ball_multiplier_log_slope(n, x) - ref) <= 1e-11 * max(1.0, abs(ref)), x
 
@@ -224,6 +244,27 @@ class TestMultiplierLogSlope:
         assert all(ball_multiplier_log_slope(n, float(x)) == s for x, s in zip(xs[::97], slope[::97]))
         # M falls from 1 at the centre towards its first zero at 1 + 1/n
         assert np.all(slope[1:] < 0.0)
+
+
+class TestMultiplierLogCurvature:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_high_precision_differences(self, n):
+        # measured at most 9e-13 relative, just outside the series window
+        mpmath = pytest.importorskip("mpmath")
+        xs = list(np.linspace(-1.0, 1.0, 41)) + window_points(n, _WINDOW) + window_points(n, _CURVATURE_WINDOW)
+        for x in xs:
+            ref = mp_log_curvature(mpmath, n, x)
+            assert abs(ball_multiplier_log_curvature(n, x) - ref) <= 1e-11 * max(1.0, abs(ref)), x
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_even_and_batched(self, n):
+        xs = np.linspace(0.0, 1.0, 1001)
+        curv = ball_multiplier_log_curvature(n, xs)
+        assert np.array_equal(ball_multiplier_log_curvature(n, -xs), curv)
+        assert all(ball_multiplier_log_curvature(n, float(x)) == c for x, c in zip(xs[::97], curv[::97]))
+        # log M is concave: M is a product of factors 1 - (x / x_i)^2 over its
+        # zeros x_i beyond 1 + 1/n
+        assert np.all(curv < 0.0)
 
 
 class TestMultiplierDescriptor:

@@ -14,8 +14,9 @@ from zerogap.sphereopt import (
     _batch_ascent,
     _log_abs_objective,
     _nearest_slice_point,
-    _normalize_rows,
     _newton_polish,
+    _normalize_rows,
+    _sphere_newton,
     _sphere_tangent,
     angular_distance_to_zero_set,
     maximize_abs_on_sphere,
@@ -315,13 +316,14 @@ class TestStarts:
         assert np.array_equal(small, big[:8])
 
 
-# the ascent settings of near_max_on_sphere (NEAR_MAX: a short ascent that
-# hands its best rows to the Newton polish) and of ballfinder.multiplier_point
-# (BALL); SPHERE runs the sphere ascent for 160 iterations, as
-# near_max_on_sphere did before its polish was exact, which takes most rows
-# to where the gain floor stops them
+# the ascent settings of near_max_on_sphere (NEAR_MAX) and of the multiplier
+# search in the ball (BALL_NEAR_MAX): short ascents that hand their best rows
+# to the Newton polish; SPHERE and BALL run them for 160 and 200 iterations,
+# as near_max_on_sphere and the multiplier search did before their polish
+# was exact, which takes most rows to where the gain floor stops them
 NEAR_MAX = (_sphere_tangent, _normalize_rows, sphereopt._ASCENT_ITERS, 0.5, 30)
 SPHERE = (_sphere_tangent, _normalize_rows, 160, 0.5, 30)
+BALL_NEAR_MAX = (lambda G, X: G, ballfinder._clip_to_ball, sphereopt._ASCENT_ITERS, 0.25, 25)
 BALL = (lambda G, X: G, ballfinder._clip_to_ball, 200, 0.25, 25)
 
 
@@ -440,11 +442,12 @@ class TestBatchAscentMatchesLoop:
     def test_weighted_c2_objective(self):
         assert_ascent_matches_loop(*ASCENT_CASES["c2-6"]())
 
-    @pytest.mark.parametrize("name", sorted(n for n in ASCENT_CASES if not n.startswith("multiplier")))
+    @pytest.mark.parametrize("name", sorted(ASCENT_CASES))
     def test_near_max_setting(self, name):
-        # the short ascent of near_max_on_sphere, which stops rows still moving
+        # the short ascents of near_max_on_sphere and of the multiplier
+        # search, which stop rows still moving
         value, grad, X, _ = ASCENT_CASES[name]()
-        assert_ascent_matches_loop(value, grad, X, NEAR_MAX)
+        assert_ascent_matches_loop(value, grad, X, BALL_NEAR_MAX if name.startswith("multiplier") else NEAR_MAX)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_critical_and_zero_set_starts(self):
@@ -614,7 +617,7 @@ class TestPolishOnSphere:
             starts += [unit_vector(zero + eps * rng.standard_normal(d)) for eps in (1e-3, 1e-6, 1e-9)]
         for P in (poly, MultiPoly(d, dict(poly.terms)), dense_poly(rng, d, 3)):
             value, grad = _log_abs_objective(P)
-            X, _ = _newton_polish(value, grad, np.array(starts))
+            X = _newton_polish(value, grad, np.array(starts), _sphere_newton, _normalize_rows)
             for x0, x in zip(starts, X):
                 f0 = value(unit_vector(x0)[None, :])[0]
                 assert abs(np.linalg.norm(x) - 1.0) <= 1e-15
@@ -747,7 +750,8 @@ class TestZeroDistanceSearch:
         assert dist <= ref + slack + 1e-12
         assert abs(np.linalg.norm(zero) - 1.0) <= 1e-12
         assert abs(poly.eval(zero)) <= 1e-12 * zero_set_scale(poly, 0)
-        assert math.acos(float(np.clip(p @ zero, -1.0, 1.0))) == dist
+        # the distance is measured from unit_vector(p), which need not be p
+        assert math.acos(float(np.clip(unit_vector(p) @ zero, -1.0, 1.0))) == dist
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_d3_extra_seeds_find_no_nearer_zero(self, n, monkeypatch):
