@@ -269,9 +269,7 @@ def _ball_newton(X, G, H):
     S = np.where(newton[:, None], -np.einsum("nij,nj->ni", V, coef), G)
     length = np.linalg.norm(S, axis=1)
     S *= (_STEP_CAP / np.maximum(length, _STEP_CAP))[:, None]
-    # S^0 has no tangent directions: on the rim of [-1, 1] the tangent
-    # gradient is 0 and the row stops
-    if np.any(rim) and X.shape[1] > 1:
+    if np.any(rim):
         S[rim], length[rim] = _newton_step(X[rim], G[rim], H[rim])
     return S, length, np.linalg.norm(np.where(rim[:, None], _sphere_tangent(G, X), G), axis=1)
 

@@ -396,7 +396,7 @@ def _newton_step(X, q, W, G=None, H=None):
     Newton's, elsewhere the tangent gradient B B' q.  With none, the step is
     Newton's as a least-squares solve takes it: eigenvalues within 1e-10 of
     the largest in modulus (symmetry orbits, such as the phase orbit in C^d)
-    count as zero.  Returns the steps, capped at length ``_STEP_CAP``, and
+    count as zero, and a row of R^1, with no tangent space, takes no step.  Returns the steps, capped at length ``_STEP_CAP``, and
     their lengths before the cap.
     """
     n, D = X.shape
@@ -421,7 +421,7 @@ def _newton_step(X, q, W, G=None, H=None):
     w, V = np.linalg.eigh(np.swapaxes(B, 1, 2) @ (W - nu[:, None, None] * eye) @ B)
     coef = np.einsum("nji,nj->ni", V, r)
     if G is None:
-        null = np.abs(w) <= 1e-10 * np.max(np.abs(w), axis=1, keepdims=True)
+        null = np.abs(w) <= 1e-10 * np.max(np.abs(w), axis=1, keepdims=True, initial=0.0)
         s = -np.einsum("nij,nj->ni", V, np.divide(coef, w, out=np.zeros_like(w), where=~null))
     else:
         newton = np.all(w < 0.0, axis=1)

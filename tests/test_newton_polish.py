@@ -347,6 +347,16 @@ class TestBallPolish:
         assert abs(np.linalg.norm(point) - 1.0) <= 1e-15
         assert dist == pytest.approx(1.0, abs=1e-12)
 
+    def test_rim_of_an_interval_stops(self):
+        # on the ends of [-1, 1] a gradient pointing out has no tangent part:
+        # the rows take no step and stop; the inner row takes Newton's step
+        X = np.array([[1.0], [-1.0], [0.5]])
+        G = np.array([[2.0], [-0.5], [1.0]])
+        H = np.array([[[-1.0]], [[3.0]], [[-4.0]]])
+        S, length, gnorm = ballfinder._ball_newton(X, G, H)
+        assert np.array_equal(S, [[0.0], [0.0], [0.2]]) and np.array_equal(gnorm, [0.0, 0.0, 1.0])
+        assert np.array_equal(length, [0.0, 0.0, 0.25])
+
     @pytest.mark.parametrize("name", ["factored-2-1", "expanded-3", "dense-4-2"])
     def test_work_per_iteration(self, name):
         # one grad call per iteration on the rows still moving, and at most
