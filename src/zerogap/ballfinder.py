@@ -44,7 +44,9 @@ from .sphereopt import (
     LOG_FLOOR,
     NEAR_MAX_REL,
     _batch_ascent,
+    _canonical_signs,
     _dedupe_points,
+    _farthest,
     _log_abs_objective,
     _newton_polish,
     _newton_step,
@@ -85,12 +87,8 @@ def euclidean_zero_distance(poly: MultiPoly, p, seed=0):
     """
     p = np.asarray(p, dtype=float)
     if poly.affine_factors is not None:
-        best, best_form = math.inf, None
-        for f in poly.affine_factors:
-            dist = abs(float(f.normal @ p) - f.offset)
-            if dist < best:
-                best, best_form = dist, f
-        return best, p - (float(best_form.normal @ p) - best_form.offset) * best_form.normal
+        best, form = min(((abs(float(f.normal @ p) - f.offset), f) for f in poly.affine_factors), key=lambda t: t[0])
+        return best, p - (float(form.normal @ p) - form.offset) * form.normal
 
     if poly.dim == 1:
         deg = poly.degree
@@ -172,9 +170,12 @@ class PairCertificate:
 def pair_point(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> PairCertificate:
     """Maximize |P(x)P(y)| on the doubled sphere; keep the small half.
 
-    The certificate records the angular gap of the pair on the doubled
-    sphere, the Euclidean gap of the chosen point inside the ball, and the
-    lift of the nearest zero for auditing the distance argument.
+    Each near-maximizer (x, y) is split into its small half p and large half
+    q.  Each distinct p is measured once (rows (p, q) and (p, -q) share it),
+    and the p farthest from Z(P) is kept, with the q of its first row.  The
+    certificate records the angular gap of that pair on the doubled sphere,
+    the Euclidean gap of p inside the ball, and the lift of the nearest zero
+    for auditing the distance argument.
     """
     n = poly.degree
     if n < 1:
@@ -183,20 +184,12 @@ def pair_point(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> PairCertificate:
     res = maximize_abs_on_sphere(R, starts=starts, seed=seed)
     d = poly.dim
 
-    def split(w):
-        return w[:d], w[d:]
-
-    best = None
-    for w in res.all_near_max:
-        p, q = split(w)
-        if np.linalg.norm(p) > np.linalg.norm(q):
-            p, q = q, p
-            w = np.concatenate([p, q])
-        ball_dist, nearest = euclidean_zero_distance(poly, p, seed=seed)
-        if best is None or ball_dist > best[0]:
-            best = (ball_dist, nearest, p, q, w)
-    ball_dist, nearest, p, q, w = best
-    sphere_dist, _ = angular_distance_to_zero_set(R, w, seed=seed)
+    # (small half, large half) of each row, the halves kept in row order on a tie
+    halves = [sorted((w[:d], w[d:]), key=np.linalg.norm) for w in res.all_near_max]
+    smalls = [small for small, _ in halves]
+    (ball_dist, nearest), p = _farthest(smalls, lambda x: euclidean_zero_distance(poly, x, seed=seed))
+    q = next(large for small, large in halves if small is p)
+    sphere_dist, _ = angular_distance_to_zero_set(R, np.concatenate([p, q]), seed=seed)
 
     lift_t = None
     lift_point = None
@@ -317,15 +310,18 @@ def multiplier_point(poly: MultiPoly, seed=0, starts=64):
 
     Returns (point, distance).  The candidates are Newton-polished maxima of
     the multiplier objective, and the distance is measured from the returned
-    point itself.  Each point of the near-maximal pool of
-    :func:`_multiplier_pool` (within relative 1e-9 of the best value,
-    near-copies measured once) is measured, and the one farthest from Z(P)
-    is returned, matching the existential form of the guarantee.
+    point itself.  Each distinct point of the near-maximal pool of
+    :func:`_multiplier_pool` (within relative 1e-9 of the best value) is
+    measured once, and the one farthest from Z(P) is returned, matching the
+    existential form of the guarantee.  M is even, so when
+    P(-x) = +-P(x), x and -x tie, and each candidate is first taken in its
+    canonical sign (largest-modulus coordinate positive), so that the pair
+    is measured once.
     """
     if poly.degree < 1:
         raise ValueError("degree must be at least 1")
-    scored = [(euclidean_zero_distance(poly, c, seed=seed)[0], c) for c in _multiplier_pool(poly, seed, starts)]
-    dist, point = max(scored, key=lambda t: t[0])
+    pool = _canonical_signs(poly, _multiplier_pool(poly, seed, starts))
+    (dist, _), point = _farthest(pool, lambda c: euclidean_zero_distance(poly, c, seed=seed))
     return point, float(dist)
 
 

@@ -192,7 +192,7 @@ def _cmd_ball_multiplier(config):
     passed = bool(dist >= bound - config.tol)
     if config.fmt == "csv":
         xs = np.linspace(-1.0, 1.0, 257)
-        rows = [(float(x), float(chebmult.ball_multiplier(poly.degree, x))) for x in xs]
+        rows = zip(xs.tolist(), chebmult.ball_multiplier(poly.degree, xs).tolist())
         _emit_csv(config, ["x", "multiplier"], rows)
     else:
         _emit_json(
@@ -231,19 +231,15 @@ def _cmd_cheb_table(config):
     points = int(obj.get("points", 101))
     xs = np.linspace(-half_width, half_width, points)
     sign = (-1.0) ** (k // 2)
-    trig = np.cos(xs) if n % 2 == 0 else np.sin(xs)
-    rows = []
-    for x, tv in zip(xs, trig):
-        rows.append(
-            (
-                float(x),
-                float(sign * chebmult.cheb_eval(k, x / k)),
-                float(tv),
-                float(chebmult.cheb_tail_product(n, k, x)),
-                float(chebmult.trig_tail_product(n, x)),
-                float(chebmult.ball_multiplier(n, 2.0 * x / (n * math.pi))),
-            )
-        )
+    columns = (
+        xs,
+        sign * chebmult.cheb_eval(k, xs / k),
+        np.cos(xs) if n % 2 == 0 else np.sin(xs),
+        chebmult.cheb_tail_product(n, k, xs),
+        chebmult.trig_tail_product(n, xs),
+        chebmult.ball_multiplier(n, 2.0 * xs / (n * math.pi)),
+    )
+    rows = zip(*(c.tolist() for c in columns))
     _emit_csv(config, ["x", "t_scaled", "trig", "tail_k", "tail", "multiplier"], rows)
     return EXIT_OK
 

@@ -16,14 +16,14 @@ Re P = Im P = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize  # noqa: F401  unused; bench/tracing.py wraps complexproj.minimize
 
 from .errors import VerificationError
 from .polycore import _expand_product, _merge_terms, _rows, _term_jet
-from .sphereopt import LOG_FLOOR, ZERO_STANDIN, _zero_distance_search, near_max_on_sphere, sphere_starts
+from .sphereopt import LOG_FLOOR, ZERO_STANDIN, _farthest, _zero_distance_search, near_max_on_sphere, sphere_starts
 
 __all__ = [
     "ComplexHomogPoly",
@@ -200,8 +200,7 @@ def maximize_weighted_log(system: WeightedSystem, starts=64, seed=0):
 
     Returns the point as 2d real coordinates (unit vector in R^(2d)).
     """
-    pool = _maximize_items(system.items, starts, seed)
-    return pool[0]
+    return _maximize_items(system.items, starts, seed)[0]
 
 
 def _zeros_on_projective_line(poly):
@@ -254,12 +253,8 @@ def complex_zero_distance(poly: ComplexHomogPoly, p, seed=0):
         return best, resid / nr2
 
     if poly.dim == 2:
-        best, best_zero = math.inf, None
-        for z in _zeros_on_projective_line(poly):
-            dist = hermitian_angle(p, z)
-            if dist < best:
-                best, best_zero = dist, z
-        return best, best_zero
+        zeros = ((hermitian_angle(p, z), z) for z in _zeros_on_projective_line(poly))
+        return min(zeros, key=lambda t: t[0], default=(math.inf, None))
 
     z = _zero_distance_search(poly, p, seed)
     if z is None:
@@ -294,29 +289,43 @@ class ComplexGapReport:
         }
 
 
+def _verify_items(items, bounds, seed, starts, tol) -> ComplexGapReport:
+    """Check distance to each Z(P_k) >= bounds[k] at the maximizer of sum delta_k^2 log|P_k|:
+    of the distinct near-maximizers, each in its canonical phase, the one
+    whose smallest margin distance - bound is largest (:func:`_farthest`)."""
+    pool = [_canonical_phase(to_complex(x)) for x in _maximize_items(items, starts, seed)]
+
+    def margins(z):
+        dists = tuple(complex_zero_distance(p, z, seed=seed)[0] for p, _ in items)
+        return min(d - b for d, b in zip(dists, bounds)), dists
+
+    (_, dists), z = _farthest(pool, margins)
+    return ComplexGapReport(
+        maximizer=z,
+        distances=dists,
+        bounds=bounds,
+        passed=tuple(d >= b - tol for d, b in zip(dists, bounds)),
+        euclidean_distances=tuple(math.sin(d) if math.isfinite(d) else math.inf for d in dists),
+        cp1_radius=None,
+    )
+
+
 def verify_complex_gap(poly: ComplexHomogPoly, seed=0, starts=64, tol=1e-6) -> ComplexGapReport:
     """Check distance >= arcsin(1/sqrt(deg)) at a maximizer of |P|.
 
-    The maximizer is reported, and measured, in its canonical phase.
+    The one-item case of :func:`verify_weighted_gap`, delta = 1/sqrt(deg)
+    (log|P| has the maximizers of delta^2 log|P|), plus the chart radius
+    tan(distance) for d = 2: each distinct near-maximizer, in its canonical
+    phase, is measured once, and the farthest from Z(P) is reported.
     """
     n = poly.degree
     if n < 1:
         raise ValueError("degree must be at least 1")
-    pool = [_canonical_phase(to_complex(x)) for x in _maximize_items(((poly, 1.0),), starts, seed)]
-    scored = [(complex_zero_distance(poly, z, seed=seed)[0], z) for z in pool]
-    dist, z = max(scored, key=lambda t: t[0])
-    bound = math.asin(1.0 / math.sqrt(n))
-    radius = None
+    rep = _verify_items(((poly, 1.0),), (math.asin(1.0 / math.sqrt(n)),), seed, starts, tol)
+    dist = rep.distances[0]
     if poly.dim == 2 and math.isfinite(dist):
-        radius = math.tan(dist)
-    return ComplexGapReport(
-        maximizer=z,
-        distances=(dist,),
-        bounds=(bound,),
-        passed=(dist >= bound - tol,),
-        euclidean_distances=(math.sin(dist) if math.isfinite(dist) else math.inf,),
-        cp1_radius=radius,
-    )
+        rep = replace(rep, cp1_radius=math.tan(dist))
+    return rep
 
 
 def chart_radius_check(poly: ComplexHomogPoly, zero, seed=0) -> float:
@@ -337,8 +346,7 @@ def chart_radius_check(poly: ComplexHomogPoly, zero, seed=0) -> float:
     sample = poly.eval(to_complex(sphere_starts(2 * poly.dim, 128, seed + 5)))
     if abs(poly.eval(zero)) > 1e-8 * max(float(np.max(np.abs(sample))), 1e-300):
         raise ValueError("the supplied point is not a zero of the polynomial")
-    pool = _maximize_items(((poly, 1.0),), 64, seed)
-    p = to_complex(pool[0])
+    p = to_complex(_maximize_items(((poly, 1.0),), 64, seed)[0])
     angle = hermitian_angle(p, zero)
     a = math.tan(angle)
     if a * a < 1.0 / (n - 1) - 1e-8:
@@ -351,24 +359,8 @@ def chart_radius_check(poly: ComplexHomogPoly, zero, seed=0) -> float:
 def verify_weighted_gap(system: WeightedSystem, seed=0, starts=64, tol=1e-6) -> ComplexGapReport:
     """Check distance to each Z(P_k) >= arcsin(delta_k) at the weighted maximizer.
 
-    The maximizer is reported, and measured, in its canonical phase.
+    Each distinct near-maximizer, in its canonical phase, is measured once,
+    and the one whose smallest margin over the bounds is largest is reported.
     """
-    pool = _maximize_items(system.items, starts, seed)
-    best = None
-    for x in pool:
-        z = _canonical_phase(to_complex(x))
-        dists = tuple(complex_zero_distance(p, z, seed=seed)[0] for p, _ in system.items)
-        worst = min(d - math.asin(min(1.0, dk)) for d, (_, dk) in zip(dists, system.items))
-        if best is None or worst > best[0]:
-            best = (worst, z, dists)
-    _, z, dists = best
     bounds = tuple(math.asin(min(1.0, dk)) for _, dk in system.items)
-    passed = tuple(d >= b - tol for d, b in zip(dists, bounds))
-    return ComplexGapReport(
-        maximizer=z,
-        distances=dists,
-        bounds=bounds,
-        passed=passed,
-        euclidean_distances=tuple(math.sin(d) if math.isfinite(d) else math.inf for d in dists),
-        cp1_radius=None,
-    )
+    return _verify_items(system.items, bounds, seed, starts, tol)

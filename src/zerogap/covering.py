@@ -20,7 +20,7 @@ import numpy as np
 from .ballfinder import multiplier_point
 from .errors import VerificationError
 from .polycore import AffineForm, MultiPoly
-from .sphereopt import maximize_abs_on_sphere, slice_distance, unit_vector
+from .sphereopt import _farthest, maximize_abs_on_sphere, slice_distance, unit_vector
 
 __all__ = [
     "SphericalSegment",
@@ -223,12 +223,11 @@ def refute_cover_sphere(segments, seed=0, starts=64) -> RefutationResult:
     poly = MultiPoly.from_affine_product([s.core_form() for s in virtual])
     res = maximize_abs_on_sphere(poly, starts=max(starts, 4 * m), seed=seed)
 
-    best_point, best_clear = None, -math.inf
-    for cand in res.all_near_max:
-        clear = [s.clearance(cand) for s in segments]
-        worst = min(clear)
-        if worst > best_clear:
-            best_point, best_clear, best_all = cand, worst, clear
+    def clearances(x):
+        clear = [s.clearance(x) for s in segments]
+        return min(clear), clear
+
+    (best_clear, best_all), best_point = _farthest(res.all_near_max, clearances)
     if best_clear <= 0.0:
         bad = int(np.argmin(best_all))
         raise VerificationError(

@@ -254,6 +254,21 @@ def _dedupe_points(points, tol=1e-7):
     return out
 
 
+def _farthest(pool, score):
+    """(score(p), p) for the first point p of ``pool`` whose ``score(p)[0]`` is largest.
+
+    Near-copies (within 1e-7, in pool order) are dropped first, so each
+    distinct candidate is measured once.  Every gap bound holds at every true
+    maximizer, so keeping the best of the near-maximal pool is sound.
+    """
+    best = None
+    for p in _dedupe_points(pool):
+        s = score(p)
+        if best is None or s[0] > best[0][0]:
+            best = (s, p)
+    return best
+
+
 def near_max_on_sphere(value, grad, dim, starts, seed):
     """Multi-start maximization of a log objective on S^(dim-1).
 
@@ -510,13 +525,8 @@ def angular_distance_to_zero_set(poly: MultiPoly, p, seed=0):
     """
     p = unit_vector(p)
     if poly.affine_factors is not None:
-        best = math.inf
-        best_form = None
-        for f in poly.affine_factors:
-            dist = slice_distance(f, p)
-            if dist < best:
-                best, best_form = dist, f
-        return best, None if best_form is None else _nearest_slice_point(best_form, p)
+        best, form = min(((slice_distance(f, p), f) for f in poly.affine_factors), key=lambda t: t[0])
+        return best, None if best == math.inf else _nearest_slice_point(form, p)
     if poly.dim == 2:
         return _zero_distance_d2(poly, p)
     x = _zero_distance_search(poly, p, seed)
@@ -539,6 +549,15 @@ def _sign_symmetric(poly: MultiPoly):
 
     forms = [(f.normal, f.offset) for f in poly.affine_factors]
     return sorted(up_to_sign(a, b) for a, b in forms) == sorted(up_to_sign(a, -b) for a, b in forms)
+
+
+def _canonical_signs(poly: MultiPoly, pool):
+    """The pool, each point x taken as the one of x and -x whose largest-modulus
+    coordinate (lowest index on ties) is positive when P(-x) = +-P(x), where the
+    two tie; otherwise the pool as it is."""
+    if not _sign_symmetric(poly):
+        return pool
+    return [-x if x[int(np.argmax(np.abs(x)))] < 0 else x for x in pool]
 
 
 @dataclass(frozen=True)
@@ -576,11 +595,11 @@ class SphereGapReport:
 def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGapReport:
     """Check that a maximizer of |P| keeps angular distance >= pi/(2 deg P).
 
-    Among near-equal maximizers the one with the largest zero-set distance is
-    reported; the bound holds at every true maximizer, so preferring the
-    farthest is sound.  When P(-x) = +-P(x), x and -x tie, and each candidate
-    is taken in the sign that makes its largest-modulus coordinate positive;
-    candidates that then coincide are measured once.
+    Each distinct near-maximizer is measured once and the one farthest from
+    Z(P) is reported (:func:`_farthest`); the bound holds at every true
+    maximizer, so preferring the farthest is sound.  When P(-x) = +-P(x), x
+    and -x tie, and each candidate is first taken in its canonical sign
+    (largest-modulus coordinate positive), so that the pair is measured once.
     When the measured distance sits at the bound within tolerance, the circle
     through the maximizer and its nearest zero is attached along with the
     interlacing diagnostic of the restriction.
@@ -589,11 +608,8 @@ def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGap
     if n < 1:
         raise ValueError("degree must be at least 1")
     res = maximize_abs_on_sphere(poly, starts=starts, seed=seed)
-    pool = res.all_near_max
-    if _sign_symmetric(poly):
-        pool = _dedupe_points([-c if c[int(np.argmax(np.abs(c)))] < 0 else c for c in pool])
-    scored = [(*angular_distance_to_zero_set(poly, cand, seed=seed), cand) for cand in pool]
-    dist, zero, p = max(scored, key=lambda t: t[0])
+    pool = _canonical_signs(poly, res.all_near_max)
+    (dist, zero), p = _farthest(pool, lambda c: angular_distance_to_zero_set(poly, c, seed=seed))
     bound = math.pi / (2 * n)
     passed = dist >= bound - tol
     circle = None

@@ -128,6 +128,22 @@ class TestPairPoint:
         assert calls[0].tobytes() == np.concatenate([cert.p, cert.q]).tobytes()
         assert cert.sphere_distance == original(product_with_itself(poly), calls[0], seed=0)[0]
 
+    def test_each_small_half_measured_once(self, monkeypatch):
+        # the near-maximal pool of x y (x' y') repeats each small half: rows
+        # (p, q) and (p, -q) share it, and so do polished copies of one row
+        calls = []
+        original = ballfinder.euclidean_zero_distance
+
+        def counted(poly, p, seed=0):
+            calls.append(np.array(p))
+            return original(poly, p, seed=seed)
+
+        monkeypatch.setattr(ballfinder, "euclidean_zero_distance", counted)
+        cert = pair_point(MultiPoly(2, {(1, 1): 1.0}), seed=0)
+        assert min(np.linalg.norm(p - q) for i, p in enumerate(calls) for q in calls[:i]) > 1e-3
+        assert any(c.tobytes() == cert.p.tobytes() for c in calls)
+        assert cert.ball_distance == original(MultiPoly(2, {(1, 1): 1.0}), cert.p, seed=0)[0]
+
 
 class TestMultiplierPoint:
     def test_linear_1d_boundary(self):
@@ -190,7 +206,8 @@ class TestMultiplierPoint:
     def test_each_maximizer_measured_once(self, poly, maxima, monkeypatch):
         # untagged input takes a lockstep zero search per distance: the
         # polished rows that end on one of the objective's maxima (+-e1,
-        # (+-a, +-a), (+-b, +-b, +-b), +-c e1) are measured once
+        # (+-a, +-a), (+-b, +-b, +-b), +-c e1) are measured once, and x and
+        # -x once between them, in their canonical sign
         calls = []
         original = ballfinder.euclidean_zero_distance
 
@@ -200,10 +217,26 @@ class TestMultiplierPoint:
 
         monkeypatch.setattr(ballfinder, "euclidean_zero_distance", counted)
         point, dist = multiplier_point(poly, seed=1)
-        assert min(np.linalg.norm(p - q) for i, p in enumerate(calls) for q in calls[:i]) > 1e-3
-        assert 2 <= len(calls) <= maxima
+        assert min((np.linalg.norm(p - q) for i, p in enumerate(calls) for q in calls[:i]), default=math.inf) > 1e-3
+        assert len(calls) == maxima // 2
         assert any(c.tobytes() == point.tobytes() for c in calls)
         assert dist == original(poly, point, seed=1)[0]
+
+
+    @pytest.mark.parametrize(
+        "poly, expected",
+        [
+            (cheb_poly_1d(7), [0.19585969079379278]),
+            (MultiPoly(2, {(1, 0): 1.0}), [1.0, 0.0]),
+            (MultiPoly(3, {(1, 0, 0): 1.0}), [1.0, 0.0, 0.0]),
+        ],
+        ids=["T7", "x1-d2", "x1-d3"],
+    )
+    def test_sign_symmetric_input_reports_canonical_sign(self, poly, expected):
+        # P(-x) = +-P(x) and M is even, so x and -x tie to rounding; the
+        # reported point has its largest-modulus coordinate positive
+        point, _ = multiplier_point(poly, seed=1)
+        assert point == pytest.approx(expected, abs=1e-8)
 
 
 class TestLiftedDiagnostics:

@@ -437,6 +437,42 @@ class TestVerifyWeightedGap:
             assert rep.all_passed
 
 
+class TestEachCandidateMeasuredOnce:
+    # the near-maximal pool of a dense C^3 cubic holds many polished points of
+    # each maximizer's unit-scalar orbit, which share one canonical phase
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        original = complexproj.complex_zero_distance
+
+        def counted(poly, p, seed=0):
+            calls.append((poly, np.array(p)))
+            return original(poly, p, seed=seed)
+
+        monkeypatch.setattr(complexproj, "complex_zero_distance", counted)
+        return calls
+
+    @staticmethod
+    def assert_distinct(points, reported):
+        assert min((np.linalg.norm(p - q) for i, p in enumerate(points) for q in points[:i]), default=math.inf) > 1e-3
+        assert any(p.tobytes() == reported.tobytes() for p in points)
+
+    def test_complex_verifier(self, monkeypatch):
+        poly = dense_form(np.random.default_rng(7), 3, 3)
+        calls = self.counted(monkeypatch)
+        rep = verify_complex_gap(poly, seed=1)
+        self.assert_distinct([p for _, p in calls], rep.maximizer)
+
+    def test_weighted_verifier(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        system = WeightedSystem([(dense_form(rng, 3, 3), 0.4), (dense_form(rng, 3, 2), 0.3)])
+        calls = self.counted(monkeypatch)
+        rep = verify_weighted_gap(system, seed=1)
+        for poly, _ in system.items:
+            self.assert_distinct([p for q, p in calls if q is poly], rep.maximizer)
+
+
 def turned(x, u):
     """Real coordinates of the complex point of ``x`` times the unit scalar u."""
     z = u * to_complex(x)

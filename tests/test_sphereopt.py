@@ -248,6 +248,20 @@ class TestVerifySphereGap:
         assert len(calls) == 1
         assert rep.distance == pytest.approx(math.acos(math.sqrt(0.375)), abs=1e-12)
 
+    def test_farthest_scores_each_distinct_point_once(self):
+        # near-copies (within 1e-7) are dropped in pool order; of the points
+        # with the largest score the first is kept
+        pool = [np.array([1.0, 0.0]), np.array([1.0, 1e-9]), np.array([0.0, 1.0]), np.array([-1.0, 0.0])]
+        seen = []
+
+        def score(p):
+            seen.append(p)
+            return abs(p[0]), "tag"
+
+        best, point = sphereopt._farthest(pool, score)
+        assert best == (1.0, "tag") and point is pool[0]
+        assert [id(p) for p in seen] == [id(pool[0]), id(pool[2]), id(pool[3])]
+
     def test_sign_symmetry_from_parity(self):
         assert sphereopt._sign_symmetric(MultiPoly(3, {(2, 0, 0): 1.0, (0, 1, 1): -2.0, (0, 0, 0): 0.5}))
         assert sphereopt._sign_symmetric(MultiPoly(2, {(3, 0): 1.0, (1, 0): -2.0}))
