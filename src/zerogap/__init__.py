@@ -15,7 +15,6 @@ from .ballfinder import (
     pair_point,
 )
 from .chebmult import (
-    ChebMultiplier,
     ConvergenceReport,
     ball_multiplier,
     cheb_eval,
@@ -31,7 +30,6 @@ from .complexproj import (
     chart_radius_check,
     complex_zero_distance,
     hermitian_angle,
-    maximize_weighted_log,
     verify_complex_gap,
     verify_weighted_gap,
 )
@@ -39,7 +37,6 @@ from .covering import (
     Plank,
     RefutationResult,
     SphericalSegment,
-    is_covered_sample,
     refute_cover_ball,
     refute_cover_sphere,
     segment_contains,

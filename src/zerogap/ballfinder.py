@@ -42,12 +42,11 @@ from .sphereopt import (
     _ASCENT_ITERS,
     _STEP_CAP,
     LOG_FLOOR,
-    NEAR_MAX_REL,
     _batch_ascent,
     _canonical_signs,
-    _dedupe_points,
     _farthest,
     _log_abs_objective,
+    _near_max,
     _newton_polish,
     _newton_step,
     _sphere_tangent,
@@ -172,10 +171,13 @@ def pair_point(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> PairCertificate:
 
     Each near-maximizer (x, y) is split into its small half p and large half
     q.  Each distinct p is measured once (rows (p, q) and (p, -q) share it),
-    and the p farthest from Z(P) is kept, with the q of its first row.  The
-    certificate records the angular gap of that pair on the doubled sphere,
-    the Euclidean gap of p inside the ball, and the lift of the nearest zero
-    for auditing the distance argument.
+    and the p farthest from Z(P) is kept, with the q of its first row.  When
+    P(-x) = +-P(x), p and -p are equally far from Z(P), and each p is first
+    taken in its canonical sign, so that the pair is measured once; its q
+    stays the large half of the same row.  The certificate records the
+    angular gap of that pair on the doubled sphere, the Euclidean gap of p
+    inside the ball, and the lift of the nearest zero for auditing the
+    distance argument.
     """
     n = poly.degree
     if n < 1:
@@ -186,9 +188,9 @@ def pair_point(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> PairCertificate:
 
     # (small half, large half) of each row, the halves kept in row order on a tie
     halves = [sorted((w[:d], w[d:]), key=np.linalg.norm) for w in res.all_near_max]
-    smalls = [small for small, _ in halves]
+    smalls = _canonical_signs(poly, [small for small, _ in halves])
     (ball_dist, nearest), p = _farthest(smalls, lambda x: euclidean_zero_distance(poly, x, seed=seed))
-    q = next(large for small, large in halves if small is p)
+    q = next(large for small, (_, large) in zip(smalls, halves) if small is p)
     sphere_dist, _ = angular_distance_to_zero_set(R, np.concatenate([p, q]), seed=seed)
 
     lift_t = None
@@ -276,15 +278,13 @@ def _ball_starts(d, count, seed):
 
 
 def _multiplier_pool(poly, seed, starts):
-    """The near-maximal pool of |P(x) M(|x|)| over the ball, in value order.
+    """The near-maximal pool of |P(x) M(|x|)| over the ball, from :func:`_near_max`.
 
     The candidates are the best ``max(8, min(24, starts))`` rows of
     ``_ASCENT_ITERS`` iterations of the seeded ascent in the ball (in one
     dimension, the interior local maxima of a dense grid), polished in one
     batch by :func:`_newton_polish` with the step of :func:`_ball_newton`,
-    and in one dimension the two ends of [-1, 1].  Those within relative
-    ``NEAR_MAX_REL`` of the best value are kept, in decreasing value, each
-    unless it lies within 1e-7 of one kept before it.
+    and in one dimension the two ends of [-1, 1].
     """
     value, grad = _multiplier_objective(poly)
     if poly.dim == 1:
@@ -296,13 +296,7 @@ def _multiplier_pool(poly, seed, starts):
         X = _ball_starts(poly.dim, starts, seed)
         X, f = _batch_ascent(value, grad, X, lambda G, X: G, _clip_to_ball, _ASCENT_ITERS, 0.25, 25)
         X, ends = X[np.argsort(-f)[: max(8, min(24, starts))]], np.empty((0, poly.dim))
-    X = np.vstack([ends, _newton_polish(value, grad, X, _ball_newton, _clip_to_ball)])
-    logs = value(X)
-    best = np.max(logs)
-    if best <= LOG_FLOOR / 2:
-        raise ValueError("objective vanished at every candidate")
-    order = sorted(range(len(X)), key=lambda i: (-logs[i], tuple(X[i])))
-    return _dedupe_points([X[i] for i in order if logs[i] >= best + math.log1p(-NEAR_MAX_REL)])
+    return _near_max(value, np.vstack([ends, _newton_polish(value, grad, X, _ball_newton, _clip_to_ball)]))[1]
 
 
 def multiplier_point(poly: MultiPoly, seed=0, starts=64):
@@ -311,12 +305,11 @@ def multiplier_point(poly: MultiPoly, seed=0, starts=64):
     Returns (point, distance).  The candidates are Newton-polished maxima of
     the multiplier objective, and the distance is measured from the returned
     point itself.  Each distinct point of the near-maximal pool of
-    :func:`_multiplier_pool` (within relative 1e-9 of the best value) is
-    measured once, and the one farthest from Z(P) is returned, matching the
-    existential form of the guarantee.  M is even, so when
-    P(-x) = +-P(x), x and -x tie, and each candidate is first taken in its
-    canonical sign (largest-modulus coordinate positive), so that the pair
-    is measured once.
+    :func:`_multiplier_pool` is measured once, and the one farthest from Z(P)
+    is returned, matching the existential form of the guarantee.  M is even,
+    so when P(-x) = +-P(x), x and -x tie, and each candidate is first taken
+    in its canonical sign (largest-modulus coordinate positive), so that the
+    pair is measured once.
     """
     if poly.degree < 1:
         raise ValueError("degree must be at least 1")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ChebMultiplier",
     "ConvergenceReport",
     "check_orders",
     "cheb_eval",
@@ -217,28 +216,6 @@ def ball_multiplier(n, x):
     """
     x = np.asarray(x, dtype=float)
     return trig_tail_product(n, n * math.pi * x / 2.0)
-
-
-@dataclass(frozen=True)
-class ChebMultiplier:
-    """Descriptor of the degree-n multiplier's closed form.
-
-    ``pole_locations`` lists, in multiplier coordinates, the points where the
-    closed-form denominator vanishes (all cancelled by the numerator).
-    """
-
-    n: int
-    parity: str
-    pole_locations: tuple
-
-    @classmethod
-    def for_degree(cls, n):
-        if n < 1:
-            raise ValueError("n must be positive")
-        return cls(n, ("even", "odd")[n % 2], tuple(k / n for k in _cancelled_halves(n)))
-
-    def value(self, x):
-        return ball_multiplier(self.n, x)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ __all__ = [
     "ComplexHomogPoly",
     "WeightedSystem",
     "ComplexGapReport",
-    "maximize_weighted_log",
     "complex_zero_distance",
     "verify_complex_gap",
     "chart_radius_check",
@@ -191,16 +190,7 @@ def _canonical_phase(z):
 def _maximize_items(items, starts, seed):
     """Near-maximal pool of the weighted log objective, sorted by coordinates."""
     value, grad = _weighted_log_objective(items)
-    keep = near_max_on_sphere(value, grad, 2 * items[0][0].dim, starts, seed)
-    return sorted((p for _, p in keep), key=tuple)
-
-
-def maximize_weighted_log(system: WeightedSystem, starts=64, seed=0):
-    """Maximizer of sum delta_k^2 log|P_k| on the unit sphere of C^d.
-
-    Returns the point as 2d real coordinates (unit vector in R^(2d)).
-    """
-    return _maximize_items(system.items, starts, seed)[0]
+    return sorted(near_max_on_sphere(value, grad, 2 * items[0][0].dim, starts, seed)[1], key=tuple)
 
 
 def _zeros_on_projective_line(poly):

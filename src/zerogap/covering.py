@@ -2,12 +2,14 @@
 
 A family of spherical segments of total width below pi cannot cover the
 sphere; a family of planks of total width below 2 cannot cover the unit
-ball.  The refuters make that concrete: widths are rounded up to a common
-rational grid, each widened piece is split into abutting equal-width virtual
-pieces, and the point maximizing the product of the virtual core equations
-(through the sphere or ball finders) clears every *original* piece.  The
-returned certificate carries the point and one positive clearance per input
-piece, checkable by direct membership evaluation with no optimizer trust.
+ball.  Both refuters make that concrete with one argument (``_refute``):
+widths are rounded up to a common rational grid, each widened piece is split
+into abutting equal-width virtual pieces, and the point maximizing the
+product of the virtual core equations clears every *original* piece.  Only
+the point finder differs: the near-maximal pool of ``maximize_abs_on_sphere``
+on the sphere, ``multiplier_point`` in the ball.  The returned certificate
+carries the point and one positive clearance per input piece, checkable by
+direct membership evaluation with no optimizer trust.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "split_segments",
     "refute_cover_sphere",
     "refute_cover_ball",
-    "is_covered_sample",
 ]
 
 MAX_SPLIT_FACTORS = 200
@@ -109,6 +110,9 @@ class Plank:
     def width(self):
         return 2.0 * self.half_width
 
+    def core_form(self) -> AffineForm:
+        return AffineForm(self.normal, self.center)
+
     def clearance(self, x) -> float:
         return abs(float(self.normal @ np.asarray(x, dtype=float)) - self.center) - self.half_width
 
@@ -146,15 +150,30 @@ class RefutationResult:
         }
 
 
-def _choose_denominator(widths, budget, margin, unit):
-    """Smallest N with all widths on the grid (unit/N) within total excess margin."""
+def _grid(widths, budget, margin, unit, name):
+    """(N, half width, shifts) of the grid that the widths are rounded up to.
+
+    N is the smallest denominator that puts every width, rounded up to a
+    multiple of unit/N, within total excess ``margin`` (by default 1% of the
+    slack below ``budget``).  A piece of M grid steps becomes M abutting
+    virtual pieces of half width unit/(2N), shifted from its centre by
+    ``shifts``, (2j + 1 - M) unit/(2N) for j < M.
+    """
+    if not widths:
+        raise ValueError("no pieces to split")
+    total = sum(widths)
+    if margin is None:
+        margin = 0.01 * (budget - total)
+    if total + margin >= budget:
+        raise ValueError(f"total width {total} plus margin {margin} reaches {name}; nothing to refute")
     for N in range(1, 200_000):
         counts = [math.ceil(w * N / unit - 1e-12) for w in widths]
         excess = sum(c * unit / N - w for c, w in zip(counts, widths))
         if excess <= margin + 1e-12:
             if sum(counts) * unit / N >= budget:
                 raise ValueError("rounded total width reaches the budget; infeasible margin")
-            return N, counts
+            sub_half = unit / (2 * N)
+            return N, sub_half, [[(2 * j + 1 - M) * sub_half for j in range(M)] for M in counts]
     raise ValueError("no usable rational width grid found")
 
 
@@ -167,22 +186,12 @@ def split_segments(segments, margin=None):
     are dropped; pieces straddling a pole are re-centered to keep coverage.
     """
     segments = list(segments)
-    if not segments:
-        raise ValueError("no segments to split")
-    total = sum(s.width for s in segments)
-    if margin is None:
-        margin = 0.01 * (math.pi - total)
-    if total + margin >= math.pi:
-        raise ValueError(
-            f"total width {total} plus margin {margin} reaches pi; nothing to refute"
-        )
-    N, counts = _choose_denominator([s.width for s in segments], math.pi, margin, 1.0)
-    sub_half = 0.5 / N
+    N, sub_half, shifts = _grid([s.width for s in segments], math.pi, margin, 1.0, "pi")
     virtual = []
-    for seg, M in zip(segments, counts):
+    for seg, shift in zip(segments, shifts):
         lat0 = math.asin(seg.offset)
-        for j in range(M):
-            lat = lat0 + (2 * j + 1 - M) * sub_half
+        for t in shift:
+            lat = lat0 + t
             if lat - sub_half >= math.pi / 2 or lat + sub_half <= -math.pi / 2:
                 continue  # entirely past a pole: empty on the sphere
             lat = min(max(lat, -math.pi / 2 + sub_half), math.pi / 2 - sub_half)
@@ -190,76 +199,75 @@ def split_segments(segments, margin=None):
     return virtual, N
 
 
-def refute_cover_sphere(segments, seed=0, starts=64) -> RefutationResult:
-    """Explicit point of the sphere outside every given spherical segment.
+def _split_planks(planks, margin=None):
+    """Round widths up to multiples of 2/N, so that sub-planks have half width 1/N, and split."""
+    N, sub_half, shifts = _grid([p.width for p in planks], 2.0, margin, 2.0, "the diameter 2")
+    virtual = [Plank(p.normal, p.center + t, sub_half) for p, shift in zip(planks, shifts) for t in shift]
+    return virtual, N
 
-    Requires total width < pi and dimension >= 2.  The point comes from
-    maximizing the product of the virtual core equations; its clearances are
-    verified against the original segments directly.
+
+def _refute(pieces, budget, name, split, starts, find) -> RefutationResult:
+    """Explicit point outside every piece of a family of total width below ``budget``.
+
+    Unequal widths are split by ``split`` onto a common grid; the pieces (or
+    their virtual pieces) give the product of their core equations, and
+    ``find(poly, starts)`` returns the candidate points.  The candidate whose
+    smallest clearance from the original pieces is largest is returned, when
+    that clearance is positive.
     """
-    segments = list(segments)
-    if not segments:
-        raise ValueError("no segments given")
-    d = segments[0].dim
-    if d < 2:
-        raise ValueError("sphere covering needs dimension >= 2")
-    if any(s.dim != d for s in segments):
-        raise ValueError("segments of mixed dimension")
-    total = sum(s.width for s in segments)
-    if total >= math.pi:
-        raise ValueError(f"total width {total} >= pi; such a family may cover")
+    pieces = list(pieces)
+    if not pieces:
+        raise ValueError("no pieces given")
+    if any(p.dim != pieces[0].dim for p in pieces):
+        raise ValueError("pieces of mixed dimension")
+    total = sum(p.width for p in pieces)
+    if total >= budget:
+        raise ValueError(f"total width {total} >= {name}; such a family may cover")
 
-    widths = [s.width for s in segments]
+    widths = [p.width for p in pieces]
     if max(widths) - min(widths) <= _EQUAL_WIDTH_TOL:
-        virtual, N = segments, 0
+        virtual, N = pieces, 0
     else:
-        virtual, N = split_segments(segments)
+        virtual, N = split(pieces)
     m = len(virtual)
     if m > MAX_SPLIT_FACTORS:
         raise ValueError(
             f"splitting needs {m} factors (> {MAX_SPLIT_FACTORS}); widths leave "
-            f"slack {math.pi - total:.6g} below pi, too little for a coarser grid"
+            f"slack {budget - total:.6g} below {name}, too little for a coarser grid"
         )
-    poly = MultiPoly.from_affine_product([s.core_form() for s in virtual])
-    res = maximize_abs_on_sphere(poly, starts=max(starts, 4 * m), seed=seed)
+    poly = MultiPoly.from_affine_product([v.core_form() for v in virtual])
 
     def clearances(x):
-        clear = [s.clearance(x) for s in segments]
+        clear = [p.clearance(x) for p in pieces]
         return min(clear), clear
 
-    (best_clear, best_all), best_point = _farthest(res.all_near_max, clearances)
-    if best_clear <= 0.0:
-        bad = int(np.argmin(best_all))
+    (worst, clear), point = _farthest(find(poly, max(starts, 4 * m)), clearances)
+    if worst <= 0.0:
+        bad = int(np.argmin(clear))
         raise VerificationError(
-            f"candidate point failed to clear segment {bad} "
-            f"(clearance {best_all[bad]}); the optimizer missed the true maximizer"
+            f"candidate point failed to clear piece {bad} "
+            f"(clearance {clear[bad]}); the optimizer missed the true maximizer"
         )
     return RefutationResult(
-        point=best_point,
-        clearances=tuple(best_all),
-        total_width=total,
-        budget=math.pi,
-        split_denominator=N,
+        point=point, clearances=tuple(clear), total_width=total, budget=budget, split_denominator=N
     )
 
 
-def _split_planks(planks, margin):
-    total = sum(p.width for p in planks)
-    if margin is None:
-        margin = 0.01 * (2.0 - total)
-    if total + margin >= 2.0:
-        raise ValueError(
-            f"total width {total} plus margin {margin} reaches 2; nothing to refute"
-        )
-    # plank widths live on the grid 2/N so that sub-planks have half-width 1/N
-    N, counts = _choose_denominator([p.width for p in planks], 2.0, margin, 2.0)
-    sub_half = 1.0 / N
-    virtual = []
-    for plank, M in zip(planks, counts):
-        for j in range(M):
-            center = plank.center + (2 * j + 1 - M) * sub_half
-            virtual.append(Plank(plank.normal, center, sub_half))
-    return virtual, N
+def refute_cover_sphere(segments, seed=0, starts=64) -> RefutationResult:
+    """Explicit point of the sphere outside every given spherical segment.
+
+    Requires total width < pi and dimension >= 2.  The candidates are the
+    near-maximal pool of the product of the virtual core equations on the
+    sphere; the one farthest from every original segment is returned.
+    """
+    segments = list(segments)
+    if segments and segments[0].dim < 2:
+        raise ValueError("sphere covering needs dimension >= 2")
+
+    def find(poly, k):
+        return maximize_abs_on_sphere(poly, starts=k, seed=seed).all_near_max
+
+    return _refute(segments, math.pi, "pi", split_segments, starts, find)
 
 
 def refute_cover_ball(planks, seed=0, starts=64) -> RefutationResult:
@@ -268,82 +276,8 @@ def refute_cover_ball(planks, seed=0, starts=64) -> RefutationResult:
     Requires total width < 2.  The point comes from the multiplier method
     applied to the product of the virtual plank center equations.
     """
-    planks = list(planks)
-    if not planks:
-        raise ValueError("no planks given")
-    d = planks[0].dim
-    if any(p.dim != d for p in planks):
-        raise ValueError("planks of mixed dimension")
-    total = sum(p.width for p in planks)
-    if total >= 2.0:
-        raise ValueError(f"total width {total} >= 2; such a family may cover")
 
-    widths = [p.width for p in planks]
-    if max(widths) - min(widths) <= _EQUAL_WIDTH_TOL:
-        virtual, N = planks, 0
-    else:
-        virtual, N = _split_planks(planks, None)
-    m = len(virtual)
-    if m > MAX_SPLIT_FACTORS:
-        raise ValueError(
-            f"splitting needs {m} factors (> {MAX_SPLIT_FACTORS}); widths leave "
-            f"slack {2.0 - total:.6g} below the diameter, too little for a coarser grid"
-        )
-    forms = [AffineForm(p.normal, p.center) for p in virtual]
-    poly = MultiPoly.from_affine_product(forms)
-    point, _ = multiplier_point(poly, seed=seed, starts=max(starts, 4 * m))
+    def find(poly, k):
+        return [multiplier_point(poly, seed=seed, starts=k)[0]]
 
-    clear = [p.clearance(point) for p in planks]
-    worst = min(clear)
-    if worst <= 0.0:
-        bad = int(np.argmin(clear))
-        raise VerificationError(
-            f"candidate point failed to clear plank {bad} "
-            f"(clearance {clear[bad]}); the optimizer missed the true maximizer"
-        )
-    return RefutationResult(
-        point=np.asarray(point, dtype=float),
-        clearances=tuple(clear),
-        total_width=total,
-        budget=2.0,
-        split_denominator=N,
-    )
-
-
-def _sphere_samples(d, resolution, seed):
-    if d == 2:
-        theta = np.linspace(0.0, 2 * math.pi, resolution, endpoint=False)
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    if d == 3:
-        # Fibonacci spiral: near-uniform deterministic coverage
-        i = np.arange(resolution)
-        phi = math.pi * (3.0 - math.sqrt(5.0)) * i
-        z = 1.0 - 2.0 * (i + 0.5) / resolution
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((resolution, d))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
-def is_covered_sample(segments, resolution=2000, seed=0):
-    """(covered fraction, witness): sampling evidence about a covering claim.
-
-    The witness is any sampled point missed by every segment, or None when
-    the sample is fully covered.  Sampling can refute but never prove a
-    covering.
-    """
-    segments = list(segments)
-    if not segments:
-        d = 2
-    else:
-        d = segments[0].dim
-    pts = _sphere_samples(d, resolution, seed)
-    covered = 0
-    witness = None
-    for x in pts:
-        if any(segment_contains(s, x) for s in segments):
-            covered += 1
-        elif witness is None:
-            witness = x
-    return covered / len(pts), witness
+    return _refute(planks, 2.0, "the diameter 2", _split_planks, starts, find)

@@ -270,14 +270,12 @@ class AffineForm:
 
 @dataclass(frozen=True)
 class CirclePlane:
-    """Circle x(theta) = center + radius*(u cos theta + v sin theta)."""
+    """Great circle x(theta) = u cos theta + v sin theta of the unit sphere."""
 
     u: np.ndarray
     v: np.ndarray
-    radius: float = 1.0
-    center: np.ndarray = None
 
-    def __init__(self, u, v, radius=1.0, center=None):
+    def __init__(self, u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         nu, nv = np.linalg.norm(u), np.linalg.norm(v)
@@ -286,29 +284,14 @@ class CirclePlane:
         u, v = u / nu, v / nv
         if abs(float(u @ v)) > _UNIT_TOL:
             raise ValueError("u and v must be orthogonal")
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        if center is None:
-            center = np.zeros_like(u)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "radius", float(radius))
-        object.__setattr__(self, "center", np.asarray(center, dtype=float))
         self.u.setflags(write=False)
         self.v.setflags(write=False)
-        self.center.setflags(write=False)
 
     @property
     def dim(self):
         return self.u.shape[0]
-
-    def point(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return (
-            self.center
-            + self.radius * np.multiply.outer(np.cos(theta), self.u)
-            + self.radius * np.multiply.outer(np.sin(theta), self.v)
-        )
 
 
 def product_of_affine_forms(forms) -> MultiPoly:
@@ -328,8 +311,8 @@ def restrict_to_circle(poly: MultiPoly, plane: CirclePlane) -> TrigPoly:
         raise ValueError(f"plane dimension {plane.dim} != poly dim {poly.dim}")
     base = []
     for i in range(poly.dim):
-        cp = plane.radius * (plane.u[i] - 1j * plane.v[i]) / 2.0
-        base.append(np.array([np.conj(cp), plane.center[i], cp], dtype=complex))
+        cp = (plane.u[i] - 1j * plane.v[i]) / 2.0
+        base.append(np.array([np.conj(cp), 0.0, cp], dtype=complex))
 
     if poly.affine_factors is not None:
         acc = np.array([1.0 + 0j])

@@ -269,24 +269,32 @@ def _farthest(pool, score):
     return best
 
 
+def _near_max(value, X):
+    """(best log value, pool) of the polished rows X: the rows within relative
+    ``NEAR_MAX_REL`` of the best value, ordered by decreasing value and then
+    by coordinates, each unless it lies within 1e-7 of one kept before it.
+    Raises ValueError when the objective vanishes at every row."""
+    logs = value(X)
+    best = np.max(logs)
+    if best <= LOG_FLOOR / 2:
+        raise ValueError("the objective vanishes at every candidate")
+    near = np.flatnonzero(logs >= best + math.log1p(-NEAR_MAX_REL))
+    order = sorted(near, key=lambda i: (-logs[i], tuple(X[i])))
+    return float(best), _dedupe_points([X[i] for i in order])
+
+
 def near_max_on_sphere(value, grad, dim, starts, seed):
-    """Multi-start maximization of a log objective on S^(dim-1).
+    """Multi-start maximization of a log objective on S^(dim-1): (best log value, pool).
 
     Seeded starts take ``_ASCENT_ITERS`` iterations of the lockstep ascent,
     into the basins of the maxima, the best ``max(8, min(32, starts))`` rows
     are polished in one batch by :func:`_newton_polish` and normalised twice
-    by ``unit_vector``, and the (log value, point) pairs within relative
-    ``NEAR_MAX_REL`` of the best polished value are returned in polish order.
+    by ``unit_vector``, and :func:`_near_max` keeps the near-maximal pool.
     """
     X = sphere_starts(dim, starts, seed)
     X, f = _batch_ascent(value, grad, X, _sphere_tangent, _normalize_rows, _ASCENT_ITERS, 0.5, 30)
-    if np.max(f) <= LOG_FLOOR / 2:
-        raise ValueError("the objective vanishes at every start on the unit sphere")
     X = _newton_polish(value, grad, X[np.argsort(-f)[: max(8, min(32, starts))]], _sphere_newton, _normalize_rows)
-    X = np.array([unit_vector(unit_vector(x)) for x in X])
-    logs = value(X)
-    best = np.max(logs)
-    return [(float(lv), p) for lv, p in zip(logs, X) if lv >= best + math.log1p(-NEAR_MAX_REL)]
+    return _near_max(value, np.array([unit_vector(unit_vector(x)) for x in X]))
 
 
 def maximize_abs_on_sphere(poly: MultiPoly, starts=64, seed=0) -> SphereMaxResult:
@@ -309,10 +317,7 @@ def maximize_abs_on_sphere(poly: MultiPoly, starts=64, seed=0) -> SphereMaxResul
         pts = [np.array([math.cos(t), math.sin(t)]) for t in thetas]
         return SphereMaxResult(pts[0], M, math.log(M), tuple(pts))
 
-    value, grad = _log_abs_objective(poly)
-    keep = near_max_on_sphere(value, grad, d, starts, seed)
-    best = max(lv for lv, _ in keep)
-    pts = _dedupe_points([p for _, p in sorted(keep, key=lambda t: (-t[0], tuple(t[1])))])
+    best, pts = near_max_on_sphere(*_log_abs_objective(poly), d, starts, seed)
     return SphereMaxResult(pts[0], math.exp(best), best, tuple(pts))
 
 
@@ -553,11 +558,13 @@ def _sign_symmetric(poly: MultiPoly):
 
 def _canonical_signs(poly: MultiPoly, pool):
     """The pool, each point x taken as the one of x and -x whose largest-modulus
-    coordinate (lowest index on ties) is positive when P(-x) = +-P(x), where the
-    two tie; otherwise the pool as it is."""
+    coordinate is positive when P(-x) = +-P(x), where the two tie; otherwise the
+    pool as it is.  Moduli within relative 1e-9 of the largest count as tied,
+    and the lowest index of them decides, so that x and a rounded copy of -x
+    take the same sign."""
     if not _sign_symmetric(poly):
         return pool
-    return [-x if x[int(np.argmax(np.abs(x)))] < 0 else x for x in pool]
+    return [-x if x[np.argmax(np.abs(x) >= (1.0 - 1e-9) * np.max(np.abs(x)))] < 0 else x for x in pool]
 
 
 @dataclass(frozen=True)

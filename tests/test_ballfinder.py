@@ -144,6 +144,25 @@ class TestPairPoint:
         assert any(c.tobytes() == cert.p.tobytes() for c in calls)
         assert cert.ball_distance == original(MultiPoly(2, {(1, 1): 1.0}), cert.p, seed=0)[0]
 
+    def test_sign_symmetric_small_halves_measured_once(self, monkeypatch):
+        # P(-x) = P(x) for x y, so the small halves p and -p are equally far
+        # from Z(P): the four halves (+-a, +-a) are measured as two
+        calls = []
+        original = ballfinder.euclidean_zero_distance
+
+        def counted(poly, p, seed=0):
+            calls.append(np.array(p))
+            return original(poly, p, seed=seed)
+
+        monkeypatch.setattr(ballfinder, "euclidean_zero_distance", counted)
+        poly = MultiPoly(2, {(1, 1): 1.0})
+        cert = pair_point(poly, seed=0)
+        assert len(calls) == 2
+        assert all(c[np.argmax(np.abs(c))] > 0 for c in calls)
+        assert cert.ball_distance == pytest.approx(0.5, abs=1e-9)
+        # (p, q) is still a maximizer of |P(x) P(y)| on the doubled sphere
+        assert abs(poly.eval(cert.p) * poly.eval(cert.q)) == pytest.approx(0.0625, rel=1e-12)
+
 
 class TestMultiplierPoint:
     def test_linear_1d_boundary(self):

@@ -5,9 +5,9 @@ import pytest
 from scipy.optimize import brentq
 
 from zerogap.chebmult import (
-    ChebMultiplier,
     _CURVATURE_WINDOW,
     _WINDOW,
+    _cancelled_halves,
     ball_multiplier,
     ball_multiplier_log_curvature,
     ball_multiplier_log_slope,
@@ -267,22 +267,20 @@ class TestMultiplierLogCurvature:
         assert np.all(curv < 0.0)
 
 
-class TestMultiplierDescriptor:
+class TestCancelledPoles:
+    """The closed form's denominator vanishes at x = k/n in multiplier coordinates."""
+
     def test_even_poles(self):
-        info = ChebMultiplier.for_degree(4)
-        assert info.parity == "even"
-        assert info.pole_locations == (0.25, 0.75)
+        assert [k / 4 for k in _cancelled_halves(4)] == [0.25, 0.75]
 
     def test_odd_poles(self):
-        info = ChebMultiplier.for_degree(5)
-        assert info.parity == "odd"
-        assert info.pole_locations == (0.4, 0.8)
+        assert [k / 5 for k in _cancelled_halves(5)] == [0.4, 0.8]
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_poles_inside_range(self, n):
-        info = ChebMultiplier.for_degree(n)
-        assert all(0 < p <= 1 + 1 / n for p in info.pole_locations)
-        assert info.value(0.0) == 1.0
+        assert all(k % 2 != n % 2 for k in _cancelled_halves(n))
+        assert all(0 < k / n <= 1 + 1 / n for k in _cancelled_halves(n))
+        assert ball_multiplier(n, 0.0) == 1.0
 
 
 class TestConvergence:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from zerogap import ballfinder, complexproj, sphereopt
+from zerogap import ballfinder, complexproj, covering, sphereopt
 from zerogap.cli import main
 from zerogap.trigcircle import TrigPoly
 
@@ -147,6 +147,47 @@ class TestBallCommands:
         payload = {"dim": 2, "planks": [{"a": [1.0, 0.0], "c": 0.0, "w": 2.1}]}
         code, _ = run_cli(tmp_path, "refute-ball", payload)
         assert code == 3
+
+
+class TestSplitRefusal:
+    """Families whose split needs more than ``MAX_SPLIT_FACTORS`` factors are
+    refused with exit 3 and a message that names the split."""
+
+    @pytest.mark.parametrize(
+        "command, payload, factors",
+        [
+            # widths on the grid 1/100 only: 281 virtual segments
+            (
+                "refute-sphere",
+                {
+                    "dim": 3,
+                    "segments": [
+                        {"a": a, "b": 0.0, "delta": w / 2}
+                        for a, w in zip(np.eye(3).tolist() + [[1, 1, 1]], (0.61, 0.73, 0.59, 0.88))
+                    ],
+                },
+                281,
+            ),
+            # widths whose grid needs N = 694: 626 virtual planks
+            (
+                "refute-ball",
+                {
+                    "dim": 3,
+                    "planks": [
+                        {"a": a, "c": 0.0, "w": w}
+                        for a, w in zip(np.eye(3).tolist() + [[1, 1, 1]], (0.311, 0.472, 0.533, 0.487))
+                    ],
+                },
+                626,
+            ),
+        ],
+        ids=["segments", "planks"],
+    )
+    def test_refused_with_exit_3(self, tmp_path, capsys, command, payload, factors):
+        assert factors > covering.MAX_SPLIT_FACTORS
+        code, out = run_cli(tmp_path, command, payload)
+        assert code == 3 and out == ""
+        assert f"splitting needs {factors} factors" in capsys.readouterr().err
 
 
 class TestComplexCommands:

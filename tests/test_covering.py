@@ -7,7 +7,6 @@ from zerogap.covering import (
     Plank,
     RefutationResult,
     SphericalSegment,
-    is_covered_sample,
     refute_cover_ball,
     refute_cover_sphere,
     segment_contains,
@@ -250,30 +249,3 @@ class TestRefuteBall:
     def test_overwide_rejected(self):
         with pytest.raises(ValueError):
             refute_cover_ball([Plank([1.0, 0.0], 0.0, 1.05)])
-
-
-class TestCoverageSampling:
-    def test_overlapping_hemispheres_cover(self):
-        segs = [
-            SphericalSegment([0, 0, 1], 0.5, 1.2),
-            SphericalSegment([0, 0, 1], -0.5, 1.2),
-        ]
-        frac, witness = is_covered_sample(segs, resolution=3000)
-        assert frac == 1.0
-        assert witness is None
-
-    def test_three_zones_leave_gaps(self):
-        frac, witness = is_covered_sample(orthogonal_zones(0.4), resolution=3000)
-        assert frac < 1.0
-        assert witness is not None
-        assert not any(segment_contains(s, witness) for s in orthogonal_zones(0.4))
-
-    def test_empty_family(self):
-        frac, witness = is_covered_sample([], resolution=100)
-        assert frac == 0.0
-        assert witness is not None
-
-    def test_d2_grid(self):
-        segs = [SphericalSegment([1.0, 0.0], 0.0, 0.5)]
-        frac, witness = is_covered_sample(segs, resolution=1000)
-        assert 0.0 < frac < 1.0

@@ -271,9 +271,13 @@ class TestCirclePlane:
             CirclePlane([2.0, 0.0], [0.0, 1.0])
 
     def test_point_parametrization(self):
-        c = CirclePlane([1, 0, 0], [0, 1, 0], radius=2.0, center=[0, 0, 1])
-        x = c.point(math.pi / 2)
-        assert np.allclose(x, [0.0, 2.0, 1.0], atol=1e-15)
+        # u and v are renormalised and read-only; the circle is u cos t + v sin t
+        c = CirclePlane([1 + 1e-8, 0, 0], [0, 0, 1])
+        assert c.dim == 3 and np.linalg.norm(c.u) == 1.0
+        with pytest.raises(ValueError):
+            c.u[0] = 0.0
+        x = c.u * math.cos(math.pi / 6) + c.v * math.sin(math.pi / 6)
+        assert np.allclose(x, [math.sqrt(3) / 2, 0.0, 0.5], atol=1e-15)
 
 
 class TestRestriction:
@@ -311,14 +315,16 @@ class TestRestriction:
         assert t.degree <= p.degree
         thetas = np.linspace(0, 2 * math.pi, 256, endpoint=False)
         for theta in thetas:
-            assert abs(t.eval(theta) - p.eval(plane.point(theta))) < 1e-10
+            x = plane.u * math.cos(theta) + plane.v * math.sin(theta)
+            assert abs(t.eval(theta) - p.eval(x)) < 1e-10
 
-    def test_small_circle_with_center(self):
+    def test_tilted_great_circle(self):
         p = MultiPoly(3, {(2, 0, 0): 1.0, (0, 0, 1): -1.0})
-        plane = CirclePlane([1, 0, 0], [0, 1, 0], radius=0.5, center=[0.1, -0.2, 0.3])
+        plane = CirclePlane([0.6, 0, 0.8], [0, 1, 0])
         t = restrict_to_circle(p, plane)
         for theta in np.linspace(0, 2 * math.pi, 64):
-            assert t.eval(theta) == pytest.approx(p.eval(plane.point(theta)), abs=1e-12)
+            x = plane.u * math.cos(theta) + plane.v * math.sin(theta)
+            assert t.eval(theta) == pytest.approx(p.eval(x), abs=1e-12)
 
     def test_dimension_mismatch(self):
         plane = CirclePlane([1, 0], [0, 1])
@@ -336,5 +342,6 @@ class TestRestriction:
         t1 = restrict_to_circle(lazy, plane)
         t2 = restrict_to_circle(expanded, plane)
         for theta in np.linspace(0, 2 * math.pi, 97):
-            assert t1.eval(theta) == pytest.approx(lazy.eval(plane.point(theta)), abs=1e-12)
+            x = u * math.cos(theta) + v * math.sin(theta)
+            assert t1.eval(theta) == pytest.approx(lazy.eval(x), abs=1e-12)
             assert t2.eval(theta) == pytest.approx(t1.eval(theta), abs=1e-12)

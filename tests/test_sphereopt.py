@@ -317,6 +317,98 @@ class TestVerifySphereGap:
         assert obj["equality"] is not None and obj["equality"]["interlacing"] is True
 
 
+def assert_near_max_contract(value, X, best, pool):
+    """The pool that ``_near_max`` made of the rows X: best value first, then
+    decreasing value and coordinates on ties; every point within relative
+    NEAR_MAX_REL of the best; no two within 1e-7; every near-maximal row kept
+    or within 1e-7 of a kept point."""
+    logs = value(X)
+    floor = best + math.log1p(-sphereopt.NEAR_MAX_REL)
+    idx = [next(i for i in range(len(X)) if np.array_equal(X[i], p)) for p in pool]
+    assert best == np.max(logs) == logs[idx[0]]
+    assert np.all(logs[idx] >= floor)
+    keys = [(-logs[i], tuple(X[i])) for i in idx]
+    assert keys == sorted(keys)
+    assert min((np.linalg.norm(a - b) for i, a in enumerate(pool) for b in pool[:i]), default=math.inf) > 1e-7
+    assert all(min(np.linalg.norm(X[i] - p) for p in pool) <= 1e-7 for i in np.flatnonzero(logs >= floor))
+
+
+@pytest.fixture
+def near_max_calls(monkeypatch):
+    """(value, rows, best, pool) of every ``_near_max`` call."""
+    calls = []
+    original = sphereopt._near_max
+
+    def record(value, X):
+        best, pool = original(value, X)
+        calls.append((value, X.copy(), best, pool))
+        return best, pool
+
+    monkeypatch.setattr(sphereopt, "_near_max", record)
+    monkeypatch.setattr(ballfinder, "_near_max", record)
+    return calls
+
+
+class TestNearMaxPool:
+    """Every pool builder ends with ``sphereopt._near_max``."""
+
+    def test_order_filter_and_dedupe(self):
+        # exact ties at value 0 are ordered by coordinates, the copy of
+        # (1, 0) within 1e-7 is dropped, and (0.5, 0) is not near-maximal
+        def value(X):
+            return -np.abs(np.linalg.norm(X, axis=1) - 1.0)
+
+        X = np.array([[1.0 + 1e-9, 0.0], [1.0, 0.0], [0.5, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        best, pool = sphereopt._near_max(value, X)
+        assert best == 0.0
+        assert [p.tolist() for p in pool] == [[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+        assert_near_max_contract(value, X, best, pool)
+
+    def test_vanishing_objective_rejected(self):
+        with pytest.raises(ValueError, match="vanishes at every candidate"):
+            sphereopt._near_max(lambda X: np.full(len(X), LOG_FLOOR), np.eye(3))
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            MultiPoly(3, {(1, 1, 1): 1.0}),
+            MultiPoly(4, {(2, 0, 0, 0): 1.0, (0, 1, 1, 0): -0.5, (0, 0, 0, 2): 0.3}),
+        ],
+        ids=["xyz", "quadric-d4"],
+    )
+    def test_sphere(self, poly, near_max_calls):
+        res = maximize_abs_on_sphere(poly)
+        [(value, X, best, pool)] = near_max_calls
+        assert len(pool) > 1
+        assert_near_max_contract(value, X, best, pool)
+        assert res.log_value == best and np.array_equal(res.all_near_max, pool)
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            MultiPoly(1, {(3,): 4.0, (1,): -3.0}),
+            MultiPoly(2, {(1, 1): 1.0}),
+            MultiPoly(3, {(1, 1, 1): 1.0}),
+        ],
+        ids=["T3-d1", "xy-d2", "xyz-d3"],
+    )
+    def test_ball(self, poly, near_max_calls):
+        pool = ballfinder._multiplier_pool(poly, 0, 64)
+        [(value, X, best, recorded)] = near_max_calls
+        assert len(pool) > 1 and recorded is pool
+        assert_near_max_contract(value, X, best, pool)
+
+    @pytest.mark.parametrize("dim, exps", [(2, (1, 1)), (3, (1, 1, 1))], ids=["C2", "C3"])
+    def test_complex(self, dim, exps, near_max_calls):
+        poly = complexproj.ComplexHomogPoly(dim, {exps: 1.0, (sum(exps),) + (0,) * (dim - 1): 0.3j})
+        items = complexproj._maximize_items(((poly, 1.0),), 64, 0)
+        [(value, X, best, pool)] = near_max_calls
+        assert len(pool) > 1
+        assert_near_max_contract(value, X, best, pool)
+        # _maximize_items keeps the pool, sorted by coordinates
+        assert np.array_equal(items, sorted(pool, key=tuple))
+
+
 class TestStarts:
     def test_starts_are_unit_and_deterministic(self):
         a = sphere_starts(4, 33, 5)
@@ -595,12 +687,11 @@ class TestGainFloor:
     def test_near_max_pool_unchanged(self, name, monkeypatch):
         value, grad, X, _ = ASCENT_CASES[name]()
         dim, seed = X.shape[1], 3
-        pool = sphereopt.near_max_on_sphere(value, grad, dim, 64, seed)
+        best, pool = sphereopt.near_max_on_sphere(value, grad, dim, 64, seed)
         monkeypatch.setattr(sphereopt, "_batch_ascent", parent_loop_ascent)
-        ref = sphereopt.near_max_on_sphere(value, grad, dim, 64, seed)
+        ref_best, ref = sphereopt.near_max_on_sphere(value, grad, dim, 64, seed)
         assert len(pool) == len(ref)
         # the polish ends both at the same maximum, up to the rounding of f
-        best, ref_best = max(lv for lv, _ in pool), max(lv for lv, _ in ref)
         assert best == pytest.approx(ref_best, rel=0, abs=GAIN_FLOOR * max(1.0, abs(ref_best)))
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
