@@ -7,7 +7,9 @@ circle are pulled back to angles and polished by Newton iteration; clusters
 of polished angles give multiplicities, confirmed through derivative
 magnitudes.  A nonzero trigonometric polynomial of degree n has at most 2n
 zeros on the circle counted with multiplicity, which bounds everything the
-certificates below count.
+certificates below count.  The sup norm that scales their tolerances is the
+maximum of |T| on 4096 equally spaced angles, sampled all at once by one
+inverse real FFT of the coefficient spectrum.
 """
 
 from __future__ import annotations
@@ -45,19 +47,20 @@ _DERIV_TOL = 1e-6
 # angles evaluated per block in TrigPoly.eval, which bounds its work array to
 # (2n + 1) x _EVAL_BLOCK doubles however many angles are asked for
 _EVAL_BLOCK = 256
-# sample grid of TrigPoly.sup_norm
-_SUP_GRID = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-_SUP_GRID.setflags(write=False)
+# TrigPoly.sup_norm samples the angles 2 pi j / _SUP_POINTS, j = 0 .. _SUP_POINTS - 1
+_SUP_POINTS = 4096
 
 
 class TrigPoly:
     """T(theta) = a0 + sum_k (a_k cos k theta + b_k sin k theta)."""
 
-    __slots__ = ("a0", "coeffs", "degree", "_sup")
+    __slots__ = ("a0", "coeffs", "degree", "_pairs", "_freqs", "_sup")
 
     def __init__(self, a0, coeffs=(), trim=False):
         a0 = float(a0)
         pairs = [(float(a), float(b)) for a, b in coeffs]
+        if not (math.isfinite(a0) and all(math.isfinite(a) and math.isfinite(b) for a, b in pairs)):
+            raise ValueError("trigonometric polynomial coefficients must be finite (no NaN or Infinity)")
         if trim:
             scale = max([abs(a0)] + [max(abs(a), abs(b)) for a, b in pairs])
             while pairs and max(abs(pairs[-1][0]), abs(pairs[-1][1])) <= _DEGREE_TRIM * scale:
@@ -67,6 +70,9 @@ class TrigPoly:
         self.a0 = a0
         self.coeffs = tuple(pairs)
         self.degree = len(pairs)
+        # (a_k, b_k) rows and the frequencies k, for eval and sup_norm
+        self._pairs = np.array(pairs).reshape(-1, 2)
+        self._freqs = np.arange(1.0, self.degree + 1.0)
         self._sup = None
 
     def eval(self, theta):
@@ -79,8 +85,7 @@ class TrigPoly:
         theta = np.asarray(theta, dtype=float)
         flat = theta.ravel()
         out = np.empty(flat.shape)
-        pairs = np.array(self.coeffs).reshape(-1, 2)
-        freqs = np.arange(1.0, self.degree + 1.0)
+        pairs, freqs = self._pairs, self._freqs
         terms = np.empty((2 * self.degree + 1, min(flat.size, _EVAL_BLOCK)))
         for start in range(0, flat.size, _EVAL_BLOCK):
             block = flat[start : start + _EVAL_BLOCK]
@@ -121,9 +126,28 @@ class TrigPoly:
         return TrigPoly(c * self.a0, [(c * a, c * b) for a, b in self.coeffs], trim=False)
 
     def sup_norm(self):
-        """max |T| over 4096 equally spaced angles, sampled once per polynomial."""
+        """max |T| over the 4096 angles 2 pi j / 4096, computed once per polynomial.
+
+        The grid is one inverse real FFT of the coefficient spectrum with
+        norm="forward", so no coefficient is multiplied by the grid size, which
+        would overflow near 1e308: bin k holds (a_k - i b_k) / 2, the Nyquist
+        bin 2048 holds a_2048 whole (sin 2048 theta vanishes on the grid), and
+        degrees above 2048 fold onto k mod 4096, where they sample alike.
+        """
         if self._sup is None:
-            self._sup = float(np.max(np.abs(self.eval(_SUP_GRID))))
+            N, half = _SUP_POINTS, _SUP_POINTS // 2
+            k = np.arange(1, self.degree + 1) % N
+            a, b = self._pairs[:, 0], self._pairs[:, 1]
+            # on the grid, frequency N - k samples as k with sin negated
+            upper = k > half
+            bins = np.where(upper, N - k, k)
+            # at bins 0 and N/2, cos k theta is +-1 and sin k theta is 0
+            edge = (bins == 0) | (bins == half)
+            spectrum = np.empty(half + 1, dtype=complex)
+            spectrum.real = np.bincount(bins, np.where(edge, a, 0.5 * a), half + 1)
+            spectrum.imag = np.bincount(bins, np.where(edge, 0.0, np.where(upper, 0.5, -0.5) * b), half + 1)
+            spectrum[0] += self.a0
+            self._sup = float(np.max(np.abs(np.fft.irfft(spectrum, N, norm="forward"))))
         return self._sup
 
     def is_trivially_zero(self):
@@ -196,6 +220,28 @@ def circle_distance(t1, t2):
 def _check_nonzero(T: TrigPoly):
     if T.is_trivially_zero():
         raise ValueError("identically-zero trigonometric polynomial")
+
+
+def _unit_scaled(T: TrigPoly):
+    """(e, 2^e T) for the e that puts the largest coefficient in [0.5, 1).
+
+    The root finders work on 2^e T, so that subnormal input keeps the digits
+    its relative tolerances compare and no derivative of huge input
+    overflows.  The scaling is exact (np.ldexp reaches 2^+-1074 with no
+    overflowing factor), so on normal-range input every step is the unscaled
+    one times 2^e, bit for bit.  T itself comes back when e = 0, with the
+    sup norm it has cached.
+    """
+    e = -math.frexp(float(np.max(np.abs(T._pairs), initial=abs(T.a0))))[1]
+    return (e, T) if e == 0 else (e, TrigPoly(math.ldexp(T.a0, e), np.ldexp(T._pairs, e)))
+
+
+def _unscaled_max(M, e):
+    """2^-e M: a maximum of |2^e T| taken back to the scale of T."""
+    try:
+        return math.ldexp(M, -e)
+    except OverflowError:
+        raise ValueError("max |T| exceeds the largest double") from None
 
 
 def _companion_angles(T: TrigPoly):
@@ -278,6 +324,7 @@ def trig_zeros(T: TrigPoly) -> CircleZeroSet:
     _check_nonzero(T)
     if T.degree == 0:
         return CircleZeroSet(())
+    _, T = _unit_scaled(T)
     sup = T.sup_norm()
     dT = T.derivative()
     raw = _companion_angles(T)
@@ -322,6 +369,7 @@ def trig_max_points(T: TrigPoly):
     _check_nonzero(T)
     if T.degree == 0:
         return abs(T.a0), [0.0]
+    e, T = _unit_scaled(T)
     dT = T.derivative()
     crit = list(trig_zeros(dT).angles) if not dT.is_trivially_zero() else [0.0]
     if not crit:
@@ -329,7 +377,7 @@ def trig_max_points(T: TrigPoly):
     vals = np.abs(T.eval(np.array(crit)))
     M = float(np.max(vals))
     pts = sorted(float(t) for t, v in zip(crit, vals) if v >= M * (1.0 - 1e-9))
-    return M, pts
+    return _unscaled_max(M, e), pts
 
 
 def min_max_to_zero_distance(T: TrigPoly) -> float:
@@ -349,9 +397,12 @@ def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
     polynomial Q(theta) = T(theta) - T(0) cos(n theta), which has a double
     zero at 0.  Q vanishing identically flags the extremal equally-spaced
     case; otherwise the measured gap is reported against the pi/(2n) bound.
+    Everything is measured on 2^e T (see _unit_scaled), so that the root
+    finders and Q share one polynomial and its sup norm.
     """
     _check_nonzero(T)
     n = T.degree
+    e, T = _unit_scaled(T)
     M, pts = trig_max_points(T)
     zeros = trig_zeros(T) if n > 0 else CircleZeroSet(())
     if len(zeros) == 0:
@@ -366,10 +417,10 @@ def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
         shifted = T.shift(pts[0])
         cos_n = TrigPoly(0.0, [(0.0, 0.0)] * (n - 1) + [(1.0, 0.0)], trim=False)
         Q = shifted + cos_n.scaled(-shifted.eval(0.0))
-        q_zero = Q.sup_norm() < 1e-10 * max(T.sup_norm(), 1e-300)
+        q_zero = Q.sup_norm() < 1e-10 * T.sup_norm()
     return ZeroGapReport(
         max_points=tuple(pts),
-        max_value=M,
+        max_value=_unscaled_max(M, e),
         zeros=zeros,
         min_distance=min_dist,
         bound=bound,

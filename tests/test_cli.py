@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ class TestSphereVerify:
         code, text = run_cli(tmp_path, "sphere-verify", payload)
         assert code == 0
         assert json.loads(text)["passed"] is True
+
+
+    def test_huge_circle_coefficients(self, tmp_path):
+        # d = 2 restricts to a trig polynomial whose second derivative would
+        # overflow without the root finders' power-of-two rescaling
+        def quadric(scale):
+            return {"dim": 2, "terms": [{"e": [2, 0], "c": 0.5 * scale}, {"e": [0, 2], "c": -0.5 * scale}, {"e": [1, 1], "c": 0.1 * scale}]}
+
+        code, text = run_cli(tmp_path, "sphere-verify", quadric(1e308))
+        assert code == 0
+        ref_code, ref_text = run_cli(tmp_path, "sphere-verify", quadric(1.0))
+        rep, ref = json.loads(text), json.loads(ref_text)
+        assert (rep["passed"], ref_code) == (True, 0)
+        assert rep["distance"] == pytest.approx(ref["distance"], abs=1e-12)
 
 
 class TestRefuteSphere:
@@ -110,6 +125,25 @@ class TestTrigVerify:
         for line in text.strip().splitlines()[1:]:
             _, theta, value, _, _ = line.split(",")
             assert value == repr(T.eval(float(theta)))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"n": 1, "a0": 0.0, "c": [[math.inf, 0.0]]}, {"n": 1, "a0": math.nan, "c": [[1.0, 0.0]]}],
+    )
+    def test_non_finite_coefficient_is_usage_error(self, tmp_path, capsys, payload):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run_cli(tmp_path, "trig-verify", payload)
+        assert code == 3
+        assert text == ""
+        assert "coefficients must be finite" in capsys.readouterr().err
+
+    def test_subnormal_cosine_is_certified(self, tmp_path):
+        code, text = run_cli(tmp_path, "trig-verify", {"n": 1, "a0": 0.0, "c": [[1e-310, 0.0]]})
+        assert code == 0
+        rep = json.loads(text)
+        assert rep["passed"] is True and rep["q_identically_zero"] is True
+        assert np.allclose([z["theta"] for z in rep["zeros"]], [math.pi / 2, 3 * math.pi / 2], atol=1e-10)
 
     def test_degree_disagreeing_with_pairs_is_usage_error(self, tmp_path, capsys):
         payload = {"n": 4, "a0": 0, "c": [[1, 0]]}

@@ -48,6 +48,27 @@ def random_trig(rng, n):
     return TrigPoly(float(rng.standard_normal()), [tuple(rng.standard_normal(2)) for _ in range(n)])
 
 
+# the angles of TrigPoly.sup_norm, 2 pi j / 4096
+SUP_ANGLES = np.arange(4096) * (TWO_PI / 4096)
+
+
+def termwise_sup(T):
+    """max |T| on the sup_norm angles, evaluated term by term."""
+    return float(np.max(np.abs(T.eval(SUP_ANGLES))))
+
+
+def sup_rounding_bound(T):
+    """Allowed gap between the FFT maximum and the term-wise one.
+
+    One ulp of the coefficients' l1 norm for the sums, plus the rounding of
+    each angle k theta_j in the term-wise evaluation, which moves term k by
+    up to about 2 pi k eps |c_k|.
+    """
+    c = np.abs(np.array(T.coeffs).reshape(-1, 2)).sum(axis=1)
+    k = np.arange(1, T.degree + 1)
+    return np.finfo(float).eps * (abs(T.a0) + c.sum() + TWO_PI * (k * c).sum())
+
+
 def loop_eval(T, theta):
     """Reference evaluation: one frequency at a time, a0 + a1 cos + b1 sin + ..."""
     theta = np.asarray(theta, dtype=float)
@@ -233,23 +254,63 @@ class TestWorkCounts:
                 assert count <= 2 * steps + 1
 
     def test_certificate_samples_each_sup_grid_once(self, monkeypatch):
-        grids = []
-        original = TrigPoly.eval
+        transforms, asked = Counter(), []
+        original_irfft, original_sup = np.fft.irfft, TrigPoly.sup_norm
 
-        def counted(self, theta):
-            if np.size(theta) == trigcircle._SUP_GRID.size:
-                grids.append(self)
-            return original(self, theta)
+        def counted_irfft(*args, **kwargs):
+            transforms["irfft"] += 1
+            return original_irfft(*args, **kwargs)
 
-        monkeypatch.setattr(TrigPoly, "eval", counted)
+        def recorded_sup(self):
+            asked.append(self)
+            return original_sup(self)
+
+        monkeypatch.setattr(np.fft, "irfft", counted_irfft)
+        monkeypatch.setattr(TrigPoly, "sup_norm", recorded_sup)
         T = random_trig(np.random.default_rng(3), 12)
         rep = zero_gap_certificate(T)
         assert not rep.q_identically_zero
-        # T', T and the comparison polynomial Q, one grid each
-        assert len(grids) == 3 and len(set(map(id, grids))) == 3
-        # a repeated call returns the grid maximum without sampling again
-        assert T.sup_norm() == float(np.max(np.abs(original(T, trigcircle._SUP_GRID))))
-        assert len(grids) == 3
+        # T', T and the comparison polynomial Q, one transform each
+        assert len(set(map(id, asked))) == 3 and transforms["irfft"] == 3
+        # a repeated call returns the grid maximum without transforming again
+        sup = T.sup_norm()
+        assert T.sup_norm() == sup and transforms["irfft"] == 4
+        assert abs(sup - termwise_sup(T)) <= sup_rounding_bound(T)
+
+
+class TestSupNorm:
+    """The FFT maximum against the term-wise maximum on the same 4096 angles."""
+
+    def test_random_low_degrees(self):
+        rng = np.random.default_rng(17)
+        for n in list(range(0, 61)) + list(rng.integers(0, 61, 20)):
+            T = random_trig(rng, int(n))
+            assert abs(T.sup_norm() - termwise_sup(T)) <= sup_rounding_bound(T)
+
+    @pytest.mark.parametrize("n", [2047, 2048, 2049, 4097])
+    def test_nyquist_and_folded_degrees(self, n):
+        T = random_trig(np.random.default_rng(n), n)
+        assert abs(T.sup_norm() - termwise_sup(T)) <= sup_rounding_bound(T)
+
+    @pytest.mark.parametrize("k, alias, alias_b", [(2048, 2048, 0.0), (4095, 1, 1.5), (4097, 1, -1.5), (6144, 2048, 0.0)])
+    def test_frequency_samples_as_its_alias(self, k, alias, alias_b):
+        # 0.75 cos k theta - 1.5 sin k theta on the grid: frequency 4096 - k has
+        # the sine negated, and at the Nyquist bin 2048 the sine vanishes while
+        # the cosine enters whole
+        def single(freq, a, b):
+            return TrigPoly(0.25, [(0.0, 0.0)] * (freq - 1) + [(a, b)])
+
+        assert single(k, 0.75, -1.5).sup_norm() == single(alias, 0.75, alias_b).sup_norm()
+
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    @pytest.mark.parametrize("n", [1, 9, 60])
+    def test_extreme_scales_neither_overflow_nor_flush(self, k, n):
+        T = random_trig(np.random.default_rng(n), n)
+        S = TrigPoly(math.ldexp(T.a0, k), [(math.ldexp(a, k), math.ldexp(b, k)) for a, b in T.coeffs])
+        sup = S.sup_norm()
+        assert math.isfinite(sup) and sup > 0.0
+        assert sup == pytest.approx(math.ldexp(T.sup_norm(), k), rel=1e-14)
+        assert abs(sup - termwise_sup(S)) <= sup_rounding_bound(S)
 
 
 class TestZeros:
@@ -389,6 +450,41 @@ class TestZeroGapCertificate:
         assert rep.q_identically_zero
         assert rep.min_distance == pytest.approx(math.pi / 8, abs=1e-10)
 
+    @pytest.mark.parametrize("k", [-1040, -1030, -1000, 0, 1000])
+    def test_power_of_two_scale_keeps_the_certificate(self, k):
+        # dyadic coefficients, so that 2^k T is exact down to subnormal scale
+        rng = np.random.default_rng(6)
+        cases = [
+            cos_n(3),
+            sin_n(2, amp=-0.75),
+            # (1 - cos t)(0.75 + cos t): a double zero at 0
+            TrigPoly(0.25, [(0.25, 0.0), (-0.5, 0.0)]),
+            TrigPoly(0.125, [tuple(rng.integers(-64, 65, 2) / 64) for _ in range(5)]),
+        ]
+        for T in cases:
+            S = TrigPoly(math.ldexp(T.a0, k), [(math.ldexp(a, k), math.ldexp(b, k)) for a, b in T.coeffs])
+            ref, rep = zero_gap_certificate(T), zero_gap_certificate(S)
+            assert rep.zeros == ref.zeros and rep.max_points == ref.max_points
+            assert (rep.passed, rep.q_identically_zero) == (ref.passed, ref.q_identically_zero)
+            assert rep.max_value == math.ldexp(ref.max_value, k)
+
+    def test_derivatives_of_huge_input_do_not_overflow(self):
+        # T'' has a coefficient 4.5e308 unless the root finders rescale first
+        T = TrigPoly(0.0, [(5e307, 0.0), (0.0, 0.0), (5e307, 0.0)])
+        ref_T = TrigPoly(0.0, [(0.5, 0.0), (0.0, 0.0), (0.5, 0.0)])
+        rep, ref = zero_gap_certificate(T), zero_gap_certificate(ref_T)
+        assert rep.passed and np.allclose(rep.zeros.angles, ref.zeros.angles, rtol=0.0, atol=1e-12)
+        assert rep.max_value == pytest.approx(1e308, rel=1e-12)
+        M, pts = trig_max_points(T)
+        assert M == pytest.approx(1e308, rel=1e-12) and pts == trig_max_points(ref_T)[1]
+        assert trig_zeros(T.derivative()) == trig_zeros(ref_T.derivative())
+
+    def test_maximum_beyond_the_largest_double_rejected(self):
+        T = TrigPoly(0.0, [(1e308, 0.0), (1e308, 0.0)])
+        for find in (trig_max_points, zero_gap_certificate):
+            with pytest.raises(ValueError, match="largest double"):
+                find(T)
+
     def test_random_suite_meets_bound(self):
         rng = np.random.default_rng(1)
         checked = 0
@@ -449,6 +545,11 @@ class TestTrigPolyType:
     def test_degree_trimming(self):
         t = TrigPoly(1.0, [(1.0, 0.0), (1e-16, 1e-17)], trim=True)
         assert t.degree == 1
+
+    @pytest.mark.parametrize("a0, pair", [(0.0, (math.inf, 0.0)), (math.nan, (1.0, 0.0)), (1.0, (0.5, -math.inf))])
+    def test_non_finite_coefficients_rejected(self, a0, pair):
+        with pytest.raises(ValueError, match="finite"):
+            TrigPoly(a0, [pair], trim=True)
 
     def test_untrimmed_zero_leading_pair_rejected(self):
         with pytest.raises(ValueError):
