@@ -60,11 +60,9 @@ from .sphereopt import (
 )
 from .trigcircle import (
     CircleZero,
-    CircleZeroSet,
     TrigPoly,
     ZeroGapReport,
     interlacing_check,
-    min_max_to_zero_distance,
     trig_max_points,
     trig_zeros,
     zero_gap_certificate,

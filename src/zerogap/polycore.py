@@ -305,8 +305,17 @@ def restrict_to_circle(poly: MultiPoly, plane: CirclePlane) -> TrigPoly:
     Each coordinate on the circle is a degree-1 Fourier series, kept as its
     centered coefficient array; monomials are expanded by convolving those
     arrays, which reproduces the exact product-to-sum trigonometric
-    identities with no sampling step.
+    identities with no sampling step.  The series holds (a_k - i b_k) / 2 at
+    power k > 0, so its upper half gives the coefficient pairs directly.
     """
+    series = _circle_series(poly, plane)
+    n = (len(series) - 1) // 2
+    upper = series[n + 1 :]
+    return TrigPoly(series[n].real, np.column_stack((2.0 * upper.real, -2.0 * upper.imag)), trim=True)
+
+
+def _circle_series(poly: MultiPoly, plane: CirclePlane):
+    """Centered complex Fourier series (powers -n .. n) of poly on the circle."""
     if plane.dim != poly.dim:
         raise ValueError(f"plane dimension {plane.dim} != poly dim {poly.dim}")
     base = []
@@ -322,7 +331,7 @@ def restrict_to_circle(poly: MultiPoly, plane: CirclePlane) -> TrigPoly:
                 if f.normal[i] != 0.0:
                     fac = fac + f.normal[i] * base[i]
             acc = np.convolve(acc, fac)
-        series = acc
+        return acc
     else:
         max_exp = np.max([e for e, _ in poly.terms], axis=0)
         # powers[i][k] = Fourier series of x_i(theta)**k
@@ -341,8 +350,4 @@ def restrict_to_circle(poly: MultiPoly, plane: CirclePlane) -> TrigPoly:
                     mono = np.convolve(mono, powers[i][ei])
             k = (len(mono) - 1) // 2
             series[deg - k : deg + k + 1] += mono
-
-    n = (len(series) - 1) // 2
-    a0 = float(series[n].real)
-    pairs = [(2.0 * series[n + k].real, -2.0 * series[n + k].imag) for k in range(1, n + 1)]
-    return TrigPoly(a0, pairs, trim=True)
+    return series

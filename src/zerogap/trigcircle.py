@@ -8,8 +8,10 @@ of polished angles give multiplicities, confirmed through derivative
 magnitudes.  A nonzero trigonometric polynomial of degree n has at most 2n
 zeros on the circle counted with multiplicity, which bounds everything the
 certificates below count.  The sup norm that scales their tolerances is the
-maximum of |T| on 4096 equally spaced angles, sampled all at once by one
-inverse real FFT of the coefficient spectrum.
+maximum of |T| on N equally spaced angles, N the larger of 4096 and the
+smallest power of two >= 4n, sampled all at once by one inverse real FFT of
+the coefficient spectrum.  The companion matrix is built from the same
+spectrum.
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ import numpy as np
 __all__ = [
     "TrigPoly",
     "CircleZero",
-    "CircleZeroSet",
     "ZeroGapReport",
     "trig_zeros",
     "trig_max_points",
-    "min_max_to_zero_distance",
     "zero_gap_certificate",
     "interlacing_check",
     "circle_distance",
@@ -47,33 +47,45 @@ _DERIV_TOL = 1e-6
 # angles evaluated per block in TrigPoly.eval, which bounds its work array to
 # (2n + 1) x _EVAL_BLOCK doubles however many angles are asked for
 _EVAL_BLOCK = 256
-# TrigPoly.sup_norm samples the angles 2 pi j / _SUP_POINTS, j = 0 .. _SUP_POINTS - 1
-_SUP_POINTS = 4096
+# TrigPoly.sup_norm samples at least this many equally spaced angles
+_SUP_MIN_POINTS = 4096
 
 
 class TrigPoly:
-    """T(theta) = a0 + sum_k (a_k cos k theta + b_k sin k theta)."""
+    """T(theta) = a0 + sum_k (a_k cos k theta + b_k sin k theta).
 
-    __slots__ = ("a0", "coeffs", "degree", "_pairs", "_freqs", "_sup")
+    ``coeffs`` is one read-only (n, 2) float array whose row k - 1 holds
+    (a_k, b_k); every operation below works on it as a whole.
+    """
+
+    __slots__ = ("a0", "coeffs", "_freqs", "_sup")
 
     def __init__(self, a0, coeffs=(), trim=False):
         a0 = float(a0)
-        pairs = [(float(a), float(b)) for a, b in coeffs]
-        if not (math.isfinite(a0) and all(math.isfinite(a) and math.isfinite(b) for a, b in pairs)):
+        try:
+            pairs = np.array(coeffs, dtype=float) if len(coeffs) else np.empty((0, 2))
+        except (TypeError, ValueError):
+            pairs = None
+        if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("trigonometric polynomial coefficients must be a list of (a_k, b_k) pairs")
+        if not (math.isfinite(a0) and np.isfinite(pairs).all()):
             raise ValueError("trigonometric polynomial coefficients must be finite (no NaN or Infinity)")
+        size = np.max(np.abs(pairs), axis=1)
         if trim:
-            scale = max([abs(a0)] + [max(abs(a), abs(b)) for a, b in pairs])
-            while pairs and max(abs(pairs[-1][0]), abs(pairs[-1][1])) <= _DEGREE_TRIM * scale:
-                pairs.pop()
-        if pairs and max(abs(pairs[-1][0]), abs(pairs[-1][1])) == 0.0:
+            kept = np.flatnonzero(size > _DEGREE_TRIM * max(abs(a0), np.max(size, initial=0.0)))
+            pairs = pairs[: kept[-1] + 1 if kept.size else 0]
+        if len(pairs) and size[len(pairs) - 1] == 0.0:
             raise ValueError("leading coefficient pair is zero; pass trim=True or drop it")
+        pairs.flags.writeable = False
         self.a0 = a0
-        self.coeffs = tuple(pairs)
-        self.degree = len(pairs)
-        # (a_k, b_k) rows and the frequencies k, for eval and sup_norm
-        self._pairs = np.array(pairs).reshape(-1, 2)
-        self._freqs = np.arange(1.0, self.degree + 1.0)
+        self.coeffs = pairs
+        # the frequencies k, for eval, derivative and shift
+        self._freqs = np.arange(1.0, len(pairs) + 1.0)
         self._sup = None
+
+    @property
+    def degree(self):
+        return len(self.coeffs)
 
     def eval(self, theta):
         """T at each angle; a float for a scalar angle, else an array.
@@ -85,7 +97,7 @@ class TrigPoly:
         theta = np.asarray(theta, dtype=float)
         flat = theta.ravel()
         out = np.empty(flat.shape)
-        pairs, freqs = self._pairs, self._freqs
+        pairs, freqs = self.coeffs, self._freqs
         terms = np.empty((2 * self.degree + 1, min(flat.size, _EVAL_BLOCK)))
         for start in range(0, flat.size, _EVAL_BLOCK):
             block = flat[start : start + _EVAL_BLOCK]
@@ -102,66 +114,48 @@ class TrigPoly:
     __call__ = eval
 
     def derivative(self) -> "TrigPoly":
-        pairs = [(k * b, -k * a) for k, (a, b) in enumerate(self.coeffs, start=1)]
-        return TrigPoly(0.0, pairs, trim=False) if pairs else TrigPoly(0.0)
+        a, b = self.coeffs.T
+        return TrigPoly(0.0, np.column_stack((self._freqs * b, -self._freqs * a)))
 
     def shift(self, s) -> "TrigPoly":
         """T(theta + s) as a new TrigPoly."""
-        pairs = []
-        for k, (a, b) in enumerate(self.coeffs, start=1):
-            c, sn = math.cos(k * s), math.sin(k * s)
-            pairs.append((a * c + b * sn, -a * sn + b * c))
-        return TrigPoly(self.a0, pairs, trim=False)
+        c, sn = np.cos(self._freqs * s), np.sin(self._freqs * s)
+        a, b = self.coeffs.T
+        return TrigPoly(self.a0, np.column_stack((a * c + b * sn, -a * sn + b * c)))
 
-    def __add__(self, other):
-        n = max(self.degree, other.degree)
-        pairs = []
-        for k in range(1, n + 1):
-            a1, b1 = self.coeffs[k - 1] if k <= self.degree else (0.0, 0.0)
-            a2, b2 = other.coeffs[k - 1] if k <= other.degree else (0.0, 0.0)
-            pairs.append((a1 + a2, b1 + b2))
-        return TrigPoly(self.a0 + other.a0, pairs, trim=True)
-
-    def scaled(self, c) -> "TrigPoly":
-        return TrigPoly(c * self.a0, [(c * a, c * b) for a, b in self.coeffs], trim=False)
+    def _spectrum(self):
+        """[a0, (a_1 - i b_1) / 2, ..., (a_n - i b_n) / 2]: the nonnegative half
+        of T's complex Fourier series, which both the sup grid and the
+        companion matrix are built from."""
+        return np.append(self.a0, (self.coeffs[:, 0] - 1j * self.coeffs[:, 1]) / 2.0)
 
     def sup_norm(self):
-        """max |T| over the 4096 angles 2 pi j / 4096, computed once per polynomial.
+        """max |T| over the angles 2 pi j / N, computed once per polynomial.
 
-        The grid is one inverse real FFT of the coefficient spectrum with
-        norm="forward", so no coefficient is multiplied by the grid size, which
-        would overflow near 1e308: bin k holds (a_k - i b_k) / 2, the Nyquist
-        bin 2048 holds a_2048 whole (sin 2048 theta vanishes on the grid), and
-        degrees above 2048 fold onto k mod 4096, where they sample alike.
+        N is the larger of 4096 and the smallest power of two >= 4n, so no
+        frequency reaches the Nyquist bin N / 2, and every angle lies within
+        pi / (4n) of a grid point, where by the cosine comparison |T| is at
+        least cos(pi / 4) sup |T|.  The grid is one inverse real FFT of the
+        spectrum with norm="forward", so no coefficient is multiplied by N,
+        which would overflow near 1e308.
         """
         if self._sup is None:
-            N, half = _SUP_POINTS, _SUP_POINTS // 2
-            k = np.arange(1, self.degree + 1) % N
-            a, b = self._pairs[:, 0], self._pairs[:, 1]
-            # on the grid, frequency N - k samples as k with sin negated
-            upper = k > half
-            bins = np.where(upper, N - k, k)
-            # at bins 0 and N/2, cos k theta is +-1 and sin k theta is 0
-            edge = (bins == 0) | (bins == half)
-            spectrum = np.empty(half + 1, dtype=complex)
-            spectrum.real = np.bincount(bins, np.where(edge, a, 0.5 * a), half + 1)
-            spectrum.imag = np.bincount(bins, np.where(edge, 0.0, np.where(upper, 0.5, -0.5) * b), half + 1)
-            spectrum[0] += self.a0
-            self._sup = float(np.max(np.abs(np.fft.irfft(spectrum, N, norm="forward"))))
+            N = max(_SUP_MIN_POINTS, 1 << (4 * self.degree - 1).bit_length())
+            self._sup = float(np.max(np.abs(np.fft.irfft(self._spectrum(), N, norm="forward"))))
         return self._sup
 
     def is_trivially_zero(self):
-        return self.a0 == 0.0 and all(a == 0.0 and b == 0.0 for a, b in self.coeffs)
+        return self.a0 == 0.0 and not self.coeffs.any()
 
     def to_json(self):
-        return {"n": self.degree, "a0": self.a0, "c": [[a, b] for a, b in self.coeffs]}
+        return {"n": self.degree, "a0": self.a0, "c": self.coeffs.tolist()}
 
     @classmethod
     def from_json(cls, obj):
-        pairs = [tuple(p) for p in obj["c"]]
-        if "n" in obj and obj["n"] != len(pairs):
-            raise ValueError(f'"n" is {obj["n"]} but "c" holds {len(pairs)} coefficient pairs')
-        return cls(obj["a0"], pairs, trim=True)
+        T = cls(obj["a0"], obj["c"], trim=True)
+        if "n" in obj and obj["n"] != len(obj["c"]):
+            raise ValueError(f'"n" is {obj["n"]} but "c" holds {len(obj["c"])} coefficient pairs')
+        return T
 
     def __repr__(self):
         return f"TrigPoly(degree={self.degree})"
@@ -174,37 +168,18 @@ class CircleZero:
 
 
 @dataclass(frozen=True)
-class CircleZeroSet:
-    zeros: tuple
-
-    @property
-    def total_multiplicity(self):
-        return sum(z.multiplicity for z in self.zeros)
-
-    @property
-    def angles(self):
-        return [z.theta for z in self.zeros]
-
-    def __len__(self):
-        return len(self.zeros)
-
-    def __iter__(self):
-        return iter(self.zeros)
-
-
-@dataclass(frozen=True)
 class ZeroGapReport:
     """Outcome of the cosine-comparison certificate for one trig polynomial.
 
     ``q_identically_zero`` marks the extremal case where the shifted input is
     exactly -+M cos(n theta); then zeros and maximizers are equally spaced
     and the gap equals the bound.  ``zeros`` are the zeros of T the gap was
-    measured against.
+    measured against, a tuple of CircleZero.
     """
 
     max_points: tuple
     max_value: float
-    zeros: CircleZeroSet
+    zeros: tuple
     min_distance: float
     bound: float
     passed: bool
@@ -232,8 +207,8 @@ def _unit_scaled(T: TrigPoly):
     one times 2^e, bit for bit.  T itself comes back when e = 0, with the
     sup norm it has cached.
     """
-    e = -math.frexp(float(np.max(np.abs(T._pairs), initial=abs(T.a0))))[1]
-    return (e, T) if e == 0 else (e, TrigPoly(math.ldexp(T.a0, e), np.ldexp(T._pairs, e)))
+    e = -math.frexp(float(np.max(np.abs(T.coeffs), initial=abs(T.a0))))[1]
+    return (e, T) if e == 0 else (e, TrigPoly(math.ldexp(T.a0, e), np.ldexp(T.coeffs, e)))
 
 
 def _unscaled_max(M, e):
@@ -245,13 +220,15 @@ def _unscaled_max(M, e):
 
 
 def _companion_angles(T: TrigPoly):
-    """Angles of roots of z^n T(theta(z)) lying near the unit circle."""
-    n = T.degree
-    c = np.zeros(2 * n + 1, dtype=complex)
-    c[n] = T.a0
-    for k, (a, b) in enumerate(T.coeffs, start=1):
-        c[n + k] = (a - 1j * b) / 2.0
-        c[n - k] = (a + 1j * b) / 2.0
+    """Angles of roots of z^n T(theta(z)) lying near the unit circle.
+
+    T is the series in powers z^-n .. z^n whose nonnegative half is the
+    spectrum and whose negative half is its conjugate, so z^n T has the
+    reversed conjugate spectrum at powers 0 .. n - 1 and the spectrum at
+    powers n .. 2n.
+    """
+    spectrum = T._spectrum()
+    c = np.concatenate((np.conj(spectrum[:0:-1]), spectrum))
     c = c / np.max(np.abs(c))
     roots = np.roots(c[::-1])
     keep = np.abs(np.abs(roots) - 1.0) <= _RADIAL_CAPTURE
@@ -314,8 +291,9 @@ def _cluster_circular(angles, tol):
     return clusters
 
 
-def trig_zeros(T: TrigPoly) -> CircleZeroSet:
-    """All zeros of T in [0, 2pi) with multiplicities.
+def trig_zeros(T: TrigPoly) -> tuple:
+    """All zeros of T in [0, 2pi) with multiplicities, a tuple of CircleZero
+    sorted by angle.
 
     Each returned angle satisfies |T| < 1e-8 * sup|T|; multiplicity m is
     declared only when the derivatives through order m-1 vanish within
@@ -323,7 +301,7 @@ def trig_zeros(T: TrigPoly) -> CircleZeroSet:
     """
     _check_nonzero(T)
     if T.degree == 0:
-        return CircleZeroSet(())
+        return ()
     _, T = _unit_scaled(T)
     sup = T.sup_norm()
     dT = T.derivative()
@@ -361,7 +339,7 @@ def trig_zeros(T: TrigPoly) -> CircleZeroSet:
     keep = np.abs(T.eval(thetas)) <= _RESIDUAL_TOL * sup
     zeros = [CircleZero(float(t % TWO_PI), int(m)) for t, m, k in zip(thetas, mults, keep) if k]
     zeros.sort(key=lambda z: z.theta)
-    return CircleZeroSet(tuple(zeros))
+    return tuple(zeros)
 
 
 def trig_max_points(T: TrigPoly):
@@ -371,23 +349,11 @@ def trig_max_points(T: TrigPoly):
         return abs(T.a0), [0.0]
     e, T = _unit_scaled(T)
     dT = T.derivative()
-    crit = list(trig_zeros(dT).angles) if not dT.is_trivially_zero() else [0.0]
-    if not crit:
-        crit = [0.0]
+    crit = [z.theta for z in trig_zeros(dT)] or [0.0]
     vals = np.abs(T.eval(np.array(crit)))
     M = float(np.max(vals))
     pts = sorted(float(t) for t, v in zip(crit, vals) if v >= M * (1.0 - 1e-9))
     return _unscaled_max(M, e), pts
-
-
-def min_max_to_zero_distance(T: TrigPoly) -> float:
-    """Minimal circular distance from a maximizer of |T| to a zero of T."""
-    _check_nonzero(T)
-    zeros = trig_zeros(T)
-    if len(zeros) == 0:
-        return math.inf
-    _, pts = trig_max_points(T)
-    return min(circle_distance(t, z.theta) for t in pts for z in zeros)
 
 
 def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
@@ -404,19 +370,18 @@ def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
     n = T.degree
     e, T = _unit_scaled(T)
     M, pts = trig_max_points(T)
-    zeros = trig_zeros(T) if n > 0 else CircleZeroSet(())
-    if len(zeros) == 0:
-        min_dist = math.inf
-    else:
-        min_dist = min(circle_distance(t, z.theta) for t in pts for z in zeros)
+    zeros = trig_zeros(T)
+    min_dist = min((circle_distance(t, z.theta) for t in pts for z in zeros), default=math.inf)
     bound = math.pi / (2 * n) if n > 0 else math.inf
-    passed = min_dist >= bound - tol if min_dist != math.inf else True
+    # no zeros (min_dist = inf) passes, whatever the bound
+    passed = min_dist >= bound - tol
 
     q_zero = False
     if n > 0:
         shifted = T.shift(pts[0])
-        cos_n = TrigPoly(0.0, [(0.0, 0.0)] * (n - 1) + [(1.0, 0.0)], trim=False)
-        Q = shifted + cos_n.scaled(-shifted.eval(0.0))
+        q = shifted.coeffs.copy()
+        q[-1, 0] -= shifted.eval(0.0)
+        Q = TrigPoly(shifted.a0, q, trim=True)
         q_zero = Q.sup_norm() < 1e-10 * T.sup_norm()
     return ZeroGapReport(
         max_points=tuple(pts),
@@ -434,9 +399,8 @@ def interlacing_check(T: TrigPoly, zeros=None, max_points=None):
 
     Returns (interlaces, arcs); arcs lists consecutive gaps of the merged
     event sequence around the circle; equal means within 1e-8 of pi/(2n).
-    ``zeros`` (a CircleZeroSet) and
-    ``max_points`` already found for T are used as given; whichever is None
-    is computed here.
+    ``zeros`` (as trig_zeros returns them) and ``max_points`` already found
+    for T are used as given; whichever is None is computed here.
     """
     _check_nonzero(T)
     n = T.degree

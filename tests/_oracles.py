@@ -6,7 +6,8 @@ finite differences, products from naive term-by-term loops, tails from
 truncated infinite products with an analytic remainder estimate,
 distances to zero sets from serial SLSQP solves, one per seed, maxima on
 the sphere from a per-point Newton polish whose Hessian differences the
-gradient, and maxima in the ball from a long ascent with no polish.
+gradient, maxima in the ball from a long ascent with no polish, and
+trigonometric coefficient maps from plain loops over the frequency k.
 """
 
 import math
@@ -84,6 +85,40 @@ def grid_abs_max(f, samples=200_001):
 def circle_distance(a, b):
     d = abs(a - b) % TWO_PI
     return min(d, TWO_PI - d)
+
+
+def derivative_loop(T):
+    """Coefficient pairs (k b_k, -k a_k) of T', one frequency at a time."""
+    return [(k * b, -k * a) for k, (a, b) in enumerate(T.coeffs.tolist(), start=1)]
+
+
+def shift_loop(T, s):
+    """Coefficient pairs of T(theta + s), one frequency at a time."""
+    pairs = []
+    for k, (a, b) in enumerate(T.coeffs.tolist(), start=1):
+        c, sn = math.cos(k * s), math.sin(k * s)
+        pairs.append((a * c + b * sn, -a * sn + b * c))
+    return pairs
+
+
+def companion_series_loop(T):
+    """Series of z^n T(theta(z)) in powers z^0 .. z^2n: (a_k + i b_k) / 2 at
+    n - k, a0 at n and (a_k - i b_k) / 2 at n + k, one frequency at a time."""
+    n = T.degree
+    c = np.zeros(2 * n + 1, dtype=complex)
+    c[n] = T.a0
+    for k, (a, b) in enumerate(T.coeffs.tolist(), start=1):
+        c[n + k] = (a - 1j * b) / 2.0
+        c[n - k] = (a + 1j * b) / 2.0
+    return c
+
+
+def series_pairs_loop(series):
+    """(a0, pairs) of the trigonometric polynomial whose centered series (powers
+    -n .. n) is ``series``, one frequency at a time."""
+    n = (len(series) - 1) // 2
+    pairs = [(2.0 * series[n + k].real, -2.0 * series[n + k].imag) for k in range(1, n + 1)]
+    return float(series[n].real), pairs
 
 
 def cheb_recurrence(k, x):

@@ -28,7 +28,6 @@ from zerogap.sphereopt import verify_sphere_gap
 from zerogap.trigcircle import (
     TrigPoly,
     interlacing_check,
-    min_max_to_zero_distance,
     trig_max_points,
     trig_zeros,
     zero_gap_certificate,
@@ -66,7 +65,7 @@ def test_criterion_01_extremal_cosine_exactness():
     failures = []
     for n in range(1, 11):
         T = cos_n(n)
-        dist = min_max_to_zero_distance(T)
+        dist = zero_gap_certificate(T).min_distance
         if abs(dist - math.pi / (2 * n)) > 1e-9:
             failures.append((n, "distance", dist))
         ok, arcs = interlacing_check(T)
@@ -93,7 +92,7 @@ def test_criterion_02_random_trig_suite():
         if T.degree == 0 or len(trig_zeros(T)) == 0:
             continue
         checked += 1
-        dist = min_max_to_zero_distance(T)
+        dist = zero_gap_certificate(T).min_distance
         bound = math.pi / (2 * T.degree)
         if dist < bound - 1e-7:
             failures.append((attempt, T.degree, dist, bound))

@@ -152,6 +152,14 @@ class TestTrigVerify:
         assert text == ""
         assert '"n" is 4' in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1]]])
+    def test_coefficients_that_are_not_pairs_are_usage_error(self, tmp_path, capsys, c):
+        # three-entry rows must not be read as three pairs
+        code, text = run_cli(tmp_path, "trig-verify", {"a0": 0.5, "c": c})
+        assert code == 3
+        assert text == ""
+        assert "list of (a_k, b_k) pairs" in capsys.readouterr().err
+
 
 class TestBallCommands:
     def test_ball_pair(self, tmp_path):

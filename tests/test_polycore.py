@@ -285,7 +285,7 @@ class TestRestriction:
         plane = CirclePlane([1, 0], [0, 1])
         t = restrict_to_circle(MultiPoly(2, {(1, 0): 1.0}), plane)
         assert t.a0 == 0.0
-        assert t.coeffs == ((1.0, 0.0),)
+        assert t.coeffs.tolist() == [[1.0, 0.0]]
 
     def test_product_to_sum_identity(self):
         plane = CirclePlane([1, 0], [0, 1])

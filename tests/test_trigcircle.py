@@ -5,19 +5,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from zerogap import trigcircle
+from zerogap import polycore, trigcircle
 from zerogap.cli import main
+from zerogap.polycore import CirclePlane, MultiPoly, restrict_to_circle
 from zerogap.trigcircle import (
     TrigPoly,
     circle_distance,
     interlacing_check,
-    min_max_to_zero_distance,
     trig_max_points,
     trig_zeros,
     zero_gap_certificate,
 )
 
-from _oracles import grid_abs_max, grid_zeros
+from _oracles import companion_series_loop, derivative_loop, grid_abs_max, grid_zeros, series_pairs_loop, shift_loop
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,13 +48,16 @@ def random_trig(rng, n):
     return TrigPoly(float(rng.standard_normal()), [tuple(rng.standard_normal(2)) for _ in range(n)])
 
 
-# the angles of TrigPoly.sup_norm, 2 pi j / 4096
-SUP_ANGLES = np.arange(4096) * (TWO_PI / 4096)
+def sup_points(n):
+    """Size of the sup_norm grid of a degree-n polynomial: the larger of 4096
+    and the smallest power of two >= 4n."""
+    return max(4096, 1 << (4 * n - 1).bit_length())
 
 
 def termwise_sup(T):
-    """max |T| on the sup_norm angles, evaluated term by term."""
-    return float(np.max(np.abs(T.eval(SUP_ANGLES))))
+    """max |T| on the sup_norm angles 2 pi j / N, evaluated term by term."""
+    N = sup_points(T.degree)
+    return float(np.max(np.abs(T.eval(np.arange(N) * (TWO_PI / N)))))
 
 
 def sup_rounding_bound(T):
@@ -143,6 +146,72 @@ class TestBatchedEvalMatchesLoop:
         T = random_trig(np.random.default_rng(3), 4)
         theta = np.linspace(0.0, 1.0, 300)
         assert_bit_identical(T(theta), loop_eval(T, theta))
+
+
+def dyadic_cases(seed):
+    """Random polynomials of degrees 0 - 60 and their multiples by 2^-1000 and 2^1000."""
+    rng = np.random.default_rng(seed)
+    for n in list(range(0, 61, 6)) + list(rng.integers(0, 61, 6)):
+        T = random_trig(rng, int(n))
+        for e in (0, -1000, 1000):
+            yield TrigPoly(math.ldexp(T.a0, e), np.ldexp(T.coeffs, e))
+
+
+def pair_array(pairs):
+    return np.array(pairs, dtype=float).reshape(-1, 2)
+
+
+class TestArrayOperationsMatchLoops:
+    """The coefficient-array operations against plain loops over k.
+
+    The random coefficients have no zero entries, so the signs of zeros,
+    which the loops and the array code may round differently, do not enter
+    the byte comparison.
+    """
+
+    def test_derivative(self):
+        for T in dyadic_cases(31):
+            assert T.derivative().a0 == 0.0
+            assert T.derivative().coeffs.tobytes() == pair_array(derivative_loop(T)).tobytes()
+
+    def test_companion_series(self, monkeypatch):
+        solved = []
+        original_roots = np.roots
+
+        def recorded_roots(p):
+            solved.append(p)
+            return original_roots(p)
+
+        monkeypatch.setattr(np, "roots", recorded_roots)
+        for T in dyadic_cases(32):
+            solved.clear()
+            trigcircle._companion_angles(T)
+            c = companion_series_loop(T)
+            assert solved[0].tobytes() == (c / np.max(np.abs(c)))[::-1].tobytes()
+
+    def test_restriction_pairs(self, monkeypatch):
+        # restrict_to_circle reads its coefficient pairs off the given series
+        poly, plane = MultiPoly(2, {(1, 0): 1.0}), CirclePlane([1, 0], [0, 1])
+        rng = np.random.default_rng(33)
+        for n in list(range(0, 61, 6)) + list(rng.integers(0, 61, 6)):
+            series = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
+            for e in (0, -1000, 1000):
+                scaled = np.ldexp(series.real, e) + 1j * np.ldexp(series.imag, e)
+                monkeypatch.setattr(polycore, "_circle_series", lambda poly, plane, s=scaled: s)
+                a0, pairs = series_pairs_loop(scaled)
+                T = restrict_to_circle(poly, plane)
+                assert T.a0 == a0 and T.coeffs.tobytes() == pair_array(pairs).tobytes()
+
+    def test_shift(self):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(34)
+        for T in dyadic_cases(34):
+            s = float(rng.uniform(-10.0, 10.0))
+            shifted = T.shift(s)
+            # np.cos and math.cos may round differently on some CPUs
+            tol = 4 * eps * np.max(np.abs(T.coeffs), axis=1, keepdims=True)
+            assert shifted.a0 == T.a0
+            assert np.all(np.abs(shifted.coeffs - pair_array(shift_loop(T, s))) <= tol)
 
 
 class TestBatchedNewtonMatchesScalar:
@@ -279,7 +348,7 @@ class TestWorkCounts:
 
 
 class TestSupNorm:
-    """The FFT maximum against the term-wise maximum on the same 4096 angles."""
+    """The FFT maximum against the term-wise maximum on the same N angles."""
 
     def test_random_low_degrees(self):
         rng = np.random.default_rng(17)
@@ -292,15 +361,26 @@ class TestSupNorm:
         T = random_trig(np.random.default_rng(n), n)
         assert abs(T.sup_norm() - termwise_sup(T)) <= sup_rounding_bound(T)
 
-    @pytest.mark.parametrize("k, alias, alias_b", [(2048, 2048, 0.0), (4095, 1, 1.5), (4097, 1, -1.5), (6144, 2048, 0.0)])
-    def test_frequency_samples_as_its_alias(self, k, alias, alias_b):
-        # 0.75 cos k theta - 1.5 sin k theta on the grid: frequency 4096 - k has
-        # the sine negated, and at the Nyquist bin 2048 the sine vanishes while
-        # the cosine enters whole
-        def single(freq, a, b):
-            return TrigPoly(0.25, [(0.0, 0.0)] * (freq - 1) + [(a, b)])
+    def test_grid_grows_with_the_degree(self):
+        assert [sup_points(n) for n in (0, 1, 1024, 1025, 2048, 4097)] == [4096, 4096, 4096, 8192, 8192, 32768]
 
-        assert single(k, 0.75, -1.5).sup_norm() == single(alias, 0.75, alias_b).sup_norm()
+    def test_sine_on_the_old_nyquist_bin(self):
+        # sin 2048 theta vanishes at every one of 4096 equally spaced angles;
+        # on 8192 angles it reaches +-1
+        T = sin_n(2048)
+        assert T.eval(0.1) == pytest.approx(-0.5617317454496469, abs=1e-12)
+        assert T.sup_norm() == 1.0
+
+    def test_frequency_above_the_old_grid(self):
+        # sin theta - sin 4097 theta = -2 cos 2049 theta sin 2048 theta
+        # cancels on 4096 equally spaced angles; its sup is at most 2, and
+        # no grid of 4n or more angles reads less than cos(pi/4) of it
+        T = TrigPoly(0.0, [(0.0, 1.0)] + [(0.0, 0.0)] * 4095 + [(0.0, -1.0)])
+        sup = T.sup_norm()
+        assert math.cos(math.pi / 4) * 2.0 <= sup <= 2.0
+        grid = np.arange(32768) * (TWO_PI / 32768)
+        closed_form = float(np.max(np.abs(2.0 * np.cos(2049 * grid) * np.sin(2048 * grid))))
+        assert abs(sup - closed_form) <= sup_rounding_bound(T)
 
     @pytest.mark.parametrize("k", [-1000, 1000])
     @pytest.mark.parametrize("n", [1, 9, 60])
@@ -318,14 +398,14 @@ class TestZeros:
         zs = trig_zeros(cos_n(2))
         assert [z.multiplicity for z in zs] == [1, 1, 1, 1]
         expected = [math.pi / 4, 3 * math.pi / 4, 5 * math.pi / 4, 7 * math.pi / 4]
-        assert np.allclose(zs.angles, expected, atol=1e-12)
+        assert np.allclose([z.theta for z in zs], expected, atol=1e-12)
 
     def test_double_zero_detected(self):
         zs = trig_zeros(DOUBLE_ZERO_T)
-        assert zs.total_multiplicity == 4
-        assert zs.zeros[0].multiplicity == 2
-        assert min(zs.zeros[0].theta, TWO_PI - zs.zeros[0].theta) < 1e-8
-        simple = [z.theta for z in zs.zeros if z.multiplicity == 1]
+        assert sum(z.multiplicity for z in zs) == 4
+        assert zs[0].multiplicity == 2
+        assert min(zs[0].theta, TWO_PI - zs[0].theta) < 1e-8
+        simple = [z.theta for z in zs if z.multiplicity == 1]
         assert np.allclose(simple, DZ_SIMPLE_ZEROS, atol=1e-10)
 
     def test_constant_has_no_zeros(self):
@@ -348,7 +428,7 @@ class TestZeros:
                 continue
             sup = T.sup_norm()
             zs = trig_zeros(T)
-            assert zs.total_multiplicity <= 2 * T.degree
+            assert sum(z.multiplicity for z in zs) <= 2 * T.degree
             dT = T.derivative()
             for z in zs:
                 assert abs(T.eval(z.theta)) < 1e-8 * sup
@@ -366,7 +446,7 @@ class TestZeros:
             )
             if T.degree == 0:
                 continue
-            got = sorted(trig_zeros(T).angles)
+            got = sorted(z.theta for z in trig_zeros(T))
             expected = grid_zeros(T.eval, samples=100_001)
             assert len(got) >= len(expected) - 1  # grid may miss tangential zeros
             for z in expected:
@@ -410,13 +490,13 @@ class TestMaxPoints:
 class TestMinMaxToZeroDistance:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_pure_cosine(self, n):
-        assert min_max_to_zero_distance(cos_n(n)) == pytest.approx(math.pi / (2 * n), abs=1e-12)
+        assert zero_gap_certificate(cos_n(n)).min_distance == pytest.approx(math.pi / (2 * n), abs=1e-12)
 
     def test_double_zero_instance(self):
-        assert min_max_to_zero_distance(DOUBLE_ZERO_T) == pytest.approx(DZ_MIN_DIST, abs=1e-9)
+        assert zero_gap_certificate(DOUBLE_ZERO_T).min_distance == pytest.approx(DZ_MIN_DIST, abs=1e-9)
 
     def test_constant_sentinel(self):
-        assert min_max_to_zero_distance(TrigPoly(1.0)) == math.inf
+        assert zero_gap_certificate(TrigPoly(1.0)).min_distance == math.inf
 
 
 class TestZeroGapCertificate:
@@ -473,7 +553,8 @@ class TestZeroGapCertificate:
         T = TrigPoly(0.0, [(5e307, 0.0), (0.0, 0.0), (5e307, 0.0)])
         ref_T = TrigPoly(0.0, [(0.5, 0.0), (0.0, 0.0), (0.5, 0.0)])
         rep, ref = zero_gap_certificate(T), zero_gap_certificate(ref_T)
-        assert rep.passed and np.allclose(rep.zeros.angles, ref.zeros.angles, rtol=0.0, atol=1e-12)
+        angles, ref_angles = ([z.theta for z in r.zeros] for r in (rep, ref))
+        assert rep.passed and np.allclose(angles, ref_angles, rtol=0.0, atol=1e-12)
         assert rep.max_value == pytest.approx(1e308, rel=1e-12)
         M, pts = trig_max_points(T)
         assert M == pytest.approx(1e308, rel=1e-12) and pts == trig_max_points(ref_T)[1]
@@ -551,6 +632,17 @@ class TestTrigPolyType:
         with pytest.raises(ValueError, match="finite"):
             TrigPoly(a0, [pair], trim=True)
 
+    @pytest.mark.parametrize("coeffs", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1]], [1.0, 2.0], [[]]])
+    def test_non_pairs_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="pairs"):
+            TrigPoly(1.0, coeffs)
+
+    def test_coefficients_are_read_only(self):
+        T = TrigPoly(0.3, [(0.5, -0.2), (0.1, 0.4)])
+        assert T.coeffs.shape == (2, 2) and T.coeffs.dtype == float
+        with pytest.raises(ValueError):
+            T.coeffs[0, 0] = 1.0
+
     def test_untrimmed_zero_leading_pair_rejected(self):
         with pytest.raises(ValueError):
             TrigPoly(1.0, [(0.0, 0.0)])
@@ -573,7 +665,7 @@ class TestTrigPolyType:
     def test_json_round_trip(self):
         T = TrigPoly(0.25, [(1.0, -2.0), (0.0, 0.5)])
         U = TrigPoly.from_json(T.to_json())
-        assert U.a0 == T.a0 and U.coeffs == T.coeffs
+        assert U.a0 == T.a0 and U.coeffs.tobytes() == T.coeffs.tobytes()
 
     def test_json_degree_must_match_pairs(self):
         with pytest.raises(ValueError, match='"n" is 4'):
