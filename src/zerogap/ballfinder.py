@@ -149,22 +149,6 @@ class PairCertificate:
     lift_t_bound: float  # (sqrt(2)-1)/(2 sqrt(2) n)
     passed: bool
 
-    def to_json(self):
-        return {
-            "p": self.p.tolist(),
-            "q": self.q.tolist(),
-            "chosen": self.chosen.tolist(),
-            "sphere_distance": self.sphere_distance,
-            "sphere_bound": self.sphere_bound,
-            "ball_distance": self.ball_distance,
-            "ball_bound": self.ball_bound,
-            "nearest_zero": None if self.nearest_zero is None else self.nearest_zero.tolist(),
-            "lift_t": self.lift_t,
-            "lift_point": None if self.lift_point is None else self.lift_point.tolist(),
-            "lift_t_bound": self.lift_t_bound,
-            "passed": self.passed,
-        }
-
 
 def pair_point(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> PairCertificate:
     """Maximize |P(x)P(y)| on the doubled sphere; keep the small half.
@@ -187,7 +171,7 @@ def pair_point(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> PairCertificate:
     d = poly.dim
 
     # (small half, large half) of each row, the halves kept in row order on a tie
-    halves = [sorted((w[:d], w[d:]), key=np.linalg.norm) for w in res.all_near_max]
+    halves = [sorted((w[:d], w[d:]), key=np.linalg.norm) for w in res.near_maximizers]
     smalls = _canonical_signs(poly, [small for small, _ in halves])
     (ball_dist, nearest), p = _farthest(smalls, lambda x: euclidean_zero_distance(poly, x, seed=seed))
     q = next(large for small, (_, large) in zip(smalls, halves) if small is p)
@@ -329,17 +313,6 @@ class LiftedDiagnostics:
     count: int  # k - n
     spacing: float  # spherical gap between consecutive zero circles
     cap_radius: float  # spherical radius of each polar cap
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "k": self.k,
-            "radius": self.radius,
-            "latitudes": list(self.latitudes),
-            "count": self.count,
-            "spacing": self.spacing,
-            "cap_radius": self.cap_radius,
-        }
 
 
 def lifted_diagnostics(n, k) -> LiftedDiagnostics:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize  # noqa: F401  unused; bench/tracing.py wraps complexproj.minimize
 
 from .errors import VerificationError
-from .polycore import _expand_product, _merge_terms, _rows, _term_jet
+from .polycore import _expand_product, _finite, _merge_terms, _rows, _term_jet
 from .sphereopt import LOG_FLOOR, ZERO_STANDIN, _farthest, _zero_distance_search, near_max_on_sphere, sphere_starts
 
 __all__ = [
@@ -120,7 +120,7 @@ class WeightedSystem:
     items: tuple
 
     def __init__(self, items):
-        items = tuple((p, float(d)) for p, d in items)
+        items = tuple((p, _finite(d, "weight delta")) for p, d in items)
         if not items:
             raise ValueError("empty weighted system")
         if any(d <= 0 for _, d in items):
@@ -264,19 +264,6 @@ class ComplexGapReport:
     @property
     def all_passed(self):
         return all(self.passed)
-
-    def to_json(self):
-        return {
-            "maximizer": {
-                "re": self.maximizer.real.tolist(),
-                "im": self.maximizer.imag.tolist(),
-            },
-            "distances": list(self.distances),
-            "bounds": list(self.bounds),
-            "passed": list(self.passed),
-            "euclidean_distances": list(self.euclidean_distances),
-            "cp1_radius": self.cp1_radius,
-        }
 
 
 def _verify_items(items, bounds, seed, starts, tol) -> ComplexGapReport:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .ballfinder import multiplier_point
 from .errors import VerificationError
-from .polycore import AffineForm, MultiPoly
+from .polycore import AffineForm, MultiPoly, _finite, _finite_vector
 from .sphereopt import _farthest, maximize_abs_on_sphere, slice_distance, unit_vector
 
 __all__ = [
@@ -50,9 +50,9 @@ class SphericalSegment:
     half_width: float
 
     def __init__(self, normal, offset, half_width):
-        a = unit_vector(normal)
-        offset = float(offset)
-        half_width = float(half_width)
+        a = unit_vector(_finite_vector(normal, "segment normal"))
+        offset = _finite(offset, "segment offset")
+        half_width = _finite(half_width, "segment half width")
         if not -1.0 < offset < 1.0:
             raise ValueError(f"offset must lie in (-1, 1), got {offset}")
         if half_width <= 0.0:
@@ -94,12 +94,13 @@ class Plank:
     half_width: float
 
     def __init__(self, normal, center, half_width):
-        a = unit_vector(normal)
+        a = unit_vector(_finite_vector(normal, "plank normal"))
+        half_width = _finite(half_width, "plank half width")
         if half_width <= 0.0:
             raise ValueError("half_width must be positive")
         object.__setattr__(self, "normal", a)
-        object.__setattr__(self, "center", float(center))
-        object.__setattr__(self, "half_width", float(half_width))
+        object.__setattr__(self, "center", _finite(center, "plank center"))
+        object.__setattr__(self, "half_width", half_width)
         self.normal.setflags(write=False)
 
     @property
@@ -138,16 +139,7 @@ class RefutationResult:
     clearances: tuple
     total_width: float
     budget: float
-    split_denominator: int  # 0 when no splitting was needed
-
-    def to_json(self):
-        return {
-            "point": self.point.tolist(),
-            "clearances": list(self.clearances),
-            "total_width": self.total_width,
-            "budget": self.budget,
-            "split_N": self.split_denominator,
-        }
+    split_N: int  # the grid's denominator; 0 when no splitting was needed
 
 
 def _grid(widths, budget, margin, unit, name):
@@ -249,7 +241,7 @@ def _refute(pieces, budget, name, split, starts, find) -> RefutationResult:
             f"(clearance {clear[bad]}); the optimizer missed the true maximizer"
         )
     return RefutationResult(
-        point=point, clearances=tuple(clear), total_width=total, budget=budget, split_denominator=N
+        point=point, clearances=tuple(clear), total_width=total, budget=budget, split_N=N
     )
 
 
@@ -265,7 +257,7 @@ def refute_cover_sphere(segments, seed=0, starts=64) -> RefutationResult:
         raise ValueError("sphere covering needs dimension >= 2")
 
     def find(poly, k):
-        return maximize_abs_on_sphere(poly, starts=k, seed=seed).all_near_max
+        return maximize_abs_on_sphere(poly, starts=k, seed=seed).near_maximizers
 
     return _refute(segments, math.pi, "pi", split_segments, starts, find)
 

@@ -12,6 +12,8 @@ dtype) and the log objectives of ``sphereopt`` and ``complexproj``.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +51,9 @@ class MultiPoly:
     def from_affine_product(cls, forms):
         """Product of affine forms, kept factored; ``terms`` expands on first use.
 
-        Evaluation, gradients and circle restriction go through the factor
-        list, which is exact and avoids expanding, e.g., a 150-factor product
-        in three variables.
+        Evaluation and circle restriction go through the factor list, which
+        is exact and avoids expanding, e.g., a 150-factor product in three
+        variables; gradients and Hessians expand the terms.
         """
         forms = tuple(forms)
         if not forms:
@@ -86,23 +88,9 @@ class MultiPoly:
         return float(vals[0]) if single else vals
 
     def gradient(self, point):
-        """Gradient at ``point``; batches as in :meth:`eval`."""
+        """Gradient at ``point`` from the expanded terms; batches as in :meth:`eval`."""
         X, single = _rows(point, self.dim, float)
-        n_pts = X.shape[0]
-        if self.affine_factors is not None:
-            m = len(self.affine_factors)
-            A = np.array([f.normal for f in self.affine_factors])
-            b = np.array([f.offset for f in self.affine_factors])
-            L = X @ A.T - b
-            # prefix/suffix products over factors keep the gradient exact at zeros
-            pre = np.ones((n_pts, m + 1))
-            suf = np.ones((n_pts, m + 1))
-            for i in range(m):
-                pre[:, i + 1] = pre[:, i] * L[:, i]
-                suf[:, m - 1 - i] = suf[:, m - i] * L[:, m - 1 - i]
-            G = (pre[:, :m] * suf[:, 1:]) @ A
-        else:
-            G = _term_jet(self, X, "g")[1]
+        G = _term_jet(self, X, "g")[1]
         return G[0] if single else G
 
     def _hessian(self, point):
@@ -129,7 +117,8 @@ class MultiPoly:
 def _merge_terms(dim, terms, zero):
     """Sorted nonzero (exponents, coefficient) pairs, coefficients of equal
     exponents summed in the type of ``zero`` (0.0 or 0j); rejects a bad
-    dimension or exponent vector and the identically-zero polynomial."""
+    dimension or exponent vector, a coefficient that is not finite and the
+    identically-zero polynomial."""
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     merged = {}
@@ -139,11 +128,30 @@ def _merge_terms(dim, terms, zero):
             raise ValueError(f"exponent vector {e} does not match dim {dim}")
         if any(x < 0 for x in e):
             raise ValueError(f"negative exponent in {e}")
-        merged[e] = merged.get(e, zero) + type(zero)(coeff)
+        coeff = type(zero)(coeff)
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"coefficient of exponents {e} must be finite, got {coeff}")
+        merged[e] = merged.get(e, zero) + coeff
     merged = {e: c for e, c in merged.items() if c != 0}
     if not merged:
         raise ValueError("the identically-zero polynomial is not accepted")
     return tuple(sorted(merged.items()))
+
+
+def _finite(number, name):
+    """``number`` as a float; ValueError naming it unless it is finite."""
+    x = float(number)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
+def _finite_vector(vector, name):
+    """``vector`` as a float array; ValueError naming it unless every entry is finite."""
+    a = np.asarray(vector, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite, got {a.tolist()}")
+    return a
 
 
 def _expand_product(dim, rows, one):
@@ -245,12 +253,13 @@ class AffineForm:
     offset: float
 
     def __init__(self, normal, offset):
-        a = np.asarray(normal, dtype=float)
+        a = _finite_vector(normal, "affine form normal")
+        offset = _finite(offset, "affine form offset")
         norm = float(np.linalg.norm(a))
         if norm < _UNIT_TOL:
             raise ValueError("affine form normal must be nonzero")
         object.__setattr__(self, "normal", a / norm)
-        object.__setattr__(self, "offset", float(offset))
+        object.__setattr__(self, "offset", offset)
         self.normal.setflags(write=False)
 
     @property

@@ -243,7 +243,7 @@ class SphereMaxResult:
     point: np.ndarray
     value: float
     log_value: float
-    all_near_max: tuple
+    near_maximizers: tuple
 
 
 def _dedupe_points(points, tol=1e-7):
@@ -568,6 +568,15 @@ def _canonical_signs(poly: MultiPoly, pool):
 
 
 @dataclass(frozen=True)
+class EqualityCase:
+    """The great circle through a maximizer and its nearest zero, attached when
+    the gap meets the bound, with the interlacing diagnostic of P on it."""
+
+    circle: CirclePlane
+    interlacing: bool
+
+
+@dataclass(frozen=True)
 class SphereGapReport:
     degree: int
     maximizer: np.ndarray
@@ -575,28 +584,7 @@ class SphereGapReport:
     distance: float
     bound: float
     passed: bool
-    equality_circle: CirclePlane | None
-    interlacing: bool | None
-
-    def to_json(self):
-        eq = None
-        if self.equality_circle is not None:
-            eq = {
-                "circle": {
-                    "u": self.equality_circle.u.tolist(),
-                    "v": self.equality_circle.v.tolist(),
-                },
-                "interlacing": self.interlacing,
-            }
-        return {
-            "degree": self.degree,
-            "maximizer": self.maximizer.tolist(),
-            "value": self.value,
-            "distance": self.distance,
-            "bound": self.bound,
-            "passed": self.passed,
-            "equality": eq,
-        }
+    equality: EqualityCase | None
 
 
 def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGapReport:
@@ -615,19 +603,17 @@ def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGap
     if n < 1:
         raise ValueError("degree must be at least 1")
     res = maximize_abs_on_sphere(poly, starts=starts, seed=seed)
-    pool = _canonical_signs(poly, res.all_near_max)
+    pool = _canonical_signs(poly, res.near_maximizers)
     (dist, zero), p = _farthest(pool, lambda c: angular_distance_to_zero_set(poly, c, seed=seed))
     bound = math.pi / (2 * n)
     passed = dist >= bound - tol
-    circle = None
-    interlacing = None
+    equality = None
     if zero is not None and abs(dist - bound) < tol:
         v = zero - (zero @ p) * p
         nv = np.linalg.norm(v)
         if nv > 1e-9:
             circle = CirclePlane(p, v / nv)
-            T = restrict_to_circle(poly, circle)
-            interlacing, _ = trigcircle.interlacing_check(T)
+            equality = EqualityCase(circle, trigcircle.interlacing_check(restrict_to_circle(poly, circle))[0])
     return SphereGapReport(
         degree=n,
         maximizer=p,
@@ -635,6 +621,5 @@ def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGap
         distance=dist,
         bound=bound,
         passed=passed,
-        equality_circle=circle,
-        interlacing=interlacing,
+        equality=equality,
     )

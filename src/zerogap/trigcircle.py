@@ -49,6 +49,8 @@ _DERIV_TOL = 1e-6
 _EVAL_BLOCK = 256
 # TrigPoly.sup_norm samples at least this many equally spaced angles
 _SUP_MIN_POINTS = 4096
+# Newton sweeps of _newton_polish
+_POLISH_STEPS = 60
 
 
 class TrigPoly:
@@ -174,9 +176,11 @@ class ZeroGapReport:
     ``q_identically_zero`` marks the extremal case where the shifted input is
     exactly -+M cos(n theta); then zeros and maximizers are equally spaced
     and the gap equals the bound.  ``zeros`` are the zeros of T the gap was
-    measured against, a tuple of CircleZero.
+    measured against, a tuple of CircleZero, and ``interlacing`` is
+    :func:`interlacing_check` on them and ``max_points``.
     """
 
+    degree: int
     max_points: tuple
     max_value: float
     zeros: tuple
@@ -184,6 +188,7 @@ class ZeroGapReport:
     bound: float
     passed: bool
     q_identically_zero: bool
+    interlacing: bool
 
 
 def circle_distance(t1, t2):
@@ -235,7 +240,7 @@ def _companion_angles(T: TrigPoly):
     return np.mod(np.angle(roots[keep]), TWO_PI)
 
 
-def _newton_polish(T, dT, theta, steps=60):
+def _newton_polish(T, dT, theta):
     """Newton's method on T from each angle of a 1-D array, all at once.
 
     Each angle is advanced as by the scalar iteration: the step f/g is clipped
@@ -248,7 +253,7 @@ def _newton_polish(T, dT, theta, steps=60):
     f = T.eval(theta)
     best, best_val = theta.copy(), np.abs(f)
     live = np.arange(theta.size)
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         if live.size == 0:
             break
         g = dT.eval(theta[live])
@@ -384,6 +389,7 @@ def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
         Q = TrigPoly(shifted.a0, q, trim=True)
         q_zero = Q.sup_norm() < 1e-10 * T.sup_norm()
     return ZeroGapReport(
+        degree=n,
         max_points=tuple(pts),
         max_value=_unscaled_max(M, e),
         zeros=zeros,
@@ -391,6 +397,7 @@ def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
         bound=bound,
         passed=passed,
         q_identically_zero=q_zero,
+        interlacing=interlacing_check(T, zeros=zeros, max_points=pts)[0],
     )
 
 

@@ -6,8 +6,11 @@ finite differences, products from naive term-by-term loops, tails from
 truncated infinite products with an analytic remainder estimate,
 distances to zero sets from serial SLSQP solves, one per seed, maxima on
 the sphere from a per-point Newton polish whose Hessian differences the
-gradient, maxima in the ball from a long ascent with no polish, and
-trigonometric coefficient maps from plain loops over the frequency k.
+gradient, maxima in the ball from a long ascent with no polish,
+trigonometric coefficient maps from plain loops over the frequency k, and
+JSON reports from the hand-written dicts that the report classes and the
+CLI built key by key before one serializer wrote every report from its
+dataclass fields.
 """
 
 import math
@@ -19,6 +22,7 @@ from scipy.stats import qmc
 
 from zerogap.ballfinder import _clip_to_ball
 from zerogap.sphereopt import _batch_ascent, sphere_starts, unit_vector
+from zerogap.trigcircle import interlacing_check
 
 TWO_PI = 2.0 * math.pi
 
@@ -324,3 +328,110 @@ def ball_ascent_pool(value, grad, X, keep):
     X = X[np.argsort(-f)[:keep]]
     logs = value(X)
     return X[logs >= np.max(logs) + math.log1p(-1e-9)]
+
+
+def legacy_trig_verify_json(T, report):
+    """The JSON object of ``trig-verify``, with the interlacing check run here."""
+    interlaces, _ = interlacing_check(T, zeros=report.zeros, max_points=report.max_points)
+    return {
+        "degree": T.degree,
+        "max_value": report.max_value,
+        "max_points": list(report.max_points),
+        "zeros": [{"theta": z.theta, "multiplicity": z.multiplicity} for z in report.zeros],
+        "min_distance": report.min_distance,
+        "bound": report.bound,
+        "passed": report.passed,
+        "q_identically_zero": report.q_identically_zero,
+        "interlacing": interlaces,
+    }
+
+
+def legacy_sphere_max_json(res):
+    return {
+        "value": res.value,
+        "log_value": res.log_value,
+        "point": res.point.tolist(),
+        "near_maximizers": [p.tolist() for p in res.near_maximizers],
+    }
+
+
+def legacy_sphere_gap_json(rep):
+    eq = None
+    if rep.equality is not None:
+        eq = {
+            "circle": {"u": rep.equality.circle.u.tolist(), "v": rep.equality.circle.v.tolist()},
+            "interlacing": rep.equality.interlacing,
+        }
+    return {
+        "degree": rep.degree,
+        "maximizer": rep.maximizer.tolist(),
+        "value": rep.value,
+        "distance": rep.distance,
+        "bound": rep.bound,
+        "passed": rep.passed,
+        "equality": eq,
+    }
+
+
+def legacy_complex_gap_json(rep):
+    return {
+        "maximizer": {"re": rep.maximizer.real.tolist(), "im": rep.maximizer.imag.tolist()},
+        "distances": list(rep.distances),
+        "bounds": list(rep.bounds),
+        "passed": list(rep.passed),
+        "euclidean_distances": list(rep.euclidean_distances),
+        "cp1_radius": rep.cp1_radius,
+    }
+
+
+def legacy_pair_json(cert):
+    return {
+        "p": cert.p.tolist(),
+        "q": cert.q.tolist(),
+        "chosen": cert.chosen.tolist(),
+        "sphere_distance": cert.sphere_distance,
+        "sphere_bound": cert.sphere_bound,
+        "ball_distance": cert.ball_distance,
+        "ball_bound": cert.ball_bound,
+        "nearest_zero": None if cert.nearest_zero is None else cert.nearest_zero.tolist(),
+        "lift_t": cert.lift_t,
+        "lift_point": None if cert.lift_point is None else cert.lift_point.tolist(),
+        "lift_t_bound": cert.lift_t_bound,
+        "passed": cert.passed,
+    }
+
+
+def legacy_ball_multiplier_json(point, distance, bound, passed):
+    return {"point": point.tolist(), "distance": distance, "bound": bound, "passed": passed}
+
+
+def legacy_refutation_json(res):
+    return {
+        "point": res.point.tolist(),
+        "clearances": list(res.clearances),
+        "total_width": res.total_width,
+        "budget": res.budget,
+        "split_N": res.split_N,
+    }
+
+
+def legacy_lifted_json(diag):
+    return {
+        "n": diag.n,
+        "k": diag.k,
+        "radius": diag.radius,
+        "latitudes": list(diag.latitudes),
+        "count": diag.count,
+        "spacing": diag.spacing,
+        "cap_radius": diag.cap_radius,
+    }
+
+
+def legacy_convergence_json(rep):
+    return {
+        "n": rep.n,
+        "ks": list(rep.ks),
+        "half_width": rep.half_width,
+        "scaled_cheb_errors": list(rep.scaled_cheb_errors),
+        "tail_errors": list(rep.tail_errors),
+    }

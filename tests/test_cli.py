@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from zerogap import ballfinder, complexproj, covering, sphereopt
-from zerogap.cli import main
+import _oracles
+from zerogap import ballfinder, chebmult, complexproj, covering, sphereopt, trigcircle
+from zerogap.cli import _report, main
+from zerogap.polycore import AffineForm, MultiPoly, product_of_affine_forms
 from zerogap.trigcircle import TrigPoly
 
 
@@ -388,6 +390,182 @@ class TestUsageErrors:
     def test_missing_file(self, capsys):
         code = main(["sphere-verify", "--input", "/nonexistent/path.json"])
         assert code == 3
+
+
+class TestMalformedNumbers:
+    """NaN, an infinity or a fractional order is a usage error where the input is built."""
+
+    @pytest.mark.parametrize(
+        "command, text, bad",
+        [
+            ("sphere-verify", '{"dim": 3, "terms": [{"e": [1, 0, 0], "c": NaN}]}', "nan"),
+            ("sphere-verify", '{"forms": [{"a": [1, 0, 0], "b": NaN}]}', "nan"),
+            ("ball-pair", '{"forms": [{"a": [1, 0], "b": Infinity}]}', "inf"),
+            ("complex-verify", '{"dim": 2, "terms": [{"e": [1, 0], "re": NaN}]}', "nan"),
+            (
+                "weighted-verify",
+                '{"items": [{"poly": {"dim": 2, "terms": [{"e": [1, 0], "re": 1.0}]}, "delta": NaN}]}',
+                "nan",
+            ),
+            ("refute-ball", '{"dim": 2, "planks": [{"a": [1, 0], "c": NaN, "w": 0.5}]}', "nan"),
+            ("cheb-table", '{"n": 2, "k": 4, "half_width": Infinity}', "inf"),
+            ("convergence", '{"n": 2, "ks": [4, 8], "half_width": NaN}', "nan"),
+            ("lifted-diag", '{"n": 2, "k": 4.5}', "4.5"),
+        ],
+        ids=[
+            "sphere-coefficient",
+            "sphere-form-offset",
+            "ball-pair-offset",
+            "complex-coefficient",
+            "weighted-delta",
+            "plank-centre",
+            "cheb-table-half-width",
+            "convergence-half-width",
+            "lifted-diag-order",
+        ],
+    )
+    def test_usage_error_naming_the_value(self, tmp_path, capsys, command, text, bad):
+        inp = tmp_path / "input.json"
+        inp.write_text(text, encoding="utf-8")
+        out = tmp_path / "out.txt"
+        assert main([command, "--input", str(inp), "--output", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and bad in err[0]
+
+
+def _poly_input(obj):
+    if "forms" in obj:
+        return product_of_affine_forms([AffineForm(f["a"], f["b"]) for f in obj["forms"]])
+    return MultiPoly.from_json(obj)
+
+
+def legacy_report(command, obj):
+    """(result, legacy JSON object) of ``command`` on ``obj`` at the CLI's default seed, starts and tolerance."""
+    if command == "trig-verify":
+        T = TrigPoly.from_json(obj)
+        rep = trigcircle.zero_gap_certificate(T, tol=1e-6)
+        return rep, _oracles.legacy_trig_verify_json(T, rep)
+    if command == "sphere-max":
+        res = sphereopt.maximize_abs_on_sphere(_poly_input(obj))
+        return res, _oracles.legacy_sphere_max_json(res)
+    if command == "sphere-verify":
+        rep = sphereopt.verify_sphere_gap(_poly_input(obj))
+        return rep, _oracles.legacy_sphere_gap_json(rep)
+    if command == "ball-pair":
+        cert = ballfinder.pair_point(_poly_input(obj))
+        return cert, _oracles.legacy_pair_json(cert)
+    if command == "ball-multiplier":
+        poly = _poly_input(obj)
+        point, dist = ballfinder.multiplier_point(poly)
+        result = {"point": point, "distance": dist, "bound": 1.0 / poly.degree}
+        result["passed"] = bool(dist >= result["bound"] - 1e-6)
+        return result, _oracles.legacy_ball_multiplier_json(**result)
+    if command == "complex-verify":
+        rep = complexproj.verify_complex_gap(complexproj.ComplexHomogPoly.from_json(obj))
+        return rep, _oracles.legacy_complex_gap_json(rep)
+    if command == "weighted-verify":
+        items = [(complexproj.ComplexHomogPoly.from_json(it["poly"]), it["delta"]) for it in obj["items"]]
+        rep = complexproj.verify_weighted_gap(complexproj.WeightedSystem(items))
+        return rep, _oracles.legacy_complex_gap_json(rep)
+    if command == "refute-sphere":
+        res = covering.refute_cover_sphere([covering.SphericalSegment.from_json(s) for s in obj["segments"]])
+        return res, _oracles.legacy_refutation_json(res)
+    if command == "refute-ball":
+        res = covering.refute_cover_ball([covering.Plank.from_json(p) for p in obj["planks"]])
+        return res, _oracles.legacy_refutation_json(res)
+    if command == "lifted-diag":
+        diag = ballfinder.lifted_diagnostics(obj["n"], obj["k"])
+        return diag, _oracles.legacy_lifted_json(diag)
+    rep = chebmult.convergence_report(obj["n"], obj["ks"], obj["half_width"])
+    return rep, _oracles.legacy_convergence_json(rep)
+
+
+XYZ = {"dim": 3, "terms": [{"e": [1, 1, 1], "c": 1.0}]}
+QUADRIC = {"dim": 3, "terms": [{"e": [2, 0, 0], "c": 1.0}, {"e": [0, 2, 0], "c": -0.5}, {"e": [0, 0, 1], "c": 0.3}]}
+FORMS_D2 = {"forms": [{"a": [1, 0], "b": 0.1}, {"a": [1, 1], "b": 0.0}]}
+FORMS_D3 = {"forms": [{"a": [1, 0, 0], "b": 0.0}, {"a": [0, 1, 0], "b": 0.2}, {"a": [1, 1, 1], "b": -0.1}]}
+C2 = {"dim": 2, "deg": 2, "terms": [{"e": [1, 1], "re": 1.0}, {"e": [2, 0], "re": 0.3, "im": 0.2}]}
+C3 = {"dim": 3, "terms": [{"e": [2, 0, 0], "re": 1.0}, {"e": [0, 1, 1], "re": -0.7}]}
+WEIGHTED = {
+    "items": [{"poly": C2, "delta": 0.5}, {"poly": {"dim": 2, "terms": [{"e": [1, 0], "re": 1.0}]}, "delta": 0.5}],
+}
+UNEQUAL_ZONES = {
+    "dim": 3,
+    "segments": [{"a": [1, 0, 0], "b": 0.1, "delta": 0.3}, {"a": [0, 1, 0], "b": 0.0, "delta": 0.5}],
+}
+
+
+def two_planks(w1, w2):
+    return {"dim": 2, "planks": [{"a": [1, 0], "c": 0.0, "w": w1}, {"a": [0, 1], "c": 0.2, "w": w2}]}
+
+
+class TestLegacyReports:
+    """Every JSON report equals the dict that was written by hand for it before
+    one serializer wrote each report from its dataclass fields."""
+
+    @pytest.mark.parametrize(
+        "command, payload, check",
+        [
+            ("trig-verify", {"n": 0, "a0": 2.0, "c": []}, lambda rep: rep["degree"] == 0),
+            ("trig-verify", {"n": 3, "a0": 0.0, "c": [[0, 0], [0, 0], [1.0, 0]]}, lambda rep: rep["interlacing"]),
+            ("trig-verify", {"n": 3, "a0": 0.2, "c": [[0.4, -1.1], [0.3, 0.0], [-0.7, 0.5]]}, None),
+            ("sphere-max", X1X2, None),
+            ("sphere-max", FORMS_D3, None),
+            ("sphere-max", QUADRIC, None),
+            ("sphere-verify", X1X2, lambda rep: rep["equality"]["interlacing"] is True),
+            ("sphere-verify", FORMS_D2, None),
+            ("sphere-verify", XYZ, lambda rep: rep["equality"] is None),
+            ("sphere-verify", FORMS_D3, None),
+            ("sphere-verify", QUADRIC, None),
+            ("ball-pair", X1X2, None),
+            ("ball-pair", FORMS_D3, None),
+            ("ball-multiplier", QUADRIC, None),
+            ("ball-multiplier", FORMS_D3, None),
+            ("complex-verify", C2, lambda rep: rep["cp1_radius"] is not None),
+            ("complex-verify", C3, None),
+            ("weighted-verify", WEIGHTED, None),
+            ("refute-sphere", THREE_ZONES, lambda rep: rep["split_N"] == 0),
+            ("refute-sphere", UNEQUAL_ZONES, lambda rep: rep["split_N"] > 0),
+            ("refute-ball", two_planks(0.5, 0.5), lambda rep: rep["split_N"] == 0),
+            ("refute-ball", two_planks(0.3, 0.6), lambda rep: rep["split_N"] > 0),
+            ("lifted-diag", {"n": 3, "k": 9}, None),
+            ("convergence", {"n": 2, "ks": [4, 8, 16], "half_width": 3.0}, None),
+        ],
+        ids=[
+            "trig-degree-0",
+            "trig-cos3",
+            "trig-random",
+            "sphere-max-d2",
+            "sphere-max-d3-tagged",
+            "sphere-max-d3",
+            "sphere-verify-xy",
+            "sphere-verify-d2-tagged",
+            "sphere-verify-xyz",
+            "sphere-verify-d3-tagged",
+            "sphere-verify-quadric",
+            "ball-pair-xy",
+            "ball-pair-d3-tagged",
+            "ball-multiplier-d3",
+            "ball-multiplier-d3-tagged",
+            "complex-c2",
+            "complex-c3",
+            "weighted",
+            "refute-sphere",
+            "refute-sphere-split",
+            "refute-ball",
+            "refute-ball-split",
+            "lifted-diag",
+            "convergence",
+        ],
+    )
+    def test_report_equals_legacy_json(self, tmp_path, command, payload, check):
+        result, legacy = legacy_report(command, payload)
+        assert json.dumps(_report(result), sort_keys=True) == json.dumps(legacy, sort_keys=True)
+        assert check is None or check(legacy)
+        _, text = run_cli(tmp_path, command, payload)
+        rng = {"name": "sobol-gauss/1", "seed": 0}
+        assert text == json.dumps({**legacy, "rng": rng}, sort_keys=True, indent=2) + "\n"
 
 
 class TestNoSlsqp:

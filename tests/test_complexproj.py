@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerogap import complexproj, sphereopt
+from zerogap.cli import _report
 from zerogap.complexproj import (
     ComplexHomogPoly,
     WeightedSystem,
@@ -488,7 +489,7 @@ class TestCanonicalPhase:
         out = []
         for u in (1.0,) + tuple(turns):
             monkeypatch.setattr(complexproj, "_maximize_items", lambda *a, y=turned(x, u): [y])
-            out.append(json.dumps(verify(obj, seed=0).to_json(), sort_keys=True))
+            out.append(json.dumps(_report(verify(obj, seed=0)), sort_keys=True))
         return out
 
     @pytest.mark.parametrize("d", [2, 3])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zerogap.cli import _report
 from zerogap.covering import (
     Plank,
     RefutationResult,
@@ -142,7 +143,7 @@ class TestRefuteSphere:
             SphericalSegment([1, 0, 0], -0.2, 0.125),
         ]
         res = refute_cover_sphere(segs, seed=0)
-        assert res.split_denominator >= 1
+        assert res.split_N >= 1
         assert min(res.clearances) > 0
         for s in segs:
             assert not segment_contains(s, res.point)
@@ -184,7 +185,7 @@ class TestRefuteSphere:
 
     def test_equal_width_fast_path_reports_no_split(self):
         res = refute_cover_sphere(orthogonal_zones(0.4), seed=0)
-        assert res.split_denominator == 0
+        assert res.split_N == 0
 
     def test_circle_case(self):
         # segments on S^1 are unions of two arcs; the refuter still applies
@@ -210,7 +211,7 @@ class TestRefuteSphere:
 
     def test_result_json(self):
         res = refute_cover_sphere(orthogonal_zones(0.3), seed=0)
-        obj = res.to_json()
+        obj = _report(res)
         assert set(obj) == {"point", "clearances", "total_width", "budget", "split_N"}
 
 

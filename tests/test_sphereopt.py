@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 from zerogap import ballfinder, complexproj, sphereopt
+from zerogap.cli import _report
 from zerogap.polycore import AffineForm, MultiPoly, product_of_affine_forms
 from zerogap.sphereopt import (
     GAIN_FLOOR,
@@ -50,7 +51,7 @@ class TestMaximize:
     def test_product_two_coordinates_d2(self):
         res = maximize_abs_on_sphere(MultiPoly(2, {(1, 1): 1.0}))
         assert res.value == pytest.approx(0.5, abs=1e-12)
-        angles = sorted(math.atan2(p[1], p[0]) % (2 * math.pi) for p in res.all_near_max)
+        angles = sorted(math.atan2(p[1], p[0]) % (2 * math.pi) for p in res.near_maximizers)
         expected = [math.pi / 4, 3 * math.pi / 4, 5 * math.pi / 4, 7 * math.pi / 4]
         assert np.allclose(angles, expected, atol=1e-9)
 
@@ -182,8 +183,8 @@ class TestVerifySphereGap:
         rep = verify_sphere_gap(product_of_affine_forms(forms))
         assert rep.passed
         assert rep.distance == pytest.approx(math.pi / (2 * n), abs=1e-9)
-        assert rep.equality_circle is not None
-        assert rep.interlacing is True
+        assert rep.equality is not None
+        assert rep.equality.interlacing is True
 
     def test_triple_product_d3(self):
         poly = product_of_affine_forms(
@@ -215,10 +216,10 @@ class TestVerifySphereGap:
         rng = np.random.default_rng(4)
         forms = [AffineForm(rng.standard_normal(2), rng.uniform(-0.5, 0.5)) for _ in range(9)]
         poly = MultiPoly.from_affine_product(forms)
-        before = verify_sphere_gap(poly).to_json()
+        before = _report(verify_sphere_gap(poly))
         poly.to_json()
-        assert verify_sphere_gap(poly).to_json() == before
-        assert verify_sphere_gap(product_of_affine_forms(forms)).to_json() == before
+        assert _report(verify_sphere_gap(poly)) == before
+        assert _report(verify_sphere_gap(product_of_affine_forms(forms))) == before
 
     @pytest.mark.parametrize("k", range(4))
     def test_even_polynomial_reports_one_sign(self, k):
@@ -243,7 +244,7 @@ class TestVerifySphereGap:
 
         monkeypatch.setattr(sphereopt, "_zero_distance_search", counted)
         poly = rotated_quadric(np.random.default_rng(1), (1.0, 0.2, -0.6))
-        assert len(maximize_abs_on_sphere(poly, seed=1).all_near_max) == 2
+        assert len(maximize_abs_on_sphere(poly, seed=1).near_maximizers) == 2
         rep = verify_sphere_gap(poly, seed=1)
         assert len(calls) == 1
         assert rep.distance == pytest.approx(math.acos(math.sqrt(0.375)), abs=1e-12)
@@ -312,7 +313,7 @@ class TestVerifySphereGap:
 
     def test_report_json_shape(self):
         rep = verify_sphere_gap(MultiPoly(2, {(1, 1): 1.0}))
-        obj = rep.to_json()
+        obj = _report(rep)
         assert set(obj) == {"degree", "maximizer", "value", "distance", "bound", "passed", "equality"}
         assert obj["equality"] is not None and obj["equality"]["interlacing"] is True
 
@@ -381,7 +382,7 @@ class TestNearMaxPool:
         [(value, X, best, pool)] = near_max_calls
         assert len(pool) > 1
         assert_near_max_contract(value, X, best, pool)
-        assert res.log_value == best and np.array_equal(res.all_near_max, pool)
+        assert res.log_value == best and np.array_equal(res.near_maximizers, pool)
 
     @pytest.mark.parametrize(
         "poly",

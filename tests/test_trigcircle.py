@@ -216,9 +216,9 @@ class TestArrayOperationsMatchLoops:
 
 class TestBatchedNewtonMatchesScalar:
     @staticmethod
-    def check(T, dT, starts, steps=60):
-        got = trigcircle._newton_polish(T, dT, np.array(starts, dtype=float), steps=steps)
-        expected = [scalar_newton_polish(T, dT, t, steps=steps) for t in starts]
+    def check(T, dT, starts):
+        got = trigcircle._newton_polish(T, dT, np.array(starts, dtype=float))
+        expected = [scalar_newton_polish(T, dT, t, steps=trigcircle._POLISH_STEPS) for t in starts]
         assert got.shape == (len(starts),)
         assert got.tobytes() == np.array(expected, dtype=float).tobytes()
 
@@ -229,14 +229,15 @@ class TestBatchedNewtonMatchesScalar:
         assert raw.size > 0
         self.check(T, T.derivative(), list(raw))
 
-    def test_on_derivative_levels(self):
+    def test_on_derivative_levels(self, monkeypatch):
         # the cluster polish runs Newton on T^(m-1) with derivative T^(m)
         T = random_trig(np.random.default_rng(7), 9)
         d1 = T.derivative()
         d2 = d1.derivative()
         starts = list(np.linspace(0.0, TWO_PI, 23, endpoint=False))
         self.check(d1, d2, starts)
-        self.check(d2, d2.derivative(), starts, steps=4)
+        monkeypatch.setattr(trigcircle, "_POLISH_STEPS", 4)
+        self.check(d2, d2.derivative(), starts)
 
     def test_zero_derivative_start_stops_at_once(self):
         T = cos_n(1)
@@ -290,7 +291,8 @@ class TestWorkCounts:
         monkeypatch.setattr(TrigPoly, "eval", counted)
         T = random_trig(np.random.default_rng(count), 8)
         starts = np.linspace(0.0, TWO_PI, count, endpoint=False)
-        trigcircle._newton_polish(T, T.derivative(), starts, steps=steps)
+        monkeypatch.setattr(trigcircle, "_POLISH_STEPS", steps)
+        trigcircle._newton_polish(T, T.derivative(), starts)
         # one evaluation of T at the starts, then one of dT and one of T per sweep
         assert evals["eval"] <= 2 * steps + 1
 
@@ -304,10 +306,10 @@ class TestWorkCounts:
             evals["eval"] += 1
             return original_eval(self, theta)
 
-        def recorded_polish(T, dT, theta, steps=60):
+        def recorded_polish(T, dT, theta):
             before = evals["eval"]
-            out = original_polish(T, dT, theta, steps=steps)
-            per_call.append((evals["eval"] - before, steps, np.size(theta)))
+            out = original_polish(T, dT, theta)
+            per_call.append((evals["eval"] - before, trigcircle._POLISH_STEPS, np.size(theta)))
             return out
 
         monkeypatch.setattr(TrigPoly, "eval", counted_eval)
