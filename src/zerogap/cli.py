@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ballfinder, chebmult, complexproj, covering, sphereopt, trigcircle
 from .errors import VerificationError
-from .polycore import AffineForm, MultiPoly, _finite, product_of_affine_forms
+from .polycore import AffineForm, MultiPoly, _finite, _whole, product_of_affine_forms
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATED = 2
@@ -84,13 +84,6 @@ def _emit_csv(args, header, rows, passed=True):
         buf.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
     _emit(args, buf.getvalue())
     return EXIT_OK if passed else EXIT_BOUND_VIOLATED
-
-
-def _whole(value, name):
-    """``value`` as an int; ValueError unless it is a whole number."""
-    if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f'"{name}" must be an integer, got {value!r}')
-    return int(value)
 
 
 def _poly(args) -> MultiPoly:

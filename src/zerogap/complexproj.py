@@ -89,12 +89,6 @@ class ComplexHomogPoly:
         G = _term_jet(self, Z, "g")[1]
         return G[0] if single else G
 
-    def _hessian(self, z):
-        """Second partial derivatives with respect to the complex variables."""
-        Z, single = _rows(z, self.dim, complex)
-        H = _term_jet(self, Z, "h")[2]
-        return H[0] if single else H
-
     def to_json(self):
         return {
             "dim": self.dim,

@@ -7,13 +7,15 @@ polynomial is rejected at construction: every bound computed downstream
 divides by the degree or assumes a nonempty zero structure, so zero input is
 an error, not a value.  The private term kernel ``_term_jet`` also serves
 ``complexproj.ComplexHomogPoly`` (it does not depend on the coefficient
-dtype) and the log objectives of ``sphereopt`` and ``complexproj``.
+dtype), the log objectives of ``sphereopt`` and ``complexproj`` and the
+zero-set search of ``sphereopt``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,12 +95,6 @@ class MultiPoly:
         G = _term_jet(self, X, "g")[1]
         return G[0] if single else G
 
-    def _hessian(self, point):
-        """Exact Hessian at ``point`` from the expanded terms; batches as in :meth:`eval`."""
-        X, single = _rows(point, self.dim, float)
-        H = _term_jet(self, X, "h")[2]
-        return H[0] if single else H
-
     __call__ = eval
 
     def __repr__(self):
@@ -123,7 +119,7 @@ def _merge_terms(dim, terms, zero):
         raise ValueError(f"dimension must be positive, got {dim}")
     merged = {}
     for exps, coeff in dict(terms).items():
-        e = tuple(int(x) for x in exps)
+        e = tuple(_whole(x, "e") for x in exps)
         if len(e) != dim:
             raise ValueError(f"exponent vector {e} does not match dim {dim}")
         if any(x < 0 for x in e):
@@ -136,6 +132,17 @@ def _merge_terms(dim, terms, zero):
     if not merged:
         raise ValueError("the identically-zero polynomial is not accepted")
     return tuple(sorted(merged.items()))
+
+
+def _whole(value, name):
+    """``value`` as an int; ValueError naming it unless it is a whole number:
+    an integer (numpy integers too, booleans not) or a float with no
+    fractional part, so 2.0 reads as 2."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f'"{name}" must be an integer, got {value!r}')
+    return int(value)
 
 
 def _finite(number, name):

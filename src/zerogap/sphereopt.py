@@ -362,7 +362,7 @@ def _real(Z):
     return np.concatenate([Z.real, Z.imag], axis=-1) if np.iscomplexobj(Z) else Z
 
 
-def _restore_to_zero_set(poly, grad, Y, steps):
+def _restore_to_zero_set(poly, Y, steps):
     """Damped Newton steps toward P = 0 along the projected conj grad P, renormalised.
 
     Each step solves u = P / P' = 0 on the complex line through the row in the
@@ -375,17 +375,18 @@ def _restore_to_zero_set(poly, grad, Y, steps):
     part is clipped to [0.1, 1] and a step is at most ``_RESTORE_CAP`` long.
     A row keeps a step only if it lowers |P|, otherwise its next step is half
     as long, so rounding noise in P at the zero set cannot throw a row off
-    it.  Returns the rows and their values of P.
+    it.  grad P and Hess P come from one :func:`_term_jet` per step, for
+    real and complex P alike.  Returns the rows and their values of P.
     """
     v = poly.eval(Y)
     damp = np.ones(len(Y))
     for _ in range(steps):
-        G = grad(Y)
+        _, G, H = _term_jet(poly, Y, "gh")
         W = _sphere_tangent(np.conj(G), Y)
         gn = np.linalg.norm(W, axis=1)
         nonzero = gn > 0.0
         w = W / np.where(nonzero, gn, 1.0)[:, None]
-        curv = np.einsum("ni,nij,nj->n", w, poly._hessian(Y), w) - np.sum(G * Y, axis=1)
+        curv = np.einsum("ni,nij,nj->n", w, H, w) - np.sum(G * Y, axis=1)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             div = 1.0 - v * curv / gn**2
             # div - div.real is 0 for real P and i Im(div) for complex P
@@ -461,8 +462,9 @@ def _zero_distance_search(poly, c, seed, Q=None):
     number of iterations.  A row off Z(P) takes ``_RESTORE_STEPS``
     restoration steps and keeps them when |P| drops.  A row on Z(P)
     (|P| <= ``_ON_ZERO_REL`` * scale) takes a reduced Newton step for f,
-    restored onto Z(P), and keeps it when it stays on Z(P) and f does not
-    drop; otherwise its next step is ten times shorter.  Rows whose step fell
+    from grad P and Hess P of one :func:`_term_jet` call, restored onto
+    Z(P), and keeps it when it stays on Z(P) and f does not drop; otherwise
+    its next step is ten times shorter.  Rows whose step fell
     below ``_STEP_TOL`` or whose restoration stalled are frozen, and only the
     other rows are evaluated.  At the end every row takes ``_RESTORE_STEPS``
     more restoration steps, and the best of the rows with
@@ -470,7 +472,6 @@ def _zero_distance_search(poly, c, seed, Q=None):
     fixed, whatever the number of seeds.
     """
     cplx = np.iscomplexobj(c)
-    grad = poly.holomorphic_gradient if cplx else poly.gradient
     d = len(c)
     D = 2 * d if cplx else d
     c = _real(np.asarray(c))
@@ -496,9 +497,9 @@ def _zero_distance_search(poly, c, seed, Q=None):
         Zi, vi = Z[idx], v[idx]
         on = np.abs(vi) <= tol
         Xi = _real(Zi)
-        S = native(_newton_step(Xi, c + Xi @ Q, Q, grad(Zi), poly._hessian(Zi))[0])
+        S = native(_newton_step(Xi, c + Xi @ Q, Q, *_term_jet(poly, Zi, "gh")[1:])[0])
         S = np.where(on[:, None], shrink[idx, None] * S, 0.0)
-        Y, vy = _restore_to_zero_set(poly, grad, _normalize_rows(Zi + S), _RESTORE_STEPS)
+        Y, vy = _restore_to_zero_set(poly, _normalize_rows(Zi + S), _RESTORE_STEPS)
         fy = objective(Y)
         stepping = on & (np.linalg.norm(S, axis=1) > _STEP_TOL)
         ok = np.where(on, stepping & (np.abs(vy) <= tol) & (fy >= f[idx]), np.abs(vy) < np.abs(vi))
@@ -511,7 +512,7 @@ def _zero_distance_search(poly, c, seed, Q=None):
 
     # a row may have climbed to the edge of |P| <= tol, which lies about
     # tol**(1/m) off a zero of multiplicity m: project every row back
-    Z, v = _restore_to_zero_set(poly, grad, Z, _RESTORE_STEPS)
+    Z, v = _restore_to_zero_set(poly, Z, _RESTORE_STEPS)
     f = objective(Z)
     found = np.abs(v) <= 1e-8 * scale
     if not np.any(found):

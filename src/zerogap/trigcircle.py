@@ -5,9 +5,11 @@ degree-n trigonometric polynomial into an algebraic polynomial of degree 2n
 whose roots are found as companion-matrix eigenvalues.  Roots near the unit
 circle are pulled back to angles and polished by Newton iteration; clusters
 of polished angles give multiplicities, confirmed through derivative
-magnitudes.  A nonzero trigonometric polynomial of degree n has at most 2n
-zeros on the circle counted with multiplicity, which bounds everything the
-certificates below count.  The sup norm that scales their tolerances is the
+magnitudes.  A simple zero is the mean of its cluster; only a multiple zero
+is polished once more, on its first non-vanishing derivative.  A nonzero
+trigonometric polynomial of degree n has at most 2n zeros on the circle
+counted with multiplicity, which bounds everything the certificates below
+count.  The sup norm that scales their tolerances is the
 maximum of |T| on N equally spaced angles, N the larger of 4096 and the
 smallest power of two >= 4n, sampled all at once by one inverse real FFT of
 the coefficient spectrum.  The companion matrix is built from the same
@@ -81,7 +83,7 @@ class TrigPoly:
         pairs.flags.writeable = False
         self.a0 = a0
         self.coeffs = pairs
-        # the frequencies k, for eval, derivative and shift
+        # the frequencies k, for eval and derivative
         self._freqs = np.arange(1.0, len(pairs) + 1.0)
         self._sup = None
 
@@ -118,12 +120,6 @@ class TrigPoly:
     def derivative(self) -> "TrigPoly":
         a, b = self.coeffs.T
         return TrigPoly(0.0, np.column_stack((self._freqs * b, -self._freqs * a)))
-
-    def shift(self, s) -> "TrigPoly":
-        """T(theta + s) as a new TrigPoly."""
-        c, sn = np.cos(self._freqs * s), np.sin(self._freqs * s)
-        a, b = self.coeffs.T
-        return TrigPoly(self.a0, np.column_stack((a * c + b * sn, -a * sn + b * c)))
 
     def _spectrum(self):
         """[a0, (a_1 - i b_1) / 2, ..., (a_n - i b_n) / 2]: the nonnegative half
@@ -173,8 +169,8 @@ class CircleZero:
 class ZeroGapReport:
     """Outcome of the cosine-comparison certificate for one trig polynomial.
 
-    ``q_identically_zero`` marks the extremal case where the shifted input is
-    exactly -+M cos(n theta); then zeros and maximizers are equally spaced
+    ``q_identically_zero`` marks the extremal case where T is exactly
+    -+M cos(n (theta - p0)); then zeros and maximizers are equally spaced
     and the gap equals the bound.  ``zeros`` are the zeros of T the gap was
     measured against, a tuple of CircleZero, and ``interlacing`` is
     :func:`interlacing_check` on them and ``max_points``.
@@ -332,11 +328,12 @@ def trig_zeros(T: TrigPoly) -> tuple:
                 break
         starts.append(theta)
         mults.append(m)
-    # polish each cluster on its first non-vanishing derivative level, where
-    # the zero is simple: one sweep for all clusters of the same multiplicity
+    # a simple zero keeps its cluster mean, already polished on T; a multiple
+    # zero is polished again on its first non-vanishing derivative level,
+    # where it is simple: one sweep for all clusters of the same multiplicity
     starts, mults = np.array(starts), np.array(mults, dtype=int)
-    thetas = np.empty(starts.shape)
-    for m in np.unique(mults):
+    thetas = starts.copy()
+    for m in np.unique(mults[mults > 1]):
         while len(derivs) <= m:
             derivs.append(derivs[-1].derivative())
         level = mults == m
@@ -364,12 +361,14 @@ def trig_max_points(T: TrigPoly):
 def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
     """Certify that maximizers of |T| sit at least pi/(2n) from every zero.
 
-    Shifts a global maximizer to the origin and forms the comparison
-    polynomial Q(theta) = T(theta) - T(0) cos(n theta), which has a double
-    zero at 0.  Q vanishing identically flags the extremal equally-spaced
-    case; otherwise the measured gap is reported against the pi/(2n) bound.
-    Everything is measured on 2^e T (see _unit_scaled), so that the root
-    finders and Q share one polynomial and its sup norm.
+    At a global maximizer p0 the comparison polynomial
+    Q(theta) = T(theta + p0) - T(p0) cos(n theta) has a double zero at 0.
+    Q vanishes identically, the extremal equally-spaced case, exactly when T
+    has no harmonic below n, which is read off T's coefficients: the flag is
+    set when those harmonics have sup norm below 1e-10 sup|T|.  The measured
+    gap is reported against the pi/(2n) bound.  Everything is
+    measured on 2^e T (see _unit_scaled), so that the root finders and the
+    flag share one polynomial and its sup norm.
     """
     _check_nonzero(T)
     n = T.degree
@@ -381,13 +380,7 @@ def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
     # no zeros (min_dist = inf) passes, whatever the bound
     passed = min_dist >= bound - tol
 
-    q_zero = False
-    if n > 0:
-        shifted = T.shift(pts[0])
-        q = shifted.coeffs.copy()
-        q[-1, 0] -= shifted.eval(0.0)
-        Q = TrigPoly(shifted.a0, q, trim=True)
-        q_zero = Q.sup_norm() < 1e-10 * T.sup_norm()
+    q_zero = n > 0 and TrigPoly(T.a0, T.coeffs[:-1], trim=True).sup_norm() < 1e-10 * T.sup_norm()
     return ZeroGapReport(
         degree=n,
         max_points=tuple(pts),

@@ -7,8 +7,9 @@ truncated infinite products with an analytic remainder estimate,
 distances to zero sets from serial SLSQP solves, one per seed, maxima on
 the sphere from a per-point Newton polish whose Hessian differences the
 gradient, maxima in the ball from a long ascent with no polish,
-trigonometric coefficient maps from plain loops over the frequency k, and
-JSON reports from the hand-written dicts that the report classes and the
+trigonometric coefficient maps from plain loops over the frequency k, the
+extremal flag of the circle certificate from the comparison polynomial Q
+rather than from T's harmonics, and JSON reports from the hand-written dicts that the report classes and the
 CLI built key by key before one serializer wrote every report from its
 dataclass fields.
 """
@@ -103,6 +104,35 @@ def shift_loop(T, s):
         c, sn = math.cos(k * s), math.sin(k * s)
         pairs.append((a * c + b * sn, -a * sn + b * c))
     return pairs
+
+
+def comparison_flag_loop(T, p0):
+    """The extremal flag as the comparison polynomial gives it.
+
+    T is first scaled by a power of two so that its largest coefficient lies
+    in [0.5, 1).  Q(theta) = T(theta + p0) - T(p0) cos(n theta) takes its
+    coefficients from shift_loop, and the flag is whether max |Q| < 1e-10
+    max |T|, both maxima over 4096 equally spaced angles (or 4n, if more),
+    each value summed one frequency at a time.
+    """
+    n = T.degree
+    pairs = T.coeffs.tolist()
+    e = -math.frexp(max([abs(T.a0)] + [abs(x) for pair in pairs for x in pair]))[1]
+    a0 = math.ldexp(T.a0, e)
+    scaled = [(math.ldexp(a, e), math.ldexp(b, e)) for a, b in pairs]
+    shifted = shift_loop(type(T)(a0, scaled), p0)
+    value = a0 + sum(a for a, _ in shifted)
+    q = shifted[:-1] + [(shifted[-1][0] - value, shifted[-1][1])]
+    samples = max(4096, 4 * n)
+    theta = np.arange(samples) * (TWO_PI / samples)
+
+    def grid_max(pairs):
+        out = np.full(samples, a0)
+        for k, (a, b) in enumerate(pairs, start=1):
+            out = out + a * np.cos(k * theta) + b * np.sin(k * theta)
+        return float(np.max(np.abs(out)))
+
+    return n > 0 and grid_max(q) < 1e-10 * grid_max(scaled)
 
 
 def companion_series_loop(T):

@@ -393,7 +393,8 @@ class TestUsageErrors:
 
 
 class TestMalformedNumbers:
-    """NaN, an infinity or a fractional order is a usage error where the input is built."""
+    """NaN, an infinity, a fractional order or an exponent that is not a whole
+    number is a usage error where the input is built."""
 
     @pytest.mark.parametrize(
         "command, text, bad",
@@ -411,6 +412,10 @@ class TestMalformedNumbers:
             ("cheb-table", '{"n": 2, "k": 4, "half_width": Infinity}', "inf"),
             ("convergence", '{"n": 2, "ks": [4, 8], "half_width": NaN}', "nan"),
             ("lifted-diag", '{"n": 2, "k": 4.5}', "4.5"),
+            ("sphere-verify", '{"dim": 2, "terms": [{"e": [1.5, 0], "c": 1.0}, {"e": [0, 1], "c": 1.0}]}', "1.5"),
+            ("sphere-verify", '{"dim": 3, "terms": [{"e": [1, "2", 0], "c": 1.0}]}', "'2'"),
+            ("sphere-verify", '{"dim": 2, "terms": [{"e": [true, 0], "c": 1.0}]}', "True"),
+            ("complex-verify", '{"dim": 2, "deg": 2, "terms": [{"e": [1.5, 0.5], "re": 1.0}]}', "1.5"),
         ],
         ids=[
             "sphere-coefficient",
@@ -422,6 +427,10 @@ class TestMalformedNumbers:
             "cheb-table-half-width",
             "convergence-half-width",
             "lifted-diag-order",
+            "sphere-fractional-exponent",
+            "sphere-string-exponent",
+            "sphere-boolean-exponent",
+            "complex-fractional-exponent",
         ],
     )
     def test_usage_error_naming_the_value(self, tmp_path, capsys, command, text, bad):
@@ -432,6 +441,14 @@ class TestMalformedNumbers:
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and bad in err[0]
+
+    def test_whole_float_and_numpy_exponents_read_as_integers(self, tmp_path):
+        exact = {"dim": 2, "terms": [{"e": [2, 0], "c": 1.0}, {"e": [0, 1], "c": 0.5}]}
+        code, expected = run_cli(tmp_path, "sphere-verify", exact)
+        assert code == 0
+        floats = {"dim": 2, "terms": [{"e": [2.0, 0], "c": 1.0}, {"e": [0, 1.0], "c": 0.5}]}
+        assert run_cli(tmp_path, "sphere-verify", floats) == (0, expected)
+        assert MultiPoly(2, {(np.int64(2), np.int32(0)): 1.0}).terms == (((2, 0), 1.0),)
 
 
 def _poly_input(obj):

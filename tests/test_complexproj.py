@@ -20,6 +20,7 @@ from zerogap.complexproj import (
     verify_weighted_gap,
 )
 from zerogap.errors import VerificationError
+from zerogap.polycore import _term_jet
 
 
 def mono(dim, exps, c=1.0):
@@ -150,7 +151,7 @@ class TestTermKernels:
         rng = np.random.default_rng(10 * d + n)
         poly = dense_form(rng, d, n)
         Z = complex_points(rng, 4, d)
-        H = poly._hessian(Z)
+        H = _term_jet(poly, Z, "h")[2]
         assert H.shape == (4, d, d) and H.dtype == complex
         assert np.array_equal(H, np.swapaxes(H, 1, 2))
         h = 1e-5
@@ -159,7 +160,6 @@ class TestTermKernels:
                 [poly.holomorphic_gradient(z + h * e) - poly.holomorphic_gradient(z - h * e) for e in np.eye(d)]
             ) / (2 * h)
             assert np.allclose(H[i], fd, rtol=1e-7, atol=1e-7 * max(1.0, np.abs(H[i]).max()))
-            assert np.array_equal(poly._hessian(z), poly._hessian(Z[i : i + 1])[0])
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(d=st.integers(2, 4), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8))

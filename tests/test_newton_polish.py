@@ -112,7 +112,7 @@ class TestObjectiveHessians:
         value, grad, dim = OBJECTIVES[name]()
         calls = []
         for cls in (MultiPoly, ComplexHomogPoly):
-            for method in ("eval", "gradient", "holomorphic_gradient", "_hessian"):
+            for method in ("eval", "gradient", "holomorphic_gradient"):
                 if hasattr(cls, method):
                     monkeypatch.setattr(cls, method, lambda *a, m=method: calls.append(m))
         X = sphere_starts(dim, 8, 1)

@@ -894,7 +894,7 @@ class TestZeroDistanceSearch:
         poly = ZERO_SET_CORPUS[name]()
         p = unit_vector(np.arange(1.0, poly.dim + 1))
         counts = {}
-        for method in ("eval", "gradient", "_hessian"):
+        for method in ("eval", "gradient"):
             original = getattr(MultiPoly, method)
 
             def counted(self, x, _original=original, _method=method):
@@ -902,16 +902,24 @@ class TestZeroDistanceSearch:
                 return _original(self, x)
 
             monkeypatch.setattr(MultiPoly, method, counted)
+        original_jet = sphereopt._term_jet
+
+        def counted_jet(poly, X, parts):
+            counts["_term_jet"] += 1
+            return original_jet(poly, X, parts)
+
+        monkeypatch.setattr(sphereopt, "_term_jet", counted_jet)
         seen = []
         for budget in (8, 64):
             monkeypatch.setattr(sphereopt, "_ZERO_SEARCH_SEEDS", budget)
-            counts.update(eval=0, gradient=0, _hessian=0)
+            counts.update(eval=0, gradient=0, _term_jet=0)
             angular_distance_to_zero_set(poly, p, seed=1)
             seen.append(dict(counts))
         assert seen[0] == seen[1]
         # each iteration: one step, then the restoration of its trial; at the
-        # end one more restoration of every row
+        # end one more restoration of every row.  Each takes grad P and
+        # Hess P from one term jet.
         iters, restore = sphereopt._SEARCH_ITERS, sphereopt._RESTORE_STEPS
-        assert seen[0]["gradient"] == iters + (iters + 1) * restore
-        assert seen[0]["_hessian"] == iters + (iters + 1) * restore
+        assert seen[0]["_term_jet"] == iters + (iters + 1) * restore
+        assert seen[0]["gradient"] == 0
 
