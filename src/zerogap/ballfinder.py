@@ -11,7 +11,7 @@ lockstep Newton steps of ``sphereopt``, with the exact Hessian of
 log|P(x) M(|x|)|.
 
 Distances to Z(P) are taken in R^d: in closed form for tagged products, by
-root isolation in one variable, and otherwise by the lockstep Newton search
+root clusters in one variable, and otherwise by the lockstep Newton search
 of ``sphereopt`` on a sphere that lifts the ball of radius 2, which holds
 every zero within distance 1 of the unit ball.
 
@@ -55,6 +55,7 @@ from .sphereopt import (
     maximize_abs_on_sphere,
     sphere_starts,
 )
+from .trigcircle import _root_clusters
 
 __all__ = [
     "PairCertificate",
@@ -75,14 +76,14 @@ def _clip_to_ball(X):
 def euclidean_zero_distance(poly: MultiPoly, p, seed=0):
     """(distance, zero): Euclidean distance from p in the unit ball to Z(P) in R^d, and a zero at it.
 
-    Exact per-factor for tagged affine products and by root isolation in one
-    variable.  Otherwise an upper-bound estimate over the zeros in the ball
-    of radius 2, which holds every zero within distance 1 of p, so a result
-    above 1 (or +inf) only says that Z(P) is farther than 1; every bound
-    checked is at most 1.  The lockstep search of ``sphereopt`` runs on S^d
-    through the lift z = 2y, |y|^2 + t^2 = 1, where |z - p|^2 =
-    4 - 4(t^2 + <y, p>) + |p|^2.  ``zero`` is None exactly when no zero is
-    found and the distance is +inf.
+    Exact per-factor for tagged affine products; in one variable, to the
+    nearest real root cluster of ``trigcircle._root_clusters``.  Otherwise an
+    upper-bound estimate over the zeros in the ball of radius 2, which holds
+    every zero within distance 1 of p, so a result above 1 (or +inf) only
+    says that Z(P) is farther than 1; every bound checked is at most 1.  The
+    lockstep search of ``sphereopt`` runs on S^d through the lift z = 2y,
+    |y|^2 + t^2 = 1, where |z - p|^2 = 4 - 4(t^2 + <y, p>) + |p|^2.  ``zero``
+    is None exactly when no zero is found and the distance is +inf.
     """
     p = np.asarray(p, dtype=float)
     if poly.affine_factors is not None:
@@ -90,20 +91,11 @@ def euclidean_zero_distance(poly: MultiPoly, p, seed=0):
         return best, p - (float(form.normal @ p) - form.offset) * form.normal
 
     if poly.dim == 1:
-        deg = poly.degree
-        coeffs = np.zeros(deg + 1)
-        for (e,), c in poly.terms:
-            coeffs[e] = c
-        roots = np.roots(coeffs[::-1]) if deg >= 1 else np.array([])
-        best, best_zero = math.inf, None
-        for r in roots:
-            if abs(r.imag) > 1e-8 * (1.0 + abs(r.real)):
-                continue
-            x = float(r.real)
-            dist = float(abs(x - p[0]))
-            if dist < best:
-                best, best_zero = dist, np.array([x])
-        return best, best_zero
+        coeffs = np.zeros(poly.degree + 1)
+        coeffs[[e for (e,), _ in poly.terms]] = [c for _, c in poly.terms]
+        centres, radii, _ = _root_clusters(coeffs[::-1])
+        x = min(centres.real[np.abs(centres.imag) <= radii], key=lambda x: abs(x - p[0]), default=None)
+        return (math.inf, None) if x is None else (float(abs(x - p[0])), np.array([float(x)]))
 
     d = poly.dim
     lifted = MultiPoly(d + 1, {e + (0,): c * 2.0 ** sum(e) for e, c in poly.terms})

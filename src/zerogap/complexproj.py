@@ -24,6 +24,7 @@ from scipy.optimize import minimize  # noqa: F401  unused; bench/tracing.py wrap
 from .errors import VerificationError
 from .polycore import _expand_product, _finite, _merge_terms, _rows, _term_jet
 from .sphereopt import LOG_FLOOR, ZERO_STANDIN, _farthest, _zero_distance_search, near_max_on_sphere, sphere_starts
+from .trigcircle import _root_clusters
 
 __all__ = [
     "ComplexHomogPoly",
@@ -98,7 +99,7 @@ class ComplexHomogPoly:
 
     @classmethod
     def from_json(cls, obj):
-        poly = cls(obj["dim"], {tuple(t["e"]): complex(t["re"], t.get("im", 0.0)) for t in obj["terms"]})
+        poly = cls(obj["dim"], [(t["e"], complex(t["re"], t.get("im", 0.0))) for t in obj["terms"]])
         if "deg" in obj and obj["deg"] != poly.degree:
             raise ValueError(f"declared degree {obj['deg']} != actual {poly.degree}")
         return poly
@@ -188,32 +189,26 @@ def _maximize_items(items, starts, seed):
 
 
 def _zeros_on_projective_line(poly):
-    """Unit representatives of the zeros of a binary form (d = 2 only)."""
+    """Unit representatives of the zeros of a binary form (d = 2 only), one per
+    root cluster of the chart P(w, 1) = sum coeffs[j] w^j, whatever its size."""
     n = poly.degree
     coeffs = np.zeros(n + 1, dtype=complex)  # coefficient of z1^j z2^(n-j)
     for (e1, e2), c in poly.terms:
         coeffs[e1] = c
-    reps = []
-    deg1 = max(j for j in range(n + 1) if coeffs[j] != 0)
-    if deg1 < n:
-        reps.append(np.array([1.0 + 0j, 0.0 + 0j]))  # z2 divides P
-    if deg1 > 0:
-        roots = np.roots(coeffs[: deg1 + 1][::-1])  # P(w, 1) = sum coeffs[j] w^j
-        for r in roots:
-            v = np.array([r, 1.0 + 0j])
-            reps.append(v / np.linalg.norm(v))
-    return reps
+    reps = [np.array([1.0 + 0j, 0.0 + 0j])] if coeffs[n] == 0 else []  # z2 divides P
+    return reps + [np.array([r, 1.0]) / np.linalg.norm([r, 1.0]) for r in _root_clusters(coeffs[::-1])[0]]
 
 
 def complex_zero_distance(poly: ComplexHomogPoly, p, seed=0):
     """(distance, zero): min over zeros z on the sphere of arccos |<p, z>|, and z.
 
-    Exact for tagged products of linear forms and for d = 2 (found through
-    chart root isolation).  Elsewhere an upper-bound estimate from the
-    lockstep search of ``sphereopt`` for the largest Re <z, p> on Z(P), which
-    equals the largest |<z, p>| as Z(P) is invariant under z -> e^(i phi) z.
-    ``zero`` is None exactly when nothing is found and the distance is +inf
-    (for d >= 2 only a constant has no zero on the sphere).
+    Exact for tagged products of linear forms and for d = 2 (the chart's root
+    clusters from ``trigcircle._root_clusters``).  Elsewhere an upper-bound
+    estimate from the lockstep search of ``sphereopt`` for the largest
+    Re <z, p> on Z(P), which equals the largest |<z, p>| as Z(P) is invariant
+    under z -> e^(i phi) z.  ``zero`` is None exactly when nothing is found
+    and the distance is +inf (for d >= 2 only a constant has no zero on the
+    sphere).
     """
     p = np.asarray(p, dtype=complex)
     p = p / np.linalg.norm(p)

@@ -107,18 +107,18 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["dim"], {tuple(t["e"]): t["c"] for t in obj["terms"]})
+        return cls(obj["dim"], [(t["e"], t["c"]) for t in obj["terms"]])
 
 
 def _merge_terms(dim, terms, zero):
-    """Sorted nonzero (exponents, coefficient) pairs, coefficients of equal
-    exponents summed in the type of ``zero`` (0.0 or 0j); rejects a bad
-    dimension or exponent vector, a coefficient that is not finite and the
-    identically-zero polynomial."""
+    """Sorted nonzero (exponents, coefficient) pairs from a dict or a list of
+    pairs, coefficients of equal exponents summed in the order given, in the
+    type of ``zero`` (0.0 or 0j); rejects a bad dimension or exponent vector,
+    a coefficient that is not finite and the identically-zero polynomial."""
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     merged = {}
-    for exps, coeff in dict(terms).items():
+    for exps, coeff in terms.items() if isinstance(terms, dict) else terms:
         e = tuple(_whole(x, "e") for x in exps)
         if len(e) != dim:
             raise ValueError(f"exponent vector {e} does not match dim {dim}")

@@ -1,19 +1,13 @@
 """Trigonometric polynomials on the circle: zeros, extrema, gap certificates.
 
-Zero isolation goes through the substitution z = e^{i theta}, which turns a
-degree-n trigonometric polynomial into an algebraic polynomial of degree 2n
-whose roots are found as companion-matrix eigenvalues.  Roots near the unit
-circle are pulled back to angles and polished by Newton iteration; clusters
-of polished angles give multiplicities, confirmed through derivative
-magnitudes.  A simple zero is the mean of its cluster; only a multiple zero
-is polished once more, on its first non-vanishing derivative.  A nonzero
-trigonometric polynomial of degree n has at most 2n zeros on the circle
-counted with multiplicity, which bounds everything the certificates below
-count.  The sup norm that scales their tolerances is the
-maximum of |T| on N equally spaced angles, N the larger of 4096 and the
-smallest power of two >= 4n, sampled all at once by one inverse real FFT of
-the coefficient spectrum.  The companion matrix is built from the same
-spectrum.
+With z = e^{i theta} a degree-n trigonometric polynomial is an algebraic one
+of degree 2n, whose roots come from _root_clusters, the package's one root
+kernel (``complexproj`` and ``ballfinder`` use it too): discs that each hold
+an exact count of roots under a stated Horner rounding bound.  A disc that
+meets the unit circle is a zero of T of that multiplicity at the angle of its
+centre, a point value, not an enclosure; only simple zeros are polished by
+Newton iteration.  T has at most 2n zeros counted with multiplicity.  The
+tolerances scale with the sup norm of TrigPoly.sup_norm.
 """
 
 from __future__ import annotations
@@ -22,6 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 __all__ = [
     "TrigPoly",
@@ -39,13 +35,8 @@ TWO_PI = 2.0 * math.pi
 # trailing Fourier pairs with both entries below this (relative) size are
 # regarded as absent when the degree is tightened
 _DEGREE_TRIM = 1e-14
-# companion roots farther than this from the unit circle are discarded before
-# refinement; multiplicity-m circle zeros perturb eigenvalues by
-# O(eps^(1/m)), about 1e-8 for double and 1e-4 for quadruple zeros
-_RADIAL_CAPTURE = 1e-4
-_CLUSTER_TOL = 1e-6
 _RESIDUAL_TOL = 1e-8
-_DERIV_TOL = 1e-6
+_EPS = float(np.finfo(float).eps)
 # angles evaluated per block in TrigPoly.eval, which bounds its work array to
 # (2n + 1) x _EVAL_BLOCK doubles however many angles are asked for
 _EVAL_BLOCK = 256
@@ -220,20 +211,100 @@ def _unscaled_max(M, e):
         raise ValueError("max |T| exceeds the largest double") from None
 
 
-def _companion_angles(T: TrigPoly):
-    """Angles of roots of z^n T(theta(z)) lying near the unit circle.
+def _horner(c, x):
+    """(v, err) at x for p(x) = c[0] x^N + ... + c[N]: v = p(x) where |x| <= 1,
+    else x^-N p(x) from the reversed coefficients at the rounded 1/x, so no power
+    overflows.  err is twice the pass's running error bound (Higham, Accuracy and
+    Stability, 5.1): step k rounds by at most u (sqrt 5 |w y_(k-1)| + |y_k|), so
+    the pass by at most (1 + sqrt 5) u sum_k |w|^(N-k) |y_k|, u = eps / 2."""
+    N, big = len(c) - 1, np.abs(x) > 1.0
+    w, pick = np.where(big, 1.0 / np.where(big, x, 1.0), x), big.astype(np.intp)
+    table, aw, y, bound = np.stack((c, c[::-1]), axis=1), np.abs(w), np.zeros(x.shape, complex), np.zeros(x.shape)
+    for k in range(N + 1):
+        y *= w
+        y += table[k][pick]
+        bound *= aw
+        bound += np.abs(y)
+    return y, (1.0 + math.sqrt(5.0)) * _EPS * bound
 
-    T is the series in powers z^-n .. z^n whose nonnegative half is the
-    spectrum and whose negative half is its conjugate, so z^n T has the
-    reversed conjugate spectrum at powers 0 .. n - 1 and the spectrum at
-    powers n .. 2n.
-    """
-    spectrum = T._spectrum()
-    c = np.concatenate((np.conj(spectrum[:0:-1]), spectrum))
-    c = c / np.max(np.abs(c))
-    roots = np.roots(c[::-1])
-    keep = np.abs(np.abs(roots) - 1.0) <= _RADIAL_CAPTURE
-    return np.mod(np.angle(roots[keep]), TWO_PI)
+
+def _pellet_holds(c, centre, r, m):
+    """Whether Pellet's test |a_m| r^m > sum_{k != m} |a_k| r^k (a_k the Taylor
+    coefficients at centre) proves that the disc of radius r holds m roots.  The
+    a_k r^k are one FFT of p / max(1, |centre| + r)^N on the rim.  Their errors sum
+    to at most the values' in 2-norm (Parseval): Horner's, the FFT's, the scaling's
+    and the nodes' rounding, the last times |p'| <= sum_k k |a_k| r^(k-1)."""
+    N = len(c) - 1
+    x = centre + r * np.exp(2j * np.pi * np.arange(N + 1) / (N + 1))
+    v, err = _horner(c, x)
+    rho = max(1.0, abs(centre) + r)
+    scale = np.where(np.abs(x) > 1.0, (x / rho) ** N, rho**-N)
+    v *= scale
+    b = np.abs(np.fft.fft(v)) / (N + 1)
+    nodes = 2.0 * math.sqrt(N + 1) * (abs(centre) + r) / r * (np.arange(N + 1) @ b)
+    e = np.linalg.norm(err * np.abs(scale)) + _EPS * (3.0 + 2.0 * math.log2(N + 1)) * np.linalg.norm(v)
+    return b[m] > b.sum() - b[m] + e + _EPS * nodes
+
+
+def _pellet_split(c, z, D, radii, reach, union):
+    """Disjoint Pellet discs (centre, r, count) for the parts of ``union`` left by
+    cutting the longest edge of its minimum spanning tree, each split again
+    where it can be, or None.  A part is tested on discs about its mean of radius
+    s^(1 - t) g^t, t = 1/2 then 1/4 (nearer the part, where many roots pass), s
+    its spread (a lone member's own radius) and g its gap to the rest."""
+    d = D[np.ix_(union, union)]
+    # sparse input: a dense one would drop distances below 1e-8 as non-edges
+    label = connected_components(d < minimum_spanning_tree(csr_matrix(d)).max(), directed=False)[1]
+    discs = []
+    for part in (union[label == k] for k in np.unique(label)):
+        centre = z[part].mean()
+        inner = radii[part[0]] if len(part) == 1 else max(np.max(np.abs(z[part] - centre)), _EPS * abs(centre))
+        gap = np.min(np.delete(np.abs(z - centre) - reach, part))
+        rs = [inner * (gap / inner) ** t for t in (0.5, 0.25)] if 0.0 < inner < gap else []
+        r = next((r for r in rs if _pellet_holds(c, centre, r, len(part))), 0.0)
+        found = _pellet_split(c, z, D, radii, reach, part) if len(part) > 1 else None
+        if found is None and not r:
+            return None
+        discs += [(centre, r, len(part))] if found is None else found
+    cs, rs = np.array([d[0] for d in discs]), np.array([d[1] for d in discs])
+    return discs if np.count_nonzero(np.abs(np.subtract.outer(cs, cs)) <= np.add.outer(rs, rs)) == len(discs) else None
+
+
+def _root_clusters(c):
+    """The roots of p(x) = c[0] x^N + ... + c[N] (numpy's order) in clusters,
+    arrays (centres, radii, counts): the disc |x - centre| <= radius holds
+    exactly count roots, under the rounding bound of _horner.
+
+    The companion-matrix roots z_i are the diagonal of Smith's matrix
+    diag(z) - 1 W^T, W_i = p(z_i) / (c[0] prod_{j != i} (z_i - z_j)), whose
+    eigenvalues are the roots of p (B. T. Smith, J. ACM 17, 1970), so each
+    connected union of k discs |x - z_i| <= N |W_i| holds k roots.  A union of
+    several becomes its Pellet discs (Becker, Sagraloff, Sharma and Yap, J.
+    Symbolic Comput. 2018), else one cluster at the mean of its members, good
+    to O(eps) where those of an m-fold root spread by eps^(1/m).  Trailing
+    zeros of c are a root at 0."""
+    c = np.trim_zeros(np.asarray(c), "f")
+    last = np.flatnonzero(c)[-1]
+    at_zero, c, N = len(c) - 1 - last, c[: last + 1], last
+    z = np.roots(c).astype(complex)
+    D = np.subtract.outer(z.real, z.real)
+    np.hypot(D, np.subtract.outer(z.imag, z.imag), out=D)
+    np.fill_diagonal(D, 1.0)
+    v, err = _horner(c, z)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_w = np.log(np.abs(v) + err) + N * np.log(np.maximum(np.abs(z), 1.0)) - np.log(D).sum(axis=1)
+        radii = N * np.exp(log_w - math.log(abs(c[0])))
+    touch = D <= radii[:, None] + radii
+    np.fill_diagonal(touch, False)
+    alone, rest, clusters = ~touch.any(axis=1), np.flatnonzero(touch.any(axis=1)), []
+    label = connected_components(touch[np.ix_(rest, rest)], directed=False)[1] if rest.size else rest
+    for union in (rest[label == k] for k in np.unique(label)):
+        reach, centre = np.where(np.isin(np.arange(N), union), 0.0, radii), z[union].mean()
+        fallback = (centre, np.max(np.abs(z[union] - centre) + radii[union]), len(union))
+        clusters += _pellet_split(c, z, D, radii, reach, union) or [fallback]
+    extra = np.array(clusters + ([(0j, 0.0, at_zero)] if at_zero else []), complex).reshape(-1, 3)
+    counts = np.append(np.ones(alone.sum(), int), extra[:, 2].real).astype(int)
+    return np.append(z[alone], extra[:, 0]), np.append(radii[alone], extra[:, 1].real), counts
 
 
 def _newton_polish(T, dT, theta):
@@ -274,74 +345,23 @@ def _newton_polish(T, dT, theta):
     return best
 
 
-def _cluster_circular(angles, tol):
-    """Group sorted angles into clusters of circular diameter <= tol."""
-    if len(angles) == 0:
-        return []
-    order = np.sort(np.asarray(angles))
-    clusters = [[order[0]]]
-    for t in order[1:]:
-        if t - clusters[-1][-1] <= tol:
-            clusters[-1].append(t)
-        else:
-            clusters.append([t])
-    # merge across the 0/2pi seam
-    if len(clusters) > 1 and (TWO_PI - clusters[-1][-1]) + clusters[0][0] <= tol:
-        first = clusters.pop(0)
-        clusters[-1].extend(t + TWO_PI for t in first)
-    return clusters
-
-
 def trig_zeros(T: TrigPoly) -> tuple:
     """All zeros of T in [0, 2pi) with multiplicities, a tuple of CircleZero
-    sorted by angle.
-
-    Each returned angle satisfies |T| < 1e-8 * sup|T|; multiplicity m is
-    declared only when the derivatives through order m-1 vanish within
-    tolerance at the refined angle.
-    """
+    sorted by angle, |T| < 1e-8 sup|T| at each; the clusters are those of z^n T,
+    whose coefficients are the conjugate spectrum reversed, then the spectrum."""
     _check_nonzero(T)
     if T.degree == 0:
         return ()
     _, T = _unit_scaled(T)
-    sup = T.sup_norm()
-    dT = T.derivative()
-    raw = _companion_angles(T)
-    polished = _newton_polish(T, dT, raw)
-    polished = polished[np.abs(T.eval(polished)) <= _RESIDUAL_TOL * sup]
-
-    derivs = [T, dT]
-    starts, mults = [], []
-    for cluster in _cluster_circular(polished, _CLUSTER_TOL):
-        size = len(cluster)
-        theta = float(np.mean(cluster)) % TWO_PI
-        # multiplicity supported by small derivatives; Bernstein scaling
-        # n^j bounds the j-th derivative of a degree-n trig polynomial
-        m = 1
-        while m < size:
-            while len(derivs) <= m:
-                derivs.append(derivs[-1].derivative())
-            dscale = sup * max(1.0, float(T.degree)) ** m
-            if abs(derivs[m].eval(theta)) < _DERIV_TOL * dscale:
-                m += 1
-            else:
-                break
-        starts.append(theta)
-        mults.append(m)
-    # a simple zero keeps its cluster mean, already polished on T; a multiple
-    # zero is polished again on its first non-vanishing derivative level,
-    # where it is simple: one sweep for all clusters of the same multiplicity
-    starts, mults = np.array(starts), np.array(mults, dtype=int)
-    thetas = starts.copy()
-    for m in np.unique(mults[mults > 1]):
-        while len(derivs) <= m:
-            derivs.append(derivs[-1].derivative())
-        level = mults == m
-        thetas[level] = _newton_polish(derivs[m - 1], derivs[m], starts[level])
-    keep = np.abs(T.eval(thetas)) <= _RESIDUAL_TOL * sup
-    zeros = [CircleZero(float(t % TWO_PI), int(m)) for t, m, k in zip(thetas, mults, keep) if k]
-    zeros.sort(key=lambda z: z.theta)
-    return tuple(zeros)
+    spectrum = T._spectrum()
+    c = np.concatenate((np.conj(spectrum[:0:-1]), spectrum))
+    centres, radii, counts = _root_clusters((c / np.max(np.abs(c)))[::-1])
+    on = np.abs(np.abs(centres) - 1.0) <= radii
+    thetas, mults = np.mod(np.angle(centres[on]), TWO_PI), counts[on]
+    thetas[mults == 1] = _newton_polish(T, T.derivative(), thetas[mults == 1])
+    keep = np.abs(T.eval(thetas)) <= _RESIDUAL_TOL * T.sup_norm()
+    zeros = (CircleZero(float(t % TWO_PI), int(m)) for t, m in zip(thetas[keep], mults[keep]))
+    return tuple(sorted(zeros, key=lambda z: z.theta))
 
 
 def trig_max_points(T: TrigPoly):
@@ -350,8 +370,7 @@ def trig_max_points(T: TrigPoly):
     if T.degree == 0:
         return abs(T.a0), [0.0]
     e, T = _unit_scaled(T)
-    dT = T.derivative()
-    crit = [z.theta for z in trig_zeros(dT)] or [0.0]
+    crit = [z.theta for z in trig_zeros(T.derivative())] or [0.0]
     vals = np.abs(T.eval(np.array(crit)))
     M = float(np.max(vals))
     pts = sorted(float(t) for t, v in zip(crit, vals) if v >= M * (1.0 - 1e-9))
@@ -370,7 +389,6 @@ def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
     measured on 2^e T (see _unit_scaled), so that the root finders and the
     flag share one polynomial and its sup norm.
     """
-    _check_nonzero(T)
     n = T.degree
     e, T = _unit_scaled(T)
     M, pts = trig_max_points(T)
@@ -406,18 +424,12 @@ def interlacing_check(T: TrigPoly, zeros=None, max_points=None):
     n = T.degree
     if n == 0:
         return False, []
-    if zeros is None:
-        zeros = trig_zeros(T)
+    zeros = trig_zeros(T) if zeros is None else zeros
     pts = trig_max_points(T)[1] if max_points is None else list(max_points)
     zs = [z.theta for z in zeros]
     events = sorted([(t, "z") for t in zs] + [(t, "m") for t in pts])
-    arcs = []
-    for i, (t, _) in enumerate(events):
-        t_next = events[(i + 1) % len(events)][0] + (TWO_PI if i + 1 == len(events) else 0.0)
-        arcs.append(t_next - t)
-    if len(zs) != 2 * n or len(pts) != 2 * n:
-        return False, arcs
-    if any(z.multiplicity != 1 for z in zeros):
+    arcs = [b - a for (a, _), (b, _) in zip(events, events[1:])] + [events[0][0] + TWO_PI - events[-1][0]]
+    if len(zs) != 2 * n or len(pts) != 2 * n or any(z.multiplicity != 1 for z in zeros):
         return False, arcs
     alternating = all(events[i][1] != events[(i + 1) % len(events)][1] for i in range(len(events)))
     target = math.pi / (2 * n)

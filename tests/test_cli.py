@@ -415,6 +415,12 @@ class TestMalformedNumbers:
             ("sphere-verify", '{"dim": 2, "terms": [{"e": [1.5, 0], "c": 1.0}, {"e": [0, 1], "c": 1.0}]}', "1.5"),
             ("sphere-verify", '{"dim": 3, "terms": [{"e": [1, "2", 0], "c": 1.0}]}', "'2'"),
             ("sphere-verify", '{"dim": 2, "terms": [{"e": [true, 0], "c": 1.0}]}', "True"),
+            ("sphere-max", '{"dim": 2, "terms": [{"e": [1, 0], "c": 1.0}, {"e": [true, 0], "c": 2.0}]}', "True"),
+            (
+                "complex-verify",
+                '{"dim": 2, "terms": [{"e": [1, 0], "re": 1.0}, {"e": [true, 0], "re": 2.0}]}',
+                "True",
+            ),
             ("complex-verify", '{"dim": 2, "deg": 2, "terms": [{"e": [1.5, 0.5], "re": 1.0}]}', "1.5"),
         ],
         ids=[
@@ -430,6 +436,8 @@ class TestMalformedNumbers:
             "sphere-fractional-exponent",
             "sphere-string-exponent",
             "sphere-boolean-exponent",
+            "sphere-boolean-after-integer-exponent",
+            "complex-boolean-after-integer-exponent",
             "complex-fractional-exponent",
         ],
     )
@@ -441,6 +449,16 @@ class TestMalformedNumbers:
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and bad in err[0]
+
+    def test_repeated_exponent_vectors_are_summed(self, tmp_path):
+        # x + 2x is 3x, whose maximum on the unit circle is 3
+        twice = {"dim": 2, "terms": [{"e": [1, 0], "c": 1.0}, {"e": [1, 0], "c": 2.0}]}
+        code, text = run_cli(tmp_path, "sphere-max", twice)
+        assert code == 0 and json.loads(text)["value"] == 3.0
+        for command, key in (("sphere-verify", "c"), ("complex-verify", "re")):
+            split = {"dim": 2, "terms": [{"e": [2, 0], key: 0.25}, {"e": [0, 2], key: -1.0}, {"e": [2, 0], key: 0.75}]}
+            merged = {"dim": 2, "terms": [{"e": [2, 0], key: 1.0}, {"e": [0, 2], key: -1.0}]}
+            assert run_cli(tmp_path, command, split) == run_cli(tmp_path, command, merged)
 
     def test_whole_float_and_numpy_exponents_read_as_integers(self, tmp_path):
         exact = {"dim": 2, "terms": [{"e": [2, 0], "c": 1.0}, {"e": [0, 1], "c": 0.5}]}

@@ -54,8 +54,21 @@ DZ_MIN_DIST = min(
 )  # 1.1697903718044043
 
 
+# (1 - cos t)^2 = 1.5 - 2 cos t + 0.5 cos 2t: one fourfold zero at the origin
+ONE_MINUS_COS_SQUARED = TrigPoly(1.5, [(-2.0, 0.0), (0.5, 0.0)])
+
+
 def random_trig(rng, n):
     return TrigPoly(float(rng.standard_normal()), [tuple(rng.standard_normal(2)) for _ in range(n)])
+
+
+def simple_cluster_angles(T):
+    """Angles of the simple root clusters on the unit circle, straight from the
+    kernel on the series of z^n T: the starts trig_zeros polishes."""
+    c = companion_series_loop(T)
+    centres, radii, counts = trigcircle._root_clusters((c / np.max(np.abs(c)))[::-1])
+    on = (np.abs(np.abs(centres) - 1.0) <= radii) & (counts == 1)
+    return np.mod(np.angle(centres[on]), TWO_PI)
 
 
 def sup_points(n):
@@ -185,19 +198,23 @@ class TestArrayOperationsMatchLoops:
             assert T.derivative().coeffs.tobytes() == pair_array(derivative_loop(T)).tobytes()
 
     def test_companion_series(self, monkeypatch):
-        solved = []
-        original_roots = np.roots
+        # trig_zeros hands the root-cluster kernel the series of z^n T scaled
+        # to largest entry 1, highest power first; 2^k T gives the same bytes
+        received = []
+        original = trigcircle._root_clusters
 
-        def recorded_roots(p):
-            solved.append(p)
-            return original_roots(p)
+        def recorded(c):
+            received.append(c)
+            return original(c)
 
-        monkeypatch.setattr(np, "roots", recorded_roots)
+        monkeypatch.setattr(trigcircle, "_root_clusters", recorded)
         for T in dyadic_cases(32):
-            solved.clear()
-            trigcircle._companion_angles(T)
+            received.clear()
+            trig_zeros(T)
             c = companion_series_loop(T)
-            assert solved[0].tobytes() == (c / np.max(np.abs(c)))[::-1].tobytes()
+            assert len(received) == (T.degree > 0)
+            if T.degree > 0:
+                assert received[0].tobytes() == (c / np.max(np.abs(c)))[::-1].tobytes()
 
     def test_restriction_pairs(self, monkeypatch):
         # restrict_to_circle reads its coefficient pairs off the given series
@@ -222,14 +239,14 @@ class TestBatchedNewtonMatchesScalar:
         assert got.tobytes() == np.array(expected, dtype=float).tobytes()
 
     @pytest.mark.parametrize("n", [1, 7, 55])
-    def test_from_every_companion_angle(self, n):
+    def test_from_every_simple_cluster_start(self, n):
         T = random_trig(np.random.default_rng(200 + n), n)
-        raw = trigcircle._companion_angles(T)
-        assert raw.size > 0
-        self.check(T, T.derivative(), list(raw))
+        starts = simple_cluster_angles(T)
+        assert starts.size > 0
+        self.check(T, T.derivative(), list(starts))
 
     def test_on_derivative_levels(self, monkeypatch):
-        # the cluster polish runs Newton on T^(m-1) with derivative T^(m)
+        # Newton on T^(m-1) with derivative T^(m), as for the critical points
         T = random_trig(np.random.default_rng(7), 9)
         d1 = T.derivative()
         d2 = d1.derivative()
@@ -296,6 +313,7 @@ class TestWorkCounts:
         assert evals["eval"] <= 2 * steps + 1
 
     def test_polish_calls_in_trig_zeros_stay_bounded(self, monkeypatch):
+        # one sweep per trig_zeros, from the simple clusters on the circle only
         evals = Counter()
         per_call = []
         original_eval = TrigPoly.eval
@@ -313,17 +331,34 @@ class TestWorkCounts:
 
         monkeypatch.setattr(TrigPoly, "eval", counted_eval)
         monkeypatch.setattr(trigcircle, "_newton_polish", recorded_polish)
-        for T in (random_trig(np.random.default_rng(5), 30), DOUBLE_ZERO_T):
+        for T in (random_trig(np.random.default_rng(5), 30), DOUBLE_ZERO_T, ONE_MINUS_COS_SQUARED):
             per_call.clear()
             zeros = trig_zeros(T)
-            # the raw angles in one sweep, then one sweep per multiplicity
-            # level >= 2; simple zeros are not polished again
-            multiple = [z for z in zeros if z.multiplicity > 1]
-            assert len(per_call) == 1 + len({z.multiplicity for z in multiple})
-            assert per_call[0][2] == trigcircle._companion_angles(T).size
-            assert sum(size for _, _, size in per_call[1:]) == len(multiple)
-            for count, steps, _ in per_call:
-                assert count <= 2 * steps + 1
+            assert len(per_call) == 1
+            assert per_call[0][2] == simple_cluster_angles(T).size == sum(z.multiplicity == 1 for z in zeros)
+            assert per_call[0][0] <= 2 * per_call[0][1] + 1
+        assert per_call[0][2] == 0  # (1 - cos t)^2 has only its fourfold zero
+
+    def test_pellet_split_idle_on_random_input(self, monkeypatch):
+        # random trig polynomials have simple, well-separated roots, so every
+        # Gerschgorin disc is alone and the Pellet split never runs; a
+        # multiple zero makes it run
+        calls = Counter()
+        original = trigcircle._pellet_split
+
+        def counted(*args):
+            calls["split"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(trigcircle, "_pellet_split", counted)
+        rng = np.random.default_rng(21)
+        for n in range(1, 56):
+            T = random_trig(rng, n)
+            trig_zeros(T)
+            trig_zeros(T.derivative())
+        assert calls["split"] == 0
+        assert [z.multiplicity for z in trig_zeros(ONE_MINUS_COS_SQUARED)] == [4]
+        assert calls["split"] > 0
 
     def test_certificate_samples_each_sup_grid_once(self, monkeypatch):
         transforms, asked = Counter(), []
