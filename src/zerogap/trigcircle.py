@@ -1,5 +1,14 @@
 """Trigonometric polynomials on the circle: zeros, extrema, gap certificates.
 
+trig_zeros first tries a proof on the sup grid (_grid_zeros): one inverse
+real FFT gives T and T' at N equally spaced angles, the cosine comparison
+bounds ||T|| by U = (max grid |T| + the FFT's stated rounding bound) /
+cos(n pi / N), and Bernstein's inequality ||T^(j)|| <= n^j U bounds T'' and
+T''' between grid points.  Every cell then holds no zero or exactly one
+simple zero, found by Newton iteration inside it, or is split and tried
+again; if a cell stays undecided, the whole polynomial goes to the kernel.
+Multiple zeros always do, as no cell around one can be decided.
+
 With z = e^{i theta} a degree-n trigonometric polynomial is an algebraic one
 of degree 2n, whose roots come from _root_clusters, the package's one root
 kernel (``complexproj`` and ``ballfinder`` use it too): discs that each hold
@@ -44,6 +53,9 @@ _EVAL_BLOCK = 256
 _SUP_MIN_POINTS = 4096
 # Newton sweeps of _newton_polish
 _POLISH_STEPS = 60
+# _grid_zeros splits each undecided cell this many ways, at most this many times
+_SPLIT_WAYS = 8
+_SPLIT_LEVELS = 4
 
 
 class TrigPoly:
@@ -129,7 +141,7 @@ class TrigPoly:
         which would overflow near 1e308.
         """
         if self._sup is None:
-            N = max(_SUP_MIN_POINTS, 1 << (4 * self.degree - 1).bit_length())
+            N = _grid_size(self.degree)
             self._sup = float(np.max(np.abs(np.fft.irfft(self._spectrum(), N, norm="forward"))))
         return self._sup
 
@@ -176,6 +188,12 @@ class ZeroGapReport:
     passed: bool
     q_identically_zero: bool
     interlacing: bool
+
+
+def _grid_size(n):
+    """Points of the sup grid of a degree-n polynomial: the larger of 4096 and
+    the smallest power of two >= 4n."""
+    return max(_SUP_MIN_POINTS, 1 << (4 * n - 1).bit_length())
 
 
 def circle_distance(t1, t2):
@@ -345,20 +363,113 @@ def _newton_polish(T, dT, theta):
     return best
 
 
+def _grid_zeros(T, dT):
+    """The zeros of T, each polished by _newton_polish from a bracket proved to
+    hold it and no other zero, all simple; None where the proof fails.
+
+    T (unit-scaled, degree n) and dT = T' are sampled at the N angles of the
+    sup grid by one inverse real FFT, whose T row is sup_norm's transform.
+    The stated rounding bounds: an FFT value is off by at most 5 log2(N) eps
+    times the grid's 2-norm, which is sqrt(N) times T's by Parseval (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 24, gives 4 log2(N)
+    eps with twiddle factors good to eps; the rest covers the one rounding of
+    each spectrum entry); a TrigPoly.eval value at |theta| <= 4 pi by
+    eps (2 pi sum k |c_k| + 2 (n + 3) sum |c_k|), c_k its coefficients, with
+    sin and cos good to 4 ulp; one of dT, whose coefficients k a_k, k b_k are
+    rounded, by that plus eps/2 sum k |c_k|.  U = (max grid |T| + bound) /
+    cos(n pi / N) >= ||T|| by the cosine comparison, and Bernstein's
+    inequality gives ||T''|| <= n^2 U, ||T'''|| <= n^3 U.  On a cell of
+    width w between neighbouring points:
+
+    - T' keeps one sign if its end values have one sign and exceed their
+      bounds by n^3 U w^2 / 8 (linear interpolation of T');
+    - T keeps one sign if its end values have one proved sign and either T'
+      keeps one sign or they exceed their bounds by n^2 U w^2 / 8;
+    - T has exactly one zero, a simple one, if its end values have proved
+      opposite signs and T' keeps one sign.
+
+    Where a point's sign is not proved, its two cells make one bracket if T'
+    keeps one sign on both and their outer ends have proved signs.  Undecided
+    cells are split _SPLIT_WAYS ways, with T and dT evaluated at the new
+    points, at most _SPLIT_LEVELS times and at most N cells at a time.  Each
+    polished angle must lie in its bracket.
+    """
+    n, N = T.degree, _grid_size(T.degree)
+    k = np.arange(n + 1)
+    spectrum = T._spectrum()
+    grid = np.fft.irfft(np.stack((spectrum, 1j * k * spectrum)), N, norm="forward")
+    T._sup = float(np.max(np.abs(grid[0])))
+    size, square = np.abs(T.coeffs).sum(axis=1), np.square(T.coeffs).sum(axis=1)
+    s0, s1, s2 = abs(T.a0) + size.sum(), k[1:] @ size, np.square(k[1:]) @ size
+    fft = 5.0 * math.log2(N) * _EPS * math.sqrt(N)
+    grid_err = fft * np.sqrt([T.a0**2 + square.sum() / 2.0, np.square(k[1:]) @ square / 2.0])
+    eval_err = _EPS * np.array([TWO_PI * s1 + 2 * (n + 3) * s0, TWO_PI * s2 + (2 * n + 7) * s1])
+    # U is rounded up by far more than the few roundings of the tests below;
+    # slack widens each cell, as a float grid angle (at most 4 pi) is within
+    # 4 pi eps of the exact angle it stands for
+    U = (1.0 + 1e-9) * (T._sup + grid_err[0]) / math.cos(n * math.pi / N)
+    slack = 10.0 * math.pi * _EPS
+    # rows of points with values V = (T, T') and their bounds E; first one
+    # row once around from the largest |T|, in unwrapped angles
+    pts = np.argmax(np.abs(grid[0])) + np.arange(N + 1)
+    t, V = (pts * (TWO_PI / N))[None], grid[:, None, pts % N]
+    E = np.broadcast_to(grid_err[:, None, None], V.shape)
+    brackets = []
+    for level in range(_SPLIT_LEVELS + 1):
+        M = np.abs(V) - E
+        w2 = np.square(np.diff(t, axis=1) + slack)
+        sign = np.sign(V[0]) * (M[0] > 0.0)
+        cross = sign[:, :-1] * sign[:, 1:]
+        mono = (V[1, :, :-1] * V[1, :, 1:] > 0.0) & (np.minimum(M[1, :, :-1], M[1, :, 1:]) > n**3 * U / 8.0 * w2)
+        flat = np.minimum(M[0, :, :-1], M[0, :, 1:]) > n**2 * U / 8.0 * w2
+        one, done = (cross < 0.0) & mono, (cross > 0.0) & (flat | mono)
+        r, j = np.nonzero(sign[:, 1:-1] == 0.0)
+        j += 1
+        if not (mono[r, j - 1] & mono[r, j] & (sign[r, j - 1] != 0.0) & (sign[r, j + 1] != 0.0)).all():
+            return None
+        done[r, j - 1] = done[r, j] = True
+        pair = sign[r, j - 1] != sign[r, j + 1]
+        rows, left = np.nonzero(one)
+        rows, left, right = np.append(rows, r[pair]), np.append(left, j[pair] - 1), np.append(left + 1, j[pair] + 1)
+        brackets.append((t[rows, left], t[rows, right], V[0, rows, left], V[0, rows, right]))
+        r, c = np.nonzero(~(one | done))
+        if r.size == 0:
+            break
+        if level == _SPLIT_LEVELS or r.size > N:
+            return None
+        lo, hi = t[r, c, None], t[r, c + 1, None]
+        t = np.hstack((lo, lo + (hi - lo) * (np.arange(1, _SPLIT_WAYS) / _SPLIT_WAYS), hi))
+        inner = np.stack((T.eval(t[:, 1:-1]), dT.eval(t[:, 1:-1])))
+        V = np.concatenate((V[:, r, c, None], inner, V[:, r, c + 1, None]), axis=2)
+        E = np.concatenate((E[:, r, c, None], np.broadcast_to(eval_err[:, None, None], inner.shape), E[:, r, c + 1, None]), axis=2)
+    lo, hi, f0, f1 = (np.concatenate(part) for part in zip(*brackets))
+    # regula falsi starts, inside the brackets as f0 and f1 differ in sign
+    w = hi - lo
+    theta = _newton_polish(T, dT, (lo + f0 / (f0 - f1) * w) % TWO_PI)
+    off = np.abs((theta - (lo + hi) / 2.0 + math.pi) % TWO_PI - math.pi)
+    return theta if (off <= w / 2.0 + slack).all() else None
+
+
 def trig_zeros(T: TrigPoly) -> tuple:
     """All zeros of T in [0, 2pi) with multiplicities, a tuple of CircleZero
-    sorted by angle, |T| < 1e-8 sup|T| at each; the clusters are those of z^n T,
+    sorted by angle, |T| < 1e-8 sup|T| at each.  _grid_zeros proves them simple
+    and places them where it can; otherwise the clusters are those of z^n T,
     whose coefficients are the conjugate spectrum reversed, then the spectrum."""
     _check_nonzero(T)
     if T.degree == 0:
         return ()
     _, T = _unit_scaled(T)
-    spectrum = T._spectrum()
-    c = np.concatenate((np.conj(spectrum[:0:-1]), spectrum))
-    centres, radii, counts = _root_clusters((c / np.max(np.abs(c)))[::-1])
-    on = np.abs(np.abs(centres) - 1.0) <= radii
-    thetas, mults = np.mod(np.angle(centres[on]), TWO_PI), counts[on]
-    thetas[mults == 1] = _newton_polish(T, T.derivative(), thetas[mults == 1])
+    dT = T.derivative()
+    thetas = _grid_zeros(T, dT)
+    if thetas is not None:
+        mults = np.ones(thetas.size, int)
+    else:
+        spectrum = T._spectrum()
+        c = np.concatenate((np.conj(spectrum[:0:-1]), spectrum))
+        centres, radii, counts = _root_clusters((c / np.max(np.abs(c)))[::-1])
+        on = np.abs(np.abs(centres) - 1.0) <= radii
+        thetas, mults = np.mod(np.angle(centres[on]), TWO_PI), counts[on]
+        thetas[mults == 1] = _newton_polish(T, dT, thetas[mults == 1])
     keep = np.abs(T.eval(thetas)) <= _RESIDUAL_TOL * T.sup_norm()
     zeros = (CircleZero(float(t % TWO_PI), int(m)) for t, m in zip(thetas[keep], mults[keep]))
     return tuple(sorted(zeros, key=lambda z: z.theta))

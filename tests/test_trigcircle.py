@@ -180,6 +180,18 @@ def dyadic_cases(seed):
             yield TrigPoly(math.ldexp(T.a0, e), np.ldexp(T.coeffs, e))
 
 
+def squared_dyadic_cases(seed):
+    """P^2 for random P of mean zero and degrees 2 - 30, which changes sign, so
+    P^2 has double zeros, and its multiples by 2^-1000 and 2^1000 (from degree
+    2 on, no coefficient of P^2 is zero)."""
+    rng = np.random.default_rng(seed)
+    for m in list(range(2, 31, 3)) + list(rng.integers(2, 31, 4)):
+        series = companion_series_loop(TrigPoly(0.0, rng.standard_normal((int(m), 2))))
+        a0, pairs = series_pairs_loop(np.convolve(series, series))
+        for e in (0, -1000, 1000):
+            yield TrigPoly(math.ldexp(a0, e), np.ldexp(pair_array(pairs), e))
+
+
 def pair_array(pairs):
     return np.array(pairs, dtype=float).reshape(-1, 2)
 
@@ -199,7 +211,8 @@ class TestArrayOperationsMatchLoops:
 
     def test_companion_series(self, monkeypatch):
         # trig_zeros hands the root-cluster kernel the series of z^n T scaled
-        # to largest entry 1, highest power first; 2^k T gives the same bytes
+        # to largest entry 1, highest power first, where the grid proof fails:
+        # T = P^2 has only double zeros; 2^k T gives the same bytes
         received = []
         original = trigcircle._root_clusters
 
@@ -208,13 +221,12 @@ class TestArrayOperationsMatchLoops:
             return original(c)
 
         monkeypatch.setattr(trigcircle, "_root_clusters", recorded)
-        for T in dyadic_cases(32):
+        for T in squared_dyadic_cases(32):
             received.clear()
             trig_zeros(T)
             c = companion_series_loop(T)
-            assert len(received) == (T.degree > 0)
-            if T.degree > 0:
-                assert received[0].tobytes() == (c / np.max(np.abs(c)))[::-1].tobytes()
+            assert len(received) == 1
+            assert received[0].tobytes() == (c / np.max(np.abs(c)))[::-1].tobytes()
 
     def test_restriction_pairs(self, monkeypatch):
         # restrict_to_circle reads its coefficient pairs off the given series
@@ -313,7 +325,8 @@ class TestWorkCounts:
         assert evals["eval"] <= 2 * steps + 1
 
     def test_polish_calls_in_trig_zeros_stay_bounded(self, monkeypatch):
-        # one sweep per trig_zeros, from the simple clusters on the circle only
+        # one sweep per trig_zeros, from the certified brackets or from the
+        # simple clusters on the circle only
         evals = Counter()
         per_call = []
         original_eval = TrigPoly.eval
@@ -342,7 +355,8 @@ class TestWorkCounts:
     def test_pellet_split_idle_on_random_input(self, monkeypatch):
         # random trig polynomials have simple, well-separated roots, so every
         # Gerschgorin disc is alone and the Pellet split never runs; a
-        # multiple zero makes it run
+        # multiple zero makes it run (the grid proof is switched off here, so
+        # that every polynomial reaches the kernel)
         calls = Counter()
         original = trigcircle._pellet_split
 
@@ -351,6 +365,7 @@ class TestWorkCounts:
             return original(*args)
 
         monkeypatch.setattr(trigcircle, "_pellet_split", counted)
+        monkeypatch.setattr(trigcircle, "_grid_zeros", lambda T, dT: None)
         rng = np.random.default_rng(21)
         for n in range(1, 56):
             T = random_trig(rng, n)
@@ -359,6 +374,35 @@ class TestWorkCounts:
         assert calls["split"] == 0
         assert [z.multiplicity for z in trig_zeros(ONE_MINUS_COS_SQUARED)] == [4]
         assert calls["split"] > 0
+
+    def test_kernel_only_where_the_grid_proof_fails(self, tmp_path, monkeypatch):
+        # random polynomials and their derivatives have only simple zeros,
+        # which the grid proof places: no eigensolve, up to degree 300
+        calls = Counter()
+        original = trigcircle._root_clusters
+
+        def counted(c):
+            calls["kernel"] += 1
+            return original(c)
+
+        monkeypatch.setattr(trigcircle, "_root_clusters", counted)
+        rng = np.random.default_rng(21)
+        for n in range(1, 56):
+            T = random_trig(rng, n)
+            trig_zeros(T)
+            trig_zeros(T.derivative())
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(random_trig(np.random.default_rng(300), 300).to_json()))
+        assert main(["trig-verify", "--input", str(inp), "--output", str(tmp_path / "out.json")]) == 0
+        assert calls["kernel"] == 0
+        # one eigensolve per call with a multiple zero: (1 - cos t)^2,
+        # (1 - cos t)^3 and (2 cos t - 0.3)^3
+        shifted = np.array([1.0, -0.3, 1.0])
+        cubed = series_pairs_loop(np.convolve(np.convolve(shifted, shifted), shifted))
+        for T in (ONE_MINUS_COS_SQUARED, TrigPoly(2.5, [(-3.75, 0.0), (1.5, 0.0), (-0.25, 0.0)]), TrigPoly(*cubed)):
+            calls.clear()
+            zeros = trig_zeros(T)
+            assert calls["kernel"] == 1 and max(z.multiplicity for z in zeros) >= 3
 
     def test_certificate_samples_each_sup_grid_once(self, monkeypatch):
         transforms, asked = Counter(), []
