@@ -39,7 +39,6 @@ from .covering import (
     SphericalSegment,
     refute_cover_ball,
     refute_cover_sphere,
-    segment_contains,
     split_segments,
 )
 from .errors import VerificationError

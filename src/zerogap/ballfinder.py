@@ -45,7 +45,7 @@ from .sphereopt import (
     _batch_ascent,
     _canonical_signs,
     _farthest,
-    _log_abs_objective,
+    _log_objective,
     _near_max,
     _newton_polish,
     _newton_step,
@@ -198,7 +198,7 @@ def _multiplier_objective(poly: MultiPoly):
     """(value, grad) of log|P(x)| + log|M(|x|)| on row batches in the ball;
     ``grad(X, True)`` also returns the Hessians, from the same evaluation of P."""
     n = poly.degree
-    poly_log, poly_grad = _log_abs_objective(poly)
+    poly_log, poly_grad = _log_objective(((poly, 1.0),))
 
     def value(X):
         g = ball_multiplier(n, np.linalg.norm(X, axis=1))

@@ -1,10 +1,10 @@
 """Homogeneous complex polynomials on the unit sphere of C^d.
 
-Points of C^d are carried as 2d real coordinates (real parts first, then
-imaginary parts), so the sphere S^(2d-1) reuses the projected-ascent engine.
-Weighted families maximize sum delta_k^2 log|P_k|, which realizes the
-fractional-power product |P_1^(d1^2) ... P_N^(dN^2)| without ever raising a
-complex number to a fractional power.
+The maximizers come from the one log objective of ``sphereopt``, which
+carries the sphere of C^d as S^(2d-1) in real coordinates (see
+``sphereopt._real``): weighted families maximize sum delta_k^2 log|P_k|,
+which realizes the fractional-power product |P_1^(d1^2) ... P_N^(dN^2)|
+without ever raising a complex number to a fractional power.
 
 Angular distance between unit vectors is arccos of the magnitude of the
 Hermitian inner product: the distance between the unit-scalar orbits, which
@@ -23,7 +23,7 @@ from scipy.optimize import minimize  # noqa: F401  unused; bench/tracing.py wrap
 
 from .errors import VerificationError
 from .polycore import _expand_product, _finite, _merge_terms, _rows, _term_jet
-from .sphereopt import LOG_FLOOR, ZERO_STANDIN, _farthest, _zero_distance_search, near_max_on_sphere, sphere_starts
+from .sphereopt import _farthest, _from_real, _log_objective, _zero_distance_search, near_max_on_sphere, sphere_starts
 from .trigcircle import _root_clusters
 
 __all__ = [
@@ -36,12 +36,6 @@ __all__ = [
     "verify_weighted_gap",
     "hermitian_angle",
 ]
-
-def to_complex(x):
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1] // 2
-    return x[..., :d] + 1j * x[..., d:]
-
 
 def hermitian_angle(u, v):
     """arccos |<u, v>| for unit complex vectors."""
@@ -133,40 +127,6 @@ class WeightedSystem:
         return self.items[0][0].dim
 
 
-def _weighted_log_objective(items):
-    polys = [p for p, _ in items]
-    weights = [d * d for _, d in items]
-
-    def value(X):
-        Z = to_complex(X)
-        total = np.zeros(Z.shape[0])
-        dead = np.zeros(Z.shape[0], dtype=bool)
-        for poly, w in zip(polys, weights):
-            v = np.abs(poly.eval(Z))
-            dead |= v == 0.0
-            with np.errstate(divide="ignore"):
-                total = total + w * np.log(np.where(v == 0.0, 1.0, v))
-        return np.where(dead, LOG_FLOOR, total)
-
-    def grad(X, hessian=False):
-        Z = to_complex(X)
-        d = Z.shape[1]
-        G, H = np.zeros(X.shape), np.zeros((len(X), 2 * d, 2 * d))
-        for poly, w in zip(polys, weights):
-            v, P1, P2 = _term_jet(poly, Z, "vgh" if hessian else "vg")
-            v = np.where(v == 0, ZERO_STANDIN, v)
-            ratio = P1 / v[:, None]
-            G[:, :d] += w * ratio.real
-            G[:, d:] += w * -ratio.imag
-            if hessian:
-                # log|P| = Re log P: the Cauchy-Riemann block of (log P)'' = P''/P - ratio ratio'
-                h = P2 / v[:, None, None] - ratio[:, :, None] * ratio[:, None, :]
-                H += w * np.block([[h.real, -h.imag], [-h.imag, -h.real]])
-        return (G, H) if hessian else G
-
-    return value, grad
-
-
 def _canonical_phase(z):
     """z times the unit scalar conj(z_k) / |z_k|, where z_k is its coordinate
     of largest modulus (lowest index on ties): one representative of the
@@ -184,7 +144,7 @@ def _canonical_phase(z):
 
 def _maximize_items(items, starts, seed):
     """Near-maximal pool of the weighted log objective, sorted by coordinates."""
-    value, grad = _weighted_log_objective(items)
+    value, grad = _log_objective(items)
     return sorted(near_max_on_sphere(value, grad, 2 * items[0][0].dim, starts, seed)[1], key=tuple)
 
 
@@ -259,7 +219,7 @@ def _verify_items(items, bounds, seed, starts, tol) -> ComplexGapReport:
     """Check distance to each Z(P_k) >= bounds[k] at the maximizer of sum delta_k^2 log|P_k|:
     of the distinct near-maximizers, each in its canonical phase, the one
     whose smallest margin distance - bound is largest (:func:`_farthest`)."""
-    pool = [_canonical_phase(to_complex(x)) for x in _maximize_items(items, starts, seed)]
+    pool = [_canonical_phase(_from_real(x, items[0][0].dim)) for x in _maximize_items(items, starts, seed)]
 
     def margins(z):
         dists = tuple(complex_zero_distance(p, z, seed=seed)[0] for p, _ in items)
@@ -309,10 +269,10 @@ def chart_radius_check(poly: ComplexHomogPoly, zero, seed=0) -> float:
         raise ValueError("need degree >= 2; degree 1 satisfies the pi/2 bound directly")
     zero = np.asarray(zero, dtype=complex)
     zero = zero / np.linalg.norm(zero)
-    sample = poly.eval(to_complex(sphere_starts(2 * poly.dim, 128, seed + 5)))
+    sample = poly.eval(_from_real(sphere_starts(2 * poly.dim, 128, seed + 5), poly.dim))
     if abs(poly.eval(zero)) > 1e-8 * max(float(np.max(np.abs(sample))), 1e-300):
         raise ValueError("the supplied point is not a zero of the polynomial")
-    p = to_complex(_maximize_items(((poly, 1.0),), 64, seed)[0])
+    p = _from_real(_maximize_items(((poly, 1.0),), 64, seed)[0], poly.dim)
     angle = hermitian_angle(p, zero)
     a = math.tan(angle)
     if a * a < 1.0 / (n - 1) - 1e-8:

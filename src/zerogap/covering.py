@@ -28,7 +28,6 @@ __all__ = [
     "SphericalSegment",
     "Plank",
     "RefutationResult",
-    "segment_contains",
     "split_segments",
     "refute_cover_sphere",
     "refute_cover_ball",
@@ -76,6 +75,10 @@ class SphericalSegment:
     def clearance(self, x) -> float:
         """Distance from x to the core minus the half width (>0 means outside)."""
         return slice_distance(self.core_form(), x) - self.half_width
+
+    def contains(self, x) -> bool:
+        """Membership through the arcsin latitude formula."""
+        return self.clearance(x) <= 0.0
 
     def to_json(self):
         return {"a": self.normal.tolist(), "b": self.offset, "delta": self.half_width}
@@ -128,11 +131,6 @@ class Plank:
         return cls(obj["a"], obj["c"], obj["w"] / 2.0)
 
 
-def segment_contains(seg: SphericalSegment, x) -> bool:
-    """Membership through the arcsin latitude formula."""
-    return seg.clearance(x) <= 0.0
-
-
 @dataclass(frozen=True)
 class RefutationResult:
     point: np.ndarray
@@ -169,6 +167,16 @@ def _grid(widths, budget, margin, unit, name):
     raise ValueError("no usable rational width grid found")
 
 
+def _refuse_oversized(count, widths, budget, name):
+    """ValueError (exit 3) when a refutation needs more than ``MAX_SPLIT_FACTORS``
+    factors, raised from the counts before any virtual piece is built."""
+    if count > MAX_SPLIT_FACTORS:
+        raise ValueError(
+            f"splitting needs {count} factors (> {MAX_SPLIT_FACTORS}); widths leave "
+            f"slack {budget - sum(widths):.6g} below {name}, too little for a coarser grid"
+        )
+
+
 def split_segments(segments, margin=None):
     """Round widths up to multiples of 1/N and split into abutting pieces.
 
@@ -178,8 +186,9 @@ def split_segments(segments, margin=None):
     are dropped; pieces straddling a pole are re-centered to keep coverage.
     """
     segments = list(segments)
-    N, sub_half, shifts = _grid([s.width for s in segments], math.pi, margin, 1.0, "pi")
-    virtual = []
+    widths = [s.width for s in segments]
+    N, sub_half, shifts = _grid(widths, math.pi, margin, 1.0, "pi")
+    lats = []
     for seg, shift in zip(segments, shifts):
         lat0 = math.asin(seg.offset)
         for t in shift:
@@ -187,15 +196,17 @@ def split_segments(segments, margin=None):
             if lat - sub_half >= math.pi / 2 or lat + sub_half <= -math.pi / 2:
                 continue  # entirely past a pole: empty on the sphere
             lat = min(max(lat, -math.pi / 2 + sub_half), math.pi / 2 - sub_half)
-            virtual.append(SphericalSegment(seg.normal, math.sin(lat), sub_half))
-    return virtual, N
+            lats.append((seg.normal, lat))
+    _refuse_oversized(len(lats), widths, math.pi, "pi")
+    return [SphericalSegment(a, math.sin(lat), sub_half) for a, lat in lats], N
 
 
 def _split_planks(planks, margin=None):
     """Round widths up to multiples of 2/N, so that sub-planks have half width 1/N, and split."""
-    N, sub_half, shifts = _grid([p.width for p in planks], 2.0, margin, 2.0, "the diameter 2")
-    virtual = [Plank(p.normal, p.center + t, sub_half) for p, shift in zip(planks, shifts) for t in shift]
-    return virtual, N
+    widths = [p.width for p in planks]
+    N, sub_half, shifts = _grid(widths, 2.0, margin, 2.0, "the diameter 2")
+    _refuse_oversized(sum(map(len, shifts)), widths, 2.0, "the diameter 2")
+    return [Plank(p.normal, p.center + t, sub_half) for p, shift in zip(planks, shifts) for t in shift], N
 
 
 def _refute(pieces, budget, name, split, starts, find) -> RefutationResult:
@@ -218,15 +229,11 @@ def _refute(pieces, budget, name, split, starts, find) -> RefutationResult:
 
     widths = [p.width for p in pieces]
     if max(widths) - min(widths) <= _EQUAL_WIDTH_TOL:
+        _refuse_oversized(len(pieces), widths, budget, name)
         virtual, N = pieces, 0
     else:
         virtual, N = split(pieces)
     m = len(virtual)
-    if m > MAX_SPLIT_FACTORS:
-        raise ValueError(
-            f"splitting needs {m} factors (> {MAX_SPLIT_FACTORS}); widths leave "
-            f"slack {budget - total:.6g} below {name}, too little for a coarser grid"
-        )
     poly = MultiPoly.from_affine_product([v.core_form() for v in virtual])
 
     def clearances(x):

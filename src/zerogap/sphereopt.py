@@ -1,18 +1,21 @@
 """Maximizing |P| on the unit sphere and measuring angular gaps to zero sets.
 
-The search ascends log|P| with tangent-projected gradients from a seeded
-low-discrepancy batch of starts for a few iterations, into the basins of
-the maxima, then polishes the leading rows in one batch by Riemannian Newton
-steps (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
-Manifolds, 2008) from the exact gradients and Hessians that the objective
-gives with one evaluation of P.  The same engine serves the sphere of C^d
-(``complexproj``), and the multiplier search in the ball (``ballfinder``):
-there the ascent takes the identity for the tangent projection and a clip to
-the ball for the retraction, and the polish takes Newton's step in R^d inside
-the ball and the sphere's step on its rim.  In two dimensions no search is
-needed: the restriction to the circle is a trigonometric polynomial whose
-critical points are found exactly, so results there are certified by root
-isolation rather than iteration.
+One log objective, sum_k delta_k^2 log|P_k|, serves real, factored, complex
+and weighted P.  The search ascends it with tangent-projected gradients from
+a seeded low-discrepancy batch of starts for a few iterations, into the
+basins of the maxima, then polishes the leading rows in one batch by
+Riemannian Newton steps (Absil, Mahony and Sepulchre, Optimization
+Algorithms on Matrix Manifolds, 2008) from the exact gradients and Hessians
+that the objective gives with one evaluation of each P.  This module alone
+carries a point of C^d as 2d real coordinates, real parts then imaginary
+parts (``_real``, ``_from_real``), so the same engine serves the sphere of
+C^d (``complexproj``), and the multiplier search in the ball
+(``ballfinder``): there the ascent takes the identity for the tangent
+projection and a clip to the ball for the retraction, and the polish takes
+Newton's step in R^d inside the ball and the sphere's step on its rim.  In
+two dimensions no search is needed: the restriction to the circle is a
+trigonometric polynomial whose critical points are found exactly, so results
+there are certified by root isolation rather than iteration.
 
 Angular distances to zero sets are exact (closed form) for products of
 affine forms and for any polynomial in two variables.  For other polynomials
@@ -101,40 +104,79 @@ def sphere_starts(dim, count, seed):
     return g / norms[:, None]
 
 
-def _log_abs_objective(poly: MultiPoly):
-    """(value, grad) of log|P| on row batches, factored when possible; ``grad(X, True)``
-    also returns the Euclidean Hessians, from the same evaluation of P."""
-    if poly.affine_factors is not None:
-        A = np.array([f.normal for f in poly.affine_factors])
-        b = np.array([f.offset for f in poly.affine_factors])
+def _real(Z):
+    """Real coordinates of rows: the rows themselves, or their real parts then their imaginary parts."""
+    return np.concatenate([Z.real, Z.imag], axis=-1) if np.iscomplexobj(Z) else Z
 
-        def value(X):
-            L = X @ A.T - b
-            with np.errstate(divide="ignore"):
-                return np.where(
-                    np.all(L != 0.0, axis=1), np.sum(np.log(np.abs(L)), axis=1), LOG_FLOOR
-                )
 
-        def grad(X, hessian=False):
-            L = X @ A.T - b
-            L = np.where(L == 0.0, ZERO_STANDIN, L)
-            G = (1.0 / L) @ A
-            # sum_i log|L_i| has Hessian -A' diag(1/L^2) A
-            return (G, -(A.T * L[:, None, :] ** -2.0) @ A) if hessian else G
+def _from_real(X, dim):
+    """The inverse of :func:`_real` for points of dimension ``dim``: X when its rows are
+    ``dim`` wide, otherwise the complex rows whose real then imaginary parts it holds."""
+    if X.shape[-1] == dim:
+        return X
+    Z = np.empty(X.shape[:-1] + (dim,), dtype=complex)
+    Z.real, Z.imag = X[..., :dim], X[..., dim:]
+    return Z
 
-    else:
 
-        def value(X):
-            v = poly.eval(X)
-            with np.errstate(divide="ignore"):
-                return np.where(v != 0.0, np.log(np.abs(v)), LOG_FLOOR)
+def _cauchy_riemann(M):
+    """The Hessians of Re F in the real coordinates of :func:`_real`, from the
+    Hessians M of F: M itself for real F, the Cauchy-Riemann block for holomorphic F."""
+    return np.block([[M.real, -M.imag], [-M.imag, -M.real]]) if np.iscomplexobj(M) else M
 
-        def grad(X, hessian=False):
-            v, G, H = _term_jet(poly, X, "vgh" if hessian else "vg")
-            v = np.where(v == 0.0, ZERO_STANDIN, v)
-            g = G / v[:, None]
-            # log|P| has Hessian Hess P / P - g g' with g = grad P / P
-            return (g, H / v[:, None, None] - g[:, :, None] * g[:, None, :]) if hessian else g
+
+def _log_objective(items):
+    """(value, grad) of sum_k delta_k^2 log|P_k| over (P_k, delta_k) pairs, on row batches.
+
+    Rows hold real coordinates (:func:`_real`): complex P is read on rows
+    twice as wide as its dimension, where log|P| = Re log P.  A factored real
+    product goes through its forms, never expanded; any other P takes one
+    :func:`_term_jet` call per gradient.  ``grad(X, True)`` also returns the
+    Euclidean Hessians.  The value is ``LOG_FLOOR`` where some P_k vanishes,
+    and ``ZERO_STANDIN`` stands in for that zero in the gradient.
+    """
+
+    def factor_rows(poly):  # (A, b), the rows (a_i, b_i) of a factored real product's forms, or None
+        f = getattr(poly, "affine_factors", None)
+        return f and (np.array([form.normal for form in f]), np.array([form.offset for form in f]))
+
+    items = [(poly, delta * delta, factor_rows(poly)) for poly, delta in items]
+
+    def value(X):
+        total, dead = 0.0, False
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for poly, w, forms in items:
+                if forms is None:
+                    logs = np.log(np.abs(poly.eval(_from_real(X, poly.dim))))
+                else:
+                    logs = np.sum(np.log(np.abs(X @ forms[0].T - forms[1])), axis=1)
+                dead = dead | (logs == -np.inf)
+                total = total + w * logs
+        return np.where(dead, LOG_FLOOR, total)
+
+    def grad(X, hessian=False):
+        # complex rows sum onto zeros, real rows from the first item: one item gives its own arrays
+        G = H = 0.0 if X.shape[1] != items[0][0].dim else None
+        for poly, w, forms in items:
+            if forms is not None:
+                A, b = forms
+                L = X @ A.T - b
+                L = np.where(L == 0.0, ZERO_STANDIN, L)
+                g = (1.0 / L) @ A
+                # sum_i log|L_i| has Hessian -A' diag(1/L^2) A
+                h = -(A.T * L[:, None, :] ** -2.0) @ A if hessian else None
+            else:
+                v, g, h = _term_jet(poly, _from_real(X, poly.dim), "vgh" if hessian else "vg")
+                v = np.where(v == 0.0, ZERO_STANDIN, v)
+                g = g / v[:, None]
+                # log|P| = Re log P, and (log P)'' = Hess P / P - g g' with g = grad P / P
+                if hessian:
+                    h = _cauchy_riemann(h / v[:, None, None] - g[:, :, None] * g[:, None, :])
+                g = _real(np.conj(g))
+            G = w * g if G is None else G + w * g
+            if hessian:
+                H = w * h if H is None else H + w * h
+        return (G, H) if hessian else G
 
     return value, grad
 
@@ -317,7 +359,7 @@ def maximize_abs_on_sphere(poly: MultiPoly, starts=64, seed=0) -> SphereMaxResul
         pts = [np.array([math.cos(t), math.sin(t)]) for t in thetas]
         return SphereMaxResult(pts[0], M, math.log(M), tuple(pts))
 
-    best, pts = near_max_on_sphere(*_log_abs_objective(poly), d, starts, seed)
+    best, pts = near_max_on_sphere(*_log_objective(((poly, 1.0),)), d, starts, seed)
     return SphereMaxResult(pts[0], math.exp(best), best, tuple(pts))
 
 
@@ -355,11 +397,6 @@ def _zero_distance_d2(poly, p):
         trigcircle.circle_distance(theta_p, best.theta),
         np.array([math.cos(best.theta), math.sin(best.theta)]),
     )
-
-
-def _real(Z):
-    """Real coordinates of rows: the rows themselves, or their real parts then their imaginary parts."""
-    return np.concatenate([Z.real, Z.imag], axis=-1) if np.iscomplexobj(Z) else Z
 
 
 def _restore_to_zero_set(poly, Y, steps):
@@ -433,10 +470,7 @@ def _newton_step(X, q, W, G=None, H=None):
         mult[:, i] = np.divide(rest, R[:, i, i], out=np.zeros(n), where=R[:, i, i] != 0.0)
     nu, mu = mult[:, 0], mult[:, 1:] @ units
     if G is not None:
-        M = mu[:, None, None] * H
-        if np.iscomplexobj(M):  # the Hessian of Re(mu P) in real coordinates, by Cauchy-Riemann
-            M = np.block([[M.real, -M.imag], [-M.imag, -M.real]])
-        W = W - M
+        W = W - _cauchy_riemann(mu[:, None, None] * H)  # the Hessian of Re(mu P)
     B = U[:, :, m:]
     r = np.einsum("nji,nj->ni", B, q)
     w, V = np.linalg.eigh(np.swapaxes(B, 1, 2) @ (W - nu[:, None, None] * eye) @ B)
@@ -471,21 +505,17 @@ def _zero_distance_search(poly, c, seed, Q=None):
     |P| <= 1e-8 * scale is returned.  The number of polynomial calls is
     fixed, whatever the number of seeds.
     """
-    cplx = np.iscomplexobj(c)
     d = len(c)
-    D = 2 * d if cplx else d
     c = _real(np.asarray(c))
+    D = len(c)
     Q = np.zeros((D, D)) if Q is None else Q
-
-    def native(X):
-        return X[:, :d] + 1j * X[:, d:] if cplx else X
 
     def objective(Z):
         X = _real(Z)
         return X @ c + 0.5 * np.sum(X * (X @ Q), axis=1)
 
-    Z = native(sphere_starts(D, _ZERO_SEARCH_SEEDS, seed + 1))
-    scale = max(float(np.max(np.abs(poly.eval(native(sphere_starts(D, 256, seed + 3)))))), 1e-300)
+    Z = _from_real(sphere_starts(D, _ZERO_SEARCH_SEEDS, seed + 1), d)
+    scale = max(float(np.max(np.abs(poly.eval(_from_real(sphere_starts(D, 256, seed + 3), d))))), 1e-300)
     tol = _ON_ZERO_REL * scale
 
     v = poly.eval(Z)
@@ -497,7 +527,7 @@ def _zero_distance_search(poly, c, seed, Q=None):
         Zi, vi = Z[idx], v[idx]
         on = np.abs(vi) <= tol
         Xi = _real(Zi)
-        S = native(_newton_step(Xi, c + Xi @ Q, Q, *_term_jet(poly, Zi, "gh")[1:])[0])
+        S = _from_real(_newton_step(Xi, c + Xi @ Q, Q, *_term_jet(poly, Zi, "gh")[1:])[0], d)
         S = np.where(on[:, None], shrink[idx, None] * S, 0.0)
         Y, vy = _restore_to_zero_set(poly, _normalize_rows(Zi + S), _RESTORE_STEPS)
         fy = objective(Y)

@@ -22,7 +22,7 @@ from zerogap.complexproj import (
     verify_complex_gap,
     verify_weighted_gap,
 )
-from zerogap.covering import Plank, SphericalSegment, refute_cover_ball, refute_cover_sphere, segment_contains
+from zerogap.covering import Plank, SphericalSegment, refute_cover_ball, refute_cover_sphere
 from zerogap.polycore import AffineForm, MultiPoly, product_of_affine_forms
 from zerogap.sphereopt import verify_sphere_gap
 from zerogap.trigcircle import (
@@ -305,7 +305,7 @@ def test_criterion_10_sphere_covering_refuter():
             continue
         if sum(s.width for s in segs) > 0.95 * math.pi + 1e-12:
             failures.append((i, "generator produced too much width"))
-        if any(segment_contains(s, r.point) for s in segs):
+        if any(s.contains(r.point) for s in segs):
             failures.append((i, "membership check failed"))
     report(10, "sphere covering refuter", failures)
 

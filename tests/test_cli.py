@@ -195,9 +195,10 @@ class TestBallCommands:
 
 class TestSplitRefusal:
     """Families whose split needs more than ``MAX_SPLIT_FACTORS`` factors are
-    refused with exit 3 and a message that names the split."""
+    refused with exit 3 and a message that names the split, before any
+    virtual piece is built."""
 
-    @pytest.mark.parametrize(
+    FAMILIES = pytest.mark.parametrize(
         "command, payload, factors",
         [
             # widths on the grid 1/100 only: 281 virtual segments
@@ -227,11 +228,31 @@ class TestSplitRefusal:
         ],
         ids=["segments", "planks"],
     )
+
+    @FAMILIES
     def test_refused_with_exit_3(self, tmp_path, capsys, command, payload, factors):
         assert factors > covering.MAX_SPLIT_FACTORS
         code, out = run_cli(tmp_path, command, payload)
         assert code == 3 and out == ""
         assert f"splitting needs {factors} factors" in capsys.readouterr().err
+
+    @FAMILIES
+    def test_refused_before_any_piece_is_built(self, monkeypatch, command, payload, factors):
+        if command == "refute-sphere":
+            cls, key, refute = covering.SphericalSegment, "segments", covering.refute_cover_sphere
+        else:
+            cls, key, refute = covering.Plank, "planks", covering.refute_cover_ball
+        pieces = [cls.from_json(obj) for obj in payload[key]]
+        built, init = [], cls.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+        with pytest.raises(ValueError, match=f"splitting needs {factors} factors"):
+            refute(pieces)
+        assert built == []
 
 
 class TestComplexCommands:

@@ -15,7 +15,6 @@ from zerogap.complexproj import (
     chart_radius_check,
     complex_zero_distance,
     hermitian_angle,
-    to_complex,
     verify_complex_gap,
     verify_weighted_gap,
 )
@@ -255,20 +254,20 @@ class TestWeightedMaximization:
     def test_single_coordinate(self):
         system = WeightedSystem([(mono(2, (1, 0)), 1.0)])
         x = complexproj._maximize_items(system.items, 64, 0)[0]
-        z = to_complex(x)
+        z = sphereopt._from_real(x, 2)
         assert abs(z[0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_balanced_product(self):
         system = WeightedSystem([(mono(2, (1, 1)), 0.7)])
         x = complexproj._maximize_items(system.items, 64, 0)[0]
-        z = to_complex(x)
+        z = sphereopt._from_real(x, 2)
         assert abs(z[0]) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
         assert abs(mono(2, (1, 1)).eval(z)) == pytest.approx(0.5, abs=1e-10)
 
     def test_two_form_stationarity(self):
         d1, d2 = 0.5, 0.6
         system = WeightedSystem([(mono(2, (1, 0)), d1), (mono(2, (0, 1)), d2)])
-        z = to_complex(complexproj._maximize_items(system.items, 64, 3)[0])
+        z = sphereopt._from_real(complexproj._maximize_items(system.items, 64, 3)[0], 2)
         r2 = d1**2 / (d1**2 + d2**2)
         assert abs(z[0]) ** 2 == pytest.approx(r2, abs=1e-9)
 
@@ -475,7 +474,7 @@ class TestEachCandidateMeasuredOnce:
 
 def turned(x, u):
     """Real coordinates of the complex point of ``x`` times the unit scalar u."""
-    z = u * to_complex(x)
+    z = u * sphereopt._from_real(x, len(x) // 2)
     return np.concatenate([z.real, z.imag])
 
 

@@ -10,7 +10,6 @@ from zerogap.covering import (
     SphericalSegment,
     refute_cover_ball,
     refute_cover_sphere,
-    segment_contains,
     split_segments,
 )
 from zerogap.errors import VerificationError
@@ -23,18 +22,18 @@ def orthogonal_zones(half_width):
 class TestSegment:
     def test_zone_contains_equator_point(self):
         zone = SphericalSegment([0, 0, 1], 0.0, 0.3)
-        assert segment_contains(zone, [1, 0, 0])
+        assert zone.contains([1, 0, 0])
 
     def test_zone_misses_pole(self):
         zone = SphericalSegment([0, 0, 1], 0.0, 0.3)
-        assert not segment_contains(zone, [0, 0, 1])
+        assert not zone.contains([0, 0, 1])
         assert zone.clearance([0, 0, 1]) == pytest.approx(math.pi / 2 - 0.3, abs=1e-12)
 
     def test_margin_arithmetic(self):
         seg = SphericalSegment([0, 0, 1], 0.5, 0.2)
         lat = math.asin(0.5) + 0.25
         x = np.array([math.cos(lat), 0.0, math.sin(lat)])
-        assert not segment_contains(seg, x)
+        assert not seg.contains(x)
         assert seg.clearance(x) == pytest.approx(0.05, abs=1e-12)
 
     def test_invalid_parameters(self):
@@ -105,8 +104,8 @@ class TestSplitSegments:
         for _ in range(10_000):
             x = rng.standard_normal(3)
             x /= np.linalg.norm(x)
-            if any(segment_contains(s, x) for s in segs) and not any(
-                segment_contains(v, x) for v in virtual
+            if any(s.contains(x) for s in segs) and not any(
+                v.contains(x) for v in virtual
             ):
                 misses += 1
         assert misses == 0
@@ -119,8 +118,8 @@ class TestSplitSegments:
         for _ in range(5000):
             x = rng.standard_normal(3)
             x /= np.linalg.norm(x)
-            if segment_contains(seg, x):
-                assert any(segment_contains(v, x) for v in virtual)
+            if seg.contains(x):
+                assert any(v.contains(x) for v in virtual)
 
 
 class TestRefuteSphere:
@@ -130,7 +129,7 @@ class TestRefuteSphere:
         assert min(res.clearances) == pytest.approx(expected, abs=1e-8)
         assert np.allclose(np.abs(res.point), 1 / math.sqrt(3), atol=1e-8)
         for s in orthogonal_zones(0.4):
-            assert not segment_contains(s, res.point)
+            assert not s.contains(res.point)
 
     def test_single_wide_zone(self):
         res = refute_cover_sphere([SphericalSegment([0, 0, 1], 0.0, 1.5)], seed=0)
@@ -146,7 +145,7 @@ class TestRefuteSphere:
         assert res.split_N >= 1
         assert min(res.clearances) > 0
         for s in segs:
-            assert not segment_contains(s, res.point)
+            assert not s.contains(res.point)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_axis_pencil_families(self, seed):
@@ -161,7 +160,7 @@ class TestRefuteSphere:
         res = refute_cover_sphere(segs, seed=seed)
         assert min(res.clearances) > 0
         for s in segs:
-            assert not segment_contains(s, res.point)
+            assert not s.contains(res.point)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_equal_width_clearance_consistency(self, seed):
@@ -196,7 +195,7 @@ class TestRefuteSphere:
         res = refute_cover_sphere(segs, seed=0)
         assert min(res.clearances) > 0
         for s in segs:
-            assert not segment_contains(s, res.point)
+            assert not s.contains(res.point)
 
     def test_dimension_four(self):
         rng = np.random.default_rng(2)
@@ -207,7 +206,7 @@ class TestRefuteSphere:
         res = refute_cover_sphere(segs, seed=0)
         assert min(res.clearances) > 0
         for s in segs:
-            assert not segment_contains(s, res.point)
+            assert not s.contains(res.point)
 
     def test_result_json(self):
         res = refute_cover_sphere(orthogonal_zones(0.3), seed=0)

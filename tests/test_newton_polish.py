@@ -23,7 +23,7 @@ from zerogap.complexproj import ComplexHomogPoly
 from zerogap.polycore import AffineForm, MultiPoly, product_of_affine_forms
 from zerogap.sphereopt import (
     _batch_ascent,
-    _log_abs_objective,
+    _log_objective,
     _newton_polish,
     _normalize_rows,
     _sphere_newton,
@@ -63,31 +63,31 @@ def homogeneous(d, n, seed):
 # (value, grad, dimension) of each objective family the sphere polish serves
 OBJECTIVES = {
     **{
-        f"factored-{d}-{s}": lambda d=d, s=s: (*_log_abs_objective(factored(d, s)), d)
+        f"factored-{d}-{s}": lambda d=d, s=s: (*_log_objective(((factored(d, s), 1.0),)), d)
         for d in (3, 4, 5, 6)
         for s in (0, 1)
     },
     **{
-        f"expanded-{d}-{s}": lambda d=d, s=s: (*_log_abs_objective(MultiPoly(d, dict(factored(d, s).terms))), d)
+        f"expanded-{d}-{s}": lambda d=d, s=s: (*_log_objective(((MultiPoly(d, dict(factored(d, s).terms)), 1.0),)), d)
         for d in (3, 4, 5, 6)
         for s in (0, 1)
     },
     **{
-        f"dense-{d}-{n}": lambda d=d, n=n: (*_log_abs_objective(dense(d, n, 10 * d + n)), d)
+        f"dense-{d}-{n}": lambda d=d, n=n: (*_log_objective(((dense(d, n, 10 * d + n), 1.0),)), d)
         for d, n in ((3, 3), (4, 4), (5, 3))
     },
     **{
-        f"c2-{s}": lambda s=s: (*complexproj._weighted_log_objective([(linear_product(s, 3), 1.0)]), 4)
+        f"c2-{s}": lambda s=s: (*_log_objective([(linear_product(s, 3), 1.0)]), 4)
         for s in range(4)
     },
     **{
         f"weighted-{s}": lambda s=s: (
-            *complexproj._weighted_log_objective([(linear_product(s, 1), 0.5), (linear_product(s + 10, 2), 0.5)]),
+            *_log_objective([(linear_product(s, 1), 0.5), (linear_product(s + 10, 2), 0.5)]),
             4,
         )
         for s in range(4)
     },
-    "c3": lambda: (*complexproj._weighted_log_objective([(homogeneous(3, 3, 5), 1.0)]), 6),
+    "c3": lambda: (*_log_objective([(homogeneous(3, 3, 5), 1.0)]), 6),
 }
 
 
@@ -166,7 +166,7 @@ class TestNewtonPolish:
 
     def test_stationary_rows_stay(self):
         # exact maximizers of x1 x2 x3 stay put
-        value, grad = _log_abs_objective(MultiPoly(3, {(1, 1, 1): 1.0}))
+        value, grad = _log_objective(((MultiPoly(3, {(1, 1, 1): 1.0}), 1.0),))
         X = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]]) / np.sqrt(3.0)
         P = _newton_polish(value, grad, X, _sphere_newton, _normalize_rows)
         assert np.allclose(P, X, rtol=0, atol=1e-15)
@@ -178,8 +178,8 @@ def canonical_key(items):
     the canonical phase, or the moduli when every polynomial is a monomial,
     whose maximizers form a torus (each coordinate's phase is free)."""
     if all(len(p.terms) == 1 for p, _ in items):
-        return lambda x: np.abs(complexproj.to_complex(x))
-    return lambda x: complexproj._canonical_phase(complexproj.to_complex(x))
+        return lambda x: np.abs(sphereopt._from_real(x, items[0][0].dim))
+    return lambda x: complexproj._canonical_phase(sphereopt._from_real(x, items[0][0].dim))
 
 
 def recorded_maximizations(run, monkeypatch):
@@ -282,7 +282,7 @@ class TestMultiplierHessian:
         value, grad, poly = ball_objective(name)
         X = np.zeros((1, poly.dim))
         G, H = grad(X, hessian=True)
-        GP, HP = sphereopt._log_abs_objective(poly)[1](X, hessian=True)
+        GP, HP = sphereopt._log_objective(((poly, 1.0),))[1](X, hessian=True)
         assert G.tobytes() == GP.tobytes()
         curv = chebmult.ball_multiplier_log_curvature(poly.degree, 0.0)
         assert np.array_equal(H, HP + curv * np.eye(poly.dim))

@@ -8,12 +8,12 @@ from scipy.optimize import minimize
 
 from zerogap import ballfinder, complexproj, sphereopt
 from zerogap.cli import _report
-from zerogap.polycore import AffineForm, MultiPoly, product_of_affine_forms
+from zerogap.polycore import AffineForm, MultiPoly, _term_jet, product_of_affine_forms
 from zerogap.sphereopt import (
     GAIN_FLOOR,
     LOG_FLOOR,
     _batch_ascent,
-    _log_abs_objective,
+    _log_objective,
     _nearest_slice_point,
     _newton_polish,
     _normalize_rows,
@@ -499,7 +499,7 @@ def weighted_c2_objective(seed):
     rng = np.random.default_rng(seed)
     rows = [rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)) for n in (1, 2)]
     items = [(complexproj.ComplexHomogPoly.from_linear_product(r), 0.5) for r in rows]
-    return complexproj._weighted_log_objective(items)
+    return _log_objective(items)
 
 
 # (value, grad, starts, settings) of the objective families the ascent
@@ -507,14 +507,14 @@ def weighted_c2_objective(seed):
 # objective in the ball and weighted systems on the sphere of C^2
 ASCENT_CASES = {
     **{
-        f"factored-{d}-{s}": lambda d=d, s=s: (*_log_abs_objective(factored_poly(d, s)), sphere_starts(d, 64, s), SPHERE)
+        f"factored-{d}-{s}": lambda d=d, s=s: (*_log_objective(((factored_poly(d, s), 1.0),)), sphere_starts(d, 64, s), SPHERE)
         for d in (3, 4, 5, 6)
         for s in (0, 1)
     },
-    "expanded-quadric": lambda: (*_log_abs_objective(QUADRIC), sphere_starts(3, 64, 4), SPHERE),
+    "expanded-quadric": lambda: (*_log_objective(((QUADRIC, 1.0),)), sphere_starts(3, 64, 4), SPHERE),
     **{
         f"expanded-{d}": lambda d=d: (
-            *_log_abs_objective(MultiPoly(d, dict(factored_poly(d, 0).terms))),
+            *_log_objective(((MultiPoly(d, dict(factored_poly(d, 0).terms)), 1.0),)),
             sphere_starts(d, 64, 4),
             SPHERE,
         )
@@ -569,13 +569,13 @@ class TestBatchAscentMatchesLoop:
         X = np.vstack([edge, sphere_starts(3, 16, 8)])
         tagged = [product_of_affine_forms(f) for f in ([x1], [x1, AffineForm([1.0, 1.0, 0.0], 0.3)])]
         for poly in tagged + [MultiPoly(3, dict(t.terms)) for t in tagged]:
-            for (value, grad), Y, settings in ((_log_abs_objective(poly), X, SPHERE),
+            for (value, grad), Y, settings in ((_log_objective(((poly, 1.0),)), X, SPHERE),
                                                (ballfinder._multiplier_objective(poly), 0.5 * X, BALL)):
                 assert np.all(value(Y)[1:3] == LOG_FLOOR)
                 assert np.all(np.isfinite(grad(Y)))
                 _, f = assert_ascent_matches_loop(value, grad, Y, settings)
                 assert np.all(f[1:3] > LOG_FLOOR / 2)
-        value, grad = _log_abs_objective(tagged[0])
+        value, grad = _log_objective(((tagged[0], 1.0),))
         assert np.linalg.norm(_sphere_tangent(grad(X), X)[0]) < 1e-12
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -583,7 +583,7 @@ class TestBatchAscentMatchesLoop:
         # (0, 1) and (0, 0.8 + 0.6i) lie on {z1 = 0}, the zero set of the
         # first item; the gradient there is large but finite
         forms = complexproj.ComplexHomogPoly.from_linear_product
-        value, grad = complexproj._weighted_log_objective([(forms([[1.0, 0.0]]), 0.7), (forms([[1.0, 1j]]), 0.7)])
+        value, grad = _log_objective([(forms([[1.0, 0.0]]), 0.7), (forms([[1.0, 1j]]), 0.7)])
         X = np.vstack([[[0.0, 1.0, 0.0, 0.0], [0.0, 0.8, 0.0, 0.6]], sphere_starts(4, 16, 3)])
         assert np.all(value(X)[:2] == LOG_FLOOR)
         assert np.all(np.isfinite(grad(X)))
@@ -593,7 +593,7 @@ class TestBatchAscentMatchesLoop:
     @pytest.mark.parametrize("iters", [1, 2, 3, 7])
     def test_iteration_cap_while_rows_move(self, iters):
         poly, _ = random_form_product(np.random.default_rng(9), 4, 5)
-        value, grad = _log_abs_objective(poly)
+        value, grad = _log_objective(((poly, 1.0),))
         X0 = sphere_starts(4, 64, 1)
         settings = (_sphere_tangent, _normalize_rows, iters, 0.5, 30)
         X, _ = assert_ascent_matches_loop(value, grad, X0, settings)
@@ -604,7 +604,7 @@ class TestBatchAscentMatchesLoop:
     @pytest.mark.parametrize("settings, radius", [(SPHERE, 1.0), (BALL, 0.999)])
     def test_single_backtrack(self, settings, radius):
         poly, _ = random_form_product(np.random.default_rng(10), 3, 4)
-        value, grad = _log_abs_objective(poly)
+        value, grad = _log_objective(((poly, 1.0),))
         assert_ascent_matches_loop(value, grad, radius * sphere_starts(3, 64, 2), settings[:4] + (1,))
 
 
@@ -639,7 +639,7 @@ class TestBatchAscentWork:
         d = 4
         poly, _ = random_form_product(np.random.default_rng(1), d, 4)
         if where == "sphere":
-            value, grad = _log_abs_objective(poly)
+            value, grad = _log_objective(((poly, 1.0),))
             settings, B, extra = SPHERE, sphere_starts(d, 31, 2), sphere_starts(d, 1, 9)
         else:
             value, grad = ballfinder._multiplier_objective(poly)
@@ -722,7 +722,7 @@ class TestPolishOnSphere:
             zero = _nearest_slice_point(f, unit_vector(rng.standard_normal(d)))
             starts += [unit_vector(zero + eps * rng.standard_normal(d)) for eps in (1e-3, 1e-6, 1e-9)]
         for P in (poly, MultiPoly(d, dict(poly.terms)), dense_poly(rng, d, 3)):
-            value, grad = _log_abs_objective(P)
+            value, grad = _log_objective(((P, 1.0),))
             X = _newton_polish(value, grad, np.array(starts), _sphere_newton, _normalize_rows)
             for x0, x in zip(starts, X):
                 f0 = value(unit_vector(x0)[None, :])[0]
@@ -923,3 +923,113 @@ class TestZeroDistanceSearch:
         assert seen[0]["_term_jet"] == iters + (iters + 1) * restore
         assert seen[0]["gradient"] == 0
 
+
+
+def complex_forms(rng, d, m):
+    return complexproj.ComplexHomogPoly.from_linear_product(rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d)))
+
+
+class TestLogObjective:
+    """The one builder of sum_k delta_k^2 log|P_k| for real, factored, complex and weighted P."""
+
+    @staticmethod
+    def arrays(objective, X):
+        value, grad = objective
+        return (value(X), grad(X), *grad(X, hessian=True))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_weighted_sum_of_single_items(self, kind):
+        rng = np.random.default_rng(3)
+        if kind == "real":
+            factored = random_form_product(rng, 3, 4)[0]
+            items = [(factored, 0.3), (QUADRIC, 0.5), (MultiPoly(3, dict(random_form_product(rng, 3, 2)[0].terms)), 0.4)]
+            X = sphere_starts(3, 16, 1)
+        else:
+            dense = complexproj.ComplexHomogPoly(3, {(1, 1, 1): 1.0 + 0.5j, (3, 0, 0): -0.7j, (0, 2, 1): 0.4})
+            items = [(complex_forms(rng, 3, 1), 0.5), (complex_forms(rng, 3, 2), 0.3), (dense, 0.3)]
+            X = sphere_starts(6, 16, 1)
+        whole = self.arrays(_log_objective(items), X)
+        singles = [self.arrays(_log_objective(((p, 1.0),)), X) for p, _ in items]
+        for i, part in enumerate(whole):
+            expected = 0.0
+            for (_, delta), single in zip(items, singles):
+                expected = expected + delta * delta * single[i]
+            assert part.shape == expected.shape and np.array_equal(part, expected)
+
+    def test_single_items_keep_their_own_formulas_bit_for_bit(self):
+        # x1 x2 (1 + x1) does not depend on x3, so grad P has exact zeros,
+        # and G / P is -0.0 where P < 0; a complex item's parts are summed
+        # onto zeros, which reads -0.0 as +0.0
+        poly = MultiPoly(3, {(1, 1, 0): 1.0, (2, 1, 0): 1.0})
+        X = sphere_starts(3, 32, 5)
+        v, G, H = _term_jet(poly, X, "vgh")
+        g = G / v[:, None]
+        assert np.any(np.signbit(g) & (g == 0.0))
+        real = _log_objective(((poly, 1.0),))[1](X, hessian=True)
+        for part, own in zip(real, (g, H / v[:, None, None] - g[:, :, None] * g[:, None, :])):
+            assert part.tobytes() == own.tobytes()
+        cpoly = complexproj.ComplexHomogPoly(3, {(1, 1, 0): 1.0 + 1j, (2, 0, 0): -0.5})
+        Y = sphere_starts(6, 32, 5)
+        Z = Y[:, :3] + 1j * Y[:, 3:]
+        v, G, H = _term_jet(cpoly, Z, "vgh")
+        r = G / v[:, None]
+        h = H / v[:, None, None] - r[:, :, None] * r[:, None, :]
+        own = (0.0 + np.hstack([r.real, -r.imag]), 0.0 + np.block([[h.real, -h.imag], [-h.imag, -h.real]]))
+        for part, expected in zip(_log_objective(((cpoly, 1.0),))[1](Y, hessian=True), own):
+            assert part.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d, seed", [(3, 0), (4, 1), (5, 2), (6, 3)])
+    def test_factored_and_expanded_forms_agree(self, d, seed):
+        # within 1e-12 relative (to max(1, the row's largest entry)) times the
+        # condition number sum_t |c_t x^e_t| / |P(x)| of the expanded
+        # evaluation, which rounds P with that relative error near Z(P)
+        factored, _ = random_form_product(np.random.default_rng(seed), d, 5)
+        expanded = MultiPoly(d, dict(factored.terms))
+        X = sphere_starts(d, 64, seed)
+        terms = np.array([[abs(c) * np.prod(np.abs(x) ** e) for e, c in expanded.terms] for x in X])
+        cond = np.sum(terms, axis=1) / np.abs(factored.eval(X))
+        a = self.arrays(_log_objective(((factored, 1.0),)), X)
+        b = self.arrays(_log_objective(((expanded, 1.0),)), X)
+        for x, y in zip(a, b):
+            scale = np.maximum(1.0, np.max(np.abs(x.reshape(len(X), -1)), axis=1))
+            assert np.all(np.max(np.abs((x - y).reshape(len(X), -1)), axis=1) <= 1e-12 * cond * scale)
+
+    def test_factored_product_is_never_expanded(self):
+        poly, _ = random_form_product(np.random.default_rng(4), 3, 150)
+        value, grad = _log_objective(((poly, 1.0),))
+        X = sphere_starts(3, 16, 2)
+        value(X)
+        grad(X, True)
+        grad(X)
+        assert poly._terms is None
+
+    def test_real_coordinates_round_trip_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((5, 6))
+        X[0, [0, 4]] = -0.0
+        X[1, [1, 3]] = 0.0
+        Z = sphereopt._from_real(X, 3)
+        assert Z.dtype == complex and Z.shape == (5, 3)
+        assert sphereopt._real(Z).tobytes() == X.tobytes()
+        assert sphereopt._from_real(sphereopt._real(Z), 3).tobytes() == Z.tobytes()
+        # real rows are their own real coordinates, and a single row converts too
+        assert sphereopt._from_real(X, 6) is X and sphereopt._real(X) is X
+        assert sphereopt._from_real(X[2], 3).tobytes() == Z[2].tobytes()
+
+    def test_cauchy_riemann_block(self):
+        rng = np.random.default_rng(8)
+        M = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        M = M + np.swapaxes(M, 1, 2)
+        B = sphereopt._cauchy_riemann(M)
+        explicit = np.zeros((4, 6, 6))
+        for n, j, k in itertools.product(range(4), range(3), range(3)):
+            explicit[n, j, k], explicit[n, j, 3 + k] = M[n, j, k].real, -M[n, j, k].imag
+            explicit[n, 3 + j, k], explicit[n, 3 + j, 3 + k] = -M[n, j, k].imag, -M[n, j, k].real
+        assert B.tobytes() == explicit.tobytes()
+        # real Hessians are their own real-coordinate Hessians
+        R = M.real.copy()
+        assert sphereopt._cauchy_riemann(R) is R
+        # the Hessian of Re(z' M z / 2) in the real coordinates (x, y) of z = x + iy
+        u = rng.standard_normal((4, 6))
+        z = u[:, :3] + 1j * u[:, 3:]
+        assert np.allclose(np.einsum("ni,nij,nj->n", u, B, u), np.einsum("ni,nij,nj->n", z, M, z).real, rtol=1e-13)

@@ -136,14 +136,14 @@ class TestNoWorseThanSlsqpReference:
         for k in range(2):
             poly = dense_form(rng, d, n)
             x = complexproj._maximize_items(((poly, 1.0),), 32, k)[0]
-            p = complexproj._canonical_phase(complexproj.to_complex(x))
+            p = complexproj._canonical_phase(sphereopt._from_real(x, d))
             ref, ref_zero = slsqp_complex_zero_distance(poly, p, seed=k)
             dist, zero = complex_zero_distance(poly, p, seed=k)
             assert math.isfinite(ref) and math.isfinite(dist)
             g = np.conj(poly.holomorphic_gradient(ref_zero))
             slack = abs(poly.eval(ref_zero)) / np.linalg.norm(g - np.vdot(ref_zero, g) * ref_zero)
             assert dist <= ref + slack + 1e-12
-            scale = np.max(np.abs(poly.eval(complexproj.to_complex(sphere_starts(2 * d, 256, k + 3)))))
+            scale = np.max(np.abs(poly.eval(sphereopt._from_real(sphere_starts(2 * d, 256, k + 3), d))))
             assert abs(poly.eval(zero)) <= 1e-12 * scale
             assert hermitian_angle(p, zero) == pytest.approx(dist, abs=1e-14)
 
