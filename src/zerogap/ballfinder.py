@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize  # noqa: F401  unused; bench/tracing.py wraps ballfinder.minimize
-from scipy.stats import qmc
 
 from .chebmult import (
     ball_multiplier,
@@ -49,6 +48,7 @@ from .sphereopt import (
     _near_max,
     _newton_polish,
     _newton_step,
+    _sobol,
     _sphere_tangent,
     _zero_distance_search,
     angular_distance_to_zero_set,
@@ -247,8 +247,7 @@ def _ball_newton(X, G, H):
 
 def _ball_starts(d, count, seed):
     dirs = sphere_starts(d, count, seed)
-    m = max(1, math.ceil(math.log2(count)))
-    u = qmc.Sobol(d=1, scramble=True, seed=seed + 17).random_base2(m)[:count, 0]
+    u = _sobol(1, count, seed + 17)[:, 0]
     interior = dirs * (u ** (1.0 / d))[:, None]
     return np.vstack([interior, dirs * 0.999])
 

@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 MAX_SPLIT_FACTORS = 200
+# the grid's denominators N are tried below this
+_MAX_GRID_N = 200_000
 _EQUAL_WIDTH_TOL = 1e-12
 
 
@@ -145,9 +147,10 @@ def _grid(widths, budget, margin, unit, name):
 
     N is the smallest denominator that puts every width, rounded up to a
     multiple of unit/N, within total excess ``margin`` (by default 1% of the
-    slack below ``budget``).  A piece of M grid steps becomes M abutting
-    virtual pieces of half width unit/(2N), shifted from its centre by
-    ``shifts``, (2j + 1 - M) unit/(2N) for j < M.
+    slack below ``budget``); blocks of N are scanned in numpy, and the first
+    that passes there is confirmed by the scalar expressions.  A piece of M
+    grid steps becomes M abutting virtual pieces of half width unit/(2N),
+    shifted from its centre by ``shifts``, (2j + 1 - M) unit/(2N) for j < M.
     """
     if not widths:
         raise ValueError("no pieces to split")
@@ -156,14 +159,21 @@ def _grid(widths, budget, margin, unit, name):
         margin = 0.01 * (budget - total)
     if total + margin >= budget:
         raise ValueError(f"total width {total} plus margin {margin} reaches {name}; nothing to refute")
-    for N in range(1, 200_000):
-        counts = [math.ceil(w * N / unit - 1e-12) for w in widths]
-        excess = sum(c * unit / N - w for c, w in zip(counts, widths))
-        if excess <= margin + 1e-12:
-            if sum(counts) * unit / N >= budget:
-                raise ValueError("rounded total width reaches the budget; infeasible margin")
-            sub_half = unit / (2 * N)
-            return N, sub_half, [[(2 * j + 1 - M) * sub_half for j in range(M)] for M in counts]
+    start, size = 1, 64
+    while start < _MAX_GRID_N:
+        # the excess of a doubling block of N at once, its terms added in the order sum adds them
+        block = np.arange(start, min(start + size, _MAX_GRID_N))
+        excess = np.zeros(len(block))
+        for w in widths:
+            excess += np.ceil(w * block / unit - 1e-12) * unit / block - w
+        for N in block[excess <= margin + 1e-12].tolist():
+            counts = [math.ceil(w * N / unit - 1e-12) for w in widths]
+            if sum(c * unit / N - w for c, w in zip(counts, widths)) <= margin + 1e-12:
+                if sum(counts) * unit / N >= budget:
+                    raise ValueError("rounded total width reaches the budget; infeasible margin")
+                sub_half = unit / (2 * N)
+                return N, sub_half, [[(2 * j + 1 - M) * sub_half for j in range(M)] for M in counts]
+        start, size = start + size, 2 * size
     raise ValueError("no usable rational width grid found")
 
 

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 __all__ = [
     "TrigPoly",
@@ -264,6 +262,43 @@ def _pellet_holds(c, centre, r, m):
     return b[m] > b.sum() - b[m] + e + _EPS * nodes
 
 
+def _components(adj):
+    """Labels of the connected components of the graph with the symmetric
+    boolean adjacency matrix ``adj``, numbered in the order of their smallest
+    members.  Each vertex takes the smallest label among its own and its
+    neighbours', then labels follow their labels (pointer jumping), until no
+    label changes."""
+    k = len(adj)
+    label = np.arange(k)
+    while True:
+        new = np.minimum(label, np.where(adj, label, k).min(axis=1, initial=k))
+        while np.any(new[new] != new):
+            new = new[new]
+        if np.array_equal(new, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = new
+
+
+def _longest_tree_edge(d):
+    """The longest edge of a minimum spanning forest (Prim's, O(k^2)) of the
+    graph whose edges are the off-diagonal lengths d > 0, 0.0 when it has none.
+    Exact zeros, the distances between repeated roots, are not edges."""
+    k = len(d)
+    w = np.where(d > 0.0, d, np.inf)
+    np.fill_diagonal(w, np.inf)
+    out, best, longest = np.arange(k) > 0, w[0], 0.0
+    for _ in range(k - 1):
+        reach = np.where(out, best, np.inf)
+        j = int(np.argmin(reach))
+        if reach[j] < np.inf:
+            longest = max(longest, float(reach[j]))
+        else:
+            j = int(np.argmax(out))  # the next tree of the forest
+        out[j] = False
+        best = np.minimum(best, w[j])
+    return longest
+
+
 def _pellet_split(c, z, D, radii, reach, union):
     """Disjoint Pellet discs (centre, r, count) for the parts of ``union`` left by
     cutting the longest edge of its minimum spanning tree, each split again
@@ -271,8 +306,7 @@ def _pellet_split(c, z, D, radii, reach, union):
     s^(1 - t) g^t, t = 1/2 then 1/4 (nearer the part, where many roots pass), s
     its spread (a lone member's own radius) and g its gap to the rest."""
     d = D[np.ix_(union, union)]
-    # sparse input: a dense one would drop distances below 1e-8 as non-edges
-    label = connected_components(d < minimum_spanning_tree(csr_matrix(d)).max(), directed=False)[1]
+    label = _components(d < _longest_tree_edge(d))
     discs = []
     for part in (union[label == k] for k in np.unique(label)):
         centre = z[part].mean()
@@ -315,7 +349,7 @@ def _root_clusters(c):
     touch = D <= radii[:, None] + radii
     np.fill_diagonal(touch, False)
     alone, rest, clusters = ~touch.any(axis=1), np.flatnonzero(touch.any(axis=1)), []
-    label = connected_components(touch[np.ix_(rest, rest)], directed=False)[1] if rest.size else rest
+    label = _components(touch[np.ix_(rest, rest)])
     for union in (rest[label == k] for k in np.unique(label)):
         reach, centre = np.where(np.isin(np.arange(N), union), 0.0, radii), z[union].mean()
         fallback = (centre, np.max(np.abs(z[union] - centre) + radii[union]), len(union))

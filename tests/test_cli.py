@@ -361,6 +361,25 @@ class TestUsageErrors:
         code, _ = run_cli(tmp_path, "sphere-verify", X1X2, "--tol", "-1")
         assert code == 3
 
+    def test_dimension_above_the_start_generators_cap(self, tmp_path, capsys, monkeypatch):
+        # one linear term in 1112 variables: the multistart asks for starts in
+        # R^1112 and is refused before any ascent (which here would fail loudly
+        # rather than run the search in 1112 dimensions)
+        def no_ascent(*args):
+            raise AssertionError("starts were drawn in 1112 dimensions")
+
+        monkeypatch.setattr(sphereopt, "_batch_ascent", no_ascent)
+        payload = {"dim": 1112, "terms": [{"e": [1] + [0] * 1111, "c": 1.0}]}
+        code, out = run_cli(tmp_path, "sphere-max", payload)
+        assert code == 3 and out == ""
+        assert "start points exist in at most 1111 dimensions, got 1112" in capsys.readouterr().err
+
+    def test_negative_seed(self, tmp_path, capsys):
+        terms = [{"e": [2, 0, 0], "c": 1.0}, {"e": [0, 2, 0], "c": 1.0}, {"e": [0, 0, 2], "c": -1.0}]
+        code, out = run_cli(tmp_path, "sphere-max", {"dim": 3, "terms": terms}, "--seed", "-1")
+        assert code == 3 and out == ""
+        assert "non-negative" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "-inf"])
     def test_non_finite_tolerance(self, tmp_path, capsys, tol):
         # x1 + 0.999: the zero sits 3.0969 from the maximizer, far above the
@@ -653,6 +672,17 @@ class TestNoSlsqp:
         rep = json.loads(text)
         assert rep["passed"] is True or rep["passed"] == [True]
         assert check(rep)
+
+
+def test_import_loads_no_scipy_stats():
+    # the start generator is numpy's: importing the CLI leaves scipy.stats unloaded
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, zerogap.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 def test_console_script_runs():

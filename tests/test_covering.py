@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -8,11 +10,21 @@ from zerogap.covering import (
     Plank,
     RefutationResult,
     SphericalSegment,
+    _grid,
     refute_cover_ball,
     refute_cover_sphere,
     split_segments,
 )
 from zerogap.errors import VerificationError
+
+from _oracles import grid_scan
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+import workloads  # noqa: E402
+
+# (budget, unit, name) of the grids of split_segments and of the plank splitter
+SPHERE_GRID = (math.pi, 1.0, "pi")
+BALL_GRID = (2.0, 2.0, "the diameter 2")
 
 
 def orthogonal_zones(half_width):
@@ -120,6 +132,61 @@ class TestSplitSegments:
             x /= np.linalg.norm(x)
             if seg.contains(x):
                 assert any(v.contains(x) for v in virtual)
+
+
+def grid_outcome(grid, widths, margin, budget, unit, name):
+    """The grid, or the message of the ValueError it raises."""
+    try:
+        return grid(widths, budget, margin, unit, name)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestGrid:
+    """_grid scans blocks of denominators in numpy; the scalar scan over every N
+    (_oracles.grid_scan) must give the same N, shifts and refusals."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_scalar_scan_on_random_families(self, seed):
+        rng = np.random.default_rng(seed)
+        budget, unit, name = (SPHERE_GRID, BALL_GRID)[seed % 2]
+        k = int(rng.integers(1, 13))
+        widths = (rng.dirichlet(np.ones(k)) * budget * rng.uniform(0.3, 0.999)).tolist()
+        if seed % 5 == 0:  # whole multiples of a grid step, as planks of width 1/8
+            widths = [unit * int(rng.integers(1, 4)) / 8 for _ in range(k)]
+        for margin in (None, 1e-4, 0.01 * (budget - sum(widths)) * rng.uniform(0.0, 1.0)):
+            args = (widths, margin, budget, unit, name)
+            assert grid_outcome(_grid, *args) == grid_outcome(grid_scan, *args)
+
+    @pytest.mark.parametrize(
+        "widths, margin, grid",
+        [
+            ([math.sqrt(2) / 3, math.pi / 7], 0.0, SPHERE_GRID),
+            ([3.0, 0.1], 0.1, SPHERE_GRID),
+            ([2.0 - 5e-13], 0.0, BALL_GRID),
+        ],
+        ids=["no-grid", "nothing-to-refute", "rounded-total-reaches-budget"],
+    )
+    def test_refusals_match_scalar_scan(self, widths, margin, grid):
+        args = (widths, margin, *grid)
+        expected = grid_outcome(grid_scan, *args)
+        assert isinstance(expected, str)
+        assert grid_outcome(_grid, *args) == expected
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_scalar_scan_on_search_families(self, seed):
+        families = 0
+        for inst in workloads.make_instances("search", seed, workloads.cycle_length("search")):
+            if inst.command == "refute-sphere":
+                widths, grid = [SphericalSegment.from_json(s).width for s in inst.payload["segments"]], SPHERE_GRID
+            elif inst.command == "refute-ball":
+                widths, grid = [Plank.from_json(p).width for p in inst.payload["planks"]], BALL_GRID
+            else:
+                continue
+            families += 1
+            args = (widths, None, *grid)
+            assert grid_outcome(_grid, *args) == grid_outcome(grid_scan, *args)
+        assert families > 0
 
 
 class TestRefuteSphere:

@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from zerogap import trigcircle
 from zerogap.ballfinder import euclidean_zero_distance
@@ -68,6 +70,39 @@ def l1(T):
 def noise_floor(T):
     """Rounding level of T.eval on any angle: (2n + 1) eps sum |coefficients|."""
     return (2 * T.degree + 1) * EPS * l1(T)
+
+
+class TestGraphs:
+    """The kernel's numpy graph helpers against scipy.sparse.csgraph."""
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_components_match_scipy(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(0, 14))
+        adj = rng.random((k, k)) < rng.uniform(0.0, 0.5)
+        adj |= adj.T
+        np.fill_diagonal(adj, seed % 2)
+        expected = connected_components(adj, directed=False)[1] if k else np.arange(0)
+        assert np.array_equal(trigcircle._components(adj), expected)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_longest_tree_edge_matches_scipy(self, seed):
+        # distances as _root_clusters forms them, with repeated points (exact
+        # zeros, which are not edges), all points equal, and tiny spreads
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 14))
+        z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        if seed % 3:
+            z[rng.integers(0, k, size=k // 2)] = z[0]
+        if seed % 10 == 0:
+            z[:] = z[0]
+        z *= 1e-10 if seed % 7 == 0 else 1.0
+        D = np.hypot(np.subtract.outer(z.real, z.real), np.subtract.outer(z.imag, z.imag))
+        np.fill_diagonal(D, 1.0)
+        longest = minimum_spanning_tree(csr_matrix(D)).max()
+        assert trigcircle._longest_tree_edge(D) == longest
+        expected = connected_components(D < longest, directed=False)[1]
+        assert np.array_equal(trigcircle._components(D < longest), expected)
 
 
 class TestKernel:

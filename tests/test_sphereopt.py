@@ -1,10 +1,14 @@
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 from scipy.optimize import minimize
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from zerogap import ballfinder, complexproj, sphereopt
 from zerogap.cli import _report
@@ -27,7 +31,8 @@ from zerogap.sphereopt import (
     verify_sphere_gap,
 )
 
-from _oracles import slice_min_angle_bruteforce
+from _oracles import scipy_ball_starts, scipy_sphere_starts, slice_min_angle_bruteforce
+from test_newton_polish import run_search_cycle
 
 
 def random_form_product(rng, d, m, max_offset=0.9):
@@ -421,6 +426,88 @@ class TestStarts:
         small = sphere_starts(3, 8, 1)
         big = sphere_starts(3, 16, 1)
         assert np.array_equal(small, big[:8])
+
+
+# the seeds of the start generator's tests, each with the offsets that the
+# package adds to a seed (the oracles add 7, 11 and 13)
+SOBOL_SEEDS = [s + k for s in (0, 1, 2, 3, 11, 2**32 - 1) for k in (0, 1, 3, 5, 7, 11, 13, 17)]
+
+
+class TestStartGenerator:
+    """The numpy start generator against scipy, bit for bit: sphereopt._sobol
+    against scipy.stats.qmc.Sobol, sphereopt._ndtri against scipy.special.ndtri,
+    and the start points against copies of the scipy-based functions."""
+
+    @pytest.mark.parametrize("dim", [*range(1, 13), 24])
+    def test_sobol_matches_scipy(self, dim):
+        for seed in SOBOL_SEEDS:
+            # a fresh engine's random_base2(m) is the first 2^m points of random_base2(10)
+            expected = qmc.Sobol(d=dim, scramble=True, seed=seed).random_base2(10)
+            for m in range(1, 11):
+                assert sphereopt._sobol(dim, 2**m, seed).tobytes() == expected[: 2**m].tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 11, 2**32 - 1])
+    def test_sobol_matches_scipy_at_the_cap(self, seed):
+        dim = sphereopt.SOBOL_MAX_DIM
+        for m in range(1, 11):
+            expected = qmc.Sobol(d=dim, scramble=True, seed=seed).random_base2(m)
+            assert sphereopt._sobol(dim, 2**m, seed).tobytes() == expected.tobytes()
+
+    def test_direction_table_is_scipys(self):
+        ours = np.load(Path(sphereopt.__file__).with_name("sobol_directions.npz"))
+        theirs = np.load(Path(scipy.stats.__file__).with_name("_sobol_direction_numbers.npz"))
+        for key in ("poly", "vinit"):
+            assert len(ours[key]) == sphereopt.SOBOL_MAX_DIM
+            assert np.array_equal(ours[key], theirs[key][: sphereopt.SOBOL_MAX_DIM])
+
+    def test_ndtri_matches_scipy(self):
+        rng = np.random.default_rng(0)
+        e2 = math.exp(-2.0)
+        y = np.concatenate(
+            [
+                rng.random(100_000),
+                np.exp(-rng.uniform(2.0, 60.0, 60_000)),  # lower tail, sqrt(-2 log y) from 2 to 11
+                -np.expm1(-rng.uniform(2.0, 36.0, 40_000)),  # upper tail
+                np.geomspace(1e-16, 1e-12, 2_000),  # sqrt(-2 log y) crosses 8 near 1.27e-14
+                [1e-12, 1 - 1e-12, 0.5, e2, 1 - e2, math.exp(-32.0), np.nextafter(e2, 0), np.nextafter(e2, 1)],
+            ]
+        )
+        assert len(y) > 200_000 and np.all((0 < y) & (y < 1))
+        assert ndtri(y).tobytes() == sphereopt._ndtri(y).tobytes()
+
+    @pytest.mark.parametrize("dim", [*range(1, 13), 24])
+    def test_starts_match_scipy(self, dim):
+        # counts: the default --starts and zero-search seeds (64), the complex
+        # sample (128), the scale sample (256), 4 m for a refutation of m pieces
+        for count, seed in itertools.product((1, 2, 8, 31, 64, 100, 128, 256, 800), (0, 3, 11)):
+            assert sphere_starts(dim, count, seed).tobytes() == scipy_sphere_starts(dim, count, seed).tobytes()
+            assert ballfinder._ball_starts(dim, count, seed).tobytes() == scipy_ball_starts(dim, count, seed).tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_starts_of_a_search_cycle_match_scipy(self, seed, monkeypatch, tmp_path):
+        ball_starts = ballfinder._ball_starts
+        calls = {sphere_starts: set(), ball_starts: set()}
+
+        def recorded(fn):
+            return lambda *args: calls[fn].add(args) or fn(*args)
+
+        for module in (sphereopt, ballfinder, complexproj):
+            monkeypatch.setattr(module, "sphere_starts", recorded(sphere_starts))
+        monkeypatch.setattr(ballfinder, "_ball_starts", recorded(ball_starts))
+        run_search_cycle(seed, tmp_path)
+        assert calls[sphere_starts] and calls[ball_starts]
+        for fn, oracle in ((sphere_starts, scipy_sphere_starts), (ball_starts, scipy_ball_starts)):
+            for args in calls[fn]:
+                assert fn(*args).tobytes() == oracle(*args).tobytes()
+
+    def test_dimension_cap(self):
+        assert sphereopt.SOBOL_MAX_DIM == 1111
+        with pytest.raises(ValueError, match="at most 1111 dimensions, got 1112"):
+            sphere_starts(1112, 8, 0)
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError):
+            sphere_starts(3, 8, -1)
 
 
 # the ascent settings of near_max_on_sphere (NEAR_MAX) and of the multiplier
