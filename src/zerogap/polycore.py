@@ -319,10 +319,14 @@ def restrict_to_circle(poly: MultiPoly, plane: CirclePlane) -> TrigPoly:
     """Restriction of ``poly`` to the circle, as a trigonometric polynomial.
 
     Each coordinate on the circle is a degree-1 Fourier series, kept as its
-    centered coefficient array; monomials are expanded by convolving those
+    centered coefficient array; products are expanded by convolving those
     arrays, which reproduces the exact product-to-sum trigonometric
-    identities with no sampling step.  The series holds (a_k - i b_k) / 2 at
-    power k > 0, so its upper half gives the coefficient pairs directly.
+    identities with no sampling step, so exact cancellations stay exact
+    (x^2 + y^2 - 1 on the unit circle gives the zero series).  A factored
+    product convolves its factors; expanded terms are grouped by the
+    exponents of all but the last variable (see :func:`_circle_series`).
+    The series holds (a_k - i b_k) / 2 at power k > 0, so its upper half
+    gives the coefficient pairs directly.
     """
     series = _circle_series(poly, plane)
     n = (len(series) - 1) // 2
@@ -331,7 +335,16 @@ def restrict_to_circle(poly: MultiPoly, plane: CirclePlane) -> TrigPoly:
 
 
 def _circle_series(poly: MultiPoly, plane: CirclePlane):
-    """Centered complex Fourier series (powers -n .. n) of poly on the circle."""
+    """Centered complex Fourier series (powers -n .. n) of poly on the circle.
+
+    Expanded terms: row k of variable i's table is the series of x_i^k, by
+    repeated convolution, padded to the table's width.  The terms sharing a
+    prefix (the exponents of x_1 .. x_(d-1)) make one row of a complex
+    coefficient matrix indexed by the last exponent, and one matrix product
+    with the last variable's table sums each row's series in x_d; each row is
+    then convolved with the series of its prefix's powers (once per prefix
+    in d = 2) and added in.
+    """
     if plane.dim != poly.dim:
         raise ValueError(f"plane dimension {plane.dim} != poly dim {poly.dim}")
     base = []
@@ -348,22 +361,37 @@ def _circle_series(poly: MultiPoly, plane: CirclePlane):
                     fac = fac + f.normal[i] * base[i]
             acc = np.convolve(acc, fac)
         return acc
-    else:
-        max_exp = np.max([e for e, _ in poly.terms], axis=0)
-        # powers[i][k] = Fourier series of x_i(theta)**k
-        powers = []
-        for i in range(poly.dim):
-            ps = [np.array([1.0 + 0j])]
-            for _ in range(max_exp[i]):
-                ps.append(np.convolve(ps[-1], base[i]))
-            powers.append(ps)
-        deg = poly.degree
-        series = np.zeros(2 * deg + 1, dtype=complex)
-        for e, c in poly.terms:
-            mono = np.array([complex(c)])
-            for i, ei in enumerate(e):
-                if ei:
-                    mono = np.convolve(mono, powers[i][ei])
-            k = (len(mono) - 1) // 2
-            series[deg - k : deg + k + 1] += mono
+    E = np.array([e for e, _ in poly.terms])
+    tables = [_power_table(b, top) for b, top in zip(base, E.max(axis=0))]
+    # terms are sorted, so the terms of each prefix are one run of rows
+    first = np.append(True, np.any(E[1:, :-1] != E[:-1, :-1], axis=1))
+    starts = np.flatnonzero(first)
+    coeffs = np.zeros((len(starts), len(tables[-1])), complex)
+    coeffs[np.cumsum(first) - 1, E[:, -1]] = [c for _, c in poly.terms]
+    deg = poly.degree
+    series = np.zeros(2 * deg + 1, dtype=complex)
+    for prefix, h, row in zip(E[starts, :-1], np.maximum.reduceat(E[:, -1], starts), coeffs @ tables[-1]):
+        mono = _centred(row, h)
+        for table, ei in zip(tables, prefix):
+            if ei:
+                mono = np.convolve(mono, _centred(table[ei], ei))
+        k = (len(mono) - 1) // 2
+        series[deg - k : deg + k + 1] += mono
     return series
+
+
+def _power_table(b, top):
+    """Rows k = 0 .. top: the centred series of x^k, for b that of x, each
+    padded to 2 top + 1 powers."""
+    table, row = np.zeros((top + 1, 2 * top + 1), complex), np.ones(1, complex)
+    table[0, top] = 1.0
+    for k in range(1, top + 1):
+        row = np.convolve(row, b)
+        table[k, top - k : top + k + 1] = row
+    return table
+
+
+def _centred(row, k):
+    """Powers -k .. k of a centred series."""
+    mid = len(row) // 2
+    return row[mid - k : mid + k + 1]

@@ -1,13 +1,19 @@
 """Trigonometric polynomials on the circle: zeros, extrema, gap certificates.
 
-trig_zeros first tries a proof on the sup grid (_grid_zeros): one inverse
-real FFT gives T and T' at N equally spaced angles, the cosine comparison
-bounds ||T|| by U = (max grid |T| + the FFT's stated rounding bound) /
-cos(n pi / N), and Bernstein's inequality ||T^(j)|| <= n^j U bounds T'' and
-T''' between grid points.  Every cell then holds no zero or exactly one
-simple zero, found by Newton iteration inside it, or is split and tried
-again; if a cell stays undecided, the whole polynomial goes to the kernel.
-Multiple zeros always do, as no cell around one can be decided.
+trig_zeros first tries a proof on a grid (_grid_zeros): one inverse real
+FFT gives T and T' at N equally spaced angles (the sup grid, or 16n points
+above degree 256), the cosine comparison bounds ||T|| by U = (max grid |T|
++ the FFT's stated rounding bound) / cos(n pi / N), and Bernstein's
+inequality ||T^(j)|| <= n^j U bounds T'' and T''' between grid points.
+Every cell then holds no zero or exactly one simple zero, found by Newton
+iteration inside it, or is split and tried again; if a cell stays
+undecided, the whole polynomial goes to the kernel.  Multiple zeros always
+do, as no cell around one can be decided.
+
+Newton iteration (_newton_polish) and the split points take T and T' from
+one cos/sin table (_eval_pair), bit for bit TrigPoly.eval of each.  An
+angle stops once its step is below T.eval's stated rounding bound over
+|T'| (_eval_bound), the level below which a step is noise.
 
 With z = e^{i theta} a degree-n trigonometric polynomial is an algebraic one
 of degree 2n, whose roots come from _root_clusters, the package's one root
@@ -99,21 +105,7 @@ class TrigPoly:
         added one at a time in that order (a running sum down the frequency
         axis), so each value is bit-identical to the plain loop over k.
         """
-        theta = np.asarray(theta, dtype=float)
-        flat = theta.ravel()
-        out = np.empty(flat.shape)
-        pairs, freqs = self.coeffs, self._freqs
-        terms = np.empty((2 * self.degree + 1, min(flat.size, _EVAL_BLOCK)))
-        for start in range(0, flat.size, _EVAL_BLOCK):
-            block = flat[start : start + _EVAL_BLOCK]
-            width = block.size
-            angles = np.multiply.outer(freqs, block)
-            terms[0, :width] = self.a0
-            np.multiply(pairs[:, :1], np.cos(angles), out=terms[1::2, :width])
-            np.multiply(pairs[:, 1:], np.sin(angles), out=terms[2::2, :width])
-            np.add.accumulate(terms[:, :width], axis=0, out=terms[:, :width])
-            out[start : start + width] = terms[-1, :width]
-        out = out.reshape(theta.shape)
+        out = _table_values((self.a0,), self.coeffs[:, None], self._freqs, theta)[0]
         return float(out) if out.ndim == 0 else out
 
     __call__ = eval
@@ -192,6 +184,48 @@ def _grid_size(n):
     """Points of the sup grid of a degree-n polynomial: the larger of 4096 and
     the smallest power of two >= 4n."""
     return max(_SUP_MIN_POINTS, 1 << (4 * n - 1).bit_length())
+
+
+def _table_values(a0, pairs, freqs, theta):
+    """Values at each angle of ``theta`` of the m polynomials with constant
+    terms ``a0`` and coefficient pairs ``pairs``, an (n, m, 2) array over the
+    frequencies ``freqs``: an array of shape (m,) + theta.shape.
+
+    One cos/sin table per block of _EVAL_BLOCK angles serves all m.  Each
+    polynomial adds a0, a1 cos theta, b1 sin theta, a2 cos 2 theta, ... one
+    at a time in that order, so its values do not depend on what shares the
+    table.
+    """
+    theta = np.asarray(theta, dtype=float)
+    flat = theta.ravel()
+    m = len(a0)
+    out = np.empty((m, flat.size))
+    terms = np.empty((2 * len(freqs) + 1, m, min(flat.size, _EVAL_BLOCK)))
+    for start in range(0, flat.size, _EVAL_BLOCK):
+        block = flat[start : start + _EVAL_BLOCK]
+        rows = terms[:, :, : block.size]
+        angles = np.multiply.outer(freqs, block)[:, None]
+        rows[0] = np.reshape(a0, (m, 1))
+        np.multiply(pairs[:, :, :1], np.cos(angles), out=rows[1::2])
+        np.multiply(pairs[:, :, 1:], np.sin(angles), out=rows[2::2])
+        np.add.accumulate(rows, axis=0, out=rows)
+        out[:, start : start + block.size] = rows[-1]
+    return out.reshape((m,) + theta.shape)
+
+
+def _eval_pair(T, dT, theta):
+    """(T, dT) at each angle of ``theta`` from one shared trig table, bit for
+    bit T.eval and dT.eval; dT (T' or any polynomial of T's degree) rides on
+    T's cos and sin."""
+    return _table_values((T.a0, dT.a0), np.stack((T.coeffs, dT.coeffs), axis=1), T._freqs, theta)
+
+
+def _eval_bound(T):
+    """eps (2 pi sum k |c_k| + 2 (n + 3) sum |c_k|), c_k the coefficients of T
+    (a0 among them): the rounding bound of a T.eval value at |theta| <= 4 pi,
+    with sin and cos good to 4 ulp."""
+    size = np.abs(T.coeffs).sum(axis=1)
+    return _EPS * (TWO_PI * float(T._freqs @ size) + 2 * (T.degree + 3) * (abs(T.a0) + float(size.sum())))
 
 
 def circle_distance(t1, t2):
@@ -362,38 +396,38 @@ def _root_clusters(c):
 def _newton_polish(T, dT, theta):
     """Newton's method on T from each angle of a 1-D array, all at once.
 
-    Each angle is advanced as by the scalar iteration: the step f/g is clipped
-    to +-0.5, the angle stops when g == 0 or once a step below 1e-15 was taken,
-    and the iterate with the smallest |T| seen so far (reduced mod 2pi) is
-    returned, or the start if no iterate improved on it.  One sweep makes
-    one evaluation of T and one of dT over the angles still moving.
+    Each angle is advanced as by the scalar iteration: the step f/g is
+    clipped to +-0.5, and the iterate with the smallest |T| seen so far
+    (reduced mod 2pi) is returned, or the start if no iterate improved on
+    it.  An angle stops when g == 0, or once it has taken a step shorter
+    than max(1e-15, beta / |g|), beta = _eval_bound(T): a step that short is
+    within the rounding of T.eval over |T'|, so further steps only wander in
+    the noise.  The starts and each sweep make one _eval_pair call, T and dT
+    from one trig table, over the angles still moving.
     """
     theta = np.array(theta, dtype=float)
-    f = T.eval(theta)
+    f, g = _eval_pair(T, dT, theta)
     best, best_val = theta.copy(), np.abs(f)
-    live = np.arange(theta.size)
+    live, beta = np.arange(theta.size), _eval_bound(T)
     for _ in range(_POLISH_STEPS):
-        if live.size == 0:
-            break
-        g = dT.eval(theta[live])
         moving = g != 0.0
         live, f, g = live[moving], f[moving], g[moving]
         if live.size == 0:
             break
-        # |f/g| may overflow to inf where g is tiny; the clip below maps it
-        # to +-0.5 exactly as the scalar iteration does
+        # |f/g| and beta/|g| may overflow to inf where g is tiny; the clip
+        # below maps the step to +-0.5 exactly as the scalar iteration does
         with np.errstate(over="ignore"):
-            step = f / g
+            step, tol = f / g, np.maximum(1e-15, beta / np.abs(g))
         step = np.where(np.abs(step) > 0.5, np.copysign(0.5, step), step)
         t = theta[live] - step
         theta[live] = t
-        f = T.eval(t)
+        f, g = _eval_pair(T, dT, t)
         v = np.abs(f)
         better = v < best_val[live]
         best[live[better]] = t[better] % TWO_PI
         best_val[live[better]] = v[better]
-        moving = ~(np.abs(step) < 1e-15)
-        live, f = live[moving], f[moving]
+        moving = ~(np.abs(step) < tol)
+        live, f, g = live[moving], f[moving], g[moving]
     return best
 
 
@@ -401,8 +435,11 @@ def _grid_zeros(T, dT):
     """The zeros of T, each polished by _newton_polish from a bracket proved to
     hold it and no other zero, all simple; None where the proof fails.
 
-    T (unit-scaled, degree n) and dT = T' are sampled at the N angles of the
-    sup grid by one inverse real FFT, whose T row is sup_norm's transform.
+    T (unit-scaled, degree n) and dT = T' are sampled at N equally spaced
+    angles by one inverse real FFT.  N is that of the sup grid, whose
+    transform the T row then is, or the smallest power of two >= 16n where
+    that is more (n > 256): at N = 4n the curvature margins below are about
+    U / 3, and nearly every cell would be split.
     The stated rounding bounds: an FFT value is off by at most 5 log2(N) eps
     times the grid's 2-norm, which is sqrt(N) times T's by Parseval (Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 24, gives 4 log2(N)
@@ -425,23 +462,26 @@ def _grid_zeros(T, dT):
     Where a point's sign is not proved, its two cells make one bracket if T'
     keeps one sign on both and their outer ends have proved signs.  Undecided
     cells are split _SPLIT_WAYS ways, with T and dT evaluated at the new
-    points, at most _SPLIT_LEVELS times and at most N cells at a time.  Each
-    polished angle must lie in its bracket.
+    points from one trig table (_eval_pair), at most _SPLIT_LEVELS times and
+    at most N cells at a time.  Each polished angle must lie in its bracket.
     """
-    n, N = T.degree, _grid_size(T.degree)
+    n = T.degree
+    N = max(_grid_size(n), 1 << (16 * n - 1).bit_length())
     k = np.arange(n + 1)
     spectrum = T._spectrum()
     grid = np.fft.irfft(np.stack((spectrum, 1j * k * spectrum)), N, norm="forward")
-    T._sup = float(np.max(np.abs(grid[0])))
+    top = float(np.max(np.abs(grid[0])))
+    if N == _grid_size(n):
+        T._sup = top
     size, square = np.abs(T.coeffs).sum(axis=1), np.square(T.coeffs).sum(axis=1)
-    s0, s1, s2 = abs(T.a0) + size.sum(), k[1:] @ size, np.square(k[1:]) @ size
+    s1, s2 = k[1:] @ size, np.square(k[1:]) @ size
     fft = 5.0 * math.log2(N) * _EPS * math.sqrt(N)
     grid_err = fft * np.sqrt([T.a0**2 + square.sum() / 2.0, np.square(k[1:]) @ square / 2.0])
-    eval_err = _EPS * np.array([TWO_PI * s1 + 2 * (n + 3) * s0, TWO_PI * s2 + (2 * n + 7) * s1])
+    eval_err = np.array([_eval_bound(T), _EPS * (TWO_PI * s2 + (2 * n + 7) * s1)])
     # U is rounded up by far more than the few roundings of the tests below;
     # slack widens each cell, as a float grid angle (at most 4 pi) is within
     # 4 pi eps of the exact angle it stands for
-    U = (1.0 + 1e-9) * (T._sup + grid_err[0]) / math.cos(n * math.pi / N)
+    U = (1.0 + 1e-9) * (top + grid_err[0]) / math.cos(n * math.pi / N)
     slack = 10.0 * math.pi * _EPS
     # rows of points with values V = (T, T') and their bounds E; first one
     # row once around from the largest |T|, in unwrapped angles
@@ -473,7 +513,7 @@ def _grid_zeros(T, dT):
             return None
         lo, hi = t[r, c, None], t[r, c + 1, None]
         t = np.hstack((lo, lo + (hi - lo) * (np.arange(1, _SPLIT_WAYS) / _SPLIT_WAYS), hi))
-        inner = np.stack((T.eval(t[:, 1:-1]), dT.eval(t[:, 1:-1])))
+        inner = _eval_pair(T, dT, t[:, 1:-1])
         V = np.concatenate((V[:, r, c, None], inner, V[:, r, c + 1, None]), axis=2)
         E = np.concatenate((E[:, r, c, None], np.broadcast_to(eval_err[:, None, None], inner.shape), E[:, r, c + 1, None]), axis=2)
     lo, hi, f0, f1 = (np.concatenate(part) for part in zip(*brackets))

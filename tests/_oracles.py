@@ -7,7 +7,8 @@ truncated infinite products with an analytic remainder estimate,
 distances to zero sets from serial SLSQP solves, one per seed, maxima on
 the sphere from a per-point Newton polish whose Hessian differences the
 gradient, maxima in the ball from a long ascent with no polish,
-trigonometric coefficient maps from plain loops over the frequency k, the
+trigonometric coefficient maps from plain loops over the frequency k,
+restrictions to a circle from one convolution chain per term, the
 extremal flag of the circle certificate from the comparison polynomial Q
 rather than from T's harmonics, start points from scipy.stats.qmc and
 scipy.special.ndtri rather than the package's numpy port, refutation grids
@@ -147,6 +148,42 @@ def companion_series_loop(T):
         c[n + k] = (a - 1j * b) / 2.0
         c[n - k] = (a + 1j * b) / 2.0
     return c
+
+
+def circle_series_loop(poly, plane):
+    """Centered Fourier series (powers -n .. n) of poly on the circle, one
+    convolution chain per expanded term (or per factor of a factored
+    product), each term's series added in term order."""
+    base = []
+    for i in range(poly.dim):
+        cp = (plane.u[i] - 1j * plane.v[i]) / 2.0
+        base.append(np.array([np.conj(cp), 0.0, cp], dtype=complex))
+    if poly.affine_factors is not None:
+        acc = np.array([1.0 + 0j])
+        for f in poly.affine_factors:
+            fac = np.array([0.0 + 0j, -f.offset, 0.0 + 0j], dtype=complex)
+            for i in range(poly.dim):
+                if f.normal[i] != 0.0:
+                    fac = fac + f.normal[i] * base[i]
+            acc = np.convolve(acc, fac)
+        return acc
+    max_exp = np.max([e for e, _ in poly.terms], axis=0)
+    powers = []
+    for i in range(poly.dim):
+        ps = [np.array([1.0 + 0j])]
+        for _ in range(max_exp[i]):
+            ps.append(np.convolve(ps[-1], base[i]))
+        powers.append(ps)
+    deg = poly.degree
+    series = np.zeros(2 * deg + 1, dtype=complex)
+    for e, c in poly.terms:
+        mono = np.array([complex(c)])
+        for i, ei in enumerate(e):
+            if ei:
+                mono = np.convolve(mono, powers[i][ei])
+        k = (len(mono) - 1) // 2
+        series[deg - k : deg + k + 1] += mono
+    return series
 
 
 def series_pairs_loop(series):

@@ -130,6 +130,44 @@ class TestStatedRoundingBounds:
                 assert abs(T.eval(t) - f(mpmath.mpf(t))) <= eval_bound
 
 
+class TestFineProofGrid:
+    def test_degree_1024_is_decided_on_the_16n_grid(self, monkeypatch):
+        # on the 4096-point sup grid (N = 4n) the curvature margins are about
+        # U / 3: 3983 of the 4096 cells of this T were split, and 28,224 split
+        # points evaluated; on 16n = 16384 points nearly every cell decides
+        T = random_trig(np.random.default_rng(1024), 1024)
+        points, polishing = Counter(), []
+        original_pair, original_polish = trigcircle._eval_pair, trigcircle._newton_polish
+
+        def counted_pair(T, dT, theta):
+            if not polishing:
+                points["split"] += np.size(theta)
+            return original_pair(T, dT, theta)
+
+        def flagged_polish(T, dT, theta):
+            polishing.append(True)
+            try:
+                return original_polish(T, dT, theta)
+            finally:
+                polishing.pop()
+
+        monkeypatch.setattr(trigcircle, "_eval_pair", counted_pair)
+        monkeypatch.setattr(trigcircle, "_newton_polish", flagged_polish)
+        got, calls = run(T, monkeypatch)
+        assert calls == 0 and len(got) > 0
+        assert [z.multiplicity for z in got] == [1] * len(got)
+        assert points["split"] < 2822
+
+    @pytest.mark.parametrize("n", [256, 257, 1024])
+    def test_sup_norm_keeps_its_own_grid(self, n):
+        # the proof grid of degree > 256 is finer than the sup grid; the
+        # cached sup norm must still be the sup grid's maximum
+        T = random_trig(np.random.default_rng(n), n)
+        assert trigcircle._grid_zeros(T, T.derivative()) is not None
+        N = trigcircle._grid_size(n)
+        assert T.sup_norm() == float(np.max(np.abs(np.fft.irfft(T._spectrum(), N, norm="forward"))))
+
+
 class TestAdversarial:
     """Each case is placed correctly by the grid proof or falls back whole."""
 

@@ -1,8 +1,12 @@
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from zerogap import polycore
+from zerogap.cli import main
 from zerogap.complexproj import ComplexHomogPoly
 from zerogap.polycore import (
     AffineForm,
@@ -13,7 +17,7 @@ from zerogap.polycore import (
     restrict_to_circle,
 )
 
-from _oracles import fd_gradient, naive_poly_eval
+from _oracles import circle_series_loop, fd_gradient, naive_poly_eval
 
 
 class TestMultiPolyBasics:
@@ -329,6 +333,47 @@ class TestRestriction:
         plane = CirclePlane([1, 0], [0, 1])
         with pytest.raises(ValueError):
             restrict_to_circle(MultiPoly(3, {(1, 0, 0): 1.0}), plane)
+
+    @pytest.mark.parametrize(
+        "d, degrees", [(2, (0, 1, 2, 7, 20, 40)), (3, (1, 5, 16)), (4, (2, 9)), (5, (3, 7))]
+    )
+    def test_prefix_groups_match_the_per_term_loop(self, d, degrees):
+        # dense random P, and a sparse half of its terms, on random orthonormal
+        # planes: the matrix product sums in another order than the per-term
+        # loop, so the series agree to a few roundings of sum |c|
+        rng = np.random.default_rng(100 * d)
+        for n in degrees:
+            exps = [e for e in itertools.product(range(n + 1), repeat=d) if sum(e) <= n]
+            dense = MultiPoly(d, dict(zip(exps, rng.standard_normal(len(exps)))))
+            sparse = MultiPoly(d, dict(t for t in dense.terms if rng.random() < 0.5) or dense.terms[:1])
+            q, _ = np.linalg.qr(rng.standard_normal((d, 2)))
+            plane = CirclePlane(q[:, 0], q[:, 1])
+            for p in (dense, sparse):
+                got, loop = polycore._circle_series(p, plane), circle_series_loop(p, plane)
+                assert got.shape == loop.shape
+                size = sum(abs(c) for _, c in p.terms)
+                assert np.max(np.abs(got - loop)) <= 4.0 * np.finfo(float).eps * size
+
+    def test_sum_of_squares_is_exactly_one(self):
+        t = restrict_to_circle(MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0}), CirclePlane([1, 0], [0, 1]))
+        assert t.degree == 0 and t.a0 == 1.0
+
+    def test_unit_circle_equation_vanishes_identically(self, tmp_path, capsys):
+        inp = tmp_path / "in.json"
+        terms = [{"e": [2, 0], "c": 1.0}, {"e": [0, 2], "c": 1.0}, {"e": [0, 0], "c": -1.0}]
+        inp.write_text(json.dumps({"dim": 2, "terms": terms}))
+        assert main(["sphere-max", "--input", str(inp), "--output", str(tmp_path / "out.json")]) == 3
+        assert "vanishes identically" in capsys.readouterr().err
+
+    def test_factored_product_keeps_its_bytes(self):
+        rng = np.random.default_rng(22)
+        for d in (2, 3, 5):
+            forms = [AffineForm(rng.standard_normal(d), 0.3 * rng.standard_normal()) for _ in range(9)]
+            lazy = MultiPoly.from_affine_product(forms)
+            q, _ = np.linalg.qr(rng.standard_normal((d, 2)))
+            plane = CirclePlane(q[:, 0], q[:, 1])
+            assert polycore._circle_series(lazy, plane).tobytes() == circle_series_loop(lazy, plane).tobytes()
+            assert lazy._terms is None  # restriction never expands a factored product
 
     def test_factored_restriction_matches_expanded(self):
         rng = np.random.default_rng(21)

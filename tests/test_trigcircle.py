@@ -104,8 +104,20 @@ def loop_eval(T, theta):
     return float(out) if out.ndim == 0 else out
 
 
+def eval_bound(T):
+    """eps (2 pi sum k |c_k| + 2 (n + 3) sum |c_k|): the stated rounding bound of
+    a T.eval value (tests/test_grid_zeros.py::TestStatedRoundingBounds)."""
+    size = np.abs(T.coeffs).sum(axis=1)
+    k = np.arange(1.0, T.degree + 1.0)
+    return np.finfo(float).eps * (TWO_PI * float(k @ size) + 2 * (T.degree + 3) * (abs(T.a0) + float(size.sum())))
+
+
 def scalar_newton_polish(T, dT, theta, steps=60):
-    """Reference Newton iteration from one angle, on the reference evaluation."""
+    """Reference Newton iteration from one angle, on the reference evaluation.
+
+    The angle stops once it has taken a step shorter than the rounding bound
+    of T over |T'| (or than 1e-15)."""
+    beta = eval_bound(T)
     best, best_val = theta, abs(loop_eval(T, theta))
     for _ in range(steps):
         f = loop_eval(T, theta)
@@ -119,7 +131,7 @@ def scalar_newton_polish(T, dT, theta, steps=60):
         v = abs(loop_eval(T, theta))
         if v < best_val:
             best, best_val = theta % TWO_PI, v
-        if abs(step) < 1e-15:
+        if abs(step) < max(1e-15, beta / abs(g)):
             break
     return best
 
@@ -286,6 +298,28 @@ class TestBatchedNewtonMatchesScalar:
         assert trigcircle._newton_polish(T, T.derivative(), np.empty(0)).shape == (0,)
 
 
+class TestSharedTable:
+    """_eval_pair gives T.eval and T.derivative().eval from one trig table,
+    byte for byte, across the _EVAL_BLOCK boundaries and at extreme scales."""
+
+    @pytest.mark.parametrize("e", [0, -1000, 1000])
+    @pytest.mark.parametrize("n", [0, 1, 7, 55, 300])
+    def test_matches_eval(self, n, e):
+        rng = np.random.default_rng(700 + n)
+        T = random_trig(rng, n)
+        T = TrigPoly(math.ldexp(T.a0, e), np.ldexp(T.coeffs, e))
+        dT = T.derivative()
+        for count in (0, 1, 255, 256, 257, 1000):
+            theta = rng.uniform(-2.0 * TWO_PI, 2.0 * TWO_PI, count)
+            f, g = trigcircle._eval_pair(T, dT, theta)
+            for got, P in ((f, T), (g, dT)):
+                assert got.shape == (count,)
+                assert got.tobytes() == P.eval(theta).tobytes() == loop_eval(P, theta).tobytes()
+        # the split points of the grid proof come as rows
+        theta = rng.uniform(0.0, TWO_PI, (40, 25))
+        assert trigcircle._eval_pair(T, dT, theta).tobytes() == np.stack((T.eval(theta), dT.eval(theta))).tobytes()
+
+
 class TestWorkCounts:
     def test_trig_verify_finds_each_root_set_once(self, tmp_path, monkeypatch):
         calls = Counter()
@@ -310,47 +344,83 @@ class TestWorkCounts:
     @pytest.mark.parametrize("steps", [1, 5, 60])
     def test_newton_evaluations_bounded_by_steps(self, monkeypatch, count, steps):
         evals = Counter()
-        original = TrigPoly.eval
+        original_pair, original_eval = trigcircle._eval_pair, TrigPoly.eval
 
-        def counted(self, theta):
+        def counted_pair(T, dT, theta):
+            evals["pair"] += 1
+            return original_pair(T, dT, theta)
+
+        def counted_eval(self, theta):
             evals["eval"] += 1
-            return original(self, theta)
+            return original_eval(self, theta)
 
-        monkeypatch.setattr(TrigPoly, "eval", counted)
+        monkeypatch.setattr(trigcircle, "_eval_pair", counted_pair)
+        monkeypatch.setattr(TrigPoly, "eval", counted_eval)
         T = random_trig(np.random.default_rng(count), 8)
         starts = np.linspace(0.0, TWO_PI, count, endpoint=False)
         monkeypatch.setattr(trigcircle, "_POLISH_STEPS", steps)
         trigcircle._newton_polish(T, T.derivative(), starts)
-        # one evaluation of T at the starts, then one of dT and one of T per sweep
-        assert evals["eval"] <= 2 * steps + 1
+        # one shared T/T' table at the starts, then one per sweep, and no
+        # separate evaluation of T or T'
+        assert 1 <= evals["pair"] <= steps + 1
+        assert evals["eval"] == 0
 
     def test_polish_calls_in_trig_zeros_stay_bounded(self, monkeypatch):
         # one sweep per trig_zeros, from the certified brackets or from the
         # simple clusters on the circle only
         evals = Counter()
         per_call = []
-        original_eval = TrigPoly.eval
+        original_pair = trigcircle._eval_pair
         original_polish = trigcircle._newton_polish
 
-        def counted_eval(self, theta):
-            evals["eval"] += 1
-            return original_eval(self, theta)
+        def counted_pair(T, dT, theta):
+            evals["pair"] += 1
+            return original_pair(T, dT, theta)
 
         def recorded_polish(T, dT, theta):
-            before = evals["eval"]
+            before = evals["pair"]
             out = original_polish(T, dT, theta)
-            per_call.append((evals["eval"] - before, trigcircle._POLISH_STEPS, np.size(theta)))
+            per_call.append((evals["pair"] - before, trigcircle._POLISH_STEPS, np.size(theta)))
             return out
 
-        monkeypatch.setattr(TrigPoly, "eval", counted_eval)
+        monkeypatch.setattr(trigcircle, "_eval_pair", counted_pair)
         monkeypatch.setattr(trigcircle, "_newton_polish", recorded_polish)
         for T in (random_trig(np.random.default_rng(5), 30), DOUBLE_ZERO_T, ONE_MINUS_COS_SQUARED):
             per_call.clear()
             zeros = trig_zeros(T)
             assert len(per_call) == 1
             assert per_call[0][2] == simple_cluster_angles(T).size == sum(z.multiplicity == 1 for z in zeros)
-            assert per_call[0][0] <= 2 * per_call[0][1] + 1
+            assert per_call[0][0] <= per_call[0][1] + 1
         assert per_call[0][2] == 0  # (1 - cos t)^2 has only its fourfold zero
+
+    def test_polish_stops_at_the_rounding_level(self, monkeypatch):
+        # from the grid brackets of these T, each polish call takes 3-5 sweeps;
+        # an angle that stopped only after a step below an absolute 1e-15 ran
+        # all 60 sweeps in every one of the 8 calls
+        evals, sweeps = Counter(), []
+        original_pair, original_polish = trigcircle._eval_pair, trigcircle._newton_polish
+
+        def counted_pair(T, dT, theta):
+            evals["pair"] += 1
+            return original_pair(T, dT, theta)
+
+        def no_kernel(c):
+            raise AssertionError("the grid proof should place every zero")
+
+        def recorded_polish(T, dT, theta):
+            before = evals["pair"]
+            out = original_polish(T, dT, theta)
+            sweeps.append(evals["pair"] - before - 1)  # one table at the starts
+            return out
+
+        monkeypatch.setattr(trigcircle, "_eval_pair", counted_pair)
+        monkeypatch.setattr(trigcircle, "_newton_polish", recorded_polish)
+        monkeypatch.setattr(trigcircle, "_root_clusters", no_kernel)
+        for n in (55, 300):
+            for seed in range(4):
+                assert len(trig_zeros(random_trig(np.random.default_rng(seed), n))) > 0
+        assert len(sweeps) == 8
+        assert max(sweeps) <= 8
 
     def test_pellet_split_idle_on_random_input(self, monkeypatch):
         # random trig polynomials have simple, well-separated roots, so every
