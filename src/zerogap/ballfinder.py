@@ -27,10 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize  # noqa: F401  unused; bench/tracing.py wraps ballfinder.minimize
 
 from .chebmult import (
-    ball_multiplier,
+    ball_multiplier_log,
     ball_multiplier_log_curvature,
     ball_multiplier_log_slope,
     cheb_positive_zeros,
@@ -40,7 +39,6 @@ from .polycore import AffineForm, MultiPoly
 from .sphereopt import (
     _ASCENT_ITERS,
     _STEP_CAP,
-    LOG_FLOOR,
     _batch_ascent,
     _canonical_signs,
     _farthest,
@@ -66,6 +64,12 @@ __all__ = [
     "lifted_diagnostics",
     "product_with_itself",
 ]
+
+# nothing calls this name; it is kept only because bench/tracing.py wraps it
+minimize = None
+
+# entries of the power table that one block of the one-dimensional grid builds
+_GRID_BLOCK = 1 << 21
 
 
 def _clip_to_ball(X):
@@ -201,9 +205,7 @@ def _multiplier_objective(poly: MultiPoly):
     poly_log, poly_grad = _log_objective(((poly, 1.0),))
 
     def value(X):
-        g = ball_multiplier(n, np.linalg.norm(X, axis=1))
-        with np.errstate(divide="ignore"):
-            return poly_log(X) + np.where(g != 0.0, np.log(np.abs(g)), LOG_FLOOR)
+        return poly_log(X) + ball_multiplier_log(n, np.linalg.norm(X, axis=1))
 
     def grad(X, hessian=False):
         r = np.linalg.norm(X, axis=1)
@@ -263,10 +265,12 @@ def _multiplier_pool(poly, seed, starts):
     """
     value, grad = _multiplier_objective(poly)
     if poly.dim == 1:
-        grid = np.linspace(-1.0, 1.0, 4096 * poly.degree + 1)
-        vals = value(grid[:, None])
+        grid = np.linspace(-1.0, 1.0, 4096 * poly.degree + 1)[:, None]
+        # blocks of rows whose power tables hold about _GRID_BLOCK entries each
+        rows = max(1, _GRID_BLOCK // (poly.degree + 1))
+        vals = np.concatenate([value(grid[i : i + rows]) for i in range(0, len(grid), rows)])
         interior = np.flatnonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1
-        X, ends = grid[interior][:, None], np.array([[-1.0], [1.0]])
+        X, ends = grid[interior], np.array([[-1.0], [1.0]])
     else:
         X = _ball_starts(poly.dim, starts, seed)
         X, f = _batch_ascent(value, grad, X, lambda G, X: G, _clip_to_ball, _ASCENT_ITERS, 0.25, 25)

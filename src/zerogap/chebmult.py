@@ -26,6 +26,7 @@ __all__ = [
     "cheb_tail_product",
     "trig_tail_product",
     "ball_multiplier",
+    "ball_multiplier_log",
     "ball_multiplier_log_slope",
     "ball_multiplier_log_curvature",
     "convergence_report",
@@ -106,6 +107,37 @@ def _sinc_series(u):
     return 1 - u2 / 6 * (1 - u2 / 20 * (1 - u2 / 42 * (1 - u2 / 72 * (1 - u2 / 110))))
 
 
+def _tail_terms(n, X):
+    """(top, factors) of the tail at X >= 0: the tail is top / prod(factors).
+
+    One factor 1 - (X/x0)^2 per cancelled zero x0, in increasing x0, read as
+    1 within ``_WINDOW`` of x0; there ``top`` holds the 0/0 ratio from its
+    series in place of the cosine or sinc numerator.
+    """
+    if n % 2 == 0:
+        num = np.cos(X)
+    else:
+        small = X < _WINDOW
+        num = np.where(small, _sinc_series(X), np.sin(X) / np.where(small, 1.0, X))
+
+    ratio = np.zeros_like(X)
+    windowed = np.zeros(X.shape, dtype=bool)
+    factors = []
+    for x0 in (k * math.pi / 2 for k in _cancelled_halves(n)):
+        win = np.abs(X - x0) < _WINDOW
+        factors.append(np.where(win, 1.0, 1.0 - (X / x0) ** 2))
+        if np.any(win):
+            u = X[win] - x0
+            if n % 2 == 0:
+                # cos x = -sin(x0) sin u;  1-(x/x0)^2 = -u(u+2x0)/x0^2
+                ratio[win] = math.sin(x0) * x0 * x0 * _sinc_series(u) / (u + 2 * x0)
+            else:
+                # sin x = cos(x0) sin u and the numerator carries 1/x
+                ratio[win] = -math.cos(x0) * x0 * x0 * _sinc_series(u) / (X[win] * (u + 2 * x0))
+            windowed |= win
+    return np.where(windowed, ratio, num), factors
+
+
 def trig_tail_product(n, x):
     """Tail of the cosine (n even) or sine (n odd) product from index floor(n/2)+1.
 
@@ -117,31 +149,11 @@ def trig_tail_product(n, x):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     X = np.abs(np.atleast_1d(x))
-
-    cancelled = [k * math.pi / 2 for k in _cancelled_halves(n)]
-    if n % 2 == 0:
-        num = np.cos(X)
-    else:
-        small = X < _WINDOW
-        num = np.where(small, _sinc_series(X), np.sin(X) / np.where(small, 1.0, X))
-
+    top, factors = _tail_terms(n, X)
     den = np.ones_like(X)
-    ratio = np.zeros_like(X)
-    windowed = np.zeros(X.shape, dtype=bool)
-    for x0 in cancelled:
-        win = np.abs(X - x0) < _WINDOW
-        rest = ~win
-        den[rest] *= 1.0 - (X[rest] / x0) ** 2
-        if np.any(win):
-            u = X[win] - x0
-            if n % 2 == 0:
-                # cos x = -sin(x0) sin u;  1-(x/x0)^2 = -u(u+2x0)/x0^2
-                ratio[win] = math.sin(x0) * x0 * x0 * _sinc_series(u) / (u + 2 * x0)
-            else:
-                # sin x = cos(x0) sin u and the numerator carries 1/x
-                ratio[win] = -math.cos(x0) * x0 * x0 * _sinc_series(u) / (X[win] * (u + 2 * x0))
-            windowed |= win
-    out = np.where(windowed, ratio, num) / den
+    for factor in factors:
+        den *= factor
+    out = top / den
     return float(out[0]) if scalar else out
 
 
@@ -216,6 +228,28 @@ def ball_multiplier(n, x):
     """
     x = np.asarray(x, dtype=float)
     return trig_tail_product(n, n * math.pi * x / 2.0)
+
+
+def ball_multiplier_log(n, x):
+    """log|ball_multiplier(n, x)|, finite at every degree.
+
+    Where :func:`ball_multiplier` is a normal float its log is taken, so the
+    value is that of the product bit for bit.  Elsewhere (from degree about
+    900 the denominator leaves the float range) it is the sum of the logs of
+    the tail's terms.
+    """
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        m = np.abs(ball_multiplier(n, x))
+        out = np.log(m)
+    outside = ~((m >= np.finfo(float).tiny) & (m < math.inf))
+    if np.any(outside):
+        # n pi x / 2 rounds the same for x and -x, and the tail is even
+        top, factors = _tail_terms(n, n * math.pi * np.abs(x[outside]) / 2.0)
+        out[outside] = np.log(np.abs(top)) - sum(np.log(np.abs(f)) for f in factors)
+    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)

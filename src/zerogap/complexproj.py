@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize  # noqa: F401  unused; bench/tracing.py wraps complexproj.minimize
 
 from .errors import VerificationError
 from .polycore import _expand_product, _finite, _merge_terms, _rows, _term_jet
@@ -36,6 +35,10 @@ __all__ = [
     "verify_weighted_gap",
     "hermitian_angle",
 ]
+
+# nothing calls this name; it is kept only because bench/tracing.py wraps it
+minimize = None
+
 
 def hermitian_angle(u, v):
     """arccos |<u, v>| for unit complex vectors."""

@@ -138,6 +138,8 @@ def _whole(value, name):
     """``value`` as an int; ValueError naming it unless it is a whole number:
     an integer (numpy integers too, booleans not) or a float with no
     fractional part, so 2.0 reads as 2."""
+    if type(value) is int:  # the common case, before the slower abstract-class check
+        return value
     if isinstance(value, bool) or not (
         isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
     ):

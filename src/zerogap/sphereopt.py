@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize  # noqa: F401  unused; bench/tracing.py wraps sphereopt.minimize
 
 from . import trigcircle
 from .polycore import AffineForm, CirclePlane, MultiPoly, _term_jet, restrict_to_circle
@@ -54,6 +53,9 @@ __all__ = [
     "angular_distance_to_zero_set",
     "verify_sphere_gap",
 ]
+
+# nothing calls this name; it is kept only because bench/tracing.py wraps it
+minimize = None
 
 RNG_NAME = "sobol-gauss/1"
 
@@ -415,11 +417,14 @@ class SphereMaxResult:
 
 
 def _dedupe_points(points, tol=1e-7):
-    out = []
-    for p in points:
-        if all(np.linalg.norm(p - q) > tol for q in out):
-            out.append(p)
-    return out
+    """The points in order, each unless it lies within ``tol`` of one kept before it."""
+    P = np.asarray(points)
+    near = (np.linalg.norm(P[:, None] - P[None], axis=-1) <= tol).tolist()
+    kept = []
+    for i, row in enumerate(near):
+        if not any(row[j] for j in kept):
+            kept.append(i)
+    return [points[i] for i in kept]
 
 
 def _farthest(pool, score):

@@ -6,7 +6,8 @@ finite differences, products from naive term-by-term loops, tails from
 truncated infinite products with an analytic remainder estimate,
 distances to zero sets from serial SLSQP solves, one per seed, maxima on
 the sphere from a per-point Newton polish whose Hessian differences the
-gradient, maxima in the ball from a long ascent with no polish,
+gradient, maxima in the ball from a long ascent with no polish, near-copies in a pool
+from one distance per pair of points,
 trigonometric coefficient maps from plain loops over the frequency k,
 restrictions to a circle from one convolution chain per term, the
 extremal flag of the circle certificate from the comparison polynomial Q
@@ -434,6 +435,16 @@ def ball_ascent_pool(value, grad, X, keep):
     X = X[np.argsort(-f)[:keep]]
     logs = value(X)
     return X[logs >= np.max(logs) + math.log1p(-1e-9)]
+
+
+def dedupe_points_loop(points, tol=1e-7):
+    """sphereopt._dedupe_points as one norm per pair of points: the points in
+    order, each unless it lies within ``tol`` of one kept before it."""
+    out = []
+    for p in points:
+        if all(np.linalg.norm(p - q) > tol for q in out):
+            out.append(p)
+    return out
 
 
 def legacy_trig_verify_json(T, report):

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -256,6 +261,53 @@ class TestMultiplierPoint:
         # reported point has its largest-modulus coordinate positive
         point, _ = multiplier_point(poly, seed=1)
         assert point == pytest.approx(expected, abs=1e-8)
+
+    def test_multiplier_values_go_through_ball_multiplier(self, monkeypatch):
+        # the search's multiplier work stays behind chebmult.ball_multiplier,
+        # the boundary at which the benchmark's tracer counts it
+        from zerogap import chebmult
+
+        calls = []
+        original = chebmult.ball_multiplier
+
+        def counted(n, x):
+            calls.append(np.size(x))
+            return original(n, x)
+
+        monkeypatch.setattr(chebmult, "ball_multiplier", counted)
+        forms = [AffineForm([1, 0], 0.3), AffineForm([0, 1], -0.1)]
+        multiplier_point(product_of_affine_forms(forms), seed=0)
+        assert len(calls) > 0 and sum(calls) > 1000
+
+    def test_one_dimensional_grid_is_read_the_same_in_any_blocks(self, monkeypatch):
+        poly = MultiPoly(1, {(i,): float(c) for i, c in enumerate(np.random.default_rng(3).standard_normal(13))})
+        pools = set()
+        for block in (ballfinder._GRID_BLOCK, 997, 10**12):
+            monkeypatch.setattr(ballfinder, "_GRID_BLOCK", block)
+            pools.add(np.array(ballfinder._multiplier_pool(poly, 0, 64)).tobytes())
+        assert len(pools) == 1
+
+    def test_degree_300_in_bounded_memory(self):
+        # the grid of 4096 n + 1 points is read in blocks, so the command
+        # needs far less than the 3 GB that one power table of it would take
+        limit = 1536 * 2**20
+        proc = subprocess.run(
+            [sys.executable, "-m", "zerogap.cli", "ball-multiplier"],
+            input=json.dumps({"dim": 1, "terms": [{"e": [300], "c": 1.0}, {"e": [0], "c": -0.5}]}),
+            capture_output=True,
+            text=True,
+            # one BLAS thread, so the limit measures the grid and not per-thread buffers
+            env={
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(sys.path),
+                **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"),
+            },
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        rep = json.loads(proc.stdout)
+        assert rep["passed"] is True and rep["bound"] == 1 / 300
+        assert abs(abs(rep["point"][0]) ** 300 - 0.5) >= 1e-3
 
 
 class TestLiftedDiagnostics:

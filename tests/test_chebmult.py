@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from zerogap.chebmult import (
     _WINDOW,
     _cancelled_halves,
     ball_multiplier,
+    ball_multiplier_log,
     ball_multiplier_log_curvature,
     ball_multiplier_log_slope,
     cheb_eval,
@@ -178,10 +180,9 @@ class TestBallMultiplier:
         assert abs(root - target) < 1e-9
 
 
-def mp_slope(mpmath, n):
-    """d/dx log|M(x)| by a central difference of step 1e-20, in mpmath
-    numbers, from the closed form of the tail (cos u or sin u / u over its
-    cancelled factors) at u = n pi x / 2."""
+def mp_log_abs(mpmath, n):
+    """log|M(x)| as a function of an mpmath number x, from the closed form of
+    the tail (cos u or sin u / u over its cancelled factors) at u = n pi x / 2."""
 
     def log_abs_tail(t):
         u = n * mpmath.pi * t / 2
@@ -193,8 +194,40 @@ def mp_slope(mpmath, n):
             num /= 1 - (u / x0) ** 2
         return mpmath.log(abs(num))
 
-    h = mpmath.mpf("1e-20")
-    return lambda t: (log_abs_tail(t + h) - log_abs_tail(t - h)) / (2 * h)
+    return log_abs_tail
+
+
+def mp_slope(mpmath, n):
+    """d/dx log|M(x)| by a central difference of step 1e-20 of :func:`mp_log_abs`."""
+    log_abs, h = mp_log_abs(mpmath, n), mpmath.mpf("1e-20")
+    return lambda t: (log_abs(t + h) - log_abs(t - h)) / (2 * h)
+
+
+class TestMultiplierLog:
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 20, 201, 800])
+    def test_log_of_the_product_where_it_is_a_normal_float(self, n):
+        xs = np.linspace(-1.0, 1.0, 4001)
+        assert ball_multiplier_log(n, xs).tobytes() == np.log(np.abs(ball_multiplier(n, xs))).tobytes()
+        assert ball_multiplier_log(n, 0.0) == 0.0
+
+    @pytest.mark.parametrize("n", [899, 900, 1000, 1001])
+    def test_finite_where_the_product_leaves_the_float_range(self, n):
+        # from degree about 900 the product's denominator overflows; the sum
+        # of logs stays finite, raises no warning and matches 30-digit values
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.linspace(-1.0, 1.0, 2001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            logs = ball_multiplier_log(n, xs)
+            with np.errstate(over="ignore", under="ignore"):
+                assert not np.all(np.abs(ball_multiplier(n, xs)) >= np.finfo(float).tiny)
+        assert np.all(np.isfinite(logs)) and np.array_equal(logs, ball_multiplier_log(n, -xs))
+        log_abs = mp_log_abs(mpmath, n)
+        with mpmath.workdps(30):
+            pole = (701 - n % 2) / n  # a cancelled zero: in its window, then just outside
+            for x in (0.2468, 0.7712, 0.99937, 1.0, pole - 1e-7, pole + 1e-6):
+                ref = float(log_abs(mpmath.mpf(x)))
+                assert abs(ball_multiplier_log(n, x) - ref) <= 1e-12 * abs(ref), x
 
 
 def mp_log_slope(mpmath, n, x):

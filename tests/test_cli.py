@@ -11,7 +11,7 @@ import scipy.optimize
 
 import _oracles
 from zerogap import ballfinder, chebmult, complexproj, covering, sphereopt, trigcircle
-from zerogap.cli import _report, main
+from zerogap.cli import COMMANDS, _report, main
 from zerogap.polycore import AffineForm, MultiPoly, product_of_affine_forms
 from zerogap.trigcircle import TrigPoly
 
@@ -674,15 +674,57 @@ class TestNoSlsqp:
         assert check(rep)
 
 
-def test_import_loads_no_scipy_stats():
-    # the start generator is numpy's: importing the CLI leaves scipy.stats unloaded
+# one small input per command, each answered with exit code 0
+SMALL_INPUTS = {
+    "trig-verify": {"n": 2, "a0": 0.4, "c": [[0.1, 0.0], [-0.5, 0.0]]},
+    "sphere-max": {"dim": 3, "terms": [{"e": [1, 1, 0], "c": 1.0}, {"e": [0, 0, 2], "c": 0.5}]},
+    "sphere-verify": X1X2,
+    "complex-verify": {"dim": 2, "terms": [{"e": [1, 1], "re": 1.0}]},
+    "weighted-verify": {
+        "items": [
+            {"poly": {"dim": 2, "terms": [{"e": [1, 0], "re": 1.0}]}, "delta": 0.6},
+            {"poly": {"dim": 2, "terms": [{"e": [0, 1], "re": 1.0}]}, "delta": 0.8},
+        ]
+    },
+    "ball-pair": {"dim": 1, "terms": [{"e": [1], "c": 1.0}]},
+    "ball-multiplier": {"dim": 2, "terms": [{"e": [2, 0], "c": 1.0}, {"e": [0, 1], "c": -0.3}]},
+    "refute-sphere": THREE_ZONES,
+    "refute-ball": {"dim": 2, "planks": [{"a": [1.0, 0.0], "c": 0.0, "w": 1.8}]},
+    "cheb-table": {"n": 2, "k": 8, "half_width": 5.0, "points": 11},
+    "lifted-diag": {"n": 2, "k": 4},
+    "convergence": {"n": 2, "ks": [20, 40], "half_width": 5.0},
+}
+
+_RUN_EVERY_COMMAND = """
+import json, os, sys, tempfile
+import zerogap.cli
+inputs = json.loads(sys.stdin.read())
+with tempfile.TemporaryDirectory() as tmp:
+    inp, out = os.path.join(tmp, "in.json"), os.path.join(tmp, "out")
+    codes = {}
+    for command, payload in inputs.items():
+        with open(inp, "w") as f:
+            json.dump(payload, f)
+        codes[command] = zerogap.cli.main([command, "--input", inp, "--output", out])
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_commands_load_no_scipy():
+    # the package computes with numpy alone: importing the CLI and running
+    # every command once leaves no scipy module loaded
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, zerogap.cli; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", _RUN_EVERY_COMMAND],
+        input=json.dumps(SMALL_INPUTS),
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == {command: 0 for command in SMALL_INPUTS}
+    assert sorted(SMALL_INPUTS) == sorted(COMMANDS)
+    assert result["scipy"] == []
 
 
 def test_console_script_runs():

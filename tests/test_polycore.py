@@ -200,6 +200,28 @@ class TestTermTables:
         assert _term_jet(lazy, X, "h")[2].tobytes() == _term_jet(expanded, X, "h")[2].tobytes()
 
 
+class TestWholeExponents:
+    """``_whole`` reads an exponent as a plain int: ints as they are, whole
+    floats and numpy integers converted, anything else refused by name."""
+
+    def test_plain_int_is_returned_as_it_is(self):
+        big = 10**30
+        assert polycore._whole(big, "e") is big
+
+    @pytest.mark.parametrize("value", [2.0, np.int64(2), np.int32(2), np.uint8(2), np.float64(2.0)])
+    def test_whole_numbers_read_as_int(self, value):
+        out = polycore._whole(value, "e")
+        assert out == 2 and type(out) is int
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 2.5, "2", None, math.inf, math.nan, 2 + 0j])
+    def test_other_values_are_refused_by_name(self, value):
+        with pytest.raises(ValueError) as err:
+            polycore._whole(value, "e")
+        assert str(err.value) == f'"e" must be an integer, got {value!r}'
+        with pytest.raises(ValueError, match="must be an integer"):
+            MultiPoly(2, {(1, value): 1.0})
+
+
 class TestAffineProducts:
     def test_two_axis_forms(self):
         p = product_of_affine_forms([AffineForm([1, 0], 0.0), AffineForm([0, 1], 0.0)])

@@ -31,7 +31,7 @@ from zerogap.sphereopt import (
     verify_sphere_gap,
 )
 
-from _oracles import scipy_ball_starts, scipy_sphere_starts, slice_min_angle_bruteforce
+from _oracles import dedupe_points_loop, scipy_ball_starts, scipy_sphere_starts, slice_min_angle_bruteforce
 from test_newton_polish import run_search_cycle
 
 
@@ -267,6 +267,27 @@ class TestVerifySphereGap:
         best, point = sphereopt._farthest(pool, score)
         assert best == (1.0, "tag") and point is pool[0]
         assert [id(p) for p in seen] == [id(pool[0]), id(pool[2]), id(pool[3])]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dedupe_matches_pairwise_loop(self, seed):
+        # pools of distinct points, each copied at 0.5 tol, tol (1 - 1e-6) and
+        # tol (1 + 1e-6) in a random direction, shuffled: the first kept in
+        # order and the strict > tol rule, as one norm per pair gives them
+        rng = np.random.default_rng(seed)
+        tol = 1e-7
+        d = int(rng.integers(1, 7))
+        base = rng.standard_normal((int(rng.integers(1, 12)), d))
+        copies = [base]
+        for scale in (0.5, 1.0 - 1e-6, 1.0 + 1e-6):
+            u = rng.standard_normal(base.shape)
+            copies.append(base + scale * tol * u / np.linalg.norm(u, axis=1, keepdims=True))
+        pool = list(np.vstack(copies)[rng.permutation(4 * len(base))])
+        if seed % 2:
+            pool = [p.astype(complex) * np.exp(1j * seed) for p in pool]
+        ours, theirs = sphereopt._dedupe_points(pool), dedupe_points_loop(pool)
+        assert [id(p) for p in ours] == [id(p) for p in theirs]
+        assert len(base) <= len(ours) < len(pool)
+        assert sphereopt._dedupe_points([]) == []
 
     def test_sign_symmetry_from_parity(self):
         assert sphereopt._sign_symmetric(MultiPoly(3, {(2, 0, 0): 1.0, (0, 1, 1): -2.0, (0, 0, 0): 0.5}))
