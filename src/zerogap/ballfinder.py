@@ -46,7 +46,6 @@ from .sphereopt import (
     _near_max,
     _newton_polish,
     _newton_step,
-    _sobol,
     _sphere_tangent,
     _zero_distance_search,
     angular_distance_to_zero_set,
@@ -248,8 +247,11 @@ def _ball_newton(X, G, H):
 
 
 def _ball_starts(d, count, seed):
+    """``count`` points of the ball, uniformly distributed (directions from
+    :func:`sphere_starts`, radii u^(1/d) for u from ``np.random.default_rng(seed + 17)``),
+    then the same directions at radius 0.999."""
     dirs = sphere_starts(d, count, seed)
-    u = _sobol(1, count, seed + 17)[:, 0]
+    u = np.random.default_rng(seed + 17).random(count)
     interior = dirs * (u ** (1.0 / d))[:, None]
     return np.vstack([interior, dirs * 0.999])
 

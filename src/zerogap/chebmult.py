@@ -151,10 +151,24 @@ def trig_tail_product(n, x):
     X = np.abs(np.atleast_1d(x))
     top, factors = _tail_terms(n, X)
     den = np.ones_like(X)
-    for factor in factors:
-        den *= factor
+    with np.errstate(over="ignore"):
+        for factor in factors:
+            den *= factor
     out = top / den
+    far = np.isinf(den)
+    if np.any(far):
+        # from degree about 805 the denominator leaves the float range where
+        # the tail does not: there it is the signed exp of the terms' logs
+        top, factors = top[far], [factor[far] for factor in factors]
+        sign = np.sign(top) * np.prod([np.sign(factor) for factor in factors], axis=0)
+        out[far] = sign * np.exp(_log_terms(top, factors))
     return float(out[0]) if scalar else out
+
+
+def _log_terms(top, factors):
+    """log|top / prod(factors)| from the terms of :func:`_tail_terms`, summed as logs."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(top)) - sum(np.log(np.abs(f)) for f in factors)
 
 
 def _cot_series(u):
@@ -235,20 +249,19 @@ def ball_multiplier_log(n, x):
 
     Where :func:`ball_multiplier` is a normal float its log is taken, so the
     value is that of the product bit for bit.  Elsewhere (from degree about
-    900 the denominator leaves the float range) it is the sum of the logs of
-    the tail's terms.
+    1030 the tail itself falls below the normal range near |x| = 1) it is the
+    sum of the logs of the tail's terms.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+    with np.errstate(under="ignore", divide="ignore"):
         m = np.abs(ball_multiplier(n, x))
         out = np.log(m)
-    outside = ~((m >= np.finfo(float).tiny) & (m < math.inf))
+    outside = m < np.finfo(float).tiny
     if np.any(outside):
         # n pi x / 2 rounds the same for x and -x, and the tail is even
-        top, factors = _tail_terms(n, n * math.pi * np.abs(x[outside]) / 2.0)
-        out[outside] = np.log(np.abs(top)) - sum(np.log(np.abs(f)) for f in factors)
+        out[outside] = _log_terms(*_tail_terms(n, n * math.pi * np.abs(x[outside]) / 2.0))
     return float(out[0]) if scalar else out
 
 

@@ -2,14 +2,14 @@
 
 One log objective, sum_k delta_k^2 log|P_k|, serves real, factored, complex
 and weighted P.  The search ascends it with tangent-projected gradients from
-a seeded low-discrepancy batch of starts for a few iterations, into the
-basins of the maxima, then polishes the leading rows in one batch by
-Riemannian Newton steps (Absil, Mahony and Sepulchre, Optimization
-Algorithms on Matrix Manifolds, 2008) from the exact gradients and Hessians
-that the objective gives with one evaluation of each P.  This module alone
-carries a point of C^d as 2d real coordinates, real parts then imaginary
-parts (``_real``, ``_from_real``), so the same engine serves the sphere of
-C^d (``complexproj``), and the multiplier search in the ball
+the best of a seeded batch of uniformly distributed points for a few
+iterations, into the basins of the maxima, then polishes the leading rows in
+one batch by Riemannian Newton steps (Absil, Mahony and Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 2008) from the exact gradients
+and Hessians that the objective gives with one evaluation of each P.  This
+module alone carries a point of C^d as 2d real coordinates, real parts then
+imaginary parts (``_real``, ``_from_real``), so the same engine serves the
+sphere of C^d (``complexproj``), and the multiplier search in the ball
 (``ballfinder``): there the ascent takes the identity for the tangent
 projection and a clip to the ball for the retraction, and the polish takes
 Newton's step in R^d inside the ball and the sphere's step on its rim.  In
@@ -32,10 +32,8 @@ Hermitian distances of ``complexproj`` (on the sphere of C^d).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -57,7 +55,7 @@ __all__ = [
 # nothing calls this name; it is kept only because bench/tracing.py wraps it
 minimize = None
 
-RNG_NAME = "sobol-gauss/1"
+RNG_NAME = "pcg64-gauss/1"
 
 # log-objective value where the function vanishes, and the relative width of
 # the near-maximal pool that the gap verifiers choose from
@@ -81,44 +79,16 @@ _RESTORE_CAP = 0.5
 _STEP_TOL = 1e-13
 # seeds of the zero-distance search
 _ZERO_SEARCH_SEEDS = 64
+# the ascent of near_max_on_sphere starts from the best of _SCREEN times as
+# many seeded points as it has starts: independent points clump and leave
+# gaps, and 64 of them miss a basin of the maximum that 6% of uniform points
+# reach (12 forms in R^6) for about 2% of seeds; the best 64 of 256 miss it
+# for none of 1000
+_SCREEN = 4
 # ascent iterations before the Newton polish of near_max_on_sphere, and the
 # polish's iterations
 _ASCENT_ITERS = 20
 _POLISH_ITERS = 20
-
-# the start generator: Sobol dimensions in the shipped direction table, bits
-# per coordinate, and each bit's shift when direction numbers are read most
-# significant bit first
-SOBOL_MAX_DIM = 1111
-_SOBOL_BITS = 30
-_MSB_FIRST = np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
-# Cephes ndtri: e^-2 (where the tails begin), sqrt(2 pi), and the numerator
-# and denominator coefficients, highest power first, of its rational
-# approximations in the centre (P0/Q0), and in the tails, as columns: for
-# sqrt(-2 log y) < 8 (P1/Q1), then from 8 on (P2/Q2).  The denominators are monic
-_EXP_M2 = 0.13533528323661269189
-_SQRT_2PI = 2.50662827463100050242
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-             1.39312609387279679503e1, -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P12 = np.array([
-    (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-     4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-     -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4),
-    (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-     1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-     3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9),
-]).T
-_NDTRI_Q12 = np.array([
-    (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-     1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-     -3.80806407691578277194e-2, -9.33259480895457427372e-4),
-    (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-     2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-     2.89247864745380683936e-6, 6.79019408009981274425e-9),
-]).T
 
 
 def unit_vector(v):
@@ -130,106 +100,12 @@ def unit_vector(v):
 
 
 def sphere_starts(dim, count, seed):
-    """Deterministic low-discrepancy start points on S^(dim-1), dim <= SOBOL_MAX_DIM:
-    the generator ``RNG_NAME``, scrambled Sobol' points mapped through the normal
-    quantile and normalised."""
-    g = _ndtri(np.clip(_sobol(dim, count, seed), 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0] = 1.0
-    return g / norms[:, None]
-
-
-@functools.cache
-def _sobol_table():
-    """(poly, vinit) of the shipped direction table, as lists, loaded on first use."""
-    with np.load(Path(__file__).with_name("sobol_directions.npz")) as table:
-        return table["poly"].tolist(), table["vinit"].tolist()
-
-
-@functools.cache
-def _sobol_directions(dim):
-    """The unscrambled Sobol' direction numbers v[d, j], 30 bits, of the first
-    ``dim`` dimensions, by the recurrence of Bratley and Fox (ACM TOMS 14, 1988)
-    from Joe and Kuo's primitive polynomials and initial numbers (SIAM J. Sci.
-    Comput. 30, 2008), whose first SOBOL_MAX_DIM rows sobol_directions.npz holds."""
-    if dim > SOBOL_MAX_DIM:
-        raise ValueError(f"start points exist in at most {SOBOL_MAX_DIM} dimensions, got {dim}")
-    poly, vinit = _sobol_table()
-    v = np.ones((dim, _SOBOL_BITS), dtype=np.uint32)
-    for d in range(1, dim):
-        p = poly[d]
-        m = p.bit_length() - 1
-        row = vinit[d][:m] + [0] * (_SOBOL_BITS - m)
-        for j in range(m, _SOBOL_BITS):
-            row[j] = row[j - m]
-            for k in range(m):
-                if (p >> (m - 1 - k)) & 1:
-                    row[j] ^= row[j - k - 1] << (k + 1)
-        v[d] = row
-    v <<= _MSB_FIRST
-    v.setflags(write=False)
-    return v
-
-
-def _sobol(dim, count, seed):
-    """The first ``count`` scrambled Sobol' points in [0, 1)^dim of the seed.
-
-    np.random.default_rng(seed) draws the bits of the digital shift, then the
-    lower-triangular matrices of the left linear matrix scramble (Matousek,
-    J. Complexity 14, 1998), whose diagonals are set to 1.  Each matrix
-    multiplies the bits of its dimension's direction numbers, most significant
-    first, mod 2.  Point 0 is the shift, and point i is point i - 1 XOR the
-    scrambled number at the lowest set bit of i (Gray code order), all times
-    2^-30.  The README gives the provenance of this draw order."""
-    if count > 1 << _SOBOL_BITS:
-        raise ValueError(f"at most 2^{_SOBOL_BITS} start points can be drawn, got {count}")
-    rng = np.random.default_rng(int(seed))
-    v = _sobol_directions(dim)
-    shift = rng.integers(2, size=(dim, _SOBOL_BITS), dtype=np.uint32) @ (np.uint32(1) << _MSB_FIRST[::-1])
-    lms = np.tril(rng.integers(2, size=(dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
-    lms |= np.eye(_SOBOL_BITS, dtype=np.uint32)
-    # the products of 0/1 matrices in floating point: exact, and done by BLAS
-    bits = ((v[:, :, None] >> _MSB_FIRST) & 1).astype(float)
-    v = ((bits @ np.swapaxes(lms, 1, 2).astype(float)).astype(np.uint32) & 1) @ (np.uint32(1) << _MSB_FIRST)
-    i = np.arange(1, count)
-    steps = v[:, np.frexp(i & -i)[1] - 1].T
-    return np.bitwise_xor.accumulate(np.vstack([shift, steps]), axis=0)[:count] * 2.0**-_SOBOL_BITS
-
-
-def _ndtri(y):
-    """The normal quantile of each y in (0, 1), bit for bit Cephes' ndtri: its
-    rational approximations in y - 1/2 on [e^-2, 1 - e^-2], and in
-    1 / sqrt(-2 log y) on the tails (y taken as 1 - y above).  The logs come
-    from ``math.log``, the platform's, as Cephes takes them."""
-    y = np.asarray(y, dtype=float)
-    upper = y > 1.0 - _EXP_M2
-    w = np.where(upper, 1.0 - y, y)
-    centre = w > _EXP_M2
-    x = np.empty_like(w)
-    c = w[centre] - 0.5
-    c2 = c * c
-    x[centre] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0))) * _SQRT_2PI
-    r = np.sqrt(-2.0 * _math_log(w[~centre]))
-    z, far = 1.0 / r, (r >= 8.0).astype(np.intp)
-    x1 = z * _polevl(z, _NDTRI_P12[:, far]) / _polevl(z, _NDTRI_Q12[:, far])
-    tail = r - _math_log(r) / r - x1
-    x[~centre] = np.where(upper[~centre], tail, -tail)
-    return x
-
-
-def _math_log(x):
-    """``math.log`` of each entry of a 1-D array (np.log can differ from it by a few ulp)."""
-    return np.fromiter(map(math.log, x.tolist()), float, len(x))
-
-
-def _polevl(x, coef):
-    """Horner's rule for coef[0] x^n + ... + coef[n], Cephes' polevl (p1evl when
-    coef[0] is 1); a coefficient may be an array, one entry per entry of x."""
-    ans = np.full(np.shape(x), coef[0])
-    for a in coef[1:]:
-        ans *= x
-        ans += a
-    return ans
+    """Deterministic start points on S^(dim-1), uniformly distributed: the generator
+    ``RNG_NAME``, rows of standard normal deviates from ``np.random.default_rng(seed)``,
+    each divided by its norm (Muller, Comm. ACM 2, 1959).  The first k of ``count``
+    points are the k points of a call with k."""
+    g = np.random.default_rng(seed).standard_normal((count, dim))
+    return g / np.linalg.norm(g, axis=1)[:, None]
 
 
 def _real(Z):
@@ -459,12 +335,14 @@ def _near_max(value, X):
 def near_max_on_sphere(value, grad, dim, starts, seed):
     """Multi-start maximization of a log objective on S^(dim-1): (best log value, pool).
 
-    Seeded starts take ``_ASCENT_ITERS`` iterations of the lockstep ascent,
-    into the basins of the maxima, the best ``max(8, min(32, starts))`` rows
-    are polished in one batch by :func:`_newton_polish` and normalised twice
-    by ``unit_vector``, and :func:`_near_max` keeps the near-maximal pool.
+    The ``starts`` best of ``_SCREEN * starts`` seeded points take
+    ``_ASCENT_ITERS`` iterations of the lockstep ascent, into the basins of
+    the maxima, the best ``max(8, min(32, starts))`` rows are polished in
+    one batch by :func:`_newton_polish` and normalised twice by
+    ``unit_vector``, and :func:`_near_max` keeps the near-maximal pool.
     """
-    X = sphere_starts(dim, starts, seed)
+    X = sphere_starts(dim, _SCREEN * starts, seed)
+    X = X[np.argsort(-value(X), kind="stable")[:starts]]
     X, f = _batch_ascent(value, grad, X, _sphere_tangent, _normalize_rows, _ASCENT_ITERS, 0.5, 30)
     X = _newton_polish(value, grad, X[np.argsort(-f)[: max(8, min(32, starts))]], _sphere_newton, _normalize_rows)
     return _near_max(value, np.array([unit_vector(unit_vector(x)) for x in X]))

@@ -11,9 +11,7 @@ from one distance per pair of points,
 trigonometric coefficient maps from plain loops over the frequency k,
 restrictions to a circle from one convolution chain per term, the
 extremal flag of the circle certificate from the comparison polynomial Q
-rather than from T's harmonics, start points from scipy.stats.qmc and
-scipy.special.ndtri rather than the package's numpy port, refutation grids
-from a scalar scan over every denominator N, and JSON reports from the hand-written dicts that the report classes and the
+rather than from T's harmonics, refutation grids from a scalar scan over every denominator N, and JSON reports from the hand-written dicts that the report classes and the
 CLI built key by key before one serializer wrote every report from its
 dataclass fields.
 """
@@ -22,7 +20,7 @@ import math
 
 import numpy as np
 from scipy.optimize import brentq, minimize, minimize_scalar
-from scipy.special import ndtri, zeta
+from scipy.special import zeta
 from scipy.stats import qmc
 
 from zerogap.ballfinder import _clip_to_ball
@@ -233,25 +231,6 @@ def truncated_tail_product(n, x, terms=10_000):
     logp = np.sum(np.log(np.abs(facs)), axis=-1)
     corr = -(x**2) * t2 - (x**4) * t4 / 2 - (x**6) * t6 / 3
     return sign * np.exp(logp + corr)
-
-
-def scipy_sphere_starts(dim, count, seed):
-    """sphere_starts as scipy computed it: qmc.Sobol points through special.ndtri."""
-    m = max(1, math.ceil(math.log2(count)))
-    u = qmc.Sobol(d=dim, scramble=True, seed=int(seed)).random_base2(m)[:count]
-    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0] = 1.0
-    return g / norms[:, None]
-
-
-def scipy_ball_starts(d, count, seed):
-    """ballfinder._ball_starts as scipy computed it: scipy_sphere_starts directions
-    at the radii of a one-dimensional qmc.Sobol sequence, then on the rim."""
-    dirs = scipy_sphere_starts(d, count, seed)
-    m = max(1, math.ceil(math.log2(count)))
-    u = qmc.Sobol(d=1, scramble=True, seed=seed + 17).random_base2(m)[:count, 0]
-    return np.vstack([dirs * (u ** (1.0 / d))[:, None], dirs * 0.999])
 
 
 def grid_scan(widths, budget, margin, unit, name):

@@ -9,6 +9,7 @@ from zerogap.chebmult import (
     _CURVATURE_WINDOW,
     _WINDOW,
     _cancelled_halves,
+    _tail_terms,
     ball_multiplier,
     ball_multiplier_log,
     ball_multiplier_log_curvature,
@@ -210,17 +211,19 @@ class TestMultiplierLog:
         assert ball_multiplier_log(n, xs).tobytes() == np.log(np.abs(ball_multiplier(n, xs))).tobytes()
         assert ball_multiplier_log(n, 0.0) == 0.0
 
-    @pytest.mark.parametrize("n", [899, 900, 1000, 1001])
-    def test_finite_where_the_product_leaves_the_float_range(self, n):
-        # from degree about 900 the product's denominator overflows; the sum
-        # of logs stays finite, raises no warning and matches 30-digit values
+    @pytest.mark.parametrize("n", [899, 900, 1000, 1001, 1200])
+    def test_finite_at_high_degree(self, n):
+        # finite, even, no warning, and 30-digit values; at degree 1200 the
+        # tail itself falls below the normal range near |x| = 1, and the log
+        # comes from the sum of the logs of its terms
         mpmath = pytest.importorskip("mpmath")
         xs = np.linspace(-1.0, 1.0, 2001)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             logs = ball_multiplier_log(n, xs)
-            with np.errstate(over="ignore", under="ignore"):
-                assert not np.all(np.abs(ball_multiplier(n, xs)) >= np.finfo(float).tiny)
+            if n == 1200:
+                with np.errstate(under="ignore"):
+                    assert not np.all(np.abs(ball_multiplier(n, xs)) >= np.finfo(float).tiny)
         assert np.all(np.isfinite(logs)) and np.array_equal(logs, ball_multiplier_log(n, -xs))
         log_abs = mp_log_abs(mpmath, n)
         with mpmath.workdps(30):
@@ -228,6 +231,37 @@ class TestMultiplierLog:
             for x in (0.2468, 0.7712, 0.99937, 1.0, pole - 1e-7, pole + 1e-6):
                 ref = float(log_abs(mpmath.mpf(x)))
                 assert abs(ball_multiplier_log(n, x) - ref) <= 1e-12 * abs(ref), x
+
+
+class TestMultiplierAtHighDegree:
+    @pytest.mark.parametrize("n", [850, 900, 1000])
+    def test_no_zero_where_the_denominator_overflows(self, n):
+        # the denominator leaves the float range from degree about 805; the
+        # value there is the signed exp of the terms' logs, a normal float
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.linspace(-1.0, 1.0, 257)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            vals = ball_multiplier(n, xs)
+            logs = ball_multiplier_log(n, xs)
+        assert np.all(np.abs(vals) >= np.finfo(float).tiny)
+        assert np.array_equal(vals, ball_multiplier(n, -xs))
+        assert np.allclose(np.abs(vals), np.exp(logs), rtol=1e-13, atol=0.0)
+        log_abs = mp_log_abs(mpmath, n)
+        with mpmath.workdps(30):
+            for x in (0.2468, 0.7712, 0.99937, 1.0):
+                ref = float(mpmath.exp(log_abs(mpmath.mpf(x))))
+                assert abs(abs(ball_multiplier(n, x)) - ref) <= 1e-11 * ref, x
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 201, 799, 800])
+    def test_quotient_below_the_overflow(self, n):
+        # up to degree 800 every value is the plain quotient of the tail's terms
+        xs = np.linspace(-1.0, 1.0, 4001)
+        top, factors = _tail_terms(n, n * math.pi * np.abs(xs) / 2.0)
+        den = np.ones_like(xs)
+        for factor in factors:
+            den *= factor
+        assert ball_multiplier(n, xs).tobytes() == (top / den).tobytes()
 
 
 def mp_log_slope(mpmath, n, x):

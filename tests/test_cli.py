@@ -48,7 +48,7 @@ class TestSphereVerify:
         assert rep["passed"] is True
         assert rep["distance"] == pytest.approx(math.pi / 4, abs=1e-9)
         assert rep["bound"] == pytest.approx(math.pi / 4, abs=1e-12)
-        assert rep["rng"] == {"name": "sobol-gauss/1", "seed": 0}
+        assert rep["rng"] == {"name": "pcg64-gauss/1", "seed": 0}
 
     def test_forms_input(self, tmp_path):
         payload = {"forms": [{"a": [1, 0, 0], "b": 0.0}, {"a": [0, 1, 0], "b": 0.0}]}
@@ -361,19 +361,6 @@ class TestUsageErrors:
         code, _ = run_cli(tmp_path, "sphere-verify", X1X2, "--tol", "-1")
         assert code == 3
 
-    def test_dimension_above_the_start_generators_cap(self, tmp_path, capsys, monkeypatch):
-        # one linear term in 1112 variables: the multistart asks for starts in
-        # R^1112 and is refused before any ascent (which here would fail loudly
-        # rather than run the search in 1112 dimensions)
-        def no_ascent(*args):
-            raise AssertionError("starts were drawn in 1112 dimensions")
-
-        monkeypatch.setattr(sphereopt, "_batch_ascent", no_ascent)
-        payload = {"dim": 1112, "terms": [{"e": [1] + [0] * 1111, "c": 1.0}]}
-        code, out = run_cli(tmp_path, "sphere-max", payload)
-        assert code == 3 and out == ""
-        assert "start points exist in at most 1111 dimensions, got 1112" in capsys.readouterr().err
-
     def test_negative_seed(self, tmp_path, capsys):
         terms = [{"e": [2, 0, 0], "c": 1.0}, {"e": [0, 2, 0], "c": 1.0}, {"e": [0, 0, 2], "c": -1.0}]
         code, out = run_cli(tmp_path, "sphere-max", {"dim": 3, "terms": terms}, "--seed", "-1")
@@ -639,7 +626,7 @@ class TestLegacyReports:
         assert json.dumps(_report(result), sort_keys=True) == json.dumps(legacy, sort_keys=True)
         assert check is None or check(legacy)
         _, text = run_cli(tmp_path, command, payload)
-        rng = {"name": "sobol-gauss/1", "seed": 0}
+        rng = {"name": "pcg64-gauss/1", "seed": 0}
         assert text == json.dumps({**legacy, "rng": rng}, sort_keys=True, indent=2) + "\n"
 
 
