@@ -11,7 +11,8 @@ from one distance per pair of points,
 trigonometric coefficient maps from plain loops over the frequency k,
 restrictions to a circle from one convolution chain per term, the
 extremal flag of the circle certificate from the comparison polynomial Q
-rather than from T's harmonics, refutation grids from a scalar scan over every denominator N, and JSON reports from the hand-written dicts that the report classes and the
+rather than from T's harmonics, start points from one Gaussian row at a time
+divided by an exactly rounded norm, refutation grids from a scalar scan over every denominator N, and JSON reports from the hand-written dicts that the report classes and the
 CLI built key by key before one serializer wrote every report from its
 dataclass fields.
 """
@@ -231,6 +232,27 @@ def truncated_tail_product(n, x, terms=10_000):
     logp = np.sum(np.log(np.abs(facs)), axis=-1)
     corr = -(x**2) * t2 - (x**4) * t4 / 2 - (x**6) * t6 / 3
     return sign * np.exp(logp + corr)
+
+
+def row_by_row_sphere_starts(dim, count, seed):
+    """sphere_starts from one row of PCG64 standard normal deviates at a time,
+    each divided by sqrt(math.fsum) of its squares."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = []
+    for _ in range(count):
+        g = rng.standard_normal(dim)
+        rows.append(g / math.sqrt(math.fsum(g * g)))
+    return np.array(rows).reshape(count, dim)
+
+
+def row_by_row_ball_starts(d, count, seed):
+    """ballfinder._ball_starts from row_by_row_sphere_starts directions at
+    radii u^(1/d), one scalar u from the PCG64 stream of seed + 17 at a
+    time, then the same directions at radius 0.999."""
+    dirs = row_by_row_sphere_starts(d, count, seed)
+    rng = np.random.Generator(np.random.PCG64(seed + 17))
+    radii = [rng.random() ** (1.0 / d) for _ in range(count)]
+    return np.vstack([dirs * np.array(radii)[:, None], dirs * 0.999])
 
 
 def grid_scan(widths, budget, margin, unit, name):

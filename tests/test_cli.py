@@ -361,6 +361,26 @@ class TestUsageErrors:
         code, _ = run_cli(tmp_path, "sphere-verify", X1X2, "--tol", "-1")
         assert code == 3
 
+    def test_dimension_above_1111_reaches_the_ascent(self, tmp_path, monkeypatch):
+        # one linear term in 1112 variables: the multistart draws its starts in
+        # R^1112 and hands them to the ascent, which stops here rather than run
+        # the search in 1112 dimensions
+        class Reached(Exception):
+            pass
+
+        shapes = []
+
+        def no_ascent(value, grad, X, *settings):
+            shapes.append(X.shape)
+            assert np.allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-12)
+            raise Reached
+
+        monkeypatch.setattr(sphereopt, "_batch_ascent", no_ascent)
+        payload = {"dim": 1112, "terms": [{"e": [1] + [0] * 1111, "c": 1.0}]}
+        with pytest.raises(Reached):
+            run_cli(tmp_path, "sphere-max", payload)
+        assert len(shapes) == 1 and shapes[0][1] == 1112
+
     def test_negative_seed(self, tmp_path, capsys):
         terms = [{"e": [2, 0, 0], "c": 1.0}, {"e": [0, 2, 0], "c": 1.0}, {"e": [0, 0, 2], "c": -1.0}]
         code, out = run_cli(tmp_path, "sphere-max", {"dim": 3, "terms": terms}, "--seed", "-1")

@@ -27,7 +27,8 @@ from zerogap.sphereopt import (
     verify_sphere_gap,
 )
 
-from _oracles import dedupe_points_loop, slice_min_angle_bruteforce
+from _oracles import dedupe_points_loop, row_by_row_ball_starts, row_by_row_sphere_starts, slice_min_angle_bruteforce
+from test_newton_polish import run_search_cycle
 
 
 def random_form_product(rng, d, m, max_offset=0.9):
@@ -444,7 +445,56 @@ class TestStarts:
         assert np.array_equal(small, big[:8])
 
 
+def assert_starts_match(actual, expected):
+    # same stream, same order; only the summation order of a row's norm differs
+    assert actual.shape == expected.shape
+    np.testing.assert_allclose(actual, expected, rtol=1e-14, atol=0)
+
+
 class TestStartGenerator:
+    """The start points against an oracle that draws one Gaussian row of the
+    PCG64 stream at a time and divides it by an exactly rounded norm."""
+
+    @pytest.mark.parametrize("dim", [*range(1, 13), 24])
+    def test_starts_match_the_row_by_row_stream(self, dim):
+        # counts: the default --starts and zero-search seeds (64), the complex
+        # sample (128), the scale sample (256), 4 m for a refutation of m pieces
+        for count, seed in itertools.product((1, 2, 8, 31, 64, 100, 128, 256, 800), (0, 3, 11)):
+            assert_starts_match(sphere_starts(dim, count, seed), row_by_row_sphere_starts(dim, count, seed))
+            assert_starts_match(ballfinder._ball_starts(dim, count, seed), row_by_row_ball_starts(dim, count, seed))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 11, 2**32 - 1])
+    def test_starts_above_1111_dimensions(self, seed):
+        # the old generator's cap is gone: R^1112 draws the same stream
+        for m in range(1, 11):
+            assert_starts_match(sphere_starts(1112, 2**m, seed), row_by_row_sphere_starts(1112, 2**m, seed))
+
+    @pytest.mark.parametrize("dim", [*range(1, 13), 24])
+    def test_starts_are_uniform(self, dim):
+        # the first and second moments of the uniform law on S^(dim-1): mean 0
+        # and E[x x^T] = I / dim, to within a few standard errors of 4096 points
+        X = sphere_starts(dim, 4096, 7)
+        assert np.all(np.abs(X.mean(axis=0)) < 5.0 / math.sqrt(4096))
+        second = X.T @ X / len(X)
+        assert np.all(np.abs(second - np.eye(dim) / dim) < 5.0 / (dim * math.sqrt(4096)))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_starts_of_a_search_cycle_match_the_row_by_row_stream(self, seed, monkeypatch, tmp_path):
+        ball_starts = ballfinder._ball_starts
+        calls = {sphere_starts: set(), ball_starts: set()}
+
+        def recorded(fn):
+            return lambda *args: calls[fn].add(args) or fn(*args)
+
+        for module in (sphereopt, ballfinder, complexproj):
+            monkeypatch.setattr(module, "sphere_starts", recorded(sphere_starts))
+        monkeypatch.setattr(ballfinder, "_ball_starts", recorded(ball_starts))
+        run_search_cycle(seed, tmp_path)
+        assert calls[sphere_starts] and calls[ball_starts]
+        for fn, oracle in ((sphere_starts, row_by_row_sphere_starts), (ball_starts, row_by_row_ball_starts)):
+            for args in calls[fn]:
+                assert_starts_match(fn(*args), oracle(*args))
+
     def test_any_dimension(self):
         # no dimension cap: 8 unit rows in R^1112, with no ascent run there
         X = sphere_starts(1112, 8, 0)
