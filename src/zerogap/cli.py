@@ -158,7 +158,7 @@ def _cmd_refute_sphere(args):
 
 def _cmd_refute_ball(args):
     planks = [covering.Plank.from_json(p) for p in _load_input(args)["planks"]]
-    return _emit_json(args, covering.refute_cover_ball(planks, seed=args.seed, starts=args.starts))
+    return _emit_json(args, covering.refute_cover_ball(planks))
 
 
 def _cmd_cheb_table(args):

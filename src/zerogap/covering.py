@@ -2,14 +2,25 @@
 
 A family of spherical segments of total width below pi cannot cover the
 sphere; a family of planks of total width below 2 cannot cover the unit
-ball.  Both refuters make that concrete with one argument (``_refute``):
-widths are rounded up to a common rational grid, each widened piece is split
-into abutting equal-width virtual pieces, and the point maximizing the
-product of the virtual core equations clears every *original* piece.  Only
-the point finder differs: the near-maximal pool of ``maximize_abs_on_sphere``
-on the sphere, ``multiplier_point`` in the ball.  The returned certificate
-carries the point and one positive clearance per input piece, checkable by
-direct membership evaluation with no optimizer trust.
+ball.  Each refuter returns a certificate that carries the point and one
+positive clearance per input piece, checkable by direct membership
+evaluation with no optimizer trust.
+
+Segments: widths are rounded up to a common rational grid, each widened
+segment is split into abutting equal-width virtual segments, and the point of
+the near-maximal pool of ``maximize_abs_on_sphere`` on the product of the
+virtual core equations that is farthest from the *original* segments is
+returned.
+
+Planks |<u_i, x> - c_i| <= h_i with sum(h) < 1: Bang's lemma (T. Bang,
+"A solution of the plank problem", Proc. AMS 2, 1951) gives signs e with
+e_i (<sum_j e_j w_j u_j, u_i> - c_i) >= w_i for all i, for any weights
+w_i > 0.  With w_i = lambda h_i and lambda = 1/sum(h), the point
+x = sum_j e_j w_j u_j lies in the unit ball.  A sign-flip loop that stops at
+the threshold (h_i + w_i)/2 finds it with every clearance at least
+(lambda - 1) h_i / 2, after fewer than
+(1 + 4 lambda sum h_i |c_i|) / (2 lambda (lambda - 1) min h_i^2) flips.
+There is no optimizer, grid or factor cap on this path.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ballfinder import multiplier_point
+from .ballfinder import multiplier_point  # noqa: F401  (unused; bench/test_bench.py:47 pins it)
 from .errors import VerificationError
 from .polycore import AffineForm, MultiPoly, _finite, _finite_vector
 from .sphereopt import _farthest, maximize_abs_on_sphere, slice_distance, unit_vector
@@ -211,6 +222,7 @@ def split_segments(segments, margin=None):
     return [SphericalSegment(a, math.sin(lat), sub_half) for a, lat in lats], N
 
 
+# kept only because bench/test_bench.py:90 calls it by name; refute_cover_ball does not split
 def _split_planks(planks, margin=None):
     """Round widths up to multiples of 2/N, so that sub-planks have half width 1/N, and split."""
     widths = [p.width for p in planks]
@@ -219,15 +231,8 @@ def _split_planks(planks, margin=None):
     return [Plank(p.normal, p.center + t, sub_half) for p, shift in zip(planks, shifts) for t in shift], N
 
 
-def _refute(pieces, budget, name, split, starts, find) -> RefutationResult:
-    """Explicit point outside every piece of a family of total width below ``budget``.
-
-    Unequal widths are split by ``split`` onto a common grid; the pieces (or
-    their virtual pieces) give the product of their core equations, and
-    ``find(poly, starts)`` returns the candidate points.  The candidate whose
-    smallest clearance from the original pieces is largest is returned, when
-    that clearance is positive.
-    """
+def _family(pieces, budget, name):
+    """(pieces as a list, total width), after the input checks both refuters share."""
     pieces = list(pieces)
     if not pieces:
         raise ValueError("no pieces given")
@@ -236,57 +241,105 @@ def _refute(pieces, budget, name, split, starts, find) -> RefutationResult:
     total = sum(p.width for p in pieces)
     if total >= budget:
         raise ValueError(f"total width {total} >= {name}; such a family may cover")
+    return pieces, total
 
-    widths = [p.width for p in pieces]
-    if max(widths) - min(widths) <= _EQUAL_WIDTH_TOL:
-        _refuse_oversized(len(pieces), widths, budget, name)
-        virtual, N = pieces, 0
-    else:
-        virtual, N = split(pieces)
-    m = len(virtual)
-    poly = MultiPoly.from_affine_product([v.core_form() for v in virtual])
 
-    def clearances(x):
-        clear = [p.clearance(x) for p in pieces]
-        return min(clear), clear
-
-    (worst, clear), point = _farthest(find(poly, max(starts, 4 * m)), clearances)
-    if worst <= 0.0:
-        bad = int(np.argmin(clear))
-        raise VerificationError(
-            f"candidate point failed to clear piece {bad} "
-            f"(clearance {clear[bad]}); the optimizer missed the true maximizer"
-        )
-    return RefutationResult(
-        point=point, clearances=tuple(clear), total_width=total, budget=budget, split_N=N
-    )
+def _certificate(point, clear, total, budget, split_N) -> RefutationResult:
+    """The refutation by ``point``, whose clearances from the original pieces
+    are ``clear``; VerificationError unless every clearance is positive."""
+    bad = int(np.argmin(clear))
+    if clear[bad] <= 0.0:
+        raise VerificationError(f"candidate point failed to clear piece {bad} (clearance {clear[bad]})")
+    return RefutationResult(point=point, clearances=tuple(clear), total_width=total, budget=budget, split_N=split_N)
 
 
 def refute_cover_sphere(segments, seed=0, starts=64) -> RefutationResult:
     """Explicit point of the sphere outside every given spherical segment.
 
-    Requires total width < pi and dimension >= 2.  The candidates are the
+    Requires total width < pi and dimension >= 2.  Unequal widths are split
+    onto a common grid (:func:`split_segments`); the candidates are the
     near-maximal pool of the product of the virtual core equations on the
-    sphere; the one farthest from every original segment is returned.
+    sphere, and the one farthest from every original segment is returned when
+    its smallest clearance is positive.
     """
     segments = list(segments)
     if segments and segments[0].dim < 2:
         raise ValueError("sphere covering needs dimension >= 2")
+    segments, total = _family(segments, math.pi, "pi")
+    widths = [s.width for s in segments]
+    if max(widths) - min(widths) <= _EQUAL_WIDTH_TOL:
+        _refuse_oversized(len(segments), widths, math.pi, "pi")
+        virtual, N = segments, 0
+    else:
+        virtual, N = split_segments(segments)
+    poly = MultiPoly.from_affine_product([v.core_form() for v in virtual])
+    pool = maximize_abs_on_sphere(poly, starts=max(starts, 4 * len(virtual)), seed=seed).near_maximizers
 
-    def find(poly, k):
-        return maximize_abs_on_sphere(poly, starts=k, seed=seed).near_maximizers
+    def clearances(x):
+        clear = [s.clearance(x) for s in segments]
+        return min(clear), clear
 
-    return _refute(segments, math.pi, "pi", split_segments, starts, find)
+    (_, clear), point = _farthest(pool, clearances)
+    return _certificate(point, clear, total, math.pi, N)
 
 
-def refute_cover_ball(planks, seed=0, starts=64) -> RefutationResult:
+def _within_unit_ball(x) -> bool:
+    """|x|^2 <= 1 in exact arithmetic: each float is n / 2^k, so the sum of
+    squares compares over the common denominator in integers."""
+    ratios = [v.as_integer_ratio() for v in x.tolist()]
+    den = max(d for _, d in ratios)
+    return sum((n * (den // d)) ** 2 for n, d in ratios) <= den * den
+
+
+def _bang_point(planks):
+    """(x, flips): Bang's point for the planks (see :func:`refute_cover_ball`)
+    and the number of sign flips made.  g = U x - c follows each flip through
+    the Gram matrix G = U U^T, O(m) per flip.  When no e_i g_i is below its
+    threshold, x is formed, shrunk by a few ulps if rounding put |x|^2 above
+    1, and g is recomputed from it; the loop resumes if rounding left a sign
+    unsatisfied.
+    """
+    U = np.array([p.normal for p in planks])
+    c = np.array([p.center for p in planks])
+    h = np.array([p.half_width for p in planks])
+    w = h / h.sum()
+    tau = 0.5 * (h + w)
+    G = U @ U.T
+    e = np.ones(len(h))
+    flips = 0
+    while True:
+        x = (e * w) @ U
+        while not _within_unit_ball(x):
+            x = np.nextafter(x, 0.0)
+        g = U @ x - c
+        slack = e * g - tau
+        i = int(np.argmin(slack))
+        if slack[i] >= 0.0:
+            return x, flips
+        while slack[i] < 0.0:
+            g -= 2.0 * e[i] * w[i] * G[i]
+            e[i] = -e[i]
+            flips += 1
+            slack = e * g - tau
+            i = int(np.argmin(slack))
+
+
+def refute_cover_ball(planks) -> RefutationResult:
     """Explicit point of the closed unit ball outside every given plank.
 
-    Requires total width < 2.  The point comes from the multiplier method
-    applied to the product of the virtual plank center equations.
+    Requires total width < 2, that is, half widths h_i summing below 1.  By
+    Bang's lemma, for unit normals u_i, centers c_i and any weights w_i > 0,
+    some signs e give e_i (<sum_j e_j w_j u_j, u_i> - c_i) >= w_i for every
+    i.  The weights are w_i = lambda h_i with lambda = 1/sum(h), so that the
+    point x = sum_j e_j w_j u_j has |x| <= sum(w) = 1; the sign-flip loop
+    (:func:`_bang_point`) stops at the threshold (h_i + w_i)/2, so that every
+    clearance is at least (lambda - 1) h_i / 2 > 0.  Each flip raises
+    |x|^2 - 2 sum_j e_j w_j c_j by more than 2 lambda (lambda - 1) h_i^2, so
+    there are fewer than
+    (1 + 4 lambda sum h_i |c_i|) / (2 lambda (lambda - 1) min h_i^2) flips.
+    No optimizer, width grid or factor cap is involved: every family that the
+    theorem covers is refuted, in every dimension, and ``split_N`` is 0.
     """
-
-    def find(poly, k):
-        return [multiplier_point(poly, seed=seed, starts=k)[0]]
-
-    return _refute(planks, 2.0, "the diameter 2", _split_planks, starts, find)
+    planks, total = _family(planks, 2.0, "the diameter 2")
+    x, _ = _bang_point(planks)
+    return _certificate(x, [p.clearance(x) for p in planks], total, 2.0, 0)

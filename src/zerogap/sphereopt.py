@@ -394,20 +394,6 @@ def _nearest_slice_point(form: AffineForm, p):
     return b * a + math.sqrt(max(0.0, 1.0 - b * b)) * w / nw
 
 
-def _zero_distance_d2(poly, p):
-    plane = CirclePlane(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    T = restrict_to_circle(poly, plane)
-    zeros = trigcircle.trig_zeros(T)
-    if len(zeros) == 0:
-        return math.inf, None
-    theta_p = math.atan2(p[1], p[0])
-    best = min(zeros, key=lambda z: trigcircle.circle_distance(theta_p, z.theta))
-    return (
-        trigcircle.circle_distance(theta_p, best.theta),
-        np.array([math.cos(best.theta), math.sin(best.theta)]),
-    )
-
-
 def _restore_to_zero_set(poly, Y, steps):
     """Damped Newton steps toward P = 0 along the projected conj grad P, renormalised.
 
@@ -559,6 +545,40 @@ def _zero_distance_search(poly, c, seed, Q=None):
     return Z[int(np.argmax(np.where(found, f, -np.inf)))]
 
 
+def _zero_distance(poly: MultiPoly, seed=0):
+    """p -> (distance, zero) of :func:`angular_distance_to_zero_set` on P, for
+    any number of points; in dimension two the circle zeros are found once."""
+    if poly.affine_factors is not None:
+
+        def measure(p):
+            best, form = min(((slice_distance(f, p), f) for f in poly.affine_factors), key=lambda t: t[0])
+            return best, None if best == math.inf else _nearest_slice_point(form, p)
+
+    elif poly.dim == 2:
+        plane = CirclePlane(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        zeros = trigcircle.trig_zeros(restrict_to_circle(poly, plane))
+
+        def measure(p):
+            if len(zeros) == 0:
+                return math.inf, None
+            theta_p = math.atan2(p[1], p[0])
+            best = min(zeros, key=lambda z: trigcircle.circle_distance(theta_p, z.theta))
+            return (
+                trigcircle.circle_distance(theta_p, best.theta),
+                np.array([math.cos(best.theta), math.sin(best.theta)]),
+            )
+
+    else:
+
+        def measure(p):
+            x = _zero_distance_search(poly, p, seed)
+            if x is None:
+                return math.inf, None
+            return math.acos(float(np.clip(p @ x, -1.0, 1.0))), x
+
+    return lambda p: measure(unit_vector(p))
+
+
 def angular_distance_to_zero_set(poly: MultiPoly, p, seed=0):
     """(distance, zero): angular distance from p to Z(P) on the sphere and a zero at it.
 
@@ -568,16 +588,7 @@ def angular_distance_to_zero_set(poly: MultiPoly, p, seed=0):
     seeds: an upper-bound estimate, not certified.  ``zero`` is None exactly
     when no zero is found on the sphere and the distance is +inf.
     """
-    p = unit_vector(p)
-    if poly.affine_factors is not None:
-        best, form = min(((slice_distance(f, p), f) for f in poly.affine_factors), key=lambda t: t[0])
-        return best, None if best == math.inf else _nearest_slice_point(form, p)
-    if poly.dim == 2:
-        return _zero_distance_d2(poly, p)
-    x = _zero_distance_search(poly, p, seed)
-    if x is None:
-        return math.inf, None
-    return math.acos(float(np.clip(p @ x, -1.0, 1.0))), x
+    return _zero_distance(poly, seed)(p)
 
 
 def _sign_symmetric(poly: MultiPoly):
@@ -644,7 +655,7 @@ def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGap
         raise ValueError("degree must be at least 1")
     res = maximize_abs_on_sphere(poly, starts=starts, seed=seed)
     pool = _canonical_signs(poly, res.near_maximizers)
-    (dist, zero), p = _farthest(pool, lambda c: angular_distance_to_zero_set(poly, c, seed=seed))
+    (dist, zero), p = _farthest(pool, _zero_distance(poly, seed))
     bound = math.pi / (2 * n)
     passed = dist >= bound - tol
     equality = None

@@ -12,12 +12,14 @@ trigonometric coefficient maps from plain loops over the frequency k,
 restrictions to a circle from one convolution chain per term, the
 extremal flag of the circle certificate from the comparison polynomial Q
 rather than from T's harmonics, start points from one Gaussian row at a time
-divided by an exactly rounded norm, refutation grids from a scalar scan over every denominator N, and JSON reports from the hand-written dicts that the report classes and the
-CLI built key by key before one serializer wrote every report from its
-dataclass fields.
+divided by an exactly rounded norm, refutation grids from a scalar scan over every denominator N,
+plank refutations from exact rational arithmetic on the floats as stored, and JSON reports
+from the hand-written dicts that the report classes and the CLI built key by key before one
+serializer wrote every report from its dataclass fields.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq, minimize, minimize_scalar
@@ -271,6 +273,18 @@ def grid_scan(widths, budget, margin, unit, name):
             sub_half = unit / (2 * N)
             return N, sub_half, [[(2 * j + 1 - M) * sub_half for j in range(M)] for M in counts]
     raise ValueError("no usable rational width grid found")
+
+
+def exact_plank_refutation(planks, x):
+    """(indices of the planks that contain x, whether |x|^2 > 1), both decided
+    in exact rationals: |<a, x> - c| <= h with a, c, h and x the stored floats."""
+    X = [Fraction(v) for v in np.asarray(x, dtype=float).tolist()]
+    inside = []
+    for i, p in enumerate(planks):
+        dot = sum(Fraction(a) * v for a, v in zip(p.normal.tolist(), X))
+        if abs(dot - Fraction(p.center)) <= Fraction(p.half_width):
+            inside.append(i)
+    return inside, sum(v * v for v in X) > 1
 
 
 def slice_min_angle_bruteforce(a, b, p, samples=400_000, seed=0):

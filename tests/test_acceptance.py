@@ -330,7 +330,7 @@ def test_criterion_11_ball_covering_refuter():
             failures.append((i, "generator produced too much width"))
             continue
         try:
-            res = refute_cover_ball(planks, seed=i)
+            res = refute_cover_ball(planks)
         except Exception as exc:
             failures.append((i, f"{type(exc).__name__}: {exc}"))
             continue

@@ -193,10 +193,20 @@ class TestBallCommands:
         assert code == 3
 
 
+# widths whose grid would need N = 694: 626 virtual planks, more than the splitter allows
+WIDE_GRID_PLANKS = {
+    "dim": 3,
+    "planks": [
+        {"a": a, "c": 0.0, "w": w}
+        for a, w in zip(np.eye(3).tolist() + [[1, 1, 1]], (0.311, 0.472, 0.533, 0.487))
+    ],
+}
+
+
 class TestSplitRefusal:
-    """Families whose split needs more than ``MAX_SPLIT_FACTORS`` factors are
-    refused with exit 3 and a message that names the split, before any
-    virtual piece is built."""
+    """Segment families whose split needs more than ``MAX_SPLIT_FACTORS``
+    factors are refused with exit 3 and a message that names the split, before
+    any virtual piece is built.  Plank families are never split."""
 
     FAMILIES = pytest.mark.parametrize(
         "command, payload, factors",
@@ -213,20 +223,8 @@ class TestSplitRefusal:
                 },
                 281,
             ),
-            # widths whose grid needs N = 694: 626 virtual planks
-            (
-                "refute-ball",
-                {
-                    "dim": 3,
-                    "planks": [
-                        {"a": a, "c": 0.0, "w": w}
-                        for a, w in zip(np.eye(3).tolist() + [[1, 1, 1]], (0.311, 0.472, 0.533, 0.487))
-                    ],
-                },
-                626,
-            ),
         ],
-        ids=["segments", "planks"],
+        ids=["segments"],
     )
 
     @FAMILIES
@@ -238,21 +236,48 @@ class TestSplitRefusal:
 
     @FAMILIES
     def test_refused_before_any_piece_is_built(self, monkeypatch, command, payload, factors):
-        if command == "refute-sphere":
-            cls, key, refute = covering.SphericalSegment, "segments", covering.refute_cover_sphere
-        else:
-            cls, key, refute = covering.Plank, "planks", covering.refute_cover_ball
-        pieces = [cls.from_json(obj) for obj in payload[key]]
-        built, init = [], cls.__init__
+        pieces = [covering.SphericalSegment.from_json(obj) for obj in payload["segments"]]
+        built, init = [], covering.SphericalSegment.__init__
 
         def counted(self, *args):
             built.append(args)
             init(self, *args)
 
-        monkeypatch.setattr(cls, "__init__", counted)
+        monkeypatch.setattr(covering.SphericalSegment, "__init__", counted)
         with pytest.raises(ValueError, match=f"splitting needs {factors} factors"):
-            refute(pieces)
+            covering.refute_cover_sphere(pieces)
         assert built == []
+
+    def test_wide_grid_planks_refuted_with_exit_0(self, tmp_path):
+        code, text = run_cli(tmp_path, "refute-ball", WIDE_GRID_PLANKS)
+        assert code == 0
+        rep = json.loads(text)
+        planks = [covering.Plank.from_json(p) for p in WIDE_GRID_PLANKS["planks"]]
+        assert _oracles.exact_plank_refutation(planks, rep["point"]) == ([], False)
+        assert rep["split_N"] == 0 and min(rep["clearances"]) > 0
+
+    def test_wide_grid_planks_refuted_without_building_a_piece(self, monkeypatch):
+        planks = [covering.Plank.from_json(p) for p in WIDE_GRID_PLANKS["planks"]]
+        built, init = [], covering.Plank.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(covering.Plank, "__init__", counted)
+        res = covering.refute_cover_ball(planks)
+        assert built == [] and min(res.clearances) > 0
+
+
+class TestRefuteBallIgnoresSeedAndStarts:
+    def test_outputs_identical_apart_from_the_seed_stamp(self, tmp_path):
+        texts = []
+        for args in (("--seed", "0"), ("--seed", "7"), ("--starts", "8"), ("--starts", "64")):
+            code, text = run_cli(tmp_path, "refute-ball", WIDE_GRID_PLANKS, *args)
+            seed = 7 if args == ("--seed", "7") else 0
+            assert code == 0 and json.loads(text)["rng"]["seed"] == seed
+            texts.append(text.replace(f'"seed": {seed}\n', '"seed": 0\n'))
+        assert len(set(texts)) == 1
 
 
 class TestComplexCommands:
@@ -610,7 +635,7 @@ class TestLegacyReports:
             ("refute-sphere", THREE_ZONES, lambda rep: rep["split_N"] == 0),
             ("refute-sphere", UNEQUAL_ZONES, lambda rep: rep["split_N"] > 0),
             ("refute-ball", two_planks(0.5, 0.5), lambda rep: rep["split_N"] == 0),
-            ("refute-ball", two_planks(0.3, 0.6), lambda rep: rep["split_N"] > 0),
+            ("refute-ball", two_planks(0.3, 0.6), lambda rep: rep["split_N"] == 0),
             ("lifted-diag", {"n": 3, "k": 9}, None),
             ("convergence", {"n": 2, "ks": [4, 8, 16], "half_width": 3.0}, None),
         ],

@@ -1,15 +1,20 @@
+import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zerogap.cli import _report
+from zerogap.cli import _report, main
 from zerogap.covering import (
     Plank,
     RefutationResult,
     SphericalSegment,
+    _bang_point,
     _grid,
     refute_cover_ball,
     refute_cover_sphere,
@@ -17,7 +22,7 @@ from zerogap.covering import (
 )
 from zerogap.errors import VerificationError
 
-from _oracles import grid_scan
+from _oracles import exact_plank_refutation, grid_scan
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 import workloads  # noqa: E402
@@ -283,13 +288,13 @@ class TestRefuteSphere:
 
 class TestRefuteBall:
     def test_single_plank(self):
-        res = refute_cover_ball([Plank([1.0, 0.0], 0.0, 0.9)], seed=0)
+        res = refute_cover_ball([Plank([1.0, 0.0], 0.0, 0.9)])
         assert abs(res.point[0]) == pytest.approx(1.0, abs=1e-8)
         assert res.clearances[0] == pytest.approx(0.1, abs=1e-8)
 
     def test_two_parallel_planks(self):
         planks = [Plank([1.0, 0.0], -0.3, 0.375), Plank([1.0, 0.0], 0.45, 0.375)]
-        res = refute_cover_ball(planks, seed=0)
+        res = refute_cover_ball(planks)
         assert min(res.clearances) > 0
         for p in planks:
             assert not p.contains(res.point)
@@ -300,7 +305,7 @@ class TestRefuteBall:
             Plank([0, 1.0, 0], -0.1, 0.25),
             Plank([0.5, 0.5, math.sqrt(0.5)], 0.0, 0.2),
         ]
-        res = refute_cover_ball(planks, seed=0)
+        res = refute_cover_ball(planks)
         assert min(res.clearances) > 0
         assert np.linalg.norm(res.point) <= 1 + 1e-9
 
@@ -309,10 +314,104 @@ class TestRefuteBall:
         planks = [
             Plank(rng.standard_normal(4), rng.uniform(-0.3, 0.3), 0.25) for _ in range(3)
         ]
-        res = refute_cover_ball(planks, seed=1)
+        res = refute_cover_ball(planks)
         assert min(res.clearances) > 0
         assert np.linalg.norm(res.point) <= 1 + 1e-9
 
     def test_overwide_rejected(self):
         with pytest.raises(ValueError):
             refute_cover_ball([Plank([1.0, 0.0], 0.0, 1.05)])
+
+
+KINDS = ("random", "near-parallel", "centers-near-1", "one-dominant")
+
+
+def plank_family(seed, m, d, kind, slack):
+    """m planks in R^d of total width 2 - slack.  Shares of the width are
+    bounded below (by 0.05 / m, or 1e-3 / m beside a dominant plank), which
+    keeps the clearance floor (lambda - 1) h_i / 2 far above rounding."""
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((m, d))
+    if kind == "near-parallel":
+        U = rng.standard_normal(d) + 1e-9 * U
+    c = rng.uniform(-1.0, 1.0, m)
+    if kind == "centers-near-1":
+        c = np.sign(c) * (1.0 + rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-9.0, -1.0, m))
+    shares = rng.uniform(0.05, 1.0, m)
+    if kind == "one-dominant" and m > 1:
+        rest = 10.0 ** rng.uniform(-3.0, -1.0)
+        shares = np.concatenate([[1.0 - rest], rest * shares[1:] / shares[1:].sum()])
+    h = shares / shares.sum() * (1.0 - slack / 2.0)
+    return [Plank(u, ci, hi) for u, ci, hi in zip(U, c, h)]
+
+
+def flip_bound(planks):
+    """Bang's bound on the flips: (1 + 4 lambda sum h|c|) / (2 lambda (lambda - 1) min h^2)."""
+    h = np.array([p.half_width for p in planks])
+    c = np.array([p.center for p in planks])
+    lam = 1.0 / h.sum()
+    return (1.0 + 4.0 * lam * np.sum(h * np.abs(c))) / (2.0 * lam * (lam - 1.0) * h.min() ** 2)
+
+
+class TestBangSignFlip:
+    """Every family of total width below 2 is refuted, with the point checked
+    in exact rationals and the flips within Bang's bound."""
+
+    def check(self, planks):
+        res = refute_cover_ball(planks)
+        assert res.split_N == 0 and len(res.clearances) == len(planks) and min(res.clearances) > 0
+        assert exact_plank_refutation(planks, res.point) == ([], False)
+        x, flips = _bang_point(planks)
+        assert np.array_equal(x, res.point)
+        assert flips <= flip_bound(planks)
+
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 60),
+        d=st.integers(1, 20),
+        kind=st.sampled_from(KINDS),
+        log_slack=st.floats(-6.0, 0.3),
+    )
+    def test_small_families(self, seed, m, d, kind, log_slack):
+        self.check(plank_family(seed, m, d, kind, 10.0**log_slack))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=2, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(500, 3000),
+        d=st.integers(1, 20),
+        log_slack=st.floats(-6.0, -2.0),
+    )
+    def test_thousands_of_planks(self, kind, seed, m, d, log_slack):
+        self.check(plank_family(seed, m, d, kind, 10.0**log_slack))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_slack_1e_6(self, kind):
+        self.check(plank_family(7, 40, 5, kind, 1e-6))
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 30),
+        d=st.integers(1, 6),
+        total=st.floats(2.0, 4.0),
+    )
+    def test_total_width_2_or_more_exits_3(self, seed, m, d, total):
+        rng = np.random.default_rng(seed)
+        shares = rng.uniform(0.05, 1.0, m)
+        widths = (shares / shares.sum() * total).tolist()
+        while sum(widths) < 2.0:
+            widths[0] = math.nextafter(widths[0], math.inf)
+        planks = [
+            {"a": rng.standard_normal(d).tolist(), "c": float(c), "w": w}
+            for c, w in zip(rng.uniform(-1.0, 1.0, m), widths)
+        ]
+        with pytest.raises(ValueError, match="such a family may cover"):
+            refute_cover_ball([Plank.from_json(p) for p in planks])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"dim": d, "planks": planks}, fh)
+            assert main(["refute-ball", "--input", path, "--output", os.path.join(tmp, "out")]) == 3

@@ -259,10 +259,12 @@ class TestSearchOutputs:
     @pytest.mark.parametrize("seed", [501, 777, 1234, 2**20])
     def test_five_cycles_pass_the_benchmark_checks(self, seed, tmp_path):
         # every output of the seeded multistarts holds up under the benchmark's
-        # own checks, except the 4 families per cycle that the splitter refuses
+        # own checks, except the 2 segment families per cycle that the splitter
+        # refuses; every refute-ball output is among those checked
         runs = run_search_cycle(seed, tmp_path, cycles=5)
         refused = {inst.index for inst, code, err, _ in runs if code == 3 and "splitting needs" in err}
-        assert len(runs) == 5 * workloads.cycle_length("search") and len(refused) == 5 * 4
+        assert len(runs) == 5 * workloads.cycle_length("search") and len(refused) == 5 * 2
+        assert all(inst.command == "refute-sphere" for inst, *_ in runs if inst.index in refused)
         wrong = [
             (inst.index, inst.command, checks.check(inst.command, inst.payload, out, code))
             for inst, code, _, out in runs

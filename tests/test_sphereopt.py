@@ -250,6 +250,35 @@ class TestVerifySphereGap:
         assert len(calls) == 1
         assert rep.distance == pytest.approx(math.acos(math.sqrt(0.375)), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "terms",
+        [[([1, 1], 1.0)], [([2, 0], 1.0), ([0, 2], -1.0)], [([3, 1], 1.0), ([1, 3], -1.0), ([1, 0], 0.05)]],
+        ids=["x1x2", "x1^2-x2^2", "quartic"],
+    )
+    def test_circle_zeros_found_once_per_pool(self, monkeypatch, terms):
+        # in d = 2 the zeros of the restriction are isolated once and every
+        # distinct candidate of the pool is measured against them
+        poly = MultiPoly(2, {tuple(e): c for e, c in terms})
+        pool = sphereopt._dedupe_points(
+            sphereopt._canonical_signs(poly, maximize_abs_on_sphere(poly).near_maximizers)
+        )
+        assert poly.affine_factors is None and len(pool) >= 2
+        expected = max(angular_distance_to_zero_set(poly, p)[0] for p in pool)
+        calls, trigcircle = [], sphereopt.trigcircle
+
+        class Counting:
+            def __getattr__(self, name):
+                return getattr(trigcircle, name)
+
+            def trig_zeros(self, T):
+                calls.append(T)
+                return trigcircle.trig_zeros(T)
+
+        monkeypatch.setattr(sphereopt, "trigcircle", Counting())
+        rep = verify_sphere_gap(poly)
+        assert len(calls) == 1
+        assert rep.distance == expected
+
     def test_farthest_scores_each_distinct_point_once(self):
         # near-copies (within 1e-7) are dropped in pool order; of the points
         # with the largest score the first is kept
