@@ -20,7 +20,11 @@ x = sum_j e_j w_j u_j lies in the unit ball.  A sign-flip loop that stops at
 the threshold (h_i + w_i)/2 finds it with every clearance at least
 (lambda - 1) h_i / 2, after fewer than
 (1 + 4 lambda sum h_i |c_i|) / (2 lambda (lambda - 1) min h_i^2) flips.
-There is no optimizer, grid or factor cap on this path.
+There is no optimizer, grid or factor cap on this path.  In floating point
+the flip rule and the clearances are decided up to a rounding bound of about
+(m + d) machine epsilons; a family whose clearance floor is not twice that
+bound is refused (ValueError), and the loop raises VerificationError past
+twice Bang's flip bound, so it always ends.
 """
 
 from __future__ import annotations
@@ -293,35 +297,47 @@ def _within_unit_ball(x) -> bool:
 
 def _bang_point(planks):
     """(x, flips): Bang's point for the planks (see :func:`refute_cover_ball`)
-    and the number of sign flips made.  g = U x - c follows each flip through
-    the Gram matrix G = U U^T, O(m) per flip.  When no e_i g_i is below its
-    threshold, x is formed, shrunk by a few ulps if rounding put |x|^2 above
-    1, and g is recomputed from it; the loop resumes if rounding left a sign
-    unsatisfied.
+    and the number of sign flips made.
+
+    Each pass forms x = sum_j e_j w_j u_j and g = U x - c afresh, O(md), and
+    flips the sign with the lowest e_i g_i - tau_i while that is negative.
+    The computed e_i g_i is within R_i = (m + d + 4 + 2|c_i|) eps of the exact
+    one (x is a sum of m terms of total size sum(w) = 1, <u_i, x> one of d);
+    with a clearance floor tau_i - h_i of at least 2 R_i, every flip raises
+    Bang's potential by at least half its exact increment, so the flips stay
+    below twice Bang's bound, and the final clearances stay positive.  x is
+    shrunk by ulps until |x|^2 <= 1 holds exactly.
     """
     U = np.array([p.normal for p in planks])
     c = np.array([p.center for p in planks])
     h = np.array([p.half_width for p in planks])
+    m, d = U.shape
     w = h / h.sum()
     tau = 0.5 * (h + w)
-    G = U @ U.T
-    e = np.ones(len(h))
-    flips = 0
+    rounding = (m + d + 4 + 2.0 * np.abs(c)) * np.finfo(float).eps
+    bad = int(np.argmin((tau - h) / rounding))
+    if tau[bad] - h[bad] < 2.0 * rounding[bad]:
+        raise ValueError(
+            f"plank {bad}: clearance floor {tau[bad] - h[bad]:.3g} is below twice the rounding bound "
+            f"{rounding[bad]:.3g}; total width too close to 2 or plank too thin to certify in floating point"
+        )
+    # Bang's bound, with lambda (lambda - 1) h_i^2 = (1 - sum(h)) w_i^2
+    bound = (1.0 + 4.0 * np.sum(w * np.abs(c))) / (2.0 * (1.0 - h.sum()) * w.min() ** 2)
+    limit = 2.0 * bound + m
+    e, flips = np.ones(m), 0
     while True:
         x = (e * w) @ U
-        while not _within_unit_ball(x):
-            x = np.nextafter(x, 0.0)
-        g = U @ x - c
-        slack = e * g - tau
+        slack = e * (U @ x - c) - tau
         i = int(np.argmin(slack))
         if slack[i] >= 0.0:
-            return x, flips
-        while slack[i] < 0.0:
-            g -= 2.0 * e[i] * w[i] * G[i]
-            e[i] = -e[i]
-            flips += 1
-            slack = e * g - tau
-            i = int(np.argmin(slack))
+            break
+        if flips >= limit:
+            raise VerificationError(f"sign flip did not settle within {limit:.3g} flips, twice Bang's bound")
+        e[i] = -e[i]
+        flips += 1
+    while not _within_unit_ball(x):
+        x = np.nextafter(x, 0.0)
+    return x, flips
 
 
 def refute_cover_ball(planks) -> RefutationResult:
@@ -337,8 +353,12 @@ def refute_cover_ball(planks) -> RefutationResult:
     |x|^2 - 2 sum_j e_j w_j c_j by more than 2 lambda (lambda - 1) h_i^2, so
     there are fewer than
     (1 + 4 lambda sum h_i |c_i|) / (2 lambda (lambda - 1) min h_i^2) flips.
-    No optimizer, width grid or factor cap is involved: every family that the
-    theorem covers is refuted, in every dimension, and ``split_N`` is 0.
+    No optimizer, width grid or factor cap is involved, and ``split_N`` is 0.
+    Every family that the theorem covers is refuted, in every dimension,
+    unless some clearance floor (lambda - 1) h_i / 2 is within twice the
+    rounding bound of :func:`_bang_point`, about (m + d) machine epsilons;
+    such a family is refused with ValueError, since double precision cannot
+    certify its point.
     """
     planks, total = _family(planks, 2.0, "the diameter 2")
     x, _ = _bang_point(planks)

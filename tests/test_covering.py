@@ -329,7 +329,8 @@ KINDS = ("random", "near-parallel", "centers-near-1", "one-dominant")
 def plank_family(seed, m, d, kind, slack):
     """m planks in R^d of total width 2 - slack.  Shares of the width are
     bounded below (by 0.05 / m, or 1e-3 / m beside a dominant plank), which
-    keeps the clearance floor (lambda - 1) h_i / 2 far above rounding."""
+    keeps the clearance floor (lambda - 1) h_i / 2 above twice the rounding
+    bound of ``_bang_point``, about (m + d) eps, for slack down to 1e-6."""
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((m, d))
     if kind == "near-parallel":
@@ -410,8 +411,56 @@ class TestBangSignFlip:
         ]
         with pytest.raises(ValueError, match="such a family may cover"):
             refute_cover_ball([Plank.from_json(p) for p in planks])
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "in.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"dim": d, "planks": planks}, fh)
-            assert main(["refute-ball", "--input", path, "--output", os.path.join(tmp, "out")]) == 3
+        assert refute_ball_cli(d, planks)[0] == 3
+
+
+def refute_ball_cli(d, planks):
+    """(exit code, point or None) of ``refute-ball`` on the JSON planks."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "in.json"), os.path.join(tmp, "out")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"dim": d, "planks": planks}, fh)
+        code = main(["refute-ball", "--input", path, "--output", out])
+        if code != 0:
+            return code, None
+        with open(out, encoding="utf-8") as fh:
+            return code, json.load(fh)["point"]
+
+
+class TestBelowTheRoundingFloor:
+    """Where a clearance floor (lambda - 1) h_i / 2 is within rounding, the
+    family ends with exit 3, or with a point verified in exact rationals;
+    the sign flip never runs on without end."""
+
+    def test_one_plank_one_ulp_below_width_2(self):
+        # h = 1 - 2^-53 gives w = 1 and a threshold (h + w)/2 that rounds to 1
+        planks = [{"a": [1.0, 1.0], "c": 0.0, "w": 1.9999999999999998}]
+        with pytest.raises(ValueError, match="rounding bound"):
+            refute_cover_ball([Plank.from_json(p) for p in planks])
+        assert refute_ball_cli(2, planks) == (3, None)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_slack_1e_15(self, kind):
+        planks = [p.to_json() for p in plank_family(3, 12, 3, kind, 1e-15)]
+        code, point = refute_ball_cli(3, planks)
+        assert code in (0, 3)
+        if code == 0:
+            family = [Plank.from_json(p) for p in planks]
+            assert exact_plank_refutation(family, np.array(point)) == ([], False)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 60),
+        d=st.integers(1, 20),
+        kind=st.sampled_from(KINDS),
+        log_slack=st.floats(-17.0, -9.0),
+    )
+    def test_refused_or_refuted_exactly(self, seed, m, d, kind, log_slack):
+        planks = plank_family(seed, m, d, kind, 10.0**log_slack)
+        try:
+            res = refute_cover_ball(planks)
+        except ValueError as exc:
+            assert "rounding bound" in str(exc) or "such a family may cover" in str(exc)
+            return
+        assert exact_plank_refutation(planks, res.point) == ([], False)
