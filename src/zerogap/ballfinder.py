@@ -6,9 +6,9 @@ from the zero set.  The multiplier method maximizes |P(x) M(|x|)| over the
 ball, where M is the even analytic multiplier of matching degree parameter;
 a best-of-pool maximizer is at least 1/deg P away.  The multiplier never
 vanishes inside the ball, so it adds no zeros to dodge.  Its maximizers come
-from a short seeded ascent in the ball whose best rows are polished by the
-lockstep Newton steps of ``sphereopt``, with the exact Hessian of
-log|P(x) M(|x|)|.
+from the multistart of ``sphereopt`` on the sphere S^d that lifts the ball,
+a row y standing for the point x = y[:d], with the exact Hessian of
+log|P(x) M(|x|)|; the equator of S^d is the rim of the ball.
 
 Distances to Z(P) are taken in R^d: in closed form for tagged products, by
 root clusters in one variable, and otherwise by the lockstep Newton search
@@ -37,19 +37,16 @@ from .chebmult import (
 )
 from .polycore import AffineForm, MultiPoly
 from .sphereopt import (
-    _ASCENT_ITERS,
-    _STEP_CAP,
-    _batch_ascent,
     _canonical_signs,
     _farthest,
     _log_objective,
     _near_max,
     _newton_polish,
-    _newton_step,
-    _sphere_tangent,
+    _normalize_rows,
     _zero_distance_search,
     angular_distance_to_zero_set,
     maximize_abs_on_sphere,
+    near_max_on_sphere,
     sphere_starts,
 )
 from .trigcircle import _root_clusters
@@ -69,11 +66,6 @@ minimize = None
 
 # entries of the power table that one block of the one-dimensional grid builds
 _GRID_BLOCK = 1 << 21
-
-
-def _clip_to_ball(X):
-    norms = np.linalg.norm(X, axis=-1, keepdims=True)
-    return np.where(norms > 1.0, X / np.maximum(norms, 1e-300), X)
 
 
 def euclidean_zero_distance(poly: MultiPoly, p, seed=0):
@@ -198,86 +190,71 @@ def pair_point(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> PairCertificate:
 
 
 def _multiplier_objective(poly: MultiPoly):
-    """(value, grad) of log|P(x)| + log|M(|x|)| on row batches in the ball;
-    ``grad(X, True)`` also returns the Hessians, from the same evaluation of P."""
-    n = poly.degree
+    """(value, grad) of F(y) = log|P(x)| + log|M(|x|)| on row batches of S^d,
+    each row y read as the point x = y[:d] of the ball that it lifts.  F does
+    not depend on t = y[d]: its gradients and Hessians have a zero entry, row
+    and column for t.  ``grad(Y, True)`` also returns the Hessians, from the
+    same evaluation of P."""
+    n, d = poly.degree, poly.dim
     poly_log, poly_grad = _log_objective(((poly, 1.0),))
 
-    def value(X):
-        return poly_log(X) + ball_multiplier_log(n, np.linalg.norm(X, axis=1))
+    def value(Y):
+        return poly_log(Y[:, :d]) + ball_multiplier_log(n, np.linalg.norm(Y[:, :d], axis=1))
 
-    def grad(X, hessian=False):
+    def grad(Y, hessian=False):
+        X = Y[:, :d]
         r = np.linalg.norm(X, axis=1)
         slope = ball_multiplier_log_slope(n, r) / np.maximum(r, 1e-12)
+        G = np.zeros_like(Y)
         if not hessian:
-            return poly_grad(X) + slope[:, None] * X
-        G, H = poly_grad(X, hessian=True)
+            G[:, :d] = poly_grad(X) + slope[:, None] * X
+            return G
+        GP, HP = poly_grad(X, hessian=True)
+        G[:, :d] = GP + slope[:, None] * X
         # log|M(r)| has Hessian l''(r) uu' + (l'(r)/r)(I - uu') with u = x/r,
         # and l''(0) I at the centre, where u is read as 0
         curv = ball_multiplier_log_curvature(n, r)
         tangential = np.where(r > 0.0, slope, curv)
         u = X / np.where(r > 0.0, r, 1.0)[:, None]
-        H = H + tangential[:, None, None] * np.eye(X.shape[1])
-        H += (curv - tangential)[:, None, None] * u[:, :, None] * u[:, None, :]
-        return G + slope[:, None] * X, H
+        H = np.zeros((len(Y), d + 1, d + 1))
+        H[:, :d, :d] = HP + tangential[:, None, None] * np.eye(d)
+        H[:, :d, :d] += (curv - tangential)[:, None, None] * u[:, :, None] * u[:, None, :]
+        return G, H
 
     return value, grad
-
-
-def _ball_newton(X, G, H):
-    """The polish step in the ball, per row.
-
-    A row on |x| = 1 whose gradient points out of the ball takes the
-    :func:`_newton_step` of the sphere.  Any other row takes Newton's step in
-    R^d where its Hessian is negative definite and its gradient step
-    elsewhere, capped at length ``_STEP_CAP``.  Returns the steps, their
-    lengths before the cap and the norms of the gradients they follow (on
-    the sphere, the tangent gradients).
-    """
-    rim = (np.linalg.norm(X, axis=1) >= 1.0 - 1e-12) & (np.sum(G * X, axis=1) > 0.0)
-    w, V = np.linalg.eigh(H)
-    newton = np.all(w < 0.0, axis=1)
-    coef = np.einsum("nji,nj->ni", V, G) / np.where(newton[:, None], w, 1.0)
-    S = np.where(newton[:, None], -np.einsum("nij,nj->ni", V, coef), G)
-    length = np.linalg.norm(S, axis=1)
-    S *= (_STEP_CAP / np.maximum(length, _STEP_CAP))[:, None]
-    if np.any(rim):
-        S[rim], length[rim] = _newton_step(X[rim], G[rim], H[rim])
-    return S, length, np.linalg.norm(np.where(rim[:, None], _sphere_tangent(G, X), G), axis=1)
-
-
-def _ball_starts(d, count, seed):
-    """``count`` points of the ball, uniformly distributed (directions from
-    :func:`sphere_starts`, radii u^(1/d) for u from ``np.random.default_rng(seed + 17)``),
-    then the same directions at radius 0.999."""
-    dirs = sphere_starts(d, count, seed)
-    u = np.random.default_rng(seed + 17).random(count)
-    interior = dirs * (u ** (1.0 / d))[:, None]
-    return np.vstack([interior, dirs * 0.999])
 
 
 def _multiplier_pool(poly, seed, starts):
     """The near-maximal pool of |P(x) M(|x|)| over the ball, from :func:`_near_max`.
 
-    The candidates are the best ``max(8, min(24, starts))`` rows of
-    ``_ASCENT_ITERS`` iterations of the seeded ascent in the ball (in one
-    dimension, the interior local maxima of a dense grid), polished in one
-    batch by :func:`_newton_polish` with the step of :func:`_ball_newton`,
-    and in one dimension the two ends of [-1, 1].
+    The search runs on S^d, the sphere that lifts the ball: a row y stands
+    for x = y[:d], and F of :func:`_multiplier_objective` is even in t = y[d].
+    In several variables :func:`near_max_on_sphere` screens 2 ``starts`` rows
+    of :func:`sphere_starts` folded into the upper hemisphere (t -> |t|),
+    and the same rows moved to the equator t = 0, which holds the rim of the
+    ball.  F's gradient has no t part, so a row on the equator stays on it,
+    and a maximum on the rim is found exactly.  In one variable the interior
+    local maxima of a dense grid and the two ends of [-1, 1] are lifted to
+    S^1 and polished by :func:`_newton_polish`.  Returns the points x of the pool.
     """
     value, grad = _multiplier_objective(poly)
-    if poly.dim == 1:
+    d = poly.dim
+    if d == 1:
         grid = np.linspace(-1.0, 1.0, 4096 * poly.degree + 1)[:, None]
+        # value reads only x = y[:1], so the grid is screened unlifted, in
         # blocks of rows whose power tables hold about _GRID_BLOCK entries each
         rows = max(1, _GRID_BLOCK // (poly.degree + 1))
         vals = np.concatenate([value(grid[i : i + rows]) for i in range(0, len(grid), rows)])
         interior = np.flatnonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1
-        X, ends = grid[interior], np.array([[-1.0], [1.0]])
+        X = np.vstack([[[-1.0], [1.0]], grid[interior]])
+        pool = _near_max(value, _newton_polish(value, grad, np.hstack([X, np.sqrt(1.0 - X * X)])))[1]
     else:
-        X = _ball_starts(poly.dim, starts, seed)
-        X, f = _batch_ascent(value, grad, X, lambda G, X: G, _clip_to_ball, _ASCENT_ITERS, 0.25, 25)
-        X, ends = X[np.argsort(-f)[: max(8, min(24, starts))]], np.empty((0, poly.dim))
-    return _near_max(value, np.vstack([ends, _newton_polish(value, grad, X, _ball_newton, _clip_to_ball)]))[1]
+        Y = sphere_starts(d + 1, 2 * starts, seed)
+        Y[:, d] = np.abs(Y[:, d])
+        rim = Y.copy()
+        rim[:, d] = 0.0
+        pool = near_max_on_sphere(value, grad, np.vstack([Y, _normalize_rows(rim)]), starts)[1]
+    return [y[:d] for y in pool]
 
 
 def multiplier_point(poly: MultiPoly, seed=0, starts=64):

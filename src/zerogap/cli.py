@@ -2,8 +2,8 @@
 
 Exit codes: 0 when the requested verification or refutation succeeded, 2
 when a bound check failed or a refutation could not be verified (with a full
-report still emitted), 3 for malformed arguments or input and violated
-preconditions.
+report still emitted), 3 for malformed arguments or input, violated
+preconditions and requests too large to allocate.
 Given the same input, seed, tolerance, and starts, output is byte-identical
 across runs.  A JSON report is the fields of the result it was computed as,
 written by :func:`_report`, plus the generator stamp ``rng``.
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_BOUND_VIOLATED
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

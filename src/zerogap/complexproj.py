@@ -22,7 +22,15 @@ import numpy as np
 
 from .errors import VerificationError
 from .polycore import _expand_product, _finite, _merge_terms, _rows, _term_jet
-from .sphereopt import _farthest, _from_real, _log_objective, _zero_distance_search, near_max_on_sphere, sphere_starts
+from .sphereopt import (
+    _SCREEN,
+    _farthest,
+    _from_real,
+    _log_objective,
+    _zero_distance_search,
+    near_max_on_sphere,
+    sphere_starts,
+)
 from .trigcircle import _root_clusters
 
 __all__ = [
@@ -148,7 +156,8 @@ def _canonical_phase(z):
 def _maximize_items(items, starts, seed):
     """Near-maximal pool of the weighted log objective, sorted by coordinates."""
     value, grad = _log_objective(items)
-    return sorted(near_max_on_sphere(value, grad, 2 * items[0][0].dim, starts, seed)[1], key=tuple)
+    X = sphere_starts(2 * items[0][0].dim, _SCREEN * starts, seed)
+    return sorted(near_max_on_sphere(value, grad, X, starts)[1], key=tuple)
 
 
 def _zeros_on_projective_line(poly):

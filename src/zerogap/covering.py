@@ -277,7 +277,7 @@ def refute_cover_sphere(segments, seed=0, starts=64) -> RefutationResult:
     else:
         virtual, N = split_segments(segments)
     poly = MultiPoly.from_affine_product([v.core_form() for v in virtual])
-    pool = maximize_abs_on_sphere(poly, starts=max(starts, 4 * len(virtual)), seed=seed).near_maximizers
+    pool = maximize_abs_on_sphere(poly, starts=starts, seed=seed).near_maximizers
 
     def clearances(x):
         clear = [s.clearance(x) for s in segments]

@@ -1,18 +1,18 @@
 """Maximizing |P| on the unit sphere and measuring angular gaps to zero sets.
 
 One log objective, sum_k delta_k^2 log|P_k|, serves real, factored, complex
-and weighted P.  The search ascends it with tangent-projected gradients from
-the best of a seeded batch of uniformly distributed points for a few
-iterations, into the basins of the maxima, then polishes the leading rows in
-one batch by Riemannian Newton steps (Absil, Mahony and Sepulchre,
-Optimization Algorithms on Matrix Manifolds, 2008) from the exact gradients
-and Hessians that the objective gives with one evaluation of each P.  This
-module alone carries a point of C^d as 2d real coordinates, real parts then
-imaginary parts (``_real``, ``_from_real``), so the same engine serves the
-sphere of C^d (``complexproj``), and the multiplier search in the ball
-(``ballfinder``): there the ascent takes the identity for the tangent
-projection and a clip to the ball for the retraction, and the polish takes
-Newton's step in R^d inside the ball and the sphere's step on its rim.  In
+and weighted P.  Every search runs on a unit sphere.  It ascends the
+objective with tangent-projected gradients from the best of the caller's
+candidate rows for a few iterations, into the basins of the maxima, then
+polishes the leading rows in one batch by Riemannian Newton steps (Absil,
+Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008) from
+the exact gradients and Hessians that the objective gives with one
+evaluation of each P.  This module alone carries a point of C^d as 2d real
+coordinates, real parts then imaginary parts (``_real``, ``_from_real``), so
+the same engine serves the sphere of C^d (``complexproj``), and the
+multiplier search in the ball (``ballfinder``), which runs on the sphere S^d
+that lifts the ball: its objective reads a row y as the point y[:d] of the
+ball and does not depend on y[d], and the equator y[d] = 0 is the rim.  In
 two dimensions no search is needed: the restriction to the circle is a
 trigonometric polynomial whose critical points are found exactly, so results
 there are certified by root isolation rather than iteration.
@@ -195,19 +195,20 @@ def _normalize_rows(X):
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
-def _batch_ascent(value, grad, X, tangent, retract, iters, step0, backtracks):
-    """Projected gradient ascent with backtracking, all rows in lockstep.
+def _batch_ascent(value, grad, X):
+    """Gradient ascent on the unit sphere with backtracking, all rows in lockstep.
 
-    ``tangent(G, X)`` projects the gradients onto the manifold's tangent
-    spaces and ``retract`` maps the trial rows back onto the manifold.  A
-    trial is accepted when it raises f strictly.
+    Each of ``_ASCENT_ITERS`` iterations steps along the tangent gradients G
+    (:func:`_sphere_tangent`), by 0.5 / (1 + |G|) and then a quarter of the
+    last trial up to 30 trials, and normalises each trial row.  A trial is
+    accepted when it raises f strictly.
 
     Before each trial a row leaves the backtracking once the first-order gain
     of that trial, step |G|^2, is at most ``GAIN_FLOOR`` max(1, |f|) (with
     |f| read as 1 at ``LOG_FLOOR``, so a row on the zero set still steps off
     it): the rounding of f would hide the gain, and the shorter trials after
     it gain less still.  Near a maximum this ends the row after a few trials
-    instead of ``backtracks``.
+    instead of 30.
 
     Only rows that improved in the previous iteration take trial steps.  A
     row that failed its backtracks, left them at the gain floor, or whose
@@ -219,20 +220,20 @@ def _batch_ascent(value, grad, X, tangent, retract, iters, step0, backtracks):
     """
     f = value(X)
     moving = np.ones(len(X), dtype=bool)
-    for _ in range(iters):
-        G = tangent(grad(X), X)
+    for _ in range(_ASCENT_ITERS):
+        G = _sphere_tangent(grad(X), X)
         gnorm = np.linalg.norm(G, axis=1)
         live = moving & (gnorm >= 1e-12)
         if not np.any(live):
             break
-        step = step0 / (1.0 + gnorm)
+        step = 0.5 / (1.0 + gnorm)
         floor = GAIN_FLOOR * np.where(f == LOG_FLOOR, 1.0, np.maximum(1.0, np.abs(f)))
         moving = np.zeros_like(live)
-        for _ in range(backtracks):
+        for _ in range(30):
             live &= step * gnorm**2 > floor
             if not np.any(live):
                 break
-            trial = retract(X + step[:, None] * G)
+            trial = _normalize_rows(X + step[:, None] * G)
             ft = value(trial)
             better = live & (ft > f)
             X = np.where(better[:, None], trial, X)
@@ -245,43 +246,38 @@ def _batch_ascent(value, grad, X, tangent, retract, iters, step0, backtracks):
     return X, f
 
 
-def _newton_polish(value, grad, X, step, retract):
-    """Newton steps for a log objective on the unit sphere or in the unit ball, all rows in lockstep.
+def _newton_polish(value, grad, X):
+    """Riemannian Newton steps for a log objective on the unit sphere, all rows in lockstep.
 
-    ``step(X, G, H)`` turns the objective's Euclidean gradients and Hessians
-    into (steps, their lengths before the cap, the norms of the gradients
-    they follow), and ``retract`` maps trial rows back onto the sphere or
-    into the ball, as in :func:`_batch_ascent`.  A step is halved up to ten times until f
-    drops by at most 1e-14 (1 + |f|) below the best value of the row.  A row
-    stops when its gradient norm is below 1e-13, when no halving is
-    accepted, or after a step below 1e-14.  Returns the rows.
+    Each row takes the :func:`_newton_step` of the sphere from the
+    objective's Euclidean gradient and Hessian, and each trial row is
+    normalised.  A step is halved up to ten times until f drops by at most
+    1e-14 (1 + |f|) below the best value of the row.  A row stops when its
+    tangent gradient norm is below 1e-13, when no halving is accepted, or
+    after a step below 1e-14.  Returns the rows.
     """
-    X = retract(X)
+    X = _normalize_rows(X)
     top = value(X)
     live = np.ones(len(X), dtype=bool)
     for _ in range(_POLISH_ITERS):
         idx = np.flatnonzero(live)
         if len(idx) == 0:
             break
-        S, length, gnorm = step(X[idx], *grad(X[idx], hessian=True))
-        stepping = gnorm >= 1e-13
+        G, H = grad(X[idx], hessian=True)
+        S, length = _newton_step(X[idx], G, H)
+        stepping = np.linalg.norm(_sphere_tangent(G, X[idx]), axis=1) >= 1e-13
         pending = stepping.copy()
         for t in 0.5 ** np.arange(10):
             if not np.any(pending):
                 break
             rows = idx[pending]
-            trial = retract(X[rows] + t * S[pending])
+            trial = _normalize_rows(X[rows] + t * S[pending])
             ft = value(trial)
             ok = ft >= top[rows] - 1e-14 * (1.0 + np.abs(top[rows]))
             X[rows[ok]], top[rows[ok]] = trial[ok], np.maximum(top[rows[ok]], ft[ok])
             pending[np.flatnonzero(pending)[ok]] = False
         live[idx] = stepping & ~pending & (length >= 1e-14)
     return X
-
-
-def _sphere_newton(X, G, H):
-    """The polish step on the unit sphere: :func:`_newton_step` with no equation."""
-    return *_newton_step(X, G, H), np.linalg.norm(_sphere_tangent(G, X), axis=1)
 
 
 @dataclass(frozen=True)
@@ -332,20 +328,34 @@ def _near_max(value, X):
     return float(best), _dedupe_points([X[i] for i in order])
 
 
-def near_max_on_sphere(value, grad, dim, starts, seed):
-    """Multi-start maximization of a log objective on S^(dim-1): (best log value, pool).
+def near_max_on_sphere(value, grad, X, starts):
+    """Multi-start maximization of a log objective on the unit sphere: (best log value, pool).
 
-    The ``starts`` best of ``_SCREEN * starts`` seeded points take
-    ``_ASCENT_ITERS`` iterations of the lockstep ascent, into the basins of
-    the maxima, the best ``max(8, min(32, starts))`` rows are polished in
-    one batch by :func:`_newton_polish` and normalised twice by
-    ``unit_vector``, and :func:`_near_max` keeps the near-maximal pool.
+    The ``starts`` best of the candidate rows X take ``_ASCENT_ITERS``
+    iterations of the lockstep ascent, into the basins of the maxima, the
+    best ``max(8, min(32, starts))`` rows are polished in one batch by
+    :func:`_newton_polish` and normalised twice by ``unit_vector``, and
+    :func:`_near_max` keeps the near-maximal pool.
     """
-    X = sphere_starts(dim, _SCREEN * starts, seed)
     X = X[np.argsort(-value(X), kind="stable")[:starts]]
-    X, f = _batch_ascent(value, grad, X, _sphere_tangent, _normalize_rows, _ASCENT_ITERS, 0.5, 30)
-    X = _newton_polish(value, grad, X[np.argsort(-f)[: max(8, min(32, starts))]], _sphere_newton, _normalize_rows)
+    X, f = _batch_ascent(value, grad, X)
+    X = _newton_polish(value, grad, X[np.argsort(-f)[: max(8, min(32, starts))]])
     return _near_max(value, np.array([unit_vector(unit_vector(x)) for x in X]))
+
+
+def _unit_circle_restriction(poly: MultiPoly):
+    """P on the unit circle of R^2, as a trigonometric polynomial of the angle from e1."""
+    return restrict_to_circle(poly, CirclePlane(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+
+
+def _circle_max(T) -> SphereMaxResult:
+    """The maximum of |P| over the unit circle of R^2 from exact root isolation on T,
+    the restriction of :func:`_unit_circle_restriction`."""
+    M, thetas = (0.0, ()) if T.is_trivially_zero() else trigcircle.trig_max_points(T)
+    if M == 0.0:
+        raise ValueError("polynomial vanishes identically on the unit sphere")
+    pts = [np.array([math.cos(t), math.sin(t)]) for t in thetas]
+    return SphereMaxResult(pts[0], M, math.log(M), tuple(pts))
 
 
 def maximize_abs_on_sphere(poly: MultiPoly, starts=64, seed=0) -> SphereMaxResult:
@@ -358,17 +368,8 @@ def maximize_abs_on_sphere(poly: MultiPoly, starts=64, seed=0) -> SphereMaxResul
     if d < 2:
         raise ValueError("sphere maximization needs dimension >= 2")
     if d == 2:
-        plane = CirclePlane(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        T = restrict_to_circle(poly, plane)
-        if T.is_trivially_zero():
-            raise ValueError("polynomial vanishes identically on the unit sphere")
-        M, thetas = trigcircle.trig_max_points(T)
-        if M == 0.0:
-            raise ValueError("polynomial vanishes identically on the unit sphere")
-        pts = [np.array([math.cos(t), math.sin(t)]) for t in thetas]
-        return SphereMaxResult(pts[0], M, math.log(M), tuple(pts))
-
-    best, pts = near_max_on_sphere(*_log_objective(((poly, 1.0),)), d, starts, seed)
+        return _circle_max(_unit_circle_restriction(poly))
+    best, pts = near_max_on_sphere(*_log_objective(((poly, 1.0),)), sphere_starts(d, _SCREEN * starts, seed), starts)
     return SphereMaxResult(pts[0], math.exp(best), best, tuple(pts))
 
 
@@ -449,7 +450,7 @@ def _newton_step(X, q, W, G=None, H=None):
     Newton's, elsewhere the tangent gradient B B' q.  With none, the step is
     Newton's as a least-squares solve takes it: eigenvalues within 1e-10 of
     the largest in modulus (symmetry orbits, such as the phase orbit in C^d)
-    count as zero, and a row of R^1, with no tangent space, takes no step.  Returns the steps, capped at length ``_STEP_CAP``, and
+    count as zero.  Returns the steps, capped at length ``_STEP_CAP``, and
     their lengths before the cap.
     """
     n, D = X.shape
@@ -471,7 +472,7 @@ def _newton_step(X, q, W, G=None, H=None):
     w, V = np.linalg.eigh(np.swapaxes(B, 1, 2) @ (W - nu[:, None, None] * eye) @ B)
     coef = np.einsum("nji,nj->ni", V, r)
     if G is None:
-        null = np.abs(w) <= 1e-10 * np.max(np.abs(w), axis=1, keepdims=True, initial=0.0)
+        null = np.abs(w) <= 1e-10 * np.max(np.abs(w), axis=1, keepdims=True)
         s = -np.einsum("nij,nj->ni", V, np.divide(coef, w, out=np.zeros_like(w), where=~null))
     else:
         newton = np.all(w < 0.0, axis=1)
@@ -545,9 +546,10 @@ def _zero_distance_search(poly, c, seed, Q=None):
     return Z[int(np.argmax(np.where(found, f, -np.inf)))]
 
 
-def _zero_distance(poly: MultiPoly, seed=0):
+def _zero_distance(poly: MultiPoly, seed=0, T=None):
     """p -> (distance, zero) of :func:`angular_distance_to_zero_set` on P, for
-    any number of points; in dimension two the circle zeros are found once."""
+    any number of points; in dimension two the circle zeros are found once, on
+    T when the caller has restricted P to the circle already."""
     if poly.affine_factors is not None:
 
         def measure(p):
@@ -555,8 +557,7 @@ def _zero_distance(poly: MultiPoly, seed=0):
             return best, None if best == math.inf else _nearest_slice_point(form, p)
 
     elif poly.dim == 2:
-        plane = CirclePlane(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        zeros = trigcircle.trig_zeros(restrict_to_circle(poly, plane))
+        zeros = trigcircle.trig_zeros(_unit_circle_restriction(poly) if T is None else T)
 
         def measure(p):
             if len(zeros) == 0:
@@ -653,9 +654,11 @@ def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGap
     n = poly.degree
     if n < 1:
         raise ValueError("degree must be at least 1")
-    res = maximize_abs_on_sphere(poly, starts=starts, seed=seed)
+    # in dimension two the maximum and the zeros come from one restriction to the circle
+    T = _unit_circle_restriction(poly) if poly.dim == 2 else None
+    res = maximize_abs_on_sphere(poly, starts=starts, seed=seed) if T is None else _circle_max(T)
     pool = _canonical_signs(poly, res.near_maximizers)
-    (dist, zero), p = _farthest(pool, _zero_distance(poly, seed))
+    (dist, zero), p = _farthest(pool, _zero_distance(poly, seed, T))
     bound = math.pi / (2 * n)
     passed = dist >= bound - tol
     equality = None

@@ -6,7 +6,8 @@ finite differences, products from naive term-by-term loops, tails from
 truncated infinite products with an analytic remainder estimate,
 distances to zero sets from serial SLSQP solves, one per seed, maxima on
 the sphere from a per-point Newton polish whose Hessian differences the
-gradient, maxima in the ball from a long ascent with no polish, near-copies in a pool
+gradient, maxima in the ball from a long ascent in the ball itself, clipped to
+it, with no polish, near-copies in a pool
 from one distance per pair of points,
 trigonometric coefficient maps from plain loops over the frequency k,
 restrictions to a circle from one convolution chain per term, the
@@ -26,8 +27,7 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import zeta
 from scipy.stats import qmc
 
-from zerogap.ballfinder import _clip_to_ball
-from zerogap.sphereopt import _batch_ascent, sphere_starts, unit_vector
+from zerogap.sphereopt import GAIN_FLOOR, LOG_FLOOR, sphere_starts, unit_vector
 from zerogap.trigcircle import interlacing_check
 
 TWO_PI = 2.0 * math.pi
@@ -247,14 +247,15 @@ def row_by_row_sphere_starts(dim, count, seed):
     return np.array(rows).reshape(count, dim)
 
 
-def row_by_row_ball_starts(d, count, seed):
-    """ballfinder._ball_starts from row_by_row_sphere_starts directions at
-    radii u^(1/d), one scalar u from the PCG64 stream of seed + 17 at a
-    time, then the same directions at radius 0.999."""
-    dirs = row_by_row_sphere_starts(d, count, seed)
-    rng = np.random.Generator(np.random.PCG64(seed + 17))
-    radii = [rng.random() ** (1.0 / d) for _ in range(count)]
-    return np.vstack([dirs * np.array(radii)[:, None], dirs * 0.999])
+def row_by_row_lifted_starts(d, count, seed):
+    """The candidate rows of the multiplier search on S^d: ``count`` rows of
+    row_by_row_sphere_starts in R^(d+1), each with its last coordinate t
+    replaced by |t|, then the same rows with t = 0, divided by the
+    sqrt(math.fsum) of their squares."""
+    upper = row_by_row_sphere_starts(d + 1, count, seed)
+    upper[:, d] = np.abs(upper[:, d])
+    rim = [np.append(y[:d], 0.0) / math.sqrt(math.fsum(y[:d] * y[:d])) for y in upper]
+    return np.vstack([upper, np.array(rim).reshape(count, d + 1)])
 
 
 def grid_scan(widths, budget, margin, unit, name):
@@ -441,14 +442,43 @@ def polish_on_sphere(value, grad, x, iters=20):
     return x
 
 
-def ball_ascent_pool(value, grad, X, keep):
-    """The near-maximal pool of a log objective over the ball as the multiplier
-    search took it before its Newton polish: the best ``keep`` rows of 200
-    iterations of the ascent in the ball from the starts X, unpolished, that
-    lie within relative 1e-9 of the best value of those rows."""
-    X, f = _batch_ascent(value, grad, X, lambda G, X: G, _clip_to_ball, 200, 0.25, 25)
+def ball_ascent_pool(value, grad, d, count, seed, keep=24, iters=200):
+    """The near-maximal pool of the multiplier objective over the ball B^d as
+    the search took it in the ball, before it ran on the sphere that lifts the
+    ball: ``iters`` iterations of gradient ascent in R^d from ``count`` points
+    uniform in the ball and the same directions at radius 0.999, each trial
+    clipped to the ball, with steps 0.25 / (1 + |G|) shrunk by 4 up to 25 times
+    until f rises, and no polish; the best ``keep`` rows that lie within
+    relative 1e-9 of the best value of those rows.  ``value`` and ``grad``
+    are read on rows lifted by t = 0, as the objective reads only x."""
+    lift = lambda X: np.hstack([X, np.zeros((len(X), 1))])  # noqa: E731
+    dirs = row_by_row_sphere_starts(d, count, seed)
+    radii = np.random.default_rng(seed + 17).random(count) ** (1.0 / d)
+    X = np.vstack([dirs * radii[:, None], 0.999 * dirs])
+    f = value(lift(X))
+    for _ in range(iters):
+        G = grad(lift(X))[:, :d]
+        gnorm = np.linalg.norm(G, axis=1)
+        step = 0.25 / (1.0 + gnorm)
+        live, moved = gnorm >= 1e-12, False
+        for _ in range(25):
+            # a trial whose first-order gain is below the rounding of f cannot show
+            live &= step * gnorm**2 > GAIN_FLOOR * np.where(f == LOG_FLOOR, 1.0, np.maximum(1.0, np.abs(f)))
+            if not np.any(live):
+                break
+            trial = X + step[:, None] * G
+            norms = np.linalg.norm(trial, axis=1)
+            trial[norms > 1.0] /= norms[norms > 1.0, None]
+            ft = value(lift(trial))
+            better = live & (ft > f)
+            X[better], f[better] = trial[better], ft[better]
+            moved |= np.any(better)
+            live &= ~better
+            step = step * 0.25
+        if not moved:
+            break
     X = X[np.argsort(-f)[:keep]]
-    logs = value(X)
+    logs = value(lift(X))
     return X[logs >= np.max(logs) + math.log1p(-1e-9)]
 
 

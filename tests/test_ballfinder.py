@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerogap import ballfinder
 from zerogap.ballfinder import (
@@ -17,6 +19,8 @@ from zerogap.ballfinder import (
     product_with_itself,
 )
 from zerogap.polycore import AffineForm, MultiPoly, product_of_affine_forms
+
+from _oracles import ball_ascent_pool
 
 
 def cheb_poly_1d(n):
@@ -308,6 +312,36 @@ class TestMultiplierPoint:
         rep = json.loads(proc.stdout)
         assert rep["passed"] is True and rep["bound"] == 1 / 300
         assert abs(abs(rep["point"][0]) ** 300 - 0.5) >= 1e-3
+
+
+class TestLiftedMultiplierSearch:
+    """The multiplier search on the sphere S^d that lifts the ball, against a
+    long ascent in the ball itself with no polish (``_oracles``)."""
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(d=st.integers(1, 5), m=st.integers(1, 4), tagged=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_pool_reaches_the_long_ascent_and_the_point_its_bound(self, d, m, tagged, seed):
+        # P is a product of m forms, tagged, or expanded with every monomial
+        # of degree at most m perturbed, so that Z(P) is no union of hyperplanes
+        rng = np.random.default_rng(seed)
+        poly = product_of_affine_forms([AffineForm(rng.standard_normal(d), rng.uniform(-0.9, 0.9)) for _ in range(m)])
+        if not tagged:
+            terms = dict(poly.terms)
+            for e in np.ndindex(*(m + 1,) * d):
+                if sum(e) <= m:
+                    terms[e] = terms.get(e, 0.0) + 0.1 * rng.standard_normal()
+            poly = MultiPoly(d, terms)
+        value, grad = ballfinder._multiplier_objective(poly)
+        def lift(X):  # rows x of the ball as rows (x, t) of S^d, t >= 0
+            return np.hstack([X, np.sqrt(np.maximum(0.0, 1.0 - np.sum(X * X, axis=1, keepdims=True)))])
+
+        best = np.max(value(lift(np.array(ballfinder._multiplier_pool(poly, seed % 1000, 64)))))
+        ref = np.max(value(lift(ball_ascent_pool(value, grad, d, 64, seed % 1000))))
+        # relative 1e-9, and 1e-9 absolute near f = 0
+        assert best >= ref - 1e-9 * max(1.0, abs(ref))
+        point, dist = multiplier_point(poly, seed=seed % 1000)
+        assert np.linalg.norm(point) <= 1.0 + 1e-15
+        assert dist >= 1.0 / poly.degree - 1e-6
 
 
 class TestLiftedDiagnostics:

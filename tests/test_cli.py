@@ -79,6 +79,29 @@ class TestRefuteSphere:
         assert min(rep["clearances"]) > 0.2
         assert np.allclose(np.abs(rep["point"]), 1 / math.sqrt(3), atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "widths, factors", [((0.3, 0.45, 0.5, 0.6), 37), ((0.5, 0.62, 0.55, 0.7), 95), ((0.4, 0.55, 0.47, 0.71), 171)]
+    )
+    def test_split_family_refuted_at_the_default_starts(self, tmp_path, monkeypatch, widths, factors):
+        # a split family of 17 to 200 factors takes the 64 default starts,
+        # not 4 per factor, and its point clears every segment
+        segments = [{"a": a, "b": 0.0, "delta": w / 2} for a, w in zip(np.eye(3).tolist() + [[1, 1, 1]], widths)]
+        pieces = [covering.SphericalSegment.from_json(s) for s in segments]
+        assert len(covering.split_segments(pieces)[0]) == factors
+        starts, maximize = [], covering.maximize_abs_on_sphere
+
+        def recorded(*args, **kwargs):
+            starts.append(kwargs["starts"])
+            return maximize(*args, **kwargs)
+
+        monkeypatch.setattr(covering, "maximize_abs_on_sphere", recorded)
+        code, text = run_cli(tmp_path, "refute-sphere", {"dim": 3, "segments": segments})
+        assert code == 0 and starts == [64]
+        x = np.array(json.loads(text)["point"])
+        for seg in segments:
+            a = np.array(seg["a"]) / np.linalg.norm(seg["a"])
+            assert abs(math.asin(a @ x)) > seg["delta"]
+
     def test_overwide_is_usage_error(self, tmp_path, capsys):
         payload = {
             "dim": 3,
@@ -356,6 +379,13 @@ class TestDeterminism:
 
 
 class TestUsageErrors:
+    def test_allocation_failure_is_a_usage_error(self, tmp_path, capsys):
+        # 4e15 start rows in R^3 are refused by numpy at once, with no memory taken
+        payload = {"dim": 3, "terms": [{"e": [1, 1, 1], "c": 1.0}]}
+        code, out = run_cli(tmp_path, "sphere-max", payload, "--starts", "1000000000000000")
+        assert code == 3 and out == ""
+        assert "Unable to allocate" in capsys.readouterr().err
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -395,7 +425,7 @@ class TestUsageErrors:
 
         shapes = []
 
-        def no_ascent(value, grad, X, *settings):
+        def no_ascent(value, grad, X):
             shapes.append(X.shape)
             assert np.allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-12)
             raise Reached

@@ -1,12 +1,13 @@
-"""The exact (f, G, H) objectives and the lockstep Newton polish of the sphere and the ball.
+"""The exact (f, G, H) objectives and the lockstep Newton polish on the sphere.
 
-On the sphere the polish is checked against the per-point polish it
-replaced (in ``_oracles``), whose Hessian differences the gradient, and the
-short ascent that hands over to it against the 160-iteration ascent that ran
-before; in the ball the short ascent with the polish is checked against the
-200-iteration ascent with no polish that ran before (in ``_oracles``).  Both
-on the acceptance families and on the ``search`` shapes of the benchmark,
-whose outputs over five cycles must also pass the benchmark's own checks.
+The polish is checked against the per-point polish it replaced (in
+``_oracles``), whose Hessian differences the gradient, and the short ascent
+that hands over to it against the 160-iteration ascent that ran before.  The
+multiplier search, which runs on the sphere S^d that lifts the ball, is
+checked against a 200-iteration ascent in the ball itself, clipped to it,
+with no polish (in ``_oracles``).  Both on the acceptance families and on
+the ``search`` shapes of the benchmark, whose outputs over five cycles must
+also pass the benchmark's own checks.
 """
 
 import contextlib
@@ -22,18 +23,10 @@ import pytest
 from zerogap import ballfinder, chebmult, cli, complexproj, sphereopt
 from zerogap.complexproj import ComplexHomogPoly
 from zerogap.polycore import AffineForm, MultiPoly, product_of_affine_forms
-from zerogap.sphereopt import (
-    _batch_ascent,
-    _log_objective,
-    _newton_polish,
-    _normalize_rows,
-    _sphere_newton,
-    _sphere_tangent,
-    sphere_starts,
-)
+from zerogap.sphereopt import _batch_ascent, _log_objective, _newton_polish, sphere_starts
 
 import test_acceptance
-from _oracles import ball_ascent_pool, polish_on_sphere
+from _oracles import ball_ascent_pool, polish_on_sphere, row_by_row_lifted_starts
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 import checks  # noqa: E402
@@ -125,9 +118,7 @@ class TestObjectiveHessians:
 
 def production_rows(value, grad, dim, seed=3):
     """The rows near_max_on_sphere hands to the polish: the best 32 of 64 starts after the short ascent."""
-    X, f = _batch_ascent(
-        value, grad, sphere_starts(dim, 64, seed), _sphere_tangent, _normalize_rows, sphereopt._ASCENT_ITERS, 0.5, 30
-    )
+    X, f = _batch_ascent(value, grad, sphere_starts(dim, 64, seed))
     return X[np.argsort(-f)[:32]]
 
 
@@ -140,7 +131,7 @@ class TestNewtonPolish:
         # converge slowly and stop at different points within 1e-9
         value, grad, dim = OBJECTIVES[name]()
         X = production_rows(value, grad, dim)
-        f = value(_newton_polish(value, grad, X, _sphere_newton, _normalize_rows))
+        f = value(_newton_polish(value, grad, X))
         ref = np.array([value(polish_on_sphere(value, grad, x)[None, :])[0] for x in X])
         assert np.all(np.abs(f - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
@@ -160,7 +151,7 @@ class TestNewtonPolish:
             log.append("g")
             return grad(X, hessian=True)
 
-        _newton_polish(counted_value, counted_grad, production_rows(value, grad, dim), _sphere_newton, _normalize_rows)
+        _newton_polish(counted_value, counted_grad, production_rows(value, grad, dim))
         assert log[0] == "v"
         steps = "".join(log[1:]).split("g")[1:]
         assert 1 <= len(steps) <= sphereopt._POLISH_ITERS
@@ -170,7 +161,7 @@ class TestNewtonPolish:
         # exact maximizers of x1 x2 x3 stay put
         value, grad = _log_objective(((MultiPoly(3, {(1, 1, 1): 1.0}), 1.0),))
         X = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]]) / np.sqrt(3.0)
-        P = _newton_polish(value, grad, X, _sphere_newton, _normalize_rows)
+        P = _newton_polish(value, grad, X)
         assert np.allclose(P, X, rtol=0, atol=1e-15)
         assert np.allclose(value(P), -1.5 * np.log(3.0), rtol=0, atol=1e-15)
 
@@ -280,11 +271,12 @@ class TestSearchOutputs:
         forms = workloads.make_instance("search", 651, 84).payload["forms"]
         poly = product_of_affine_forms([AffineForm(f["a"], f["b"]) for f in forms])
         value, grad = _log_objective(((poly, 1.0),))
-        bests = np.array([sphereopt.near_max_on_sphere(value, grad, 6, 64, seed)[0] for seed in range(200)])
+        near_max = sphereopt.near_max_on_sphere
+        bests = np.array([near_max(value, grad, sphere_starts(6, 256, seed), 64)[0] for seed in range(200)])
         assert np.all(bests >= bests.max() - 1e-9 * abs(bests.max()))
 
 
-# (value, grad, dimension) of multiplier objectives log|P(x) M(|x|)| in the ball
+# (value, grad, dimension) of multiplier objectives log|P(x) M(|x|)| on the sphere that lifts the ball
 BALL_OBJECTIVES = {
     **{f"factored-{d}-{s}": lambda d=d, s=s: factored(d, s) for d in (2, 3) for s in (0, 1)},
     **{f"expanded-{d}": lambda d=d: MultiPoly(d, dict(factored(d, 0).terms)) for d in (2, 3)},
@@ -297,31 +289,49 @@ def ball_objective(name):
     return (*ballfinder._multiplier_objective(poly), poly)
 
 
+def lift(X):
+    """Rows x of the ball as the rows (x, sqrt(1 - |x|^2)) of the upper hemisphere of S^d."""
+    return np.hstack([X, np.sqrt(1.0 - np.sum(X * X, axis=1, keepdims=True))])
+
+
 class TestMultiplierHessian:
     @pytest.mark.parametrize("name", sorted(BALL_OBJECTIVES))
     def test_hessian_matches_central_differences_of_gradient(self, name):
         value, grad, poly = ball_objective(name)
         dim = poly.dim
-        # interior and near-rim starts, and a row 1e-3 from the centre
-        X = np.vstack([ballfinder._ball_starts(dim, 8, 2), 1e-3 * sphere_starts(dim, 1, 4)])
+        # rows over the ball and its rim, and a row 1e-3 from the centre
+        X = np.vstack([row_by_row_lifted_starts(dim, 4, 2), lift(1e-3 * sphere_starts(dim, 1, 4))])
         G, H = grad(X, hessian=True)
         assert G.tobytes() == grad(X).tobytes()
+        assert H.shape == (9, dim + 1, dim + 1)
         assert np.allclose(H, np.swapaxes(H, 1, 2), rtol=0, atol=1e-12 * np.abs(H).max())
         h = 1e-6
-        fd = np.stack([(grad(X + h * e) - grad(X - h * e)) / (2 * h) for e in np.eye(dim)], axis=2)
+        fd = np.stack([(grad(X + h * e) - grad(X - h * e)) / (2 * h) for e in np.eye(dim + 1)], axis=2)
         for Hi, fdi in zip(H, fd):
             assert np.allclose(Hi, fdi, rtol=1e-6, atol=1e-6 * max(1.0, np.abs(Hi).max()))
 
+    @pytest.mark.parametrize("name", sorted(BALL_OBJECTIVES))
+    def test_even_in_the_lift(self, name):
+        # F reads y as x = y[:d]: (x, t) and (x, -t) agree in every output,
+        # and the t entry, row and column of the derivatives are zero
+        value, grad, poly = ball_objective(name)
+        Y = row_by_row_lifted_starts(poly.dim, 8, 3)
+        flipped = Y * np.append(np.ones(poly.dim), -1.0)
+        G, H = grad(Y, hessian=True)
+        assert value(Y).tobytes() == value(flipped).tobytes()
+        assert G.tobytes() == grad(flipped).tobytes() and H.tobytes() == grad(flipped, hessian=True)[1].tobytes()
+        assert not np.any(G[:, -1]) and not np.any(H[:, -1]) and not np.any(H[:, :, -1])
+
     @pytest.mark.parametrize("name", ["factored-2-0", "expanded-3", "dense-3-3"])
     def test_centre(self, name):
-        # at x = 0 the multiplier adds log|M|''(0) I to the Hessian of log|P|
+        # at x = 0, the pole of S^d, the multiplier adds log|M|''(0) I to the Hessian of log|P|
         value, grad, poly = ball_objective(name)
-        X = np.zeros((1, poly.dim))
-        G, H = grad(X, hessian=True)
-        GP, HP = sphereopt._log_objective(((poly, 1.0),))[1](X, hessian=True)
-        assert G.tobytes() == GP.tobytes()
+        Y = np.append(np.zeros(poly.dim), 1.0)[None, :]
+        G, H = grad(Y, hessian=True)
+        GP, HP = sphereopt._log_objective(((poly, 1.0),))[1](Y[:, :-1], hessian=True)
+        assert G[:, :-1].tobytes() == GP.tobytes()
         curv = chebmult.ball_multiplier_log_curvature(poly.degree, 0.0)
-        assert np.array_equal(H, HP + curv * np.eye(poly.dim))
+        assert np.array_equal(H[:, :-1, :-1], HP + curv * np.eye(poly.dim))
 
 
 def recorded_multiplier_pools(run, monkeypatch):
@@ -348,16 +358,16 @@ def assert_ball_handoff_keeps_maximizers(recorded):
     for poly, seed, starts in recorded:
         value, grad = ballfinder._multiplier_objective(poly)
         short = ballfinder._multiplier_pool(poly, seed, starts)
-        long = ball_ascent_pool(value, grad, ballfinder._ball_starts(poly.dim, starts, seed), max(8, min(24, starts)))
+        long = ball_ascent_pool(value, grad, poly.dim, starts, seed, max(8, min(24, starts)))
         for A, B in ((short, long), (long, short)):
             assert max(min(np.linalg.norm(a - b) for b in B) for a in A) <= 1e-6
-        best, ref = np.max(value(np.array(short))), np.max(value(long))
+        best, ref = np.max(value(lift(np.array(short)))), np.max(value(lift(long)))
         assert best >= ref - 1e-14 * max(1.0, abs(ref))
 
 
 class TestBallHandOff:
-    """The 20-iteration ball ascent with the Newton polish finds the
-    maximizers that the 200-iteration ascent with no polish found."""
+    """The multiplier search on the sphere that lifts the ball finds the
+    maximizers that the 200-iteration ascent in the ball with no polish finds."""
 
     def test_criterion_07(self, monkeypatch):
         recorded = recorded_multiplier_pools(test_acceptance.test_criterion_07_ball_multiplier_procedure, monkeypatch)
@@ -384,24 +394,29 @@ class TestBallPolish:
         assert dist == pytest.approx(1.0, abs=1e-12)
 
     def test_rim_of_an_interval_stops(self):
-        # on the ends of [-1, 1] a gradient pointing out has no tangent part:
-        # the rows take no step and stop; the inner row takes Newton's step
-        X = np.array([[1.0], [-1.0], [0.5]])
-        G = np.array([[2.0], [-0.5], [1.0]])
-        H = np.array([[[-1.0]], [[3.0]], [[-4.0]]])
-        S, length, gnorm = ballfinder._ball_newton(X, G, H)
-        assert np.array_equal(S, [[0.0], [0.0], [0.2]]) and np.array_equal(gnorm, [0.0, 0.0, 1.0])
-        assert np.array_equal(length, [0.0, 0.0, 0.25])
+        # the ends of [-1, 1] lift to (+-1, 0) on S^1, where F's gradient
+        # (g, 0) has no tangent part: the rows take no step and stay exactly
+        value, grad, poly = ball_objective("dense-1-5")
+        Y = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        assert np.all(np.abs(grad(Y)[:, 0]) > 0.0)
+        assert np.array_equal(_newton_polish(value, grad, Y.copy()), Y)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_equator_rows_stay_on_the_equator(self, d):
+        # F's gradient has no t part, so a row with t = 0 keeps t = 0 through
+        # the ascent and the polish: the rim of the ball is searched exactly
+        poly = factored(d, 1)
+        value, grad = ballfinder._multiplier_objective(poly)
+        rim = row_by_row_lifted_starts(d, 16, 5)[16:]
+        X, _ = _batch_ascent(value, grad, rim)
+        assert not np.any(X[:, d]) and not np.any(_newton_polish(value, grad, X)[:, d])
 
     @pytest.mark.parametrize("name", ["factored-2-1", "expanded-3", "dense-4-2"])
     def test_work_per_iteration(self, name):
         # one grad call per iteration on the rows still moving, and at most
         # ten value calls for its halvings
         value, grad, poly = ball_objective(name)
-        X, f = _batch_ascent(
-            value, grad, ballfinder._ball_starts(poly.dim, 64, 3), lambda G, X: G, ballfinder._clip_to_ball,
-            sphereopt._ASCENT_ITERS, 0.25, 25,
-        )
+        X, f = _batch_ascent(value, grad, row_by_row_lifted_starts(poly.dim, 32, 3))
         log = []
 
         def counted_value(X):
@@ -413,9 +428,9 @@ class TestBallPolish:
             log.append("g")
             return grad(X, hessian=True)
 
-        X = X[np.argsort(-f)[:24]]
-        P = _newton_polish(counted_value, counted_grad, X, ballfinder._ball_newton, ballfinder._clip_to_ball)
-        assert np.all(np.linalg.norm(P, axis=1) <= 1.0)
+        X = X[np.argsort(-f)[:32]]
+        P = _newton_polish(counted_value, counted_grad, X)
+        assert np.all(np.abs(np.linalg.norm(P, axis=1) - 1.0) <= 1e-15)
         assert log[0] == "v"
         steps = "".join(log[1:]).split("g")[1:]
         assert 1 <= len(steps) <= sphereopt._POLISH_ITERS

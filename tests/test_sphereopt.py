@@ -16,8 +16,6 @@ from zerogap.sphereopt import (
     _log_objective,
     _nearest_slice_point,
     _newton_polish,
-    _normalize_rows,
-    _sphere_newton,
     _sphere_tangent,
     angular_distance_to_zero_set,
     maximize_abs_on_sphere,
@@ -27,7 +25,7 @@ from zerogap.sphereopt import (
     verify_sphere_gap,
 )
 
-from _oracles import dedupe_points_loop, row_by_row_ball_starts, row_by_row_sphere_starts, slice_min_angle_bruteforce
+from _oracles import dedupe_points_loop, row_by_row_lifted_starts, row_by_row_sphere_starts, slice_min_angle_bruteforce
 from test_newton_polish import run_search_cycle
 
 
@@ -362,6 +360,24 @@ class TestVerifySphereGap:
         rep = verify_sphere_gap(poly, seed=0)
         assert rep.maximizer[0] < -0.99
 
+    @pytest.mark.parametrize(
+        "poly, circles",
+        [
+            (MultiPoly(2, {(1, 1): 1.0}), 2),  # the bound is met: the equality circle is restricted too
+            (MultiPoly(2, {(2, 0): 1.0, (1, 1): 0.3, (0, 2): -0.2, (1, 0): 0.4}), 1),
+            (MultiPoly(2, {(3, 0): 1.0, (0, 3): 1.0}), 1),
+        ],
+        ids=["xy", "quadric", "cubic"],
+    )
+    def test_dimension_two_restricts_to_the_circle_once(self, poly, circles, monkeypatch):
+        # the maximum and the zeros of P on the unit circle come from one
+        # restriction; only the equality circle, when attached, takes another
+        planes, original = [], sphereopt.restrict_to_circle
+        monkeypatch.setattr(sphereopt, "restrict_to_circle", lambda *args: planes.append(args[1]) or original(*args))
+        rep = verify_sphere_gap(poly)
+        assert len(planes) == circles == 1 + (rep.equality is not None)
+        assert np.array_equal(planes[0].u, [1.0, 0.0]) and np.array_equal(planes[0].v, [0.0, 1.0])
+
     def test_report_json_shape(self):
         rep = verify_sphere_gap(MultiPoly(2, {(1, 1): 1.0}))
         obj = _report(rep)
@@ -445,10 +461,12 @@ class TestNearMaxPool:
         ids=["T3-d1", "xy-d2", "xyz-d3"],
     )
     def test_ball(self, poly, near_max_calls):
+        # the pool of the sphere S^d that lifts the ball, read as points x = y[:d]
         pool = ballfinder._multiplier_pool(poly, 0, 64)
-        [(value, X, best, recorded)] = near_max_calls
-        assert len(pool) > 1 and recorded is pool
-        assert_near_max_contract(value, X, best, pool)
+        [(value, Y, best, recorded)] = near_max_calls
+        assert Y.shape[1] == poly.dim + 1 and len(pool) > 1
+        assert np.array_equal(pool, [y[: poly.dim] for y in recorded])
+        assert_near_max_contract(value, Y, best, recorded)
 
     @pytest.mark.parametrize("dim, exps", [(2, (1, 1)), (3, (1, 1, 1))], ids=["C2", "C3"])
     def test_complex(self, dim, exps, near_max_calls):
@@ -490,7 +508,6 @@ class TestStartGenerator:
         # sample (128), the scale sample (256), 4 m for a refutation of m pieces
         for count, seed in itertools.product((1, 2, 8, 31, 64, 100, 128, 256, 800), (0, 3, 11)):
             assert_starts_match(sphere_starts(dim, count, seed), row_by_row_sphere_starts(dim, count, seed))
-            assert_starts_match(ballfinder._ball_starts(dim, count, seed), row_by_row_ball_starts(dim, count, seed))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 11, 2**32 - 1])
     def test_starts_above_1111_dimensions(self, seed):
@@ -509,20 +526,22 @@ class TestStartGenerator:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_starts_of_a_search_cycle_match_the_row_by_row_stream(self, seed, monkeypatch, tmp_path):
-        ball_starts = ballfinder._ball_starts
-        calls = {sphere_starts: set(), ball_starts: set()}
-
-        def recorded(fn):
-            return lambda *args: calls[fn].add(args) or fn(*args)
-
+        # every start a search cycle draws, and the candidate rows that each
+        # multiplier search in several variables hands to near_max_on_sphere
+        calls, pools, candidates = set(), [], []
         for module in (sphereopt, ballfinder, complexproj):
-            monkeypatch.setattr(module, "sphere_starts", recorded(sphere_starts))
-        monkeypatch.setattr(ballfinder, "_ball_starts", recorded(ball_starts))
+            monkeypatch.setattr(module, "sphere_starts", lambda *args: calls.add(args) or sphere_starts(*args))
+        pool, near_max = ballfinder._multiplier_pool, ballfinder.near_max_on_sphere
+        monkeypatch.setattr(ballfinder, "_multiplier_pool", lambda *args: pools.append(args) or pool(*args))
+        monkeypatch.setattr(ballfinder, "near_max_on_sphere", lambda *args: candidates.append(args[2]) or near_max(*args))
         run_search_cycle(seed, tmp_path)
-        assert calls[sphere_starts] and calls[ball_starts]
-        for fn, oracle in ((sphere_starts, row_by_row_sphere_starts), (ball_starts, row_by_row_ball_starts)):
-            for args in calls[fn]:
-                assert_starts_match(fn(*args), oracle(*args))
+        assert calls
+        for args in calls:
+            assert_starts_match(sphere_starts(*args), row_by_row_sphere_starts(*args))
+        lifted = [(p.dim, 2 * starts, s) for p, s, starts in pools if p.dim >= 2]
+        assert lifted and len(lifted) == len(candidates)
+        for args, X in zip(lifted, candidates):
+            assert_starts_match(X, row_by_row_lifted_starts(*args))
 
     def test_any_dimension(self):
         # no dimension cap: 8 unit rows in R^1112, with no ascent run there
@@ -530,62 +549,81 @@ class TestStartGenerator:
         assert X.shape == (8, 1112)
         assert np.allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-12)
 
-    def test_ball_starts(self):
-        # the directions of sphere_starts, inside the ball, then on radius 0.999
-        X = ballfinder._ball_starts(3, 16, 2)
-        assert X.shape == (32, 3) and np.array_equal(X, ballfinder._ball_starts(3, 16, 2))
-        r = np.linalg.norm(X, axis=1)
-        assert np.all(r[:16] < 1.0) and np.allclose(r[16:], 0.999)
-        assert np.allclose(X[:16] / r[:16, None], sphere_starts(3, 16, 2))
-        assert np.array_equal(X[16:], sphere_starts(3, 16, 2) * 0.999)
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_lifted_starts(self, d, monkeypatch):
+        # 2 starts rows of S^d folded into the upper hemisphere, then the
+        # same rows moved to the equator t = 0, the rim of the ball
+        candidates = []
+
+        def record(value, grad, X, starts):
+            candidates.append((X, starts))
+            return near_max(value, grad, X, starts)
+
+        near_max = ballfinder.near_max_on_sphere
+        monkeypatch.setattr(ballfinder, "near_max_on_sphere", record)
+        ballfinder._multiplier_pool(factored_poly(d, 0), 2, 16)
+        [(X, starts)] = candidates
+        Y = sphere_starts(d + 1, 32, 2)
+        assert starts == 16 and X.shape == (64, d + 1)
+        assert np.array_equal(X[:32, :d], Y[:, :d]) and np.array_equal(X[:32, d], np.abs(Y[:, d]))
+        assert np.all(X[32:, d] == 0.0)
+        assert np.allclose(X[32:, :d], Y[:, :d] / np.linalg.norm(Y[:, :d], axis=1)[:, None], rtol=0, atol=1e-15)
+        assert np.allclose(np.linalg.norm(X, axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_negative_seed_is_refused(self):
         with pytest.raises(ValueError):
             sphere_starts(3, 8, -1)
 
 
-# the ascent settings of near_max_on_sphere (NEAR_MAX) and of the multiplier
-# search in the ball (BALL_NEAR_MAX): short ascents that hand their best rows
-# to the Newton polish; SPHERE and BALL run them for 160 and 200 iterations,
-# as near_max_on_sphere and the multiplier search did before their polish
-# was exact, which takes most rows to where the gain floor stops them
-NEAR_MAX = (_sphere_tangent, _normalize_rows, sphereopt._ASCENT_ITERS, 0.5, 30)
-SPHERE = (_sphere_tangent, _normalize_rows, 160, 0.5, 30)
-BALL_NEAR_MAX = (lambda G, X: G, ballfinder._clip_to_ball, sphereopt._ASCENT_ITERS, 0.25, 25)
-BALL = (lambda G, X: G, ballfinder._clip_to_ball, 200, 0.25, 25)
+# the iterations of the short ascent that near_max_on_sphere hands to the
+# Newton polish (NEAR_MAX), and of the long one that ran before the polish was
+# exact (LONG), which takes most rows to where the gain floor stops them
+NEAR_MAX = sphereopt._ASCENT_ITERS
+LONG = 160
 
 
-def parent_loop_ascent(value, grad, X, tangent, retract, iters, step0, backtracks):
+def batch_ascent(value, grad, X, iters=NEAR_MAX):
+    """``_batch_ascent`` run for ``iters`` iterations."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sphereopt, "_ASCENT_ITERS", iters)
+        return _batch_ascent(value, grad, X)
+
+
+def parent_loop_ascent(value, grad, X, iters=None):
     """The ascent before the gain floor, as a plain loop: every row with a
     nonzero gradient takes all its trial steps in every iteration, settled or
-    not, until no row improves."""
-    return loop_ascent(value, grad, X, tangent, retract, iters, step0, backtracks, gain_floor=False)
+    not, until no row improves; ``iters`` defaults to ``_ASCENT_ITERS`` as
+    read at the call."""
+    return loop_ascent(value, grad, X, sphereopt._ASCENT_ITERS if iters is None else iters, gain_floor=False)
 
 
-def loop_ascent(value, grad, X, tangent, retract, iters, step0, backtracks, gain_floor=True, freeze=False):
-    """Reference ascent: every row with a nonzero gradient takes trial steps in
-    every iteration, settled or not, until no row improves.  With
-    ``gain_floor`` a row leaves the backtracking before a trial whose
+def loop_ascent(value, grad, X, iters, gain_floor=True, freeze=False):
+    """Reference ascent on the sphere: every row with a nonzero tangent
+    gradient G takes trial steps 0.5 / (1 + |G|), each a quarter of the last,
+    up to 30, in every iteration, settled or not, until no row improves.
+    With ``gain_floor`` a row leaves the backtracking before a trial whose
     first-order gain step |G|^2 is at most GAIN_FLOOR max(1, |f|), |f| read as
     1 at LOG_FLOOR.  With ``freeze`` only the rows that improved in the
     previous iteration take trials."""
     f = value(X)
     moving = np.ones(len(X), dtype=bool)
     for _ in range(iters):
-        G = tangent(grad(X), X)
+        G = grad(X)
+        G = G - np.sum(G * X, axis=1, keepdims=True) * X
         gnorm = np.linalg.norm(G, axis=1)
         live = (moving if freeze else True) & (gnorm >= 1e-12)
         if not np.any(live):
             break
-        step = step0 / (1.0 + gnorm)
+        step = 0.5 / (1.0 + gnorm)
         floor = GAIN_FLOOR * np.where(f == LOG_FLOOR, 1.0, np.maximum(1.0, np.abs(f)))
         moving = np.zeros(len(X), dtype=bool)
-        for _ in range(backtracks):
+        for _ in range(30):
             if gain_floor:
                 live = live & (step * gnorm**2 > floor)
                 if not np.any(live):
                     break
-            trial = retract(X + step[:, None] * G)
+            trial = X + step[:, None] * G
+            trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
             ft = value(trial)
             better = live & (ft > f)
             X = np.where(better[:, None], trial, X)
@@ -600,9 +638,9 @@ def loop_ascent(value, grad, X, tangent, retract, iters, step0, backtracks, gain
     return X, f
 
 
-def assert_ascent_matches_loop(value, grad, X, settings):
-    X1, f1 = _batch_ascent(value, grad, X, *settings)
-    X0, f0 = loop_ascent(value, grad, X, *settings)
+def assert_ascent_matches_loop(value, grad, X, iters):
+    X1, f1 = batch_ascent(value, grad, X, iters)
+    X0, f0 = loop_ascent(value, grad, X, iters)
     assert X1.shape == X0.shape and X1.tobytes() == X0.tobytes()
     assert f1.shape == f0.shape and f1.tobytes() == f0.tobytes()
     return X1, f1
@@ -623,33 +661,36 @@ def weighted_c2_objective(seed):
     return _log_objective(items)
 
 
-# (value, grad, starts, settings) of the objective families the ascent
-# serves: factored and expanded log|P| on the sphere, the multiplier
-# objective in the ball and weighted systems on the sphere of C^2
+def lift(X):
+    """Rows x of the ball as the rows (x, sqrt(1 - |x|^2)) of the upper hemisphere of S^d."""
+    return np.hstack([X, np.sqrt(1.0 - np.sum(X * X, axis=1, keepdims=True))])
+
+
+# (value, grad, starts) of the objective families the ascent serves:
+# factored and expanded log|P| on the sphere, the multiplier objective on the
+# sphere S^d that lifts the ball and weighted systems on the sphere of C^2
 ASCENT_CASES = {
     **{
-        f"factored-{d}-{s}": lambda d=d, s=s: (*_log_objective(((factored_poly(d, s), 1.0),)), sphere_starts(d, 64, s), SPHERE)
+        f"factored-{d}-{s}": lambda d=d, s=s: (*_log_objective(((factored_poly(d, s), 1.0),)), sphere_starts(d, 64, s))
         for d in (3, 4, 5, 6)
         for s in (0, 1)
     },
-    "expanded-quadric": lambda: (*_log_objective(((QUADRIC, 1.0),)), sphere_starts(3, 64, 4), SPHERE),
+    "expanded-quadric": lambda: (*_log_objective(((QUADRIC, 1.0),)), sphere_starts(3, 64, 4)),
     **{
         f"expanded-{d}": lambda d=d: (
             *_log_objective(((MultiPoly(d, dict(factored_poly(d, 0).terms)), 1.0),)),
             sphere_starts(d, 64, 4),
-            SPHERE,
         )
         for d in (3, 4)
     },
     **{
         f"multiplier-{d}": lambda d=d: (
             *ballfinder._multiplier_objective(random_form_product(np.random.default_rng(d), d, 3)[0]),
-            ballfinder._ball_starts(d, 64, 5),
-            BALL,
+            row_by_row_lifted_starts(d, 32, 5),
         )
         for d in (2, 3)
     },
-    **{f"c2-{s}": lambda s=s: (*weighted_c2_objective(s), sphere_starts(4, 64, 7), SPHERE) for s in (6, 8)},
+    **{f"c2-{s}": lambda s=s: (*weighted_c2_objective(s), sphere_starts(4, 64, 7)) for s in (6, 8)},
 }
 
 
@@ -657,44 +698,42 @@ class TestBatchAscentMatchesLoop:
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_factored_objective(self, d, seed):
-        assert_ascent_matches_loop(*ASCENT_CASES[f"factored-{d}-{seed}"]())
+        assert_ascent_matches_loop(*ASCENT_CASES[f"factored-{d}-{seed}"](), LONG)
 
     def test_expanded_quadric_objective(self):
         assert QUADRIC.affine_factors is None
-        assert_ascent_matches_loop(*ASCENT_CASES["expanded-quadric"]())
+        assert_ascent_matches_loop(*ASCENT_CASES["expanded-quadric"](), LONG)
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_multiplier_objective_in_ball(self, d):
-        assert_ascent_matches_loop(*ASCENT_CASES[f"multiplier-{d}"]())
+    def test_multiplier_objective_on_the_lifted_sphere(self, d):
+        assert_ascent_matches_loop(*ASCENT_CASES[f"multiplier-{d}"](), LONG)
 
     def test_weighted_c2_objective(self):
-        assert_ascent_matches_loop(*ASCENT_CASES["c2-6"]())
+        assert_ascent_matches_loop(*ASCENT_CASES["c2-6"](), LONG)
 
     @pytest.mark.parametrize("name", sorted(ASCENT_CASES))
     def test_near_max_setting(self, name):
-        # the short ascents of near_max_on_sphere and of the multiplier
-        # search, which stop rows still moving
-        value, grad, X, _ = ASCENT_CASES[name]()
-        assert_ascent_matches_loop(value, grad, X, BALL_NEAR_MAX if name.startswith("multiplier") else NEAR_MAX)
+        # the short ascent of near_max_on_sphere, which stops rows still moving
+        assert_ascent_matches_loop(*ASCENT_CASES[name](), NEAR_MAX)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_critical_and_zero_set_starts(self):
         # e1 is an exact critical point of log|x1| (zero tangent gradient);
         # e3 and (0, 0.6, 0.8) lie on {x1 = 0}, the zero set of x1 and of
         # x1 (x1 + x2 - 0.3), factored and expanded, and so do half of them
-        # in the ball.  There the gradient of log|P| is large but finite, and
-        # the gain floor reads f = LOG_FLOOR as |f| = 1, so those rows step
-        # off the zero set.
+        # lifted from the ball.  There the gradient of log|P| is large but
+        # finite, and the gain floor reads f = LOG_FLOOR as |f| = 1, so those
+        # rows step off the zero set.
         x1 = AffineForm([1.0, 0.0, 0.0], 0.0)
         edge = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.6, 0.8]])
         X = np.vstack([edge, sphere_starts(3, 16, 8)])
         tagged = [product_of_affine_forms(f) for f in ([x1], [x1, AffineForm([1.0, 1.0, 0.0], 0.3)])]
         for poly in tagged + [MultiPoly(3, dict(t.terms)) for t in tagged]:
-            for (value, grad), Y, settings in ((_log_objective(((poly, 1.0),)), X, SPHERE),
-                                               (ballfinder._multiplier_objective(poly), 0.5 * X, BALL)):
+            lifted = (ballfinder._multiplier_objective(poly), lift(0.5 * X))
+            for (value, grad), Y in ((_log_objective(((poly, 1.0),)), X), lifted):
                 assert np.all(value(Y)[1:3] == LOG_FLOOR)
                 assert np.all(np.isfinite(grad(Y)))
-                _, f = assert_ascent_matches_loop(value, grad, Y, settings)
+                _, f = assert_ascent_matches_loop(value, grad, Y, LONG)
                 assert np.all(f[1:3] > LOG_FLOOR / 2)
         value, grad = _log_objective(((tagged[0], 1.0),))
         assert np.linalg.norm(_sphere_tangent(grad(X), X)[0]) < 1e-12
@@ -708,7 +747,7 @@ class TestBatchAscentMatchesLoop:
         X = np.vstack([[[0.0, 1.0, 0.0, 0.0], [0.0, 0.8, 0.0, 0.6]], sphere_starts(4, 16, 3)])
         assert np.all(value(X)[:2] == LOG_FLOOR)
         assert np.all(np.isfinite(grad(X)))
-        _, f = assert_ascent_matches_loop(value, grad, X, SPHERE)
+        _, f = assert_ascent_matches_loop(value, grad, X, LONG)
         assert np.all(f[:2] > LOG_FLOOR / 2)
 
     @pytest.mark.parametrize("iters", [1, 2, 3, 7])
@@ -716,17 +755,10 @@ class TestBatchAscentMatchesLoop:
         poly, _ = random_form_product(np.random.default_rng(9), 4, 5)
         value, grad = _log_objective(((poly, 1.0),))
         X0 = sphere_starts(4, 64, 1)
-        settings = (_sphere_tangent, _normalize_rows, iters, 0.5, 30)
-        X, _ = assert_ascent_matches_loop(value, grad, X0, settings)
+        X, _ = assert_ascent_matches_loop(value, grad, X0, iters)
         # the cap stopped rows that were still moving
-        longer, _ = _batch_ascent(value, grad, X0, _sphere_tangent, _normalize_rows, iters + 1, 0.5, 30)
+        longer, _ = batch_ascent(value, grad, X0, iters + 1)
         assert longer.tobytes() != X.tobytes()
-
-    @pytest.mark.parametrize("settings, radius", [(SPHERE, 1.0), (BALL, 0.999)])
-    def test_single_backtrack(self, settings, radius):
-        poly, _ = random_form_product(np.random.default_rng(10), 3, 4)
-        value, grad = _log_objective(((poly, 1.0),))
-        assert_ascent_matches_loop(value, grad, radius * sphere_starts(3, 64, 2), settings[:4] + (1,))
 
 
 def counted_objective(value, grad, log):
@@ -755,36 +787,37 @@ def value_calls_per_iteration(log):
 
 
 class TestBatchAscentWork:
-    @pytest.mark.parametrize("where", ["sphere", "ball"])
+    @pytest.mark.parametrize("where", ["sphere", "lifted-ball"])
     def test_settled_row_costs_nothing(self, where):
         d = 4
         poly, _ = random_form_product(np.random.default_rng(1), d, 4)
         if where == "sphere":
             value, grad = _log_objective(((poly, 1.0),))
-            settings, B, extra = SPHERE, sphere_starts(d, 31, 2), sphere_starts(d, 1, 9)
+            B, extra = sphere_starts(d, 31, 2), sphere_starts(d, 1, 9)
         else:
             value, grad = ballfinder._multiplier_objective(poly)
-            settings, B, extra = BALL, ballfinder._ball_starts(d, 16, 2), sphere_starts(d, 1, 9) * 0.5
-        iters, backtracks = settings[2], settings[4]
+            B, extra = row_by_row_lifted_starts(d, 8, 2), lift(sphere_starts(d, 1, 9) * 0.5)
+        # the ascents settle within 200 iterations (163 on the lifted ball)
+        iters, backtracks = 200, 30
         # the last row of a finished ascent over a batch of the same shape has
         # settled: it failed all its backtracks in the final iteration
         log = []
-        X, _ = _batch_ascent(*counted_objective(value, grad, log), np.vstack([B, extra]), *settings)
+        X, _ = batch_ascent(*counted_objective(value, grad, log), np.vstack([B, extra]), iters)
         assert len(value_calls_per_iteration(log)) < iters
         settled = X[-1]
-        assert np.linalg.norm(settings[0](grad(X), X)[-1]) >= 1e-12
+        assert np.linalg.norm(_sphere_tangent(grad(X), X)[-1]) >= 1e-12
 
         base_log, ext_log = [], []
-        Xb, fb = _batch_ascent(*counted_objective(value, grad, base_log), B, *settings)
-        Xe, fe = _batch_ascent(*counted_objective(value, grad, ext_log), np.vstack([B, settled]), *settings)
+        Xb, fb = batch_ascent(*counted_objective(value, grad, base_log), B, iters)
+        Xe, fe = batch_ascent(*counted_objective(value, grad, ext_log), np.vstack([B, settled]), iters)
         base = value_calls_per_iteration(base_log)
         ext = value_calls_per_iteration(ext_log)
         # in the first iteration the settled row fails the trials before its
         # own gain floor, fewer than ``backtracks`` (without the floor it would
         # fail them all); it is frozen after that and costs no value call
-        g = np.linalg.norm(settings[0](grad(settled[None]), settled[None]))
+        g = np.linalg.norm(_sphere_tangent(grad(settled[None]), settled[None]))
         f = value(settled[None])[0]
-        step, floor = settings[3] / (1.0 + g), GAIN_FLOOR * max(1.0, abs(f))
+        step, floor = 0.5 / (1.0 + g), GAIN_FLOOR * max(1.0, abs(f))
         own = sum(step * 0.25**j * g**2 > floor for j in range(backtracks))
         assert own < backtracks
         assert ext[0] == max(base[0], own)
@@ -806,18 +839,18 @@ class TestGainFloor:
     def test_no_row_ends_lower(self, name):
         # leaving the backtracking at the rounding of f gives up at most a
         # rounding-sized gain per row
-        value, grad, X, settings = ASCENT_CASES[name]()
-        _, f = _batch_ascent(value, grad, X, *settings)
-        _, f_ref = parent_loop_ascent(value, grad, X, *settings)
+        value, grad, X = ASCENT_CASES[name]()
+        _, f = batch_ascent(value, grad, X, LONG)
+        _, f_ref = parent_loop_ascent(value, grad, X, LONG)
         assert np.all(f >= f_ref - 1e-12 * np.maximum(1.0, np.abs(f_ref)))
 
     @pytest.mark.parametrize("name", ["factored-3-0", "factored-4-1", "factored-5-0", "expanded-quadric", "c2-6"])
     def test_near_max_pool_unchanged(self, name, monkeypatch):
-        value, grad, X, _ = ASCENT_CASES[name]()
-        dim, seed = X.shape[1], 3
-        best, pool = sphereopt.near_max_on_sphere(value, grad, dim, 64, seed)
+        value, grad, X = ASCENT_CASES[name]()
+        starts = sphere_starts(X.shape[1], 4 * 64, 3)
+        best, pool = sphereopt.near_max_on_sphere(value, grad, starts, 64)
         monkeypatch.setattr(sphereopt, "_batch_ascent", parent_loop_ascent)
-        ref_best, ref = sphereopt.near_max_on_sphere(value, grad, dim, 64, seed)
+        ref_best, ref = sphereopt.near_max_on_sphere(value, grad, starts, 64)
         assert len(pool) == len(ref)
         # the polish ends both at the same maximum, up to the rounding of f
         assert best == pytest.approx(ref_best, rel=0, abs=GAIN_FLOOR * max(1.0, abs(ref_best)))
@@ -826,11 +859,11 @@ class TestGainFloor:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_half_the_value_calls(self, d, seed):
         # the reference is the ascent before the gain floor: settled rows
-        # frozen, failing rows trying all ``backtracks`` trials
-        value, grad, X, _ = ASCENT_CASES[f"factored-{d}-{seed}"]()
+        # frozen, failing rows trying all 30 trials
+        value, grad, X = ASCENT_CASES[f"factored-{d}-{seed}"]()
         log, ref_log = [], []
-        _batch_ascent(*counted_objective(value, grad, log), X, *SPHERE)
-        loop_ascent(*counted_objective(value, grad, ref_log), X, *SPHERE, gain_floor=False, freeze=True)
+        batch_ascent(*counted_objective(value, grad, log), X, LONG)
+        loop_ascent(*counted_objective(value, grad, ref_log), X, LONG, gain_floor=False, freeze=True)
         assert log.count("v") <= 0.5 * ref_log.count("v")
         assert log.count("g") <= 1.05 * ref_log.count("g")
 
@@ -850,7 +883,7 @@ class TestPolishOnSphere:
             starts += [unit_vector(zero + eps * rng.standard_normal(d)) for eps in (1e-3, 1e-6, 1e-9)]
         for P in (poly, MultiPoly(d, dict(poly.terms)), dense_poly(rng, d, 3)):
             value, grad = _log_objective(((P, 1.0),))
-            X = _newton_polish(value, grad, np.array(starts), _sphere_newton, _normalize_rows)
+            X = _newton_polish(value, grad, np.array(starts))
             for x0, x in zip(starts, X):
                 f0 = value(unit_vector(x0)[None, :])[0]
                 assert abs(np.linalg.norm(x) - 1.0) <= 1e-15
