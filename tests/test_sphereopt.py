@@ -553,13 +553,12 @@ class TestStartGenerator:
     def test_lifted_starts(self, d, monkeypatch):
         # 2 starts rows of S^d folded into the upper hemisphere, then the
         # same rows moved to the equator t = 0, the rim of the ball
-        candidates = []
+        candidates, near_max = [], ballfinder.near_max_on_sphere
 
         def record(value, grad, X, starts):
             candidates.append((X, starts))
             return near_max(value, grad, X, starts)
 
-        near_max = ballfinder.near_max_on_sphere
         monkeypatch.setattr(ballfinder, "near_max_on_sphere", record)
         ballfinder._multiplier_pool(factored_poly(d, 0), 2, 16)
         [(X, starts)] = candidates
