@@ -37,6 +37,7 @@ from .chebmult import (
 )
 from .polycore import AffineForm, MultiPoly
 from .sphereopt import (
+    _ball_points,
     _canonical_signs,
     _farthest,
     _log_objective,
@@ -235,7 +236,8 @@ def _multiplier_pool(poly, seed, starts):
     ball.  F's gradient has no t part, so a row on the equator stays on it,
     and a maximum on the rim is found exactly.  In one variable the interior
     local maxima of a dense grid and the two ends of [-1, 1] are lifted to
-    S^1 and polished by :func:`_newton_polish`.  Returns the points x of the pool.
+    S^1 and polished by :func:`_newton_polish`.  Returns the points x of the
+    pool, near-copies judged in x (:func:`_ball_points`).
     """
     value, grad = _multiplier_objective(poly)
     d = poly.dim
@@ -254,7 +256,7 @@ def _multiplier_pool(poly, seed, starts):
         rim = Y.copy()
         rim[:, d] = 0.0
         pool = near_max_on_sphere(value, grad, np.vstack([Y, _normalize_rows(rim)]), starts)[1]
-    return [y[:d] for y in pool]
+    return _ball_points(pool, d)
 
 
 def multiplier_point(poly: MultiPoly, seed=0, starts=64):

@@ -235,9 +235,14 @@ def build_parser():
     return parser
 
 
+# built once: parse_args keeps no state between calls, and a caller that runs
+# many commands in one process pays for the parser once
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     """Run one command; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if not (args.tol > 0 and math.isfinite(args.tol)):
             raise ValueError("tolerance must be a positive finite number")

@@ -154,10 +154,29 @@ def _canonical_phase(z):
 
 
 def _maximize_items(items, starts, seed):
-    """Near-maximal pool of the weighted log objective, sorted by coordinates."""
+    """Near-maximal pool of the weighted log objective, sorted by coordinates.
+
+    The objective is constant on each unit-scalar orbit, so its maxima live
+    on CP^(d-1) = S^(2d-1)/U(1), and the polish steps on the horizontal space
+    (Absil, Mahony and Sepulchre 2008, sec. 3.4): its Hessians are taken as
+    P H P with P = I - u u', u = i z the orbit direction of the row z.  Off
+    a maximizer the gradient couples i z to the other tangent directions and
+    Newton's step would run along the orbit; without it the step converges
+    quadratically.
+    """
     value, grad = _log_objective(items)
-    X = sphere_starts(2 * items[0][0].dim, _SCREEN * starts, seed)
-    return sorted(near_max_on_sphere(value, grad, X, starts)[1], key=tuple)
+    d = items[0][0].dim
+
+    def horizontal_grad(X, hessian=False):
+        if not hessian:
+            return grad(X)
+        G, H = grad(X, hessian=True)
+        U = np.concatenate([-X[:, d:], X[:, :d]], axis=1)  # i z in real coordinates
+        P = np.eye(2 * d) - U[:, :, None] * U[:, None, :]
+        return G, P @ H @ P
+
+    X = sphere_starts(2 * d, _SCREEN * starts, seed)
+    return sorted(near_max_on_sphere(value, horizontal_grad, X, starts)[1], key=tuple)
 
 
 def _zeros_on_projective_line(poly):

@@ -7,15 +7,17 @@ candidate rows for a few iterations, into the basins of the maxima, then
 polishes the leading rows in one batch by Riemannian Newton steps (Absil,
 Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008) from
 the exact gradients and Hessians that the objective gives with one
-evaluation of each P.  This module alone carries a point of C^d as 2d real
-coordinates, real parts then imaginary parts (``_real``, ``_from_real``), so
-the same engine serves the sphere of C^d (``complexproj``), and the
-multiplier search in the ball (``ballfinder``), which runs on the sphere S^d
-that lifts the ball: its objective reads a row y as the point y[:d] of the
-ball and does not depend on y[d], and the equator y[d] = 0 is the rim.  In
-two dimensions no search is needed: the restriction to the circle is a
-trigonometric polynomial whose critical points are found exactly, so results
-there are certified by root isolation rather than iteration.
+evaluation of each P: Newton does the climbing, at its quadratic rate, and
+the ascent only brings each row into a basin.  This module alone carries a
+point of C^d as 2d real coordinates, real parts then imaginary parts
+(``_real``, ``_from_real``), so the same engine serves the sphere of C^d
+(``complexproj``), and the multiplier search in the ball (``ballfinder``),
+which runs on the sphere S^d that lifts the ball: its objective reads a row
+y as the point y[:d] of the ball and does not depend on y[d], and the
+equator y[d] = 0 is the rim.  In two dimensions no search is needed: the
+restriction to the circle is a trigonometric polynomial whose critical
+points are found exactly, so results there are certified by root isolation
+rather than iteration.
 
 Angular distances to zero sets are exact (closed form) for products of
 affine forms and for any polynomial in two variables.  For other polynomials
@@ -86,8 +88,8 @@ _ZERO_SEARCH_SEEDS = 64
 # for none of 1000
 _SCREEN = 4
 # ascent iterations before the Newton polish of near_max_on_sphere, and the
-# polish's iterations
-_ASCENT_ITERS = 20
+# polish's iterations: the ascent only reaches the basins, and Newton climbs
+_ASCENT_ITERS = 6
 _POLISH_ITERS = 20
 
 
@@ -328,14 +330,31 @@ def _near_max(value, X):
     return float(best), _dedupe_points([X[i] for i in order])
 
 
+def _ball_points(pool, d):
+    """The points x = y[:d] of the ball that the rows y of a pool on S^d, the
+    sphere that lifts it, stand for, each unless it lies within 1e-7 of one
+    kept before it, the rows on the equator (the rim of the ball) first.
+
+    Near-copies are judged in x, where the answer lives.  A maximum on the
+    rim at which d/dr log|P M| vanishes is flat to fourth order in t = y[d],
+    so Newton reaches it only linearly, and rows that climb to it stop short
+    of the equator (t about 3e-5, |x| about 1 - 5e-10), at values equal to
+    the rim's up to rounding.  The equator rows sit on it exactly.
+    """
+    return _dedupe_points([y[:d] for y in sorted(pool, key=lambda y: y[d] != 0.0)])
+
+
 def near_max_on_sphere(value, grad, X, starts):
     """Multi-start maximization of a log objective on the unit sphere: (best log value, pool).
 
-    The ``starts`` best of the candidate rows X take ``_ASCENT_ITERS``
+    The ``starts`` best of the candidate rows X take ``_ASCENT_ITERS`` (6)
     iterations of the lockstep ascent, into the basins of the maxima, the
     best ``max(8, min(32, starts))`` rows are polished in one batch by
-    :func:`_newton_polish` and normalised twice by ``unit_vector``, and
-    :func:`_near_max` keeps the near-maximal pool.
+    :func:`_newton_polish`, which climbs the rest of the way, and normalised
+    twice by ``unit_vector``, and :func:`_near_max` keeps the near-maximal
+    pool.  Newton's rate needs a nondegenerate maximum in the directions the
+    polish steps along: an objective constant on orbits (the phase of C^d)
+    hands over Hessians without the orbit direction (``complexproj``).
     """
     X = X[np.argsort(-value(X), kind="stable")[:starts]]
     X, f = _batch_ascent(value, grad, X)
@@ -449,9 +468,9 @@ def _newton_step(X, q, W, G=None, H=None):
     B'(W - sum lam_i Hess F_i - nu I)B is negative definite the step is
     Newton's, elsewhere the tangent gradient B B' q.  With none, the step is
     Newton's as a least-squares solve takes it: eigenvalues within 1e-10 of
-    the largest in modulus (symmetry orbits, such as the phase orbit in C^d)
-    count as zero.  Returns the steps, capped at length ``_STEP_CAP``, and
-    their lengths before the cap.
+    the largest in modulus (symmetry orbits, such as the torus of a complex
+    monomial's maximizers) count as zero.  Returns the steps, capped at
+    length ``_STEP_CAP``, and their lengths before the cap.
     """
     n, D = X.shape
     units = np.array([] if G is None else [1.0, -1j] if np.iscomplexobj(G) else [1.0])
@@ -498,8 +517,9 @@ def _zero_distance_search(poly, c, seed, Q=None):
     below ``_STEP_TOL`` or whose restoration stalled are frozen, and only the
     other rows are evaluated.  At the end every row takes ``_RESTORE_STEPS``
     more restoration steps, and the best of the rows with
-    |P| <= 1e-8 * scale is returned.  The number of polynomial calls is
-    fixed, whatever the number of seeds.
+    |P| <= 1e-8 * scale is returned.  The loop ends early once every row
+    is frozen, so the number of polynomial calls is at most a fixed count,
+    whatever the number of seeds.
     """
     d = len(c)
     c = _real(np.asarray(c))
@@ -520,6 +540,8 @@ def _zero_distance_search(poly, c, seed, Q=None):
     live = np.ones(len(Z), dtype=bool)
     for _ in range(_SEARCH_ITERS):
         idx = np.flatnonzero(live)
+        if len(idx) == 0:
+            break
         Zi, vi = Z[idx], v[idx]
         on = np.abs(vi) <= tol
         Xi = _real(Zi)

@@ -268,20 +268,26 @@ class TestMultiplierPoint:
 
     def test_multiplier_values_go_through_ball_multiplier(self, monkeypatch):
         # the search's multiplier work stays behind chebmult.ball_multiplier,
-        # the boundary at which the benchmark's tracer counts it
+        # the boundary at which the benchmark's tracer counts it: each value
+        # of the objective hands all of its rows to one call
         from zerogap import chebmult
 
-        calls = []
-        original = chebmult.ball_multiplier
+        calls, rows = [], []
+        original, objective = chebmult.ball_multiplier, ballfinder._multiplier_objective
 
         def counted(n, x):
             calls.append(np.size(x))
             return original(n, x)
 
+        def counted_objective(poly):
+            value, grad = objective(poly)
+            return (lambda Y: rows.append(len(Y)) or value(Y)), grad
+
         monkeypatch.setattr(chebmult, "ball_multiplier", counted)
+        monkeypatch.setattr(ballfinder, "_multiplier_objective", counted_objective)
         forms = [AffineForm([1, 0], 0.3), AffineForm([0, 1], -0.1)]
         multiplier_point(product_of_affine_forms(forms), seed=0)
-        assert len(calls) > 0 and sum(calls) > 1000
+        assert len(rows) > 0 and calls == rows
 
     def test_one_dimensional_grid_is_read_the_same_in_any_blocks(self, monkeypatch):
         poly = MultiPoly(1, {(i,): float(c) for i, c in enumerate(np.random.default_rng(3).standard_normal(13))})

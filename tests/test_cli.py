@@ -378,6 +378,26 @@ class TestDeterminism:
         assert json.loads(text)["rng"]["seed"] == 42
 
 
+class TestParserBuiltOnce:
+    def test_main_builds_no_parser(self, tmp_path, capsys, monkeypatch):
+        # the parser is built at import; main only parses, so a usage error
+        # and a run after it print what a fresh parser prints
+        from zerogap import cli
+
+        fresh = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built a parser"))
+        first = run_cli(tmp_path, "sphere-verify", X1X2, "--seed", "4")
+        with pytest.raises(SystemExit) as exc:
+            main(["sphere-verify", "--starts", "abc"])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(fresh.format_usage()) and "zerogap: error:" in err
+        assert run_cli(tmp_path, "sphere-verify", X1X2, "--seed", "4") == first
+        assert vars(cli._PARSER.parse_args(["sphere-max", "--tol", "0.5"])) == vars(
+            fresh.parse_args(["sphere-max", "--tol", "0.5"])
+        )
+
+
 class TestUsageErrors:
     def test_allocation_failure_is_a_usage_error(self, tmp_path, capsys):
         # 4e15 start rows in R^3 are refused by numpy at once, with no memory taken

@@ -209,7 +209,7 @@ def assert_handoff_keeps_maximizers(recorded, monkeypatch):
 
 
 class TestHandOff:
-    """The 20-iteration ascent with the Newton polish finds the maximizers
+    """The 6-iteration ascent with the Newton polish finds the maximizers
     that the 160-iteration ascent with the Newton polish finds."""
 
     @pytest.mark.parametrize(
@@ -229,6 +229,51 @@ class TestHandOff:
     def test_search_shapes(self, seed, monkeypatch, tmp_path):
         run = lambda: run_search_cycle(seed, tmp_path)  # noqa: E731
         assert_handoff_keeps_maximizers(recorded_maximizations(run, monkeypatch), monkeypatch)
+
+
+# the complex maximizations whose polish kept rows live for all 20 polish
+# iterations while the orbit direction i z was in the step: the benchmark's
+# complex-verify (search #10) and weighted-verify (#12) shapes, a random
+# C^2 cubic and a dense C^3 cubic
+HORIZONTAL_CASES = {
+    **{
+        f"search-{index}-seed-{seed}": lambda index=index, seed=seed: cli_items(
+            workloads.make_instance("search", seed, index).payload
+        )
+        for index in (10, 12)
+        for seed in (1, 2, 3)
+    },
+    "c2-cubic": lambda: [(homogeneous(2, 3, 1), 1.0)],
+    "c3-cubic": lambda: [(homogeneous(3, 3, 1), 1.0)],
+}
+
+
+def cli_items(payload):
+    """The (P, delta) items of a complex-verify or weighted-verify payload."""
+    if "items" in payload:
+        return [(ComplexHomogPoly.from_json(item["poly"]), item["delta"]) for item in payload["items"]]
+    return [(ComplexHomogPoly.from_json(payload), 1.0)]
+
+
+class TestHorizontalPolish:
+    """In C^d the polish steps on the horizontal space, without the orbit
+    direction i z, and converges at Newton's rate off a maximizer."""
+
+    @pytest.mark.parametrize("name", sorted(HORIZONTAL_CASES))
+    def test_no_row_live_after_six_iterations(self, name, monkeypatch):
+        live = []
+        polish = sphereopt._newton_polish
+
+        def counted(value, grad, X):
+            def counted_grad(X, hessian=False):
+                live.append(len(X))
+                return grad(X, hessian)
+
+            return polish(value, counted_grad, X)
+
+        monkeypatch.setattr(sphereopt, "_newton_polish", counted)
+        complexproj._maximize_items(HORIZONTAL_CASES[name](), 64, 0)
+        assert 1 <= len(live) <= 6
 
 
 def run_search_cycle(seed, tmp_path, cycles=1):

@@ -28,6 +28,8 @@ from zerogap.sphereopt import (
 from _oracles import dedupe_points_loop, row_by_row_lifted_starts, row_by_row_sphere_starts, slice_min_angle_bruteforce
 from test_newton_polish import run_search_cycle
 
+import workloads  # noqa: E402  (on the path that test_newton_polish sets)
+
 
 def random_form_product(rng, d, m, max_offset=0.9):
     forms = []
@@ -1074,14 +1076,32 @@ class TestZeroDistanceSearch:
             counts.update(eval=0, gradient=0, _term_jet=0)
             angular_distance_to_zero_set(poly, p, seed=1)
             seen.append(dict(counts))
-        assert seen[0] == seen[1]
         # each iteration: one step, then the restoration of its trial; at the
         # end one more restoration of every row.  Each takes grad P and
-        # Hess P from one term jet.
+        # Hess P from one term jet.  The loop ends early once every row is
+        # frozen, so that count is a ceiling, whatever the budget.
         iters, restore = sphereopt._SEARCH_ITERS, sphereopt._RESTORE_STEPS
-        assert seen[0]["_term_jet"] == iters + (iters + 1) * restore
-        assert seen[0]["gradient"] == 0
+        for counts in seen:
+            assert counts["_term_jet"] <= iters + (iters + 1) * restore
+            assert counts["gradient"] == 0
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_search_ends_when_every_row_is_frozen(self, seed, monkeypatch):
+        # the benchmark's quadric: every row freezes before the last
+        # iteration, and later iterations would step no row, so a higher
+        # iteration cap changes neither the zero found nor the work
+        poly = MultiPoly.from_json(workloads.make_instance("search", seed, 26).payload)
+        p = verify_sphere_gap(poly, seed=seed).maximizer
+        original_jet = sphereopt._term_jet
+        iters, restore = sphereopt._SEARCH_ITERS, sphereopt._RESTORE_STEPS
+        runs = []
+        for cap in (iters, 10 * iters):
+            monkeypatch.setattr(sphereopt, "_SEARCH_ITERS", cap)
+            jets = []
+            monkeypatch.setattr(sphereopt, "_term_jet", lambda *a: jets.append(1) or original_jet(*a))
+            runs.append((sphereopt._zero_distance_search(poly, p, seed).tobytes(), len(jets)))
+        assert runs[0] == runs[1]
+        assert runs[0][1] < iters + (iters + 1) * restore
 
 
 def complex_forms(rng, d, m):
