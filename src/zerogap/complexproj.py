@@ -156,13 +156,10 @@ def _canonical_phase(z):
 def _maximize_items(items, starts, seed):
     """Near-maximal pool of the weighted log objective, sorted by coordinates.
 
-    The objective is constant on each unit-scalar orbit, so its maxima live
-    on CP^(d-1) = S^(2d-1)/U(1), and the polish steps on the horizontal space
-    (Absil, Mahony and Sepulchre 2008, sec. 3.4): its Hessians are taken as
-    P H P with P = I - u u', u = i z the orbit direction of the row z.  Off
-    a maximizer the gradient couples i z to the other tangent directions and
-    Newton's step would run along the orbit; without it the step converges
-    quadratically.
+    The objective is constant on the orbits z -> e^(i phi) z, so the polish
+    takes its Hessians as P H P, P = I - u u' with u = i z: Newton then steps
+    on the horizontal space of CP^(d-1) = S^(2d-1)/U(1) (Absil, Mahony and
+    Sepulchre 2008, sec. 3.4) and converges quadratically off a maximizer.
     """
     value, grad = _log_objective(items)
     d = items[0][0].dim

@@ -7,8 +7,7 @@ candidate rows for a few iterations, into the basins of the maxima, then
 polishes the leading rows in one batch by Riemannian Newton steps (Absil,
 Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008) from
 the exact gradients and Hessians that the objective gives with one
-evaluation of each P: Newton does the climbing, at its quadratic rate, and
-the ascent only brings each row into a basin.  This module alone carries a
+evaluation of each P; Newton does the climbing.  This module alone carries a
 point of C^d as 2d real coordinates, real parts then imaginary parts
 (``_real``, ``_from_real``), so the same engine serves the sphere of C^d
 (``complexproj``), and the multiplier search in the ball (``ballfinder``),
@@ -331,16 +330,12 @@ def _near_max(value, X):
 
 
 def _ball_points(pool, d):
-    """The points x = y[:d] of the ball that the rows y of a pool on S^d, the
-    sphere that lifts it, stand for, each unless it lies within 1e-7 of one
-    kept before it, the rows on the equator (the rim of the ball) first.
-
-    Near-copies are judged in x, where the answer lives.  A maximum on the
-    rim at which d/dr log|P M| vanishes is flat to fourth order in t = y[d],
-    so Newton reaches it only linearly, and rows that climb to it stop short
-    of the equator (t about 3e-5, |x| about 1 - 5e-10), at values equal to
-    the rim's up to rounding.  The equator rows sit on it exactly.
-    """
+    """The points x = y[:d] of the ball that a pool on S^d, the sphere that
+    lifts it, stands for, the rows on the equator (the rim) first, each point
+    unless it lies within 1e-7 of one kept before it: a rim maximum where
+    d/dr log|P M| vanishes is flat to fourth order in t = y[d], so rows that
+    climb to it stop short (t about 3e-5, |x| about 1 - 5e-10), at the rim's
+    value up to rounding, and only the equator rows sit on it exactly."""
     return _dedupe_points([y[:d] for y in sorted(pool, key=lambda y: y[d] != 0.0)])
 
 
@@ -352,9 +347,8 @@ def near_max_on_sphere(value, grad, X, starts):
     best ``max(8, min(32, starts))`` rows are polished in one batch by
     :func:`_newton_polish`, which climbs the rest of the way, and normalised
     twice by ``unit_vector``, and :func:`_near_max` keeps the near-maximal
-    pool.  Newton's rate needs a nondegenerate maximum in the directions the
-    polish steps along: an objective constant on orbits (the phase of C^d)
-    hands over Hessians without the orbit direction (``complexproj``).
+    pool.  An objective constant on orbits (the phase of C^d) hands over
+    Hessians without the orbit direction (``complexproj``).
     """
     X = X[np.argsort(-value(X), kind="stable")[:starts]]
     X, f = _batch_ascent(value, grad, X)

@@ -28,7 +28,7 @@ from zerogap.sphereopt import (
 from _oracles import dedupe_points_loop, row_by_row_lifted_starts, row_by_row_sphere_starts, slice_min_angle_bruteforce
 from test_newton_polish import run_search_cycle
 
-import workloads  # noqa: E402  (on the path that test_newton_polish sets)
+import workloads  # on the path that test_newton_polish sets
 
 
 def random_form_product(rng, d, m, max_offset=0.9):
