@@ -6,11 +6,11 @@ ball.  Each refuter returns a certificate that carries the point and one
 positive clearance per input piece, checkable by direct membership
 evaluation with no optimizer trust.
 
-Segments: widths are rounded up to a common rational grid, each widened
-segment is split into abutting equal-width virtual segments, and the point of
-the near-maximal pool of ``maximize_abs_on_sphere`` on the product of the
-virtual core equations that is farthest from the *original* segments is
-returned.
+Segments: unequal widths are rounded up to a common rational grid, each
+widened segment is split into abutting equal-width virtual segments, and the
+point of the engine's near-maximal pool on the product of the virtual core
+equations that is farthest from the *original* segments is returned.  The
+grid's denominator, below ``_MAX_GRID_N``, is the one bound.
 
 Planks |<u_i, x> - c_i| <= h_i with sum(h) < 1: Bang's lemma (T. Bang,
 "A solution of the plank problem", Proc. AMS 2, 1951) gives signs e with
@@ -34,10 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sphereopt
 from .ballfinder import multiplier_point  # noqa: F401  (unused; bench/test_bench.py:47 pins it)
 from .errors import VerificationError
 from .polycore import AffineForm, MultiPoly, _finite, _finite_vector
-from .sphereopt import _farthest, maximize_abs_on_sphere, slice_distance, unit_vector
+from .sphereopt import _SCREEN, _farthest, _log_objective, slice_distance, sphere_starts, unit_vector
 
 __all__ = [
     "SphericalSegment",
@@ -48,9 +49,9 @@ __all__ = [
     "refute_cover_ball",
 ]
 
-MAX_SPLIT_FACTORS = 200
-# the grid's denominators N are tried below this
-_MAX_GRID_N = 200_000
+# the grid's denominators N are tried below this, so a split has fewer than
+# pi 2^15 = 102,944 factors; 102,312 took about 9 s and 500 MB at 64 starts (README)
+_MAX_GRID_N = 2**15
 _EQUAL_WIDTH_TOL = 1e-12
 
 
@@ -131,9 +132,6 @@ class Plank:
     def width(self):
         return 2.0 * self.half_width
 
-    def core_form(self) -> AffineForm:
-        return AffineForm(self.normal, self.center)
-
     def clearance(self, x) -> float:
         return abs(float(self.normal @ np.asarray(x, dtype=float)) - self.center) - self.half_width
 
@@ -189,17 +187,9 @@ def _grid(widths, budget, margin, unit, name):
                 sub_half = unit / (2 * N)
                 return N, sub_half, [[(2 * j + 1 - M) * sub_half for j in range(M)] for M in counts]
         start, size = start + size, 2 * size
-    raise ValueError("no usable rational width grid found")
-
-
-def _refuse_oversized(count, widths, budget, name):
-    """ValueError (exit 3) when a refutation needs more than ``MAX_SPLIT_FACTORS``
-    factors, raised from the counts before any virtual piece is built."""
-    if count > MAX_SPLIT_FACTORS:
-        raise ValueError(
-            f"splitting needs {count} factors (> {MAX_SPLIT_FACTORS}); widths leave "
-            f"slack {budget - sum(widths):.6g} below {name}, too little for a coarser grid"
-        )
+    raise ValueError(
+        f"splitting needs a width grid finer than {unit:g}/{_MAX_GRID_N}: slack {budget - total:.6g} below {name}"
+    )
 
 
 def split_segments(segments, margin=None):
@@ -222,7 +212,6 @@ def split_segments(segments, margin=None):
                 continue  # entirely past a pole: empty on the sphere
             lat = min(max(lat, -math.pi / 2 + sub_half), math.pi / 2 - sub_half)
             lats.append((seg.normal, lat))
-    _refuse_oversized(len(lats), widths, math.pi, "pi")
     return [SphericalSegment(a, math.sin(lat), sub_half) for a, lat in lats], N
 
 
@@ -231,7 +220,6 @@ def _split_planks(planks, margin=None):
     """Round widths up to multiples of 2/N, so that sub-planks have half width 1/N, and split."""
     widths = [p.width for p in planks]
     N, sub_half, shifts = _grid(widths, 2.0, margin, 2.0, "the diameter 2")
-    _refuse_oversized(sum(map(len, shifts)), widths, 2.0, "the diameter 2")
     return [Plank(p.normal, p.center + t, sub_half) for p, shift in zip(planks, shifts) for t in shift], N
 
 
@@ -261,10 +249,13 @@ def refute_cover_sphere(segments, seed=0, starts=64) -> RefutationResult:
     """Explicit point of the sphere outside every given spherical segment.
 
     Requires total width < pi and dimension >= 2.  Unequal widths are split
-    onto a common grid (:func:`split_segments`); the candidates are the
-    near-maximal pool of the product of the virtual core equations on the
-    sphere, and the one farthest from every original segment is returned when
-    its smallest clearance is positive.
+    onto a common grid (:func:`split_segments`) with margin half the slack
+    s = pi - total: a maximizer of the product of m virtual core equations
+    clears the segments by (s - excess)/(2m), about (s - mu) mu/(pi k) for k
+    segments and margin mu, which is largest at mu = s/2.  A grid of
+    N >= ``_MAX_GRID_N`` is refused (ValueError) before any piece is built.
+    Of the engine's near-maximal pool for the factored product, the point
+    farthest from the segments is returned if its clearances are positive.
     """
     segments = list(segments)
     if segments and segments[0].dim < 2:
@@ -272,12 +263,12 @@ def refute_cover_sphere(segments, seed=0, starts=64) -> RefutationResult:
     segments, total = _family(segments, math.pi, "pi")
     widths = [s.width for s in segments]
     if max(widths) - min(widths) <= _EQUAL_WIDTH_TOL:
-        _refuse_oversized(len(segments), widths, math.pi, "pi")
         virtual, N = segments, 0
     else:
-        virtual, N = split_segments(segments)
+        virtual, N = split_segments(segments, margin=(math.pi - total) / 2)
     poly = MultiPoly.from_affine_product([v.core_form() for v in virtual])
-    pool = maximize_abs_on_sphere(poly, starts=starts, seed=seed).near_maximizers
+    X = sphere_starts(poly.dim, _SCREEN * starts, seed)
+    _, pool = sphereopt.near_max_on_sphere(*_log_objective(((poly, 1.0),)), X, starts)
 
     def clearances(x):
         clear = [s.clearance(x) for s in segments]

@@ -13,10 +13,11 @@ point of C^d as 2d real coordinates, real parts then imaginary parts
 (``complexproj``), and the multiplier search in the ball (``ballfinder``),
 which runs on the sphere S^d that lifts the ball: its objective reads a row
 y as the point y[:d] of the ball and does not depend on y[d], and the
-equator y[d] = 0 is the rim.  In two dimensions no search is needed: the
-restriction to the circle is a trigonometric polynomial whose critical
-points are found exactly, so results there are certified by root isolation
-rather than iteration.
+equator y[d] = 0 is the rim.  For expanded P in two dimensions no search
+is needed: the restriction to the circle is a trigonometric polynomial whose
+critical points are found exactly, so results there are certified by root
+isolation rather than iteration.  A factored product keeps the search there,
+since its expansion on the circle can lose every digit.
 
 Angular distances to zero sets are exact (closed form) for products of
 affine forms and for any polynomial in two variables.  For other polynomials
@@ -374,16 +375,20 @@ def _circle_max(T) -> SphereMaxResult:
 def maximize_abs_on_sphere(poly: MultiPoly, starts=64, seed=0) -> SphereMaxResult:
     """Global maximum of |P| over the unit sphere, deterministic per seed.
 
-    In dimension two the answer comes from exact circle root isolation; in
-    higher dimension from seeded multi-start ascent with Newton polish.
+    For expanded P in dimension two the answer comes from exact circle root
+    isolation; otherwise from seeded multi-start ascent with Newton polish.
+    ValueError when max |P| exceeds the largest double.
     """
     d = poly.dim
     if d < 2:
         raise ValueError("sphere maximization needs dimension >= 2")
-    if d == 2:
+    if d == 2 and poly.affine_factors is None:
         return _circle_max(_unit_circle_restriction(poly))
     best, pts = near_max_on_sphere(*_log_objective(((poly, 1.0),)), sphere_starts(d, _SCREEN * starts, seed), starts)
-    return SphereMaxResult(pts[0], math.exp(best), best, tuple(pts))
+    try:
+        return SphereMaxResult(pts[0], math.exp(best), best, tuple(pts))
+    except OverflowError:
+        raise ValueError(f"max |P| exceeds the largest double: log_value {best:.6g}") from None
 
 
 def slice_distance(form: AffineForm, p) -> float:
@@ -670,8 +675,8 @@ def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGap
     n = poly.degree
     if n < 1:
         raise ValueError("degree must be at least 1")
-    # in dimension two the maximum and the zeros come from one restriction to the circle
-    T = _unit_circle_restriction(poly) if poly.dim == 2 else None
+    # for expanded P in dimension two the maximum and the zeros come from one restriction to the circle
+    T = _unit_circle_restriction(poly) if poly.dim == 2 and poly.affine_factors is None else None
     res = maximize_abs_on_sphere(poly, starts=starts, seed=seed) if T is None else _circle_max(T)
     pool = _canonical_signs(poly, res.near_maximizers)
     (dist, zero), p = _farthest(pool, _zero_distance(poly, seed, T))

@@ -27,6 +27,7 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import zeta
 from scipy.stats import qmc
 
+from zerogap import covering
 from zerogap.sphereopt import GAIN_FLOOR, LOG_FLOOR, sphere_starts, unit_vector
 from zerogap.trigcircle import interlacing_check
 
@@ -265,7 +266,7 @@ def grid_scan(widths, budget, margin, unit, name):
         margin = 0.01 * (budget - total)
     if total + margin >= budget:
         raise ValueError(f"total width {total} plus margin {margin} reaches {name}; nothing to refute")
-    for N in range(1, 200_000):
+    for N in range(1, covering._MAX_GRID_N):
         counts = [math.ceil(w * N / unit - 1e-12) for w in widths]
         excess = sum(c * unit / N - w for c, w in zip(counts, widths))
         if excess <= margin + 1e-12:
@@ -273,7 +274,10 @@ def grid_scan(widths, budget, margin, unit, name):
                 raise ValueError("rounded total width reaches the budget; infeasible margin")
             sub_half = unit / (2 * N)
             return N, sub_half, [[(2 * j + 1 - M) * sub_half for j in range(M)] for M in counts]
-    raise ValueError("no usable rational width grid found")
+    raise ValueError(
+        f"splitting needs a width grid finer than {unit:g}/{covering._MAX_GRID_N}: "
+        f"slack {budget - total:.6g} below {name}"
+    )
 
 
 def exact_plank_refutation(planks, x):

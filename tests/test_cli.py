@@ -70,6 +70,15 @@ class TestSphereVerify:
         assert (rep["passed"], ref_code) == (True, 0)
         assert rep["distance"] == pytest.approx(ref["distance"], abs=1e-12)
 
+    @pytest.mark.parametrize("command", ["sphere-max", "sphere-verify"])
+    def test_maximum_past_the_largest_double_exits_3(self, tmp_path, capsys, command):
+        # 1200 forms near <e1, x> - 0.9: log max |P| is about 770, past log(DBL_MAX) = 709.78
+        normals = np.eye(3)[0] + 0.01 * np.random.default_rng(0).standard_normal((1200, 3))
+        code, out = run_cli(tmp_path, command, {"forms": [{"a": a, "b": 0.9} for a in normals.tolist()]})
+        assert code == 3 and out == ""
+        err = capsys.readouterr().err
+        assert "exceeds the largest double" in err and "log_value" in err
+
 
 class TestRefuteSphere:
     def test_three_zones(self, tmp_path):
@@ -83,18 +92,19 @@ class TestRefuteSphere:
         "widths, factors", [((0.3, 0.45, 0.5, 0.6), 37), ((0.5, 0.62, 0.55, 0.7), 95), ((0.4, 0.55, 0.47, 0.71), 171)]
     )
     def test_split_family_refuted_at_the_default_starts(self, tmp_path, monkeypatch, widths, factors):
-        # a split family of 17 to 200 factors takes the 64 default starts,
-        # not 4 per factor, and its point clears every segment
+        # a family that split_segments' default margin splits into 37 to 171
+        # factors hands the engine the 64 default starts, not 4 per factor,
+        # and its point clears every segment
         segments = [{"a": a, "b": 0.0, "delta": w / 2} for a, w in zip(np.eye(3).tolist() + [[1, 1, 1]], widths)]
         pieces = [covering.SphericalSegment.from_json(s) for s in segments]
         assert len(covering.split_segments(pieces)[0]) == factors
-        starts, maximize = [], covering.maximize_abs_on_sphere
+        starts, near_max = [], sphereopt.near_max_on_sphere
 
-        def recorded(*args, **kwargs):
-            starts.append(kwargs["starts"])
-            return maximize(*args, **kwargs)
+        def recorded(value, grad, X, count):
+            starts.append(count)
+            return near_max(value, grad, X, count)
 
-        monkeypatch.setattr(covering, "maximize_abs_on_sphere", recorded)
+        monkeypatch.setattr(sphereopt, "near_max_on_sphere", recorded)
         code, text = run_cli(tmp_path, "refute-sphere", {"dim": 3, "segments": segments})
         assert code == 0 and starts == [64]
         x = np.array(json.loads(text)["point"])
@@ -227,39 +237,47 @@ WIDE_GRID_PLANKS = {
 
 
 class TestSplitRefusal:
-    """Segment families whose split needs more than ``MAX_SPLIT_FACTORS``
-    factors are refused with exit 3 and a message that names the split, before
-    any virtual piece is built.  Plank families are never split."""
+    """The one resource bound of the segment refuter is the width grid: a
+    family whose grid needs a denominator of ``covering._MAX_GRID_N`` or more
+    is refused with exit 3 and a message that names the split, before any
+    virtual piece is built.  Below it every family is refuted, whatever its
+    number of factors.  Plank families are never split."""
 
-    FAMILIES = pytest.mark.parametrize(
-        "command, payload, factors",
-        [
-            # widths on the grid 1/100 only: 281 virtual segments
-            (
-                "refute-sphere",
-                {
-                    "dim": 3,
-                    "segments": [
-                        {"a": a, "b": 0.0, "delta": w / 2}
-                        for a, w in zip(np.eye(3).tolist() + [[1, 1, 1]], (0.61, 0.73, 0.59, 0.88))
-                    ],
-                },
-                281,
-            ),
+    # widths on the grid 1/100 only: 281 factors at split_segments' default
+    # margin, 13 at the refuter's half of the slack
+    HUNDREDTHS = {
+        "dim": 3,
+        "segments": [
+            {"a": a, "b": 0.0, "delta": w / 2}
+            for a, w in zip(np.eye(3).tolist() + [[1, 1, 1]], (0.61, 0.73, 0.59, 0.88))
         ],
-        ids=["segments"],
-    )
+    }
+    # slack 1e-9 below pi: no grid 1/N with N below the bound rounds these
+    # widths up within half of it
+    PAST_THE_BOUND = {
+        "dim": 3,
+        "segments": [
+            {"a": a, "b": 0.0, "delta": w / 2}
+            for a, w in zip(np.eye(3).tolist(), (2**-0.5, 3**-0.5, math.pi - 2**-0.5 - 3**-0.5 - 1e-9))
+        ],
+    }
 
-    @FAMILIES
-    def test_refused_with_exit_3(self, tmp_path, capsys, command, payload, factors):
-        assert factors > covering.MAX_SPLIT_FACTORS
-        code, out = run_cli(tmp_path, command, payload)
+    def test_281_factor_family_refuted_with_exit_0(self, tmp_path):
+        pieces = [covering.SphericalSegment.from_json(obj) for obj in self.HUNDREDTHS["segments"]]
+        assert len(covering.split_segments(pieces)[0]) == 281
+        code, text = run_cli(tmp_path, "refute-sphere", self.HUNDREDTHS)
+        assert code == 0
+        rep = json.loads(text)
+        assert rep["split_N"] > 0 and min(rep["clearances"]) > 0
+        assert not any(p.contains(rep["point"]) for p in pieces)
+
+    def test_past_the_grid_bound_refused_with_exit_3(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "refute-sphere", self.PAST_THE_BOUND)
         assert code == 3 and out == ""
-        assert f"splitting needs {factors} factors" in capsys.readouterr().err
+        assert f"splitting needs a width grid finer than 1/{covering._MAX_GRID_N}" in capsys.readouterr().err
 
-    @FAMILIES
-    def test_refused_before_any_piece_is_built(self, monkeypatch, command, payload, factors):
-        pieces = [covering.SphericalSegment.from_json(obj) for obj in payload["segments"]]
+    def test_past_the_grid_bound_refused_before_any_piece_is_built(self, monkeypatch):
+        pieces = [covering.SphericalSegment.from_json(obj) for obj in self.PAST_THE_BOUND["segments"]]
         built, init = [], covering.SphericalSegment.__init__
 
         def counted(self, *args):
@@ -267,7 +285,7 @@ class TestSplitRefusal:
             init(self, *args)
 
         monkeypatch.setattr(covering.SphericalSegment, "__init__", counted)
-        with pytest.raises(ValueError, match=f"splitting needs {factors} factors"):
+        with pytest.raises(ValueError, match="splitting needs"):
             covering.refute_cover_sphere(pieces)
         assert built == []
 

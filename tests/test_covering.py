@@ -286,6 +286,48 @@ class TestRefuteSphere:
         assert set(obj) == {"point", "clearances", "total_width", "budget", "split_N"}
 
 
+SEGMENT_KINDS = ("uniform", "pareto", "zones", "one-dominant")
+
+
+def segment_family(seed, k, d, kind, share):
+    """k segments on S^(d-1) of total width ``share`` pi: shares of the width
+    uniform on [0.05, 1], Pareto-tailed, equal (zones, b = 0) or one segment
+    carrying all but 1e-3 to 1e-1 of it; offsets uniform on (-0.9, 0.9)."""
+    rng = np.random.default_rng(seed)
+    normals = rng.standard_normal((k, d))
+    offsets = rng.uniform(-0.9, 0.9, k)
+    shares = rng.uniform(0.05, 1.0, k)
+    if kind == "pareto":
+        shares = rng.pareto(1.0, k) + 0.01
+    elif kind == "zones":
+        shares, offsets = np.ones(k), np.zeros(k)
+    elif kind == "one-dominant":
+        rest = 10.0 ** rng.uniform(-3.0, -1.0)
+        shares = np.concatenate([[1.0 - rest], rest * shares[1:] / shares[1:].sum()])
+    widths = shares / shares.sum() * share * math.pi
+    return [SphericalSegment(a, b, w / 2) for a, b, w in zip(normals, offsets, widths)]
+
+
+class TestSegmentFamilies:
+    """Every family of total width below pi within the grid bound is refuted,
+    with every clearance positive by direct membership."""
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 60),
+        d=st.integers(2, 6),
+        kind=st.sampled_from(SEGMENT_KINDS),
+        log_slack=st.floats(-3.0, math.log10(0.5)),
+    )
+    def test_refuted(self, seed, k, d, kind, log_slack):
+        # total width 0.5 pi to 0.999 pi, the slack below pi drawn on a log scale
+        segs = segment_family(seed, k, d, kind, 1.0 - 10.0**log_slack)
+        res = refute_cover_sphere(segs, seed=seed % 1000)
+        assert len(res.clearances) == k and min(res.clearances) > 0
+        assert not any(s.contains(res.point) for s in segs)
+
+
 class TestRefuteBall:
     def test_single_plank(self):
         res = refute_cover_ball([Plank([1.0, 0.0], 0.0, 0.9)])

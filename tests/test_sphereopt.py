@@ -41,6 +41,19 @@ def random_form_product(rng, d, m, max_offset=0.9):
     return product_of_affine_forms(forms), forms
 
 
+def log_max_on_circle(forms, samples=2**16, chunk=2048):
+    """max of log|P| over ``samples`` equally spaced angles for a product of
+    forms in two variables, ``chunk`` angles at a time."""
+    A = np.array([f.normal for f in forms])
+    b = np.array([f.offset for f in forms])
+    best = -np.inf
+    for start in range(0, samples, chunk):
+        t = 2.0 * np.pi * np.arange(start, min(start + chunk, samples)) / samples
+        logs = np.sum(np.log(np.abs(np.column_stack([np.cos(t), np.sin(t)]) @ A.T - b)), axis=1)
+        best = max(best, float(np.max(logs)))
+    return best
+
+
 class TestMaximize:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_coordinate_function(self, d):
@@ -211,6 +224,18 @@ class TestVerifySphereGap:
         rep = verify_sphere_gap(poly, seed=seed, starts=96)
         assert rep.passed, f"d={d} m={m}: distance {rep.distance} < {rep.bound}"
         assert rep.distance >= math.pi / (2 * m) - 1e-6
+
+    @pytest.mark.parametrize("k", [60, 200])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_long_products_in_d2_reach_the_log_domain_maximum(self, seed, k):
+        # expanded onto the circle, a product of k forms loses every digit:
+        # the circle's maximum fell up to e^39 short and the gap check failed;
+        # a factored product takes the engine, in the log domain
+        poly, forms = random_form_product(np.random.default_rng(seed), 2, k)
+        rep = verify_sphere_gap(poly, seed=seed)
+        assert rep.passed, f"distance {rep.distance} < {rep.bound}"
+        scan = log_max_on_circle(forms)
+        assert maximize_abs_on_sphere(poly, seed=seed).log_value >= scan - 1e-9 * abs(scan)
 
     def test_report_independent_of_expansion(self):
         # reading the expanded terms must not change how the product is restricted
