@@ -24,8 +24,12 @@ affine forms and for any polynomial in two variables.  For other polynomials
 in higher dimension they come from a seeded lockstep Newton search on
 Z(P) intersected with the sphere: every seed is restored onto P = 0 and then
 climbs <p, x> along the zero set by reduced Newton steps, all seeds in one
-batch.  The result is the angle to a zero actually found, so it is an
-upper-bound estimate of the distance, not a certified value.  The same
+batch, until the row nearest p on the zero set has converged and no row is
+still off it.  The search runs on P scaled by the power of two that puts
+its largest coefficient modulus in [0.5, 1), an exact scaling that keeps
+Z(P), so a distance is the same for every nonzero multiple of P.  The result
+is the angle to a zero actually found, so it is an upper-bound estimate of
+the distance, not a certified value.  The same
 search, with an objective made of a linear term and a constant-Hessian term
 and with the two real equations Re P = Im P = 0 for complex P, measures the
 Euclidean distances of ``ballfinder`` (on a sphere that lifts a ball) and the
@@ -501,25 +505,47 @@ def _newton_step(X, q, W, G=None, H=None):
     return S * (_STEP_CAP / np.maximum(norm, _STEP_CAP))[:, None], norm
 
 
+def _unit_scaled(poly):
+    """2^e P for the e that puts the largest coefficient modulus of P in
+    [0.5, 1), or P itself when e = 0.
+
+    The scaling is exact (math.ldexp reaches 2^+-1074 with no overflowing
+    factor) and leaves Z(P) as it is, so on normal-range input every step of
+    the search is the unscaled one with P times 2^e, bit for bit, while huge
+    P no longer overflows grad P and Hess P, and tiny P keeps its digits.
+    """
+    e = -math.frexp(max(abs(c) for _, c in poly.terms))[1]
+    if e == 0:
+        return poly
+
+    def scaled(c):
+        return complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)) if isinstance(c, complex) else math.ldexp(c, e)
+
+    return type(poly)(poly.dim, [(x, scaled(c)) for x, c in poly.terms])
+
+
 def _zero_distance_search(poly, c, seed, Q=None):
     """The zero of P on the unit sphere with the largest f found from seeded starts, or None.
 
     f(x) = <c, x> + x'Qx/2 in the real coordinates x of a row (Q = 0 by
     default).  Complex ``c`` searches the sphere of C^d, where <c, x> is
-    Re<z, c>.  All ``_ZERO_SEARCH_SEEDS`` seeds step in lockstep for a fixed
-    number of iterations.  A row off Z(P) takes ``_RESTORE_STEPS``
-    restoration steps and keeps them when |P| drops.  A row on Z(P)
-    (|P| <= ``_ON_ZERO_REL`` * scale) takes a reduced Newton step for f,
-    from grad P and Hess P of one :func:`_term_jet` call, restored onto
-    Z(P), and keeps it when it stays on Z(P) and f does not drop; otherwise
-    its next step is ten times shorter.  Rows whose step fell
-    below ``_STEP_TOL`` or whose restoration stalled are frozen, and only the
-    other rows are evaluated.  At the end every row takes ``_RESTORE_STEPS``
-    more restoration steps, and the best of the rows with
-    |P| <= 1e-8 * scale is returned.  The loop ends early once every row
-    is frozen, so the number of polynomial calls is at most a fixed count,
-    whatever the number of seeds.
+    Re<z, c>.  The search runs on :func:`_unit_scaled` P, which has the zero
+    set of P, so the zero found is the same for every nonzero multiple of P.
+    All ``_ZERO_SEARCH_SEEDS`` seeds step in lockstep.  A row off Z(P) takes
+    ``_RESTORE_STEPS`` restoration steps and keeps them when |P| drops.  A
+    row on Z(P) (|P| <= ``_ON_ZERO_REL`` * scale) takes a reduced Newton step
+    for f, from grad P and Hess P of one :func:`_term_jet` call, restored
+    onto Z(P), and keeps it when it stays on Z(P) and f does not drop;
+    otherwise its next step is ten times shorter.  A row on Z(P) freezes once
+    its step falls below ``_STEP_TOL``, a row off it once its restoration
+    stalls, and only the other rows are evaluated.  The loop ends once no
+    live row is off Z(P) and the row with the largest f on Z(P) is frozen,
+    or after ``_SEARCH_ITERS`` iterations, so the number of polynomial calls
+    is at most a fixed count, whatever the number of seeds.  At the end
+    every row takes ``_RESTORE_STEPS`` more restoration steps, and the best
+    of the rows with |P| <= 1e-8 * scale is returned.
     """
+    poly = _unit_scaled(poly)
     d = len(c)
     c = _real(np.asarray(c))
     D = len(c)
@@ -538,11 +564,15 @@ def _zero_distance_search(poly, c, seed, Q=None):
     shrink = np.ones(len(Z))
     live = np.ones(len(Z), dtype=bool)
     for _ in range(_SEARCH_ITERS):
-        idx = np.flatnonzero(live)
-        if len(idx) == 0:
+        on = np.abs(v) <= tol
+        # stop once the row with the largest f on Z(P) has converged and no
+        # row is still being restored onto Z(P); with no row on Z(P), that
+        # holds exactly when no row is live
+        best = int(np.argmax(np.where(on, f, -np.inf)))
+        if not (live[best] or np.any(live & ~on)):
             break
-        Zi, vi = Z[idx], v[idx]
-        on = np.abs(vi) <= tol
+        idx = np.flatnonzero(live)
+        Zi, vi, on = Z[idx], v[idx], on[idx]
         Xi = _real(Zi)
         S = _from_real(_newton_step(Xi, c + Xi @ Q, Q, *_term_jet(poly, Zi, "gh")[1:])[0], d)
         S = np.where(on[:, None], shrink[idx, None] * S, 0.0)
@@ -607,8 +637,11 @@ def angular_distance_to_zero_set(poly: MultiPoly, p, seed=0):
     Exact for tagged affine-form products and in dimension two.  Otherwise it
     is the angle from p to the nearest zero found by a seeded lockstep Newton
     search on Z(P) intersected with the sphere from ``_ZERO_SEARCH_SEEDS``
-    seeds: an upper-bound estimate, not certified.  ``zero`` is None exactly
-    when no zero is found on the sphere and the distance is +inf.
+    seeds, which stops once its nearest zero has converged and no seed is
+    left off Z(P): an upper-bound estimate, not certified.  The search runs
+    on an exact power-of-two multiple of P, so the result is the same for
+    every nonzero multiple of P.  ``zero`` is None exactly when no zero is
+    found on the sphere and the distance is +inf.
     """
     return _zero_distance(poly, seed)(p)
 

@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: zeros come
 from dense grids and bisection instead of companion matrices, gradients from
 finite differences, products from naive term-by-term loops, tails from
 truncated infinite products with an analytic remainder estimate,
-distances to zero sets from serial SLSQP solves, one per seed, maxima on
+distances to zero sets from serial SLSQP solves, one per seed, or from the
+nearest sign change on a few hundred random great circles or rays, maxima on
 the sphere from a per-point Newton polish whose Hessian differences the
 gradient, maxima in the ball from a long ascent in the ball itself, clipped to
 it, with no polish, near-copies in a pool
@@ -307,6 +308,66 @@ def slice_min_angle_bruteforce(a, b, p, samples=400_000, seed=0):
     pts = b * a + math.sqrt(max(0.0, 1 - b * b)) * w
     dots = np.clip(pts @ p, -1.0, 1.0)
     return float(np.min(np.arccos(dots)))
+
+
+def _nearest_sign_change(terms, curve, U, span, samples, bisections=60):
+    """Smallest t in [0, span] at which P changes sign on any of the curves
+    t -> curve(t, u), one per row u of U, from a dense grid of t and
+    bisection of the first bracket on each curve; +inf when P keeps its sign
+    on every curve."""
+    ts = np.linspace(0.0, span, samples)
+    signs = np.sign(naive_poly_eval(terms, np.moveaxis(curve(ts[:, None], U), -1, 0)))
+    change = (signs[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0.0)
+    hit = np.flatnonzero(np.any(change, axis=0))
+    if len(hit) == 0:
+        return math.inf
+    first = np.argmax(change[:, hit], axis=0)
+    lo, hi, s_lo, U = ts[first], ts[first + 1], signs[first, hit], U[hit]
+    for _ in range(bisections):
+        mid = 0.5 * (lo + hi)
+        s_mid = np.sign(naive_poly_eval(terms, curve(mid, U).T))
+        left = (s_lo == 0.0) | (s_lo * s_mid <= 0.0)
+        hi = np.where(left, mid, hi)
+        lo, s_lo = np.where(left, lo, mid), np.where(left, s_lo, s_mid)
+    return float(np.min(np.where(s_lo == 0.0, lo, hi)))
+
+
+def _directions(d, count, seed, normal=None):
+    """Up to ``count`` random unit vectors in R^d, orthogonal to ``normal``
+    if given; a draw that the projection leaves at rounding level (a draw
+    parallel to ``normal``) is dropped."""
+    U = np.random.default_rng(seed).standard_normal((count, d))
+    if normal is not None:
+        U -= np.outer(U @ normal, normal)
+    norms = np.linalg.norm(U, axis=1)
+    keep = norms > 1e-8
+    return U[keep] / norms[keep, None]
+
+
+def great_circle_zero_distance(terms, p, directions=300, samples=2001, seed=0):
+    """Angle from the unit vector p to the nearest sign change of P on
+    ``directions`` great circles p cos t + u sin t, u a random unit vector
+    orthogonal to p.  Each sign change brackets a true zero, so this is an
+    upper bound on the angular distance from p to Z(P)."""
+    p = np.asarray(p, dtype=float)
+
+    def circle(t, U):
+        return np.cos(t)[..., None] * p + np.sin(t)[..., None] * U
+
+    return _nearest_sign_change(terms, circle, _directions(len(p), directions, seed, p), math.pi, samples)
+
+
+def ray_zero_distance(terms, p, reach=1.0, directions=300, samples=2001, seed=0):
+    """Euclidean distance from p to the nearest sign change of P on
+    ``directions`` random rays p + s u, 0 <= s <= ``reach``: an upper bound
+    on the distance from p to Z(P), or +inf when P keeps its sign on every
+    ray."""
+    p = np.asarray(p, dtype=float)
+
+    def ray(s, U):
+        return p + s[..., None] * U
+
+    return _nearest_sign_change(terms, ray, _directions(len(p), directions, seed), reach, samples)
 
 
 def slsqp_ball_zero_distance(poly, p, seeds=64, seed=0):

@@ -347,6 +347,48 @@ class TestComplexCommands:
         assert rep["distances"][0] >= math.asin(0.6) - 1e-6
 
 
+class TestScaleInvariance:
+    """c P has the zero set of P for every c != 0, so the distance and the
+    verdict are those of P, with no warning, at any scale."""
+
+    @staticmethod
+    def run(tmp_path, command, payload):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text = run_cli(tmp_path, command, payload)
+        assert [str(w.message) for w in caught] == []
+        return code, json.loads(text)
+
+    @pytest.mark.parametrize("c", [1e-310, 1e-300, 1e200, 1e300])
+    @pytest.mark.parametrize(
+        "command, dim, terms",
+        [
+            ("sphere-verify", 3, [([1, 0, 0], 1.0), ([0, 1, 1], 1.0)]),
+            ("sphere-verify", 3, [([1, 0, 0], 1.0)]),
+            ("ball-multiplier", 2, [([1, 0], 1.0), ([0, 2], 1.0), ([0, 0], -0.3)]),
+        ],
+        ids=["x1+x2x3", "x1", "ball"],
+    )
+    def test_real_multiple(self, tmp_path, command, dim, terms, c):
+        ref_code, ref = self.run(tmp_path, command, {"dim": dim, "terms": [{"e": e, "c": k} for e, k in terms]})
+        code, rep = self.run(tmp_path, command, {"dim": dim, "terms": [{"e": e, "c": c * k} for e, k in terms]})
+        assert (code, rep["passed"]) == (ref_code, ref["passed"]) == (0, True)
+        assert rep["distance"] == pytest.approx(ref["distance"], abs=1e-9)
+
+    @pytest.mark.parametrize("c", [1e-300, 1e200, 1e300])
+    def test_complex_multiple(self, tmp_path, c):
+        # z1^2 + i z2 z3 + 0.5 z1 z2 in C^3
+        terms = [([2, 0, 0], 1.0, 0.0), ([0, 1, 1], 0.0, 1.0), ([1, 1, 0], 0.5, 0.0)]
+
+        def payload(c):
+            return {"dim": 3, "terms": [{"e": e, "re": c * re, "im": c * im} for e, re, im in terms]}
+
+        ref_code, ref = self.run(tmp_path, "complex-verify", payload(1.0))
+        code, rep = self.run(tmp_path, "complex-verify", payload(c))
+        assert (code, rep["passed"]) == (ref_code, ref["passed"]) == (0, [True])
+        assert rep["distances"][0] == pytest.approx(ref["distances"][0], abs=1e-9)
+
+
 class TestTables:
     def test_cheb_table(self, tmp_path):
         payload = {"n": 2, "k": 100, "half_width": 5.0, "points": 11}

@@ -25,7 +25,14 @@ from zerogap.sphereopt import (
     verify_sphere_gap,
 )
 
-from _oracles import dedupe_points_loop, row_by_row_lifted_starts, row_by_row_sphere_starts, slice_min_angle_bruteforce
+from _oracles import (
+    dedupe_points_loop,
+    great_circle_zero_distance,
+    ray_zero_distance,
+    row_by_row_lifted_starts,
+    row_by_row_sphere_starts,
+    slice_min_angle_bruteforce,
+)
 from test_newton_polish import run_search_cycle
 
 import workloads  # on the path that test_newton_polish sets
@@ -1027,6 +1034,21 @@ ZERO_SET_CORPUS = {
     },
 }
 
+# the corpus and nine more dense P, of degree 2-4 in 3-5 variables, for the
+# sign-change oracles
+ORACLE_CASES = {
+    **ZERO_SET_CORPUS,
+    **{
+        f"dense-{d}-{n}-b": lambda d=d, n=n: dense_poly(np.random.default_rng(500 + 10 * d + n), d, n)
+        for d in (3, 4, 5)
+        for n in (2, 3, 4)
+    },
+}
+
+
+def bench_quadric(seed):
+    return MultiPoly.from_json(workloads.make_instance("search", seed, 26).payload)
+
 
 class TestZeroDistanceSearch:
     @pytest.mark.parametrize("name", sorted(ZERO_SET_CORPUS))
@@ -1103,19 +1125,20 @@ class TestZeroDistanceSearch:
             seen.append(dict(counts))
         # each iteration: one step, then the restoration of its trial; at the
         # end one more restoration of every row.  Each takes grad P and
-        # Hess P from one term jet.  The loop ends early once every row is
-        # frozen, so that count is a ceiling, whatever the budget.
+        # Hess P from one term jet.  The loop runs at most _SEARCH_ITERS
+        # iterations, so that count is a ceiling, whatever the budget.
         iters, restore = sphereopt._SEARCH_ITERS, sphereopt._RESTORE_STEPS
         for counts in seen:
             assert counts["_term_jet"] <= iters + (iters + 1) * restore
             assert counts["gradient"] == 0
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_search_ends_when_every_row_is_frozen(self, seed, monkeypatch):
-        # the benchmark's quadric: every row freezes before the last
-        # iteration, and later iterations would step no row, so a higher
+    def test_search_ends_once_the_nearest_zero_has_settled(self, seed, monkeypatch):
+        # the benchmark's quadric: the best row on Z(P) freezes, with no row
+        # left off Z(P), within 12 iterations of one step and three
+        # restoration steps each, plus the final restoration; a higher
         # iteration cap changes neither the zero found nor the work
-        poly = MultiPoly.from_json(workloads.make_instance("search", seed, 26).payload)
+        poly = bench_quadric(seed)
         p = verify_sphere_gap(poly, seed=seed).maximizer
         original_jet = sphereopt._term_jet
         iters, restore = sphereopt._SEARCH_ITERS, sphereopt._RESTORE_STEPS
@@ -1123,10 +1146,31 @@ class TestZeroDistanceSearch:
         for cap in (iters, 10 * iters):
             monkeypatch.setattr(sphereopt, "_SEARCH_ITERS", cap)
             jets = []
-            monkeypatch.setattr(sphereopt, "_term_jet", lambda *a: jets.append(1) or original_jet(*a))
-            runs.append((sphereopt._zero_distance_search(poly, p, seed).tobytes(), len(jets)))
+            monkeypatch.setattr(sphereopt, "_term_jet", lambda *a: jets.append(a[2]) or original_jet(*a))
+            runs.append((sphereopt._zero_distance_search(poly, p, seed).tobytes(), jets.count("gh")))
         assert runs[0] == runs[1]
-        assert runs[0][1] < iters + (iters + 1) * restore
+        assert runs[0][1] <= (restore + 1) * 12 + restore
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_bench_quadric_distance_is_closed_form(self, seed):
+        # the early stop keeps the nearest zero: the spectrum (1, 0.2, -0.6)
+        # puts every maximizer at angle acos(sqrt(0.375)) from Z(P)
+        rep = verify_sphere_gap(bench_quadric(seed), seed=seed)
+        assert rep.distance == pytest.approx(math.acos(math.sqrt(0.375)), abs=1e-12)
+
+    @pytest.mark.parametrize("k, name", list(enumerate(sorted(ORACLE_CASES))))
+    def test_no_sign_change_nearer_than_the_zero_found(self, k, name):
+        # every sign change of P on a great circle through p (or on a ray
+        # from q in the ball) is a zero, so the search must reach one at
+        # least as near, from the maximizer and from a random point; a P
+        # with no zero on the sphere (dense-3-2-b, dense-4-2-b) gives +inf
+        poly = ORACLE_CASES[name]()
+        rng = np.random.default_rng(700 + k)
+        for p in (maximize_abs_on_sphere(poly, starts=32, seed=0).point, unit_vector(rng.standard_normal(poly.dim))):
+            ref = great_circle_zero_distance(poly.terms, p)
+            assert angular_distance_to_zero_set(poly, p, seed=k)[0] <= ref + 1e-9
+        q = rng.uniform(0.2, 0.9) * unit_vector(rng.standard_normal(poly.dim))
+        assert ballfinder.euclidean_zero_distance(poly, q, seed=k)[0] <= ray_zero_distance(poly.terms, q) + 1e-9
 
 
 def complex_forms(rng, d, m):
