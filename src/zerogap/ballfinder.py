@@ -41,8 +41,6 @@ from .sphereopt import (
     _canonical_signs,
     _farthest,
     _log_objective,
-    _near_max,
-    _newton_polish,
     _normalize_rows,
     _zero_distance_search,
     angular_distance_to_zero_set,
@@ -64,9 +62,6 @@ __all__ = [
 
 # nothing calls this name; it is kept only because bench/tracing.py wraps it
 minimize = None
-
-# entries of the power table that one block of the one-dimensional grid builds
-_GRID_BLOCK = 1 << 21
 
 
 def euclidean_zero_distance(poly: MultiPoly, p, seed=0):
@@ -226,36 +221,25 @@ def _multiplier_objective(poly: MultiPoly):
 
 
 def _multiplier_pool(poly, seed, starts):
-    """The near-maximal pool of |P(x) M(|x|)| over the ball, from :func:`_near_max`.
+    """The near-maximal pool of |P(x) M(|x|)| over the ball, from :func:`near_max_on_sphere`.
 
     The search runs on S^d, the sphere that lifts the ball: a row y stands
     for x = y[:d], and F of :func:`_multiplier_objective` is even in t = y[d].
-    In several variables :func:`near_max_on_sphere` screens 2 ``starts`` rows
+    In every dimension :func:`near_max_on_sphere` screens 2 ``starts`` rows
     of :func:`sphere_starts` folded into the upper hemisphere (t -> |t|),
     and the same rows moved to the equator t = 0, which holds the rim of the
-    ball.  F's gradient has no t part, so a row on the equator stays on it,
-    and a maximum on the rim is found exactly.  In one variable the interior
-    local maxima of a dense grid and the two ends of [-1, 1] are lifted to
-    S^1 and polished by :func:`_newton_polish`.  Returns the points x of the
-    pool, near-copies judged in x (:func:`_ball_points`).
+    ball (in one variable, the ends +-1 of the interval).  F's gradient has
+    no t part, so a row on the equator stays on it, and a maximum on the rim
+    is found exactly.  Returns the points x of the pool, near-copies judged
+    in x (:func:`_ball_points`).
     """
     value, grad = _multiplier_objective(poly)
     d = poly.dim
-    if d == 1:
-        grid = np.linspace(-1.0, 1.0, 4096 * poly.degree + 1)[:, None]
-        # value reads only x = y[:1], so the grid is screened unlifted, in
-        # blocks of rows whose power tables hold about _GRID_BLOCK entries each
-        rows = max(1, _GRID_BLOCK // (poly.degree + 1))
-        vals = np.concatenate([value(grid[i : i + rows]) for i in range(0, len(grid), rows)])
-        interior = np.flatnonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1
-        X = np.vstack([[[-1.0], [1.0]], grid[interior]])
-        pool = _near_max(value, _newton_polish(value, grad, np.hstack([X, np.sqrt(1.0 - X * X)])))[1]
-    else:
-        Y = sphere_starts(d + 1, 2 * starts, seed)
-        Y[:, d] = np.abs(Y[:, d])
-        rim = Y.copy()
-        rim[:, d] = 0.0
-        pool = near_max_on_sphere(value, grad, np.vstack([Y, _normalize_rows(rim)]), starts)[1]
+    Y = sphere_starts(d + 1, 2 * starts, seed)
+    Y[:, d] = np.abs(Y[:, d])
+    rim = Y.copy()
+    rim[:, d] = 0.0
+    pool = near_max_on_sphere(value, grad, np.vstack([Y, _normalize_rows(rim)]), starts)[1]
     return _ball_points(pool, d)
 
 

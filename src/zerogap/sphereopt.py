@@ -141,9 +141,12 @@ def _log_objective(items):
     Rows hold real coordinates (:func:`_real`): complex P is read on rows
     twice as wide as its dimension, where log|P| = Re log P.  A factored real
     product goes through its forms, never expanded; any other P takes one
-    :func:`_term_jet` call per gradient.  ``grad(X, True)`` also returns the
-    Euclidean Hessians.  The value is ``LOG_FLOOR`` where some P_k vanishes,
-    and ``ZERO_STANDIN`` stands in for that zero in the gradient.
+    :func:`_term_jet` call per gradient, on :func:`_unit_scaled` P, built
+    once: grad P / P and Hess P / P are those of P bit for bit on
+    normal-range P, and subnormal P keeps its digits.  ``grad(X, True)``
+    also returns the Euclidean Hessians.  The value is ``LOG_FLOOR`` where
+    some P_k vanishes, and ``ZERO_STANDIN`` stands in for that zero in the
+    gradient.
     """
 
     def factor_rows(poly):  # (A, b), the rows (a_i, b_i) of a factored real product's forms, or None
@@ -151,11 +154,12 @@ def _log_objective(items):
         return f and (np.array([form.normal for form in f]), np.array([form.offset for form in f]))
 
     items = [(poly, delta * delta, factor_rows(poly)) for poly, delta in items]
+    items = [(poly, w, forms, _unit_scaled(poly) if forms is None else None) for poly, w, forms in items]
 
     def value(X):
         total, dead = 0.0, False
         with np.errstate(divide="ignore", invalid="ignore"):
-            for poly, w, forms in items:
+            for poly, w, forms, _ in items:
                 if forms is None:
                     logs = np.log(np.abs(poly.eval(_from_real(X, poly.dim))))
                 else:
@@ -167,7 +171,7 @@ def _log_objective(items):
     def grad(X, hessian=False):
         # complex rows sum onto zeros, real rows from the first item: one item gives its own arrays
         G = H = 0.0 if X.shape[1] != items[0][0].dim else None
-        for poly, w, forms in items:
+        for _, w, forms, scaled in items:
             if forms is not None:
                 A, b = forms
                 L = X @ A.T - b
@@ -176,7 +180,7 @@ def _log_objective(items):
                 # sum_i log|L_i| has Hessian -A' diag(1/L^2) A
                 h = -(A.T * L[:, None, :] ** -2.0) @ A if hessian else None
             else:
-                v, g, h = _term_jet(poly, _from_real(X, poly.dim), "vgh" if hessian else "vg")
+                v, g, h = _term_jet(scaled, _from_real(X, scaled.dim), "vgh" if hessian else "vg")
                 v = np.where(v == 0.0, ZERO_STANDIN, v)
                 g = g / v[:, None]
                 # log|P| = Re log P, and (log P)'' = Hess P / P - g g' with g = grad P / P

@@ -8,7 +8,8 @@ distances to zero sets from serial SLSQP solves, one per seed, or from the
 nearest sign change on a few hundred random great circles or rays, maxima on
 the sphere from a per-point Newton polish whose Hessian differences the
 gradient, maxima in the ball from a long ascent in the ball itself, clipped to
-it, with no polish, near-copies in a pool
+it, with no polish, maxima on [-1, 1] from a dense grid read with numpy's
+Horner sum, near-copies in a pool
 from one distance per pair of points,
 trigonometric coefficient maps from plain loops over the frequency k,
 restrictions to a circle from one convolution chain per term, the
@@ -29,6 +30,7 @@ from scipy.special import zeta
 from scipy.stats import qmc
 
 from zerogap import covering
+from zerogap.chebmult import ball_multiplier
 from zerogap.sphereopt import GAIN_FLOOR, LOG_FLOOR, sphere_starts, unit_vector
 from zerogap.trigcircle import interlacing_check
 
@@ -545,6 +547,25 @@ def ball_ascent_pool(value, grad, d, count, seed, keep=24, iters=200):
     X = X[np.argsort(-f)[:keep]]
     logs = value(lift(X))
     return X[logs >= np.max(logs) + math.log1p(-1e-9)]
+
+
+def multiplier_log(coeffs, x):
+    """log|P(x) M(|x|)| at the points x of [-1, 1]: P from its coefficients,
+    x^0 first, by numpy's Horner sum, and M of degree len(coeffs) - 1 from
+    ``chebmult.ball_multiplier``."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(np.polynomial.polynomial.polyval(x, coeffs))) + np.log(
+            np.abs(ball_multiplier(len(coeffs) - 1, np.abs(x)))
+        )
+
+
+def grid_multiplier_max(coeffs, block=1 << 16):
+    """The largest :func:`multiplier_log` over 4096 n + 1 equally spaced
+    points of [-1, 1], n = len(coeffs) - 1, read ``block`` points at a time
+    so that the multiplier's per-zero factor arrays stay small."""
+    xs = np.linspace(-1.0, 1.0, 4096 * (len(coeffs) - 1) + 1)
+    return max(float(np.max(multiplier_log(coeffs, xs[i : i + block]))) for i in range(0, len(xs), block))
 
 
 def dedupe_points_loop(points, tol=1e-7):

@@ -20,7 +20,7 @@ from zerogap.ballfinder import (
 )
 from zerogap.polycore import AffineForm, MultiPoly, product_of_affine_forms
 
-from _oracles import ball_ascent_pool
+from _oracles import ball_ascent_pool, grid_multiplier_max, multiplier_log
 
 
 def cheb_poly_1d(n):
@@ -289,24 +289,36 @@ class TestMultiplierPoint:
         multiplier_point(product_of_affine_forms(forms), seed=0)
         assert len(rows) > 0 and calls == rows
 
-    def test_one_dimensional_grid_is_read_the_same_in_any_blocks(self, monkeypatch):
-        poly = MultiPoly(1, {(i,): float(c) for i, c in enumerate(np.random.default_rng(3).standard_normal(13))})
-        pools = set()
-        for block in (ballfinder._GRID_BLOCK, 997, 10**12):
-            monkeypatch.setattr(ballfinder, "_GRID_BLOCK", block)
-            pools.add(np.array(ballfinder._multiplier_pool(poly, 0, 64)).tobytes())
-        assert len(pools) == 1
+    def test_work_does_not_grow_with_the_degree(self, monkeypatch):
+        # one variable takes the lifted multistart on S^1 as every dimension
+        # does: its rows are the starts' and the polish's, whatever the degree
+        rows = []
+        objective = ballfinder._multiplier_objective
+
+        def counted_objective(poly):
+            value, grad = objective(poly)
+
+            def counted_grad(Y, hessian=False):
+                rows.append(len(Y))
+                return grad(Y, hessian)
+
+            return (lambda Y: rows.append(len(Y)) or value(Y)), counted_grad
+
+        monkeypatch.setattr(ballfinder, "_multiplier_objective", counted_objective)
+        _, dist = multiplier_point(MultiPoly(1, {(300,): 1.0, (0,): -0.5}), seed=0)
+        assert 0 < sum(rows) <= 10_000
+        assert dist >= 1 / 300
 
     def test_degree_300_in_bounded_memory(self):
-        # the grid of 4096 n + 1 points is read in blocks, so the command
-        # needs far less than the 3 GB that one power table of it would take
+        # the multistart reads a few hundred rows of the objective at a time,
+        # so a degree-300 power table per batch stays far below the limit
         limit = 1536 * 2**20
         proc = subprocess.run(
             [sys.executable, "-m", "zerogap.cli", "ball-multiplier"],
             input=json.dumps({"dim": 1, "terms": [{"e": [300], "c": 1.0}, {"e": [0], "c": -0.5}]}),
             capture_output=True,
             text=True,
-            # one BLAS thread, so the limit measures the grid and not per-thread buffers
+            # one BLAS thread, so the limit measures the search and not per-thread buffers
             env={
                 **os.environ,
                 "PYTHONPATH": os.pathsep.join(sys.path),
@@ -318,6 +330,44 @@ class TestMultiplierPoint:
         rep = json.loads(proc.stdout)
         assert rep["passed"] is True and rep["bound"] == 1 / 300
         assert abs(abs(rep["point"][0]) ** 300 - 0.5) >= 1e-3
+
+
+def one_variable_corpus():
+    """(id, coefficients with x^0 first) of 52 one-variable P: dense Gaussian,
+    roots near and past +-1, rim-heavy (x + 1 + eps)^k q, sparse x^n + c,
+    and two of high degree."""
+    rng = np.random.default_rng(34)
+    poly = np.polynomial.polynomial
+    cases = []
+    for i in range(12):
+        cases.append((f"dense-{i}", rng.standard_normal(i + 2)))
+    for i in range(13):
+        roots = [rng.choice([-1.0, 1.0]) * (1.0 + rng.normal(0.0, 0.03)) for _ in range(1 + i % 4)]
+        roots += list(rng.uniform(-1.3, 1.3, size=i % 5))
+        cases.append((f"rim-roots-{i}", poly.polyfromroots(roots) * rng.uniform(0.2, 5.0)))
+    for i in range(13):
+        eps = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, -1.0)
+        rim = poly.polypow([1.0 + eps, 1.0], 1 + i % 6)
+        cases.append((f"rim-heavy-{i}", poly.polymul(rim, rng.standard_normal(1 + i % 5))))
+    for i in range(12):
+        cases.append((f"sparse-{i}", np.array([rng.uniform(-1.5, 1.5)] + [0.0] * i + [1.0])))
+    cases.append(("x300-0.5", np.array([-0.5] + [0.0] * 299 + [1.0])))
+    cases.append(("dense-100", rng.standard_normal(101)))
+    return cases
+
+
+class TestOneVariableSearch:
+    """The multistart on S^1 against the largest value on a grid of 4096 n + 1
+    points of [-1, 1], read with plain numpy (``_oracles``)."""
+
+    @pytest.mark.parametrize("coeffs", [pytest.param(c, id=i) for i, c in one_variable_corpus()])
+    def test_reaches_the_dense_grid_maximum(self, coeffs):
+        poly = MultiPoly(1, {(i,): float(c) for i, c in enumerate(coeffs) if c != 0.0})
+        assert poly.degree == len(coeffs) - 1
+        point, dist = multiplier_point(poly, seed=0)
+        ref = grid_multiplier_max(coeffs)
+        assert multiplier_log(coeffs, point)[0] >= ref - 1e-9 * max(1.0, abs(ref))
+        assert dist >= 1.0 / poly.degree - 1e-6
 
 
 class TestLiftedMultiplierSearch:

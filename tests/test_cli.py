@@ -366,8 +366,9 @@ class TestScaleInvariance:
             ("sphere-verify", 3, [([1, 0, 0], 1.0), ([0, 1, 1], 1.0)]),
             ("sphere-verify", 3, [([1, 0, 0], 1.0)]),
             ("ball-multiplier", 2, [([1, 0], 1.0), ([0, 2], 1.0), ([0, 0], -0.3)]),
+            ("ball-multiplier", 1, [([3], 4.0), ([1], -3.0), ([0], 0.2)]),
         ],
-        ids=["x1+x2x3", "x1", "ball"],
+        ids=["x1+x2x3", "x1", "ball", "ball-1d"],
     )
     def test_real_multiple(self, tmp_path, command, dim, terms, c):
         ref_code, ref = self.run(tmp_path, command, {"dim": dim, "terms": [{"e": e, "c": k} for e, k in terms]})
@@ -375,7 +376,7 @@ class TestScaleInvariance:
         assert (code, rep["passed"]) == (ref_code, ref["passed"]) == (0, True)
         assert rep["distance"] == pytest.approx(ref["distance"], abs=1e-9)
 
-    @pytest.mark.parametrize("c", [1e-300, 1e200, 1e300])
+    @pytest.mark.parametrize("c", [1e-310, 1e-300, 1e200, 1e300])
     def test_complex_multiple(self, tmp_path, c):
         # z1^2 + i z2 z3 + 0.5 z1 z2 in C^3
         terms = [([2, 0, 0], 1.0, 0.0), ([0, 1, 1], 0.0, 1.0), ([1, 1, 0], 0.5, 0.0)]

@@ -393,9 +393,7 @@ def recorded_multiplier_pools(run, monkeypatch):
 
 def assert_ball_handoff_keeps_maximizers(recorded):
     # the reference's rows stop where the gain floor stops them, up to 7e-8
-    # (measured) from the maximizers the polish converges to; the pools in
-    # one variable come from a grid, not from the ascent, and are left out
-    recorded = [r for r in recorded if r[0].dim >= 2]
+    # (measured) from the maximizers the polish converges to
     assert recorded
     for poly, seed, starts in recorded:
         value, grad = ballfinder._multiplier_objective(poly)

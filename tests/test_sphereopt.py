@@ -447,7 +447,6 @@ def near_max_calls(monkeypatch):
         return best, pool
 
     monkeypatch.setattr(sphereopt, "_near_max", record)
-    monkeypatch.setattr(ballfinder, "_near_max", record)
     return calls
 
 
