@@ -228,10 +228,11 @@ def _multiplier_pool(poly, seed, starts):
     In every dimension :func:`near_max_on_sphere` screens 2 ``starts`` rows
     of :func:`sphere_starts` folded into the upper hemisphere (t -> |t|),
     and the same rows moved to the equator t = 0, which holds the rim of the
-    ball (in one variable, the ends +-1 of the interval).  F's gradient has
-    no t part, so a row on the equator stays on it, and a maximum on the rim
-    is found exactly.  Returns the points x of the pool, near-copies judged
-    in x (:func:`_ball_points`).
+    ball, each distinct one once (in one variable the rim rows are just the
+    two ends +-1 of the interval).  F's gradient has no t part, so a row on
+    the equator stays on it, and a maximum on the rim is found exactly.
+    Returns the points x of the pool, near-copies judged in x
+    (:func:`_ball_points`).
     """
     value, grad = _multiplier_objective(poly)
     d = poly.dim
@@ -239,7 +240,9 @@ def _multiplier_pool(poly, seed, starts):
     Y[:, d] = np.abs(Y[:, d])
     rim = Y.copy()
     rim[:, d] = 0.0
-    pool = near_max_on_sphere(value, grad, np.vstack([Y, _normalize_rows(rim)]), starts)[1]
+    rim = _normalize_rows(rim)
+    rim = rim[np.sort(np.unique(rim, axis=0, return_index=True)[1])]
+    pool = near_max_on_sphere(value, grad, np.vstack([Y, rim]), starts)[1]
     return _ball_points(pool, d)
 
 

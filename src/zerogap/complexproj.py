@@ -58,7 +58,7 @@ class ComplexHomogPoly:
     """Sparse homogeneous polynomial in d complex variables, evaluated with
     ``polycore``'s term kernels."""
 
-    __slots__ = ("dim", "degree", "terms", "linear_factors", "_tables", "_second")
+    __slots__ = ("dim", "degree", "terms", "linear_factors", "_tables", "_second", "_scaled")
 
     def __init__(self, dim, terms):
         self.terms = _merge_terms(dim, terms, 0j)
@@ -67,7 +67,7 @@ class ComplexHomogPoly:
             raise ValueError(f"not homogeneous: term degrees {sorted(degrees)}")
         self.dim = int(dim)
         self.degree = degrees.pop()
-        self.linear_factors = self._tables = self._second = None
+        self.linear_factors = self._tables = self._second = self._scaled = None
 
     @classmethod
     def from_linear_product(cls, rows):

@@ -41,13 +41,13 @@ class MultiPoly:
     operations return new objects.
     """
 
-    __slots__ = ("dim", "_terms", "degree", "affine_factors", "_tables", "_second")
+    __slots__ = ("dim", "_terms", "degree", "affine_factors", "_tables", "_second", "_scaled")
 
     def __init__(self, dim, terms):
         self._terms = _merge_terms(dim, terms, 0.0)
         self.dim = int(dim)
         self.degree = max(sum(e) for e, _ in self._terms)
-        self.affine_factors = self._tables = self._second = None
+        self.affine_factors = self._tables = self._second = self._scaled = None
 
     @classmethod
     def from_affine_product(cls, forms):
@@ -67,7 +67,7 @@ class MultiPoly:
         obj.dim = d
         obj.degree = len(forms)
         obj.affine_factors = forms
-        obj._terms = obj._tables = obj._second = None
+        obj._terms = obj._tables = obj._second = obj._scaled = None
         return obj
 
     @property

@@ -141,12 +141,13 @@ def _log_objective(items):
     Rows hold real coordinates (:func:`_real`): complex P is read on rows
     twice as wide as its dimension, where log|P| = Re log P.  A factored real
     product goes through its forms, never expanded; any other P takes one
-    :func:`_term_jet` call per gradient, on :func:`_unit_scaled` P, built
-    once: grad P / P and Hess P / P are those of P bit for bit on
+    :func:`_term_jet` call per gradient, on 2^e P of :func:`_unit_scaled`:
+    off Z(P), grad P / P and Hess P / P are those of P bit for bit on
     normal-range P, and subnormal P keeps its digits.  ``grad(X, True)``
     also returns the Euclidean Hessians.  The value is ``LOG_FLOOR`` where
-    some P_k vanishes, and ``ZERO_STANDIN`` stands in for that zero in the
-    gradient.
+    some P_k vanishes, and ``ZERO_STANDIN`` stands in for that zero of 2^e P
+    (or of the form) in the gradient, so on an exact zero the ratios are
+    2^e times those of P itself.
     """
 
     def factor_rows(poly):  # (A, b), the rows (a_i, b_i) of a factored real product's forms, or None
@@ -154,12 +155,11 @@ def _log_objective(items):
         return f and (np.array([form.normal for form in f]), np.array([form.offset for form in f]))
 
     items = [(poly, delta * delta, factor_rows(poly)) for poly, delta in items]
-    items = [(poly, w, forms, _unit_scaled(poly) if forms is None else None) for poly, w, forms in items]
 
     def value(X):
         total, dead = 0.0, False
         with np.errstate(divide="ignore", invalid="ignore"):
-            for poly, w, forms, _ in items:
+            for poly, w, forms in items:
                 if forms is None:
                     logs = np.log(np.abs(poly.eval(_from_real(X, poly.dim))))
                 else:
@@ -171,7 +171,7 @@ def _log_objective(items):
     def grad(X, hessian=False):
         # complex rows sum onto zeros, real rows from the first item: one item gives its own arrays
         G = H = 0.0 if X.shape[1] != items[0][0].dim else None
-        for _, w, forms, scaled in items:
+        for poly, w, forms in items:
             if forms is not None:
                 A, b = forms
                 L = X @ A.T - b
@@ -180,7 +180,7 @@ def _log_objective(items):
                 # sum_i log|L_i| has Hessian -A' diag(1/L^2) A
                 h = -(A.T * L[:, None, :] ** -2.0) @ A if hessian else None
             else:
-                v, g, h = _term_jet(scaled, _from_real(X, scaled.dim), "vgh" if hessian else "vg")
+                v, g, h = _term_jet(_unit_scaled(poly), _from_real(X, poly.dim), "vgh" if hessian else "vg")
                 v = np.where(v == 0.0, ZERO_STANDIN, v)
                 g = g / v[:, None]
                 # log|P| = Re log P, and (log P)'' = Hess P / P - g g' with g = grad P / P
@@ -511,21 +511,23 @@ def _newton_step(X, q, W, G=None, H=None):
 
 def _unit_scaled(poly):
     """2^e P for the e that puts the largest coefficient modulus of P in
-    [0.5, 1), or P itself when e = 0.
+    [0.5, 1), or P itself when e = 0; built once per P and kept on it, as
+    its term tables are.
 
     The scaling is exact (math.ldexp reaches 2^+-1074 with no overflowing
     factor) and leaves Z(P) as it is, so on normal-range input every step of
     the search is the unscaled one with P times 2^e, bit for bit, while huge
     P no longer overflows grad P and Hess P, and tiny P keeps its digits.
     """
-    e = -math.frexp(max(abs(c) for _, c in poly.terms))[1]
-    if e == 0:
-        return poly
+    if poly._scaled is None:
+        e = -math.frexp(max(abs(c) for _, c in poly.terms))[1]
 
-    def scaled(c):
-        return complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)) if isinstance(c, complex) else math.ldexp(c, e)
+        def scaled(c):
+            return complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)) if isinstance(c, complex) else math.ldexp(c, e)
 
-    return type(poly)(poly.dim, [(x, scaled(c)) for x, c in poly.terms])
+        poly._scaled = poly if e == 0 else type(poly)(poly.dim, [(x, scaled(c)) for x, c in poly.terms])
+        poly._scaled._scaled = poly._scaled
+    return poly._scaled
 
 
 def _zero_distance_search(poly, c, seed, Q=None):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerogap import ballfinder
+from zerogap import ballfinder, sphereopt
 from zerogap.ballfinder import (
     euclidean_zero_distance,
     lifted_diagnostics,
@@ -332,10 +332,22 @@ class TestMultiplierPoint:
         assert abs(abs(rep["point"][0]) ** 300 - 0.5) >= 1e-3
 
 
+def orthogonal(kind, n, scale=1.0):
+    """Coefficients, x^0 first, of T_n(x / scale) or of the Legendre P_n(x / scale)."""
+    basis = {"cheb": np.polynomial.chebyshev.cheb2poly, "legendre": np.polynomial.legendre.leg2poly}[kind]
+    half = scale ** (np.arange(n + 1.0) / 2)  # scale^k itself overflows at n = 300
+    return basis([0.0] * n + [1.0]) / half / half
+
+
 def one_variable_corpus():
-    """(id, coefficients with x^0 first) of 52 one-variable P: dense Gaussian,
-    roots near and past +-1, rim-heavy (x + 1 + eps)^k q, sparse x^n + c,
-    and two of high degree."""
+    """(id, coefficients with x^0 first, seed) of 70 one-variable P: dense
+    Gaussian, roots near and past +-1, rim-heavy (x + 1 + eps)^k q, sparse
+    x^n + c, two of high degree, and T_n and P_n at degrees 20, 30 and 40
+    from three seeds each.  T_n and P_n oscillate across [-1, 1], with n
+    local maxima about pi/n apart in the angle of S^1 and nearly equal near
+    the global one.  At degree 100 their monomial coefficients read T_n(0.7)
+    wrong by 3e10 (2e67 at degree 300), so no double-precision P is T_n
+    there."""
     rng = np.random.default_rng(34)
     poly = np.polynomial.polynomial
     cases = []
@@ -353,21 +365,56 @@ def one_variable_corpus():
         cases.append((f"sparse-{i}", np.array([rng.uniform(-1.5, 1.5)] + [0.0] * i + [1.0])))
     cases.append(("x300-0.5", np.array([-0.5] + [0.0] * 299 + [1.0])))
     cases.append(("dense-100", rng.standard_normal(101)))
+    cases = [(name, c, 0) for name, c in cases]
+    for kind in ("cheb", "legendre"):
+        for n in (20, 30, 40):
+            cases += [(f"{kind}-{n}-seed{seed}", orthogonal(kind, n), seed) for seed in range(3)]
     return cases
+
+
+def reaches_the_grid_maximum(coeffs, seed):
+    """(P, dist): multiplier_point's point on P from ``coeffs`` is no lower
+    than the grid maximum, up to a relative 1e-9 of the log."""
+    poly = MultiPoly(1, {(i,): float(c) for i, c in enumerate(coeffs) if c != 0.0})
+    assert poly.degree == len(coeffs) - 1
+    point, dist = multiplier_point(poly, seed=seed)
+    ref = grid_multiplier_max(coeffs)
+    assert multiplier_log(coeffs, point)[0] >= ref - 1e-9 * max(1.0, abs(ref))
+    return poly, dist
 
 
 class TestOneVariableSearch:
     """The multistart on S^1 against the largest value on a grid of 4096 n + 1
     points of [-1, 1], read with plain numpy (``_oracles``)."""
 
-    @pytest.mark.parametrize("coeffs", [pytest.param(c, id=i) for i, c in one_variable_corpus()])
-    def test_reaches_the_dense_grid_maximum(self, coeffs):
-        poly = MultiPoly(1, {(i,): float(c) for i, c in enumerate(coeffs) if c != 0.0})
-        assert poly.degree == len(coeffs) - 1
-        point, dist = multiplier_point(poly, seed=0)
-        ref = grid_multiplier_max(coeffs)
-        assert multiplier_log(coeffs, point)[0] >= ref - 1e-9 * max(1.0, abs(ref))
+    @pytest.mark.parametrize("coeffs,seed", [pytest.param(c, s, id=i) for i, c, s in one_variable_corpus()])
+    def test_reaches_the_dense_grid_maximum(self, coeffs, seed):
+        poly, dist = reaches_the_grid_maximum(coeffs, seed)
         assert dist >= 1.0 / poly.degree - 1e-6
+
+    @pytest.mark.parametrize("kind,n,scale", [("cheb", 100, 8.0), ("cheb", 300, 20.0), ("legendre", 300, 20.0)])
+    def test_reaches_the_dense_grid_maximum_at_high_degree(self, kind, n, scale):
+        # T_n(x / s) and P_n(x / s) read to 1e-9 or better and change sign
+        # 8 to 10 times in [-1, 1]; only the point is checked, since the
+        # one-variable zero distance of this P takes the centre of a merged
+        # root cluster for a zero (near 0, where P is 1) and reports 1e-14 or less
+        reaches_the_grid_maximum(orthogonal(kind, n, scale), seed=1)
+
+    def test_rim_rows_are_screened_once(self, monkeypatch):
+        # in one variable every rim row is one of the two ends +-1; the
+        # ascent takes each of them at most once, however much P favours them
+        ascents = []
+        ascent = sphereopt._batch_ascent
+
+        def recorded(value, grad, X):
+            ascents.append(X)
+            return ascent(value, grad, X)
+
+        monkeypatch.setattr(sphereopt, "_batch_ascent", recorded)
+        multiplier_point(MultiPoly(1, {(1,): 1.0}), seed=0)
+        (X,) = ascents
+        assert len(X) == 64 and len(np.unique(X, axis=0)) == 64
+        assert np.sum(X[:, 1] == 0.0) <= 2
 
 
 class TestLiftedMultiplierSearch:
