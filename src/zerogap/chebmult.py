@@ -88,12 +88,10 @@ def cheb_tail_product(n, k, x):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     X = np.atleast_1d(x)
-    roots = k * t[n // 2 :]
-    facs = 1.0 - (X[:, None] / roots[None, :]) ** 2
-    # multiply near-1 factors first to limit rounding growth
-    order = np.argsort(np.abs(facs - 1.0), axis=1)
-    facs = np.take_along_axis(facs, order, axis=1)
-    out = np.prod(facs, axis=1)
+    # multiply near-1 factors first to limit rounding growth: the roots
+    # increase, so |factor - 1| = (x/root)^2 never decreases along them reversed
+    roots = k * t[n // 2 :][::-1]
+    out = np.prod(1.0 - (X[:, None] / roots[None, :]) ** 2, axis=1)
     return float(out[0]) if scalar else out
 
 

@@ -91,6 +91,13 @@ _ZERO_SEARCH_SEEDS = 64
 # reach (12 forms in R^6) for about 2% of seeds; the best 64 of 256 miss it
 # for none of 1000
 _SCREEN = 4
+# the screen reads its candidates in blocks of ``starts`` rows rounded up to a
+# multiple of _SCREEN_BLOCK, each block starting at a multiple of it: a BLAS
+# matrix-vector product (expanded P) rounds a row by its place in a group of
+# rows (groups of 4 in OpenBLAS 0.3.31 on Haswell), so such blocks give every
+# row the bits of the whole batch, where blocks of other sizes or a lone row
+# (a matrix-matrix product becomes a matrix-vector one) do not
+_SCREEN_BLOCK = 32
 # ascent iterations before the Newton polish of near_max_on_sphere, and the
 # polish's iterations: the ascent only reaches the basins, and Newton climbs
 _ASCENT_ITERS = 6
@@ -259,12 +266,15 @@ def _batch_ascent(value, grad, X):
 def _newton_polish(value, grad, X):
     """Riemannian Newton steps for a log objective on the unit sphere, all rows in lockstep.
 
-    Each row takes the :func:`_newton_step` of the sphere from the
+    A row stops when its tangent gradient norm is below 1e-13; the others,
+    the stepping rows, take the :func:`_newton_step` of the sphere from the
     objective's Euclidean gradient and Hessian, and each trial row is
     normalised.  A step is halved up to ten times until f drops by at most
-    1e-14 (1 + |f|) below the best value of the row.  A row stops when its
-    tangent gradient norm is below 1e-13, when no halving is accepted, or
-    after a step below 1e-14.  Returns the rows.
+    1e-14 (1 + |f|) below the best value of the row.  A stepping row also
+    stops when no halving is accepted, or after a step below 1e-14.  The
+    loop ends when no row steps.  The QR, the eigensolve and the products
+    of :func:`_newton_step` work matrix by matrix, so a row's step has the
+    same bits whichever other rows step with it.  Returns the rows.
     """
     X = _normalize_rows(X)
     top = value(X)
@@ -274,9 +284,13 @@ def _newton_polish(value, grad, X):
         if len(idx) == 0:
             break
         G, H = grad(X[idx], hessian=True)
-        S, length = _newton_step(X[idx], G, H)
         stepping = np.linalg.norm(_sphere_tangent(G, X[idx]), axis=1) >= 1e-13
-        pending = stepping.copy()
+        if not np.any(stepping):
+            break
+        live[idx[~stepping]] = False
+        idx = idx[stepping]
+        S, length = _newton_step(X[idx], G[stepping], H[stepping])
+        pending = np.ones(len(idx), dtype=bool)
         for t in 0.5 ** np.arange(10):
             if not np.any(pending):
                 break
@@ -286,7 +300,7 @@ def _newton_polish(value, grad, X):
             ok = ft >= top[rows] - 1e-14 * (1.0 + np.abs(top[rows]))
             X[rows[ok]], top[rows[ok]] = trial[ok], np.maximum(top[rows[ok]], ft[ok])
             pending[np.flatnonzero(pending)[ok]] = False
-        live[idx] = stepping & ~pending & (length >= 1e-14)
+        live[idx] = ~pending & (length >= 1e-14)
     return X
 
 
@@ -355,14 +369,24 @@ def near_max_on_sphere(value, grad, X, starts):
     iterations of the lockstep ascent, into the basins of the maxima, the
     best ``max(8, min(32, starts))`` rows are polished in one batch by
     :func:`_newton_polish`, which climbs the rest of the way, and normalised
-    twice by ``unit_vector``, and :func:`_near_max` keeps the near-maximal
-    pool.  An objective constant on orbits (the phase of C^d) hands over
-    Hessians without the orbit direction (``complexproj``).
+    twice, each row as ``unit_vector`` would, and :func:`_near_max` keeps
+    the near-maximal pool.  The screen reads X in blocks of b to 2b - 1
+    rows, b = ``starts`` rounded up to a multiple of ``_SCREEN_BLOCK``, so
+    it holds under 2b rows' values at once, however many candidates there
+    are, and each row gets the value it has in the whole batch.  An
+    objective constant on orbits (the phase of C^d) hands over Hessians
+    without the orbit direction (``complexproj``).
     """
-    X = X[np.argsort(-value(X), kind="stable")[:starts]]
+    block = _SCREEN_BLOCK * -(-starts // _SCREEN_BLOCK)
+    blocks = np.split(X, range(block, len(X) - block + 1, block))
+    X = X[np.argsort(-np.concatenate([value(B) for B in blocks]), kind="stable")[:starts]]
     X, f = _batch_ascent(value, grad, X)
     X = _newton_polish(value, grad, X[np.argsort(-f)[: max(8, min(32, starts))]])
-    return _near_max(value, np.array([unit_vector(unit_vector(x)) for x in X]))
+    for _ in range(2):
+        # the norm of each row bit for bit np.linalg.norm(row), which a batched
+        # np.linalg.norm(X, axis=1) or einsum is not
+        X = X / np.sqrt(X[:, None, :] @ X[:, :, None])[:, 0]
+    return _near_max(value, X)
 
 
 def _unit_circle_restriction(poly: MultiPoly):

@@ -15,7 +15,10 @@ trigonometric coefficient maps from plain loops over the frequency k,
 restrictions to a circle from one convolution chain per term, the
 extremal flag of the circle certificate from the comparison polynomial Q
 rather than from T's harmonics, start points from one Gaussian row at a time
-divided by an exactly rounded norm, refutation grids from a scalar scan over every denominator N,
+divided by an exactly rounded norm, the Chebyshev tail from each point's
+factors sorted by their distance from 1, the multistart's pool from one
+screen call on every candidate and a per-row normalisation of its polished
+rows, refutation grids from a scalar scan over every denominator N,
 plank refutations from exact rational arithmetic on the floats as stored, and JSON reports
 from the hand-written dicts that the report classes and the CLI built key by key before one
 serializer wrote every report from its dataclass fields.
@@ -29,8 +32,8 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import zeta
 from scipy.stats import qmc
 
-from zerogap import covering
-from zerogap.chebmult import ball_multiplier
+from zerogap import covering, sphereopt
+from zerogap.chebmult import ball_multiplier, cheb_positive_zeros
 from zerogap.sphereopt import GAIN_FLOOR, LOG_FLOOR, sphere_starts, unit_vector
 from zerogap.trigcircle import interlacing_check
 
@@ -238,6 +241,14 @@ def truncated_tail_product(n, x, terms=10_000):
     logp = np.sum(np.log(np.abs(facs)), axis=-1)
     corr = -(x**2) * t2 - (x**4) * t4 / 2 - (x**6) * t6 / 3
     return sign * np.exp(logp + corr)
+
+
+def sorted_tail_product(n, k, x):
+    """chebmult.cheb_tail_product with each point's factors 1 - (x/(k t_i))^2
+    sorted by |factor - 1| (``argsort``) before their product."""
+    X = np.atleast_1d(np.asarray(x, dtype=float))
+    facs = 1.0 - (X[:, None] / (k * cheb_positive_zeros(k)[n // 2 :])[None, :]) ** 2
+    return np.prod(np.take_along_axis(facs, np.argsort(np.abs(facs - 1.0), axis=1), axis=1), axis=1)
 
 
 def row_by_row_sphere_starts(dim, count, seed):
@@ -547,6 +558,16 @@ def ball_ascent_pool(value, grad, d, count, seed, keep=24, iters=200):
     X = X[np.argsort(-f)[:keep]]
     logs = value(lift(X))
     return X[logs >= np.max(logs) + math.log1p(-1e-9)]
+
+
+def whole_batch_near_max(value, grad, X, starts):
+    """sphereopt.near_max_on_sphere with its screen read in one ``value`` call
+    on every candidate row, and each polished row normalised by two
+    per-row ``unit_vector`` calls."""
+    X = X[np.argsort(-value(X), kind="stable")[:starts]]
+    X, f = sphereopt._batch_ascent(value, grad, X)
+    X = sphereopt._newton_polish(value, grad, X[np.argsort(-f)[: max(8, min(32, starts))]])
+    return sphereopt._near_max(value, np.array([unit_vector(unit_vector(x)) for x in X]))
 
 
 def multiplier_log(coeffs, x):

@@ -21,7 +21,7 @@ from zerogap.chebmult import (
     trig_tail_product,
 )
 
-from _oracles import cheb_recurrence, truncated_tail_product
+from _oracles import cheb_recurrence, sorted_tail_product, truncated_tail_product
 
 
 class TestChebEval:
@@ -110,6 +110,16 @@ class TestFiniteTail:
         lhs = (-1.0) ** (k // 2) * cheb_eval(k, xs / k)
         rhs = prefix * cheb_tail_product(n, k, xs)
         assert np.all(np.abs(lhs - rhs) <= 1e-9 * np.maximum(1.0, np.abs(lhs)))
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_reversed_roots_are_the_sorted_order(self, n):
+        # |factor - 1| = (x/root)^2 never decreases along the reversed roots,
+        # so their product is the product of each point's sorted factors;
+        # grids as in convergence_report, inside and far past the roots
+        for k in range(n + 2, n + 239, 2):
+            for half_width in (1.0, 3.5, 12.0, 40.0):
+                xs = np.linspace(-half_width, half_width, 256)
+                assert cheb_tail_product(n, k, xs).tobytes() == sorted_tail_product(n, k, xs).tobytes()
 
 
 class TestAnalyticTail:

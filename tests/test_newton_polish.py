@@ -7,7 +7,10 @@ multiplier search, which runs on the sphere S^d that lifts the ball, is
 checked against a 200-iteration ascent in the ball itself, clipped to it,
 with no polish (in ``_oracles``).  Both on the acceptance families and on
 the ``search`` shapes of the benchmark, whose outputs over five cycles must
-also pass the benchmark's own checks.
+also pass the benchmark's own checks.  Only rows that step reach the
+Newton step, and the engine's pool, screened in blocks and normalised in
+one batch, is bit for bit the pool of one screen call and per-row
+normalisation (in ``_oracles``).
 """
 
 import contextlib
@@ -26,7 +29,7 @@ from zerogap.polycore import AffineForm, MultiPoly, product_of_affine_forms
 from zerogap.sphereopt import _batch_ascent, _log_objective, _newton_polish, sphere_starts
 
 import test_acceptance
-from _oracles import ball_ascent_pool, polish_on_sphere, row_by_row_lifted_starts
+from _oracles import ball_ascent_pool, polish_on_sphere, row_by_row_lifted_starts, whole_batch_near_max
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 import checks  # noqa: E402
@@ -475,3 +478,145 @@ class TestBallPolish:
         steps = "".join(log[1:]).split("g")[1:]
         assert 1 <= len(steps) <= sphereopt._POLISH_ITERS
         assert all(len(s) <= 10 for s in steps)
+
+
+def polish_log(value, grad, X, monkeypatch):
+    """The tangent gradient norms of the rows in each grad call ("grad") and
+    each _newton_step call ("step") of one _newton_polish call, in order."""
+    log = []
+    step = sphereopt._newton_step
+
+    def logged_grad(X, hessian=False):
+        G, H = grad(X, hessian)
+        log.append(("grad", np.linalg.norm(sphereopt._sphere_tangent(G, X), axis=1)))
+        return G, H
+
+    def logged_step(X, q, W):
+        log.append(("step", np.linalg.norm(sphereopt._sphere_tangent(q, X), axis=1)))
+        return step(X, q, W)
+
+    with monkeypatch.context() as m:
+        m.setattr(sphereopt, "_newton_step", logged_step)
+        _newton_polish(value, logged_grad, X)
+    return log
+
+
+class TestPolishSteps:
+    """Only the rows whose tangent gradient is at least 1e-13 take a Newton
+    step, and the polish ends at the first iteration where no row steps."""
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    def test_only_stepping_rows_take_a_step(self, name, monkeypatch):
+        value, grad, dim = OBJECTIVES[name]()
+        log = polish_log(value, grad, production_rows(value, grad, dim), monkeypatch)
+        assert log[0][0] == "grad" and any(kind == "step" for kind, _ in log)
+        for (kind, norms), after in zip(log, log[1:] + [None]):
+            if kind == "step":
+                assert np.all(norms >= 1e-13)
+                continue
+            stepping = norms >= 1e-13
+            if np.any(stepping):
+                assert after[0] == "step" and after[1].tobytes() == norms[stepping].tobytes()
+            else:
+                assert after is None
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    def test_step_of_a_row_does_not_depend_on_the_batch(self, name):
+        # QR, eigensolve and products work matrix by matrix, so handing the
+        # step fewer rows moves no bit of the rows it keeps
+        value, grad, dim = OBJECTIVES[name]()
+        X = production_rows(value, grad, dim)
+        G, H = grad(X, hessian=True)
+        S, length = sphereopt._newton_step(X, G, H)
+        for rows in ([0], [7], [3, 4], list(range(1, 32, 2)), list(range(31))):
+            s, n = sphereopt._newton_step(X[rows], G[rows], H[rows])
+            assert s.tobytes() == S[rows].tobytes() and n.tobytes() == length[rows].tobytes()
+
+
+def ball_engine_call(name, starts, monkeypatch):
+    """(value, grad, X, starts, result) of the near_max_on_sphere call of the
+    multiplier search on BALL_OBJECTIVES[name]."""
+    calls = []
+    engine = sphereopt.near_max_on_sphere
+
+    def record(value, grad, X, starts):
+        calls.append((value, grad, X.copy(), starts, engine(value, grad, X, starts)))
+        return calls[-1][-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(ballfinder, "near_max_on_sphere", record)
+        ballfinder._multiplier_pool(BALL_OBJECTIVES[name](), 3, starts)
+    (call,) = calls
+    return call
+
+
+def assert_pools_equal(a, b):
+    assert a[0] == b[0] and len(a[1]) == len(b[1])
+    assert all(p.tobytes() == q.tobytes() for p, q in zip(a[1], b[1]))
+
+
+class TestEnginePool:
+    """The screen reads the candidates in blocks and the polished rows are
+    normalised in one batch, and the pool is the one that a single screen
+    call and per-row ``unit_vector`` calls give (``_oracles``)."""
+
+    @pytest.mark.parametrize("starts", [1, 5, 64])
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    def test_sphere_and_complex_pools(self, name, starts):
+        value, grad, dim = OBJECTIVES[name]()
+        X = sphere_starts(dim, sphereopt._SCREEN * starts, 4)
+        pool = sphereopt.near_max_on_sphere(value, grad, X, starts)
+        assert_pools_equal(pool, whole_batch_near_max(value, grad, X, starts))
+
+    @pytest.mark.parametrize("starts", [1, 5, 64])
+    @pytest.mark.parametrize("name", sorted(BALL_OBJECTIVES))
+    def test_lifted_ball_pools(self, name, starts, monkeypatch):
+        value, grad, X, starts, pool = ball_engine_call(name, starts, monkeypatch)
+        assert_pools_equal(pool, whole_batch_near_max(value, grad, X, starts))
+
+    @pytest.mark.parametrize("name", ["factored-3-0", "dense-4-4", "c2-1", "c3", "ball-dense-2-4"])
+    def test_polished_rows_normalised_as_unit_vector_twice(self, name, monkeypatch):
+        polished, pooled = [], []
+        polish, near_max = sphereopt._newton_polish, sphereopt._near_max
+        monkeypatch.setattr(sphereopt, "_newton_polish", lambda *a: polished.append(polish(*a)) or polished[-1])
+        monkeypatch.setattr(sphereopt, "_near_max", lambda v, X: pooled.append(X) or near_max(v, X))
+        if name.startswith("ball-"):
+            ball_engine_call(name[5:], 64, monkeypatch)
+        else:
+            value, grad, dim = OBJECTIVES[name]()
+            sphereopt.near_max_on_sphere(value, grad, sphere_starts(dim, 256, 2), 64)
+        expected = np.array([sphereopt.unit_vector(sphereopt.unit_vector(x)) for x in polished[0]])
+        assert pooled[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("starts", [1, 2, 5, 64, 100])
+    @pytest.mark.parametrize("name", ["factored-5-1", "expanded-4-0", "weighted-0", "ball-dense-1-5", "ball-expanded-3"])
+    def test_screen_reads_aligned_blocks(self, name, starts, monkeypatch):
+        # blocks of b to 2b - 1 rows, b = starts rounded up to a multiple of
+        # 32, starting at multiples of b, whose values are the whole batch's
+        # bit for bit; blocks of starts rows round expanded P differently
+        if name.startswith("ball-"):
+            value, grad, X, _, _ = ball_engine_call(name[5:], starts, monkeypatch)
+        else:
+            value, grad, dim = OBJECTIVES[name]()
+            X = sphere_starts(dim, sphereopt._SCREEN * starts, 4)
+        screen, reads = [], []
+        ascent = sphereopt._batch_ascent
+
+        def read(Y):
+            reads.append(value(Y))
+            return reads[-1]
+
+        def ascent_after_screen(value, grad, Y):
+            screen.extend(reads)
+            return ascent(value, grad, Y)
+
+        monkeypatch.setattr(sphereopt, "_batch_ascent", ascent_after_screen)
+        sphereopt.near_max_on_sphere(read, grad, X, starts)
+        b = 32 * -(-starts // 32)
+        sizes = [len(v) for v in screen]
+        assert sum(sizes) == len(X)
+        if len(X) < 2 * b:
+            assert sizes == [len(X)]
+        else:
+            assert sizes[:-1] == [b] * (len(sizes) - 1) and b <= sizes[-1] < 2 * b
+        assert np.concatenate(screen).tobytes() == value(X).tobytes()
