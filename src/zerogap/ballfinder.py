@@ -2,13 +2,14 @@
 
 The pair method maximizes |P(x)P(y)| over the sphere of the doubled space
 and keeps the smaller-norm component: that point is at least 1/(8 deg P)
-from the zero set.  The multiplier method maximizes |P(x) M(|x|)| over the
-ball, where M is the even analytic multiplier of matching degree parameter;
-a best-of-pool maximizer is at least 1/deg P away.  The multiplier never
-vanishes inside the ball, so it adds no zeros to dodge.  Its maximizers come
-from the multistart of ``sphereopt`` on the sphere S^d that lifts the ball,
-a row y standing for the point x = y[:d], with the exact Hessian of
-log|P(x) M(|x|)|; the equator of S^d is the rim of the ball.
+from the zero set; P(x)P(y) is never built, P is read on each half of a
+row and measured through its lift to S^d.  The multiplier method maximizes
+|P(x) M(|x|)| over the ball, where M is the even analytic multiplier of
+matching degree parameter; a best-of-pool maximizer is at least 1/deg P
+away.  The multiplier never vanishes inside the ball, so it adds no zeros
+to dodge.  Its maximizers come from the multistart of ``sphereopt`` on the
+sphere S^d that lifts the ball, a row y standing for the point x = y[:d],
+with the exact Hessian of log|P(x) M(|x|)|; the equator of S^d is the rim.
 
 Distances to Z(P) are taken in R^d: in closed form for tagged products, by
 root clusters in one variable, and otherwise by the lockstep Newton search
@@ -37,14 +38,14 @@ from .chebmult import (
 )
 from .polycore import AffineForm, MultiPoly
 from .sphereopt import (
+    _SCREEN,
     _ball_points,
     _canonical_signs,
     _farthest,
     _log_objective,
     _normalize_rows,
+    _zero_distance,
     _zero_distance_search,
-    angular_distance_to_zero_set,
-    maximize_abs_on_sphere,
     near_max_on_sphere,
     sphere_starts,
 )
@@ -57,7 +58,6 @@ __all__ = [
     "pair_point",
     "multiplier_point",
     "lifted_diagnostics",
-    "product_with_itself",
 ]
 
 # nothing calls this name; it is kept only because bench/tracing.py wraps it
@@ -88,31 +88,37 @@ def euclidean_zero_distance(poly: MultiPoly, p, seed=0):
         x = min(centres.real[np.abs(centres.imag) <= radii], key=lambda x: abs(x - p[0]), default=None)
         return (math.inf, None) if x is None else (float(abs(x - p[0])), np.array([float(x)]))
 
-    d = poly.dim
-    lifted = MultiPoly(d + 1, {e + (0,): c * 2.0 ** sum(e) for e, c in poly.terms})
-    x = _zero_distance_search(lifted, np.append(p, 0.0), seed, np.diag(np.append(np.zeros(d), 2.0)))
+    x = _zero_distance_search(_lift(poly, 2.0), np.append(p, 0), seed, np.diag(np.append(np.zeros(len(p)), 2.0)))
     if x is None:
         return math.inf, None
-    zero = 2.0 * x[:d]
+    zero = 2.0 * x[:-1]
     return float(np.linalg.norm(zero - p)), zero
 
 
-def product_with_itself(poly: MultiPoly) -> MultiPoly:
-    """R(x, y) = P(x) P(y) as a polynomial in 2d variables."""
+def _lift(poly: MultiPoly, r):
+    """P(r x) in the variables (x, t) of R^(d+1); for a tagged product, the forms ((a, 0), b / r)."""
+    if poly.affine_factors is None:
+        return MultiPoly(poly.dim + 1, {e + (0,): c * r ** sum(e) for e, c in poly.terms})
+    return MultiPoly.from_affine_product([AffineForm([*a.normal, 0], a.offset / r) for a in poly.affine_factors])
+
+
+def _pair_objective(poly: MultiPoly):
+    """(value, grad) of log|P(x)| + log|P(y)| on rows (x, y): P's log objective on the halves x_0, y_0, x_1, ..."""
     d = poly.dim
-    if poly.affine_factors is not None:
-        zeros = np.zeros(d)
-        forms = []
-        for f in poly.affine_factors:
-            forms.append(AffineForm(np.concatenate([f.normal, zeros]), f.offset))
-            forms.append(AffineForm(np.concatenate([zeros, f.normal]), f.offset))
-        return MultiPoly.from_affine_product(forms)
-    terms = {}
-    for e1, c1 in poly.terms:
-        for e2, c2 in poly.terms:
-            key = e1 + e2
-            terms[key] = terms.get(key, 0.0) + c1 * c2
-    return MultiPoly(2 * d, terms)
+    poly_log, poly_grad = _log_objective(((poly, 1.0),))
+
+    def value(W):
+        return poly_log(W.reshape(-1, d)).reshape(-1, 2).sum(axis=1)
+
+    def grad(W, hessian=False):
+        g = poly_grad(W.reshape(-1, d), hessian)
+        if not hessian:
+            return g.reshape(W.shape)
+        H = np.zeros((len(W), 2 * d, 2 * d))
+        H[:, :d, :d], H[:, d:, d:] = g[1][::2], g[1][1::2]
+        return g[0].reshape(W.shape), H
+
+    return value, grad
 
 
 @dataclass(frozen=True)
@@ -136,39 +142,33 @@ class PairCertificate:
 def pair_point(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> PairCertificate:
     """Maximize |P(x)P(y)| on the doubled sphere; keep the small half.
 
-    Each near-maximizer (x, y) is split into its small half p and large half
-    q.  Each distinct p is measured once (rows (p, q) and (p, -q) share it),
-    and the p farthest from Z(P) is kept, with the q of its first row.  When
-    P(-x) = +-P(x), p and -p are equally far from Z(P), and each p is first
-    taken in its canonical sign, so that the pair is measured once; its q
-    stays the large half of the same row.  The certificate records the
-    angular gap of that pair on the doubled sphere, the Euclidean gap of p
-    inside the ball, and the lift of the nearest zero for auditing the
-    distance argument.
+    Each near-maximizer (x, y) of :func:`_pair_objective` is split into its
+    small half p and large half q.  Each distinct p is measured once, in its
+    canonical sign when P(-x) = +-P(x) (rows (p, q) and (p, -q) share it),
+    and the p farthest from Z(P) is kept with the q of its first row.  Where
+    P(x) = 0, <(p, q), (x, y)> is at most <p, x> + |q| sqrt(1 - |x|^2), the
+    cosine of the angle from (p, |q|) to (x, sqrt(1 - |x|^2)), a zero of the
+    lift P(x) on S^d; so the gap of (p, q) to Z(P(x)P(y)) is the least of the
+    lift's gaps at (p, |q|) and (q, |p|).  Also recorded: the Euclidean gap of
+    p, and the lift (z, t q) of the nearest zero z, none when |z| > 1.
     """
-    n = poly.degree
+    n, d = poly.degree, poly.dim
     if n < 1:
         raise ValueError("degree must be at least 1")
-    R = product_with_itself(poly)
-    res = maximize_abs_on_sphere(R, starts=starts, seed=seed)
-    d = poly.dim
+    pool = near_max_on_sphere(*_pair_objective(poly), sphere_starts(2 * d, _SCREEN * starts, seed), starts)[1]
 
     # (small half, large half) of each row, the halves kept in row order on a tie
-    halves = [sorted((w[:d], w[d:]), key=np.linalg.norm) for w in res.near_maximizers]
+    halves = [sorted((w[:d], w[d:]), key=np.linalg.norm) for w in pool]
     smalls = _canonical_signs(poly, [small for small, _ in halves])
     (ball_dist, nearest), p = _farthest(smalls, lambda x: euclidean_zero_distance(poly, x, seed=seed))
     q = next(large for small, (_, large) in zip(smalls, halves) if small is p)
-    sphere_dist, _ = angular_distance_to_zero_set(R, np.concatenate([p, q]), seed=seed)
+    lifted = _zero_distance(_lift(poly, 1.0), seed)
+    sphere_dist = min(lifted(np.append(a, np.linalg.norm(b)))[0] for a, b in ((p, q), (q, p)))
 
-    lift_t = None
-    lift_point = None
-    if nearest is not None:
-        qq = float(q @ q)
-        if qq > 1e-15:
-            t_sq = (1.0 - float(nearest @ nearest)) / qq
-            lift_t = math.sqrt(max(0.0, t_sq))
-            lift_point = np.concatenate([nearest, lift_t * q])
-    ball_bound = 1.0 / (8 * n)
+    lift_t = lift_point = None
+    if nearest is not None and nearest @ nearest <= 1.0:
+        lift_t = math.sqrt((1.0 - float(nearest @ nearest)) / float(q @ q))
+        lift_point = np.concatenate([nearest, lift_t * q])
     return PairCertificate(
         p=p,
         q=q,
@@ -176,12 +176,12 @@ def pair_point(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> PairCertificate:
         sphere_distance=sphere_dist,
         sphere_bound=math.pi / (4 * n),
         ball_distance=ball_dist,
-        ball_bound=ball_bound,
+        ball_bound=1.0 / (8 * n),
         nearest_zero=nearest,
         lift_t=lift_t,
         lift_point=lift_point,
         lift_t_bound=(math.sqrt(2.0) - 1.0) / (2.0 * math.sqrt(2.0) * n),
-        passed=bool(ball_dist >= ball_bound - tol),
+        passed=bool(ball_dist >= 1.0 / (8 * n) - tol),
     )
 
 

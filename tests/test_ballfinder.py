@@ -1,26 +1,33 @@
+import itertools
 import json
 import math
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerogap import ballfinder, sphereopt
+from zerogap import ballfinder, cli, sphereopt
 from zerogap.ballfinder import (
     euclidean_zero_distance,
     lifted_diagnostics,
     multiplier_point,
     pair_point,
-    product_with_itself,
 )
 from zerogap.polycore import AffineForm, MultiPoly, product_of_affine_forms
 
-from _oracles import ball_ascent_pool, grid_multiplier_max, multiplier_log
+from _oracles import (
+    ball_ascent_pool,
+    grid_multiplier_max,
+    multiplier_log,
+    pair_via_product,
+    product_with_itself,
+)
 
 
 def cheb_poly_1d(n):
@@ -60,24 +67,6 @@ class TestEuclideanZeroDistance:
         # untagged single plane: estimator should get |x1| right
         d, _ = euclidean_zero_distance(p, np.array([0.4, 0.1, -0.2]), seed=1)
         assert d == pytest.approx(0.4, abs=1e-7)
-
-
-class TestProductWithItself:
-    def test_expanded_values(self):
-        p = MultiPoly(1, {(3,): 4.0, (1,): -3.0})
-        r = product_with_itself(p)
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            x, y = rng.uniform(-1, 1, size=2)
-            assert r.eval([x, y]) == pytest.approx(p.eval([x]) * p.eval([y]), rel=1e-12)
-
-    def test_factored_forms_lift(self):
-        forms = [AffineForm([1.0, 0.0], 0.25)]
-        p = product_of_affine_forms(forms)
-        r = product_with_itself(p)
-        assert r.degree == 2
-        assert r.affine_factors is not None
-        assert r.eval([0.5, 0.1, 0.3, 0.2]) == pytest.approx((0.5 - 0.25) * (0.3 - 0.25), rel=1e-12)
 
 
 class TestPairPoint:
@@ -122,20 +111,78 @@ class TestPairPoint:
         "poly", [MultiPoly(2, {(1, 1): 1.0}), cheb_poly_1d(3)], ids=["xy", "chebyshev-cubic"]
     )
     def test_sphere_distance_measured_once(self, poly, monkeypatch):
-        # several pairs improve on the best ball distance in turn; the
-        # doubled-sphere distance is measured once, for the pair kept
+        # several pairs improve on the best ball distance in turn; only the
+        # pair kept is measured on the doubled sphere, by the distances of
+        # (p, |q|) and (q, |p|) to the zero set of the lift of P on S^d
         calls = []
-        original = ballfinder.angular_distance_to_zero_set
+        original = ballfinder._zero_distance
 
-        def counted(R, w, seed=0):
-            calls.append(np.array(w))
-            return original(R, w, seed=seed)
+        def counted(lifted, seed=0):
+            measure = original(lifted, seed)
+            return lambda w: calls.append(np.array(w)) or measure(w)
 
-        monkeypatch.setattr(ballfinder, "angular_distance_to_zero_set", counted)
+        monkeypatch.setattr(ballfinder, "_zero_distance", counted)
         cert = pair_point(poly, seed=0, starts=16)
-        assert len(calls) == 1
-        assert calls[0].tobytes() == np.concatenate([cert.p, cert.q]).tobytes()
-        assert cert.sphere_distance == original(product_with_itself(poly), calls[0], seed=0)[0]
+        p, q = cert.p, cert.q
+        assert [c.tobytes() for c in calls] == [
+            np.append(p, np.linalg.norm(q)).tobytes(),
+            np.append(q, np.linalg.norm(p)).tobytes(),
+        ]
+        lifted = original(ballfinder._lift(poly, 1.0), 0)
+        assert cert.sphere_distance == min(lifted(c)[0] for c in calls)
+        # the distance to Z(R), R(x, y) = P(x) P(y), in 2d variables
+        reference = sphereopt.angular_distance_to_zero_set(product_with_itself(poly), np.concatenate([p, q]))[0]
+        assert cert.sphere_distance == pytest.approx(reference, abs=1e-9)
+
+    def test_nearest_zero_outside_the_ball_has_no_lift(self):
+        # Z(x^2 + y^2 - 2) is the circle of radius sqrt(2): the lift (z, t q)
+        # of the nearest zero z needs t^2 = (1 - |z|^2) / |q|^2 < 0
+        cert = pair_point(MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -2.0}), seed=0)
+        assert np.linalg.norm(cert.nearest_zero) == pytest.approx(math.sqrt(2), abs=1e-9)
+        assert cert.lift_t is None and cert.lift_point is None
+
+    @pytest.mark.parametrize("tagged", [True, False], ids=["tagged", "expanded"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_builds_no_polynomial_in_2d_variables(self, d, tagged, monkeypatch):
+        # P is read on each half of a row, and Z(R) through the lift in d + 1 variables
+        rng = np.random.default_rng(d)
+        poly = product_of_affine_forms([AffineForm(rng.standard_normal(d), rng.uniform(-0.6, 0.6)) for _ in range(3)])
+        poly = poly if tagged else MultiPoly(d, poly.terms)
+        dims = []
+        init, product = MultiPoly.__init__, MultiPoly.from_affine_product.__func__
+
+        def recorded_init(self, dim, terms):
+            dims.append(dim)
+            init(self, dim, terms)
+
+        monkeypatch.setattr(MultiPoly, "__init__", recorded_init)
+        recorded_product = classmethod(lambda cls, forms: dims.append(forms[0].dim) or product(cls, forms))
+        monkeypatch.setattr(MultiPoly, "from_affine_product", recorded_product)
+        cert = pair_point(poly, seed=0)
+        assert cert.passed
+        assert dims and max(dims) == d + 1 < 2 * d
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300])
+    def test_scaled_input(self, scale):
+        # c P has the zero set of P, so the command accepts it and reports P's distances
+        rng = np.random.default_rng(7)
+        terms = [(e, rng.standard_normal()) for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
+
+        def run(c):
+            with tempfile.TemporaryDirectory() as tmp:
+                inp, out = os.path.join(tmp, "in.json"), os.path.join(tmp, "out.json")
+                with open(inp, "w") as fh:
+                    json.dump({"dim": 3, "terms": [{"e": list(e), "c": c * v} for e, v in terms]}, fh)
+                code = cli.main(["ball-pair", "--input", inp, "--output", out])
+                if code != cli.EXIT_OK:
+                    return code, None
+                with open(out) as fh:
+                    return code, json.load(fh)
+
+        (code, rep), (_, ref) = run(scale), run(1.0)
+        assert code == cli.EXIT_OK
+        assert rep["ball_distance"] == pytest.approx(ref["ball_distance"], abs=1e-12)
+        assert rep["sphere_distance"] == pytest.approx(ref["sphere_distance"], abs=1e-12)
 
     def test_each_small_half_measured_once(self, monkeypatch):
         # the near-maximal pool of x y (x' y') repeats each small half: rows
@@ -171,6 +218,64 @@ class TestPairPoint:
         assert cert.ball_distance == pytest.approx(0.5, abs=1e-9)
         # (p, q) is still a maximizer of |P(x) P(y)| on the doubled sphere
         assert abs(poly.eval(cert.p) * poly.eval(cert.q)) == pytest.approx(0.0625, rel=1e-12)
+
+
+class TestPairAgainstProduct:
+    """The pair construction against the expanded R(x, y) = P(x) P(y), its
+    maximum and its zero set in 2d variables (``_oracles``)."""
+
+    @staticmethod
+    def assert_zero_of_product_at(poly, cert, seed):
+        # the zero (x, t) of the lift of P on S^d nearest (p, |q|) stands for
+        # the zero (x, t q / |q|) of R on S^(2d-1), and likewise with p and q swapped
+        d, w = poly.dim, np.concatenate([cert.p, cert.q])
+        R = product_with_itself(poly)
+        scale = np.max(np.abs(R.eval(sphereopt.sphere_starts(2 * d, 256, 0))))
+        found = []
+        for a, b, order in ((cert.p, cert.q, 1), (cert.q, cert.p, -1)):
+            dist, z = sphereopt._zero_distance(ballfinder._lift(poly, 1.0), seed)(np.append(a, np.linalg.norm(b)))
+            if z is not None:
+                zero = np.concatenate([z[:d], z[d] * b / np.linalg.norm(b)][::order])
+                assert abs(R.eval(zero)) <= 1e-8 * scale
+                assert math.acos(np.clip(zero @ w, -1.0, 1.0)) == pytest.approx(dist, abs=1e-9)
+                found.append(dist)
+        assert min(found) == cert.sphere_distance
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(d=st.integers(1, 3), m=st.integers(1, 3), tagged=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_verdict_bounds_and_distances_match(self, d, m, tagged, seed):
+        # P is a product of m forms, tagged, or expanded with every monomial
+        # of degree at most m perturbed, so that Z(P) is no union of hyperplanes
+        rng = np.random.default_rng(seed)
+        poly = product_of_affine_forms([AffineForm(rng.standard_normal(d), rng.uniform(-0.9, 0.9)) for _ in range(m)])
+        if not tagged:
+            terms = dict(poly.terms)
+            for e in np.ndindex(*(m + 1,) * d):
+                if sum(e) <= m:
+                    terms[e] = terms.get(e, 0.0) + 0.1 * rng.standard_normal()
+            poly = MultiPoly(d, terms)
+        cert = pair_point(poly, seed=seed % 1000)
+        ref = pair_via_product(poly, seed=seed % 1000)
+        assert cert.passed == ref["passed"]
+        assert (cert.ball_bound, cert.sphere_bound) == (ref["ball_bound"], ref["sphere_bound"])
+        tol = 1e-12 if tagged else 1e-7
+        assert cert.ball_distance == pytest.approx(ref["ball_distance"], abs=tol)
+        if tagged:
+            assert cert.sphere_distance == pytest.approx(ref["sphere_distance"], abs=tol)
+        else:
+            # both are angles to zeros found, so upper bounds on the distance:
+            # the search on the lift is never the worse one, and where it is
+            # the better one its zero is a zero of R at that angle
+            assert cert.sphere_distance <= ref["sphere_distance"] + tol
+            if cert.sphere_distance < ref["sphere_distance"] - tol:
+                self.assert_zero_of_product_at(poly, cert, seed % 1000)
+        payload = {"forms": [f.to_json() for f in poly.affine_factors]} if tagged else poly.to_json()
+        with tempfile.TemporaryDirectory() as tmp:
+            inp, out = os.path.join(tmp, "in.json"), os.path.join(tmp, "out.json")
+            with open(inp, "w") as fh:
+                json.dump(payload, fh)
+            code = cli.main(["ball-pair", "--input", inp, "--output", out, "--seed", str(seed % 1000)])
+        assert code == (cli.EXIT_OK if ref["passed"] else cli.EXIT_BOUND_VIOLATED)
 
 
 class TestMultiplierPoint:

@@ -181,13 +181,30 @@ def canonical_key(items):
 def recorded_maximizations(run, monkeypatch):
     """(maximize, key) of every maximization on a sphere that run() makes:
     ``maximize()`` repeats it and returns its pool, ``key`` maps a pool point
-    to the coordinates in which equal maximizers are equal."""
-    recorded = []
-    near_max, maximize_items = sphereopt.near_max_on_sphere, complexproj._maximize_items
+    to the coordinates in which equal maximizers are equal.  The pair's
+    maximizations are among them wherever the pair once maximized the
+    expanded R(x, y) = P(x) P(y) by the multistart, that is for every P but
+    an expanded one in one variable, whose R was maximized on the circle
+    exactly; the multiplier's are not."""
+    recorded, pairs = [], set()
+    near_max, maximize_items, pair_objective = (
+        sphereopt.near_max_on_sphere,
+        complexproj._maximize_items,
+        ballfinder._pair_objective,
+    )
 
     def real(*args):
         recorded.append((lambda: near_max(*args)[1], lambda x: x))
         return near_max(*args)
+
+    def pair(poly):
+        value, grad = pair_objective(poly)
+        if poly.dim > 1 or poly.affine_factors is not None:
+            pairs.add(value)
+        return value, grad
+
+    def ball(value, *args):
+        return (real if value in pairs else near_max)(value, *args)
 
     def cplx(items, starts, seed):
         recorded.append((lambda: maximize_items(items, starts, seed), canonical_key(items)))
@@ -195,6 +212,8 @@ def recorded_maximizations(run, monkeypatch):
 
     with monkeypatch.context() as m, contextlib.redirect_stdout(io.StringIO()):
         m.setattr(sphereopt, "near_max_on_sphere", real)
+        m.setattr(ballfinder, "_pair_objective", pair)
+        m.setattr(ballfinder, "near_max_on_sphere", ball)
         m.setattr(complexproj, "_maximize_items", cplx)
         run()
     return recorded

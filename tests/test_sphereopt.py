@@ -28,6 +28,7 @@ from zerogap.sphereopt import (
 from _oracles import (
     dedupe_points_loop,
     great_circle_zero_distance,
+    product_with_itself,
     ray_zero_distance,
     row_by_row_lifted_starts,
     row_by_row_sphere_starts,
@@ -561,12 +562,23 @@ class TestStartGenerator:
     def test_starts_of_a_search_cycle_match_the_row_by_row_stream(self, seed, monkeypatch, tmp_path):
         # every start a search cycle draws, and the candidate rows that each
         # multiplier search in several variables hands to near_max_on_sphere
-        calls, pools, candidates = set(), [], []
+        # (the pair hands over sphere_starts rows, which are among the first)
+        calls, pools, candidates, inside = set(), [], [], []
         for module in (sphereopt, ballfinder, complexproj):
             monkeypatch.setattr(module, "sphere_starts", lambda *args: calls.add(args) or sphere_starts(*args))
         pool, near_max = ballfinder._multiplier_pool, ballfinder.near_max_on_sphere
-        monkeypatch.setattr(ballfinder, "_multiplier_pool", lambda *args: pools.append(args) or pool(*args))
-        monkeypatch.setattr(ballfinder, "near_max_on_sphere", lambda *args: candidates.append(args[2]) or near_max(*args))
+
+        def multiplier_pool(*args):
+            pools.append(args)
+            inside.append(args)
+            X = pool(*args)
+            inside.pop()
+            return X
+
+        monkeypatch.setattr(ballfinder, "_multiplier_pool", multiplier_pool)
+        monkeypatch.setattr(
+            ballfinder, "near_max_on_sphere", lambda *args: (inside and candidates.append(args[2])) or near_max(*args)
+        )
         run_search_cycle(seed, tmp_path)
         assert calls
         for args in calls:
@@ -1024,7 +1036,7 @@ ZERO_SET_CORPUS = {
         for k in range(3)
     },
     "x1x2x3": lambda: MultiPoly(3, {(1, 1, 1): 1.0}),
-    "pair-d2": lambda: ballfinder.product_with_itself(
+    "pair-d2": lambda: product_with_itself(
         MultiPoly(2, {(2, 0): 1.0, (1, 1): 0.5, (0, 2): -0.7, (1, 0): 0.2})
     ),
     **{
