@@ -195,9 +195,11 @@ def complex_zero_distance(poly: ComplexHomogPoly, p, seed=0):
     estimate from the lockstep search of ``sphereopt`` for the largest
     Re <z, p> on Z(P), which equals the largest |<z, p>| as Z(P) is invariant
     under z -> e^(i phi) z.  ``zero`` is None exactly when nothing is found
-    and the distance is +inf (for d >= 2 only a constant has no zero on the
-    sphere).
+    and the distance is +inf: for d = 1, where c z^n vanishes only at 0, off
+    the unit circle (for d >= 2 only a constant has no zero on the sphere).
     """
+    if poly.dim == 1:
+        return math.inf, None
     p = np.asarray(p, dtype=complex)
     p = p / np.linalg.norm(p)
 

@@ -218,7 +218,7 @@ def _monomials(powers, I):
 
     Equals ``np.prod(X[:, None, :] ** E, axis=-1)`` bit for bit at one pow per
     coordinate and exponent value: the factors are multiplied in np.prod's
-    order, and the C-contiguous copy makes a matmul after it round the same.
+    order.
     """
     factors = np.take(powers, I, axis=1)
     out = factors[..., 0].copy()
@@ -227,18 +227,24 @@ def _monomials(powers, I):
     return out
 
 
+def _row_products(M, B):
+    """Each row of M times B (a vector or a matrix) by its own BLAS call: a product of the whole
+    batch rounds a row by its place in it, and this one gives a row the same bits in any batch."""
+    return (M[:, None, :] @ B)[:, 0]
+
+
 def _term_jet(poly, X, parts):
     """(P, grad P, Hess P) at each row of X from the expanded terms and one
     :func:`_powers` table; each is computed only if its letter ("v", "g",
     "h") is in ``parts``, and is None otherwise."""
     K, I, C, Ef, If, Cf = _term_tables(poly)
     powers = _powers(X, K)
-    v = _monomials(powers, I) @ C if "v" in parts else None
+    v = _row_products(_monomials(powers, I), C) if "v" in parts else None
     G = H = None
     if "g" in parts:
         G = np.empty((X.shape[0], poly.dim), dtype=C.dtype)
         for j in range(poly.dim):
-            G[:, j] = _monomials(powers, If[j]) @ Cf[j]
+            G[:, j] = _row_products(_monomials(powers, If[j]), Cf[j])
     if "h" in parts:
         if poly._second is None:
             # (j, k, indices, coefficients) of d^2/dx_j dx_k for j <= k, built once
@@ -250,7 +256,7 @@ def _term_jet(poly, X, parts):
             ]
         H = np.empty((X.shape[0], poly.dim, poly.dim), dtype=C.dtype)
         for j, k, Ijk, Cjk in poly._second:
-            H[:, j, k] = H[:, k, j] = _monomials(powers, Ijk) @ Cjk
+            H[:, j, k] = H[:, k, j] = _row_products(_monomials(powers, Ijk), Cjk)
     return v, G, H
 
 

@@ -17,7 +17,8 @@ equator y[d] = 0 is the rim.  For expanded P in two dimensions no search
 is needed: the restriction to the circle is a trigonometric polynomial whose
 critical points are found exactly, so results there are certified by root
 isolation rather than iteration.  A factored product keeps the search there,
-since its expansion on the circle can lose every digit.
+since its expansion on the circle can lose every digit.  A row of an
+untagged P has the same bits in any batch (``polycore._row_products``).
 
 Angular distances to zero sets are exact (closed form) for products of
 affine forms and for any polynomial in two variables.  For other polynomials
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import trigcircle
-from .polycore import AffineForm, CirclePlane, MultiPoly, _term_jet, restrict_to_circle
+from .polycore import AffineForm, CirclePlane, MultiPoly, _row_products, _term_jet, restrict_to_circle
 
 __all__ = [
     "SphereMaxResult",
@@ -91,13 +92,6 @@ _ZERO_SEARCH_SEEDS = 64
 # reach (12 forms in R^6) for about 2% of seeds; the best 64 of 256 miss it
 # for none of 1000
 _SCREEN = 4
-# the screen reads its candidates in blocks of ``starts`` rows rounded up to a
-# multiple of _SCREEN_BLOCK, each block starting at a multiple of it: a BLAS
-# matrix-vector product (expanded P) rounds a row by its place in a group of
-# rows (groups of 4 in OpenBLAS 0.3.31 on Haswell), so such blocks give every
-# row the bits of the whole batch, where blocks of other sizes or a lone row
-# (a matrix-matrix product becomes a matrix-vector one) do not
-_SCREEN_BLOCK = 32
 # ascent iterations before the Newton polish of near_max_on_sphere, and the
 # polish's iterations: the ascent only reaches the basins, and Newton climbs
 _ASCENT_ITERS = 6
@@ -147,7 +141,10 @@ def _log_objective(items):
 
     Rows hold real coordinates (:func:`_real`): complex P is read on rows
     twice as wide as its dimension, where log|P| = Re log P.  A factored real
-    product goes through its forms, never expanded; any other P takes one
+    product goes through its forms, never expanded, by the batch products
+    X A' and (1/L) A: its distances are closed forms, so no factored row is
+    compared across batches (on a 59,238-factor split, products per row took
+    as long, and einsum 1.7 times as long).  Any other P takes one
     :func:`_term_jet` call per gradient, on 2^e P of :func:`_unit_scaled`:
     off Z(P), grad P / P and Hess P / P are those of P bit for bit on
     normal-range P, and subnormal P keeps its digits.  ``grad(X, True)``
@@ -229,11 +226,11 @@ def _batch_ascent(value, grad, X):
 
     Only rows that improved in the previous iteration take trial steps.  A
     row that failed its backtracks, left them at the gain floor, or whose
-    gradient vanished, kept its X and f; the batch keeps its shape and every
-    row its position, and both the gain test and the trials read only the
-    row's own X, f and G, so the row would fail or leave again in every later
-    iteration.  Freezing such settled rows therefore changes no result, and
-    the loop ends when no row moved, as it would when no row improved.
+    gradient vanished, kept its X and f; it stays in the batch, in place, as
+    a factored P's batch products may round a row by its place, and both the
+    gain test and the trials read only the row's own X, f and G, so the row
+    would fail or leave again in every later iteration.  Freezing such rows
+    therefore changes no result, and the loop ends when no row moved.
     """
     f = value(X)
     moving = np.ones(len(X), dtype=bool)
@@ -274,7 +271,7 @@ def _newton_polish(value, grad, X):
     stops when no halving is accepted, or after a step below 1e-14.  The
     loop ends when no row steps.  The QR, the eigensolve and the products
     of :func:`_newton_step` work matrix by matrix, so a row's step has the
-    same bits whichever other rows step with it.  Returns the rows.
+    same bits whichever other rows step with it.  Returns the unit rows.
     """
     X = _normalize_rows(X)
     top = value(X)
@@ -368,25 +365,17 @@ def near_max_on_sphere(value, grad, X, starts):
     The ``starts`` best of the candidate rows X take ``_ASCENT_ITERS`` (6)
     iterations of the lockstep ascent, into the basins of the maxima, the
     best ``max(8, min(32, starts))`` rows are polished in one batch by
-    :func:`_newton_polish`, which climbs the rest of the way, and normalised
-    twice, each row as ``unit_vector`` would, and :func:`_near_max` keeps
-    the near-maximal pool.  The screen reads X in blocks of b to 2b - 1
-    rows, b = ``starts`` rounded up to a multiple of ``_SCREEN_BLOCK``, so
-    it holds under 2b rows' values at once, however many candidates there
-    are, and each row gets the value it has in the whole batch.  An
-    objective constant on orbits (the phase of C^d) hands over Hessians
-    without the orbit direction (``complexproj``).
+    :func:`_newton_polish`, which climbs the rest of the way, and
+    :func:`_near_max` keeps the near-maximal pool.  The screen reads X in
+    blocks of ``starts`` rows, the last up to 2 ``starts`` - 1, so it holds
+    under 2 ``starts`` rows' values at once, however many candidates there
+    are.  An objective constant on orbits (the phase of C^d) hands over
+    Hessians without the orbit direction (``complexproj``).
     """
-    block = _SCREEN_BLOCK * -(-starts // _SCREEN_BLOCK)
-    blocks = np.split(X, range(block, len(X) - block + 1, block))
+    blocks = np.split(X, range(starts, len(X) - starts + 1, starts))
     X = X[np.argsort(-np.concatenate([value(B) for B in blocks]), kind="stable")[:starts]]
     X, f = _batch_ascent(value, grad, X)
-    X = _newton_polish(value, grad, X[np.argsort(-f)[: max(8, min(32, starts))]])
-    for _ in range(2):
-        # the norm of each row bit for bit np.linalg.norm(row), which a batched
-        # np.linalg.norm(X, axis=1) or einsum is not
-        X = X / np.sqrt(X[:, None, :] @ X[:, :, None])[:, 0]
-    return _near_max(value, X)
+    return _near_max(value, _newton_polish(value, grad, X[np.argsort(-f)[: max(8, min(32, starts))]]))
 
 
 def _unit_circle_restriction(poly: MultiPoly):
@@ -583,7 +572,7 @@ def _zero_distance_search(poly, c, seed, Q=None):
 
     def objective(Z):
         X = _real(Z)
-        return X @ c + 0.5 * np.sum(X * (X @ Q), axis=1)
+        return _row_products(X, c) + 0.5 * np.sum(X * _row_products(X, Q), axis=1)
 
     Z = _from_real(sphere_starts(D, _ZERO_SEARCH_SEEDS, seed + 1), d)
     scale = max(float(np.max(np.abs(poly.eval(_from_real(sphere_starts(D, 256, seed + 3), d))))), 1e-300)
@@ -604,7 +593,7 @@ def _zero_distance_search(poly, c, seed, Q=None):
         idx = np.flatnonzero(live)
         Zi, vi, on = Z[idx], v[idx], on[idx]
         Xi = _real(Zi)
-        S = _from_real(_newton_step(Xi, c + Xi @ Q, Q, *_term_jet(poly, Zi, "gh")[1:])[0], d)
+        S = _from_real(_newton_step(Xi, c + _row_products(Xi, Q), Q, *_term_jet(poly, Zi, "gh")[1:])[0], d)
         S = np.where(on[:, None], shrink[idx, None] * S, 0.0)
         Y, vy = _restore_to_zero_set(poly, _normalize_rows(Zi + S), _RESTORE_STEPS)
         fy = objective(Y)

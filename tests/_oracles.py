@@ -17,9 +17,8 @@ extremal flag of the circle certificate from the comparison polynomial Q
 rather than from T's harmonics, start points from one Gaussian row at a time
 divided by an exactly rounded norm, the Chebyshev tail from each point's
 factors sorted by their distance from 1, the multistart's pool from one
-screen call on every candidate and a per-row normalisation of its polished
-rows, the pair construction from the expanded product R(x, y) = P(x) P(y)
-in 2d variables, its maximum on the doubled sphere and its zero set there,
+screen call on every candidate, the pair construction from the expanded
+product R(x, y) = P(x) P(y) in 2d variables, its maximum on the doubled sphere and its zero set there,
 refutation grids from a scalar scan over every denominator N,
 plank refutations from exact rational arithmetic on the floats as stored, and JSON reports
 from the hand-written dicts that the report classes and the CLI built key by key before one
@@ -565,12 +564,11 @@ def ball_ascent_pool(value, grad, d, count, seed, keep=24, iters=200):
 
 def whole_batch_near_max(value, grad, X, starts):
     """sphereopt.near_max_on_sphere with its screen read in one ``value`` call
-    on every candidate row, and each polished row normalised by two
-    per-row ``unit_vector`` calls."""
+    on every candidate row."""
     X = X[np.argsort(-value(X), kind="stable")[:starts]]
     X, f = sphereopt._batch_ascent(value, grad, X)
     X = sphereopt._newton_polish(value, grad, X[np.argsort(-f)[: max(8, min(32, starts))]])
-    return sphereopt._near_max(value, np.array([unit_vector(unit_vector(x)) for x in X]))
+    return sphereopt._near_max(value, X)
 
 
 def multiplier_log(coeffs, x):

@@ -346,6 +346,26 @@ class TestComplexCommands:
         assert rep["passed"] == [True, True]
         assert rep["distances"][0] >= math.asin(0.6) - 1e-6
 
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_one_variable_form(self, tmp_path, n):
+        # c z^n vanishes only at 0, so Z(P) misses the unit circle of C^1
+        code, text = run_cli(tmp_path, "complex-verify", {"dim": 1, "terms": [{"e": [n], "re": 1.0}]})
+        assert code == 0
+        rep = json.loads(text)
+        assert rep["passed"] == [True] and rep["distances"] == [math.inf]
+
+    def test_one_variable_weighted_system(self, tmp_path):
+        payload = {
+            "items": [
+                {"poly": {"dim": 1, "terms": [{"e": [1], "re": 0.5, "im": 1.0}]}, "delta": 0.6},
+                {"poly": {"dim": 1, "terms": [{"e": [2], "re": -2.0}]}, "delta": 0.5},
+            ]
+        }
+        code, text = run_cli(tmp_path, "weighted-verify", payload)
+        assert code == 0
+        rep = json.loads(text)
+        assert rep["passed"] == [True, True] and rep["distances"] == [math.inf, math.inf]
+
 
 class TestScaleInvariance:
     """c P has the zero set of P for every c != 0, so the distance and the

@@ -8,9 +8,8 @@ checked against a 200-iteration ascent in the ball itself, clipped to it,
 with no polish (in ``_oracles``).  Both on the acceptance families and on
 the ``search`` shapes of the benchmark, whose outputs over five cycles must
 also pass the benchmark's own checks.  Only rows that step reach the
-Newton step, and the engine's pool, screened in blocks and normalised in
-one batch, is bit for bit the pool of one screen call and per-row
-normalisation (in ``_oracles``).
+Newton step, and the engine's pool, screened in blocks of ``starts`` rows,
+is bit for bit the pool of one screen call (in ``_oracles``).
 """
 
 import contextlib
@@ -575,9 +574,8 @@ def assert_pools_equal(a, b):
 
 
 class TestEnginePool:
-    """The screen reads the candidates in blocks and the polished rows are
-    normalised in one batch, and the pool is the one that a single screen
-    call and per-row ``unit_vector`` calls give (``_oracles``)."""
+    """The screen reads the candidates in blocks, and the pool is the one
+    that a single screen call gives (``_oracles``)."""
 
     @pytest.mark.parametrize("starts", [1, 5, 64])
     @pytest.mark.parametrize("name", sorted(OBJECTIVES))
@@ -593,26 +591,11 @@ class TestEnginePool:
         value, grad, X, starts, pool = ball_engine_call(name, starts, monkeypatch)
         assert_pools_equal(pool, whole_batch_near_max(value, grad, X, starts))
 
-    @pytest.mark.parametrize("name", ["factored-3-0", "dense-4-4", "c2-1", "c3", "ball-dense-2-4"])
-    def test_polished_rows_normalised_as_unit_vector_twice(self, name, monkeypatch):
-        polished, pooled = [], []
-        polish, near_max = sphereopt._newton_polish, sphereopt._near_max
-        monkeypatch.setattr(sphereopt, "_newton_polish", lambda *a: polished.append(polish(*a)) or polished[-1])
-        monkeypatch.setattr(sphereopt, "_near_max", lambda v, X: pooled.append(X) or near_max(v, X))
-        if name.startswith("ball-"):
-            ball_engine_call(name[5:], 64, monkeypatch)
-        else:
-            value, grad, dim = OBJECTIVES[name]()
-            sphereopt.near_max_on_sphere(value, grad, sphere_starts(dim, 256, 2), 64)
-        expected = np.array([sphereopt.unit_vector(sphereopt.unit_vector(x)) for x in polished[0]])
-        assert pooled[0].tobytes() == expected.tobytes()
-
     @pytest.mark.parametrize("starts", [1, 2, 5, 64, 100])
     @pytest.mark.parametrize("name", ["factored-5-1", "expanded-4-0", "weighted-0", "ball-dense-1-5", "ball-expanded-3"])
-    def test_screen_reads_aligned_blocks(self, name, starts, monkeypatch):
-        # blocks of b to 2b - 1 rows, b = starts rounded up to a multiple of
-        # 32, starting at multiples of b, whose values are the whole batch's
-        # bit for bit; blocks of starts rows round expanded P differently
+    def test_screen_reads_blocks_of_starts_rows(self, name, starts, monkeypatch):
+        # blocks of starts rows, the last up to 2 starts - 1 rows, whose
+        # values are the whole batch's bit for bit
         if name.startswith("ball-"):
             value, grad, X, _, _ = ball_engine_call(name[5:], starts, monkeypatch)
         else:
@@ -631,11 +614,10 @@ class TestEnginePool:
 
         monkeypatch.setattr(sphereopt, "_batch_ascent", ascent_after_screen)
         sphereopt.near_max_on_sphere(read, grad, X, starts)
-        b = 32 * -(-starts // 32)
         sizes = [len(v) for v in screen]
         assert sum(sizes) == len(X)
-        if len(X) < 2 * b:
+        if len(X) < 2 * starts:
             assert sizes == [len(X)]
         else:
-            assert sizes[:-1] == [b] * (len(sizes) - 1) and b <= sizes[-1] < 2 * b
+            assert sizes[:-1] == [starts] * (len(sizes) - 1) and starts <= sizes[-1] < 2 * starts
         assert np.concatenate(screen).tobytes() == value(X).tobytes()

@@ -118,7 +118,7 @@ def loop_gradient(poly, X):
         expo = Ej[:, j].copy()
         Ej[:, j] = np.maximum(expo - 1, 0)
         mono = np.prod(X[:, None, :] ** Ej[None, :, :], axis=2)
-        G[:, j] = mono @ (C * expo)
+        G[:, j] = (mono[:, None, :] @ (C * expo))[:, 0]
     return G
 
 
@@ -131,9 +131,9 @@ class TestTermTables:
         C = np.array([c for _, c in p.terms], dtype=float)
         for rows in (1, 7, 64):
             X = rng.uniform(-1.5, 1.5, size=(rows, d))
-            ref = np.prod(X[:, None, :] ** E[None, :, :], axis=2) @ C
+            ref = (np.prod(X[:, None, :] ** E[None, :, :], axis=2)[:, None, :] @ C)[:, 0]
             assert p.eval(X).tobytes() == ref.tobytes()
-            assert p.eval(X[0]) == float((np.prod(X[:1, None, :] ** E[None, :, :], axis=2) @ C)[0])
+            assert p.eval(X[0]) == float((np.prod(X[:1, None, :] ** E[None, :, :], axis=2)[:, None, :] @ C)[0, 0])
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 6])
     def test_gradient_bytes_match_loop(self, d):
