@@ -1,14 +1,18 @@
 """Trigonometric polynomials on the circle: zeros, extrema, gap certificates.
 
-trig_zeros first tries a proof on a grid (_grid_zeros): one inverse real
+trig_zeros first tries a proof on a grid (_grid_brackets): one inverse real
 FFT gives T and T' at N equally spaced angles (the sup grid, or 16n points
 above degree 256), the cosine comparison bounds ||T|| by U = (max grid |T|
 + the FFT's stated rounding bound) / cos(n pi / N), and Bernstein's
 inequality ||T^(j)|| <= n^j U bounds T'' and T''' between grid points.
-Every cell then holds no zero or exactly one simple zero, found by Newton
-iteration inside it, or is split and tried again; if a cell stays
-undecided, the whole polynomial goes to the kernel.  Multiple zeros always
-do, as no cell around one can be decided.
+Every cell then holds no zero or exactly one simple zero, or is split and
+tried again; if a cell stays undecided, the whole polynomial goes to the
+kernel.  Multiple zeros always do, as no cell around one can be decided.
+_polish_brackets then finds each zero by Newton iteration inside its
+bracket.  trig_max_points proves the brackets of the zeros of T' the same
+way but polishes only those where a rigorous bound on |T| can reach the
+maximum (_may_hold_max); as each angle is polished on its own, the maximum
+and its points are those of polishing every critical point, bit for bit.
 
 Newton iteration (_newton_polish) and the split points take T and T' from
 one cos/sin table (_eval_pair), bit for bit TrigPoly.eval of each.  An
@@ -57,9 +61,14 @@ _EVAL_BLOCK = 256
 _SUP_MIN_POINTS = 4096
 # Newton sweeps of _newton_polish
 _POLISH_STEPS = 60
-# _grid_zeros splits each undecided cell this many ways, at most this many times
+# _grid_brackets splits each undecided cell this many ways, at most this many times
 _SPLIT_WAYS = 8
 _SPLIT_LEVELS = 4
+# widens each proved cell: a float grid angle (at most 4 pi) is within 4 pi
+# eps of the exact angle it stands for
+_SLACK = 10.0 * math.pi * _EPS
+# critical values within this relative distance of the maximum tie with it
+_MAX_TIE = 1e-9
 
 
 class TrigPoly:
@@ -69,7 +78,7 @@ class TrigPoly:
     (a_k, b_k); every operation below works on it as a whole.
     """
 
-    __slots__ = ("a0", "coeffs", "_freqs", "_sup")
+    __slots__ = ("a0", "coeffs", "_freqs", "_sup", "_proof")
 
     def __init__(self, a0, coeffs=(), trim=False):
         a0 = float(a0)
@@ -93,6 +102,8 @@ class TrigPoly:
         # the frequencies k, for eval and derivative
         self._freqs = np.arange(1.0, len(pairs) + 1.0)
         self._sup = None
+        # T on the proof grid of _grid_brackets, once that has sampled it
+        self._proof = None
 
     @property
     def degree(self):
@@ -184,6 +195,12 @@ def _grid_size(n):
     """Points of the sup grid of a degree-n polynomial: the larger of 4096 and
     the smallest power of two >= 4n."""
     return max(_SUP_MIN_POINTS, 1 << (4 * n - 1).bit_length())
+
+
+def _proof_size(n):
+    """Points of the proof grid of _grid_brackets: those of the sup grid, or
+    the smallest power of two >= 16n where that is more (n > 256)."""
+    return max(_grid_size(n), 1 << (16 * n - 1).bit_length())
 
 
 def _table_values(a0, pairs, freqs, theta):
@@ -431,9 +448,11 @@ def _newton_polish(T, dT, theta):
     return best
 
 
-def _grid_zeros(T, dT):
-    """The zeros of T, each polished by _newton_polish from a bracket proved to
-    hold it and no other zero, all simple; None where the proof fails.
+def _grid_brackets(T, dT):
+    """Brackets proved to hold one zero of T each, a simple one, and between
+    them every zero of T; None where the proof fails.  Arrays (lo, hi, f0,
+    f1, peak): each bracket's unwrapped end angles, T's grid values there
+    (of proved opposite signs) and peak >= max |T| over the bracket.
 
     T (unit-scaled, degree n) and dT = T' are sampled at N equally spaced
     angles by one inverse real FFT.  N is that of the sup grid, whose
@@ -463,14 +482,18 @@ def _grid_zeros(T, dT):
     keeps one sign on both and their outer ends have proved signs.  Undecided
     cells are split _SPLIT_WAYS ways, with T and dT evaluated at the new
     points from one trig table (_eval_pair), at most _SPLIT_LEVELS times and
-    at most N cells at a time.  Each polished angle must lie in its bracket.
+    at most N cells at a time.
+
+    T is monotone on each bracket, as T' keeps one sign on its one or two
+    cells, so peak is the larger of |value| + stated bound at its two ends.
     """
     n = T.degree
-    N = max(_grid_size(n), 1 << (16 * n - 1).bit_length())
+    N = _proof_size(n)
     k = np.arange(n + 1)
     spectrum = T._spectrum()
     grid = np.fft.irfft(np.stack((spectrum, 1j * k * spectrum)), N, norm="forward")
     top = float(np.max(np.abs(grid[0])))
+    T._proof = grid[0]
     if N == _grid_size(n):
         T._sup = top
     size, square = np.abs(T.coeffs).sum(axis=1), np.square(T.coeffs).sum(axis=1)
@@ -478,11 +501,8 @@ def _grid_zeros(T, dT):
     fft = 5.0 * math.log2(N) * _EPS * math.sqrt(N)
     grid_err = fft * np.sqrt([T.a0**2 + square.sum() / 2.0, np.square(k[1:]) @ square / 2.0])
     eval_err = np.array([_eval_bound(T), _EPS * (TWO_PI * s2 + (2 * n + 7) * s1)])
-    # U is rounded up by far more than the few roundings of the tests below;
-    # slack widens each cell, as a float grid angle (at most 4 pi) is within
-    # 4 pi eps of the exact angle it stands for
+    # U is rounded up by far more than the few roundings of the tests below
     U = (1.0 + 1e-9) * (top + grid_err[0]) / math.cos(n * math.pi / N)
-    slack = 10.0 * math.pi * _EPS
     # rows of points with values V = (T, T') and their bounds E; first one
     # row once around from the largest |T|, in unwrapped angles
     pts = np.argmax(np.abs(grid[0])) + np.arange(N + 1)
@@ -491,7 +511,7 @@ def _grid_zeros(T, dT):
     brackets = []
     for level in range(_SPLIT_LEVELS + 1):
         M = np.abs(V) - E
-        w2 = np.square(np.diff(t, axis=1) + slack)
+        w2 = np.square(np.diff(t, axis=1) + _SLACK)
         sign = np.sign(V[0]) * (M[0] > 0.0)
         cross = sign[:, :-1] * sign[:, 1:]
         mono = (V[1, :, :-1] * V[1, :, 1:] > 0.0) & (np.minimum(M[1, :, :-1], M[1, :, 1:]) > n**3 * U / 8.0 * w2)
@@ -505,7 +525,8 @@ def _grid_zeros(T, dT):
         pair = sign[r, j - 1] != sign[r, j + 1]
         rows, left = np.nonzero(one)
         rows, left, right = np.append(rows, r[pair]), np.append(left, j[pair] - 1), np.append(left + 1, j[pair] + 1)
-        brackets.append((t[rows, left], t[rows, right], V[0, rows, left], V[0, rows, right]))
+        peak = np.maximum(*(np.abs(V[0, rows, x]) + E[0, rows, x] for x in (left, right)))
+        brackets.append((t[rows, left], t[rows, right], V[0, rows, left], V[0, rows, right], peak))
         r, c = np.nonzero(~(one | done))
         if r.size == 0:
             break
@@ -516,49 +537,142 @@ def _grid_zeros(T, dT):
         inner = _eval_pair(T, dT, t[:, 1:-1])
         V = np.concatenate((V[:, r, c, None], inner, V[:, r, c + 1, None]), axis=2)
         E = np.concatenate((E[:, r, c, None], np.broadcast_to(eval_err[:, None, None], inner.shape), E[:, r, c + 1, None]), axis=2)
-    lo, hi, f0, f1 = (np.concatenate(part) for part in zip(*brackets))
-    # regula falsi starts, inside the brackets as f0 and f1 differ in sign
+    return tuple(np.concatenate(part) for part in zip(*brackets))
+
+
+def _polish_brackets(T, dT, lo, hi, f0, f1):
+    """The zero in each bracket of _grid_brackets, polished by _newton_polish
+    from its regula falsi start (inside, as f0 and f1 differ in sign); None
+    if a polished angle leaves its bracket.  Each angle moves on its own, so
+    polishing a subset of the brackets gives the same bits for each."""
     w = hi - lo
     theta = _newton_polish(T, dT, (lo + f0 / (f0 - f1) * w) % TWO_PI)
     off = np.abs((theta - (lo + hi) / 2.0 + math.pi) % TWO_PI - math.pi)
-    return theta if (off <= w / 2.0 + slack).all() else None
+    return theta if (off <= w / 2.0 + _SLACK).all() else None
+
+
+def _placed_zeros(T, dT, found):
+    """(angles, multiplicities) of the zeros of T (unit-scaled, dT = T'),
+    before the residual check: the polished zeros of the brackets ``found``
+    (from _grid_brackets), else, where found is None or a polished zero
+    leaves its bracket, the kernel's clusters of z^n T on the circle, whose
+    coefficients are the conjugate spectrum reversed, then the spectrum;
+    there only simple clusters are polished."""
+    thetas = None if found is None else _polish_brackets(T, dT, *found[:4])
+    if thetas is not None:
+        return thetas, np.ones(thetas.size, int)
+    spectrum = T._spectrum()
+    c = np.concatenate((np.conj(spectrum[:0:-1]), spectrum))
+    centres, radii, counts = _root_clusters((c / np.max(np.abs(c)))[::-1])
+    on = np.abs(np.abs(centres) - 1.0) <= radii
+    thetas, mults = np.mod(np.angle(centres[on]), TWO_PI), counts[on]
+    thetas[mults == 1] = _newton_polish(T, dT, thetas[mults == 1])
+    return thetas, mults
+
+
+def _residual_ok(T, thetas):
+    """Whether |T| < 1e-8 sup|T| at each angle: the check every reported zero passes."""
+    return np.abs(T.eval(thetas)) <= _RESIDUAL_TOL * T.sup_norm()
 
 
 def trig_zeros(T: TrigPoly) -> tuple:
     """All zeros of T in [0, 2pi) with multiplicities, a tuple of CircleZero
-    sorted by angle, |T| < 1e-8 sup|T| at each.  _grid_zeros proves them simple
-    and places them where it can; otherwise the clusters are those of z^n T,
-    whose coefficients are the conjugate spectrum reversed, then the spectrum."""
+    sorted by angle, |T| < 1e-8 sup|T| at each.  _grid_brackets proves them
+    simple and _polish_brackets places them where it can; otherwise they come
+    from the kernel (_placed_zeros)."""
     _check_nonzero(T)
     if T.degree == 0:
         return ()
     _, T = _unit_scaled(T)
     dT = T.derivative()
-    thetas = _grid_zeros(T, dT)
-    if thetas is not None:
-        mults = np.ones(thetas.size, int)
-    else:
-        spectrum = T._spectrum()
-        c = np.concatenate((np.conj(spectrum[:0:-1]), spectrum))
-        centres, radii, counts = _root_clusters((c / np.max(np.abs(c)))[::-1])
-        on = np.abs(np.abs(centres) - 1.0) <= radii
-        thetas, mults = np.mod(np.angle(centres[on]), TWO_PI), counts[on]
-        thetas[mults == 1] = _newton_polish(T, dT, thetas[mults == 1])
-    keep = np.abs(T.eval(thetas)) <= _RESIDUAL_TOL * T.sup_norm()
+    thetas, mults = _placed_zeros(T, dT, _grid_brackets(T, dT))
+    keep = _residual_ok(T, thetas)
     zeros = (CircleZero(float(t % TWO_PI), int(m)) for t, m in zip(thetas[keep], mults[keep]))
     return tuple(sorted(zeros, key=lambda z: z.theta))
 
 
+def _may_hold_max(T, e, found):
+    """Mask of the brackets ``found`` of T's critical points (_grid_brackets
+    on dT = 2^e T') whose polished angle can carry a value of |T| within
+    _MAX_TIE of the largest one.
+
+    T' is monotone on each bracket and at most 2^-e peak there, so from
+    either end T moves by at most the bracket width times that; pad adds the
+    rounding of T at the ends and of T.eval at the polished angle (4 beta,
+    beta the larger of _eval_bound(T) and the FFT's stated bound, also covers
+    the rounding of T''s coefficients and of these sums) and the slack of
+    the bracket ends.  That gives upper >= |T| at the polished angle.
+    Where T has one proved sign s at both ends and T' goes from s to -s, |T|
+    rises to the critical point and falls after it, so lower = the smaller
+    end value - pad is <= |T| there; the largest lower is then <= the maximum,
+    and a bracket with upper below (1 - _MAX_TIE) times it holds no maximizer.
+    """
+    # ends on the proof grid read T off its inverse real FFT (that of
+    # trig_zeros where it ran first), the split points' ends take T.eval;
+    # beta bounds the rounding of either
+    lo, hi, f0, _, peak = found
+    N, t = _proof_size(T.degree), np.stack((lo, hi))
+    if T._proof is None:
+        T._proof = np.fft.irfft(T._spectrum(), N, norm="forward")
+    j = np.rint(t * (N / TWO_PI))
+    ends = T._proof[j.astype(int) % N]
+    split = j * (TWO_PI / N) != t
+    ends[split] = T.eval(t[split])
+    fft = 5.0 * math.log2(N) * _EPS * math.sqrt(N * (T.a0**2 + np.square(T.coeffs).sum() / 2.0))
+    slope, beta = np.ldexp(peak, -e), max(_eval_bound(T), fft)
+    pad = 4.0 * beta + 2.0 * _SLACK * slope
+    s = np.sign(ends[0])
+    rises = (ends * s > beta).all(axis=0) & (f0 * s > 0.0)
+    size = np.abs(ends)
+    lower = np.where(rises, size.min(axis=0) - pad, 0.0)
+    upper = size.max(axis=0) + (hi - lo) * slope + pad
+    return upper >= (1.0 - _MAX_TIE) * np.max(lower, initial=0.0)
+
+
+def _critical_points(T):
+    """The critical points of T (unit-scaled) that can be maximizers of |T|.
+
+    The brackets of T''s zeros are proved once, on dT = 2^e T' as trig_zeros
+    would, and only those that _may_hold_max keeps are polished.  Where the
+    proof fails, or a kept angle leaves its bracket or fails the residual
+    check, every zero of T' is placed as trig_zeros places it.  The kernel
+    can take a merged cluster's centre for a zero or place none, so if no
+    placed point reaches (1 - _MAX_TIE) times the largest |T| on the sup
+    grid, Newton's method on T' starts instead from the grid's local maxima
+    of |T| that reach cos(n pi / N) times that value: by the cosine
+    comparison each maximizer of |T| has a grid point that high within
+    pi / N.
+    """
+    e, dT = _unit_scaled(T.derivative())
+    ddT = dT.derivative()
+    found = _grid_brackets(dT, ddT)
+    if found is not None:
+        kept = _may_hold_max(T, e, found)
+        thetas = _polish_brackets(dT, ddT, *(part[kept] for part in found[:4]))
+        if thetas is not None and _residual_ok(dT, thetas).all():
+            return thetas
+    thetas = _placed_zeros(dT, ddT, found)[0]
+    thetas = thetas[_residual_ok(dT, thetas)]
+    n, N = T.degree, _grid_size(T.degree)
+    g = np.abs(np.fft.irfft(T._spectrum(), N, norm="forward"))
+    top = np.max(g)
+    if np.max(np.abs(T.eval(thetas)), initial=0.0) >= (1.0 - _MAX_TIE) * top:
+        return thetas
+    high = (g > np.roll(g, 1)) & (g >= np.roll(g, -1)) & (g >= math.cos(n * math.pi / N) * top)
+    return _newton_polish(dT, ddT, np.flatnonzero(high) * (TWO_PI / N))
+
+
 def trig_max_points(T: TrigPoly):
-    """(M, points): maximum of |T| over the circle and all its maximizers."""
+    """(M, points): maximum of |T| over the circle and all its maximizers,
+    the critical points (_critical_points) whose |T| is within _MAX_TIE of M."""
     _check_nonzero(T)
     if T.degree == 0:
         return abs(T.a0), [0.0]
     e, T = _unit_scaled(T)
-    crit = [z.theta for z in trig_zeros(T.derivative())] or [0.0]
-    vals = np.abs(T.eval(np.array(crit)))
+    crit = _critical_points(T) % TWO_PI
+    vals = np.abs(T.eval(crit))
     M = float(np.max(vals))
-    pts = sorted(float(t) for t, v in zip(crit, vals) if v >= M * (1.0 - 1e-9))
+    pts = sorted(float(t) for t, v in zip(crit, vals) if v >= M * (1.0 - _MAX_TIE))
     return _unscaled_max(M, e), pts
 
 
@@ -572,12 +686,13 @@ def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
     set when those harmonics have sup norm below 1e-10 sup|T|.  The measured
     gap is reported against the pi/(2n) bound.  Everything is
     measured on 2^e T (see _unit_scaled), so that the root finders and the
-    flag share one polynomial and its sup norm.
+    flag share one polynomial and its sup norm, and trig_max_points reads T
+    on the proof grid that trig_zeros sampled.
     """
     n = T.degree
     e, T = _unit_scaled(T)
-    M, pts = trig_max_points(T)
     zeros = trig_zeros(T)
+    M, pts = trig_max_points(T)
     min_dist = min((circle_distance(t, z.theta) for t in pts for z in zeros), default=math.inf)
     bound = math.pi / (2 * n) if n > 0 else math.inf
     # no zeros (min_dist = inf) passes, whatever the bound

@@ -20,7 +20,9 @@ factors sorted by their distance from 1, the multistart's pool from one
 screen call on every candidate, the pair construction from the expanded
 product R(x, y) = P(x) P(y) in 2d variables, its maximum on the doubled sphere and its zero set there,
 refutation grids from a scalar scan over every denominator N,
-plank refutations from exact rational arithmetic on the floats as stored, and JSON reports
+plank refutations from exact rational arithmetic on the floats as stored, the
+maxima on the circle from every critical point rather than those that can be
+maxima, and JSON reports
 from the hand-written dicts that the report classes and the CLI built key by key before one
 serializer wrote every report from its dataclass fields.
 """
@@ -37,7 +39,7 @@ from zerogap import ballfinder, covering, sphereopt
 from zerogap.chebmult import ball_multiplier, cheb_positive_zeros
 from zerogap.polycore import AffineForm, MultiPoly
 from zerogap.sphereopt import GAIN_FLOOR, LOG_FLOOR, sphere_starts, unit_vector
-from zerogap.trigcircle import interlacing_check
+from zerogap.trigcircle import TrigPoly, interlacing_check, trig_zeros
 
 TWO_PI = 2.0 * math.pi
 
@@ -598,6 +600,21 @@ def dedupe_points_loop(points, tol=1e-7):
         if all(np.linalg.norm(p - q) > tol for q in out):
             out.append(p)
     return out
+
+
+def all_critical_max_points(T):
+    """(M, points) of |T| from every zero of T' that trig_zeros reports: each
+    critical point polished, then the values within 1e-9 of the largest.  T
+    is first scaled by the power of two that puts its largest coefficient in
+    [0.5, 1), and M scaled back; None where trig_zeros places no zero of T'."""
+    e = -math.frexp(float(np.max(np.abs(T.coeffs), initial=abs(T.a0))))[1]
+    T = TrigPoly(math.ldexp(T.a0, e), np.ldexp(T.coeffs, e))
+    crit = [z.theta for z in trig_zeros(T.derivative())]
+    if not crit:
+        return None
+    vals = np.abs(T.eval(np.array(crit)))
+    M = float(np.max(vals))
+    return math.ldexp(M, -e), sorted(float(t) for t, v in zip(crit, vals) if v >= M * (1.0 - 1e-9))
 
 
 def legacy_trig_verify_json(T, report):

@@ -1,4 +1,4 @@
-"""The grid proof of trig_zeros (trigcircle._grid_zeros) against the
+"""The grid proof of trig_zeros (trigcircle._grid_brackets) against the
 root-cluster kernel, against 40-digit zeros and on adversarial input.
 
 Every polynomial must either have each of its zeros placed, simple, in a
@@ -59,7 +59,7 @@ def run(T, monkeypatch, grid=True):
     with monkeypatch.context() as m:
         m.setattr(trigcircle, "_root_clusters", counted)
         if not grid:
-            m.setattr(trigcircle, "_grid_zeros", lambda T, dT: None)
+            m.setattr(trigcircle, "_grid_brackets", lambda T, dT: None)
         return trig_zeros(T), calls["kernel"]
 
 
@@ -163,7 +163,7 @@ class TestFineProofGrid:
         # the proof grid of degree > 256 is finer than the sup grid; the
         # cached sup norm must still be the sup grid's maximum
         T = random_trig(np.random.default_rng(n), n)
-        assert trigcircle._grid_zeros(T, T.derivative()) is not None
+        assert trigcircle._grid_brackets(T, T.derivative()) is not None
         N = trigcircle._grid_size(n)
         assert T.sup_norm() == float(np.max(np.abs(np.fft.irfft(T._spectrum(), N, norm="forward"))))
 
@@ -252,7 +252,7 @@ class TestAdversarial:
             for grid in (True, False):
                 with monkeypatch.context() as m:
                     if not grid:
-                        m.setattr(trigcircle, "_grid_zeros", lambda T, dT: None)
+                        m.setattr(trigcircle, "_grid_brackets", lambda T, dT: None)
                     assert main(["trig-verify", "--input", str(inp), "--output", str(tmp_path / "out.json")]) == 0
                 outputs.append((tmp_path / "out.json").read_bytes())
             assert outputs[0] == outputs[1]

@@ -322,7 +322,10 @@ class TestSharedTable:
 
 class TestWorkCounts:
     def test_trig_verify_finds_each_root_set_once(self, tmp_path, monkeypatch):
-        calls = Counter()
+        # T''s brackets are proved once, inside trig_max_points, and only the
+        # brackets _may_hold_max keeps reach the T' polish; T's zeros are
+        # found once, by trig_zeros
+        calls, proved, kept, polished = Counter(), [], [], []
         for name in ("trig_zeros", "trig_max_points"):
             original = getattr(trigcircle, name)
 
@@ -331,14 +334,40 @@ class TestWorkCounts:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(trigcircle, name, counted)
+        original_brackets, original_keep = trigcircle._grid_brackets, trigcircle._may_hold_max
+        original_polish = trigcircle._newton_polish
+
+        def recorded_brackets(T, dT):
+            found = original_brackets(T, dT)
+            proved.append((T, len(found[0])))
+            return found
+
+        def recorded_keep(*args):
+            mask = original_keep(*args)
+            kept.append(int(np.count_nonzero(mask)))
+            return mask
+
+        def recorded_polish(T, dT, theta):
+            polished.append((T, np.size(theta)))
+            return original_polish(T, dT, theta)
+
+        monkeypatch.setattr(trigcircle, "_grid_brackets", recorded_brackets)
+        monkeypatch.setattr(trigcircle, "_may_hold_max", recorded_keep)
+        monkeypatch.setattr(trigcircle, "_newton_polish", recorded_polish)
         inp = tmp_path / "in.json"
         inp.write_text(json.dumps(random_trig(np.random.default_rng(11), 6).to_json()))
         for fmt in ("json", "csv"):
             calls.clear()
+            proved.clear()
+            kept.clear()
+            polished.clear()
             code = main(["trig-verify", "--input", str(inp), "--output", str(tmp_path / "out"), "--format", fmt])
             assert code == 0
-            # T' (through trig_max_points) and T
-            assert calls == {"trig_zeros": 2, "trig_max_points": 1}
+            assert calls == {"trig_zeros": 1, "trig_max_points": 1}
+            # the brackets of T, then those of T' (this T has 10 critical points)
+            (T, zeros), (dT, critical) = proved
+            assert critical == 10 and len(kept) == 1 and kept[0] < critical
+            assert polished == [(T, zeros), (dT, kept[0])]
 
     @pytest.mark.parametrize("count", [1, 40])
     @pytest.mark.parametrize("steps", [1, 5, 60])
@@ -435,7 +464,7 @@ class TestWorkCounts:
             return original(*args)
 
         monkeypatch.setattr(trigcircle, "_pellet_split", counted)
-        monkeypatch.setattr(trigcircle, "_grid_zeros", lambda T, dT: None)
+        monkeypatch.setattr(trigcircle, "_grid_brackets", lambda T, dT: None)
         rng = np.random.default_rng(21)
         for n in range(1, 56):
             T = random_trig(rng, n)
