@@ -78,7 +78,7 @@ class TrigPoly:
     (a_k, b_k); every operation below works on it as a whole.
     """
 
-    __slots__ = ("a0", "coeffs", "_freqs", "_sup", "_proof")
+    __slots__ = ("a0", "coeffs", "_freqs", "_sup")
 
     def __init__(self, a0, coeffs=(), trim=False):
         a0 = float(a0)
@@ -102,8 +102,6 @@ class TrigPoly:
         # the frequencies k, for eval and derivative
         self._freqs = np.arange(1.0, len(pairs) + 1.0)
         self._sup = None
-        # T on the proof grid of _grid_brackets, once that has sampled it
-        self._proof = None
 
     @property
     def degree(self):
@@ -142,8 +140,7 @@ class TrigPoly:
         which would overflow near 1e308.
         """
         if self._sup is None:
-            N = _grid_size(self.degree)
-            self._sup = float(np.max(np.abs(np.fft.irfft(self._spectrum(), N, norm="forward"))))
+            self._sup = float(np.max(np.abs(_on_grid(self, _grid_size(self.degree)))))
         return self._sup
 
     def is_trivially_zero(self):
@@ -195,6 +192,11 @@ def _grid_size(n):
     """Points of the sup grid of a degree-n polynomial: the larger of 4096 and
     the smallest power of two >= 4n."""
     return max(_SUP_MIN_POINTS, 1 << (4 * n - 1).bit_length())
+
+
+def _on_grid(T, N):
+    """T at the N angles 2 pi j / N: one inverse real FFT of its spectrum."""
+    return np.fft.irfft(T._spectrum(), N, norm="forward")
 
 
 def _proof_size(n):
@@ -493,7 +495,6 @@ def _grid_brackets(T, dT):
     spectrum = T._spectrum()
     grid = np.fft.irfft(np.stack((spectrum, 1j * k * spectrum)), N, norm="forward")
     top = float(np.max(np.abs(grid[0])))
-    T._proof = grid[0]
     if N == _grid_size(n):
         T._sup = top
     size, square = np.abs(T.coeffs).sum(axis=1), np.square(T.coeffs).sum(axis=1)
@@ -607,15 +608,12 @@ def _may_hold_max(T, e, found):
     end value - pad is <= |T| there; the largest lower is then <= the maximum,
     and a bracket with upper below (1 - _MAX_TIE) times it holds no maximizer.
     """
-    # ends on the proof grid read T off its inverse real FFT (that of
-    # trig_zeros where it ran first), the split points' ends take T.eval;
-    # beta bounds the rounding of either
+    # ends on the proof grid read T off its inverse real FFT, the split
+    # points' ends take T.eval; beta bounds the rounding of either
     lo, hi, f0, _, peak = found
     N, t = _proof_size(T.degree), np.stack((lo, hi))
-    if T._proof is None:
-        T._proof = np.fft.irfft(T._spectrum(), N, norm="forward")
     j = np.rint(t * (N / TWO_PI))
-    ends = T._proof[j.astype(int) % N]
+    ends = _on_grid(T, N)[j.astype(int) % N]
     split = j * (TWO_PI / N) != t
     ends[split] = T.eval(t[split])
     fft = 5.0 * math.log2(N) * _EPS * math.sqrt(N * (T.a0**2 + np.square(T.coeffs).sum() / 2.0))
@@ -641,7 +639,8 @@ def _critical_points(T):
     grid, Newton's method on T' starts instead from the grid's local maxima
     of |T| that reach cos(n pi / N) times that value: by the cosine
     comparison each maximizer of |T| has a grid point that high within
-    pi / N.
+    pi / N.  A start keeps its grid angle where Newton's method lowers |T|,
+    so M never falls below the grid's largest |T|.
     """
     e, dT = _unit_scaled(T.derivative())
     ddT = dT.derivative()
@@ -654,12 +653,14 @@ def _critical_points(T):
     thetas = _placed_zeros(dT, ddT, found)[0]
     thetas = thetas[_residual_ok(dT, thetas)]
     n, N = T.degree, _grid_size(T.degree)
-    g = np.abs(np.fft.irfft(T._spectrum(), N, norm="forward"))
+    g = np.abs(_on_grid(T, N))
     top = np.max(g)
     if np.max(np.abs(T.eval(thetas)), initial=0.0) >= (1.0 - _MAX_TIE) * top:
         return thetas
     high = (g > np.roll(g, 1)) & (g >= np.roll(g, -1)) & (g >= math.cos(n * math.pi / N) * top)
-    return _newton_polish(dT, ddT, np.flatnonzero(high) * (TWO_PI / N))
+    starts = np.flatnonzero(high) * (TWO_PI / N)
+    thetas = _newton_polish(dT, ddT, starts)
+    return np.where(np.abs(T.eval(thetas)) >= np.abs(T.eval(starts)), thetas, starts)
 
 
 def trig_max_points(T: TrigPoly):
@@ -686,13 +687,12 @@ def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
     set when those harmonics have sup norm below 1e-10 sup|T|.  The measured
     gap is reported against the pi/(2n) bound.  Everything is
     measured on 2^e T (see _unit_scaled), so that the root finders and the
-    flag share one polynomial and its sup norm, and trig_max_points reads T
-    on the proof grid that trig_zeros sampled.
+    flag share one polynomial and its sup norm.
     """
     n = T.degree
     e, T = _unit_scaled(T)
-    zeros = trig_zeros(T)
     M, pts = trig_max_points(T)
+    zeros = trig_zeros(T)
     min_dist = min((circle_distance(t, z.theta) for t in pts for z in zeros), default=math.inf)
     bound = math.pi / (2 * n) if n > 0 else math.inf
     # no zeros (min_dist = inf) passes, whatever the bound

@@ -124,6 +124,16 @@ class TestNoFixedAngleForTheMaximum:
         assert len(pts) == 2
         assert all(min(abs(t - 1.0), abs(t - 1.0 - math.pi)) <= 1e-9 for t in pts)
 
+    @pytest.mark.parametrize("k", [14, 20])
+    def test_never_below_the_sup_grid(self, k, monkeypatch):
+        # a Newton step that leaves every start for a lower |T|: the grid
+        # starts stand, so M still reaches the sup grid's largest |T|
+        T = cos_power(k, 1.0)
+        monkeypatch.setattr(trigcircle, "_newton_polish", lambda P, dP, theta: theta + 0.5)
+        M, pts = trig_max_points(T)
+        assert M >= (1.0 - 1e-12) * T.sup_norm()
+        assert all(min(abs(t - 1.0), abs(t - 1.0 - math.pi)) <= math.pi / 4096 for t in pts)
+
     def test_trig_verify_reports_the_maximum(self, tmp_path):
         inp, out = tmp_path / "in.json", tmp_path / "out.json"
         inp.write_text(json.dumps(cos_power(14, 1.0).to_json()))

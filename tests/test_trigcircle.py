@@ -364,10 +364,10 @@ class TestWorkCounts:
             code = main(["trig-verify", "--input", str(inp), "--output", str(tmp_path / "out"), "--format", fmt])
             assert code == 0
             assert calls == {"trig_zeros": 1, "trig_max_points": 1}
-            # the brackets of T, then those of T' (this T has 10 critical points)
-            (T, zeros), (dT, critical) = proved
+            # the brackets of T', then those of T (this T has 10 critical points)
+            (dT, critical), (T, zeros) = proved
             assert critical == 10 and len(kept) == 1 and kept[0] < critical
-            assert polished == [(T, zeros), (dT, kept[0])]
+            assert polished == [(dT, kept[0]), (T, zeros)]
 
     @pytest.mark.parametrize("count", [1, 40])
     @pytest.mark.parametrize("steps", [1, 5, 60])
@@ -520,11 +520,13 @@ class TestWorkCounts:
         T = random_trig(np.random.default_rng(3), 12)
         rep = zero_gap_certificate(T)
         assert not rep.q_identically_zero
-        # T', T and T's harmonics below n, one transform each
-        assert len(set(map(id, asked))) == 3 and transforms["irfft"] == 3
+        # one sup norm each for T', T and T's harmonics below n, from four
+        # transforms: T' with T'' for its brackets, T for the bound on its
+        # critical values, T with T' for its zeros, and the harmonics
+        assert len(set(map(id, asked))) == 3 and transforms["irfft"] == 4
         # a repeated call returns the grid maximum without transforming again
         sup = T.sup_norm()
-        assert T.sup_norm() == sup and transforms["irfft"] == 4
+        assert T.sup_norm() == sup and transforms["irfft"] == 5
         assert abs(sup - termwise_sup(T)) <= sup_rounding_bound(T)
 
 
