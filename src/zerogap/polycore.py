@@ -14,6 +14,7 @@ zero-set search of ``sphereopt``.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -114,24 +115,64 @@ def _merge_terms(dim, terms, zero):
     """Sorted nonzero (exponents, coefficient) pairs from a dict or a list of
     pairs, coefficients of equal exponents summed in the order given, in the
     type of ``zero`` (0.0 or 0j); rejects a bad dimension or exponent vector,
-    a coefficient that is not finite and the identically-zero polynomial."""
+    a coefficient that is not finite and the identically-zero polynomial.
+
+    Terms whose exponents are all plain ints are read and merged as arrays
+    (_term_arrays); if any term is not, each is first read on its own
+    (_checked_term), which raises the error of the first bad one."""
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    merged = {}
-    for exps, coeff in terms.items() if isinstance(terms, dict) else terms:
-        e = tuple(_whole(x, "e") for x in exps)
-        if len(e) != dim:
-            raise ValueError(f"exponent vector {e} does not match dim {dim}")
-        if any(x < 0 for x in e):
-            raise ValueError(f"negative exponent in {e}")
-        coeff = type(zero)(coeff)
-        if not cmath.isfinite(coeff):
-            raise ValueError(f"coefficient of exponents {e} must be finite, got {coeff}")
-        merged[e] = merged.get(e, zero) + coeff
-    merged = {e: c for e, c in merged.items() if c != 0}
-    if not merged:
+    pairs = list(terms.items() if isinstance(terms, dict) else terms)
+    try:
+        exps, E, C = _term_arrays(pairs, dim, zero)
+    except (TypeError, ValueError, OverflowError):
+        exps, E, C = _term_arrays([_checked_term(e, c, dim, zero) for e, c in pairs], dim, zero)
+    # the sort is stable and np.add.at adds in index order, so equal
+    # exponents sum in the order given; a sum past the largest double is inf
+    order = np.lexsort(E.T[::-1])
+    E = E[order]
+    first = np.ones(len(E), bool)
+    first[1:] = (E[1:] != E[:-1]).any(axis=1)
+    sums = np.zeros(np.count_nonzero(first), C.dtype)
+    with np.errstate(over="ignore"):
+        np.add.at(sums, np.cumsum(first) - 1, C[order])
+    kept = sums != 0
+    if not kept.any():
         raise ValueError("the identically-zero polynomial is not accepted")
-    return tuple(sorted(merged.items()))
+    return tuple(zip(map(tuple, map(exps.__getitem__, order[first][kept].tolist())), sums[kept].tolist()))
+
+
+def _term_arrays(pairs, dim, zero):
+    """(exponent vectors, E, C) of ``pairs``: E their (m, dim) int64 array
+    and C the coefficients converted by type(zero); TypeError, ValueError or
+    OverflowError unless every exponent is a plain int (not a bool, a float
+    or a numpy integer) below 2^63 and none negative, and every coefficient
+    is finite."""
+    exps = [e for e, _ in pairs]
+    flat = list(itertools.chain.from_iterable(exps))
+    if not set(map(type, flat)) <= {int} or set(map(len, exps)) - {dim}:
+        raise TypeError("exponents other than vectors of plain ints")
+    E = np.array(flat, dtype=np.int64).reshape(len(pairs), dim)
+    C = np.fromiter(map(type(zero), (c for _, c in pairs)), type(zero), len(pairs))
+    if (E < 0).any() or not np.isfinite(C).all():
+        raise ValueError("negative exponent or coefficient not finite")
+    return exps, E, C
+
+
+def _checked_term(exps, coeff, dim, zero):
+    """One term as (exponents, coefficient), read on its own; ValueError
+    naming what is wrong with it."""
+    e = tuple(_whole(x, "e") for x in exps)
+    if len(e) != dim:
+        raise ValueError(f"exponent vector {e} does not match dim {dim}")
+    if any(x < 0 for x in e):
+        raise ValueError(f"negative exponent in {e}")
+    if max(e) >= 1 << 63:
+        raise ValueError(f"exponent in {e} does not fit in 64 bits")
+    coeff = type(zero)(coeff)
+    if not cmath.isfinite(coeff):
+        raise ValueError(f"coefficient of exponents {e} must be finite, got {coeff}")
+    return e, coeff
 
 
 def _whole(value, name):
@@ -218,45 +259,45 @@ def _monomials(powers, I):
 
     Equals ``np.prod(X[:, None, :] ** E, axis=-1)`` bit for bit at one pow per
     coordinate and exponent value: the factors are multiplied in np.prod's
-    order.
+    order, one coordinate at a time.
     """
-    factors = np.take(powers, I, axis=1)
-    out = factors[..., 0].copy()
+    out = np.take(powers, I[..., 0], axis=1)
     for i in range(1, I.shape[-1]):
-        out *= factors[..., i]
+        out *= np.take(powers, I[..., i], axis=1)
     return out
 
 
 def _row_products(M, B):
-    """Each row of M times B (a vector or a matrix) by its own BLAS call: a product of the whole
-    batch rounds a row by its place in it, and this one gives a row the same bits in any batch."""
+    """Each row of M times B by its own BLAS call: a product of the whole
+    batch rounds a row by its place in it, and this one gives a row the same
+    bits in any batch.  For M of shape (n, m), B is a vector or a matrix; for
+    a stack M of shape (n, p, m), B is a (p, m) stack of vectors, and part j
+    of each row takes B[j] as the (n, m) product would."""
+    if M.ndim == 3:
+        return (M[..., None, :] @ B[..., None])[..., 0, 0]
     return (M[:, None, :] @ B)[:, 0]
 
 
 def _term_jet(poly, X, parts):
     """(P, grad P, Hess P) at each row of X from the expanded terms and one
     :func:`_powers` table; each is computed only if its letter ("v", "g",
-    "h") is in ``parts``, and is None otherwise."""
+    "h") is in ``parts``, and is None otherwise.  Each part is one
+    :func:`_monomials` call and one :func:`_row_products` over its stacked
+    tables."""
     K, I, C, Ef, If, Cf = _term_tables(poly)
     powers = _powers(X, K)
     v = _row_products(_monomials(powers, I), C) if "v" in parts else None
-    G = H = None
-    if "g" in parts:
-        G = np.empty((X.shape[0], poly.dim), dtype=C.dtype)
-        for j in range(poly.dim):
-            G[:, j] = _row_products(_monomials(powers, If[j]), Cf[j])
+    G = _row_products(_monomials(powers, If), Cf) if "g" in parts else None
+    H = None
     if "h" in parts:
         if poly._second is None:
-            # (j, k, indices, coefficients) of d^2/dx_j dx_k for j <= k, built once
-            unit = np.eye(poly.dim, dtype=np.int64)
-            poly._second = [
-                (j, k, _flat(np.maximum(Ef[j] - unit[k], 0), K), Cf[j] * Ef[j][:, k])
-                for j in range(poly.dim)
-                for k in range(j, poly.dim)
-            ]
+            # (pairs j <= k, indices, coefficients) of d^2/dx_j dx_k, built once
+            j, k = pairs = np.triu_indices(poly.dim)
+            Es = np.maximum(Ef[j] - np.eye(poly.dim, dtype=np.int64)[k, None], 0)
+            poly._second = (pairs, _flat(Es, K), Cf[j] * Ef[j, :, k])
+        (j, k), Is, Cs = poly._second
         H = np.empty((X.shape[0], poly.dim, poly.dim), dtype=C.dtype)
-        for j, k, Ijk, Cjk in poly._second:
-            H[:, j, k] = H[:, k, j] = _row_products(_monomials(powers, Ijk), Cjk)
+        H[:, j, k] = H[:, k, j] = _row_products(_monomials(powers, Is), Cs)
     return v, G, H
 
 

@@ -1,10 +1,12 @@
 """Trigonometric polynomials on the circle: zeros, extrema, gap certificates.
 
 trig_zeros first tries a proof on a grid (_grid_brackets): one inverse real
-FFT gives T and T' at N equally spaced angles (the sup grid, or 16n points
-above degree 256), the cosine comparison bounds ||T|| by U = (max grid |T|
-+ the FFT's stated rounding bound) / cos(n pi / N), and Bernstein's
-inequality ||T^(j)|| <= n^j U bounds T'' and T''' between grid points.
+FFT gives T and T' at the N >= 16n equally spaced angles of T's one grid
+(_grid_size; TrigPoly.sup_norm reads the same one, whose maximum is at
+least cos(pi / 16) sup |T|), the cosine comparison bounds ||T|| by
+U = (max grid |T| + the FFT's stated rounding bound) / cos(n pi / N), and
+Bernstein's inequality ||T^(j)|| <= n^j U bounds T'' and T''' between grid
+points.
 Every cell then holds no zero or exactly one simple zero, or is split and
 tried again; if a cell stays undecided, the whole polynomial goes to the
 kernel.  Multiple zeros always do, as no cell around one can be decided.
@@ -57,8 +59,6 @@ _EPS = float(np.finfo(float).eps)
 # angles evaluated per block in TrigPoly.eval, which bounds its work array to
 # (2n + 1) x _EVAL_BLOCK doubles however many angles are asked for
 _EVAL_BLOCK = 256
-# TrigPoly.sup_norm samples at least this many equally spaced angles
-_SUP_MIN_POINTS = 4096
 # Newton sweeps of _newton_polish
 _POLISH_STEPS = 60
 # _grid_brackets splits each undecided cell this many ways, at most this many times
@@ -125,19 +125,19 @@ class TrigPoly:
 
     def _spectrum(self):
         """[a0, (a_1 - i b_1) / 2, ..., (a_n - i b_n) / 2]: the nonnegative half
-        of T's complex Fourier series, which both the sup grid and the
+        of T's complex Fourier series, which both the grid and the
         companion matrix are built from."""
         return np.append(self.a0, (self.coeffs[:, 0] - 1j * self.coeffs[:, 1]) / 2.0)
 
     def sup_norm(self):
-        """max |T| over the angles 2 pi j / N, computed once per polynomial.
+        """max |T| over the N = _grid_size(n) angles 2 pi j / N of T's one
+        grid, computed once per polynomial (_grid_brackets caches it too).
 
-        N is the larger of 4096 and the smallest power of two >= 4n, so no
-        frequency reaches the Nyquist bin N / 2, and every angle lies within
-        pi / (4n) of a grid point, where by the cosine comparison |T| is at
-        least cos(pi / 4) sup |T|.  The grid is one inverse real FFT of the
-        spectrum with norm="forward", so no coefficient is multiplied by N,
-        which would overflow near 1e308.
+        N >= 16n, so no frequency reaches the Nyquist bin N / 2, and every
+        angle lies within pi / (16n) of a grid point, where by the cosine
+        comparison |T| is at least cos(pi / 16) sup |T|.  The grid is one
+        inverse real FFT of the spectrum with norm="forward", so no
+        coefficient is multiplied by N, which would overflow near 1e308.
         """
         if self._sup is None:
             self._sup = float(np.max(np.abs(_on_grid(self, _grid_size(self.degree)))))
@@ -189,20 +189,17 @@ class ZeroGapReport:
 
 
 def _grid_size(n):
-    """Points of the sup grid of a degree-n polynomial: the larger of 4096 and
-    the smallest power of two >= 4n."""
-    return max(_SUP_MIN_POINTS, 1 << (4 * n - 1).bit_length())
+    """Points of the one grid of a degree-n polynomial, which its sup norm,
+    its zero proof and its maximizer bounds all read: the smallest power of
+    two >= 16n.  There the curvature margins of _grid_brackets decide nearly
+    every cell at once; at 4n they are about U / 3, and nearly every cell
+    would be split."""
+    return 1 << (16 * n - 1).bit_length()
 
 
 def _on_grid(T, N):
     """T at the N angles 2 pi j / N: one inverse real FFT of its spectrum."""
     return np.fft.irfft(T._spectrum(), N, norm="forward")
-
-
-def _proof_size(n):
-    """Points of the proof grid of _grid_brackets: those of the sup grid, or
-    the smallest power of two >= 16n where that is more (n > 256)."""
-    return max(_grid_size(n), 1 << (16 * n - 1).bit_length())
 
 
 def _table_values(a0, pairs, freqs, theta):
@@ -457,10 +454,9 @@ def _grid_brackets(T, dT):
     (of proved opposite signs) and peak >= max |T| over the bracket.
 
     T (unit-scaled, degree n) and dT = T' are sampled at N equally spaced
-    angles by one inverse real FFT.  N is that of the sup grid, whose
-    transform the T row then is, or the smallest power of two >= 16n where
-    that is more (n > 256): at N = 4n the curvature margins below are about
-    U / 3, and nearly every cell would be split.
+    angles of T's one grid (N = _grid_size(n) >= 16n) by one inverse real
+    FFT, whose T row is the grid of T.sup_norm: its maximum is cached as
+    the sup norm.
     The stated rounding bounds: an FFT value is off by at most 5 log2(N) eps
     times the grid's 2-norm, which is sqrt(N) times T's by Parseval (Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 24, gives 4 log2(N)
@@ -490,13 +486,11 @@ def _grid_brackets(T, dT):
     cells, so peak is the larger of |value| + stated bound at its two ends.
     """
     n = T.degree
-    N = _proof_size(n)
+    N = _grid_size(n)
     k = np.arange(n + 1)
     spectrum = T._spectrum()
     grid = np.fft.irfft(np.stack((spectrum, 1j * k * spectrum)), N, norm="forward")
-    top = float(np.max(np.abs(grid[0])))
-    if N == _grid_size(n):
-        T._sup = top
+    top = T._sup = float(np.max(np.abs(grid[0])))
     size, square = np.abs(T.coeffs).sum(axis=1), np.square(T.coeffs).sum(axis=1)
     s1, s2 = k[1:] @ size, np.square(k[1:]) @ size
     fft = 5.0 * math.log2(N) * _EPS * math.sqrt(N)
@@ -608,10 +602,10 @@ def _may_hold_max(T, e, found):
     end value - pad is <= |T| there; the largest lower is then <= the maximum,
     and a bracket with upper below (1 - _MAX_TIE) times it holds no maximizer.
     """
-    # ends on the proof grid read T off its inverse real FFT, the split
-    # points' ends take T.eval; beta bounds the rounding of either
+    # ends on the grid read T off its inverse real FFT, the split points'
+    # ends take T.eval; beta bounds the rounding of either
     lo, hi, f0, _, peak = found
-    N, t = _proof_size(T.degree), np.stack((lo, hi))
+    N, t = _grid_size(T.degree), np.stack((lo, hi))
     j = np.rint(t * (N / TWO_PI))
     ends = _on_grid(T, N)[j.astype(int) % N]
     split = j * (TWO_PI / N) != t

@@ -22,11 +22,13 @@ product R(x, y) = P(x) P(y) in 2d variables, its maximum on the doubled sphere a
 refutation grids from a scalar scan over every denominator N,
 plank refutations from exact rational arithmetic on the floats as stored, the
 maxima on the circle from every critical point rather than those that can be
-maxima, and JSON reports
+maxima, merged polynomial terms from a dict filled one term at a time, and
+JSON reports
 from the hand-written dicts that the report classes and the CLI built key by key before one
 serializer wrote every report from its dataclass fields.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -37,7 +39,7 @@ from scipy.stats import qmc
 
 from zerogap import ballfinder, covering, sphereopt
 from zerogap.chebmult import ball_multiplier, cheb_positive_zeros
-from zerogap.polycore import AffineForm, MultiPoly
+from zerogap.polycore import AffineForm, MultiPoly, _whole
 from zerogap.sphereopt import GAIN_FLOOR, LOG_FLOOR, sphere_starts, unit_vector
 from zerogap.trigcircle import TrigPoly, interlacing_check, trig_zeros
 
@@ -54,6 +56,29 @@ def naive_poly_eval(terms, point):
                 v *= x
         total += v
     return total
+
+
+def merge_terms_loop(dim, terms, zero):
+    """polycore._merge_terms one term at a time: each exponent read by _whole
+    and checked, each coefficient converted by type(zero) and checked, equal
+    exponents summed in a dict in the order given, then sorted."""
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    merged = {}
+    for exps, coeff in terms.items() if isinstance(terms, dict) else terms:
+        e = tuple(_whole(x, "e") for x in exps)
+        if len(e) != dim:
+            raise ValueError(f"exponent vector {e} does not match dim {dim}")
+        if any(x < 0 for x in e):
+            raise ValueError(f"negative exponent in {e}")
+        coeff = type(zero)(coeff)
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"coefficient of exponents {e} must be finite, got {coeff}")
+        merged[e] = merged.get(e, zero) + coeff
+    merged = {e: c for e, c in merged.items() if c != 0}
+    if not merged:
+        raise ValueError("the identically-zero polynomial is not accepted")
+    return tuple(sorted(merged.items()))
 
 
 def fd_gradient(f, x, h=1e-5):

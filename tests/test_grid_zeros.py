@@ -158,10 +158,33 @@ class TestFineProofGrid:
         assert [z.multiplicity for z in got] == [1] * len(got)
         assert points["split"] < 2822
 
+    def test_one_16n_grid_up_to_degree_256(self, monkeypatch):
+        # the proof and every transform of the certificate take the smallest
+        # power of two >= 16m points for a polynomial of degree m (2 for a
+        # constant), the sup norm's grid among them
+        sizes, original = [], np.fft.irfft
+
+        def recorded(a, n=None, *args, **kwargs):
+            sizes.append((np.shape(a)[-1] - 1, n))
+            return original(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", recorded)
+        rng = np.random.default_rng(16)
+        for n in range(1, 257):
+            T = random_trig(rng, n)
+            N = 1 << (16 * n - 1).bit_length()
+            trigcircle._grid_brackets(T, T.derivative())
+            assert sizes == [(n, N)]
+            sizes.clear()
+            trigcircle.zero_gap_certificate(T)
+            assert (n, N) in sizes
+            assert all(size == 1 << (16 * m - 1).bit_length() for m, size in sizes)
+            sizes.clear()
+
     @pytest.mark.parametrize("n", [256, 257, 1024])
-    def test_sup_norm_keeps_its_own_grid(self, n):
-        # the proof grid of degree > 256 is finer than the sup grid; the
-        # cached sup norm must still be the sup grid's maximum
+    def test_cached_sup_norm_is_the_one_grid_maximum(self, n):
+        # the proof caches the largest |T| of its T row as the sup norm; it
+        # must be the maximum of sup_norm's own transform of the one grid
         T = random_trig(np.random.default_rng(n), n)
         assert trigcircle._grid_brackets(T, T.derivative()) is not None
         N = trigcircle._grid_size(n)
@@ -173,17 +196,17 @@ class TestAdversarial:
 
     def test_two_zeros_in_one_grid_cell(self, monkeypatch):
         a, h = 0.7, TWO_PI / trigcircle._grid_size(2)
-        assert math.floor(a / h) == math.floor((a + 1e-4) / h)
-        T = product(cos_minus(a), cos_minus(a + 1e-4))
+        assert math.floor(a / h) == math.floor((a + 1e-3) / h)
+        T = product(cos_minus(a), cos_minus(a + 1e-3))
         got, calls = run(T, monkeypatch)
         assert calls == 0
-        truth = sorted([a, a + 1e-4, TWO_PI - a - 1e-4, TWO_PI - a])
+        truth = sorted([a, a + 1e-3, TWO_PI - a - 1e-3, TWO_PI - a])
         assert [z.multiplicity for z in got] == [1, 1, 1, 1]
-        # the zeros are 1e-4 apart, so T' at them is small: 1e-10 covers
+        # the zeros are 1e-3 apart, so T' at them is small: 1e-10 covers
         # the noise over |T'|
         assert all(abs(z.theta - t) <= 1e-10 for z, t in zip(got, truth))
 
-    @pytest.mark.parametrize("gap", [1e-6, 1e-9])
+    @pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-9])
     def test_closer_pairs_fall_back(self, gap, monkeypatch):
         T = product(cos_minus(0.7), cos_minus(0.7 + gap))
         got, calls = run(T, monkeypatch)

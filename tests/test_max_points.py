@@ -132,7 +132,8 @@ class TestNoFixedAngleForTheMaximum:
         monkeypatch.setattr(trigcircle, "_newton_polish", lambda P, dP, theta: theta + 0.5)
         M, pts = trig_max_points(T)
         assert M >= (1.0 - 1e-12) * T.sup_norm()
-        assert all(min(abs(t - 1.0), abs(t - 1.0 - math.pi)) <= math.pi / 4096 for t in pts)
+        N = trigcircle._grid_size(T.degree)
+        assert all(min(abs(t - 1.0), abs(t - 1.0 - math.pi)) <= math.pi / N for t in pts)
 
     def test_trig_verify_reports_the_maximum(self, tmp_path):
         inp, out = tmp_path / "in.json", tmp_path / "out.json"

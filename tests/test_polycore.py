@@ -17,7 +17,7 @@ from zerogap.polycore import (
     restrict_to_circle,
 )
 
-from _oracles import circle_series_loop, fd_gradient, naive_poly_eval
+from _oracles import circle_series_loop, fd_gradient, merge_terms_loop, naive_poly_eval
 
 
 class TestMultiPolyBasics:
@@ -220,6 +220,98 @@ class TestWholeExponents:
         assert str(err.value) == f'"e" must be an integer, got {value!r}'
         with pytest.raises(ValueError, match="must be an integer"):
             MultiPoly(2, {(1, value): 1.0})
+
+
+def merge_outcome(merge, dim, terms, zero):
+    """repr of the merged terms, or (exception type, message); repr tells
+    a Python float from a numpy one and 0.0 from -0.0."""
+    try:
+        return repr(merge(dim, terms, zero))
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBulkTermMerge:
+    """_merge_terms against the per-term loop it replaced (merge_terms_loop):
+    the same terms tuple on every accepted input, the same error on every
+    rejected one."""
+
+    @staticmethod
+    def random_terms(rng, dim, zero):
+        count = int(rng.integers(1, 900))
+        E = rng.integers(0, int(rng.integers(1, 12)), size=(count, dim))
+        C = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count)
+        if zero == 0j:
+            C = C + 1j * rng.standard_normal(count) * (rng.random(count) < 0.7)
+            C[rng.random(count) < 0.1] *= -1j
+        C[rng.random(count) < 0.05] = 0.0
+        terms = [(tuple(int(x) for x in e), c) for e, c in zip(E, C.tolist())]
+        # exact cancellations, repeats, ints and numpy scalars among the coefficients
+        terms += [(e, -c) for e, c in terms[: count // 10]] + terms[: count // 7]
+        terms += [(tuple(int(x) for x in E[0]), 3), (tuple(int(x) for x in E[-1]), np.float64(0.5))]
+        return [terms[i] for i in rng.permutation(len(terms))]
+
+    @pytest.mark.parametrize("zero", [0.0, 0j])
+    def test_random_inputs(self, zero):
+        rng = np.random.default_rng(861)
+        for _ in range(120):
+            dim = int(rng.integers(1, 7))
+            terms = self.random_terms(rng, dim, zero)
+            want = merge_outcome(merge_terms_loop, dim, terms, zero)
+            assert merge_outcome(polycore._merge_terms, dim, terms, zero) == want
+            assert merge_outcome(polycore._merge_terms, dim, dict(terms), zero) == merge_outcome(
+                merge_terms_loop, dim, dict(terms), zero
+            )
+
+    def test_sums_past_the_largest_double_and_signed_zeros(self):
+        for zero, terms in [
+            (0.0, [((1, 0), 1e308), ((1, 0), 1e308), ((0, 1), -0.0), ((0, 0), 1.0)]),
+            (0j, [((1, 0), complex(1.0, -0.0)), ((0, 1), complex(-0.0, 2.0)), ((0, 1), complex(-0.0, -0.0))]),
+            (0j, [((2, 0), 1e308 + 1e308j), ((2, 0), 1e308 - 0j)]),
+        ]:
+            assert merge_outcome(polycore._merge_terms, 2, terms, zero) == merge_outcome(merge_terms_loop, 2, terms, zero)
+
+    MALFORMED = [
+        [((True, 2), 1.0)],
+        [((1, 2), 1.0), ((np.bool_(False), 2), 1.0)],
+        [((1, 2.5), 1.0)],
+        [((1, 2.0), 1.0), ((np.int64(3), 0), 2.0)],
+        [((1, "2"), 1.0)],
+        [((1, None), 1.0)],
+        [((1, math.inf), 1.0)],
+        [((1, -1), 1.0)],
+        [((1, 2, 3), 1.0)],
+        [((1, 2), 1.0), ((1,), 1.0)],
+        [((1, 2), math.nan)],
+        [((1, 2), math.inf), ((True, 0), 1.0)],
+        [((True, 0), 1.0), ((1, 2), math.inf)],
+        [((1, 2), "x")],
+        [((1, 2), None)],
+        [((1, 2), 1j)],
+        [((1, 2), "1.5")],
+        [((1, 2), 1.0), ((0, 1), 2.0, 3.0)],
+        [((1, 2), 1.0), ((0, 1),)],
+        [((1, 2), 1.0), 5],
+        [((1, 2), 1.0), ((-1, 2), 1.0), ((0, 1), 2.0, 3.0)],
+        [(3, 1.0)],
+        [((1, 2), 1.0), ((1, 2), -1.0)],
+        [],
+    ]
+
+    @pytest.mark.parametrize("zero", [0.0, 0j])
+    @pytest.mark.parametrize("case", range(len(MALFORMED)))
+    def test_malformed_inputs(self, case, zero):
+        terms = self.MALFORMED[case]
+        want = merge_outcome(merge_terms_loop, 2, terms, zero)
+        assert merge_outcome(polycore._merge_terms, 2, terms, zero) == want
+        for dim in (0, -1):
+            assert merge_outcome(polycore._merge_terms, dim, terms, zero) == merge_outcome(merge_terms_loop, dim, terms, zero)
+
+    def test_exponents_past_64_bits_are_refused(self):
+        # the loop accepted them, though no evaluation can use them
+        with pytest.raises(ValueError, match="does not fit in 64 bits"):
+            MultiPoly(2, [((1 << 63, 0), 1.0), ((0, 1), 1.0)])
+        assert MultiPoly(2, [(((1 << 63) - 1, 0), 1.0)]).terms == merge_terms_loop(2, [(((1 << 63) - 1, 0), 1.0)], 0.0)
 
 
 class TestAffineProducts:

@@ -72,9 +72,9 @@ def simple_cluster_angles(T):
 
 
 def sup_points(n):
-    """Size of the sup_norm grid of a degree-n polynomial: the larger of 4096
-    and the smallest power of two >= 4n."""
-    return max(4096, 1 << (4 * n - 1).bit_length())
+    """Size of the sup_norm grid of a degree-n polynomial: the smallest power
+    of two >= 16n."""
+    return 1 << (16 * n - 1).bit_length()
 
 
 def termwise_sup(T):
@@ -545,7 +545,7 @@ class TestSupNorm:
         assert abs(T.sup_norm() - termwise_sup(T)) <= sup_rounding_bound(T)
 
     def test_grid_grows_with_the_degree(self):
-        assert [sup_points(n) for n in (0, 1, 1024, 1025, 2048, 4097)] == [4096, 4096, 4096, 8192, 8192, 32768]
+        assert [sup_points(n) for n in (0, 1, 1024, 1025, 2048, 4097)] == [2, 16, 16384, 32768, 32768, 131072]
 
     def test_sine_on_the_old_nyquist_bin(self):
         # sin 2048 theta vanishes at every one of 4096 equally spaced angles;
