@@ -27,7 +27,6 @@ from .complexproj import (
     ComplexGapReport,
     ComplexHomogPoly,
     WeightedSystem,
-    chart_radius_check,
     complex_zero_distance,
     hermitian_angle,
     verify_complex_gap,

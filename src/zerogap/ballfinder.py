@@ -44,8 +44,8 @@ from .sphereopt import (
     _farthest,
     _log_objective,
     _normalize_rows,
-    _zero_distance,
     _zero_distance_search,
+    angular_distance_to_zero_set,
     near_max_on_sphere,
     sphere_starts,
 )
@@ -162,8 +162,10 @@ def pair_point(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> PairCertificate:
     smalls = _canonical_signs(poly, [small for small, _ in halves])
     (ball_dist, nearest), p = _farthest(smalls, lambda x: euclidean_zero_distance(poly, x, seed=seed))
     q = next(large for small, (_, large) in zip(smalls, halves) if small is p)
-    lifted = _zero_distance(_lift(poly, 1.0), seed)
-    sphere_dist = min(lifted(np.append(a, np.linalg.norm(b)))[0] for a, b in ((p, q), (q, p)))
+    lift = _lift(poly, 1.0)
+    sphere_dist = min(
+        angular_distance_to_zero_set(lift, np.append(a, np.linalg.norm(b)), seed)[0] for a, b in ((p, q), (q, p))
+    )
 
     lift_t = lift_point = None
     if nearest is not None and nearest @ nearest <= 1.0:

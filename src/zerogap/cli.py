@@ -1,9 +1,11 @@
 """Command-line interface: verify gap bounds, find far points, refute coverings.
 
 Exit codes: 0 when the requested verification or refutation succeeded, 2
-when a bound check failed or a refutation could not be verified (with a full
-report still emitted), 3 for malformed arguments or input, violated
-preconditions and requests too large to allocate.
+either when a bound check failed (with a full report still emitted) or on a
+VerificationError (a message on stderr and no report: a refutation that
+could not be verified, or zeros on the circle that could not be placed), 3
+for malformed arguments or input, violated preconditions and requests too
+large to allocate.
 Given the same input, seed, tolerance, and starts, output is byte-identical
 across runs.  A JSON report is the fields of the result it was computed as,
 written by :func:`_report`, plus the generator stamp ``rng``.

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import VerificationError
 from .polycore import _expand_product, _finite, _merge_terms, _rows, _term_jet
 from .sphereopt import (
     _SCREEN,
@@ -39,7 +38,6 @@ __all__ = [
     "ComplexGapReport",
     "complex_zero_distance",
     "verify_complex_gap",
-    "chart_radius_check",
     "verify_weighted_gap",
     "hermitian_angle",
 ]
@@ -270,9 +268,12 @@ def verify_complex_gap(poly: ComplexHomogPoly, seed=0, starts=64, tol=1e-6) -> C
     """Check distance >= arcsin(1/sqrt(deg)) at a maximizer of |P|.
 
     The one-item case of :func:`verify_weighted_gap`, delta = 1/sqrt(deg)
-    (log|P| has the maximizers of delta^2 log|P|), plus the chart radius
-    tan(distance) for d = 2: each distinct near-maximizer, in its canonical
-    phase, is measured once, and the farthest from Z(P) is reported.
+    (log|P| has the maximizers of delta^2 log|P|): each distinct
+    near-maximizer, in its canonical phase, is measured once, and the
+    farthest from Z(P) is reported.  For d = 2 it also reports
+    ``cp1_radius``, the chart radius tan(distance) of the maximizer in the
+    affine chart of the projective line centred at its nearest zero; the
+    bound reads cp1_radius^2 >= 1/(deg - 1) there.
     """
     n = poly.degree
     if n < 1:
@@ -282,34 +283,6 @@ def verify_complex_gap(poly: ComplexHomogPoly, seed=0, starts=64, tol=1e-6) -> C
     if poly.dim == 2 and math.isfinite(dist):
         rep = replace(rep, cp1_radius=math.tan(dist))
     return rep
-
-
-def chart_radius_check(poly: ComplexHomogPoly, zero, seed=0) -> float:
-    """Chart radius of the |P|-maximizer in the affine chart centered at a zero.
-
-    The chart places ``zero`` at the origin of the projective line (d = 2);
-    the radius of the maximizer (64 starts) is tan of its Hermitian angle
-    from the zero.  Raises when the squared radius falls below 1/(deg-1) by
-    more than 1e-8, which no true maximizer can do.
-    """
-    if poly.dim != 2:
-        raise ValueError("chart radius is defined on the projective line (dim 2)")
-    n = poly.degree
-    if n < 2:
-        raise ValueError("need degree >= 2; degree 1 satisfies the pi/2 bound directly")
-    zero = np.asarray(zero, dtype=complex)
-    zero = zero / np.linalg.norm(zero)
-    sample = poly.eval(_from_real(sphere_starts(2 * poly.dim, 128, seed + 5), poly.dim))
-    if abs(poly.eval(zero)) > 1e-8 * max(float(np.max(np.abs(sample))), 1e-300):
-        raise ValueError("the supplied point is not a zero of the polynomial")
-    p = _from_real(_maximize_items(((poly, 1.0),), 64, seed)[0], poly.dim)
-    angle = hermitian_angle(p, zero)
-    a = math.tan(angle)
-    if a * a < 1.0 / (n - 1) - 1e-8:
-        raise VerificationError(
-            f"chart radius {a} has a^2 < 1/(n-1) = {1.0 / (n - 1)}; maximizer cannot be this close"
-        )
-    return a
 
 
 def verify_weighted_gap(system: WeightedSystem, seed=0, starts=64, tol=1e-6) -> ComplexGapReport:

@@ -42,13 +42,13 @@ class MultiPoly:
     operations return new objects.
     """
 
-    __slots__ = ("dim", "_terms", "degree", "affine_factors", "_tables", "_second", "_scaled")
+    __slots__ = ("dim", "_terms", "degree", "affine_factors", "_tables", "_second", "_scaled", "_circle")
 
     def __init__(self, dim, terms):
         self._terms = _merge_terms(dim, terms, 0.0)
         self.dim = int(dim)
         self.degree = max(sum(e) for e, _ in self._terms)
-        self.affine_factors = self._tables = self._second = self._scaled = None
+        self.affine_factors = self._tables = self._second = self._scaled = self._circle = None
 
     @classmethod
     def from_affine_product(cls, forms):
@@ -68,7 +68,7 @@ class MultiPoly:
         obj.dim = d
         obj.degree = len(forms)
         obj.affine_factors = forms
-        obj._terms = obj._tables = obj._second = obj._scaled = None
+        obj._terms = obj._tables = obj._second = obj._scaled = obj._circle = None
         return obj
 
     @property

@@ -16,11 +16,13 @@ y as the point y[:d] of the ball and does not depend on y[d], and the
 equator y[d] = 0 is the rim.  For expanded P in two dimensions no search
 is needed: the restriction to the circle is a trigonometric polynomial whose
 critical points are found exactly, so results there are certified by root
-isolation rather than iteration.  A factored product keeps the search there,
+isolation rather than iteration; P keeps that one restriction and its zeros
+(``_on_circle``).  A factored product keeps the search there,
 since its expansion on the circle can lose every digit.  A row of an
 untagged P has the same bits in any batch (``polycore._row_products``).
 
-Angular distances to zero sets are exact (closed form) for products of
+Angular distances to zero sets, all measured by
+``angular_distance_to_zero_set``, are exact (closed form) for products of
 affine forms and for any polynomial in two variables.  For other polynomials
 in higher dimension they come from a seeded lockstep Newton search on
 Z(P) intersected with the sphere: every seed is restored onto P = 0 and then
@@ -378,21 +380,6 @@ def near_max_on_sphere(value, grad, X, starts):
     return _near_max(value, _newton_polish(value, grad, X[np.argsort(-f)[: max(8, min(32, starts))]]))
 
 
-def _unit_circle_restriction(poly: MultiPoly):
-    """P on the unit circle of R^2, as a trigonometric polynomial of the angle from e1."""
-    return restrict_to_circle(poly, CirclePlane(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
-
-
-def _circle_max(T) -> SphereMaxResult:
-    """The maximum of |P| over the unit circle of R^2 from exact root isolation on T,
-    the restriction of :func:`_unit_circle_restriction`."""
-    M, thetas = (0.0, ()) if T.is_trivially_zero() else trigcircle.trig_max_points(T)
-    if M == 0.0:
-        raise ValueError("polynomial vanishes identically on the unit sphere")
-    pts = [np.array([math.cos(t), math.sin(t)]) for t in thetas]
-    return SphereMaxResult(pts[0], M, math.log(M), tuple(pts))
-
-
 def maximize_abs_on_sphere(poly: MultiPoly, starts=64, seed=0) -> SphereMaxResult:
     """Global maximum of |P| over the unit sphere, deterministic per seed.
 
@@ -403,8 +390,13 @@ def maximize_abs_on_sphere(poly: MultiPoly, starts=64, seed=0) -> SphereMaxResul
     d = poly.dim
     if d < 2:
         raise ValueError("sphere maximization needs dimension >= 2")
-    if d == 2 and poly.affine_factors is None:
-        return _circle_max(_unit_circle_restriction(poly))
+    T = _on_circle(poly)
+    if T is not None:
+        M, thetas = (0.0, ()) if T.is_trivially_zero() else trigcircle.trig_max_points(T)
+        if M == 0.0:
+            raise ValueError("polynomial vanishes identically on the unit sphere")
+        pts = [np.array([math.cos(t), math.sin(t)]) for t in thetas]
+        return SphereMaxResult(pts[0], M, math.log(M), tuple(pts))
     best, pts = near_max_on_sphere(*_log_objective(((poly, 1.0),)), sphere_starts(d, _SCREEN * starts, seed), starts)
     try:
         return SphereMaxResult(pts[0], math.exp(best), best, tuple(pts))
@@ -543,6 +535,22 @@ def _unit_scaled(poly):
     return poly._scaled
 
 
+def _on_circle(poly, zeros=False):
+    """T, P on the unit circle of R^2 as a trigonometric polynomial of the
+    angle from e1, or with ``zeros`` the zeros of T (``trigcircle.trig_zeros``),
+    for expanded P in dimension two; None for any other P.  P keeps T and,
+    once they are asked for, its zeros, as it keeps its term tables; a
+    factored product keeps the search, as its expansion on the circle can
+    lose every digit."""
+    if poly.dim != 2 or poly.affine_factors is not None:
+        return None
+    if poly._circle is None:
+        poly._circle = (restrict_to_circle(poly, CirclePlane(np.array([1.0, 0.0]), np.array([0.0, 1.0]))), None)
+    if zeros and poly._circle[1] is None:
+        poly._circle = (poly._circle[0], trigcircle.trig_zeros(poly._circle[0]))
+    return poly._circle[1] if zeros else poly._circle[0]
+
+
 def _zero_distance_search(poly, c, seed, Q=None):
     """The zero of P on the unit sphere with the largest f found from seeded starts, or None.
 
@@ -616,53 +624,35 @@ def _zero_distance_search(poly, c, seed, Q=None):
     return Z[int(np.argmax(np.where(found, f, -np.inf)))]
 
 
-def _zero_distance(poly: MultiPoly, seed=0, T=None):
-    """p -> (distance, zero) of :func:`angular_distance_to_zero_set` on P, for
-    any number of points; in dimension two the circle zeros are found once, on
-    T when the caller has restricted P to the circle already."""
-    if poly.affine_factors is not None:
-
-        def measure(p):
-            best, form = min(((slice_distance(f, p), f) for f in poly.affine_factors), key=lambda t: t[0])
-            return best, None if best == math.inf else _nearest_slice_point(form, p)
-
-    elif poly.dim == 2:
-        zeros = trigcircle.trig_zeros(_unit_circle_restriction(poly) if T is None else T)
-
-        def measure(p):
-            if len(zeros) == 0:
-                return math.inf, None
-            theta_p = math.atan2(p[1], p[0])
-            best = min(zeros, key=lambda z: trigcircle.circle_distance(theta_p, z.theta))
-            return (
-                trigcircle.circle_distance(theta_p, best.theta),
-                np.array([math.cos(best.theta), math.sin(best.theta)]),
-            )
-
-    else:
-
-        def measure(p):
-            x = _zero_distance_search(poly, p, seed)
-            if x is None:
-                return math.inf, None
-            return math.acos(float(np.clip(p @ x, -1.0, 1.0))), x
-
-    return lambda p: measure(unit_vector(p))
-
-
 def angular_distance_to_zero_set(poly: MultiPoly, p, seed=0):
     """(distance, zero): angular distance from p to Z(P) on the sphere and a zero at it.
 
-    Exact for tagged affine-form products and in dimension two.  Otherwise it
-    is the angle from p to the nearest zero found by a seeded lockstep Newton
-    search on Z(P) intersected with the sphere from ``_ZERO_SEARCH_SEEDS``
-    seeds, which stops once its nearest zero has converged and no seed is
-    left off Z(P): an upper-bound estimate, not certified.  The search runs
-    on an exact power-of-two multiple of P, so the result is the same for
-    every nonzero multiple of P.  ``zero`` is None exactly when no zero is
-    found on the sphere and the distance is +inf.
+    Exact for tagged affine-form products, and for expanded P in dimension
+    two, from the zeros of its restriction to the circle (:func:`_on_circle`,
+    found once per P).  Otherwise it is the angle from p to the nearest zero
+    found by a seeded lockstep Newton search on Z(P) intersected with the
+    sphere from ``_ZERO_SEARCH_SEEDS`` seeds, which stops once its nearest
+    zero has converged and no seed is left off Z(P): an upper-bound
+    estimate, not certified.  The search runs on an exact power-of-two
+    multiple of P, so the result is the same for every nonzero multiple of
+    P.  ``zero`` is None exactly when no zero is found on the sphere and the
+    distance is +inf.
     """
-    return _zero_distance(poly, seed)(p)
+    p = unit_vector(p)
+    if poly.affine_factors is not None:
+        best, form = min(((slice_distance(f, p), f) for f in poly.affine_factors), key=lambda t: t[0])
+        return best, None if best == math.inf else _nearest_slice_point(form, p)
+    zeros = _on_circle(poly, zeros=True)
+    if zeros is not None:
+        if not zeros:
+            return math.inf, None
+        theta = math.atan2(p[1], p[0])
+        best = min(zeros, key=lambda z: trigcircle.circle_distance(theta, z.theta)).theta
+        return trigcircle.circle_distance(theta, best), np.array([math.cos(best), math.sin(best)])
+    x = _zero_distance_search(poly, p, seed)
+    if x is None:
+        return math.inf, None
+    return math.acos(float(np.clip(p @ x, -1.0, 1.0))), x
 
 
 def _sign_symmetric(poly: MultiPoly):
@@ -727,11 +717,9 @@ def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGap
     n = poly.degree
     if n < 1:
         raise ValueError("degree must be at least 1")
-    # for expanded P in dimension two the maximum and the zeros come from one restriction to the circle
-    T = _unit_circle_restriction(poly) if poly.dim == 2 and poly.affine_factors is None else None
-    res = maximize_abs_on_sphere(poly, starts=starts, seed=seed) if T is None else _circle_max(T)
+    res = maximize_abs_on_sphere(poly, starts=starts, seed=seed)
     pool = _canonical_signs(poly, res.near_maximizers)
-    (dist, zero), p = _farthest(pool, _zero_distance(poly, seed, T))
+    (dist, zero), p = _farthest(pool, lambda x: angular_distance_to_zero_set(poly, x, seed))
     bound = math.pi / (2 * n)
     passed = dist >= bound - tol
     equality = None

@@ -38,6 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import VerificationError
+
 __all__ = [
     "TrigPoly",
     "CircleZero",
@@ -574,15 +576,19 @@ def trig_zeros(T: TrigPoly) -> tuple:
     """All zeros of T in [0, 2pi) with multiplicities, a tuple of CircleZero
     sorted by angle, |T| < 1e-8 sup|T| at each.  _grid_brackets proves them
     simple and _polish_brackets places them where it can; otherwise they come
-    from the kernel (_placed_zeros)."""
+    from the kernel (_placed_zeros).  VerificationError when a placed zero
+    fails the residual check: a zero left out would make every gap to the
+    zeros an overestimate."""
     _check_nonzero(T)
     if T.degree == 0:
         return ()
     _, T = _unit_scaled(T)
     dT = T.derivative()
     thetas, mults = _placed_zeros(T, dT, _grid_brackets(T, dT))
-    keep = _residual_ok(T, thetas)
-    zeros = (CircleZero(float(t % TWO_PI), int(m)) for t, m in zip(thetas[keep], mults[keep]))
+    refused = np.count_nonzero(~_residual_ok(T, thetas))
+    if refused:
+        raise VerificationError(f"{refused} zero cluster(s) of T could not be placed to |T| < {_RESIDUAL_TOL:g} sup|T|")
+    zeros = (CircleZero(float(t % TWO_PI), int(m)) for t, m in zip(thetas, mults))
     return tuple(sorted(zeros, key=lambda z: z.theta))
 
 

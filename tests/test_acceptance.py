@@ -18,7 +18,6 @@ from zerogap.chebmult import ball_multiplier, convergence_report, trig_tail_prod
 from zerogap.complexproj import (
     ComplexHomogPoly,
     WeightedSystem,
-    chart_radius_check,
     verify_complex_gap,
     verify_weighted_gap,
 )
@@ -256,7 +255,7 @@ def test_criterion_09_complex_suite():
         if not rep.all_passed or rep.distances[0] < math.asin(1 / math.sqrt(m)) - 1e-6:
             failures.append((i, m, rep.distances[0]))
     for n in range(2, 7):
-        a = chart_radius_check(ComplexHomogPoly(2, {(1, n - 1): 1.0}), np.array([0.0, 1.0 + 0j]), seed=n)
+        a = verify_complex_gap(ComplexHomogPoly(2, {(1, n - 1): 1.0}), seed=n).cp1_radius
         if abs(a * a - 1 / (n - 1)) > 1e-6:
             failures.append((n, "chart radius", a * a))
     system = WeightedSystem(

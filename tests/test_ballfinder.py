@@ -113,23 +113,25 @@ class TestPairPoint:
     def test_sphere_distance_measured_once(self, poly, monkeypatch):
         # several pairs improve on the best ball distance in turn; only the
         # pair kept is measured on the doubled sphere, by the distances of
-        # (p, |q|) and (q, |p|) to the zero set of the lift of P on S^d
-        calls = []
-        original = ballfinder._zero_distance
+        # (p, |q|) and (q, |p|) to the zero set of one lift of P on S^d
+        calls, lifts = [], []
+        original = ballfinder.angular_distance_to_zero_set
 
-        def counted(lifted, seed=0):
-            measure = original(lifted, seed)
-            return lambda w: calls.append(np.array(w)) or measure(w)
+        def counted(lifted, w, seed=0):
+            lifts.append(lifted)
+            calls.append(np.array(w))
+            return original(lifted, w, seed)
 
-        monkeypatch.setattr(ballfinder, "_zero_distance", counted)
+        monkeypatch.setattr(ballfinder, "angular_distance_to_zero_set", counted)
         cert = pair_point(poly, seed=0, starts=16)
         p, q = cert.p, cert.q
         assert [c.tobytes() for c in calls] == [
             np.append(p, np.linalg.norm(q)).tobytes(),
             np.append(q, np.linalg.norm(p)).tobytes(),
         ]
-        lifted = original(ballfinder._lift(poly, 1.0), 0)
-        assert cert.sphere_distance == min(lifted(c)[0] for c in calls)
+        assert lifts[0] is lifts[1] and lifts[0].dim == poly.dim + 1
+        lift = ballfinder._lift(poly, 1.0)
+        assert cert.sphere_distance == min(original(lift, c)[0] for c in calls)
         # the distance to Z(R), R(x, y) = P(x) P(y), in 2d variables
         reference = sphereopt.angular_distance_to_zero_set(product_with_itself(poly), np.concatenate([p, q]))[0]
         assert cert.sphere_distance == pytest.approx(reference, abs=1e-9)
@@ -232,8 +234,9 @@ class TestPairAgainstProduct:
         R = product_with_itself(poly)
         scale = np.max(np.abs(R.eval(sphereopt.sphere_starts(2 * d, 256, 0))))
         found = []
+        lift = ballfinder._lift(poly, 1.0)
         for a, b, order in ((cert.p, cert.q, 1), (cert.q, cert.p, -1)):
-            dist, z = sphereopt._zero_distance(ballfinder._lift(poly, 1.0), seed)(np.append(a, np.linalg.norm(b)))
+            dist, z = sphereopt.angular_distance_to_zero_set(lift, np.append(a, np.linalg.norm(b)), seed)
             if z is not None:
                 zero = np.concatenate([z[:d], z[d] * b / np.linalg.norm(b)][::order])
                 assert abs(R.eval(zero)) <= 1e-8 * scale

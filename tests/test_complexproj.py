@@ -12,13 +12,11 @@ from zerogap.cli import _report
 from zerogap.complexproj import (
     ComplexHomogPoly,
     WeightedSystem,
-    chart_radius_check,
     complex_zero_distance,
     hermitian_angle,
     verify_complex_gap,
     verify_weighted_gap,
 )
-from zerogap.errors import VerificationError
 from zerogap.polycore import _term_jet
 
 
@@ -380,30 +378,24 @@ class TestVerifyComplexGap:
 
 
 class TestChartRadius:
+    """``cp1_radius``, the chart radius of the maximizer in the affine chart
+    of the projective line centred at its nearest zero."""
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_extremal_monomial(self, n):
-        poly = mono(2, (1, n - 1))
-        a = chart_radius_check(poly, np.array([0.0, 1.0 + 0j]), seed=2)
+        a = verify_complex_gap(mono(2, (1, n - 1)), seed=2).cp1_radius
         assert a == pytest.approx(1 / math.sqrt(n - 1), abs=1e-6)
 
     def test_balanced_square(self):
-        a = chart_radius_check(mono(2, (2, 2)), np.array([0.0, 1.0 + 0j]), seed=0)
+        a = verify_complex_gap(mono(2, (2, 2)), seed=0).cp1_radius
         assert a == pytest.approx(1.0, abs=1e-8)
         assert a * a >= 1.0 / 3 - 1e-8
 
     def test_maximizer_at_chart_infinity(self):
         # P = z1^n vanishes only at (0,1); its maximizer (1,0) sits a quarter
         # turn away, i.e. at infinite chart radius
-        a = chart_radius_check(mono(2, (3, 0)), np.array([0.0, 1.0 + 0j]), seed=1)
+        a = verify_complex_gap(mono(2, (3, 0)), seed=1).cp1_radius
         assert a > 1e6
-
-    def test_requires_zero_point(self):
-        with pytest.raises(ValueError):
-            chart_radius_check(mono(2, (1, 1)), np.array([1.0, 1.0 + 0j]) / math.sqrt(2))
-
-    def test_requires_degree_two(self):
-        with pytest.raises(ValueError):
-            chart_radius_check(mono(2, (1, 0)), np.array([0.0, 1.0 + 0j]))
 
 
 class TestVerifyWeightedGap:

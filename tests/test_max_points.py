@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from zerogap import trigcircle
 from zerogap.cli import main
+from zerogap.errors import VerificationError
 from zerogap.trigcircle import TrigPoly, trig_max_points
 
 from _oracles import all_critical_max_points
@@ -135,13 +136,15 @@ class TestNoFixedAngleForTheMaximum:
         N = trigcircle._grid_size(T.degree)
         assert all(min(abs(t - 1.0), abs(t - 1.0 - math.pi)) <= math.pi / N for t in pts)
 
-    def test_trig_verify_reports_the_maximum(self, tmp_path):
+    def test_trig_verify_reports_the_maximum(self, tmp_path, capsys):
+        # the 14-fold zeros cannot be placed, so trig-verify refuses (exit 2,
+        # no report) instead of passing with no zeros; test_cos_power checks
+        # the maximum itself
         inp, out = tmp_path / "in.json", tmp_path / "out.json"
         inp.write_text(json.dumps(cos_power(14, 1.0).to_json()))
-        assert main(["trig-verify", "--input", str(inp), "--output", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert abs(report["max_value"] - 1.0) <= 1e-12
-        assert np.allclose(report["max_points"], [1.0, 1.0 + math.pi], rtol=0.0, atol=1e-9)
+        assert main(["trig-verify", "--input", str(inp), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert "1 zero cluster(s) of T could not be placed" in capsys.readouterr().err
 
     def test_sphere_max_in_two_variables(self, tmp_path):
         # (cos 1 x + sin 1 y)^14, expanded, restricts to cos^14(theta - 1)
@@ -154,3 +157,35 @@ class TestNoFixedAngleForTheMaximum:
         assert abs(report["value"] - 1.0) <= 1e-12
         for p in [report["point"]] + report["near_maximizers"]:
             assert min(np.linalg.norm(np.array(p) - a), np.linalg.norm(np.array(p) + a)) <= 1e-9
+
+
+def linear_power_terms(k, phi):
+    """(cos phi x + sin phi y)^k, expanded, as JSON terms: it restricts to cos^k(theta - phi)."""
+    a = np.array([math.cos(phi), math.sin(phi)])
+    return [{"e": [j, k - j], "c": math.comb(k, j) * a[0] ** j * a[1] ** (k - j)} for j in range(k + 1)]
+
+
+class TestUnplacedZerosAreRefused:
+    """A zero that fails the residual check is refused, never dropped: a
+    dropped zero would report an infinite gap that passes any bound."""
+
+    @pytest.mark.parametrize("k", [14, 20])
+    def test_trig_zeros_raises(self, k):
+        with pytest.raises(VerificationError, match="could not be placed"):
+            trigcircle.trig_zeros(cos_power(k, 1.0))
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("trig-verify", cos_power(20, 1.0).to_json()),
+            ("sphere-verify", {"dim": 2, "terms": linear_power_terms(14, 1.0)}),
+        ],
+        ids=["cos20", "sphere-cos14"],
+    )
+    def test_cli_exits_2_with_the_refusal(self, tmp_path, capsys, command, payload):
+        # cos^14 through trig-verify is test_trig_verify_reports_the_maximum
+        inp, out = tmp_path / "in.json", tmp_path / "out.json"
+        inp.write_text(json.dumps(payload))
+        assert main([command, "--input", str(inp), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert "verification failed: 1 zero cluster(s) of T could not be placed" in capsys.readouterr().err

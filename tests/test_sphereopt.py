@@ -290,13 +290,15 @@ class TestVerifySphereGap:
     )
     def test_circle_zeros_found_once_per_pool(self, monkeypatch, terms):
         # in d = 2 the zeros of the restriction are isolated once and every
-        # distinct candidate of the pool is measured against them
+        # distinct candidate of the pool is measured against them; P keeps
+        # them once found, so the count runs on a fresh P
         poly = MultiPoly(2, {tuple(e): c for e, c in terms})
         pool = sphereopt._dedupe_points(
             sphereopt._canonical_signs(poly, maximize_abs_on_sphere(poly).near_maximizers)
         )
         assert poly.affine_factors is None and len(pool) >= 2
         expected = max(angular_distance_to_zero_set(poly, p)[0] for p in pool)
+        poly = MultiPoly(2, {tuple(e): c for e, c in terms})
         calls, trigcircle = [], sphereopt.trigcircle
 
         class Counting:
@@ -412,6 +414,43 @@ class TestVerifySphereGap:
         rep = verify_sphere_gap(poly)
         assert len(planes) == circles == 1 + (rep.equality is not None)
         assert np.array_equal(planes[0].u, [1.0, 0.0]) and np.array_equal(planes[0].v, [0.0, 1.0])
+
+    def test_plane_polynomial_keeps_its_restriction_and_zeros(self, monkeypatch):
+        # P keeps its one restriction to the circle and the zeros of it: the
+        # maximum and then the gap check on the same P restrict once and
+        # isolate the zeros once
+        poly = MultiPoly(2, {(3, 1): 1.0, (1, 3): -1.0, (1, 0): 0.05})
+        restricted, zeros = [], []
+        restrict, trig_zeros = sphereopt.restrict_to_circle, sphereopt.trigcircle.trig_zeros
+        monkeypatch.setattr(sphereopt, "restrict_to_circle", lambda *args: restricted.append(1) or restrict(*args))
+        monkeypatch.setattr(sphereopt.trigcircle, "trig_zeros", lambda T: zeros.append(1) or trig_zeros(T))
+        res = maximize_abs_on_sphere(poly)
+        rep = verify_sphere_gap(poly)
+        assert rep.equality is None and rep.value == res.value
+        assert len(restricted) == 1 and len(zeros) == 1
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            product_of_affine_forms([AffineForm([1.0, 0.2, 0.0], 0.1), AffineForm([0.0, 1.0, 0.5], -0.2)]),
+            MultiPoly(2, {(3, 1): 1.0, (1, 3): -1.0, (1, 0): 0.05}),
+            MultiPoly(3, {(2, 0, 0): 1.0, (0, 1, 1): 0.7, (0, 0, 2): -0.4}),
+        ],
+        ids=["tagged", "circle", "search"],
+    )
+    def test_every_distance_measured_by_the_public_function(self, poly, monkeypatch):
+        # angular_distance_to_zero_set is the one route to a sphere distance,
+        # whichever of its three branches serves P
+        dists, original = [], sphereopt.angular_distance_to_zero_set
+
+        def counted(P, p, seed=0):
+            assert P is poly
+            dists.append(original(P, p, seed))
+            return dists[-1]
+
+        monkeypatch.setattr(sphereopt, "angular_distance_to_zero_set", counted)
+        rep = verify_sphere_gap(poly, starts=16)
+        assert dists and rep.distance == max(d for d, _ in dists)
 
     def test_report_json_shape(self):
         rep = verify_sphere_gap(MultiPoly(2, {(1, 1): 1.0}))
