@@ -249,9 +249,22 @@ def _rows(point, dim, dtype):
 
 
 def _powers(X, K):
-    """pow(x, k) for each coordinate x of each row of X and k < K, flattened per row."""
+    """x^k for each coordinate x of each row of X and k < K, flattened per row.
+
+    A real table is built by multiplication, x^k = x^(k-1) x, one power of
+    every coordinate at a time: numpy's pow rounds by the CPU features it
+    dispatches to, a product does not.  A complex table keeps pow, which
+    gives the same bytes at every dispatch level, where numpy's complex
+    product does not.
+    """
     n, d = X.shape
-    return (X[:, :, None] ** np.arange(K)).reshape(n, d * K)
+    if np.iscomplexobj(X):
+        return (X[:, :, None] ** np.arange(K)).reshape(n, d * K)
+    table = np.empty((K, n, d))
+    table[0] = 1.0
+    for k in range(1, K):
+        np.multiply(table[k - 1], X, out=table[k])
+    return table.transpose(1, 2, 0).reshape(n, d * K)
 
 
 def _monomials(powers, I):

@@ -114,7 +114,7 @@ def sphere_starts(dim, count, seed):
     each divided by its norm (Muller, Comm. ACM 2, 1959).  The first k of ``count``
     points are the k points of a call with k."""
     g = np.random.default_rng(seed).standard_normal((count, dim))
-    return g / np.linalg.norm(g, axis=1)[:, None]
+    return _normalize_rows(g)
 
 
 def _real(Z):
@@ -135,7 +135,13 @@ def _from_real(X, dim):
 def _cauchy_riemann(M):
     """The Hessians of Re F in the real coordinates of :func:`_real`, from the
     Hessians M of F: M itself for real F, the Cauchy-Riemann block for holomorphic F."""
-    return np.block([[M.real, -M.imag], [-M.imag, -M.real]]) if np.iscomplexobj(M) else M
+    if not np.iscomplexobj(M):
+        return M
+    d = M.shape[-1]
+    out = np.empty(M.shape[:-2] + (2 * d, 2 * d))
+    out[..., :d, :d], out[..., d:, d:] = M.real, -M.real
+    out[..., :d, d:] = out[..., d:, :d] = -M.imag
+    return out
 
 
 def _log_objective(items):
@@ -207,8 +213,14 @@ def _sphere_tangent(G, X):
     return G - np.sum(G * np.conj(X), axis=1, keepdims=True) * X
 
 
+def _norms(X):
+    """The Euclidean norm of each row, as np.linalg.norm(X, axis=1) sums it:
+    sqrt of the sum of Re(conj(x) x), which is x x for real rows."""
+    return np.sqrt(np.add.reduce((np.conj(X) * X).real if np.iscomplexobj(X) else X * X, axis=1))
+
+
 def _normalize_rows(X):
-    return X / np.linalg.norm(X, axis=1, keepdims=True)
+    return X / _norms(X)[:, None]
 
 
 def _batch_ascent(value, grad, X):
@@ -238,16 +250,16 @@ def _batch_ascent(value, grad, X):
     moving = np.ones(len(X), dtype=bool)
     for _ in range(_ASCENT_ITERS):
         G = _sphere_tangent(grad(X), X)
-        gnorm = np.linalg.norm(G, axis=1)
+        gnorm = _norms(G)
         live = moving & (gnorm >= 1e-12)
-        if not np.any(live):
+        if not live.any():
             break
         step = 0.5 / (1.0 + gnorm)
         floor = GAIN_FLOOR * np.where(f == LOG_FLOOR, 1.0, np.maximum(1.0, np.abs(f)))
         moving = np.zeros_like(live)
         for _ in range(30):
             live &= step * gnorm**2 > floor
-            if not np.any(live):
+            if not live.any():
                 break
             trial = _normalize_rows(X + step[:, None] * G)
             ft = value(trial)
@@ -257,7 +269,7 @@ def _batch_ascent(value, grad, X):
             moving |= better
             live &= ~better
             step = step * 0.25
-        if not np.any(moving):
+        if not moving.any():
             break
     return X, f
 
@@ -271,9 +283,10 @@ def _newton_polish(value, grad, X):
     normalised.  A step is halved up to ten times until f drops by at most
     1e-14 (1 + |f|) below the best value of the row.  A stepping row also
     stops when no halving is accepted, or after a step below 1e-14.  The
-    loop ends when no row steps.  The QR, the eigensolve and the products
-    of :func:`_newton_step` work matrix by matrix, so a row's step has the
-    same bits whichever other rows step with it.  Returns the unit rows.
+    loop ends when no row steps.  The eigensolve and the products of
+    :func:`_newton_step` work matrix by matrix and row by row, so a row's
+    step has the same bits whichever other rows step with it.  Returns the
+    unit rows.
     """
     X = _normalize_rows(X)
     top = value(X)
@@ -283,15 +296,15 @@ def _newton_polish(value, grad, X):
         if len(idx) == 0:
             break
         G, H = grad(X[idx], hessian=True)
-        stepping = np.linalg.norm(_sphere_tangent(G, X[idx]), axis=1) >= 1e-13
-        if not np.any(stepping):
+        stepping = _norms(_sphere_tangent(G, X[idx])) >= 1e-13
+        if not stepping.any():
             break
         live[idx[~stepping]] = False
         idx = idx[stepping]
         S, length = _newton_step(X[idx], G[stepping], H[stepping])
         pending = np.ones(len(idx), dtype=bool)
         for t in 0.5 ** np.arange(10):
-            if not np.any(pending):
+            if not pending.any():
                 break
             rows = idx[pending]
             trial = _normalize_rows(X[rows] + t * S[pending])
@@ -312,13 +325,14 @@ class SphereMaxResult:
 
 
 def _dedupe_points(points, tol=1e-7):
-    """The points in order, each unless it lies within ``tol`` of one kept before it."""
+    """The points in order, each unless it lies within ``tol`` of one kept
+    before it: in one pass, each kept point strikes the later points within
+    ``tol`` of it."""
     P = np.asarray(points)
-    near = (np.linalg.norm(P[:, None] - P[None], axis=-1) <= tol).tolist()
-    kept = []
-    for i, row in enumerate(near):
-        if not any(row[j] for j in kept):
-            kept.append(i)
+    kept, left = [], np.arange(len(P))
+    while len(left):
+        kept.append(left[0])
+        left = left[1:][~(_norms(P[left[1:]] - P[left[0]]) <= tol)]
     return [points[i] for i in kept]
 
 
@@ -447,7 +461,7 @@ def _restore_to_zero_set(poly, Y, steps):
     for _ in range(steps):
         _, G, H = _term_jet(poly, Y, "gh")
         W = _sphere_tangent(np.conj(G), Y)
-        gn = np.linalg.norm(W, axis=1)
+        gn = _norms(W)
         nonzero = gn > 0.0
         w = W / np.where(nonzero, gn, 1.0)[:, None]
         curv = np.einsum("ni,nij,nj->n", w, H, w) - np.sum(G * Y, axis=1)
@@ -466,9 +480,35 @@ def _restore_to_zero_set(poly, Y, steps):
     return Y, v
 
 
-def _newton_step(X, q, W, G=None, H=None):
-    """Reduced Newton step that raises f on {|x| = 1}, or on {|x| = 1, P = 0}
-    given P's gradients G and Hessians H, per row.
+def _newton_step(X, q, W):
+    """Riemannian Newton step that raises f on {|x| = 1}, per row.
+
+    ``X`` holds the real coordinates of the rows, ``q`` and ``W`` the
+    gradients and Hessians of f there.  The step is solved in the ambient
+    space: with nu = <x, q> / |x|^2 and P = I - x x' / |x|^2, it is Newton's
+    for P(W - nu I)P s = -Pq, as a least-squares solve takes it, from one
+    eigensolve.  The eigenvector along x (|<v, x>| > |x| / 2) is left out,
+    and of the D - 1 tangent eigenvalues those within 1e-10 of the largest
+    in modulus (symmetry orbits, such as the torus of a complex monomial's
+    maximizers) count as zero.  Returns the steps, capped at length
+    ``_STEP_CAP``, and their lengths before the cap.
+    """
+    D = X.shape[1]
+    sq = np.add.reduce(X * X, axis=1)
+    nu = np.add.reduce(X * q, axis=1) / sq
+    P = np.eye(D) - X[:, :, None] * (X / sq[:, None])[:, None, :]
+    w, V = np.linalg.eigh(P @ (W - nu[:, None, None] * np.eye(D)) @ P)
+    along_x = np.abs(np.add.reduce(V * X[:, :, None], axis=1)) > 0.5 * np.sqrt(sq)[:, None]
+    size = np.where(along_x, 0.0, np.abs(w))
+    null = along_x | (size <= 1e-10 * size.max(axis=1, keepdims=True))
+    coef = np.add.reduce(V * (q - nu[:, None] * X)[:, :, None], axis=1)
+    coef = np.divide(coef, w, out=np.zeros_like(w), where=~null)
+    return _capped(-np.add.reduce(V * coef[:, None, :], axis=2))
+
+
+def _zero_set_step(X, q, W, G, H):
+    """Reduced Newton step that raises f on {|x| = 1, P = 0}, per row, from
+    P's gradients G and Hessians H.
 
     ``X`` holds the real coordinates of the rows, ``q`` and ``W`` the
     gradients and Hessians of f there.  Complex P gives two equations,
@@ -476,16 +516,13 @@ def _newton_step(X, q, W, G=None, H=None):
     [x, normals, I] gives the least-squares multipliers of
     grad f = nu x + sum lam_i normal_i (by back substitution; a zero pivot
     gives a zero multiplier) and, in its last columns, a basis B of the
-    tangent space.  With an equation, where the reduced Hessian
+    tangent space.  Where the reduced Hessian
     B'(W - sum lam_i Hess F_i - nu I)B is negative definite the step is
-    Newton's, elsewhere the tangent gradient B B' q.  With none, the step is
-    Newton's as a least-squares solve takes it: eigenvalues within 1e-10 of
-    the largest in modulus (symmetry orbits, such as the torus of a complex
-    monomial's maximizers) count as zero.  Returns the steps, capped at
-    length ``_STEP_CAP``, and their lengths before the cap.
+    Newton's, elsewhere the tangent gradient B B' q.  Returns the steps,
+    capped at length ``_STEP_CAP``, and their lengths before the cap.
     """
     n, D = X.shape
-    units = np.array([] if G is None else [1.0, -1j] if np.iscomplexobj(G) else [1.0])
+    units = np.array([1.0, -1j] if np.iscomplexobj(G) else [1.0])
     m = 1 + len(units)
     eye = np.broadcast_to(np.eye(D), (n, D, D))
     normals = [_real(np.conj(u * G))[:, :, None] for u in units]
@@ -496,21 +533,19 @@ def _newton_step(X, q, W, G=None, H=None):
         rest = b[:, i] - np.einsum("nj,nj->n", R[:, i, i + 1 : m], mult[:, i + 1 :])
         mult[:, i] = np.divide(rest, R[:, i, i], out=np.zeros(n), where=R[:, i, i] != 0.0)
     nu, mu = mult[:, 0], mult[:, 1:] @ units
-    if G is not None:
-        W = W - _cauchy_riemann(mu[:, None, None] * H)  # the Hessian of Re(mu P)
+    W = W - _cauchy_riemann(mu[:, None, None] * H)  # the Hessian of Re(mu P)
     B = U[:, :, m:]
     r = np.einsum("nji,nj->ni", B, q)
     w, V = np.linalg.eigh(np.swapaxes(B, 1, 2) @ (W - nu[:, None, None] * eye) @ B)
-    coef = np.einsum("nji,nj->ni", V, r)
-    if G is None:
-        null = np.abs(w) <= 1e-10 * np.max(np.abs(w), axis=1, keepdims=True)
-        s = -np.einsum("nij,nj->ni", V, np.divide(coef, w, out=np.zeros_like(w), where=~null))
-    else:
-        newton = np.all(w < 0.0, axis=1)
-        coef = coef / np.where(newton[:, None], w, -1.0)
-        s = np.where(newton[:, None], -np.einsum("nij,nj->ni", V, coef), r)
-    S = np.einsum("nij,nj->ni", B, s)
-    norm = np.linalg.norm(S, axis=1)
+    newton = np.all(w < 0.0, axis=1)
+    coef = np.einsum("nji,nj->ni", V, r) / np.where(newton[:, None], w, -1.0)
+    s = np.where(newton[:, None], -np.einsum("nij,nj->ni", V, coef), r)
+    return _capped(np.einsum("nij,nj->ni", B, s))
+
+
+def _capped(S):
+    """(S with each row capped at length ``_STEP_CAP``, the row lengths before the cap)."""
+    norm = _norms(S)
     return S * (_STEP_CAP / np.maximum(norm, _STEP_CAP))[:, None], norm
 
 
@@ -596,16 +631,16 @@ def _zero_distance_search(poly, c, seed, Q=None):
         # row is still being restored onto Z(P); with no row on Z(P), that
         # holds exactly when no row is live
         best = int(np.argmax(np.where(on, f, -np.inf)))
-        if not (live[best] or np.any(live & ~on)):
+        if not (live[best] or (live & ~on).any()):
             break
         idx = np.flatnonzero(live)
         Zi, vi, on = Z[idx], v[idx], on[idx]
         Xi = _real(Zi)
-        S = _from_real(_newton_step(Xi, c + _row_products(Xi, Q), Q, *_term_jet(poly, Zi, "gh")[1:])[0], d)
+        S = _from_real(_zero_set_step(Xi, c + _row_products(Xi, Q), Q, *_term_jet(poly, Zi, "gh")[1:])[0], d)
         S = np.where(on[:, None], shrink[idx, None] * S, 0.0)
         Y, vy = _restore_to_zero_set(poly, _normalize_rows(Zi + S), _RESTORE_STEPS)
         fy = objective(Y)
-        stepping = on & (np.linalg.norm(S, axis=1) > _STEP_TOL)
+        stepping = on & (_norms(S) > _STEP_TOL)
         ok = np.where(on, stepping & (np.abs(vy) <= tol) & (fy >= f[idx]), np.abs(vy) < np.abs(vi))
         # a row whose step became negligible has converged; an off-zero row
         # whose restoration did not lower |P| would retry the same trial
@@ -619,7 +654,7 @@ def _zero_distance_search(poly, c, seed, Q=None):
     Z, v = _restore_to_zero_set(poly, Z, _RESTORE_STEPS)
     f = objective(Z)
     found = np.abs(v) <= 1e-8 * scale
-    if not np.any(found):
+    if not found.any():
         return None
     return Z[int(np.argmax(np.where(found, f, -np.inf)))]
 
@@ -712,7 +747,8 @@ def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGap
     (largest-modulus coordinate positive), so that the pair is measured once.
     When the measured distance sits at the bound within tolerance, the circle
     through the maximizer and its nearest zero is attached along with the
-    interlacing diagnostic of the restriction.
+    interlacing diagnostic of the restriction; in dimension two that is the
+    restriction P keeps, with its zeros (:func:`_on_circle`).
     """
     n = poly.degree
     if n < 1:
@@ -728,7 +764,13 @@ def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGap
         nv = np.linalg.norm(v)
         if nv > 1e-9:
             circle = CirclePlane(p, v / nv)
-            equality = EqualityCase(circle, trigcircle.interlacing_check(restrict_to_circle(poly, circle))[0])
+            # in d = 2 the circle is the one P keeps, and the arcs do not
+            # depend on its start angle or orientation
+            if _on_circle(poly) is None:
+                interlaces = trigcircle.interlacing_check(restrict_to_circle(poly, circle))[0]
+            else:
+                interlaces = trigcircle.interlacing_check(_on_circle(poly), _on_circle(poly, zeros=True))[0]
+            equality = EqualityCase(circle, interlaces)
     return SphereGapReport(
         degree=n,
         maximizer=p,

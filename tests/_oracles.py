@@ -7,8 +7,9 @@ truncated infinite products with an analytic remainder estimate,
 distances to zero sets from serial SLSQP solves, one per seed, or from the
 nearest sign change on a few hundred random great circles or rays, maxima on
 the sphere from a per-point Newton polish whose Hessian differences the
-gradient, maxima in the ball from a long ascent in the ball itself, clipped to
-it, with no polish, maxima on [-1, 1] from a dense grid read with numpy's
+gradient, the polish's Newton step from a QR tangent basis rather than in
+the ambient space, maxima in the ball from a long ascent in the ball itself,
+clipped to it, with no polish, maxima on [-1, 1] from a dense grid read with numpy's
 Horner sum, near-copies in a pool
 from one distance per pair of points,
 trigonometric coefficient maps from plain loops over the frequency k,
@@ -547,6 +548,29 @@ def polish_on_sphere(value, grad, x, iters=20):
         if norm_s < 1e-14:
             break
     return x
+
+
+def qr_newton_step(X, q, W):
+    """The polish's Newton step on the sphere in a tangent basis, as it was
+    taken before it was solved in the ambient space: one QR of [x, I] gives
+    nu = <x, q> / |x|^2 by back substitution and a basis B of the tangent
+    space, and the step is B s for B'(W - nu I)B s = -B'q, with the
+    eigenvalues within 1e-10 of the largest in modulus taken as zero; each
+    row capped at length 0.2.  Returns the steps and their lengths before
+    the cap."""
+    n, D = X.shape
+    eye = np.broadcast_to(np.eye(D), (n, D, D))
+    U, R = np.linalg.qr(np.concatenate([X[:, :, None], eye], axis=2))
+    b = np.einsum("nj,nj->n", U[:, :, 0], q)
+    nu = np.divide(b, R[:, 0, 0], out=np.zeros(n), where=R[:, 0, 0] != 0.0)
+    B = U[:, :, 1:]
+    r = np.einsum("nji,nj->ni", B, q)
+    w, V = np.linalg.eigh(np.swapaxes(B, 1, 2) @ (W - nu[:, None, None] * eye) @ B)
+    null = np.abs(w) <= 1e-10 * np.max(np.abs(w), axis=1, keepdims=True)
+    coef = np.einsum("nji,nj->ni", V, r)
+    S = np.einsum("nij,nj->ni", B, -np.einsum("nij,nj->ni", V, np.divide(coef, w, out=np.zeros_like(w), where=~null)))
+    norm = np.linalg.norm(S, axis=1)
+    return S * (0.2 / np.maximum(norm, 0.2))[:, None], norm
 
 
 def ball_ascent_pool(value, grad, d, count, seed, keep=24, iters=200):

@@ -28,7 +28,7 @@ from zerogap.polycore import AffineForm, MultiPoly, product_of_affine_forms
 from zerogap.sphereopt import _batch_ascent, _log_objective, _newton_polish, sphere_starts
 
 import test_acceptance
-from _oracles import ball_ascent_pool, polish_on_sphere, row_by_row_lifted_starts, whole_batch_near_max
+from _oracles import ball_ascent_pool, polish_on_sphere, qr_newton_step, row_by_row_lifted_starts, whole_batch_near_max
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 import checks  # noqa: E402
@@ -540,8 +540,8 @@ class TestPolishSteps:
 
     @pytest.mark.parametrize("name", sorted(OBJECTIVES))
     def test_step_of_a_row_does_not_depend_on_the_batch(self, name):
-        # QR, eigensolve and products work matrix by matrix, so handing the
-        # step fewer rows moves no bit of the rows it keeps
+        # the eigensolve and the products work matrix by matrix and row by
+        # row, so handing the step fewer rows moves no bit of the rows it keeps
         value, grad, dim = OBJECTIVES[name]()
         X = production_rows(value, grad, dim)
         G, H = grad(X, hessian=True)
@@ -549,6 +549,53 @@ class TestPolishSteps:
         for rows in ([0], [7], [3, 4], list(range(1, 32, 2)), list(range(31))):
             s, n = sphereopt._newton_step(X[rows], G[rows], H[rows])
             assert s.tobytes() == S[rows].tobytes() and n.tobytes() == length[rows].tobytes()
+
+
+class TestAmbientStep:
+    """The polish's step, solved in the ambient space with the direction of x
+    left out, is the step in a QR tangent basis that it replaced
+    (``_oracles.qr_newton_step``) up to rounding: 1e-12 (1 + |S|) in each
+    coordinate."""
+
+    @staticmethod
+    def assert_matches_qr_step(X, q, W):
+        S, length = sphereopt._newton_step(X, q, W)
+        R, ref = qr_newton_step(X, q, W)
+        assert np.all(np.abs(S - R) <= 1e-12 * (1.0 + np.abs(R)))
+        assert np.all(np.abs(length - ref) <= 1e-10 * (1.0 + ref))
+        return S
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    def test_objective_families(self, name):
+        value, grad, dim = OBJECTIVES[name]()
+        X = sphere_starts(dim, 64, 5)
+        self.assert_matches_qr_step(X, *grad(X, hessian=True))
+
+    def test_complex_orbits_with_null_eigenvalues(self):
+        # log|z1 z2| on S^3 is constant on the orbits of a 2-torus, and its
+        # maxima (|z1| = |z2|) form one: on it two tangent eigenvalues vanish
+        # besides the eigenvalue along x, and rows 1e-3 off it step back
+        value, grad = _log_objective([(ComplexHomogPoly(2, {(1, 1): 1.0 + 0j}), 1.0)])
+        rng = np.random.default_rng(0)
+        Z = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (16, 2))) / np.sqrt(2.0)
+        X = np.hstack([Z.real, Z.imag])
+        X[1::2] = sphereopt._normalize_rows(X[1::2] + 1e-3 * rng.standard_normal((8, 4)))
+        q, W = grad(X, hessian=True)
+        P = np.eye(4) - X[:, :, None] * X[:, None, :]
+        w = np.linalg.eigvalsh(P @ (W - np.sum(X * q, axis=1)[:, None, None] * np.eye(4)) @ P)
+        assert np.all(np.sum(np.abs(w[::2]) <= 1e-12, axis=1) == 3)
+        S = self.assert_matches_qr_step(X, q, W)
+        assert np.all(np.abs(S[::2]) <= 1e-12) and np.all(np.linalg.norm(S[1::2], axis=1) > 1e-4)
+        assert np.all(np.abs(np.sum(S * X, axis=1)) <= 1e-12 * np.linalg.norm(S, axis=1))
+
+    def test_rows_with_zero_hessian(self):
+        # W = 0 leaves -nu on the tangent space: the step is Pq / nu, and zero
+        # where q is normal to the sphere (Pq = 0)
+        X = sphere_starts(5, 16, 1)
+        q = sphere_starts(5, 16, 2)
+        q[8:] = np.linspace(-2.0, 2.0, 8)[:, None] * X[8:]
+        S = self.assert_matches_qr_step(X, q, np.zeros((16, 5, 5)))
+        assert np.all(np.abs(S[8:]) <= 1e-15) and np.all(np.linalg.norm(S[:8], axis=1) > 0.0)
 
 
 def ball_engine_call(name, starts, monkeypatch):

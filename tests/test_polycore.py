@@ -1,6 +1,10 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +112,16 @@ def random_dense_poly(rng, d, n_terms=10, max_exp=3):
     return MultiPoly(d, terms)
 
 
+def multiplied_monomials(X, E):
+    """x^e for each row x and each exponent vector e: each power multiplied
+    up from 1 by x one factor at a time, then the powers of a term
+    multiplied in np.prod's order."""
+    powers = np.ones((X.shape[0],) + E.shape)
+    for k in range(int(E.max(initial=0))):
+        powers = np.where(E > k, powers * X[:, None, :], powers)
+    return np.prod(powers, axis=2)
+
+
 def loop_gradient(poly, X):
     """Reference: the expanded-terms gradient rebuilding its exponent table per variable."""
     E = np.array([e for e, _ in poly.terms], dtype=np.int64)
@@ -117,23 +131,56 @@ def loop_gradient(poly, X):
         Ej = E.copy()
         expo = Ej[:, j].copy()
         Ej[:, j] = np.maximum(expo - 1, 0)
-        mono = np.prod(X[:, None, :] ** Ej[None, :, :], axis=2)
+        mono = multiplied_monomials(X, Ej)
         G[:, j] = (mono[:, None, :] @ (C * expo))[:, 0]
     return G
 
 
+# the hex bytes of a real power table and of the jet of a dense real cubic in
+# R^3 on 64 normal rows
+JET_BYTES = """
+import itertools
+import numpy as np
+from zerogap.polycore import MultiPoly, _powers, _term_jet
+rng = np.random.default_rng(3)
+poly = MultiPoly(3, {e: float(rng.standard_normal()) for e in itertools.product(range(4), repeat=3) if sum(e) <= 3})
+X = rng.standard_normal((64, 3))
+print(_powers(X, 6).tobytes().hex(), *(part.tobytes().hex() for part in _term_jet(poly, X, "vgh")))
+"""
+
+
 class TestTermTables:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 6])
-    def test_eval_bytes_match_pow_per_term(self, d):
+    def test_eval_bytes_match_multiplied_powers_per_term(self, d):
         rng = np.random.default_rng(10 + d)
         p = random_dense_poly(rng, d, n_terms=15, max_exp=5)
         E = np.array([e for e, _ in p.terms], dtype=np.int64)
         C = np.array([c for _, c in p.terms], dtype=float)
         for rows in (1, 7, 64):
             X = rng.uniform(-1.5, 1.5, size=(rows, d))
-            ref = (np.prod(X[:, None, :] ** E[None, :, :], axis=2)[:, None, :] @ C)[:, 0]
+            ref = (multiplied_monomials(X, E)[:, None, :] @ C)[:, 0]
             assert p.eval(X).tobytes() == ref.tobytes()
-            assert p.eval(X[0]) == float((np.prod(X[:1, None, :] ** E[None, :, :], axis=2)[:, None, :] @ C)[0, 0])
+            assert p.eval(X[0]) == float((multiplied_monomials(X[:1], E)[:, None, :] @ C)[0, 0])
+
+    def test_complex_tables_keep_pow(self):
+        # a complex power table is numpy's pow of each coordinate
+        rng = np.random.default_rng(5)
+        Z = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        assert polycore._powers(Z, 5).tobytes() == (Z[:, :, None] ** np.arange(5)).reshape(6, 15).tobytes()
+
+    def test_real_tables_do_not_depend_on_the_dispatched_cpu_features(self):
+        # a real power table and the jet of a dense cubic have the same bytes
+        # with numpy's AVX512 kernels and without them, where pow differs
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        runs = [
+            subprocess.run([sys.executable, "-c", JET_BYTES], env=e, capture_output=True, text=True, timeout=120)
+            for e in (env, dict(env, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"))
+        ]
+        if runs[1].returncode != 0 or runs[1].stderr:
+            pytest.skip(f"numpy does not take the setting here: {runs[1].stderr.strip()[-200:]}")
+        assert runs[0].returncode == 0, runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout and len(runs[0].stdout) > 1000
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 6])
     def test_gradient_bytes_match_loop(self, d):

@@ -90,6 +90,6 @@ def test_constrained_step_rows(kind):
 
     def compute(r):
         _, G, H = _term_jet(poly, Y[r], "gh")
-        return sphereopt._newton_step(X[r], q[r], Q, G, H)
+        return sphereopt._zero_set_step(X[r], q[r], Q, G, H)
 
     assert_rows_alone(compute)

@@ -398,22 +398,26 @@ class TestVerifySphereGap:
         assert rep.maximizer[0] < -0.99
 
     @pytest.mark.parametrize(
-        "poly, circles",
+        "poly, met",
         [
-            (MultiPoly(2, {(1, 1): 1.0}), 2),  # the bound is met: the equality circle is restricted too
-            (MultiPoly(2, {(2, 0): 1.0, (1, 1): 0.3, (0, 2): -0.2, (1, 0): 0.4}), 1),
-            (MultiPoly(2, {(3, 0): 1.0, (0, 3): 1.0}), 1),
+            (MultiPoly(2, {(1, 1): 1.0}), True),  # the bound is met: the equality case is attached
+            (MultiPoly(2, {(2, 0): 1.0, (1, 1): 0.3, (0, 2): -0.2, (1, 0): 0.4}), False),
+            (MultiPoly(2, {(3, 0): 1.0, (0, 3): 1.0}), False),
         ],
         ids=["xy", "quadric", "cubic"],
     )
-    def test_dimension_two_restricts_to_the_circle_once(self, poly, circles, monkeypatch):
-        # the maximum and the zeros of P on the unit circle come from one
-        # restriction; only the equality circle, when attached, takes another
+    def test_dimension_two_restricts_to_the_circle_once(self, poly, met, monkeypatch):
+        # the maximum, the zeros of P on the unit circle and the equality
+        # case's interlacing all come from the one restriction P keeps
         planes, original = [], sphereopt.restrict_to_circle
         monkeypatch.setattr(sphereopt, "restrict_to_circle", lambda *args: planes.append(args[1]) or original(*args))
         rep = verify_sphere_gap(poly)
-        assert len(planes) == circles == 1 + (rep.equality is not None)
+        assert len(planes) == 1 and (rep.equality is not None) == met
         assert np.array_equal(planes[0].u, [1.0, 0.0]) and np.array_equal(planes[0].v, [0.0, 1.0])
+        if met:
+            # the equality circle's own restriction gives the same diagnostic
+            assert rep.equality.interlacing
+            assert sphereopt.trigcircle.interlacing_check(original(poly, rep.equality.circle))[0]
 
     def test_plane_polynomial_keeps_its_restriction_and_zeros(self, monkeypatch):
         # P keeps its one restriction to the circle and the zeros of it: the
