@@ -54,9 +54,10 @@ def hermitian_angle(u, v):
 
 class ComplexHomogPoly:
     """Sparse homogeneous polynomial in d complex variables, evaluated with
-    ``polycore``'s term kernels."""
+    ``polycore``'s term kernels.  A binary form keeps its chart zeros once
+    asked for (``_zeros_on_projective_line``)."""
 
-    __slots__ = ("dim", "degree", "terms", "linear_factors", "_tables", "_second", "_scaled")
+    __slots__ = ("dim", "degree", "terms", "linear_factors", "_tables", "_second", "_scaled", "_chart")
 
     def __init__(self, dim, terms):
         self.terms = _merge_terms(dim, terms, 0j)
@@ -65,7 +66,7 @@ class ComplexHomogPoly:
             raise ValueError(f"not homogeneous: term degrees {sorted(degrees)}")
         self.dim = int(dim)
         self.degree = degrees.pop()
-        self.linear_factors = self._tables = self._second = self._scaled = None
+        self.linear_factors = self._tables = self._second = self._scaled = self._chart = None
 
     @classmethod
     def from_linear_product(cls, rows):
@@ -176,25 +177,31 @@ def _maximize_items(items, starts, seed):
 
 def _zeros_on_projective_line(poly):
     """Unit representatives of the zeros of a binary form (d = 2 only), one per
-    root cluster of the chart P(w, 1) = sum coeffs[j] w^j, whatever its size."""
-    n = poly.degree
-    coeffs = np.zeros(n + 1, dtype=complex)  # coefficient of z1^j z2^(n-j)
-    for (e1, e2), c in poly.terms:
-        coeffs[e1] = c
-    reps = [np.array([1.0 + 0j, 0.0 + 0j])] if coeffs[n] == 0 else []  # z2 divides P
-    return reps + [np.array([r, 1.0]) / np.linalg.norm([r, 1.0]) for r in _root_clusters(coeffs[::-1])[0]]
+    root cluster of the chart P(w, 1) = sum coeffs[j] w^j, whatever its size:
+    the rows of a read-only array that P keeps."""
+    if poly._chart is None:
+        n = poly.degree
+        coeffs = np.zeros(n + 1, dtype=complex)  # coefficient of z1^j z2^(n-j)
+        for (e1, e2), c in poly.terms:
+            coeffs[e1] = c
+        reps = [np.array([1.0 + 0j, 0.0 + 0j])] if coeffs[n] == 0 else []  # z2 divides P
+        reps += [np.array([r, 1.0]) / np.linalg.norm([r, 1.0]) for r in _root_clusters(coeffs[::-1])[0]]
+        poly._chart = np.array(reps, dtype=complex).reshape(-1, 2)
+        poly._chart.flags.writeable = False
+    return poly._chart
 
 
 def complex_zero_distance(poly: ComplexHomogPoly, p, seed=0):
     """(distance, zero): min over zeros z on the sphere of arccos |<p, z>|, and z.
 
     Exact for tagged products of linear forms and for d = 2 (the chart's root
-    clusters from ``trigcircle._root_clusters``).  Elsewhere an upper-bound
-    estimate from the lockstep search of ``sphereopt`` for the largest
-    Re <z, p> on Z(P), which equals the largest |<z, p>| as Z(P) is invariant
-    under z -> e^(i phi) z.  ``zero`` is None exactly when nothing is found
-    and the distance is +inf: for d = 1, where c z^n vanishes only at 0, off
-    the unit circle (for d >= 2 only a constant has no zero on the sphere).
+    clusters from ``trigcircle._root_clusters``, which P keeps).  Elsewhere
+    an upper-bound estimate from the lockstep search of ``sphereopt`` for the
+    largest Re <z, p> on Z(P), which equals the largest |<z, p>| as Z(P) is
+    invariant under z -> e^(i phi) z.  ``zero`` is None exactly when nothing
+    is found and the distance is +inf: for d = 1, where c z^n vanishes only
+    at 0, off the unit circle (for d >= 2 only a constant has no zero on the
+    sphere).
     """
     if poly.dim == 1:
         return math.inf, None

@@ -16,10 +16,11 @@ y as the point y[:d] of the ball and does not depend on y[d], and the
 equator y[d] = 0 is the rim.  For expanded P in two dimensions no search
 is needed: the restriction to the circle is a trigonometric polynomial whose
 critical points are found exactly, so results there are certified by root
-isolation rather than iteration; P keeps that one restriction and its zeros
-(``_on_circle``).  A factored product keeps the search there,
-since its expansion on the circle can lose every digit.  A row of an
-untagged P has the same bits in any batch (``polycore._row_products``).
+isolation rather than iteration; P keeps that one restriction, and the
+restriction its zeros and maxima (``_on_circle``).  A factored product
+keeps the search there, since its expansion on the circle can lose every
+digit.  A row of an untagged P has the same bits in any batch
+(``polycore._row_products``).
 
 Angular distances to zero sets, all measured by
 ``angular_distance_to_zero_set``, are exact (closed form) for products of
@@ -570,20 +571,18 @@ def _unit_scaled(poly):
     return poly._scaled
 
 
-def _on_circle(poly, zeros=False):
+def _on_circle(poly):
     """T, P on the unit circle of R^2 as a trigonometric polynomial of the
-    angle from e1, or with ``zeros`` the zeros of T (``trigcircle.trig_zeros``),
-    for expanded P in dimension two; None for any other P.  P keeps T and,
-    once they are asked for, its zeros, as it keeps its term tables; a
-    factored product keeps the search, as its expansion on the circle can
-    lose every digit."""
+    angle from e1, for expanded P in dimension two; None for any other P.
+    P keeps T, as it keeps its term tables, and T keeps its zeros and maxima
+    (``trigcircle.trig_zeros``, ``trigcircle.trig_max_points``); a factored
+    product keeps the search, as its expansion on the circle can lose every
+    digit."""
     if poly.dim != 2 or poly.affine_factors is not None:
         return None
     if poly._circle is None:
-        poly._circle = (restrict_to_circle(poly, CirclePlane(np.array([1.0, 0.0]), np.array([0.0, 1.0]))), None)
-    if zeros and poly._circle[1] is None:
-        poly._circle = (poly._circle[0], trigcircle.trig_zeros(poly._circle[0]))
-    return poly._circle[1] if zeros else poly._circle[0]
+        poly._circle = restrict_to_circle(poly, CirclePlane(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+    return poly._circle
 
 
 def _zero_distance_search(poly, c, seed, Q=None):
@@ -663,11 +662,11 @@ def angular_distance_to_zero_set(poly: MultiPoly, p, seed=0):
     """(distance, zero): angular distance from p to Z(P) on the sphere and a zero at it.
 
     Exact for tagged affine-form products, and for expanded P in dimension
-    two, from the zeros of its restriction to the circle (:func:`_on_circle`,
-    found once per P).  Otherwise it is the angle from p to the nearest zero
-    found by a seeded lockstep Newton search on Z(P) intersected with the
-    sphere from ``_ZERO_SEARCH_SEEDS`` seeds, which stops once its nearest
-    zero has converged and no seed is left off Z(P): an upper-bound
+    two, from the zeros of its restriction to the circle (:func:`_on_circle`),
+    which that restriction keeps.  Otherwise it is the angle from p to the
+    nearest zero found by a seeded lockstep Newton search on Z(P) intersected
+    with the sphere from ``_ZERO_SEARCH_SEEDS`` seeds, which stops once its
+    nearest zero has converged and no seed is left off Z(P): an upper-bound
     estimate, not certified.  The search runs on an exact power-of-two
     multiple of P, so the result is the same for every nonzero multiple of
     P.  ``zero`` is None exactly when no zero is found on the sphere and the
@@ -677,8 +676,9 @@ def angular_distance_to_zero_set(poly: MultiPoly, p, seed=0):
     if poly.affine_factors is not None:
         best, form = min(((slice_distance(f, p), f) for f in poly.affine_factors), key=lambda t: t[0])
         return best, None if best == math.inf else _nearest_slice_point(form, p)
-    zeros = _on_circle(poly, zeros=True)
-    if zeros is not None:
+    T = _on_circle(poly)
+    if T is not None:
+        zeros = trigcircle.trig_zeros(T)
         if not zeros:
             return math.inf, None
         theta = math.atan2(p[1], p[0])
@@ -748,7 +748,7 @@ def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGap
     When the measured distance sits at the bound within tolerance, the circle
     through the maximizer and its nearest zero is attached along with the
     interlacing diagnostic of the restriction; in dimension two that is the
-    restriction P keeps, with its zeros (:func:`_on_circle`).
+    restriction P keeps, with the zeros and maxima it keeps (:func:`_on_circle`).
     """
     n = poly.degree
     if n < 1:
@@ -766,11 +766,8 @@ def verify_sphere_gap(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> SphereGap
             circle = CirclePlane(p, v / nv)
             # in d = 2 the circle is the one P keeps, and the arcs do not
             # depend on its start angle or orientation
-            if _on_circle(poly) is None:
-                interlaces = trigcircle.interlacing_check(restrict_to_circle(poly, circle))[0]
-            else:
-                interlaces = trigcircle.interlacing_check(_on_circle(poly), _on_circle(poly, zeros=True))[0]
-            equality = EqualityCase(circle, interlaces)
+            T = _on_circle(poly) or restrict_to_circle(poly, circle)
+            equality = EqualityCase(circle, trigcircle.interlacing_check(T)[0])
     return SphereGapReport(
         degree=n,
         maximizer=p,

@@ -2,11 +2,11 @@
 
 trig_zeros first tries a proof on a grid (_grid_brackets): one inverse real
 FFT gives T and T' at the N >= 16n equally spaced angles of T's one grid
-(_grid_size; TrigPoly.sup_norm reads the same one, whose maximum is at
-least cos(pi / 16) sup |T|), the cosine comparison bounds ||T|| by
-U = (max grid |T| + the FFT's stated rounding bound) / cos(n pi / N), and
-Bernstein's inequality ||T^(j)|| <= n^j U bounds T'' and T''' between grid
-points.
+(_grid_size), whose T row T keeps (_on_grid; TrigPoly.sup_norm reads it,
+and its maximum is at least cos(pi / 16) sup |T|), the cosine comparison
+bounds ||T|| by U = (max grid |T| + the FFT's stated rounding bound) /
+cos(n pi / N), and Bernstein's inequality ||T^(j)|| <= n^j U bounds T''
+and T''' between grid points.
 Every cell then holds no zero or exactly one simple zero, or is split and
 tried again; if a cell stays undecided, the whole polynomial goes to the
 kernel.  Multiple zeros always do, as no cell around one can be decided.
@@ -15,6 +15,8 @@ bracket.  trig_max_points proves the brackets of the zeros of T' the same
 way but polishes only those where a rigorous bound on |T| can reach the
 maximum (_may_hold_max); as each angle is polished on its own, the maximum
 and its points are those of polishing every critical point, bit for bit.
+T keeps its zeros and maxima, so interlacing_check and every later caller
+read them.
 
 Newton iteration (_newton_polish) and the split points take T and T' from
 one cos/sin table (_eval_pair), bit for bit TrigPoly.eval of each.  An
@@ -77,10 +79,12 @@ class TrigPoly:
     """T(theta) = a0 + sum_k (a_k cos k theta + b_k sin k theta).
 
     ``coeffs`` is one read-only (n, 2) float array whose row k - 1 holds
-    (a_k, b_k); every operation below works on it as a whole.
+    (a_k, b_k); every operation below works on it as a whole.  T keeps what
+    is computed from it once asked for: its grid (_on_grid), its zeros
+    (trig_zeros) and its maxima (trig_max_points).
     """
 
-    __slots__ = ("a0", "coeffs", "_freqs", "_sup")
+    __slots__ = ("a0", "coeffs", "_freqs", "_grid", "_zeros", "_max")
 
     def __init__(self, a0, coeffs=(), trim=False):
         a0 = float(a0)
@@ -103,7 +107,7 @@ class TrigPoly:
         self.coeffs = pairs
         # the frequencies k, for eval and derivative
         self._freqs = np.arange(1.0, len(pairs) + 1.0)
-        self._sup = None
+        self._grid = self._zeros = self._max = None
 
     @property
     def degree(self):
@@ -132,18 +136,14 @@ class TrigPoly:
         return np.append(self.a0, (self.coeffs[:, 0] - 1j * self.coeffs[:, 1]) / 2.0)
 
     def sup_norm(self):
-        """max |T| over the N = _grid_size(n) angles 2 pi j / N of T's one
-        grid, computed once per polynomial (_grid_brackets caches it too).
+        """max |T| over the N = _grid_size(n) angles 2 pi j / N of the one
+        grid T keeps (_on_grid).
 
         N >= 16n, so no frequency reaches the Nyquist bin N / 2, and every
         angle lies within pi / (16n) of a grid point, where by the cosine
-        comparison |T| is at least cos(pi / 16) sup |T|.  The grid is one
-        inverse real FFT of the spectrum with norm="forward", so no
-        coefficient is multiplied by N, which would overflow near 1e308.
+        comparison |T| is at least cos(pi / 16) sup |T|.
         """
-        if self._sup is None:
-            self._sup = float(np.max(np.abs(_on_grid(self, _grid_size(self.degree)))))
-        return self._sup
+        return float(np.max(np.abs(_on_grid(self))))
 
     def is_trivially_zero(self):
         return self.a0 == 0.0 and not self.coeffs.any()
@@ -199,9 +199,14 @@ def _grid_size(n):
     return 1 << (16 * n - 1).bit_length()
 
 
-def _on_grid(T, N):
-    """T at the N angles 2 pi j / N: one inverse real FFT of its spectrum."""
-    return np.fft.irfft(T._spectrum(), N, norm="forward")
+def _on_grid(T):
+    """T at the N = _grid_size(n) angles 2 pi j / N, kept on T: one inverse
+    real FFT of its spectrum with norm="forward", so no coefficient is
+    multiplied by N, which would overflow near 1e308, unless _grid_brackets
+    has left its T row there."""
+    if T._grid is None:
+        T._grid = np.fft.irfft(T._spectrum(), _grid_size(T.degree), norm="forward")
+    return T._grid
 
 
 def _table_values(a0, pairs, freqs, theta):
@@ -264,8 +269,8 @@ def _unit_scaled(T: TrigPoly):
     its relative tolerances compare and no derivative of huge input
     overflows.  The scaling is exact (np.ldexp reaches 2^+-1074 with no
     overflowing factor), so on normal-range input every step is the unscaled
-    one times 2^e, bit for bit.  T itself comes back when e = 0, with the
-    sup norm it has cached.
+    one times 2^e, bit for bit.  T itself comes back when e = 0, with what
+    it keeps.
     """
     e = -math.frexp(float(np.max(np.abs(T.coeffs), initial=abs(T.a0))))[1]
     return (e, T) if e == 0 else (e, TrigPoly(math.ldexp(T.a0, e), np.ldexp(T.coeffs, e)))
@@ -457,8 +462,7 @@ def _grid_brackets(T, dT):
 
     T (unit-scaled, degree n) and dT = T' are sampled at N equally spaced
     angles of T's one grid (N = _grid_size(n) >= 16n) by one inverse real
-    FFT, whose T row is the grid of T.sup_norm: its maximum is cached as
-    the sup norm.
+    FFT, whose T row T keeps as its grid (_on_grid).
     The stated rounding bounds: an FFT value is off by at most 5 log2(N) eps
     times the grid's 2-norm, which is sqrt(N) times T's by Parseval (Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 24, gives 4 log2(N)
@@ -492,7 +496,7 @@ def _grid_brackets(T, dT):
     k = np.arange(n + 1)
     spectrum = T._spectrum()
     grid = np.fft.irfft(np.stack((spectrum, 1j * k * spectrum)), N, norm="forward")
-    top = T._sup = float(np.max(np.abs(grid[0])))
+    T._grid, top = grid[0], float(np.max(np.abs(grid[0])))
     size, square = np.abs(T.coeffs).sum(axis=1), np.square(T.coeffs).sum(axis=1)
     s1, s2 = k[1:] @ size, np.square(k[1:]) @ size
     fft = 5.0 * math.log2(N) * _EPS * math.sqrt(N)
@@ -576,20 +580,22 @@ def trig_zeros(T: TrigPoly) -> tuple:
     """All zeros of T in [0, 2pi) with multiplicities, a tuple of CircleZero
     sorted by angle, |T| < 1e-8 sup|T| at each.  _grid_brackets proves them
     simple and _polish_brackets places them where it can; otherwise they come
-    from the kernel (_placed_zeros).  VerificationError when a placed zero
-    fails the residual check: a zero left out would make every gap to the
-    zeros an overestimate."""
+    from the kernel (_placed_zeros).  T keeps them.  VerificationError,
+    which T does not keep, when a placed zero fails the residual check: a
+    zero left out would make every gap to the zeros an overestimate."""
     _check_nonzero(T)
-    if T.degree == 0:
-        return ()
-    _, T = _unit_scaled(T)
-    dT = T.derivative()
-    thetas, mults = _placed_zeros(T, dT, _grid_brackets(T, dT))
-    refused = np.count_nonzero(~_residual_ok(T, thetas))
-    if refused:
-        raise VerificationError(f"{refused} zero cluster(s) of T could not be placed to |T| < {_RESIDUAL_TOL:g} sup|T|")
-    zeros = (CircleZero(float(t % TWO_PI), int(m)) for t, m in zip(thetas, mults))
-    return tuple(sorted(zeros, key=lambda z: z.theta))
+    if T._zeros is None and T.degree == 0:
+        T._zeros = ()
+    elif T._zeros is None:
+        _, S = _unit_scaled(T)
+        dS = S.derivative()
+        thetas, mults = _placed_zeros(S, dS, _grid_brackets(S, dS))
+        refused = np.count_nonzero(~_residual_ok(S, thetas))
+        if refused:
+            raise VerificationError(f"{refused} zero cluster(s) of T could not be placed to |T| < {_RESIDUAL_TOL:g} sup|T|")
+        zeros = (CircleZero(float(t % TWO_PI), int(m)) for t, m in zip(thetas, mults))
+        T._zeros = tuple(sorted(zeros, key=lambda z: z.theta))
+    return T._zeros
 
 
 def _may_hold_max(T, e, found):
@@ -608,12 +614,12 @@ def _may_hold_max(T, e, found):
     end value - pad is <= |T| there; the largest lower is then <= the maximum,
     and a bracket with upper below (1 - _MAX_TIE) times it holds no maximizer.
     """
-    # ends on the grid read T off its inverse real FFT, the split points'
-    # ends take T.eval; beta bounds the rounding of either
+    # ends on the grid read T off the grid it keeps, the split points' ends
+    # take T.eval; beta bounds the rounding of either
     lo, hi, f0, _, peak = found
     N, t = _grid_size(T.degree), np.stack((lo, hi))
     j = np.rint(t * (N / TWO_PI))
-    ends = _on_grid(T, N)[j.astype(int) % N]
+    ends = _on_grid(T)[j.astype(int) % N]
     split = j * (TWO_PI / N) != t
     ends[split] = T.eval(t[split])
     fft = 5.0 * math.log2(N) * _EPS * math.sqrt(N * (T.a0**2 + np.square(T.coeffs).sum() / 2.0))
@@ -628,53 +634,54 @@ def _may_hold_max(T, e, found):
 
 
 def _critical_points(T):
-    """The critical points of T (unit-scaled) that can be maximizers of |T|.
+    """(angles, |T| there): the critical points of T (unit-scaled) that can
+    be maximizers of |T|, in [0, 2 pi).
 
     The brackets of T''s zeros are proved once, on dT = 2^e T' as trig_zeros
-    would, and only those that _may_hold_max keeps are polished.  Where the
-    proof fails, or a kept angle leaves its bracket or fails the residual
-    check, every zero of T' is placed as trig_zeros places it.  The kernel
-    can take a merged cluster's centre for a zero or place none, so if no
-    placed point reaches (1 - _MAX_TIE) times the largest |T| on the sup
-    grid, Newton's method on T' starts instead from the grid's local maxima
-    of |T| that reach cos(n pi / N) times that value: by the cosine
-    comparison each maximizer of |T| has a grid point that high within
-    pi / N.  A start keeps its grid angle where Newton's method lowers |T|,
-    so M never falls below the grid's largest |T|.
+    would, and only those that _may_hold_max keeps are placed, by one
+    _placed_zeros call: where the proof fails, or a kept angle leaves its
+    bracket, every zero of T' is placed as trig_zeros places it.  Angles
+    that fail the residual check are dropped.  The kernel can take a merged
+    cluster's centre for a zero or place none, so if no placed point
+    reaches (1 - _MAX_TIE) times the largest |T| on T's grid (T.sup_norm),
+    Newton's method on T' starts instead from the grid's local maxima of |T|
+    that reach cos(n pi / N) times that value: by the cosine comparison each
+    maximizer of |T| has a grid point that high within pi / N.  A start
+    keeps its grid angle where Newton's method lowers |T|, so M never falls
+    below the grid's largest |T|.
     """
     e, dT = _unit_scaled(T.derivative())
     ddT = dT.derivative()
     found = _grid_brackets(dT, ddT)
     if found is not None:
         kept = _may_hold_max(T, e, found)
-        thetas = _polish_brackets(dT, ddT, *(part[kept] for part in found[:4]))
-        if thetas is not None and _residual_ok(dT, thetas).all():
-            return thetas
+        found = tuple(part[kept] for part in found)
     thetas = _placed_zeros(dT, ddT, found)[0]
-    thetas = thetas[_residual_ok(dT, thetas)]
-    n, N = T.degree, _grid_size(T.degree)
-    g = np.abs(_on_grid(T, N))
-    top = np.max(g)
-    if np.max(np.abs(T.eval(thetas)), initial=0.0) >= (1.0 - _MAX_TIE) * top:
-        return thetas
+    thetas = thetas[_residual_ok(dT, thetas)] % TWO_PI
+    vals, top = np.abs(T.eval(thetas)), T.sup_norm()
+    if np.max(vals, initial=0.0) >= (1.0 - _MAX_TIE) * top:
+        return thetas, vals
+    n, N, g = T.degree, _grid_size(T.degree), np.abs(_on_grid(T))
     high = (g > np.roll(g, 1)) & (g >= np.roll(g, -1)) & (g >= math.cos(n * math.pi / N) * top)
     starts = np.flatnonzero(high) * (TWO_PI / N)
     thetas = _newton_polish(dT, ddT, starts)
-    return np.where(np.abs(T.eval(thetas)) >= np.abs(T.eval(starts)), thetas, starts)
+    vals, grid_vals = np.abs(T.eval(thetas)), np.abs(T.eval(starts))
+    return np.where(vals >= grid_vals, thetas, starts), np.maximum(vals, grid_vals)
 
 
 def trig_max_points(T: TrigPoly):
     """(M, points): maximum of |T| over the circle and all its maximizers,
-    the critical points (_critical_points) whose |T| is within _MAX_TIE of M."""
+    the critical points (_critical_points) whose |T| is within _MAX_TIE of M.
+    T keeps them; each call returns a new list of points."""
     _check_nonzero(T)
-    if T.degree == 0:
-        return abs(T.a0), [0.0]
-    e, T = _unit_scaled(T)
-    crit = _critical_points(T) % TWO_PI
-    vals = np.abs(T.eval(crit))
-    M = float(np.max(vals))
-    pts = sorted(float(t) for t, v in zip(crit, vals) if v >= M * (1.0 - _MAX_TIE))
-    return _unscaled_max(M, e), pts
+    if T._max is None and T.degree == 0:
+        T._max = abs(T.a0), (0.0,)
+    elif T._max is None:
+        e, S = _unit_scaled(T)
+        crit, vals = _critical_points(S)
+        M = float(np.max(vals))
+        T._max = _unscaled_max(M, e), tuple(sorted(float(t) for t, v in zip(crit, vals) if v >= M * (1.0 - _MAX_TIE)))
+    return T._max[0], list(T._max[1])
 
 
 def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
@@ -687,12 +694,14 @@ def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
     set when those harmonics have sup norm below 1e-10 sup|T|.  The measured
     gap is reported against the pi/(2n) bound.  Everything is
     measured on 2^e T (see _unit_scaled), so that the root finders and the
-    flag share one polynomial and its sup norm.
+    flag share one polynomial and its sup norm.  The zeros come first, so
+    that the zero proof's transform is the grid T keeps, which the bound on
+    its critical values then reads.
     """
     n = T.degree
     e, T = _unit_scaled(T)
-    M, pts = trig_max_points(T)
     zeros = trig_zeros(T)
+    M, pts = trig_max_points(T)
     min_dist = min((circle_distance(t, z.theta) for t in pts for z in zeros), default=math.inf)
     bound = math.pi / (2 * n) if n > 0 else math.inf
     # no zeros (min_dist = inf) passes, whatever the bound
@@ -708,24 +717,24 @@ def zero_gap_certificate(T: TrigPoly, tol=1e-7) -> ZeroGapReport:
         bound=bound,
         passed=passed,
         q_identically_zero=q_zero,
-        interlacing=interlacing_check(T, zeros=zeros, max_points=pts)[0],
+        interlacing=interlacing_check(T)[0],
     )
 
 
-def interlacing_check(T: TrigPoly, zeros=None, max_points=None):
+def interlacing_check(T: TrigPoly):
     """Whether zeros and |T|-maximizers alternate in 4n equal arcs.
 
     Returns (interlaces, arcs); arcs lists consecutive gaps of the merged
     event sequence around the circle; equal means within 1e-8 of pi/(2n).
-    ``zeros`` (as trig_zeros returns them) and ``max_points`` already found
-    for T are used as given; whichever is None is computed here.
+    The zeros and maximizers are those T keeps (trig_zeros,
+    trig_max_points), so they are found once however often they are asked
+    for.
     """
     _check_nonzero(T)
     n = T.degree
     if n == 0:
         return False, []
-    zeros = trig_zeros(T) if zeros is None else zeros
-    pts = trig_max_points(T)[1] if max_points is None else list(max_points)
+    zeros, pts = trig_zeros(T), trig_max_points(T)[1]
     zs = [z.theta for z in zeros]
     events = sorted([(t, "z") for t in zs] + [(t, "m") for t in pts])
     arcs = [b - a for (a, _), (b, _) in zip(events, events[1:])] + [events[0][0] + TWO_PI - events[-1][0]]

@@ -667,8 +667,9 @@ def all_critical_max_points(T):
 
 
 def legacy_trig_verify_json(T, report):
-    """The JSON object of ``trig-verify``, with the interlacing check run here."""
-    interlaces, _ = interlacing_check(T, zeros=report.zeros, max_points=report.max_points)
+    """The JSON object of ``trig-verify``, with the interlacing check run here
+    on the zeros and maxima T keeps or finds."""
+    interlaces, _ = interlacing_check(T)
     return {
         "degree": T.degree,
         "max_value": report.max_value,

@@ -376,6 +376,23 @@ class TestVerifyComplexGap:
         rep = verify_complex_gap(mono(2, (1, 1)), seed=0)
         assert rep.euclidean_distances[0] == pytest.approx(math.sin(rep.distances[0]), abs=1e-12)
 
+    def test_chart_zeros_found_once(self, monkeypatch):
+        # a binary form keeps its chart zeros: every distinct point of the
+        # pool is measured against one root-cluster call
+        calls, original = [], complexproj._root_clusters
+        monkeypatch.setattr(complexproj, "_root_clusters", lambda c: calls.append(1) or original(c))
+        rep = verify_complex_gap(mono(2, (1, 1)), seed=0)
+        assert rep.all_passed and len(calls) == 1
+
+    def test_kept_chart_zeros_are_read_only(self):
+        poly = ComplexHomogPoly(2, {(2, 1): 1.0, (0, 3): -1 + 0.5j})
+        p = np.array([0.6, 0.8j])
+        dist, zero = complex_zero_distance(poly, p)
+        with pytest.raises(ValueError, match="read-only"):
+            zero[0] = 0.0
+        again = complex_zero_distance(poly, p)
+        assert again[0] == dist and again[1].tobytes() == zero.tobytes()
+
 
 class TestChartRadius:
     """``cp1_radius``, the chart radius of the maximizer in the affine chart

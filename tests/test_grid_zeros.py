@@ -48,7 +48,8 @@ ONE_MINUS_COS = TrigPoly(1.0, [(-1.0, 0.0)])
 
 
 def run(T, monkeypatch, grid=True):
-    """(zeros, kernel calls) of trig_zeros on T, with the grid proof on or off."""
+    """(zeros, kernel calls) of trig_zeros on T, with the grid proof on or off.
+    It runs on a copy of T, as T keeps its zeros once found."""
     calls = Counter()
     original = trigcircle._root_clusters
 
@@ -60,7 +61,7 @@ def run(T, monkeypatch, grid=True):
         m.setattr(trigcircle, "_root_clusters", counted)
         if not grid:
             m.setattr(trigcircle, "_grid_brackets", lambda T, dT: None)
-        return trig_zeros(T), calls["kernel"]
+        return trig_zeros(TrigPoly(T.a0, T.coeffs)), calls["kernel"]
 
 
 class TestAgreesWithTheKernel:
@@ -183,8 +184,8 @@ class TestFineProofGrid:
 
     @pytest.mark.parametrize("n", [256, 257, 1024])
     def test_cached_sup_norm_is_the_one_grid_maximum(self, n):
-        # the proof caches the largest |T| of its T row as the sup norm; it
-        # must be the maximum of sup_norm's own transform of the one grid
+        # the proof leaves its T row on T as its grid, whose maximum sup_norm
+        # reads; it must be the maximum of a transform of T alone
         T = random_trig(np.random.default_rng(n), n)
         assert trigcircle._grid_brackets(T, T.derivative()) is not None
         N = trigcircle._grid_size(n)

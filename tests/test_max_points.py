@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from zerogap import trigcircle
 from zerogap.cli import main
 from zerogap.errors import VerificationError
-from zerogap.trigcircle import TrigPoly, trig_max_points
+from zerogap.trigcircle import TrigPoly, trig_max_points, trig_zeros
 
 from _oracles import all_critical_max_points
 
@@ -145,6 +145,17 @@ class TestNoFixedAngleForTheMaximum:
         assert main(["trig-verify", "--input", str(inp), "--output", str(out)]) == 2
         assert not out.exists()
         assert "1 zero cluster(s) of T could not be placed" in capsys.readouterr().err
+
+    def test_refusal_is_not_kept(self, monkeypatch):
+        # trig_zeros refuses the 14-fold zeros on every call: the kernel runs
+        # again each time, as T keeps no refusal
+        calls, original = [], trigcircle._root_clusters
+        monkeypatch.setattr(trigcircle, "_root_clusters", lambda c: calls.append(1) or original(c))
+        T = cos_power(14, 1.0)
+        for count in (1, 2, 3):
+            with pytest.raises(VerificationError, match="could not be placed"):
+                trig_zeros(T)
+            assert len(calls) == count
 
     def test_sphere_max_in_two_variables(self, tmp_path):
         # (cos 1 x + sin 1 y)^14, expanded, restricts to cos^14(theta - 1)

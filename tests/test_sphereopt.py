@@ -289,9 +289,11 @@ class TestVerifySphereGap:
         ids=["x1x2", "x1^2-x2^2", "quartic"],
     )
     def test_circle_zeros_found_once_per_pool(self, monkeypatch, terms):
-        # in d = 2 the zeros of the restriction are isolated once and every
-        # distinct candidate of the pool is measured against them; P keeps
-        # them once found, so the count runs on a fresh P
+        # in d = 2 the zeros of the restriction are placed once and every
+        # distinct candidate of the pool is measured against them; the
+        # restriction P keeps keeps them once found, so the count runs on a
+        # fresh P: one placement of T''s critical points for the maximum and
+        # one of T's zeros, whatever the size of the pool
         poly = MultiPoly(2, {tuple(e): c for e, c in terms})
         pool = sphereopt._dedupe_points(
             sphereopt._canonical_signs(poly, maximize_abs_on_sphere(poly).near_maximizers)
@@ -299,19 +301,10 @@ class TestVerifySphereGap:
         assert poly.affine_factors is None and len(pool) >= 2
         expected = max(angular_distance_to_zero_set(poly, p)[0] for p in pool)
         poly = MultiPoly(2, {tuple(e): c for e, c in terms})
-        calls, trigcircle = [], sphereopt.trigcircle
-
-        class Counting:
-            def __getattr__(self, name):
-                return getattr(trigcircle, name)
-
-            def trig_zeros(self, T):
-                calls.append(T)
-                return trigcircle.trig_zeros(T)
-
-        monkeypatch.setattr(sphereopt, "trigcircle", Counting())
+        placed, original = [], sphereopt.trigcircle._placed_zeros
+        monkeypatch.setattr(sphereopt.trigcircle, "_placed_zeros", lambda *args: placed.append(1) or original(*args))
         rep = verify_sphere_gap(poly)
-        assert len(calls) == 1
+        assert len(placed) == 2
         assert rep.distance == expected
 
     def test_farthest_scores_each_distinct_point_once(self):
@@ -420,18 +413,31 @@ class TestVerifySphereGap:
             assert sphereopt.trigcircle.interlacing_check(original(poly, rep.equality.circle))[0]
 
     def test_plane_polynomial_keeps_its_restriction_and_zeros(self, monkeypatch):
-        # P keeps its one restriction to the circle and the zeros of it: the
-        # maximum and then the gap check on the same P restrict once and
-        # isolate the zeros once
+        # P keeps its one restriction to the circle, and the restriction its
+        # zeros and maxima: the maximum and then the gap check on the same P
+        # restrict once and prove T''s brackets and T's once each
         poly = MultiPoly(2, {(3, 1): 1.0, (1, 3): -1.0, (1, 0): 0.05})
-        restricted, zeros = [], []
-        restrict, trig_zeros = sphereopt.restrict_to_circle, sphereopt.trigcircle.trig_zeros
+        restricted, proved = [], []
+        restrict, brackets = sphereopt.restrict_to_circle, sphereopt.trigcircle._grid_brackets
         monkeypatch.setattr(sphereopt, "restrict_to_circle", lambda *args: restricted.append(1) or restrict(*args))
-        monkeypatch.setattr(sphereopt.trigcircle, "trig_zeros", lambda T: zeros.append(1) or trig_zeros(T))
+        monkeypatch.setattr(sphereopt.trigcircle, "_grid_brackets", lambda *args: proved.append(1) or brackets(*args))
         res = maximize_abs_on_sphere(poly)
         rep = verify_sphere_gap(poly)
         assert rep.equality is None and rep.value == res.value
-        assert len(restricted) == 1 and len(zeros) == 1
+        assert len(restricted) == 1 and len(proved) == 2
+
+    def test_equality_case_proves_the_critical_points_once(self, monkeypatch):
+        # on x y the gap meets the bound, and the equality case's interlacing
+        # reads the maxima the restriction P keeps: T''s brackets are proved
+        # once, for the maximum, and T's once, for the zeros
+        poly = MultiPoly(2, {(1, 1): 1.0})
+        critical, proved = [], []
+        points, brackets = sphereopt.trigcircle._critical_points, sphereopt.trigcircle._grid_brackets
+        monkeypatch.setattr(sphereopt.trigcircle, "_critical_points", lambda T: critical.append(1) or points(T))
+        monkeypatch.setattr(sphereopt.trigcircle, "_grid_brackets", lambda *args: proved.append(1) or brackets(*args))
+        rep = verify_sphere_gap(poly)
+        assert rep.equality is not None and rep.equality.interlacing
+        assert len(critical) == 1 and len(proved) == 2
 
     @pytest.mark.parametrize(
         "poly",

@@ -62,6 +62,12 @@ def random_trig(rng, n):
     return TrigPoly(float(rng.standard_normal()), [tuple(rng.standard_normal(2)) for _ in range(n)])
 
 
+def fresh(T):
+    """A copy of T that keeps nothing yet: T keeps its grid, zeros and
+    maxima once found, so a test that counts work starts from a copy."""
+    return TrigPoly(T.a0, T.coeffs)
+
+
 def simple_cluster_angles(T):
     """Angles of the simple root clusters on the unit circle, straight from the
     kernel on the series of z^n T: the starts trig_zeros polishes."""
@@ -322,18 +328,10 @@ class TestSharedTable:
 
 class TestWorkCounts:
     def test_trig_verify_finds_each_root_set_once(self, tmp_path, monkeypatch):
-        # T''s brackets are proved once, inside trig_max_points, and only the
-        # brackets _may_hold_max keeps reach the T' polish; T's zeros are
-        # found once, by trig_zeros
-        calls, proved, kept, polished = Counter(), [], [], []
-        for name in ("trig_zeros", "trig_max_points"):
-            original = getattr(trigcircle, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(trigcircle, name, counted)
+        # T's zeros are proved and polished once, then T''s brackets are
+        # proved once and only those _may_hold_max keeps reach the T' polish;
+        # the interlacing check reads the zeros and maxima T keeps
+        proved, kept, polished = [], [], []
         original_brackets, original_keep = trigcircle._grid_brackets, trigcircle._may_hold_max
         original_polish = trigcircle._newton_polish
 
@@ -357,17 +355,15 @@ class TestWorkCounts:
         inp = tmp_path / "in.json"
         inp.write_text(json.dumps(random_trig(np.random.default_rng(11), 6).to_json()))
         for fmt in ("json", "csv"):
-            calls.clear()
             proved.clear()
             kept.clear()
             polished.clear()
             code = main(["trig-verify", "--input", str(inp), "--output", str(tmp_path / "out"), "--format", fmt])
             assert code == 0
-            assert calls == {"trig_zeros": 1, "trig_max_points": 1}
-            # the brackets of T', then those of T (this T has 10 critical points)
-            (dT, critical), (T, zeros) = proved
+            # the brackets of T, then those of T' (this T has 10 critical points)
+            (T, zeros), (dT, critical) = proved
             assert critical == 10 and len(kept) == 1 and kept[0] < critical
-            assert polished == [(dT, kept[0]), (T, zeros)]
+            assert polished == [(T, zeros), (dT, kept[0])]
 
     @pytest.mark.parametrize("count", [1, 40])
     @pytest.mark.parametrize("steps", [1, 5, 60])
@@ -414,7 +410,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(trigcircle, "_eval_pair", counted_pair)
         monkeypatch.setattr(trigcircle, "_newton_polish", recorded_polish)
-        for T in (random_trig(np.random.default_rng(5), 30), DOUBLE_ZERO_T, ONE_MINUS_COS_SQUARED):
+        for T in (random_trig(np.random.default_rng(5), 30), fresh(DOUBLE_ZERO_T), fresh(ONE_MINUS_COS_SQUARED)):
             per_call.clear()
             zeros = trig_zeros(T)
             assert len(per_call) == 1
@@ -455,7 +451,8 @@ class TestWorkCounts:
         # random trig polynomials have simple, well-separated roots, so every
         # Gerschgorin disc is alone and the Pellet split never runs; a
         # multiple zero makes it run (the grid proof is switched off here, so
-        # that every polynomial reaches the kernel)
+        # that every polynomial reaches the kernel, and the multiple zero is
+        # found on a fresh copy, which has not kept it)
         calls = Counter()
         original = trigcircle._pellet_split
 
@@ -471,7 +468,7 @@ class TestWorkCounts:
             trig_zeros(T)
             trig_zeros(T.derivative())
         assert calls["split"] == 0
-        assert [z.multiplicity for z in trig_zeros(ONE_MINUS_COS_SQUARED)] == [4]
+        assert [z.multiplicity for z in trig_zeros(fresh(ONE_MINUS_COS_SQUARED))] == [4]
         assert calls["split"] > 0
 
     def test_kernel_only_where_the_grid_proof_fails(self, tmp_path, monkeypatch):
@@ -494,14 +491,16 @@ class TestWorkCounts:
         inp.write_text(json.dumps(random_trig(np.random.default_rng(300), 300).to_json()))
         assert main(["trig-verify", "--input", str(inp), "--output", str(tmp_path / "out.json")]) == 0
         assert calls["kernel"] == 0
-        # one eigensolve per call with a multiple zero: (1 - cos t)^2,
-        # (1 - cos t)^3 and (2 cos t - 0.3)^3
+        # one eigensolve per polynomial with a multiple zero: (1 - cos t)^2,
+        # (1 - cos t)^3 and (2 cos t - 0.3)^3, each a fresh copy; a second
+        # call reads the zeros T keeps
         shifted = np.array([1.0, -0.3, 1.0])
         cubed = series_pairs_loop(np.convolve(np.convolve(shifted, shifted), shifted))
-        for T in (ONE_MINUS_COS_SQUARED, TrigPoly(2.5, [(-3.75, 0.0), (1.5, 0.0), (-0.25, 0.0)]), TrigPoly(*cubed)):
+        for T in (fresh(ONE_MINUS_COS_SQUARED), TrigPoly(2.5, [(-3.75, 0.0), (1.5, 0.0), (-0.25, 0.0)]), TrigPoly(*cubed)):
             calls.clear()
             zeros = trig_zeros(T)
             assert calls["kernel"] == 1 and max(z.multiplicity for z in zeros) >= 3
+            assert trig_zeros(T) is zeros and calls["kernel"] == 1
 
     def test_certificate_samples_each_sup_grid_once(self, monkeypatch):
         transforms, asked = Counter(), []
@@ -520,13 +519,15 @@ class TestWorkCounts:
         T = random_trig(np.random.default_rng(3), 12)
         rep = zero_gap_certificate(T)
         assert not rep.q_identically_zero
-        # one sup norm each for T', T and T's harmonics below n, from four
-        # transforms: T' with T'' for its brackets, T for the bound on its
-        # critical values, T with T' for its zeros, and the harmonics
-        assert len(set(map(id, asked))) == 3 and transforms["irfft"] == 4
-        # a repeated call returns the grid maximum without transforming again
+        # one sup norm each for T', T and T's harmonics below n, from three
+        # transforms: T with T' for its zeros, whose T row T keeps as its
+        # grid for the bound on its critical values, T' with T'' for its
+        # brackets, and the harmonics
+        assert len(set(map(id, asked))) == 3 and transforms["irfft"] == 3
+        # the certificate ran on a scaled copy, so T itself transforms once;
+        # a repeated call reads the grid T keeps
         sup = T.sup_norm()
-        assert T.sup_norm() == sup and transforms["irfft"] == 5
+        assert T.sup_norm() == sup and transforms["irfft"] == 4
         assert abs(sup - termwise_sup(T)) <= sup_rounding_bound(T)
 
 
@@ -858,11 +859,47 @@ class TestRootSetsPassedDown:
             rep = zero_gap_certificate(T)
             assert rep.zeros == trig_zeros(T)
 
-    def test_interlacing_on_given_roots(self):
-        for T in (cos_n(4), sin_n(3), DOUBLE_ZERO_T, random_trig(np.random.default_rng(4), 5)):
+    def test_interlacing_on_given_roots(self, monkeypatch):
+        # after the certificate, interlacing_check reads the zeros and maxima
+        # T keeps, proving no bracket again, and agrees with a fresh copy of
+        # T that finds them itself
+        for T in (cos_n(4), sin_n(3), fresh(DOUBLE_ZERO_T), random_trig(np.random.default_rng(4), 5)):
+            T = trigcircle._unit_scaled(T)[1]
             rep = zero_gap_certificate(T)
-            given = interlacing_check(T, zeros=rep.zeros, max_points=rep.max_points)
-            assert given == interlacing_check(T)
+            with monkeypatch.context() as m:
+                m.setattr(trigcircle, "_grid_brackets", lambda *args: pytest.fail("a root set was found again"))
+                kept = interlacing_check(T)
+            assert kept[0] == rep.interlacing
+            assert kept == interlacing_check(fresh(T))
+
+
+class TestKeptAnswers:
+    """T keeps its grid, zeros and maxima; what callers receive cannot alter them."""
+
+    def test_certificate_transforms_three_times(self, monkeypatch):
+        # the zero proof's stacked transform leaves its T row as T's grid,
+        # which the bound on T's critical values then reads: T with T', T'
+        # with T'' and T's harmonics below n, one transform each
+        sizes, original = [], np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kwargs: sizes.append(1) or original(*args, **kwargs))
+        T = trigcircle._unit_scaled(random_trig(np.random.default_rng(12), 12))[1]
+        zero_gap_certificate(T)
+        assert len(sizes) == 3
+        # the kept T row equals T's own single-row transform bit for bit
+        single = original(T._spectrum(), trigcircle._grid_size(12), norm="forward")
+        assert T._grid.tobytes() == single.tobytes()
+
+    def test_kept_answers_are_immutable(self):
+        T = random_trig(np.random.default_rng(9), 9)
+        zeros, (M, pts) = trig_zeros(T), trig_max_points(T)
+        assert isinstance(zeros, tuple) and trig_zeros(T) is zeros
+        with pytest.raises(AttributeError):
+            zeros[0].theta = 0.0
+        pts.append(0.0)
+        pts[0] = -1.0
+        again = trig_max_points(T)
+        assert again == trig_max_points(fresh(T)) and again[1] is not trig_max_points(T)[1]
+        assert again[0] == M and len(again[1]) == len(pts) - 1
 
 
 class TestInterlacing:
