@@ -153,7 +153,7 @@ def _canonical_phase(z):
 
 
 def _maximize_items(items, starts, seed):
-    """Near-maximal pool of the weighted log objective, sorted by coordinates.
+    """Near-maximal pool of the weighted log objective, in the engine's order.
 
     The objective is constant on the orbits z -> e^(i phi) z, so the polish
     takes its Hessians as P H P, P = I - u u' with u = i z: Newton then steps
@@ -172,7 +172,7 @@ def _maximize_items(items, starts, seed):
         return G, P @ H @ P
 
     X = sphere_starts(2 * d, _SCREEN * starts, seed)
-    return sorted(near_max_on_sphere(value, horizontal_grad, X, starts)[1], key=tuple)
+    return near_max_on_sphere(value, horizontal_grad, X, starts)[1]
 
 
 def _zeros_on_projective_line(poly):

@@ -4,13 +4,15 @@ A family of spherical segments of total width below pi cannot cover the
 sphere; a family of planks of total width below 2 cannot cover the unit
 ball.  Each refuter returns a certificate that carries the point and one
 positive clearance per input piece, checkable by direct membership
-evaluation with no optimizer trust.
+evaluation with no optimizer trust.  A segment or a plank is the affine
+form <a, x> - b of its core hyperplane with a half width, so
+``polycore.AffineForm`` alone checks and normalises its normal.
 
 Segments: unequal widths are rounded up to a common rational grid, each
 widened segment is split into abutting equal-width virtual segments, and the
-point of the engine's near-maximal pool on the product of the virtual core
-equations that is farthest from the *original* segments is returned.  The
-grid's denominator, below ``_MAX_GRID_N``, is the one bound.
+point of the engine's near-maximal pool on the product of the virtual
+segments, as affine forms, that is farthest from the *original* segments is
+returned.  The grid's denominator, below ``_MAX_GRID_N``, is the one bound.
 
 Planks |<u_i, x> - c_i| <= h_i with sum(h) < 1: Bang's lemma (T. Bang,
 "A solution of the plank problem", Proc. AMS 2, 1951) gives signs e with
@@ -37,8 +39,8 @@ import numpy as np
 from . import sphereopt
 from .ballfinder import multiplier_point  # noqa: F401  (unused; bench/test_bench.py:47 pins it)
 from .errors import VerificationError
-from .polycore import AffineForm, MultiPoly, _finite, _finite_vector
-from .sphereopt import _SCREEN, _farthest, _log_objective, slice_distance, sphere_starts, unit_vector
+from .polycore import AffineForm, MultiPoly, _finite
+from .sphereopt import _SCREEN, _farthest, _log_objective, slice_distance, sphere_starts
 
 __all__ = [
     "SphericalSegment",
@@ -56,47 +58,41 @@ _EQUAL_WIDTH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class SphericalSegment:
-    """Closed delta-neighborhood of a hyperplane slice, intrinsic metric.
+class _Piece(AffineForm):
+    """The affine form <a, x> - b of a piece's core hyperplane, with the
+    piece's positive half width; a subclass measures ``clearance``."""
 
-    Membership: |arcsin<a, x> - arcsin b| <= delta.  A zone is b = 0.
-    """
-
-    normal: np.ndarray
-    offset: float
     half_width: float
 
     def __init__(self, normal, offset, half_width):
-        a = unit_vector(_finite_vector(normal, "segment normal"))
-        offset = _finite(offset, "segment offset")
-        half_width = _finite(half_width, "segment half width")
-        if not -1.0 < offset < 1.0:
-            raise ValueError(f"offset must lie in (-1, 1), got {offset}")
+        super().__init__(normal, offset)
+        half_width = _finite(half_width, "half width")
         if half_width <= 0.0:
             raise ValueError("half_width must be positive")
-        object.__setattr__(self, "normal", a)
-        object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "half_width", half_width)
-        self.normal.setflags(write=False)
-
-    @property
-    def dim(self):
-        return self.normal.shape[0]
 
     @property
     def width(self):
         return 2.0 * self.half_width
 
-    def core_form(self) -> AffineForm:
-        return AffineForm(self.normal, self.offset)
+    def contains(self, x) -> bool:
+        return self.clearance(x) <= 0.0
+
+
+class SphericalSegment(_Piece):
+    """Closed delta-neighborhood of a hyperplane slice, intrinsic metric.
+
+    Membership: |arcsin<a, x> - arcsin b| <= delta.  A zone is b = 0.
+    """
+
+    def __init__(self, normal, offset, half_width):
+        super().__init__(normal, offset, half_width)
+        if not -1.0 < self.offset < 1.0:
+            raise ValueError(f"offset must lie in (-1, 1), got {self.offset}")
 
     def clearance(self, x) -> float:
         """Distance from x to the core minus the half width (>0 means outside)."""
-        return slice_distance(self.core_form(), x) - self.half_width
-
-    def contains(self, x) -> bool:
-        """Membership through the arcsin latitude formula."""
-        return self.clearance(x) <= 0.0
+        return slice_distance(self, x) - self.half_width
 
     def to_json(self):
         return {"a": self.normal.tolist(), "b": self.offset, "delta": self.half_width}
@@ -106,40 +102,14 @@ class SphericalSegment:
         return cls(obj["a"], obj["b"], obj["delta"])
 
 
-@dataclass(frozen=True)
-class Plank:
-    """Slab of width w around the hyperplane <a, x> = c."""
-
-    normal: np.ndarray
-    center: float
-    half_width: float
-
-    def __init__(self, normal, center, half_width):
-        a = unit_vector(_finite_vector(normal, "plank normal"))
-        half_width = _finite(half_width, "plank half width")
-        if half_width <= 0.0:
-            raise ValueError("half_width must be positive")
-        object.__setattr__(self, "normal", a)
-        object.__setattr__(self, "center", _finite(center, "plank center"))
-        object.__setattr__(self, "half_width", half_width)
-        self.normal.setflags(write=False)
-
-    @property
-    def dim(self):
-        return self.normal.shape[0]
-
-    @property
-    def width(self):
-        return 2.0 * self.half_width
+class Plank(_Piece):
+    """Slab |<a, x> - c| <= w/2 around the hyperplane <a, x> = c; c is the offset."""
 
     def clearance(self, x) -> float:
-        return abs(float(self.normal @ np.asarray(x, dtype=float)) - self.center) - self.half_width
-
-    def contains(self, x) -> bool:
-        return self.clearance(x) <= 0.0
+        return abs(float(self.eval(x))) - self.half_width
 
     def to_json(self):
-        return {"a": self.normal.tolist(), "c": self.center, "w": self.width}
+        return {"a": self.normal.tolist(), "c": self.offset, "w": self.width}
 
     @classmethod
     def from_json(cls, obj):
@@ -220,7 +190,7 @@ def _split_planks(planks, margin=None):
     """Round widths up to multiples of 2/N, so that sub-planks have half width 1/N, and split."""
     widths = [p.width for p in planks]
     N, sub_half, shifts = _grid(widths, 2.0, margin, 2.0, "the diameter 2")
-    return [Plank(p.normal, p.center + t, sub_half) for p, shift in zip(planks, shifts) for t in shift], N
+    return [Plank(p.normal, p.offset + t, sub_half) for p, shift in zip(planks, shifts) for t in shift], N
 
 
 def _family(pieces, budget, name):
@@ -266,7 +236,7 @@ def refute_cover_sphere(segments, seed=0, starts=64) -> RefutationResult:
         virtual, N = segments, 0
     else:
         virtual, N = split_segments(segments, margin=(math.pi - total) / 2)
-    poly = MultiPoly.from_affine_product([v.core_form() for v in virtual])
+    poly = MultiPoly.from_affine_product(virtual)
     X = sphere_starts(poly.dim, _SCREEN * starts, seed)
     _, pool = sphereopt.near_max_on_sphere(*_log_objective(((poly, 1.0),)), X, starts)
 
@@ -300,7 +270,7 @@ def _bang_point(planks):
     shrunk by ulps until |x|^2 <= 1 holds exactly.
     """
     U = np.array([p.normal for p in planks])
-    c = np.array([p.center for p in planks])
+    c = np.array([p.offset for p in planks])
     h = np.array([p.half_width for p in planks])
     m, d = U.shape
     w = h / h.sum()

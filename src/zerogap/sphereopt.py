@@ -400,7 +400,9 @@ def maximize_abs_on_sphere(poly: MultiPoly, starts=64, seed=0) -> SphereMaxResul
 
     For expanded P in dimension two the answer comes from exact circle root
     isolation; otherwise from seeded multi-start ascent with Newton polish.
-    ValueError when max |P| exceeds the largest double.
+    ValueError when max |P| exceeds the largest double, and when P vanishes
+    on the sphere: in dimension two exactly, otherwise up to rounding (an
+    expanded P whose best |P| is within the rounding bound of P there).
     """
     d = poly.dim
     if d < 2:
@@ -413,6 +415,14 @@ def maximize_abs_on_sphere(poly: MultiPoly, starts=64, seed=0) -> SphereMaxResul
         pts = [np.array([math.cos(t), math.sin(t)]) for t in thetas]
         return SphereMaxResult(pts[0], M, math.log(M), tuple(pts))
     best, pts = near_max_on_sphere(*_log_objective(((poly, 1.0),)), sphere_starts(d, _SCREEN * starts, seed), starts)
+    if poly.affine_factors is None:
+        # the best |P| against the rounding bound (deg P + #terms) eps sum |c_k| of P
+        # on the sphere, both on 2^e P, where the bound cannot underflow
+        U = _unit_scaled(poly)
+        top = abs(float(U.eval(pts[0])))
+        noise = (poly.degree + len(U.terms)) * np.finfo(float).eps * sum(abs(c) for _, c in U.terms)
+        if top <= noise:
+            raise ValueError(f"polynomial vanishes on the unit sphere up to rounding: |2^e P| {top:.3g} <= {noise:.3g}")
     try:
         return SphereMaxResult(pts[0], math.exp(best), best, tuple(pts))
     except OverflowError:

@@ -331,7 +331,7 @@ def exact_plank_refutation(planks, x):
     inside = []
     for i, p in enumerate(planks):
         dot = sum(Fraction(a) * v for a, v in zip(p.normal.tolist(), X))
-        if abs(dot - Fraction(p.center)) <= Fraction(p.half_width):
+        if abs(dot - Fraction(p.offset)) <= Fraction(p.half_width):
             inside.append(i)
     return inside, sum(v * v for v in X) > 1
 

@@ -80,6 +80,40 @@ class TestSphereVerify:
         assert "exceeds the largest double" in err and "log_value" in err
 
 
+def sphere_equation_times(dim, q, c=1.0):
+    """c (|x|^2 - 1) Q as a JSON payload, for Q = 1 or Q = x_1."""
+    shift = [1 if q == "x1" and j == 0 else 0 for j in range(dim)]
+    squares = [[2 * (j == i) + shift[j] for j in range(dim)] for i in range(dim)]
+    return {"dim": dim, "terms": [{"e": e, "c": c} for e in squares] + [{"e": shift, "c": -c}]}
+
+
+class TestVanishingOnTheSphere:
+    """(|x|^2 - 1) Q is zero on the sphere; what its expansion leaves there is
+    rounding, which is refused (exit 3) rather than reported as a maximum."""
+
+    @pytest.mark.parametrize("command", ["sphere-max", "sphere-verify"])
+    @pytest.mark.parametrize("q", ["1", "x1"])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_exits_3(self, tmp_path, capsys, command, q, dim):
+        code, out = run_cli(tmp_path, command, sphere_equation_times(dim, q))
+        assert (code, out) == (3, "")
+        err = capsys.readouterr().err
+        assert ("vanishes identically" if dim == 2 else "vanishes on the unit sphere up to rounding") in err
+
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_refused_at_any_scale(self, c, dim):
+        payload = sphere_equation_times(dim, "x1", c)
+        poly = MultiPoly(dim, {tuple(t["e"]): t["c"] for t in payload["terms"]})
+        with pytest.raises(ValueError, match="vanishes"):
+            sphereopt.maximize_abs_on_sphere(poly)
+
+    def test_small_but_genuine_maximum_kept(self):
+        # 1e-12 x_1 past |x|^2 - 1: the maximum 1e-12 is far above the rounding bound
+        poly = MultiPoly(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): -1.0, (1, 0, 0): 1e-12})
+        assert sphereopt.maximize_abs_on_sphere(poly).value == pytest.approx(1e-12, rel=1e-3)
+
+
 class TestRefuteSphere:
     def test_three_zones(self, tmp_path):
         code, text = run_cli(tmp_path, "refute-sphere", THREE_ZONES)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zerogap import covering
 from zerogap.cli import _report, main
 from zerogap.covering import (
     Plank,
@@ -21,6 +22,7 @@ from zerogap.covering import (
     split_segments,
 )
 from zerogap.errors import VerificationError
+from zerogap.polycore import AffineForm, MultiPoly
 
 from _oracles import exact_plank_refutation, grid_scan
 
@@ -62,9 +64,11 @@ class TestSegment:
             SphericalSegment([0, 0, 0], 0.0, 0.1)
 
     def test_json_round_trip(self):
-        seg = SphericalSegment([0, 1, 0], 0.25, 0.4)
+        obj = {"a": [0.0, 1.0, 0.0], "b": 0.25, "delta": 0.4}
+        seg = SphericalSegment.from_json(obj)
         other = SphericalSegment.from_json(seg.to_json())
-        assert np.allclose(seg.normal, other.normal)
+        assert seg.to_json() == other.to_json() == obj
+        assert np.array_equal(seg.normal, other.normal)
         assert seg.offset == other.offset and seg.half_width == other.half_width
 
 
@@ -78,7 +82,63 @@ class TestPlank:
     def test_json_round_trip(self):
         plank = Plank([0.0, 1.0, 0.0], -0.2, 0.45)
         other = Plank.from_json(plank.to_json())
-        assert other.half_width == pytest.approx(plank.half_width)
+        assert plank.to_json() == other.to_json() == {"a": [0.0, 1.0, 0.0], "c": -0.2, "w": 0.9}
+        assert np.array_equal(plank.normal, other.normal)
+        assert plank.offset == other.offset and plank.half_width == other.half_width
+
+
+BAD_NORMALS = {"zero": [0.0, 0.0, 0.0], "nan": [math.nan, 1.0, 0.0], "inf": [math.inf, 0.0, 0.0], "tiny": [1e-13, 0.0, 0.0]}
+
+
+class TestPiecesAreAffineForms:
+    """A segment or plank is the affine form of its core hyperplane with a
+    half width: AffineForm checks and normalises every normal, and the sphere
+    refuter multiplies the virtual segments themselves."""
+
+    def test_plank_offset_is_its_center(self):
+        plank = Plank([0.0, 3.0], 0.5, 0.25)
+        assert isinstance(plank, AffineForm) and isinstance(SphericalSegment([0.0, 1.0], 0.5, 0.25), AffineForm)
+        assert plank.offset == 0.5 and np.array_equal(plank.normal, [0.0, 1.0])
+        assert plank.clearance([0.0, 0.8]) == abs(plank.eval([0.0, 0.8])) - 0.25
+
+    @pytest.mark.parametrize("normal", BAD_NORMALS.values(), ids=BAD_NORMALS.keys())
+    @pytest.mark.parametrize(
+        "make",
+        [lambda a: AffineForm(a, 0.0), lambda a: SphericalSegment(a, 0.0, 0.1), lambda a: Plank(a, 0.0, 0.1)],
+        ids=["AffineForm", "SphericalSegment", "Plank"],
+    )
+    def test_bad_normal_refused_alike(self, make, normal):
+        with pytest.raises(ValueError):
+            make(normal)
+
+    @pytest.mark.parametrize("normal", BAD_NORMALS.values(), ids=BAD_NORMALS.keys())
+    @pytest.mark.parametrize(
+        "command, key, piece",
+        [("refute-sphere", "segments", {"b": 0.0, "delta": 0.1}), ("refute-ball", "planks", {"c": 0.0, "w": 0.2})],
+        ids=["refute-sphere", "refute-ball"],
+    )
+    def test_bad_normal_exits_3(self, tmp_path, command, key, piece, normal):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"dim": 3, key: [{**piece, "a": [0.0, 0.0, 1.0]}, {**piece, "a": normal}]}))
+        assert main([command, "--input", str(path), "--output", str(tmp_path / "out")]) == 3
+
+    def test_refuter_multiplies_the_virtual_segments(self, monkeypatch):
+        segs = [
+            SphericalSegment([0, 0, 1], 0.0, 0.25),
+            SphericalSegment([0, 1, 0], 0.1, 0.375),
+            SphericalSegment([1, 0, 0], -0.2, 0.125),
+        ]
+        splits, received, built = [], [], []
+        split, product, init = covering.split_segments, MultiPoly.from_affine_product.__func__, AffineForm.__init__
+        monkeypatch.setattr(covering, "split_segments", lambda *a, **k: splits.append(split(*a, **k)) or splits[-1])
+        monkeypatch.setattr(MultiPoly, "from_affine_product", classmethod(lambda c, f: received.append(f) or product(c, f)))
+        monkeypatch.setattr(AffineForm, "__init__", lambda self, *a: built.append(type(self)) or init(self, *a))
+        res = refute_cover_sphere(segs, seed=0)
+        [(virtual, N)] = splits
+        [forms] = received
+        assert N == res.split_N >= 1 and len(forms) == len(virtual) > len(segs)
+        assert all(f is v for f, v in zip(forms, virtual))
+        assert set(built) == {SphericalSegment} and len(built) == len(virtual)
 
 
 class TestSplitSegments:
@@ -391,7 +451,7 @@ def plank_family(seed, m, d, kind, slack):
 def flip_bound(planks):
     """Bang's bound on the flips: (1 + 4 lambda sum h|c|) / (2 lambda (lambda - 1) min h^2)."""
     h = np.array([p.half_width for p in planks])
-    c = np.array([p.center for p in planks])
+    c = np.array([p.offset for p in planks])
     lam = 1.0 / h.sum()
     return (1.0 + 4.0 * lam * np.sum(h * np.abs(c))) / (2.0 * lam * (lam - 1.0) * h.min() ** 2)
 
