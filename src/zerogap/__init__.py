@@ -8,6 +8,7 @@ insufficient coverings by spherical segments and planks.
 
 from .ballfinder import (
     LiftedDiagnostics,
+    MultiplierCertificate,
     PairCertificate,
     euclidean_zero_distance,
     lifted_diagnostics,

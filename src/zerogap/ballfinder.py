@@ -10,6 +10,9 @@ away.  The multiplier never vanishes inside the ball, so it adds no zeros
 to dodge.  Its maximizers come from the multistart of ``sphereopt`` on the
 sphere S^d that lifts the ball, a row y standing for the point x = y[:d],
 with the exact Hessian of log|P(x) M(|x|)|; the equator of S^d is the rim.
+This module alone reads the pool on S^d as points of the ball.  Each method
+returns a certificate with its own verdict against its bound
+(``PairCertificate``, ``MultiplierCertificate``).
 
 Distances to Z(P) are taken in R^d: in closed form for tagged products, by
 root clusters in one variable, and otherwise by the lockstep Newton search
@@ -39,7 +42,6 @@ from .chebmult import (
 from .polycore import AffineForm, MultiPoly
 from .sphereopt import (
     _SCREEN,
-    _ball_points,
     _canonical_signs,
     _farthest,
     _log_objective,
@@ -49,10 +51,11 @@ from .sphereopt import (
     near_max_on_sphere,
     sphere_starts,
 )
-from .trigcircle import _root_clusters
+from .trigcircle import _checked_zeros, _root_clusters
 
 __all__ = [
     "PairCertificate",
+    "MultiplierCertificate",
     "LiftedDiagnostics",
     "euclidean_zero_distance",
     "pair_point",
@@ -68,13 +71,15 @@ def euclidean_zero_distance(poly: MultiPoly, p, seed=0):
     """(distance, zero): Euclidean distance from p in the unit ball to Z(P) in R^d, and a zero at it.
 
     Exact per-factor for tagged affine products; in one variable, to the
-    nearest real root cluster of ``trigcircle._root_clusters``.  Otherwise an
-    upper-bound estimate over the zeros in the ball of radius 2, which holds
-    every zero within distance 1 of p, so a result above 1 (or +inf) only
-    says that Z(P) is farther than 1; every bound checked is at most 1.  The
-    lockstep search of ``sphereopt`` runs on S^d through the lift z = 2y,
-    |y|^2 + t^2 = 1, where |z - p|^2 = 4 - 4(t^2 + <y, p>) + |p|^2.  ``zero``
-    is None exactly when no zero is found and the distance is +inf.
+    nearest real root cluster of ``trigcircle._root_clusters``, whose centres
+    must be zeros of P (``trigcircle._checked_zeros``; VerificationError
+    otherwise).  Otherwise an upper-bound estimate over the zeros in the ball
+    of radius 2, which holds every zero within distance 1 of p, so a result
+    above 1 (or +inf) only says that Z(P) is farther than 1; every bound
+    checked is at most 1.  The lockstep search of ``sphereopt`` runs on S^d
+    through the lift z = 2y, |y|^2 + t^2 = 1, where
+    |z - p|^2 = 4 - 4(t^2 + <y, p>) + |p|^2.  ``zero`` is None exactly when
+    no zero is found and the distance is +inf.
     """
     p = np.asarray(p, dtype=float)
     if poly.affine_factors is not None:
@@ -85,7 +90,8 @@ def euclidean_zero_distance(poly: MultiPoly, p, seed=0):
         coeffs = np.zeros(poly.degree + 1)
         coeffs[[e for (e,), _ in poly.terms]] = [c for _, c in poly.terms]
         centres, radii, _ = _root_clusters(coeffs[::-1])
-        x = min(centres.real[np.abs(centres.imag) <= radii], key=lambda x: abs(x - p[0]), default=None)
+        real = _checked_zeros(coeffs[::-1], centres.real[np.abs(centres.imag) <= radii])
+        x = min(real, key=lambda x: abs(x - p[0]), default=None)
         return (math.inf, None) if x is None else (float(abs(x - p[0])), np.array([float(x)]))
 
     x = _zero_distance_search(_lift(poly, 2.0), np.append(p, 0), seed, np.diag(np.append(np.zeros(len(p)), 2.0)))
@@ -233,38 +239,50 @@ def _multiplier_pool(poly, seed, starts):
     ball, each distinct one once (in one variable the rim rows are just the
     two ends +-1 of the interval).  F's gradient has no t part, so a row on
     the equator stays on it, and a maximum on the rim is found exactly.
-    Returns the points x of the pool, near-copies judged in x
-    (:func:`_ball_points`).
+    Returns the points x of the pool, the rows on the equator first: a rim
+    maximum where d/dr log|P M| vanishes is flat to fourth order in t, so
+    rows that climb to it stop short (t about 3e-5, |x| about 1 - 5e-10), at
+    the rim's value up to rounding, and only the equator rows sit on it
+    exactly.  Near-copies in x are left for :func:`_farthest` to drop.
     """
     value, grad = _multiplier_objective(poly)
     d = poly.dim
     Y = sphere_starts(d + 1, 2 * starts, seed)
     Y[:, d] = np.abs(Y[:, d])
-    rim = Y.copy()
-    rim[:, d] = 0.0
-    rim = _normalize_rows(rim)
+    rim = _normalize_rows(np.column_stack([Y[:, :d], np.zeros(len(Y))]))
     rim = rim[np.sort(np.unique(rim, axis=0, return_index=True)[1])]
     pool = near_max_on_sphere(value, grad, np.vstack([Y, rim]), starts)[1]
-    return _ball_points(pool, d)
+    return [y[:d] for y in sorted(pool, key=lambda y: y[d] != 0.0)]
 
 
-def multiplier_point(poly: MultiPoly, seed=0, starts=64):
+@dataclass(frozen=True)
+class MultiplierCertificate:
+    """Audit record of the multiplier construction for one polynomial."""
+
+    point: np.ndarray
+    distance: float
+    bound: float  # 1/n
+    passed: bool
+
+
+def multiplier_point(poly: MultiPoly, seed=0, starts=64, tol=1e-6) -> MultiplierCertificate:
     """Point of B^d maximizing |P(x) M(|x|)|, tie-broken by zero-set distance.
 
-    Returns (point, distance).  The candidates are Newton-polished maxima of
-    the multiplier objective, and the distance is measured from the returned
-    point itself.  Each distinct point of the near-maximal pool of
-    :func:`_multiplier_pool` is measured once, and the one farthest from Z(P)
-    is returned, matching the existential form of the guarantee.  M is even,
-    so when P(-x) = +-P(x), x and -x tie, and each candidate is first taken
-    in its canonical sign (largest-modulus coordinate positive), so that the
-    pair is measured once.
+    The candidates are Newton-polished maxima of the multiplier objective,
+    and the distance is measured from the returned point itself.  Each
+    distinct point of the near-maximal pool of :func:`_multiplier_pool` is
+    measured once, and the one farthest from Z(P) is returned, matching the
+    existential form of the guarantee; it passes when its distance is at
+    least 1/deg P - ``tol``.  M is even, so when P(-x) = +-P(x), x and -x
+    tie, and each candidate is first taken in its canonical sign
+    (largest-modulus coordinate positive), so that the pair is measured once.
     """
-    if poly.degree < 1:
+    n = poly.degree
+    if n < 1:
         raise ValueError("degree must be at least 1")
     pool = _canonical_signs(poly, _multiplier_pool(poly, seed, starts))
     (dist, _), point = _farthest(pool, lambda c: euclidean_zero_distance(poly, c, seed=seed))
-    return point, float(dist)
+    return MultiplierCertificate(point=point, distance=float(dist), bound=1.0 / n, passed=bool(dist >= 1.0 / n - tol))
 
 
 @dataclass(frozen=True)

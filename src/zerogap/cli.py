@@ -3,7 +3,8 @@
 Exit codes: 0 when the requested verification or refutation succeeded, 2
 either when a bound check failed (with a full report still emitted) or on a
 VerificationError (a message on stderr and no report: a refutation that
-could not be verified, or zeros on the circle that could not be placed), 3
+could not be verified, or zeros on the circle, the real line or the
+projective line that could not be placed), 3
 for malformed arguments or input, violated preconditions and requests too
 large to allocate.
 Given the same input, seed, tolerance, and starts, output is byte-identical
@@ -56,11 +57,9 @@ def _emit(args, text):
 def _report(value):
     """The JSON value of a result: a dataclass becomes an object of its fields,
     a real array a list, a complex array {"re": [...], "im": [...]} and a numpy
-    scalar its Python value; dicts, tuples and lists are mapped item by item."""
+    scalar its Python value; tuples and lists are mapped item by item."""
     if dataclasses.is_dataclass(value):
         return {f.name: _report(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {key: _report(item) for key, item in value.items()}
     if isinstance(value, np.ndarray) and np.iscomplexobj(value):
         return {"re": value.real.tolist(), "im": value.imag.tolist()}
     if isinstance(value, (np.ndarray, np.generic)):
@@ -143,14 +142,12 @@ def _cmd_ball_pair(args):
 
 def _cmd_ball_multiplier(args):
     poly = _poly(args)
-    point, dist = ballfinder.multiplier_point(poly, seed=args.seed, starts=args.starts)
-    bound = 1.0 / poly.degree
-    passed = bool(dist >= bound - args.tol)
+    cert = ballfinder.multiplier_point(poly, seed=args.seed, starts=args.starts, tol=args.tol)
     if args.fmt == "json":
-        return _emit_json(args, {"point": point, "distance": dist, "bound": bound, "passed": passed}, passed)
+        return _emit_json(args, cert, cert.passed)
     xs = np.linspace(-1.0, 1.0, 257)
     rows = zip(xs.tolist(), chebmult.ball_multiplier(poly.degree, xs).tolist())
-    return _emit_csv(args, ["x", "multiplier"], rows, passed)
+    return _emit_csv(args, ["x", "multiplier"], rows, cert.passed)
 
 
 def _cmd_refute_sphere(args):

@@ -30,7 +30,7 @@ from .sphereopt import (
     near_max_on_sphere,
     sphere_starts,
 )
-from .trigcircle import _root_clusters
+from .trigcircle import _checked_zeros, _root_clusters
 
 __all__ = [
     "ComplexHomogPoly",
@@ -178,14 +178,17 @@ def _maximize_items(items, starts, seed):
 def _zeros_on_projective_line(poly):
     """Unit representatives of the zeros of a binary form (d = 2 only), one per
     root cluster of the chart P(w, 1) = sum coeffs[j] w^j, whatever its size:
-    the rows of a read-only array that P keeps."""
+    the rows of a read-only array that P keeps.  VerificationError, which P
+    does not keep, when a cluster's centre is no zero of the chart
+    (``trigcircle._checked_zeros``)."""
     if poly._chart is None:
         n = poly.degree
         coeffs = np.zeros(n + 1, dtype=complex)  # coefficient of z1^j z2^(n-j)
         for (e1, e2), c in poly.terms:
             coeffs[e1] = c
         reps = [np.array([1.0 + 0j, 0.0 + 0j])] if coeffs[n] == 0 else []  # z2 divides P
-        reps += [np.array([r, 1.0]) / np.linalg.norm([r, 1.0]) for r in _root_clusters(coeffs[::-1])[0]]
+        centres = _checked_zeros(coeffs[::-1], _root_clusters(coeffs[::-1])[0])
+        reps += [np.array([r, 1.0]) / np.linalg.norm([r, 1.0]) for r in centres]
         poly._chart = np.array(reps, dtype=complex).reshape(-1, 2)
         poly._chart.flags.writeable = False
     return poly._chart
@@ -195,7 +198,8 @@ def complex_zero_distance(poly: ComplexHomogPoly, p, seed=0):
     """(distance, zero): min over zeros z on the sphere of arccos |<p, z>|, and z.
 
     Exact for tagged products of linear forms and for d = 2 (the chart's root
-    clusters from ``trigcircle._root_clusters``, which P keeps).  Elsewhere
+    clusters from ``trigcircle._root_clusters``, which P keeps, each centre a
+    zero of the chart or VerificationError).  Elsewhere
     an upper-bound estimate from the lockstep search of ``sphereopt`` for the
     largest Re <z, p> on Z(P), which equals the largest |<z, p>| as Z(P) is
     invariant under z -> e^(i phi) z.  ``zero`` is None exactly when nothing

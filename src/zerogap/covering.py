@@ -130,10 +130,11 @@ def _grid(widths, budget, margin, unit, name):
 
     N is the smallest denominator that puts every width, rounded up to a
     multiple of unit/N, within total excess ``margin`` (by default 1% of the
-    slack below ``budget``); blocks of N are scanned in numpy, and the first
-    that passes there is confirmed by the scalar expressions.  A piece of M
-    grid steps becomes M abutting virtual pieces of half width unit/(2N),
-    shifted from its centre by ``shifts``, (2j + 1 - M) unit/(2N) for j < M.
+    slack below ``budget``); blocks of N are scanned in numpy, each excess
+    summed in the order of ``widths`` as a scalar sum would add it, and the
+    first N that passes is taken.  A piece of M grid steps becomes M abutting
+    virtual pieces of half width unit/(2N), shifted from its centre by
+    ``shifts``, (2j + 1 - M) unit/(2N) for j < M.
     """
     if not widths:
         raise ValueError("no pieces to split")
@@ -151,11 +152,10 @@ def _grid(widths, budget, margin, unit, name):
             excess += np.ceil(w * block / unit - 1e-12) * unit / block - w
         for N in block[excess <= margin + 1e-12].tolist():
             counts = [math.ceil(w * N / unit - 1e-12) for w in widths]
-            if sum(c * unit / N - w for c, w in zip(counts, widths)) <= margin + 1e-12:
-                if sum(counts) * unit / N >= budget:
-                    raise ValueError("rounded total width reaches the budget; infeasible margin")
-                sub_half = unit / (2 * N)
-                return N, sub_half, [[(2 * j + 1 - M) * sub_half for j in range(M)] for M in counts]
+            if sum(counts) * unit / N >= budget:
+                raise ValueError("rounded total width reaches the budget; infeasible margin")
+            sub_half = unit / (2 * N)
+            return N, sub_half, [[(2 * j + 1 - M) * sub_half for j in range(M)] for M in counts]
         start, size = start + size, 2 * size
     raise ValueError(
         f"splitting needs a width grid finer than {unit:g}/{_MAX_GRID_N}: slack {budget - total:.6g} below {name}"

@@ -10,17 +10,15 @@ the exact gradients and Hessians that the objective gives with one
 evaluation of each P; Newton does the climbing.  This module alone carries a
 point of C^d as 2d real coordinates, real parts then imaginary parts
 (``_real``, ``_from_real``), so the same engine serves the sphere of C^d
-(``complexproj``), and the multiplier search in the ball (``ballfinder``),
-which runs on the sphere S^d that lifts the ball: its objective reads a row
-y as the point y[:d] of the ball and does not depend on y[d], and the
-equator y[d] = 0 is the rim.  For expanded P in two dimensions no search
-is needed: the restriction to the circle is a trigonometric polynomial whose
-critical points are found exactly, so results there are certified by root
-isolation rather than iteration; P keeps that one restriction, and the
-restriction its zeros and maxima (``_on_circle``).  A factored product
-keeps the search there, since its expansion on the circle can lose every
-digit.  A row of an untagged P has the same bits in any batch
-(``polycore._row_products``).
+(``complexproj``) and the sphere S^d that lifts the ball, whose rows
+``ballfinder`` alone reads as points of the ball.  For expanded P in two
+dimensions no search is needed: the restriction to the circle is a
+trigonometric polynomial whose critical points are found exactly, so
+results there are certified by root isolation rather than iteration; P
+keeps that one restriction, and the restriction its zeros and maxima
+(``_on_circle``).  A factored product keeps the search there, since its
+expansion on the circle can lose every digit.  A row of an untagged P has
+the same bits in any batch (``polycore._row_products``).
 
 Angular distances to zero sets, all measured by
 ``angular_distance_to_zero_set``, are exact (closed form) for products of
@@ -71,6 +69,8 @@ RNG_NAME = "pcg64-gauss/1"
 # the near-maximal pool that the gap verifiers choose from
 LOG_FLOOR = -1e30
 NEAR_MAX_REL = 1e-9
+# pool points within this distance of one kept before them are near-copies
+_NEAR_COPY = 1e-7
 # a trial of the ascent whose first-order gain step |G|^2 is at most this many
 # units of rounding of max(1, |f|) cannot show as a strict increase of f
 GAIN_FLOOR = 4.0 * np.finfo(float).eps
@@ -325,15 +325,15 @@ class SphereMaxResult:
     near_maximizers: tuple
 
 
-def _dedupe_points(points, tol=1e-7):
-    """The points in order, each unless it lies within ``tol`` of one kept
-    before it: in one pass, each kept point strikes the later points within
-    ``tol`` of it."""
+def _dedupe_points(points):
+    """The points in order, each unless it lies within ``_NEAR_COPY`` of one
+    kept before it: in one pass, each kept point strikes the later points
+    within ``_NEAR_COPY`` of it."""
     P = np.asarray(points)
     kept, left = [], np.arange(len(P))
     while len(left):
         kept.append(left[0])
-        left = left[1:][~(_norms(P[left[1:]] - P[left[0]]) <= tol)]
+        left = left[1:][~(_norms(P[left[1:]] - P[left[0]]) <= _NEAR_COPY)]
     return [points[i] for i in kept]
 
 
@@ -364,16 +364,6 @@ def _near_max(value, X):
     near = np.flatnonzero(logs >= best + math.log1p(-NEAR_MAX_REL))
     order = sorted(near, key=lambda i: (-logs[i], tuple(X[i])))
     return float(best), _dedupe_points([X[i] for i in order])
-
-
-def _ball_points(pool, d):
-    """The points x = y[:d] of the ball that a pool on S^d, the sphere that
-    lifts it, stands for, the rows on the equator (the rim) first, each point
-    unless it lies within 1e-7 of one kept before it: a rim maximum where
-    d/dr log|P M| vanishes is flat to fourth order in t = y[d], so rows that
-    climb to it stop short (t about 3e-5, |x| about 1 - 5e-10), at the rim's
-    value up to rounding, and only the equator rows sit on it exactly."""
-    return _dedupe_points([y[:d] for y in sorted(pool, key=lambda y: y[d] != 0.0)])
 
 
 def near_max_on_sphere(value, grad, X, starts):

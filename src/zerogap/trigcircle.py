@@ -416,6 +416,19 @@ def _root_clusters(c):
     return np.append(z[alone], extra[:, 0]), np.append(radii[alone], extra[:, 1].real), counts
 
 
+def _checked_zeros(c, x):
+    """x, the points taken for zeros of p(x) = c[0] x^N + ... + c[N] (the
+    centres of _root_clusters), once each passes |p(x)| <= 1e-8 sum_k |c_k|
+    |x|^k, both sides read by _horner so that no power overflows.
+    VerificationError otherwise: the centre of a merged cluster need not be a
+    zero (the monomial T_44 merges all its roots into one disc centred at 0,
+    where T_44 is 1), and a gap measured to it would be wrong."""
+    refused = np.count_nonzero(np.abs(_horner(c, x)[0]) > _RESIDUAL_TOL * _horner(np.abs(c), np.abs(x))[0].real)
+    if refused:
+        raise VerificationError(f"{refused} root cluster centre(s) of P are no zero: |P| > {_RESIDUAL_TOL:g} sum |a_k x^k|")
+    return x
+
+
 def _newton_polish(T, dT, theta):
     """Newton's method on T from each angle of a 1-D array, all at once.
 

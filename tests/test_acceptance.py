@@ -193,14 +193,16 @@ def test_criterion_07_ball_multiplier_procedure():
         d = 2 if i % 2 == 0 else 3
         n = int(rng.integers(1, 6))
         poly, forms = random_affine_product(rng, d, n)
-        pt, dist = multiplier_point(poly, seed=i)
+        cert = multiplier_point(poly, seed=i)
+        pt, dist = cert.point, cert.distance
         oracle = min(abs(float(f.normal @ pt) - f.offset) for f in forms)
         if abs(dist - oracle) > 1e-9:
             failures.append((i, "oracle mismatch"))
         if dist < 1 / n - 1e-6:
             failures.append((i, d, n, dist))
     for n in range(1, 9):
-        pt, dist = multiplier_point(cheb_poly_1d(n), seed=0)
+        cert = multiplier_point(cheb_poly_1d(n), seed=0)
+        pt, dist = cert.point, cert.distance
         roots = np.cos((2 * np.arange(1, n + 1) - 1) * math.pi / (2 * n))
         oracle = float(np.min(np.abs(roots - pt[0])))
         if abs(dist - oracle) > 1e-9:

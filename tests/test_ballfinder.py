@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -19,6 +20,7 @@ from zerogap.ballfinder import (
     multiplier_point,
     pair_point,
 )
+from zerogap.errors import VerificationError
 from zerogap.polycore import AffineForm, MultiPoly, product_of_affine_forms
 
 from _oracles import (
@@ -282,14 +284,37 @@ class TestPairAgainstProduct:
 
 
 class TestMultiplierPoint:
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            cheb_poly_1d(5),
+            product_of_affine_forms([AffineForm([1, 0], 0.3), AffineForm([0, 1], -0.1), AffineForm([1, 1], 0.2)]),
+            MultiPoly(3, {(2, 0, 0): 1.0, (0, 2, 0): -0.5, (0, 0, 0): -0.1}),
+        ],
+        ids=["T5", "forms-d2", "quadric-d3"],
+    )
+    def test_certificate_carries_its_verdict(self, poly):
+        # the bound is 1/n and the verdict is distance >= bound - tol; a
+        # negative tol asks for more than the bound, and only the verdict moves
+        certs = {tol: multiplier_point(poly, seed=2, tol=tol) for tol in (1e-6, -1.0)}
+        for tol, cert in certs.items():
+            assert isinstance(cert, ballfinder.MultiplierCertificate)
+            assert cert.bound == 1.0 / poly.degree
+            assert cert.passed is (cert.distance >= cert.bound - tol)
+        assert certs[1e-6].passed and not certs[-1.0].passed
+        assert certs[1e-6].point.tobytes() == certs[-1.0].point.tobytes()
+        assert certs[1e-6].distance == certs[-1.0].distance
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            certs[1e-6].passed = False
+
     def test_linear_1d_boundary(self):
-        point, dist = multiplier_point(MultiPoly(1, {(1,): 1.0}), seed=0)
-        assert abs(point[0]) == pytest.approx(1.0, abs=1e-10)
-        assert dist == pytest.approx(1.0, abs=1e-10)
+        cert = multiplier_point(MultiPoly(1, {(1,): 1.0}), seed=0)
+        assert abs(cert.point[0]) == pytest.approx(1.0, abs=1e-10)
+        assert cert.distance == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_chebyshev_hard_case(self, n):
-        point, dist = multiplier_point(cheb_poly_1d(n), seed=0)
+        dist = multiplier_point(cheb_poly_1d(n), seed=0).distance
         assert dist >= 1 / n - 1e-6
         # the naive maximizer at the interval end is 1 - cos(pi/2n) from the
         # nearest root, an order 1/n^2 distance that the multiplier avoids
@@ -301,17 +326,17 @@ class TestMultiplierPoint:
     def test_product_2d(self):
         forms = [AffineForm([1, 0], 0.3), AffineForm([0, 1], -0.1)]
         poly = product_of_affine_forms(forms)
-        point, dist = multiplier_point(poly, seed=0)
-        assert dist >= 0.5 - 1e-6
-        assert np.linalg.norm(point) <= 1 + 1e-9
+        cert = multiplier_point(poly, seed=0)
+        assert cert.distance >= 0.5 - 1e-6
+        assert np.linalg.norm(cert.point) <= 1 + 1e-9
 
     def test_returned_distance_matches_oracle(self):
         forms = [AffineForm([1, 0, 0], 0.2), AffineForm([0, 1, 0], -0.3), AffineForm([0, 0, 1], 0.0)]
         poly = product_of_affine_forms(forms)
-        point, dist = multiplier_point(poly, seed=1)
-        expected = min(abs(f.normal @ point - f.offset) for f in forms)
-        assert dist == pytest.approx(expected, abs=1e-10)
-        assert dist >= 1 / 3 - 1e-6
+        cert = multiplier_point(poly, seed=1)
+        expected = min(abs(f.normal @ cert.point - f.offset) for f in forms)
+        assert cert.distance == pytest.approx(expected, abs=1e-10)
+        assert cert.distance >= 1 / 3 - 1e-6
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_tagged_products_take_no_slsqp_solve(self, d, monkeypatch):
@@ -323,10 +348,10 @@ class TestMultiplierPoint:
         rng = np.random.default_rng(d)
         for m in (1, 3, 5):
             forms = [AffineForm(rng.standard_normal(d), rng.uniform(-0.6, 0.6)) for _ in range(m)]
-            point, dist = multiplier_point(product_of_affine_forms(forms), seed=m)
-            assert np.linalg.norm(point) <= 1.0
-            assert dist == min(abs(float(f.normal @ point) - f.offset) for f in forms)
-            assert dist >= 1 / m - 1e-6
+            cert = multiplier_point(product_of_affine_forms(forms), seed=m)
+            assert np.linalg.norm(cert.point) <= 1.0
+            assert cert.distance == min(abs(float(f.normal @ cert.point) - f.offset) for f in forms)
+            assert cert.distance >= 1 / m - 1e-6
 
     @pytest.mark.parametrize(
         "poly, maxima",
@@ -352,11 +377,11 @@ class TestMultiplierPoint:
             return original(poly, p, seed=seed)
 
         monkeypatch.setattr(ballfinder, "euclidean_zero_distance", counted)
-        point, dist = multiplier_point(poly, seed=1)
+        cert = multiplier_point(poly, seed=1)
         assert min((np.linalg.norm(p - q) for i, p in enumerate(calls) for q in calls[:i]), default=math.inf) > 1e-3
         assert len(calls) == maxima // 2
-        assert any(c.tobytes() == point.tobytes() for c in calls)
-        assert dist == original(poly, point, seed=1)[0]
+        assert any(c.tobytes() == cert.point.tobytes() for c in calls)
+        assert cert.distance == original(poly, cert.point, seed=1)[0]
 
 
     @pytest.mark.parametrize(
@@ -371,8 +396,7 @@ class TestMultiplierPoint:
     def test_sign_symmetric_input_reports_canonical_sign(self, poly, expected):
         # P(-x) = +-P(x) and M is even, so x and -x tie to rounding; the
         # reported point has its largest-modulus coordinate positive
-        point, _ = multiplier_point(poly, seed=1)
-        assert point == pytest.approx(expected, abs=1e-8)
+        assert multiplier_point(poly, seed=1).point == pytest.approx(expected, abs=1e-8)
 
     def test_multiplier_values_go_through_ball_multiplier(self, monkeypatch):
         # the search's multiplier work stays behind chebmult.ball_multiplier,
@@ -413,9 +437,9 @@ class TestMultiplierPoint:
             return (lambda Y: rows.append(len(Y)) or value(Y)), counted_grad
 
         monkeypatch.setattr(ballfinder, "_multiplier_objective", counted_objective)
-        _, dist = multiplier_point(MultiPoly(1, {(300,): 1.0, (0,): -0.5}), seed=0)
+        cert = multiplier_point(MultiPoly(1, {(300,): 1.0, (0,): -0.5}), seed=0)
         assert 0 < sum(rows) <= 10_000
-        assert dist >= 1 / 300
+        assert cert.passed and cert.distance >= 1 / 300
 
     def test_degree_300_in_bounded_memory(self):
         # the multistart reads a few hundred rows of the objective at a time,
@@ -485,10 +509,10 @@ def reaches_the_grid_maximum(coeffs, seed):
     than the grid maximum, up to a relative 1e-9 of the log."""
     poly = MultiPoly(1, {(i,): float(c) for i, c in enumerate(coeffs) if c != 0.0})
     assert poly.degree == len(coeffs) - 1
-    point, dist = multiplier_point(poly, seed=seed)
+    cert = multiplier_point(poly, seed=seed)
     ref = grid_multiplier_max(coeffs)
-    assert multiplier_log(coeffs, point)[0] >= ref - 1e-9 * max(1.0, abs(ref))
-    return poly, dist
+    assert multiplier_log(coeffs, cert.point)[0] >= ref - 1e-9 * max(1.0, abs(ref))
+    return poly, cert.distance
 
 
 class TestOneVariableSearch:
@@ -503,10 +527,16 @@ class TestOneVariableSearch:
     @pytest.mark.parametrize("kind,n,scale", [("cheb", 100, 8.0), ("cheb", 300, 20.0), ("legendre", 300, 20.0)])
     def test_reaches_the_dense_grid_maximum_at_high_degree(self, kind, n, scale):
         # T_n(x / s) and P_n(x / s) read to 1e-9 or better and change sign
-        # 8 to 10 times in [-1, 1]; only the point is checked, since the
-        # one-variable zero distance of this P takes the centre of a merged
-        # root cluster for a zero (near 0, where P is 1) and reports 1e-14 or less
-        reaches_the_grid_maximum(orthogonal(kind, n, scale), seed=1)
+        # 8 to 10 times in [-1, 1]; the pool reaches the grid maximum, and the
+        # distance is refused: the root-cluster kernel merges the roots into
+        # one cluster whose centre, near 0, is no zero of P (P is about 1 there)
+        coeffs = orthogonal(kind, n, scale)
+        poly = MultiPoly(1, {(i,): float(c) for i, c in enumerate(coeffs) if c != 0.0})
+        pool = np.array(ballfinder._multiplier_pool(poly, 1, 64))[:, 0]
+        ref = grid_multiplier_max(coeffs)
+        assert np.max(multiplier_log(coeffs, pool)) >= ref - 1e-9 * max(1.0, abs(ref))
+        with pytest.raises(VerificationError, match="root cluster"):
+            multiplier_point(poly, seed=1)
 
     def test_rim_rows_are_screened_once(self, monkeypatch):
         # in one variable every rim row is one of the two ends +-1; the
@@ -550,9 +580,9 @@ class TestLiftedMultiplierSearch:
         ref = np.max(value(lift(ball_ascent_pool(value, grad, d, 64, seed % 1000))))
         # relative 1e-9, and 1e-9 absolute near f = 0
         assert best >= ref - 1e-9 * max(1.0, abs(ref))
-        point, dist = multiplier_point(poly, seed=seed % 1000)
-        assert np.linalg.norm(point) <= 1.0 + 1e-15
-        assert dist >= 1.0 / poly.degree - 1e-6
+        cert = multiplier_point(poly, seed=seed % 1000)
+        assert np.linalg.norm(cert.point) <= 1.0 + 1e-15
+        assert cert.distance >= 1.0 / poly.degree - 1e-6
 
 
 class TestLiftedDiagnostics:

@@ -728,11 +728,8 @@ def legacy_report(command, obj):
         cert = ballfinder.pair_point(_poly_input(obj))
         return cert, _oracles.legacy_pair_json(cert)
     if command == "ball-multiplier":
-        poly = _poly_input(obj)
-        point, dist = ballfinder.multiplier_point(poly)
-        result = {"point": point, "distance": dist, "bound": 1.0 / poly.degree}
-        result["passed"] = bool(dist >= result["bound"] - 1e-6)
-        return result, _oracles.legacy_ball_multiplier_json(**result)
+        cert = ballfinder.multiplier_point(_poly_input(obj))
+        return cert, _oracles.legacy_ball_multiplier_json(cert.point, cert.distance, cert.bound, cert.passed)
     if command == "complex-verify":
         rep = complexproj.verify_complex_gap(complexproj.ComplexHomogPoly.from_json(obj))
         return rep, _oracles.legacy_complex_gap_json(rep)

@@ -443,16 +443,21 @@ class TestBallHandOff:
 
 class TestBallPolish:
     @pytest.mark.parametrize("d", [2, 3])
-    def test_boundary_maximum(self, d):
+    def test_boundary_maximum(self, d, monkeypatch):
         # |x1 M(|x|)| grows along the x1 axis up to the rim: its maxima are
-        # +-e1, at distance 1 from x1 = 0
+        # +-e1, at distance 1 from x1 = 0.  The pool's distinct points, the
+        # rim rows first, are +-e1 exactly; x1 is odd, so _farthest measures
+        # them as one point, e1, in its canonical sign
         poly = MultiPoly(d, {(1,) + (0,) * (d - 1): 1.0})
-        pool = ballfinder._multiplier_pool(poly, 0, 64)
-        assert len(pool) == 2
-        assert all(abs(np.linalg.norm(p) - 1.0) <= 1e-15 and abs(abs(p[0]) - 1.0) <= 1e-15 for p in pool)
-        point, dist = ballfinder.multiplier_point(poly, seed=0)
-        assert abs(np.linalg.norm(point) - 1.0) <= 1e-15
-        assert dist == pytest.approx(1.0, abs=1e-12)
+        distinct = sphereopt._dedupe_points(ballfinder._multiplier_pool(poly, 0, 64))
+        assert len(distinct) == 2
+        assert all(abs(np.linalg.norm(p) - 1.0) <= 1e-15 and abs(abs(p[0]) - 1.0) <= 1e-15 for p in distinct)
+        measured, distance = [], ballfinder.euclidean_zero_distance
+        monkeypatch.setattr(ballfinder, "euclidean_zero_distance", lambda P, x, seed: measured.append(x) or distance(P, x, seed))
+        cert = ballfinder.multiplier_point(poly, seed=0)
+        assert len(measured) == 1 and measured[0] is cert.point
+        assert abs(np.linalg.norm(cert.point) - 1.0) <= 1e-15 and cert.point[0] > 0.0
+        assert cert.distance == pytest.approx(1.0, abs=1e-12)
 
     def test_rim_of_an_interval_stops(self):
         # the ends of [-1, 1] lift to (+-1, 0) on S^1, where F's gradient

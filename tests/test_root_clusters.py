@@ -19,6 +19,7 @@ from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from zerogap import trigcircle
 from zerogap.ballfinder import euclidean_zero_distance
 from zerogap.cli import main
+from zerogap.errors import VerificationError
 from zerogap.complexproj import ComplexHomogPoly, complex_zero_distance, hermitian_angle
 from zerogap.polycore import MultiPoly
 from zerogap.trigcircle import TrigPoly, trig_zeros, zero_gap_certificate
@@ -359,3 +360,81 @@ class TestMultipleRootsInOneVariableAndC2:
         rep = json.loads(out.read_text())
         assert math.isfinite(rep["distance"])
         assert abs(rep["distance"] - abs(rep["point"][0] - 0.3)) <= 1e-12
+
+
+def chebyshev_monomial(n):
+    """T_n's coefficients in the monomial basis, x^0 first."""
+    return np.polynomial.chebyshev.cheb2poly([0.0] * n + [1.0])
+
+
+def run_main(tmp_path, command, payload):
+    """(exit code, whether a report was written) of ``command`` on ``payload``."""
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    inp.write_text(json.dumps(payload))
+    return main([command, "--input", str(inp), "--output", str(out)]), out.exists()
+
+
+class TestMergedClusterCentres:
+    """A centre of _root_clusters counts as a zero only where |p(c)| <= 1e-8
+    sum_k |c_k| |c|^k (trigcircle._checked_zeros).  The monomial T_n merges
+    its roots into one cluster from n = 44 on the real line (centred at 0,
+    where T_n is 1), and the binary form z2^n T_n(z1 / z2) from n = 42 on
+    the chart: both readers refuse it, where each reported a zero at the
+    centre before."""
+
+    @pytest.mark.parametrize(
+        "roots", [[0.5] * 6, [0.5] * 3 + [-0.5] * 2 + [0.75], [1j, -1j, 1j, -1j, 2.0], [0.3] * 6, [0.25, 0.0, 0.0]]
+    )
+    def test_true_zeros_pass(self, roots):
+        c = expanded(roots)
+        centres = trigcircle._root_clusters(c)[0]
+        assert trigcircle._checked_zeros(c, centres) is centres
+
+    @pytest.mark.parametrize("top", [1e50, 1e200])
+    def test_huge_zero_passes_without_warning(self, top):
+        # top^3 overflows; _horner reads p and sum |c_k| |x|^k from 1 / top
+        c = np.convolve([1.0 / top, -1.0], np.poly([0.5, -0.25]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert trigcircle._checked_zeros(c, np.array([top, 0.5, -0.25])).tolist() == [top, 0.5, -0.25]
+
+    def test_a_point_off_the_zeros_is_refused(self):
+        with pytest.raises(VerificationError, match="1 root cluster"):
+            trigcircle._checked_zeros(expanded([0.5, -0.5]), np.array([0.5, 0.1]))
+
+    @pytest.mark.parametrize("n", [44, 60])
+    def test_real_line_refuses_a_merged_centre(self, tmp_path, capsys, n):
+        c = chebyshev_monomial(n)
+        # one cluster holds every root, centred at 0, where P = c[0] = +-1
+        centres, _, counts = trigcircle._root_clusters(c[::-1])
+        assert counts.tolist() == [n] and abs(centres[0]) <= 1e-15 and abs(c[0]) == 1.0
+        poly = MultiPoly(1, {(i,): float(v) for i, v in enumerate(c) if v != 0.0})
+        with pytest.raises(VerificationError, match="root cluster"):
+            euclidean_zero_distance(poly, np.array([0.5]))
+        payload = {"dim": 1, "terms": [{"e": [i], "c": float(v)} for i, v in enumerate(c) if v != 0.0]}
+        for command in ("ball-multiplier", "ball-pair"):
+            assert run_main(tmp_path, command, payload) == (2, False)
+            assert "verification failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [42, 44])
+    def test_chart_refuses_a_merged_centre_and_keeps_no_refusal(self, tmp_path, capsys, n):
+        terms = {(i, n - i): complex(v) for i, v in enumerate(chebyshev_monomial(n)) if v != 0.0}
+        poly = ComplexHomogPoly(2, terms)
+        for _ in range(2):
+            with pytest.raises(VerificationError, match="root cluster"):
+                complex_zero_distance(poly, np.array([0.6, 0.8j]))
+            assert poly._chart is None
+        payload = {"dim": 2, "terms": [{"e": list(e), "re": v.real, "im": v.imag} for e, v in terms.items()]}
+        assert run_main(tmp_path, "complex-verify", payload) == (2, False)
+        assert "verification failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [40, 42])
+    def test_lower_degrees_are_read(self, tmp_path, n):
+        # below the merge both readers still place every cluster: the real
+        # line through n = 42, the chart through n = 40
+        c = chebyshev_monomial(n)
+        payload = {"dim": 1, "terms": [{"e": [i], "c": float(v)} for i, v in enumerate(c) if v != 0.0]}
+        assert run_main(tmp_path, "ball-multiplier", payload) == (0, True)
+        if n <= 40:
+            terms = [{"e": [i, n - i], "re": float(v)} for i, v in enumerate(c) if v != 0.0]
+            assert run_main(tmp_path, "complex-verify", {"dim": 2, "terms": terms}) == (0, True)
