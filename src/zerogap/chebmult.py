@@ -105,21 +105,29 @@ def _sinc_series(u):
     return 1 - u2 / 6 * (1 - u2 / 20 * (1 - u2 / 42 * (1 - u2 / 72 * (1 - u2 / 110))))
 
 
+def _in_window(series, u, win, out):
+    """``out`` with its entries in ``win`` replaced by ``series`` of those of
+    ``u``; the series runs only on the entries inside its window."""
+    if win.any():
+        out[win] = series(u[win])
+    return out
+
+
 def _tail_terms(n, X):
     """(top, factors) of the tail at X >= 0: the tail is top / prod(factors).
 
     One factor 1 - (X/x0)^2 per cancelled zero x0, in increasing x0, read as
     1 within ``_WINDOW`` of x0; there ``top`` holds the 0/0 ratio from its
-    series in place of the cosine or sinc numerator.
+    series in place of the cosine or sinc numerator.  The windows do not
+    overlap, and each series runs only on the entries inside its window
+    (:func:`_in_window`).
     """
     if n % 2 == 0:
-        num = np.cos(X)
+        top = np.cos(X)
     else:
         small = X < _WINDOW
-        num = np.where(small, _sinc_series(X), np.sin(X) / np.where(small, 1.0, X))
+        top = _in_window(_sinc_series, X, small, np.sin(X) / np.where(small, 1.0, X))
 
-    ratio = np.zeros_like(X)
-    windowed = np.zeros(X.shape, dtype=bool)
     factors = []
     for x0 in (k * math.pi / 2 for k in _cancelled_halves(n)):
         win = np.abs(X - x0) < _WINDOW
@@ -128,12 +136,11 @@ def _tail_terms(n, X):
             u = X[win] - x0
             if n % 2 == 0:
                 # cos x = -sin(x0) sin u;  1-(x/x0)^2 = -u(u+2x0)/x0^2
-                ratio[win] = math.sin(x0) * x0 * x0 * _sinc_series(u) / (u + 2 * x0)
+                top[win] = math.sin(x0) * x0 * x0 * _sinc_series(u) / (u + 2 * x0)
             else:
                 # sin x = cos(x0) sin u and the numerator carries 1/x
-                ratio[win] = -math.cos(x0) * x0 * x0 * _sinc_series(u) / (X[win] * (u + 2 * x0))
-            windowed |= win
-    return np.where(windowed, ratio, num), factors
+                top[win] = -math.cos(x0) * x0 * x0 * _sinc_series(u) / (X[win] * (u + 2 * x0))
+    return top, factors
 
 
 def trig_tail_product(n, x):
@@ -197,11 +204,11 @@ def ball_multiplier_log_slope(n, x):
     small = (U < _WINDOW) & (n % 2 == 1)
     safe = np.where(small, 1.0, U)
     trig = np.where(small, 0.0, 1.0 / np.tan(safe) if n % 2 else -np.tan(U))
-    slope = np.where(small, _cot_series(U), -1.0 / safe) if n % 2 else np.zeros_like(U)
+    slope = _in_window(_cot_series, U, small, -1.0 / safe) if n % 2 else np.zeros_like(U)
     for k in _cancelled_halves(n):
         e = (U - k * _PIO2_HEAD) - k * _PIO2_TAIL
         win = np.abs(e) < _WINDOW
-        slope += np.where(win, _cot_series(e), -1.0 / np.where(win, 1.0, e)) - 1.0 / (U + k * math.pi / 2)
+        slope += _in_window(_cot_series, e, win, -1.0 / np.where(win, 1.0, e)) - 1.0 / (U + k * math.pi / 2)
         trig[win] = 0.0
     out = np.sign(np.atleast_1d(x)) * (n * math.pi / 2.0) * (slope + trig)
     return float(out[0]) if x.ndim == 0 else out
@@ -222,11 +229,11 @@ def ball_multiplier_log_curvature(n, x):
     small = (U < _CURVATURE_WINDOW) & (n % 2 == 1)
     safe = np.where(small, 1.0, U)
     trig = np.where(small, 0.0, -1.0 / np.sin(safe) ** 2 if n % 2 else -1.0 / np.cos(U) ** 2)
-    curv = np.where(small, _cot_series_slope(U), 1.0 / safe**2) if n % 2 else np.zeros_like(U)
+    curv = _in_window(_cot_series_slope, U, small, 1.0 / safe**2) if n % 2 else np.zeros_like(U)
     for k in _cancelled_halves(n):
         e = (U - k * _PIO2_HEAD) - k * _PIO2_TAIL
         win = np.abs(e) < _CURVATURE_WINDOW
-        curv += np.where(win, _cot_series_slope(e), np.where(win, 1.0, e) ** -2.0) + (U + k * math.pi / 2) ** -2.0
+        curv += _in_window(_cot_series_slope, e, win, np.where(win, 1.0, e) ** -2.0) + (U + k * math.pi / 2) ** -2.0
         trig[win] = 0.0
     out = (n * math.pi / 2.0) ** 2 * (curv + trig)
     return float(out[0]) if x.ndim == 0 else out

@@ -57,7 +57,7 @@ class ComplexHomogPoly:
     ``polycore``'s term kernels.  A binary form keeps its chart zeros once
     asked for (``_zeros_on_projective_line``)."""
 
-    __slots__ = ("dim", "degree", "terms", "linear_factors", "_tables", "_second", "_scaled", "_chart")
+    __slots__ = ("dim", "degree", "terms", "linear_factors", "_tables", "_scaled", "_chart")
 
     def __init__(self, dim, terms):
         self.terms = _merge_terms(dim, terms, 0j)
@@ -66,7 +66,7 @@ class ComplexHomogPoly:
             raise ValueError(f"not homogeneous: term degrees {sorted(degrees)}")
         self.dim = int(dim)
         self.degree = degrees.pop()
-        self.linear_factors = self._tables = self._second = self._scaled = self._chart = None
+        self.linear_factors = self._tables = self._scaled = self._chart = None
 
     @classmethod
     def from_linear_product(cls, rows):

@@ -42,13 +42,13 @@ class MultiPoly:
     operations return new objects.
     """
 
-    __slots__ = ("dim", "_terms", "degree", "affine_factors", "_tables", "_second", "_scaled", "_circle")
+    __slots__ = ("dim", "_terms", "degree", "affine_factors", "_tables", "_scaled", "_circle")
 
     def __init__(self, dim, terms):
         self._terms = _merge_terms(dim, terms, 0.0)
         self.dim = int(dim)
         self.degree = max(sum(e) for e, _ in self._terms)
-        self.affine_factors = self._tables = self._second = self._scaled = self._circle = None
+        self.affine_factors = self._tables = self._scaled = self._circle = None
 
     @classmethod
     def from_affine_product(cls, forms):
@@ -68,7 +68,7 @@ class MultiPoly:
         obj.dim = d
         obj.degree = len(forms)
         obj.affine_factors = forms
-        obj._terms = obj._tables = obj._second = obj._scaled = obj._circle = None
+        obj._terms = obj._tables = obj._scaled = obj._circle = None
         return obj
 
     @property
@@ -220,18 +220,29 @@ def _expand_product(dim, rows, one):
     return terms
 
 
-def _term_tables(poly):
-    """(K, I, C, Ef, If, Cf) of ``poly.terms``, built once.  Row t of I holds
-    the :func:`_flat` indices of term t's powers (every exponent is below K)
-    and C[t] its coefficient; Ef[j], If[j] and Cf[j] are the exponents,
-    indices and coefficients of d/dx_j, clipped at 0 where Cf is 0."""
+def _term_tables(poly, hessian):
+    """(K, I, C, sym): the stacked table of ``poly.terms``, built once.  Row 0
+    of I holds the :func:`_flat` indices of each term's powers (every exponent
+    is below K) and C[0] the coefficients; rows 1 .. d hold those of d/dx_j,
+    exponents clipped at 0 where the coefficient is 0.  With ``hessian`` the
+    rows of d^2/dx_j dx_k, j <= k, are appended on first use, and sym[j d + k]
+    is the Hessian row of (j, k) counted from row d + 1; sym is None before."""
+    d = poly.dim
     if poly._tables is None:
         E = np.array([e for e, _ in poly.terms], dtype=np.int64)
         C = np.array([c for _, c in poly.terms])
         K = int(E.max()) + 1
-        Ef = np.maximum(E - np.eye(poly.dim, dtype=np.int64)[:, None, :], 0)
-        Cf = np.stack([C * E[:, j] for j in range(poly.dim)])
-        poly._tables = (K, _flat(E, K), C, Ef, _flat(Ef, K), Cf)
+        Ef = np.maximum(E - np.eye(d, dtype=np.int64)[:, None, :], 0)
+        Cf = np.stack([C * E[:, j] for j in range(d)])
+        poly._tables = (K, _flat(np.concatenate([E[None], Ef]), K), np.concatenate([C[None], Cf]), None)
+    K, I, C, sym = poly._tables
+    if hessian and sym is None:
+        j, k = np.triu_indices(d)
+        Ef = I[1 : d + 1] - np.arange(d) * K
+        Es = np.maximum(Ef[j] - np.eye(d, dtype=np.int64)[k, None], 0)
+        sym = np.empty((d, d), dtype=np.intp)
+        sym[j, k] = sym[k, j] = np.arange(len(j))
+        poly._tables = (K, np.concatenate([I, _flat(Es, K)]), np.concatenate([C, C[1 + j] * Ef[j, :, k]]), sym.ravel())
     return poly._tables
 
 
@@ -292,25 +303,20 @@ def _row_products(M, B):
 
 
 def _term_jet(poly, X, parts):
-    """(P, grad P, Hess P) at each row of X from the expanded terms and one
-    :func:`_powers` table; each is computed only if its letter ("v", "g",
-    "h") is in ``parts``, and is None otherwise.  Each part is one
-    :func:`_monomials` call and one :func:`_row_products` over its stacked
-    tables."""
-    K, I, C, Ef, If, Cf = _term_tables(poly)
-    powers = _powers(X, K)
-    v = _row_products(_monomials(powers, I), C) if "v" in parts else None
-    G = _row_products(_monomials(powers, If), Cf) if "g" in parts else None
-    H = None
-    if "h" in parts:
-        if poly._second is None:
-            # (pairs j <= k, indices, coefficients) of d^2/dx_j dx_k, built once
-            j, k = pairs = np.triu_indices(poly.dim)
-            Es = np.maximum(Ef[j] - np.eye(poly.dim, dtype=np.int64)[k, None], 0)
-            poly._second = (pairs, _flat(Es, K), Cf[j] * Ef[j, :, k])
-        (j, k), Is, Cs = poly._second
-        H = np.empty((X.shape[0], poly.dim, poly.dim), dtype=C.dtype)
-        H[:, j, k] = H[:, k, j] = _row_products(_monomials(powers, Is), Cs)
+    """(P, grad P, Hess P) at each row of X from the expanded terms; each is
+    computed only if its letter ("v", "g", "h") is in ``parts``, and is None
+    otherwise.  The rows of :func:`_term_tables` from the first part asked to
+    the last are one contiguous slice, read by one :func:`_powers` table, one
+    :func:`_monomials` call and one :func:`_row_products` call, whose (row,
+    part) products are those of each part on its own."""
+    d = poly.dim
+    K, I, C, sym = _term_tables(poly, "h" in parts)
+    lo = 0 if "v" in parts else 1 if "g" in parts else d + 1
+    hi = len(I) if "h" in parts else d + 1 if "g" in parts else 1
+    out = _row_products(_monomials(_powers(X, K), I[lo:hi]), C[lo:hi])
+    v = out[:, 0] if "v" in parts else None
+    G = out[:, 1 - lo : d + 1 - lo] if "g" in parts else None
+    H = np.take(out[:, d + 1 - lo :], sym, axis=1).reshape(-1, d, d) if "h" in parts else None
     return v, G, H
 
 

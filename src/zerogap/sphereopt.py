@@ -160,7 +160,10 @@ def _log_objective(items):
     also returns the Euclidean Hessians.  The value is ``LOG_FLOOR`` where
     some P_k vanishes, and ``ZERO_STANDIN`` stands in for that zero of 2^e P
     (or of the form) in the gradient, so on an exact zero the ratios are
-    2^e times those of P itself.
+    2^e times those of P itself.  Each sum starts from the first item, and an
+    item is multiplied by delta^2 only when delta^2 != 1; complex rows add
+    +0.0 to the summed gradients and Hessians, which turns each -0.0 into
+    +0.0.
     """
 
     def factor_rows(poly):  # (A, b), the rows (a_i, b_i) of a factored real product's forms, or None
@@ -170,20 +173,21 @@ def _log_objective(items):
     items = [(poly, delta * delta, factor_rows(poly)) for poly, delta in items]
 
     def value(X):
-        total, dead = 0.0, False
+        total = dead = None
         with np.errstate(divide="ignore", invalid="ignore"):
             for poly, w, forms in items:
                 if forms is None:
                     logs = np.log(np.abs(poly.eval(_from_real(X, poly.dim))))
                 else:
                     logs = np.sum(np.log(np.abs(X @ forms[0].T - forms[1])), axis=1)
-                dead = dead | (logs == -np.inf)
-                total = total + w * logs
+                hit = logs == -np.inf
+                if w != 1.0:
+                    logs = w * logs
+                total, dead = (logs, hit) if total is None else (total + logs, dead | hit)
         return np.where(dead, LOG_FLOOR, total)
 
     def grad(X, hessian=False):
-        # complex rows sum onto zeros, real rows from the first item: one item gives its own arrays
-        G = H = 0.0 if X.shape[1] != items[0][0].dim else None
+        G = H = None
         for poly, w, forms in items:
             if forms is not None:
                 A, b = forms
@@ -200,9 +204,12 @@ def _log_objective(items):
                 if hessian:
                     h = _cauchy_riemann(h / v[:, None, None] - g[:, :, None] * g[:, None, :])
                 g = _real(np.conj(g))
-            G = w * g if G is None else G + w * g
-            if hessian:
-                H = w * h if H is None else H + w * h
+            if w != 1.0:
+                g, h = w * g, w * h if hessian else None
+            G, H = (g, h) if G is None else (G + g, H + h if hessian else None)
+        if X.shape[1] != items[0][0].dim:
+            # conj and the Cauchy-Riemann block make -0.0 of the zeros of complex P's parts
+            G, H = G + 0.0, H + 0.0 if hessian else None
         return (G, H) if hessian else G
 
     return value, grad
@@ -211,7 +218,7 @@ def _log_objective(items):
 def _sphere_tangent(G, X):
     """Rows of G projected off the unit rows of X: onto the tangent spaces of
     the sphere for real rows, onto the Hermitian complements for complex rows."""
-    return G - np.sum(G * np.conj(X), axis=1, keepdims=True) * X
+    return G - np.sum(G * (np.conj(X) if np.iscomplexobj(X) else X), axis=1, keepdims=True) * X
 
 
 def _norms(X):
@@ -255,11 +262,11 @@ def _batch_ascent(value, grad, X):
         live = moving & (gnorm >= 1e-12)
         if not live.any():
             break
-        step = 0.5 / (1.0 + gnorm)
+        step, gsq = 0.5 / (1.0 + gnorm), gnorm**2
         floor = GAIN_FLOOR * np.where(f == LOG_FLOOR, 1.0, np.maximum(1.0, np.abs(f)))
         moving = np.zeros_like(live)
         for _ in range(30):
-            live &= step * gnorm**2 > floor
+            live &= step * gsq > floor
             if not live.any():
                 break
             trial = _normalize_rows(X + step[:, None] * G)
@@ -356,14 +363,16 @@ def _near_max(value, X):
     """(best log value, pool) of the polished rows X: the rows within relative
     ``NEAR_MAX_REL`` of the best value, ordered by decreasing value and then
     by coordinates, each unless it lies within 1e-7 of one kept before it.
-    Raises ValueError when the objective vanishes at every row."""
+    One stable ``np.lexsort`` orders them, as a stable sort on (-value,
+    coordinates as a tuple) does, with -0.0 and 0.0 equal.  Raises
+    ValueError when the objective vanishes at every row."""
     logs = value(X)
     best = np.max(logs)
     if best <= LOG_FLOOR / 2:
         raise ValueError("the objective vanishes at every candidate")
     near = np.flatnonzero(logs >= best + math.log1p(-NEAR_MAX_REL))
-    order = sorted(near, key=lambda i: (-logs[i], tuple(X[i])))
-    return float(best), _dedupe_points([X[i] for i in order])
+    order = near[np.lexsort(np.vstack([X[near, ::-1].T, -logs[near]]))]
+    return float(best), _dedupe_points(X[order])
 
 
 def near_max_on_sphere(value, grad, X, starts):

@@ -23,7 +23,10 @@ product R(x, y) = P(x) P(y) in 2d variables, its maximum on the doubled sphere a
 refutation grids from a scalar scan over every denominator N,
 plank refutations from exact rational arithmetic on the floats as stored, the
 maxima on the circle from every critical point rather than those that can be
-maxima, merged polynomial terms from a dict filled one term at a time, and
+maxima, merged polynomial terms from a dict filled one term at a time, the term
+jet from one index table and one product per part, the multiplier's tails,
+log slopes and log curvatures with their series run on every entry, the
+near-max pool's order from Python's sort on (-value, coordinates), and
 JSON reports
 from the hand-written dicts that the report classes and the CLI built key by key before one
 serializer wrote every report from its dataclass fields.
@@ -38,7 +41,7 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 from scipy.special import zeta
 from scipy.stats import qmc
 
-from zerogap import ballfinder, covering, sphereopt
+from zerogap import ballfinder, chebmult, covering, polycore, sphereopt
 from zerogap.chebmult import ball_multiplier, cheb_positive_zeros
 from zerogap.polycore import AffineForm, MultiPoly, _whole
 from zerogap.sphereopt import GAIN_FLOOR, LOG_FLOOR, sphere_starts, unit_vector
@@ -279,6 +282,126 @@ def sorted_tail_product(n, k, x):
     X = np.atleast_1d(np.asarray(x, dtype=float))
     facs = 1.0 - (X[:, None] / (k * cheb_positive_zeros(k)[n // 2 :])[None, :]) ** 2
     return np.prod(np.take_along_axis(facs, np.argsort(np.abs(facs - 1.0), axis=1), axis=1), axis=1)
+
+
+def whole_array_tail_terms(n, X):
+    """chebmult._tail_terms with its sinc series run on every entry and the
+    windowed ratios kept apart from the numerator until one final where."""
+    if n % 2 == 0:
+        num = np.cos(X)
+    else:
+        small = X < chebmult._WINDOW
+        num = np.where(small, chebmult._sinc_series(X), np.sin(X) / np.where(small, 1.0, X))
+    ratio = np.zeros_like(X)
+    windowed = np.zeros(X.shape, dtype=bool)
+    factors = []
+    for x0 in (k * math.pi / 2 for k in chebmult._cancelled_halves(n)):
+        win = np.abs(X - x0) < chebmult._WINDOW
+        factors.append(np.where(win, 1.0, 1.0 - (X / x0) ** 2))
+        if np.any(win):
+            u = X[win] - x0
+            if n % 2 == 0:
+                ratio[win] = math.sin(x0) * x0 * x0 * chebmult._sinc_series(u) / (u + 2 * x0)
+            else:
+                ratio[win] = -math.cos(x0) * x0 * x0 * chebmult._sinc_series(u) / (X[win] * (u + 2 * x0))
+            windowed |= win
+    return np.where(windowed, ratio, num), factors
+
+
+def whole_array_tail_product(n, x):
+    """chebmult.trig_tail_product on :func:`whole_array_tail_terms`."""
+    X = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
+    top, factors = whole_array_tail_terms(n, X)
+    den = np.ones_like(X)
+    with np.errstate(over="ignore"):
+        for factor in factors:
+            den *= factor
+    out = top / den
+    far = np.isinf(den)
+    if np.any(far):
+        top, factors = top[far], [factor[far] for factor in factors]
+        sign = np.sign(top) * np.prod([np.sign(factor) for factor in factors], axis=0)
+        out[far] = sign * np.exp(chebmult._log_terms(top, factors))
+    return out
+
+
+def whole_array_multiplier_log(n, x):
+    """chebmult.ball_multiplier_log on :func:`whole_array_tail_product` and
+    :func:`whole_array_tail_terms`."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    with np.errstate(under="ignore", divide="ignore"):
+        m = np.abs(whole_array_tail_product(n, n * math.pi * x / 2.0))
+        out = np.log(m)
+    outside = m < np.finfo(float).tiny
+    if np.any(outside):
+        out[outside] = chebmult._log_terms(*whole_array_tail_terms(n, n * math.pi * np.abs(x[outside]) / 2.0))
+    return out
+
+
+def whole_array_log_slope(n, x):
+    """chebmult.ball_multiplier_log_slope with its cot series run on every entry."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    U = n * math.pi * np.abs(x) / 2.0
+    small = (U < chebmult._WINDOW) & (n % 2 == 1)
+    safe = np.where(small, 1.0, U)
+    trig = np.where(small, 0.0, 1.0 / np.tan(safe) if n % 2 else -np.tan(U))
+    slope = np.where(small, chebmult._cot_series(U), -1.0 / safe) if n % 2 else np.zeros_like(U)
+    for k in chebmult._cancelled_halves(n):
+        e = (U - k * chebmult._PIO2_HEAD) - k * chebmult._PIO2_TAIL
+        win = np.abs(e) < chebmult._WINDOW
+        slope += np.where(win, chebmult._cot_series(e), -1.0 / np.where(win, 1.0, e)) - 1.0 / (U + k * math.pi / 2)
+        trig[win] = 0.0
+    return np.sign(x) * (n * math.pi / 2.0) * (slope + trig)
+
+
+def whole_array_log_curvature(n, x):
+    """chebmult.ball_multiplier_log_curvature with its series run on every entry."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    U = n * math.pi * np.abs(x) / 2.0
+    small = (U < chebmult._CURVATURE_WINDOW) & (n % 2 == 1)
+    safe = np.where(small, 1.0, U)
+    trig = np.where(small, 0.0, -1.0 / np.sin(safe) ** 2 if n % 2 else -1.0 / np.cos(U) ** 2)
+    curv = np.where(small, chebmult._cot_series_slope(U), 1.0 / safe**2) if n % 2 else np.zeros_like(U)
+    for k in chebmult._cancelled_halves(n):
+        e = (U - k * chebmult._PIO2_HEAD) - k * chebmult._PIO2_TAIL
+        win = np.abs(e) < chebmult._CURVATURE_WINDOW
+        curv += np.where(win, chebmult._cot_series_slope(e), np.where(win, 1.0, e) ** -2.0) + (U + k * math.pi / 2) ** -2.0
+        trig[win] = 0.0
+    return (n * math.pi / 2.0) ** 2 * (curv + trig)
+
+
+def separate_tables_jet(poly, X, parts):
+    """polycore._term_jet with one index table and one product per part, built
+    afresh: the terms' own for P, the stack of each d/dx_j for grad P, and
+    the stack of each d^2/dx_j dx_k, j <= k, for Hess P, written into both
+    triangles."""
+    d = poly.dim
+    E = np.array([e for e, _ in poly.terms], dtype=np.int64)
+    C = np.array([c for _, c in poly.terms])
+    K = int(E.max()) + 1
+    offsets = np.arange(d) * K
+    Ef = np.maximum(E - np.eye(d, dtype=np.int64)[:, None, :], 0)
+    Cf = np.stack([C * E[:, j] for j in range(d)])
+    powers = polycore._powers(X, K)
+    v = polycore._row_products(polycore._monomials(powers, offsets + E), C) if "v" in parts else None
+    G = polycore._row_products(polycore._monomials(powers, offsets + Ef), Cf) if "g" in parts else None
+    H = None
+    if "h" in parts:
+        j, k = np.triu_indices(d)
+        Es = np.maximum(Ef[j] - np.eye(d, dtype=np.int64)[k, None], 0)
+        H = np.empty((X.shape[0], d, d), dtype=C.dtype)
+        H[:, j, k] = H[:, k, j] = polycore._row_products(polycore._monomials(powers, offsets + Es), Cf[j] * Ef[j, :, k])
+    return v, G, H
+
+
+def sorted_near_max(value, X):
+    """sphereopt._near_max with the pool ordered by Python's stable sort on
+    (-value, coordinates as a tuple)."""
+    logs = value(X)
+    best = np.max(logs)
+    near = np.flatnonzero(logs >= best + math.log1p(-sphereopt.NEAR_MAX_REL))
+    order = sorted(near, key=lambda i: (-logs[i], tuple(X[i])))
+    return float(best), sphereopt._dedupe_points([X[i] for i in order])
 
 
 def row_by_row_sphere_starts(dim, count, seed):

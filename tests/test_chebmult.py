@@ -21,7 +21,15 @@ from zerogap.chebmult import (
     trig_tail_product,
 )
 
-from _oracles import cheb_recurrence, sorted_tail_product, truncated_tail_product
+from _oracles import (
+    cheb_recurrence,
+    sorted_tail_product,
+    truncated_tail_product,
+    whole_array_log_curvature,
+    whole_array_log_slope,
+    whole_array_multiplier_log,
+    whole_array_tail_product,
+)
 
 
 class TestChebEval:
@@ -342,6 +350,41 @@ class TestMultiplierLogCurvature:
         # log M is concave: M is a product of factors 1 - (x / x_i)^2 over its
         # zeros x_i beyond 1 + 1/n
         assert np.all(curv < 0.0)
+
+
+def series_points(n):
+    """Arguments u of the tail at each cancelled zero x0 = k pi / 2, and at 0
+    for odd n, offset by 0, 1e-9, half and twice each series window either
+    way, with a grid of [-n pi / 2, n pi / 2] between them."""
+    centres = [k * math.pi / 2 for k in _cancelled_halves(n)] + ([0.0] if n % 2 else [])
+    offsets = [s * h for h in (0.0, 1e-9, _WINDOW / 2, 2 * _WINDOW, _CURVATURE_WINDOW / 2, 2 * _CURVATURE_WINDOW) for s in (-1, 1)]
+    return np.array([c + h for c in centres for h in offsets] + list(np.linspace(-n * math.pi / 2, n * math.pi / 2, 97)))
+
+
+class TestSeriesOnlyInTheirWindows:
+    """The tail, the log and its derivatives have the bytes of the same
+    formulas with every series run on every entry."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_near_the_windows(self, n):
+        u = series_points(n)
+        x = 2.0 * u / (n * math.pi)
+        assert trig_tail_product(n, u).tobytes() == whole_array_tail_product(n, u).tobytes()
+        assert ball_multiplier_log(n, x).tobytes() == whole_array_multiplier_log(n, x).tobytes()
+        assert ball_multiplier_log_slope(n, x).tobytes() == whole_array_log_slope(n, x).tobytes()
+        assert ball_multiplier_log_curvature(n, x).tobytes() == whole_array_log_curvature(n, x).tobytes()
+
+    @pytest.mark.parametrize("n", [1029, 1030])
+    def test_on_the_far_branch(self, n):
+        # the tail and the denominator leave the float range near |x| = 1
+        x = np.concatenate([np.linspace(0.9, 1.0 + 1.0 / n, 301), -np.linspace(0.99, 1.0, 11)])
+        x = np.concatenate([x, [k / n for k in _cancelled_halves(n)][-3:]])
+        u = n * math.pi * x / 2.0
+        with np.errstate(under="ignore"):
+            assert trig_tail_product(n, u).tobytes() == whole_array_tail_product(n, u).tobytes()
+            assert ball_multiplier_log(n, x).tobytes() == whole_array_multiplier_log(n, x).tobytes()
+        assert ball_multiplier_log_slope(n, x).tobytes() == whole_array_log_slope(n, x).tobytes()
+        assert ball_multiplier_log_curvature(n, x).tobytes() == whole_array_log_curvature(n, x).tobytes()
 
 
 class TestCancelledPoles:

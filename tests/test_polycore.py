@@ -21,7 +21,7 @@ from zerogap.polycore import (
     restrict_to_circle,
 )
 
-from _oracles import circle_series_loop, fd_gradient, merge_terms_loop, naive_poly_eval
+from _oracles import circle_series_loop, fd_gradient, merge_terms_loop, naive_poly_eval, separate_tables_jet
 
 
 class TestMultiPolyBasics:
@@ -222,6 +222,57 @@ class TestTermTables:
             assert H.tobytes() == _term_jet(poly, rows, "h")[2].tobytes()
             assert _term_jet(poly, rows, "vg")[2] is None and _term_jet(poly, rows, "g")[0] is None
         assert _term_jet(real, X, "g")[1].tobytes() == loop_gradient(real, X).tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    def test_stacked_jet_matches_separate_tables(self, d, dense):
+        # each part of each asked set has the bytes of its own table and
+        # product, for real and complex P, at any batch position of a row; the
+        # parts are asked in two orders, so the Hessian rows are appended
+        # both before and after the others are read
+        rng = np.random.default_rng(80 + d)
+        cubic = [e for e in np.ndindex(*(4,) * d) if sum(e) == 3]
+        if dense:
+            real = MultiPoly(d, {e: float(rng.standard_normal()) for e in np.ndindex(*(4,) * d) if sum(e) <= 3})
+            chosen = cubic
+        else:
+            real = random_dense_poly(rng, d, n_terms=4, max_exp=4)
+            chosen = [cubic[i] for i in rng.choice(len(cubic), size=min(3, len(cubic)), replace=False)]
+        cplx = ComplexHomogPoly(d, {e: complex(*rng.standard_normal(2)) for e in chosen})
+        X = rng.uniform(-1.5, 1.5, size=(9, d))
+        Z = X + 1j * rng.uniform(-1.5, 1.5, size=(9, d))
+        orders = ("v", "g", "vg", "h", "gh", "vgh")
+        for poly, rows in ((real, X), (cplx, Z)):
+            for asked in (orders, orders[::-1]):
+                fresh = type(poly)(d, poly.terms)
+                for parts in asked:
+                    got = _term_jet(fresh, rows, parts)
+                    alone = _term_jet(fresh, rows[4:5], parts)
+                    for part, one, ref in zip(got, alone, separate_tables_jet(poly, rows[::-1], parts)):
+                        assert (part is None) == (ref is None)
+                        if ref is not None:
+                            assert part.tobytes() == ref[::-1].tobytes() and one.tobytes() == ref[4:5].tobytes()
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            MultiPoly(200, {(1,) + (0,) * 199: 1.0}),
+            MultiPoly(6, {e: 1.0 + sum(e) for e in np.ndindex(*(4,) * 6) if sum(e) <= 3}),
+        ],
+        ids=["x1-d200", "cubic-d6"],
+    )
+    def test_hessian_rows_are_built_on_first_use(self, poly):
+        # a jet without "h" builds d + 1 index rows of the terms; the first
+        # "h" appends the d (d + 1) / 2 rows of the pairs j <= k, as many
+        # index entries as separate value, gradient and Hessian tables hold
+        d, m = poly.dim, len(poly.terms)
+        X = np.random.default_rng(0).standard_normal((2, d))
+        for parts in ("v", "g", "vg"):
+            _term_jet(poly, X, parts)
+            assert poly._tables[1].shape == (d + 1, m, d) and poly._tables[3] is None
+        _term_jet(poly, X, "h")
+        assert poly._tables[1].size == m * d + d * m * d + d * (d + 1) // 2 * m * d
+        assert poly._tables[1].shape == (d + 1 + d * (d + 1) // 2, m, d) and poly._tables[3].shape == (d * d,)
 
     def test_hessian_of_quadric_is_constant(self):
         a = np.array([[1.0, 0.3, -0.2], [0.3, -0.5, 0.4], [-0.2, 0.4, 0.7]])

@@ -33,6 +33,7 @@ from _oracles import (
     row_by_row_lifted_starts,
     row_by_row_sphere_starts,
     slice_min_angle_bruteforce,
+    sorted_near_max,
 )
 from test_newton_polish import run_search_cycle
 
@@ -514,6 +515,19 @@ class TestNearMaxPool:
         assert best == 0.0
         assert [p.tolist() for p in pool] == [[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
         assert_near_max_contract(value, X, best, pool)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_order_matches_the_sort_on_value_then_coordinates(self, seed):
+        # exact value ties, and rows that differ only in the sign of a zero:
+        # the pool has the bytes and the order of Python's stable sort on
+        # (-value, coordinates), whose tuples read -0.0 and 0.0 as equal
+        rng = np.random.default_rng(seed)
+        X = rng.choice([-1.0, -0.0, 0.0, 0.25, 1.0], size=(48, 3))
+        logs = rng.choice([0.0, -1e-12, -1e-3], size=48)
+        best, pool = sphereopt._near_max(lambda Y: logs.copy(), X)
+        ref_best, ref_pool = sorted_near_max(lambda Y: logs.copy(), X)
+        assert best == ref_best and len(pool) == len(ref_pool) > 1
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(pool, ref_pool))
 
     def test_vanishing_objective_rejected(self):
         with pytest.raises(ValueError, match="vanishes at every candidate"):
